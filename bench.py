@@ -23,7 +23,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# default: the CPUs this process may run on (RAY_GRAFT_CPUS overrides)
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS") or len(os.sched_getaffinity(0)))
 # headline corpus size scales with the sf dir (sf0.1 -> 480k docs)
 WEB_ROWS = int(
     os.environ.get("GRAFT_WEB_ROWS")
@@ -75,9 +76,8 @@ def run_headline() -> dict:
     ray = _init_ray()
     from epichypersketch_jl_ray.checkpoint import build_checkpointed
     from epichypersketch_jl_ray.pipelines.webpages import (
+        WebSketchBuilder,
         build_web_sketches,
-        make_state,
-        web_batch_features,
         web_summary,
     )
     from epichypersketch_jl_ray.state.websketch import WebSketchState
@@ -86,16 +86,12 @@ def run_headline() -> dict:
     state = build_web_sketches(web_dir, batch_size=4096)
     dataset_wall = time.monotonic() - t0
 
-    def make_partial(tbl):
-        keys, url_h, lengths, _ = web_batch_features(tbl)
-        return make_state(n_docs_hint=WEB_ROWS).update(
-            ngram_keys=keys, url_hashes=url_h, text_lengths=lengths
-        )
-
     ck_dir = tempfile.mkdtemp(prefix="graft_bench_ck_")
     files = sorted(glob.glob(f"{web_dir}/*.parquet"))
     t0 = time.monotonic()
-    state2, _m = build_checkpointed(files, make_partial, WebSketchState, ck_dir)
+    state2, _m = build_checkpointed(
+        files, WebSketchBuilder(n_docs_hint=WEB_ROWS), WebSketchState, ck_dir
+    )
     ck_wall = time.monotonic() - t0
     shutil.rmtree(ck_dir, ignore_errors=True)
     assert state2.cms.digest() == state.cms.digest(), "build paths disagree"

@@ -4,9 +4,10 @@ aggregation engine.
 Re-expresses the query and data-processing capabilities of the reference
 EpicHyperSketch.jl (count-min-sketch motif enumeration; see
 /root/reference/src/EpicHyperSketch.jl) as idiomatic Ray Data pipelines:
-``ray.data.Dataset`` → ``map_batches`` over zero-copy Arrow batches, stateful
-actor pools for sketch building, driver/tree merge of mergeable sketch states,
-and a broadcast (``ray.put``) read-only sketch for the selection pass.
+``ray.data.Dataset`` → ``map_batches`` over zero-copy Arrow batches, one
+partial sketch state per batch and a tree merge of those states
+(``stages.udaf``), and a broadcast (``ray.put``) read-only sketch for the
+selection pass.
 
 Sub-packages
 ------------

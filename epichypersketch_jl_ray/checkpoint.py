@@ -34,6 +34,9 @@ import ray
 
 from epichypersketch_jl_ray.state.base import MergeableSketch
 
+MAX_IN_FLIGHT = 64  # partition tasks submitted at once
+MERGE_FANOUT = 16  # blobs per remote merge-and-validate task
+
 
 @ray.remote
 def _partition_task(
@@ -50,17 +53,18 @@ def _partition_task(
 
     t0 = time.monotonic()
     pf = pq.ParquetFile(path)
-    state = None
+    parts = []
     rows = 0
     for batch in pf.iter_batches(batch_size=batch_size):
-        tbl = pa.Table.from_batches([batch])
-        part = make_partial(tbl)
-        rows += len(tbl)
-        state = part if state is None else state.merge(part)
-    if state is None:
+        parts.append(make_partial(pa.Table.from_batches([batch])))
+        rows += batch.num_rows
+    if not parts:
         # a legitimately empty input shard contributes an empty partial
         # (rows=0 recorded in the manifest) instead of aborting the build
-        state = make_partial(pf.schema_arrow.empty_table())
+        parts.append(make_partial(pf.schema_arrow.empty_table()))
+    # ONE k-way merge_many, not a pairwise fold: a pairwise COO-CountMin
+    # fold re-sorts the growing accumulator once per batch (SCALE.md)
+    state = parts[0].merge_many(parts[1:])
     raw = state.to_bytes()
     tmp = blob_path + f".tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
@@ -151,8 +155,6 @@ def build_checkpointed(
     ckpt_dir: str,
     *,
     batch_size: int = 8192,
-    max_in_flight: int = 64,
-    merge_fanout: int = 16,
 ) -> tuple[MergeableSketch, dict]:
     """Build (or resume) a sketch over parquet files with per-file checkpoints.
 
@@ -189,7 +191,7 @@ def build_checkpointed(
             pending[_partition_task.remote(f, fn_ref, batch_size, blob)] = (f, blob)
             return True
 
-        for _ in range(max_in_flight):
+        for _ in range(MAX_IN_FLIGHT):
             if not launch_next():
                 break
         with open(manifest_path, "a") as manifest_fh:
@@ -231,9 +233,9 @@ def build_checkpointed(
         entries = [
             (done[f]["blob"], None if f in fresh else done[f]["digest"]) for f in files
         ]
-        if len(entries) > merge_fanout:
+        if len(entries) > MERGE_FANOUT:
             groups = [
-                entries[i : i + merge_fanout] for i in range(0, len(entries), merge_fanout)
+                entries[i : i + MERGE_FANOUT] for i in range(0, len(entries), MERGE_FANOUT)
             ]
             refs = [_merge_validate_task.remote(cls, g) for g in groups]
             results = ray.get(refs)

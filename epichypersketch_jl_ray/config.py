@@ -2,8 +2,7 @@
 
 Mirrors the reference's ``HyperSketchConfig`` keyword surface
 (/root/reference/src/config.jl:6-38): delta, epsilon, min_count, batch_size,
-seed — minus the CUDA knobs, plus Ray-level sizing (concurrency, target block
-sizes).
+seed — minus the CUDA knobs, plus the max_active_len truncation cap.
 """
 
 from __future__ import annotations
@@ -42,9 +41,6 @@ class SketchConfig:
     # -> /root/reference/src/memory.jl:97-148)
     batch_size: int | str = DEFAULT_BATCH_SIZE
     max_active_len: int = DEFAULT_MAX_ACTIVE_LEN
-    # Ray sizing
-    concurrency: int | None = None  # actor-pool size for stateful stages
-    tree_merge_fanout: int = 8
 
     def __post_init__(self) -> None:
         if not (0.0 < self.delta < 1.0):

@@ -1317,7 +1317,7 @@ def duplicated_spans(
     """
     from epichypersketch_jl_ray.functions.hashing import rolling_gram_hashes
     from epichypersketch_jl_ray.pipelines.ngrams import _cms_factory
-    from epichypersketch_jl_ray.stages.udaf import tree_merge
+    from epichypersketch_jl_ray.stages.udaf import partial_states, tree_merge
     from epichypersketch_jl_ray.state.countmin import CountMin
     from epichypersketch_jl_ray.sources.tables import table_rows
     from epichypersketch_jl_ray.stages.join import auto_bucket_count
@@ -1330,12 +1330,11 @@ def duplicated_spans(
 
     cms_ref = None
     if prefilter:
-        def cms_partial(batch: pa.Table) -> pa.Table:
+        def cms_partial(batch: pa.Table) -> CountMin:
             h1, _, _, _ = rolling_gram_hashes(batch["text"], gram_len)
-            cms = _cms_factory().add_keys(h1)
-            return pa.table({"state": pa.array([cms.to_bytes()], type=pa.large_binary())})
+            return _cms_factory().add_keys(h1)
 
-        states = ds.map_batches(cms_partial, batch_format="pyarrow")
+        states = partial_states(ds, cms_partial, batch_size=None)
         cms_ref = ray.put(tree_merge(states, CountMin))
 
     nb = np.uint64(num_buckets)

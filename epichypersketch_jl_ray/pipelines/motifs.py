@@ -36,7 +36,7 @@ import ray
 from epichypersketch_jl_ray.sources.activation import activation_from_table
 from epichypersketch_jl_ray.sources.tables import read_table
 from epichypersketch_jl_ray.stages.motifs import MotifCounter, MotifSelector
-from epichypersketch_jl_ray.stages.udaf import tree_merge
+from epichypersketch_jl_ray.stages.udaf import partial_states, tree_merge
 
 # collision-free-at-test-scale sketch geometry (see module docstring)
 ORACLE_DELTA = 9e-3  # 5 rows
@@ -56,7 +56,6 @@ def motif_pipeline(
     seed: int = MOTIF_SEED,
     max_active_len: int = 64,
     batch_size: int | str = 2048,
-    concurrency: int = 4,
     spill_dir: str | None = None,
 ) -> ray.data.Dataset:
     """count (pass 1) → tree merge → broadcast → select+extract (pass 2).
@@ -116,8 +115,7 @@ def motif_pipeline(
         max_active_len=max_active_len,
     )
     counter = MotifCounter(**kwargs, delta=delta, epsilon=epsilon, seed=seed)
-    states = act.map_batches(counter, batch_format="pyarrow", batch_size=batch_size)
-    merged = tree_merge(states, MotifCountState)
+    merged = tree_merge(partial_states(act, counter, batch_size=batch_size), MotifCountState)
     if merged.truncated:
         import logging
 

@@ -24,7 +24,7 @@ from epichypersketch_jl_ray.functions.text import (
     tokenize,
 )
 from epichypersketch_jl_ray.sources.tables import read_table
-from epichypersketch_jl_ray.stages.udaf import tree_merge
+from epichypersketch_jl_ray.stages.udaf import partial_states, tree_merge
 from epichypersketch_jl_ray.state.countmin import CountMin
 
 NGRAM_SEED = 777
@@ -61,13 +61,11 @@ def heavy_ngrams(
     selection even when min_count is small relative to the corpus)."""
     ds = read_table(sf_dir, table, columns=[text_col])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def partial(batch: pa.Table) -> CountMin:
         ng, _ = _ngram_hash_u64(batch[text_col], n)
-        cms = _cms_factory(delta=delta, epsilon=epsilon).add_keys(ng)
-        return pa.table({"state": pa.array([cms.to_bytes()], type=pa.large_binary())})
+        return _cms_factory(delta=delta, epsilon=epsilon).add_keys(ng)
 
-    states = ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
-    merged = tree_merge(states, CountMin)
+    merged = tree_merge(partial_states(ds, partial, batch_size=batch_size), CountMin)
     cms_ref = ray.put(merged)
 
     def select(batch: pa.Table) -> pa.Table:
@@ -141,13 +139,11 @@ def heavy_ngrams_by_lang(
         row_lang = np.repeat(lang_h, np.diff(ng_off))
         return hash_combine(row_lang, ng), ng_off, batch["lang"]
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def partial(batch: pa.Table) -> CountMin:
         keys, _, _ = keys_of(batch)
-        cms = _cms_factory(seed=NGRAM_SEED + 1).add_keys(keys)
-        return pa.table({"state": pa.array([cms.to_bytes()], type=pa.large_binary())})
+        return _cms_factory(seed=NGRAM_SEED + 1).add_keys(keys)
 
-    states = ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
-    merged = tree_merge(states, CountMin)
+    merged = tree_merge(partial_states(ds, partial, batch_size=batch_size), CountMin)
     cms_ref = ray.put(merged)
 
     def select(batch: pa.Table) -> pa.Table:

@@ -1,10 +1,10 @@
 """Flagship webtext pipeline over the input_hint webpages table.
 
     read_parquet (pruned columns)
-      → map_batches(WebSketchBuilder actor pool)   # html→text extract,
+      → partial_states(WebSketchBuilder)           # html→text extract,
         tokenize, (url,lang)-salted trigram keys,  # 4 sketches in ONE scan
         per-batch partial WebSketchState
-      → tree merge → queries (heavy hitters / distinct / quantiles / membership)
+      → tree_merge → queries (heavy hitters / distinct / quantiles / membership)
 
 The html→text extraction runs INSIDE the pass and its output is checked
 byte-identical against the stored ``text`` column (input_hint invariant) —
@@ -24,7 +24,7 @@ from epichypersketch_jl_ray.functions.hashing import fnv1a64, hash_combine
 from epichypersketch_jl_ray.functions.html import extract_text
 from epichypersketch_jl_ray.functions.text import ngram_hashes, token_hashes
 from epichypersketch_jl_ray.state.websketch import WebSketchState
-from epichypersketch_jl_ray.stages.udaf import tree_merge
+from epichypersketch_jl_ray.stages.udaf import partial_states, tree_merge
 
 WEB_SEED = 20260401
 
@@ -88,35 +88,35 @@ def make_state(*, n_docs_hint: int | None = None, **kwargs) -> WebSketchState:
 
 
 class WebSketchBuilder:
-    """Pass-1 partial builder: one scan, four sketches, per-batch partial
-    state. Used as a plain callable (stateless map_batches tasks — there is
-    no cross-batch state to amortize, and tasks reuse Ray's warm workers
-    with none of the actor-pool spin-up cost)."""
+    """Pass-1 partial builder: one scan of a batch, four sketches, one
+    WebSketchState. The same callable is the streaming path's partial
+    (``partial_states``) and ``checkpoint.build_checkpointed``'s
+    ``make_partial``; ``n_docs_hint`` sizes the Bloom filter (see
+    ``make_state``)."""
 
     def __init__(self, **state_kwargs) -> None:
         self.state_kwargs = state_kwargs
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> WebSketchState:
         keys, url_h, lengths, _ = web_batch_features(batch)
         st = make_state(**self.state_kwargs)
-        st.update(ngram_keys=keys, url_hashes=url_h, text_lengths=lengths)
-        return pa.table({"state": pa.array([st.to_bytes()], type=pa.large_binary())})
+        return st.update(ngram_keys=keys, url_hashes=url_h, text_lengths=lengths)
 
 
 def build_web_sketches(
     input_dir: str,
     *,
     batch_size: int = 4096,
-    concurrency: int | None = None,
     **state_kwargs,
 ) -> WebSketchState:
     """Build the merged 4-sketch state for a webpages parquet directory.
 
-    One streaming execution: read_parquet → map_batches(partial, stateless
-    tasks) → one lazy tree-merge level → driver finish. No actor pool (no
-    cross-batch state to amortize) and no mid-pipeline materialization.
-    ``batch_size=None`` uses Ray's native blocks (one partial per block —
-    fewest states); an explicit batch_size bounds per-task memory instead.
+    One streaming execution: read_parquet → ``partial_states`` (stateless
+    map_batches tasks, one partial per batch) → ``tree_merge``. No actor
+    pool (no cross-batch state to amortize) and no mid-pipeline
+    materialization. ``batch_size=None`` uses Ray's native blocks (one
+    partial per block — fewest states); an explicit batch_size bounds
+    per-task memory instead.
 
     The Bloom filter is sized from the corpus row count (parquet footers
     only) unless the caller passes an explicit ``bloom_capacity``.
@@ -124,8 +124,7 @@ def build_web_sketches(
     if "bloom_capacity" not in state_kwargs and "n_docs_hint" not in state_kwargs:
         state_kwargs["n_docs_hint"] = corpus_rows(input_dir)
     ds = ray.data.read_parquet(input_dir, columns=["url", "html", "text", "lang"])
-    builder = WebSketchBuilder(**state_kwargs)
-    states = ds.map_batches(builder, batch_format="pyarrow", batch_size=batch_size)
+    states = partial_states(ds, WebSketchBuilder(**state_kwargs), batch_size=batch_size)
     return tree_merge(states, WebSketchState)
 
 

@@ -2,8 +2,8 @@
 the reference's three-pass core (SURVEY.md §2.3 C1-C6) re-expressed as two
 Ray Data passes over Arrow batches:
 
-  pass 1  map_batches(MotifCounter actor pool) → per-batch sparse CMS partial
-          → tree merge                       (reference count!/count_cpu!,
+  pass 1  partial_states(MotifCounter) → per-batch sparse CMS partial
+          → tree_merge                       (reference count!/count_cpu!,
           /root/reference/src/count_cpu.jl:76-144)
   pass 2  broadcast merged CMS via ray.put; map_batches(MotifSelector) fuses
           selection + extraction             (reference make_selection_cpu! +
@@ -178,8 +178,8 @@ class MotifCountState(MergeableSketch):
 
 
 class MotifCounter:
-    """Pass-1 partial builder: enumerate + count into a local CMS, emit a
-    sparse partial per batch. Used as a stateless map_batches callable; the
+    """Pass-1 partial builder: enumerate + count into a local CMS, return a
+    sparse MotifCountState per batch. A stateless partial_states callable; the
     comb_table cache is module-level (lru_cache) so it persists per worker
     process across batches (reference Record combs,
     /root/reference/src/record.jl:13-106)."""
@@ -202,7 +202,7 @@ class MotifCounter:
         self.cms_args = dict(delta=delta, epsilon=epsilon, seed=seed)
         self.hash_width = 2 * motif_size - 1 if conv else motif_size
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table) -> MotifCountState:
         enum = enumerate_batch(
             batch,
             self.k,
@@ -212,8 +212,7 @@ class MotifCounter:
         )
         cms = CountMin(self.hash_width, **self.cms_args)
         cms.add(enum["hash_mat"])
-        state = MotifCountState(cms, enum["truncated"])
-        return pa.table({"state": pa.array([state.to_bytes()], type=pa.large_binary())})
+        return MotifCountState(cms, enum["truncated"])
 
 
 class MotifSelector:

@@ -5,8 +5,9 @@ CountMinSketch accumulated across sequentially-processed partitions
 (/root/reference/src/partition.jl:148,204-214,307-336). Here that becomes the
 idiomatic Ray Data pattern (SURVEY.md §2.4 A2):
 
-    map_batches(update → per-batch partial state)   # parallel, order-free
-      → tree merge (map_batches levels over state rows, then driver)
+    partial_states: map_batches(batch → partial state)   # parallel, order-free
+      → tree_merge: remote k-way merges over block refs, then ONE driver
+        merge_many
       → one merged sketch, broadcast via ray.put for any later pass
 
 Because every sketch's ``merge`` is associative + commutative, Ray's
@@ -14,6 +15,10 @@ nondeterministic block order cannot change the merged state (asserted by
 randomized merge-order tests). No shuffle is needed at any point — partial
 states are small (sparse COO / registers / compactors), which is the whole
 point of sketching 100 TB.
+
+This module is the only one that knows how a partial travels between
+operators: a one-row table whose single ``state`` column holds the state's
+``to_bytes()`` as large_binary. Builders return states, never tables.
 """
 
 from __future__ import annotations
@@ -22,172 +27,92 @@ from typing import Callable
 
 import pyarrow as pa
 
-from ray.data.aggregate import AggregateFnV2
-
 from epichypersketch_jl_ray.state.base import MergeableSketch
 
-STATE_SCHEMA = pa.schema([("state", pa.large_binary())])
+# Each remote merge task takes at least this many state blocks; at most
+# MERGE_FANOUT**2 blocks reach the driver's final merge_many.
+MERGE_FANOUT = 8
 
 
-class SketchAggregate(AggregateFnV2):
-    """Ray-Data-native mergeable-sketch UDAF via Dataset.aggregate: one
-    execution does per-block partial build (aggregate_block) + combine.
-
-    Measured caveat: the built-in aggregate funnels combines through few
-    tasks, which loses badly to tree_merge for MB-scale states (34.8s vs
-    6.0s on the 120k-doc webtext build) — use it only for small (KB-scale)
-    states; the pipelines use map_batches partials + tree_merge instead.
-    The accumulator is the sketch object itself (picklable)."""
-
-    def __init__(
-        self,
-        factory: Callable[[], MergeableSketch],
-        update: Callable[[MergeableSketch, pa.Table], None],
-        name: str = "sketch",
-    ) -> None:
-        super().__init__(name, zero_factory=lambda: None, on=None, ignore_nulls=True)
-        self._factory = factory
-        self._update = update
-
-    def aggregate_block(self, block: pa.Table):
-        sk = self._factory()
-        self._update(sk, block)
-        return sk
-
-    def combine(self, a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a.merge(b)
+def _state_table(states: list[MergeableSketch]) -> pa.Table:
+    return pa.table({"state": pa.array([s.to_bytes() for s in states], type=pa.large_binary())})
 
 
-def aggregate_sketch(
-    ds,
-    factory: Callable[[], MergeableSketch],
-    update: Callable[[MergeableSketch, pa.Table], None],
-) -> MergeableSketch:
-    """dataset → merged sketch in ONE streaming execution (no actor pool, no
-    intermediate materialization)."""
-    out = ds.aggregate(SketchAggregate(factory, update))
-    return out["sketch"]
-
-
-def make_partial_fn(
-    factory: Callable[[], MergeableSketch],
-    update: Callable[[MergeableSketch, pa.Table], None],
-):
-    """Build a map_batches fn: Arrow batch -> one-row table holding the
-    serialized partial sketch for that batch."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        sk = factory()
-        update(sk, batch)
-        return pa.table({"state": pa.array([sk.to_bytes()], type=pa.large_binary())})
-
-    return partial
-
-
-def make_merge_fn(cls: type[MergeableSketch]):
-    """map_batches fn merging a batch of serialized states into one."""
-
-    def merge_states(batch: pa.Table) -> pa.Table:
-        col = batch["state"]
-        acc = cls.from_bytes(col[0].as_py())
-        acc.merge_many([cls.from_bytes(col[i].as_py()) for i in range(1, len(col))])
-        return pa.table({"state": pa.array([acc.to_bytes()], type=pa.large_binary())})
-
-    return merge_states
-
-
-def _sketches_from_table(tbl: pa.Table, cls: type[MergeableSketch]) -> list[MergeableSketch]:
-    """Deserialize every state row of ``tbl``.
+def _sketches_from_table(tbl, cls: type[MergeableSketch]) -> list[MergeableSketch]:
+    """Deserialize every state row of a state block.
 
     Callers merge the returned list with ONE ``merge_many`` call rather than
     folding pairwise: for concatenate-then-sort merges (sparse CountMin COO)
     a pairwise fold re-sorts the growing accumulator per input — O(k·N log N)
     across k states — where a single merge_many is one O(N log N) pass.
     """
+    if not isinstance(tbl, pa.Table):  # pandas/simple-block fallback
+        tbl = pa.Table.from_pandas(tbl)
     col = tbl["state"]
     return [cls.from_bytes(col[i].as_py()) for i in range(len(col))]
 
 
-def tree_merge(
-    states_ds,
-    cls: type[MergeableSketch],
-    *,
-    fanout: int = 8,
-    levels: int | None = None,
-) -> MergeableSketch:
+def partial_states(
+    ds, make_partial: Callable[[pa.Table], MergeableSketch], *, batch_size: int | None
+):
+    """Dataset of serialized partial states: one per Arrow batch of ``ds``.
+
+    ``make_partial`` maps a batch to a fresh state. The Ray operator is
+    named after it (``MapBatches(<make_partial's name or class>)``) so
+    per-operator stats stay attributable. ``batch_size=None`` uses Ray's
+    native blocks.
+    """
+
+    def partial(batch: pa.Table) -> pa.Table:
+        return _state_table([make_partial(batch)])
+
+    partial.__name__ = getattr(make_partial, "__name__", type(make_partial).__name__)
+    return ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
+
+
+def tree_merge(states_ds, cls: type[MergeableSketch]) -> MergeableSketch:
     """Merge a Dataset of serialized partial states into one sketch.
 
-    ``levels=None`` (default) is the AUTO path, sized from the actual block
-    count so the 100 TB case needs no manual tuning: the dataset streams
-    once, the driver collects only object REFS to the state blocks
-    (``iter_internal_ref_bundles`` — bytes stay in the object store), and
-    while more than ``fanout**2`` blocks remain they are reduced by remote
-    ``fanout``-way merge tasks (each emits one 1-row block). The remaining
-    (at most ``fanout**2``) blocks' states are deserialized on the driver and
-    combined with a single ``merge_many`` — bounded regardless of input size
+    Sized from the actual block count, so the 100 TB case needs no manual
+    tuning: the dataset streams once, the driver collects only object REFS
+    to the state blocks (``iter_internal_ref_bundles`` — bytes stay in the
+    object store), and while more than ``MERGE_FANOUT**2`` blocks remain they
+    are reduced by remote k-way merge tasks (each emits one 1-row block).
+    The remaining blocks' states are deserialized on the driver and combined
+    with a single ``merge_many`` — bounded regardless of input size
     (asserted by a forced-10k-partial unit test), and one linear pass rather
     than a pairwise fold (which is quadratic for COO-sketch merges).
-
-    An explicit ``levels`` keeps the legacy shape: that many lazy map_batches
-    merge stages (each reduces the state count ``fanout``×) chained onto the
-    pipeline, then one k-way merge_many of the remainder on the driver.
     """
-    if levels is None:
-        import ray
+    import ray
 
-        @ray.remote
-        def _merge_blocks(*blocks) -> pa.Table:
-            sketches: list[MergeableSketch] = []
-            for blk in blocks:
-                if not isinstance(blk, pa.Table):  # pandas/simple-block fallback
-                    blk = pa.Table.from_pandas(blk)
-                sketches.extend(_sketches_from_table(blk, cls))
-            if not sketches:  # all-empty blocks
-                return pa.table({"state": pa.array([], type=pa.large_binary())})
-            acc = sketches[0].merge_many(sketches[1:])
-            return pa.table({"state": pa.array([acc.to_bytes()], type=pa.large_binary())})
+    @ray.remote
+    def _merge_blocks(*blocks) -> pa.Table:
+        sketches = [sk for blk in blocks for sk in _sketches_from_table(blk, cls)]
+        if not sketches:  # all-empty blocks
+            return _state_table([])
+        return _state_table([sketches[0].merge_many(sketches[1:])])
 
+    refs = [
+        ref
+        for bundle in states_ds.iter_internal_ref_bundles()
+        for ref in bundle.block_refs
+    ]
+    driver_cap = MERGE_FANOUT * MERGE_FANOUT
+    while len(refs) > driver_cap:
+        # Adaptive group width: aim to finish in ONE remote round (each
+        # extra round re-sorts and re-ships every merged state), but cap
+        # at 64 states per task so worker memory stays bounded by
+        # 64 × the sketch's fixed geometry. A million-block run still
+        # needs only ~log_64 rounds.
+        group = min(64, max(MERGE_FANOUT, -(-len(refs) // driver_cap)))
         refs = [
-            ref
-            for bundle in states_ds.iter_internal_ref_bundles()
-            for ref in bundle.block_refs
+            _merge_blocks.remote(*refs[i : i + group])
+            for i in range(0, len(refs), group)
         ]
-        driver_cap = fanout * fanout
-        while len(refs) > driver_cap:
-            # Adaptive group width: aim to finish in ONE remote round (each
-            # extra round re-sorts and re-ships every merged state), but cap
-            # at 64 states per task so worker memory stays bounded by
-            # 64 × the sketch's fixed geometry. A million-block run still
-            # needs only ~log_64 rounds.
-            group = min(64, max(fanout, -(-len(refs) // driver_cap)))
-            refs = [
-                _merge_blocks.remote(*refs[i : i + group])
-                for i in range(0, len(refs), group)
-            ]
-        sketches: list[MergeableSketch] = []
-        for ref in refs:
-            blk = ray.get(ref)
-            if not isinstance(blk, pa.Table):
-                blk = pa.Table.from_pandas(blk)
-            sketches.extend(_sketches_from_table(blk, cls))
-        if not sketches:
-            raise ValueError("no partial states to merge (empty input dataset?)")
-        return sketches[0].merge_many(sketches[1:])
-
-    merge_fn = make_merge_fn(cls)
-    states = states_ds
-    for _ in range(max(levels, 0)):
-        states = states.map_batches(merge_fn, batch_format="pyarrow", batch_size=fanout)
-    rows = states.take_all()
-    if not rows:
+    sketches = [sk for ref in refs for sk in _sketches_from_table(ray.get(ref), cls)]
+    if not sketches:
         raise ValueError("no partial states to merge (empty input dataset?)")
-    acc = cls.from_bytes(rows[0]["state"])
-    acc.merge_many([cls.from_bytes(r["state"]) for r in rows[1:]])
-    return acc
+    return sketches[0].merge_many(sketches[1:])
 
 
 def sketch_dataset(
@@ -197,16 +122,19 @@ def sketch_dataset(
     cls: type[MergeableSketch],
     *,
     batch_size: int = 4096,
-    fanout: int = 8,
 ) -> MergeableSketch:
     """End-to-end: dataset → per-batch partials → tree merge → sketch.
 
     ``factory`` must be deterministic (seeded) so all workers agree on hash
     functions; ``update`` mutates the sketch with one Arrow batch.
     """
-    partial_fn = make_partial_fn(factory, update)
-    states = ds.map_batches(partial_fn, batch_format="pyarrow", batch_size=batch_size)
-    return tree_merge(states, cls, fanout=fanout)
+
+    def partial(batch: pa.Table) -> MergeableSketch:
+        sk = factory()
+        update(sk, batch)
+        return sk
+
+    return tree_merge(partial_states(ds, partial, batch_size=batch_size), cls)
 
 
 # worker-local broadcast cache: since the CM01 wire format, ray.get of a

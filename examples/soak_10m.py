@@ -23,7 +23,7 @@ def main() -> None:
     import ray
 
     from epichypersketch_jl_ray.checkpoint import build_checkpointed
-    from epichypersketch_jl_ray.pipelines.webpages import make_state, web_batch_features
+    from epichypersketch_jl_ray.pipelines.webpages import WebSketchBuilder
     from epichypersketch_jl_ray.sources.webpages import webpages_dir_for
     from epichypersketch_jl_ray.state.websketch import WebSketchState
 
@@ -31,12 +31,7 @@ def main() -> None:
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=CPUS, include_dashboard=False, logging_level="ERROR")
 
-    def make_partial(tbl):
-        keys, url_h, lengths, _ = web_batch_features(tbl)
-        return make_state(n_docs_hint=N_DOCS).update(
-            ngram_keys=keys, url_hashes=url_h, text_lengths=lengths
-        )
-
+    make_partial = WebSketchBuilder(n_docs_hint=N_DOCS)
     files = sorted(glob.glob(f"{web_dir}/*.parquet"))
     ck = tempfile.mkdtemp(prefix="graft_soak_ck_")
     t0 = time.monotonic()

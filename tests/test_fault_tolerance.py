@@ -10,17 +10,14 @@ import pytest
 
 def test_corrupt_blob_recomputed(ray_session, tmp_path):
     from epichypersketch_jl_ray.checkpoint import build_checkpointed, read_manifest
-    from epichypersketch_jl_ray.pipelines.webpages import make_state, web_batch_features
+    from epichypersketch_jl_ray.pipelines.webpages import WebSketchBuilder
     from epichypersketch_jl_ray.sources.webpages import webpages_dir_for
     from epichypersketch_jl_ray.state.websketch import WebSketchState
 
     web_dir = webpages_dir_for(3000, n_shards=8)
     files = sorted(glob.glob(f"{web_dir}/*.parquet"))
 
-    def make_partial(tbl):
-        keys, url_h, lengths, _ = web_batch_features(tbl)
-        return make_state().update(ngram_keys=keys, url_hashes=url_h, text_lengths=lengths)
-
+    make_partial = WebSketchBuilder()
     ck = str(tmp_path / "ck")
     clean, m1 = build_checkpointed(files, make_partial, WebSketchState, ck)
     # simulate a torn write: truncate one blob
@@ -70,7 +67,7 @@ def test_empty_shard_contributes_empty_partial(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
     from epichypersketch_jl_ray.checkpoint import build_checkpointed, read_manifest
-    from epichypersketch_jl_ray.pipelines.webpages import make_state, web_batch_features
+    from epichypersketch_jl_ray.pipelines.webpages import WebSketchBuilder
     from epichypersketch_jl_ray.sources.webpages import webpages_dir_for
     from epichypersketch_jl_ray.state.websketch import WebSketchState
 
@@ -87,10 +84,7 @@ def test_empty_shard_contributes_empty_partial(ray_session, tmp_path):
     schema = pq.ParquetFile(files[0]).schema_arrow
     empty = str(work / "zz-empty.parquet")
     pq.write_table(schema.empty_table(), empty)
-
-    def make_partial(tbl):
-        keys, url_h, lengths, _ = web_batch_features(tbl)
-        return make_state().update(ngram_keys=keys, url_hashes=url_h, text_lengths=lengths)
+    make_partial = WebSketchBuilder()
 
     base, _ = build_checkpointed(files, make_partial, WebSketchState, str(tmp_path / "ck1"))
     with_empty, m = build_checkpointed(

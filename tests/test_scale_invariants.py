@@ -54,55 +54,65 @@ def test_hll_register_merge_is_max_not_add():
     assert a.estimate() == est_before
 
 
-def test_tree_merge_levels_equivalent(ray_session):
-    """The scale path (levels>0 lazy merge stages) must produce the same
-    state as the driver-only k-way merge."""
-    import pyarrow as pa
+def _tree_merge_equals_merge_many(parts, cls) -> bool:
+    """tree_merge over one state block per partial equals ONE in-process
+    merge_many of the same partials. More than MERGE_FANOUT**2 blocks, so a
+    remote merge round runs before the driver finish."""
     import ray.data
 
-    from epichypersketch_jl_ray.stages.udaf import make_partial_fn, tree_merge
-    from epichypersketch_jl_ray.state.hll import HyperLogLog
+    from epichypersketch_jl_ray.stages import udaf
+
+    assert len(parts) > udaf.MERGE_FANOUT**2
+    states = ray.data.from_arrow([udaf._state_table([p]) for p in parts])
+    reference = parts[0].merge_many(parts[1:])  # after serializing: mutates parts[0]
+    return udaf.tree_merge(states, cls).digest() == reference.digest()
+
+
+def test_tree_merge_equals_merge_many_hll(ray_session):
     from epichypersketch_jl_ray.functions.hashing import hash_int64
 
-    ds = ray.data.range(50_000, override_num_blocks=40)
+    parts = [
+        HyperLogLog(p=10).update_hashed(hash_int64(ids, seed=3))
+        for ids in np.array_split(np.arange(50_000), 80)
+    ]
+    assert _tree_merge_equals_merge_many(parts, HyperLogLog)
 
-    def update(h, batch: pa.Table):
-        h.update_hashed(hash_int64(batch["id"].to_numpy(), seed=3))
 
-    partial = make_partial_fn(lambda: HyperLogLog(p=10), update)
-    digests = set()
-    for levels, fanout in ((0, 8), (1, 8), (2, 4), (None, 8)):
-        states = ds.map_batches(partial, batch_format="pyarrow", batch_size=2048)
-        merged = tree_merge(states, HyperLogLog, fanout=fanout, levels=levels)
-        digests.add(merged.digest())
-    assert len(digests) == 1
+def test_tree_merge_equals_merge_many_coo_countmin(ray_session):
+    """The COO CountMin regression guard: grouped remote merges + driver
+    finish must give byte-identical state to one k-way merge_many (round-4
+    found the pairwise fold was quadratic AND order-sensitive flushes could
+    diverge; this pins both semantics and determinism, sparse and
+    densified)."""
+    from epichypersketch_jl_ray.functions.hashing import hash_int64
+
+    for eps in (1e-5, 1e-2):  # sparse regime, dense regime
+        parts = [
+            CountMin(1, delta=0.01, epsilon=eps, seed=5).add_keys(hash_int64(ids % 997, seed=4))
+            for ids in np.array_split(np.arange(30_000), 80)
+        ]
+        assert _tree_merge_equals_merge_many(parts, CountMin), f"eps={eps}"
 
 
 def test_tree_merge_auto_bounds_driver_states(ray_session, monkeypatch):
-    """AUTO tree_merge (levels=None, the default) with a forced 10k-partial
-    run: the driver must deserialize at most fanout**2 states — everything
-    else is pre-merged by remote tasks over object-store block refs. The
-    counter is a driver-process monkeypatch; remote workers import the
-    library fresh, so only driver-side from_bytes calls are counted."""
-    import pyarrow as pa
+    """tree_merge with a forced 10k-partial run: the driver must
+    deserialize at most MERGE_FANOUT**2 states — everything else is
+    pre-merged by remote tasks over object-store block refs. The counter is
+    a driver-process monkeypatch; remote workers import the library fresh,
+    so only driver-side from_bytes calls are counted."""
     import ray.data
 
     from epichypersketch_jl_ray.functions.hashing import hash_int64
-    from epichypersketch_jl_ray.stages.udaf import tree_merge
+    from epichypersketch_jl_ray.stages.udaf import MERGE_FANOUT, _state_table, tree_merge
 
-    n_partials, per_block, fanout = 10_000, 10, 8
-    partial_bytes = []
+    n_partials, per_block = 10_000, 10
+    parts = []
     reference = HyperLogLog(p=4)
     for i in range(n_partials):
-        h = HyperLogLog(p=4)
         keys = hash_int64(np.arange(i * 3, i * 3 + 3), seed=9)
-        h.update_hashed(keys)
+        parts.append(HyperLogLog(p=4).update_hashed(keys))
         reference.update_hashed(keys)
-        partial_bytes.append(h.to_bytes())
-    tables = [
-        pa.table({"state": pa.array(partial_bytes[i : i + per_block], pa.large_binary())})
-        for i in range(0, n_partials, per_block)
-    ]
+    tables = [_state_table(parts[i : i + per_block]) for i in range(0, n_partials, per_block)]
     states = ray.data.from_arrow(tables)  # 1000 blocks x 10 states
 
     calls = {"n": 0}
@@ -113,8 +123,8 @@ def test_tree_merge_auto_bounds_driver_states(ray_session, monkeypatch):
         return orig(cls, data)
 
     monkeypatch.setattr(HyperLogLog, "from_bytes", classmethod(counting_from_bytes))
-    merged = tree_merge(states, HyperLogLog, fanout=fanout)
-    assert calls["n"] <= fanout * fanout, calls["n"]
+    merged = tree_merge(states, HyperLogLog)
+    assert calls["n"] <= MERGE_FANOUT * MERGE_FANOUT, calls["n"]
     assert merged.digest() == reference.digest()
 
 
@@ -155,33 +165,6 @@ def test_motif_spill_dir_equals_materialized(ray_session, tmp_path):
         a[cols].sort_values(cols).reset_index(drop=True),
         b[cols].sort_values(cols).reset_index(drop=True),
     )
-
-
-def test_tree_merge_auto_equals_levels_for_coo_countmin(ray_session):
-    """The COO CountMin regression guard: the auto path's k-way merge_many
-    must produce byte-identical state to the levels path (round-4 found the
-    pairwise fold was quadratic AND order-sensitive flushes could diverge;
-    this pins both semantics and determinism, sparse and densified)."""
-    import pyarrow as pa
-    import ray.data
-
-    from epichypersketch_jl_ray.functions.hashing import hash_int64
-    from epichypersketch_jl_ray.stages.udaf import make_partial_fn, tree_merge
-    from epichypersketch_jl_ray.state.countmin import CountMin
-
-    def update(cm, batch: pa.Table):
-        ids = batch["id"].to_numpy()
-        cm.add_keys(hash_int64(ids % 997, seed=4))
-
-    for eps, n in ((1e-5, 30_000), (1e-2, 30_000)):  # sparse regime, dense regime
-        ds = ray.data.range(n, override_num_blocks=32)
-        partial = make_partial_fn(lambda: CountMin(1, delta=0.01, epsilon=eps, seed=5), update)
-        digests = set()
-        for levels, fanout in ((0, 8), (None, 8), (None, 3)):
-            states = ds.map_batches(partial, batch_format="pyarrow", batch_size=1024)
-            merged = tree_merge(states, CountMin, fanout=fanout, levels=levels)
-            digests.add(merged.digest())
-        assert len(digests) == 1, f"eps={eps}: {digests}"
 
 
 def test_motif_exact_verify_survives_coarse_sketch(ray_session):
