@@ -32,6 +32,7 @@ from typing import Callable
 
 import ray
 
+from epichypersketch_jl_ray.stages.udaf import fold_partials
 from epichypersketch_jl_ray.state.base import MergeableSketch
 
 MAX_IN_FLIGHT = 64  # partition tasks submitted at once
@@ -53,24 +54,16 @@ def _partition_task(
 
     t0 = time.monotonic()
     pf = pq.ParquetFile(path)
-    parts = []
-    rows = 0
-    for batch in pf.iter_batches(batch_size=batch_size):
-        parts.append(make_partial(pa.Table.from_batches([batch])))
-        rows += batch.num_rows
-    if not parts:
-        # a legitimately empty input shard contributes an empty partial
-        # (rows=0 recorded in the manifest) instead of aborting the build
-        parts.append(make_partial(pf.schema_arrow.empty_table()))
-    # ONE k-way merge_many, not a pairwise fold: a pairwise COO-CountMin
-    # fold re-sorts the growing accumulator once per batch (SCALE.md)
-    state = parts[0].merge_many(parts[1:])
+    # a legitimately empty input shard contributes an empty partial (rows=0
+    # recorded in the manifest) instead of aborting the build
+    batches = (pa.Table.from_batches([b]) for b in pf.iter_batches(batch_size=batch_size))
+    state = fold_partials(batches, make_partial, pf.schema_arrow)
     raw = state.to_bytes()
     tmp = blob_path + f".tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write(raw)
     os.replace(tmp, blob_path)
-    return rows, time.monotonic() - t0, hashlib.sha256(raw).hexdigest()
+    return pf.metadata.num_rows, time.monotonic() - t0, hashlib.sha256(raw).hexdigest()
 
 
 def _load_validated(

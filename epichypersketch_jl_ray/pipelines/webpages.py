@@ -3,7 +3,7 @@
     read_parquet (pruned columns)
       → partial_states(WebSketchBuilder)           # html→text extract,
         tokenize, (url,lang)-salted trigram keys,  # 4 sketches in ONE scan
-        per-batch partial WebSketchState
+        one WebSketchState per batch, or per block
       → tree_merge → queries (heavy hitters / distinct / quantiles / membership)
 
 The html→text extraction runs INSIDE the pass and its output is checked
@@ -65,18 +65,34 @@ def bloom_capacity_for(n_docs: int) -> int:
     return max(1 << 16, int(n_docs))
 
 
-def corpus_rows(input_dir: str) -> int:
-    """Total row count of a parquet directory from file FOOTERS only (no
-    column data read) — the cheap pre-pass that sizes the Bloom filter."""
-    import glob as _glob
+def parquet_files(input_dir: str) -> list[str]:
+    """Sorted parquet files under ``input_dir``, recursively: nested or
+    partitioned layouts (e.g. ``lang=xx/`` subdirs) count. The ONE file list
+    a build both sizes its Bloom filter from and reads."""
+    import glob
 
+    files = sorted(glob.glob(f"{input_dir}/**/*.parquet", recursive=True))
+    if not files:
+        raise ValueError(f"no parquet files under {input_dir!r}")
+    return files
+
+
+def corpus_rows(files: list[str]) -> int:
+    """Total row count of parquet files from their FOOTERS only (no column
+    data read) — the cheap pre-pass that sizes the Bloom filter."""
     import pyarrow.parquet as pq
 
-    # recursive: nested/partitioned layouts (e.g. lang=xx/ subdirs) must
-    # count too, matching what ray.data.read_parquet will actually read —
-    # a 0 count here would silently fall back to the capacity floor
-    files = _glob.glob(f"{input_dir}/**/*.parquet", recursive=True)
     return sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+
+
+def _cluster_cpus() -> int:
+    """CPUs of the running Ray cluster (of this machine before Ray starts:
+    what ``read_parquet``'s auto-init would get)."""
+    import os
+
+    if ray.is_initialized():
+        return int(ray.cluster_resources().get("CPU", 1))
+    return os.cpu_count() or 1
 
 
 def make_state(*, n_docs_hint: int | None = None, **kwargs) -> WebSketchState:
@@ -111,20 +127,37 @@ def build_web_sketches(
 ) -> WebSketchState:
     """Build the merged 4-sketch state for a webpages parquet directory.
 
-    One streaming execution: read_parquet → ``partial_states`` (stateless
-    map_batches tasks, one partial per batch) → ``tree_merge``. No actor
-    pool (no cross-batch state to amortize) and no mid-pipeline
-    materialization. ``batch_size=None`` uses Ray's native blocks (one
-    partial per block — fewest states); an explicit batch_size bounds
-    per-task memory instead.
+    One streaming execution: read_parquet → ``partial_states`` →
+    ``tree_merge``. When the files average at least ``batch_size`` rows,
+    each read block becomes ONE partial (``per_block=True``: its
+    ``batch_size``-row slices are folded), which is fewer states than one
+    per batch. The read then makes one block per file, so the partial map
+    fuses into the read task and the file is the unit of parallelism, as in
+    ``checkpoint.build_checkpointed``. Only with at most half as many files
+    as cluster CPUs is each file split into ``CPUs // files`` blocks: the
+    split stops the fusion, which costs less than the idle CPUs.
+    Smaller files keep Ray's default read, which bundles them, and one
+    partial per ``batch_size``-row batch. Either way ``batch_size`` bounds
+    the rows the kernels see at once.
 
-    The Bloom filter is sized from the corpus row count (parquet footers
-    only) unless the caller passes an explicit ``bloom_capacity``.
+    The Bloom filter is sized from the row count in the footers of the same
+    file list the build reads, unless the caller passes an explicit
+    ``bloom_capacity``.
     """
+    files = parquet_files(input_dir)
+    rows = corpus_rows(files)
     if "bloom_capacity" not in state_kwargs and "n_docs_hint" not in state_kwargs:
-        state_kwargs["n_docs_hint"] = corpus_rows(input_dir)
-    ds = ray.data.read_parquet(input_dir, columns=["url", "html", "text", "lang"])
-    states = partial_states(ds, WebSketchBuilder(**state_kwargs), batch_size=batch_size)
+        state_kwargs["n_docs_hint"] = rows
+    per_block = rows >= batch_size * len(files)
+    blocks = len(files) * max(1, _cluster_cpus() // len(files))
+    ds = ray.data.read_parquet(
+        files,
+        columns=["url", "html", "text", "lang"],
+        override_num_blocks=blocks if per_block else None,
+    )
+    states = partial_states(
+        ds, WebSketchBuilder(**state_kwargs), batch_size=batch_size, per_block=per_block
+    )
     return tree_merge(states, WebSketchState)
 
 

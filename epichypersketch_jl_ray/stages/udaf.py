@@ -5,10 +5,19 @@ CountMinSketch accumulated across sequentially-processed partitions
 (/root/reference/src/partition.jl:148,204-214,307-336). Here that becomes the
 idiomatic Ray Data pattern (SURVEY.md §2.4 A2):
 
-    partial_states: map_batches(batch → partial state)   # parallel, order-free
+    partial_states: map over batches or blocks (→ ONE partial state each)
       → tree_merge: remote k-way merges over block refs, then ONE driver
         merge_many
       → one merged sketch, broadcast via ray.put for any later pass
+
+A partial covers one ``batch_size``-row batch, or, where the caller sized
+the blocks (``per_block=True``), a whole block, like the reference's
+one-CMS-per-partition count pass: the map then runs on Ray's native blocks,
+so it fuses into the upstream read task, and each block's
+``batch_size``-row slices are folded before the ONE serialization per
+block. A parquet read with one block per file then emits one state per
+file (a file above Ray's target block size, 128 MiB, can come out of the
+read as several blocks, one state each).
 
 Because every sketch's ``merge`` is associative + commutative, Ray's
 nondeterministic block order cannot change the merged state (asserted by
@@ -23,7 +32,7 @@ operators: a one-row table whose single ``state`` column holds the state's
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 import pyarrow as pa
 
@@ -41,33 +50,85 @@ def _state_table(states: list[MergeableSketch]) -> pa.Table:
 def _sketches_from_table(tbl, cls: type[MergeableSketch]) -> list[MergeableSketch]:
     """Deserialize every state row of a state block.
 
+    A 0-row block holds no states. Ray passes an empty input block (the
+    motif activation groupby emits some) through a ``batch_size=None`` map
+    without calling it, so such a block arrives here with no ``state``
+    column at all.
+
     Callers merge the returned list with ONE ``merge_many`` call rather than
     folding pairwise: for concatenate-then-sort merges (sparse CountMin COO)
     a pairwise fold re-sorts the growing accumulator per input — O(k·N log N)
     across k states — where a single merge_many is one O(N log N) pass.
     """
+    if len(tbl) == 0:
+        return []
     if not isinstance(tbl, pa.Table):  # pandas/simple-block fallback
         tbl = pa.Table.from_pandas(tbl)
     col = tbl["state"]
     return [cls.from_bytes(col[i].as_py()) for i in range(len(col))]
 
 
-def partial_states(
-    ds, make_partial: Callable[[pa.Table], MergeableSketch], *, batch_size: int | None
-):
-    """Dataset of serialized partial states: one per Arrow batch of ``ds``.
+def fold_partials(
+    batches: Iterable[pa.Table],
+    make_partial: Callable[[pa.Table], MergeableSketch],
+    schema: pa.Schema,
+) -> MergeableSketch:
+    """One state for a run of Arrow batches: ``make_partial`` per batch,
+    folded in ``merge_many`` groups of ``MERGE_FANOUT``, so at most
+    ``MERGE_FANOUT + 1`` states are alive however many batches the run has
+    (a partial can be a whole corpus-sized Bloom filter), and the COO
+    CountMin accumulator is re-sorted once per group, not once per batch.
+    A single batch's state is returned as is (``merge_many([])`` still
+    re-sorts a COO CountMin). With no batches at all the state is
+    ``make_partial`` of an empty table of ``schema``.
 
-    ``make_partial`` maps a batch to a fresh state. The Ray operator is
-    named after it (``MapBatches(<make_partial's name or class>)``) so
-    per-operator stats stay attributable. ``batch_size=None`` uses Ray's
-    native blocks.
+    The fold behind both build paths: ``partial_states`` (one block's
+    slices) and ``checkpoint.build_checkpointed`` (one file's batches).
+    """
+    parts: list[MergeableSketch] = []
+    for batch in batches:
+        parts.append(make_partial(batch))
+        if len(parts) > MERGE_FANOUT:
+            parts = [parts[0].merge_many(parts[1:])]
+    if not parts:
+        return make_partial(schema.empty_table())
+    return parts[0].merge_many(parts[1:]) if len(parts) > 1 else parts[0]
+
+
+def partial_states(
+    ds,
+    make_partial: Callable[[pa.Table], MergeableSketch],
+    *,
+    batch_size: int | None,
+    per_block: bool = False,
+):
+    """Dataset of serialized partial states.
+
+    By default Ray cuts ``ds`` into ``batch_size``-row batches (bundling
+    blocks smaller than that) and each batch becomes one state
+    (``batch_size=None``: one state per block). With ``per_block=True`` the
+    map takes Ray's native blocks, so it fuses into an unsplit upstream
+    read, and each non-empty block becomes ONE state: ``make_partial`` sees
+    the block's zero-copy ``batch_size``-row slices, which ``fold_partials``
+    folds (at most ``MERGE_FANOUT + 1`` states alive) before the one
+    serialization. That pays only where the caller sized the blocks, e.g.
+    one block per file of at least ``batch_size`` rows; over small blocks
+    it makes more tasks and states than the bundled per-batch map.
+
+    Ray passes an empty block on without calling the map. The Ray operator
+    is named after ``make_partial`` (``MapBatches(<its name or class>)``)
+    so per-operator stats stay attributable.
     """
 
-    def partial(batch: pa.Table) -> pa.Table:
-        return _state_table([make_partial(batch)])
+    def partial(block: pa.Table) -> pa.Table:
+        step = batch_size or block.num_rows
+        slices = (block.slice(i, step) for i in range(0, block.num_rows, step))
+        return _state_table([fold_partials(slices, make_partial, block.schema)])
 
     partial.__name__ = getattr(make_partial, "__name__", type(make_partial).__name__)
-    return ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
+    return ds.map_batches(
+        partial, batch_format="pyarrow", batch_size=None if per_block else batch_size
+    )
 
 
 def tree_merge(states_ds, cls: type[MergeableSketch]) -> MergeableSketch:

@@ -4,6 +4,7 @@ across batch sizes / parallelism (the N-vs-4N reproducibility argument)."""
 
 import numpy as np
 import pandas as pd
+import pytest
 
 from epichypersketch_jl_ray.state.countmin import CountMin
 from epichypersketch_jl_ray.state.hll import HyperLogLog
@@ -92,6 +93,37 @@ def test_tree_merge_equals_merge_many_coo_countmin(ray_session):
             for ids in np.array_split(np.arange(30_000), 80)
         ]
         assert _tree_merge_equals_merge_many(parts, CountMin), f"eps={eps}"
+
+
+@pytest.mark.parametrize("per_block", [False, True])
+@pytest.mark.parametrize("with_empty_block", [False, True])
+def test_partial_states_merge_equals_in_process_fold(ray_session, with_empty_block, per_block):
+    """Both partial_states modes merge to one in-process merge_many of the
+    same batch_size-row slices, and a 0-row block contributes no state (Ray
+    passes an empty block through a batch_size=None map as a 0-row block
+    without a ``state`` column, which tree_merge must skip). per_block=True
+    folds each block's slices into ONE state."""
+    import pyarrow as pa
+    import ray.data
+
+    from epichypersketch_jl_ray.functions.hashing import hash_int64
+    from epichypersketch_jl_ray.stages.udaf import partial_states, tree_merge
+
+    def key_cms(batch: pa.Table) -> CountMin:
+        keys = hash_int64(batch["k"].to_numpy(), seed=4)
+        return CountMin(1, delta=0.01, epsilon=0.01, seed=5).add_keys(keys)
+
+    blocks = [pa.table({"k": np.arange(i * 1000, i * 1000 + 1000)}) for i in range(3)]
+    if with_empty_block:
+        blocks.insert(1, blocks[0].slice(0, 0))
+    ds = ray.data.from_arrow(blocks)
+    states = partial_states(ds, key_cms, batch_size=256, per_block=per_block).materialize()
+    if per_block:
+        assert states.count() == 3
+    slices = [key_cms(t.slice(i, 256)) for t in blocks for i in range(0, len(t), 256)]
+    assert len(slices) == 12
+    reference = slices[0].merge_many(slices[1:])
+    assert tree_merge(states, CountMin).digest() == reference.digest()
 
 
 def test_tree_merge_auto_bounds_driver_states(ray_session, monkeypatch):

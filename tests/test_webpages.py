@@ -109,7 +109,10 @@ def test_batching_invariance(web_dir, web_state):
     """Different batch size => byte-identical CMS/HLL/Bloom (the N-vs-4N
     reproducibility argument, SURVEY.md §4); KLL is not exact across
     batchings, so each state's p50 is held to the published rank bound
-    against the exact text lengths."""
+    against the exact text lengths. The two builds take both
+    build_web_sketches paths: 375-row files are smaller than batch_size=512
+    (one partial per batch) and larger than batch_size=200 (one partial
+    per file)."""
     import pyarrow.compute as pc
 
     from epichypersketch_jl_ray.pipelines.webpages import build_web_sketches
@@ -193,6 +196,28 @@ def test_checkpointed_equals_streaming(web_dir, web_state, tmp_path):
         assert getattr(ck, name).digest() == getattr(web_state, name).digest(), name
 
 
+def test_split_file_read_equals_per_batch(ray_session):
+    """With at most half as many large files as CPUs the per-block build
+    splits each file into several read blocks (2 files on 4 CPUs: 4
+    blocks). Its CMS/HLL/Bloom equal the per-batch build's byte for byte."""
+    from epichypersketch_jl_ray.pipelines.webpages import build_web_sketches
+    from epichypersketch_jl_ray.sources.webpages import webpages_dir_for
+
+    split_dir = webpages_dir_for(1000, n_shards=2)
+    split = build_web_sketches(split_dir, batch_size=100)  # 500-row files: per block
+    per_batch = build_web_sketches(split_dir, batch_size=4096)  # small files: per batch
+    for name in ("cms", "hll", "bloom"):
+        assert getattr(split, name).digest() == getattr(per_batch, name).digest(), name
+
+
+def test_build_without_parquet_files_raises(tmp_path):
+    from epichypersketch_jl_ray.pipelines.webpages import build_web_sketches
+
+    (tmp_path / "notes.txt").write_text("not parquet")
+    with pytest.raises(ValueError, match="no parquet files"):
+        build_web_sketches(str(tmp_path))
+
+
 def test_bloom_capacity_sized_to_corpus(ray_session):
     """The Bloom capacity derives from the corpus row count (round-1 soak
     lesson: the fixed default overfilled to 0.78 at 10M docs). Rule:
@@ -205,6 +230,7 @@ def test_bloom_capacity_sized_to_corpus(ray_session):
         build_web_sketches,
         corpus_rows,
         make_state,
+        parquet_files,
     )
     from epichypersketch_jl_ray.sources.webpages import webpages_dir_for
 
@@ -217,7 +243,7 @@ def test_bloom_capacity_sized_to_corpus(ray_session):
     assert st2.bloom.capacity == 1 << 20
 
     web_dir = webpages_dir_for(3000, n_shards=4)
-    assert corpus_rows(web_dir) == 3000
+    assert corpus_rows(parquet_files(web_dir)) == 3000
     state = build_web_sketches(web_dir)
     assert state.bloom.capacity >= 3000
     assert state.bloom.fill_ratio() < 0.55
