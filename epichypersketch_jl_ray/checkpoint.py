@@ -18,9 +18,11 @@ the merge read (one pass per blob — no separate validation scan, no double
 deserialization); a torn or missing blob just means that partition is
 recomputed and the merge re-runs. Merge order is the sorted file list
 (deterministic), executed as a parallel tree (Ray merge tasks over blob
-groups, then one k-way merge_many on the driver), so an interrupted+resumed
-run's final state is byte-identical to an uninterrupted one — including
-KLL/t-digest, whose buffered state round-trips exactly through the blob.
+groups, then udaf.merge_state_refs' remote rounds, so the driver holds a
+bounded number of states, then one k-way merge_many on the driver), so an
+interrupted+resumed run's final state is byte-identical to an
+uninterrupted one — including KLL/t-digest, whose buffered state
+round-trips exactly through the blob.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable
 
 import ray
 
-from epichypersketch_jl_ray.stages.udaf import fold_partials
+from epichypersketch_jl_ray.stages.udaf import _state_table, fold_partials, merge_state_refs
 from epichypersketch_jl_ray.state.base import MergeableSketch
 
 MAX_IN_FLIGHT = 64  # partition tasks submitted at once
@@ -94,15 +96,16 @@ def _load_validated(
     return parts, bad
 
 
-@ray.remote
+@ray.remote(num_returns=2)
 def _merge_validate_task(
     cls: type[MergeableSketch], entries: list[tuple[str, str | None]]
-) -> tuple[bytes | None, list[str]]:
+):
     """Merge a group of blobs with fused validation (_load_validated).
-    Returns (merged_bytes_of_valid, bad_paths)."""
+    Returns (state block of the merged valid blobs, bad_paths) as two
+    objects, so the driver can fetch the bad paths alone while the state
+    stays in the object store for ``udaf.merge_state_refs``."""
     parts, bad = _load_validated(cls, entries)
-    data = parts[0].merge_many(parts[1:]).to_bytes() if parts else None
-    return data, bad
+    return _state_table([parts[0].merge_many(parts[1:])] if parts else []), bad
 
 
 def _manifest_path(ckpt_dir: str) -> str:
@@ -230,10 +233,11 @@ def build_checkpointed(
             groups = [
                 entries[i : i + MERGE_FANOUT] for i in range(0, len(entries), MERGE_FANOUT)
             ]
-            refs = [_merge_validate_task.remote(cls, g) for g in groups]
-            results = ray.get(refs)
-            bad_paths = [p for _, bad in results for p in bad]
-            parts = [cls.from_bytes(b) for b, _ in results if b is not None]
+            state_refs, bad_refs = zip(*(_merge_validate_task.remote(cls, g) for g in groups))
+            bad_paths = [p for bad in ray.get(list(bad_refs)) for p in bad]
+            # the merged groups stay in the object store; the driver gets
+            # at most udaf.MERGE_FANOUT**2 of them, however many files
+            parts = [] if bad_paths else merge_state_refs(list(state_refs), cls)
         else:
             parts, bad_paths = _load_validated(cls, entries)
         if not bad_paths:

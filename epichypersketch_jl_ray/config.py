@@ -1,8 +1,10 @@
 """Configuration for sketch pipelines.
 
 Mirrors the reference's ``HyperSketchConfig`` keyword surface
-(/root/reference/src/config.jl:6-38): delta, epsilon, min_count, batch_size,
-seed — minus the CUDA knobs, plus the max_active_len truncation cap.
+(reference src/config.jl:6-38): delta, epsilon, batch_size, seed —
+minus the CUDA knobs, plus the max_active_len truncation cap. The selection
+threshold ``min_count`` is not a field: it is set only as a keyword of the
+entry points (api.obtain_enriched_configurations).
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 # Reference defaults: /root/reference/src/EpicHyperSketch.jl:14-20
 DEFAULT_CMS_DELTA = 1e-4
 DEFAULT_CMS_EPSILON = 5e-5
-DEFAULT_MIN_COUNT = 2
 DEFAULT_BATCH_SIZE = 4096
 DEFAULT_SEED = 1234
 
@@ -34,7 +35,6 @@ class SketchConfig:
 
     delta: float = DEFAULT_CMS_DELTA
     epsilon: float = DEFAULT_CMS_EPSILON
-    min_count: int = DEFAULT_MIN_COUNT
     seed: int = DEFAULT_SEED
     # int, or ":auto" — resolved per pipeline from the enumeration working
     # set (reference batch_size=:auto flow, /root/reference/src/record.jl:58-62
@@ -47,8 +47,6 @@ class SketchConfig:
             raise ValueError(f"delta must be in (0,1), got {self.delta}")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must be in (0,1), got {self.epsilon}")
-        if self.min_count < 1:
-            raise ValueError(f"min_count must be >= 1, got {self.min_count}")
         if isinstance(self.batch_size, str):
             if self.batch_size != ":auto":
                 raise ValueError(f'batch_size must be an int or ":auto", got {self.batch_size!r}')

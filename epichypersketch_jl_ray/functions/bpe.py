@@ -5,9 +5,7 @@ whole training state is the WORD-FREQUENCY table, so exact corpus-wide
 training is a distributed word-count groupby (shuffle = distinct words per
 batch, never the token stream) followed by the merge loop over DISTINCT
 words on the driver (train_bpe_distributed; ``max_words`` caps the typo
-tail at web scale). A bounded-sample variant (train_bpe_on_dataset, the
-IVF-centroid pattern) remains for when even the distinct-word table is
-unwanted. Either way the tokenizer is then BROADCAST once (``ray.put``)
+tail at web scale). The tokenizer is then BROADCAST once (``ray.put``)
 and APPLIED distributed via ``map_batches`` — tokenization is
 embarrassingly parallel and dominates the cost at corpus scale.
 
@@ -168,29 +166,6 @@ class BpeTokenizer:
             pa.array(np.concatenate(([0], np.cumsum(lengths))), pa.int32()),
             pa.array([s for t in toks for s in t], pa.string()),
         )
-
-
-def train_bpe_on_dataset(
-    ds,
-    column: str,
-    *,
-    num_merges: int = 200,
-    sample_rows: int = 50_000,
-    lowercase: bool = True,
-    min_freq: int = 2,
-) -> BpeTokenizer:
-    """Dataset -> tokenizer trained on a BOUNDED driver-side sample (the
-    same documented pattern as the IVF centroid trainer: the iterative
-    algorithm sees O(sample_rows), never the corpus; the returned
-    tokenizer is then broadcast and applied distributed)."""
-    rows = ds.select_columns([column]).limit(sample_rows).take_all()
-    merges = train_bpe(
-        (r[column] for r in rows),
-        num_merges,
-        lowercase=lowercase,
-        min_freq=min_freq,
-    )
-    return BpeTokenizer(merges, lowercase=lowercase)
 
 
 def word_count_dataset(ds, column: str, *, lowercase: bool = True):

@@ -92,12 +92,6 @@ def encode_wav_pcm16(samples: np.ndarray, *, sample_rate: int = 16000) -> bytes:
     return _wav_container(1, channels, sample_rate, 16, np.ascontiguousarray(s).tobytes())
 
 
-def encode_wav_float32(samples: np.ndarray, *, sample_rate: int = 16000) -> bytes:
-    """mono float samples in [-1, 1) -> RIFF/WAVE IEEE-float (format 3) bytes."""
-    s = np.asarray(samples, dtype="<f4")
-    return _wav_container(3, 1, sample_rate, 32, s.tobytes())
-
-
 # --- G.711 companding (ITU-T, 1972) ------------------------------------------
 # Telephony / call-center speech corpora ship as 8 kHz companded WAV (format
 # code 6 = A-law, 7 = mu-law). Both laws are pure formulas — the 256-entry

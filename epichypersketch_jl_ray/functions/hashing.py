@@ -155,8 +155,8 @@ def content_hash128(strings) -> tuple[np.ndarray, np.ndarray]:
     seed, no Python per row) when available, else a double FNV-1a pass.
 
     Keys are for WITHIN-RUN grouping; they are not a stable external format
-    (the polars hash may change across polars versions — persist md5/sha
-    via md5_hex where a durable content address is required).
+    (the polars hash may change across polars versions — persist an md5/sha
+    digest where a durable content address is required).
     """
     if isinstance(strings, pa.ChunkedArray):
         strings = strings.combine_chunks()

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -51,22 +50,3 @@ def json_int_field(arr: pa.Array | pa.ChunkedArray, field: str) -> pa.Array:
     return pc.if_else(_flat_mask(arr), out, pa.nulls(len(arr), pa.int64()))
 
 
-def json_string_field(arr: pa.Array | pa.ChunkedArray, field: str) -> pa.Array:
-    """string value of a quoted field of a FLAT JSON object; null where the
-    row is non-flat or the field is absent. Escaped quotes inside the value
-    are out of the flat-field scope."""
-    pattern = rf'"{re.escape(field)}"\s*:\s*"(?P<v>[^"]*)"'
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    hit = pc.extract_regex(arr, pattern=pattern)
-    out = pc.struct_field(hit, "v")
-    return pc.if_else(_flat_mask(arr), out, pa.nulls(len(arr), pa.string()))
-
-
-def json_int_field_numpy(arr: pa.Array | pa.ChunkedArray, field: str) -> tuple[np.ndarray, np.ndarray]:
-    """(values, valid-mask) numpy view of json_int_field — absent fields are
-    0 in ``values`` with valid False."""
-    col = json_int_field(arr, field)
-    valid = ~np.asarray(col.is_null())
-    vals = col.fill_null(0).to_numpy(zero_copy_only=False)
-    return vals, valid

@@ -78,18 +78,6 @@ def ngram_tokens(
     return toks, row_ids, starts
 
 
-def char_shingle_hashes(
-    texts: pa.Array | pa.ChunkedArray, k: int = 8
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct character k-shingle hashes per row (for MinHash/Jaccard).
-
-    Hashes every k-byte substring vectorized column-wise, then dedupes within
-    each row (Jaccard is over shingle *sets*). Returns (flat uint64
-    distinct-shingle hashes, int64 offsets).
-    """
-    return _dedupe_per_row(*_raw_char_shingles(texts, k))
-
-
 def word_shingle_hashes(
     texts: pa.Array | pa.ChunkedArray, n: int = 5
 ) -> tuple[np.ndarray, np.ndarray]:

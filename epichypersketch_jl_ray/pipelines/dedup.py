@@ -17,9 +17,7 @@ from epichypersketch_jl_ray.stages.dedup import (
     candidate_pairs_from_band,
     content_key_table,
     jaccard_verify_batch,
-    md5_hex,
     simhash_candidates_from_chunk,
-    simhash_stage,
 )
 from epichypersketch_jl_ray.state.minhash import hamming_distance64
 
@@ -43,9 +41,7 @@ def dedup_exact(sf_dir: str) -> ray.data.Dataset:
     shuffle). The key is content_hash128 (two independent uint64 passes, no
     per-row Python in the keying scan of the whole corpus); the oracle
     groups by text itself, so the compare is on (keep_id, dup_count) — the
-    hash columns are engine-internal and dropped from the output. md5_hex
-    remains available where a durable/SQL-parity content address is needed
-    (off the hot path)."""
+    hash columns are engine-internal and dropped from the output."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     return (
@@ -1194,80 +1190,6 @@ def semantic_pairs(
         )
 
     return tagged.groupby("cluster").map_groups(cluster_pairs, batch_format="pyarrow")
-
-
-def dedup_semantic(
-    sf_dir: str,
-    *,
-    threshold: float = 0.45,
-    k: int = 8,
-    iters: int = 6,
-    seed: int = 73,
-    table: str = "embeddings",
-    materialize: bool = True,
-) -> ray.data.Dataset:
-    """SemDeDup keep/drop decision per vector: within each cluster, connected
-    components of the cosine>=threshold graph; each component KEEPS the
-    member with the LOWEST centroid similarity (the paper's policy — keep
-    the least prototypical example, drop the redundant near-copies) and
-    drops the rest. Ties break to the smallest vec_id.
-
-    Returns (cluster, vec_id, cent_sim, keep). Per-group work is a numpy
-    union-find over the in-cluster near-dup edges — component structure
-    never leaves the group, so there is no global connected-components
-    round (cross-cluster duplicate pairs are exactly the recall loss the
-    method accepts; stages/cc.py is the exact-CC alternative when edges
-    span partitions).
-    """
-    from epichypersketch_jl_ray.stages.kmeans import assign_clusters, kmeans_fit
-
-    ds = read_table(sf_dir, table, columns=["vec_id", "embedding"])
-    if materialize:
-        ds = ds.materialize()
-    model = kmeans_fit(ds, k=k, iters=iters, seed=seed, spherical=True)
-    tagged = assign_clusters(ds, model, keep_embedding=True)
-
-    def decide(group: pa.Table) -> pa.Table:
-        from epichypersketch_jl_ray.stages.ann import _embedding_matrix
-
-        ids = group["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(ids, kind="stable")  # deterministic within-group order
-        ids = ids[order]
-        cent_sim = group["cent_sim"].to_numpy(zero_copy_only=False)[order]
-        e = _embedding_matrix(group, "emb")[order]
-        n = len(ids)
-        sims = e @ e.T
-        ii, jj = np.nonzero(np.triu(sims >= threshold, 1))
-        parent = np.arange(n)
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for a, b in zip(ii.tolist(), jj.tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        root = np.array([find(i) for i in range(n)])
-        # keep = the component member with the lowest cent_sim (vec_id ties)
-        comp_order = np.lexsort((ids, cent_sim, root))  # by root, then sim, id
-        first_of_comp = np.ones(n, dtype=bool)
-        first_of_comp[1:] = root[comp_order][1:] != root[comp_order][:-1]
-        keep = np.zeros(n, dtype=bool)
-        keep[comp_order[first_of_comp]] = True
-        cluster = group["cluster"].to_numpy(zero_copy_only=False)[order]
-        return pa.table(
-            {
-                "cluster": pa.array(cluster.astype(np.int64), pa.int64()),
-                "vec_id": pa.array(ids, pa.int64()),
-                "cent_sim": pa.array(np.round(cent_sim, 12), pa.float64()),
-                "keep": pa.array(keep, pa.bool_()),
-            }
-        )
-
-    return tagged.groupby("cluster").map_groups(decide, batch_format="pyarrow")
 
 
 # --- exact duplicated-substring spans (Lee et al. 2022) ----------------------

@@ -368,9 +368,11 @@ def top_ngrams_spacesaving_sql() -> str:
 def multimodal_features(sf_dir: str) -> pd.DataFrame:
     """Image + video + audio feature extraction in one frame: (modality, id,
     part_idx, embedding) — part_idx is the frame/window index (0 for whole
-    images). All three actor-pool decode pipelines run for real (BMP/PNG,
-    raw-gray8 frames, WAV-PCM windows). Rows-only; decode correctness is
-    bit-exact-tested in pytest."""
+    images). All three actor-pool decode pipelines run for real over mixed
+    fixtures: images in BMP, PNG, JPEG (baseline and progressive), GIF and
+    lossless WebP; video as raw-gray8 frames, animated GIF, AVI-MJPEG and
+    Y4M; audio as WAV (PCM16, IMA-ADPCM, G.711 mu-law), FLAC and Ogg-FLAC.
+    Rows-only; decode correctness is bit-exact-tested in pytest."""
     from epichypersketch_jl_ray.pipelines import multimodal
 
     img = multimodal.image_features(sf_dir).assign(modality="image", part_idx=0)
@@ -794,10 +796,10 @@ def doc_lang_fingerprints(sf_dir: str) -> ray.data.Dataset:
     All four frames are PER-DOC maps, so they fuse into ONE corpus read +
     ONE map_batches (no joins at all — per-doc column families share the
     row); only the two bounded trainings (classifier GD over labeled
-    slices, BPE over the distinct-word table) run as separate passes. The
-    single-purpose pipelines (textstats.lang_predict / doc_fingerprints /
-    bpe_trained_token_counts, classifier.quality_scores) stay public and
-    pytest-covered."""
+    slices, BPE over the distinct-word table) run as separate passes.
+    pytest checks each column against its kernel (langid_scores,
+    textstats.fingerprint_columns, classifier.quality_scores, a local
+    BpeTokenizer.encode)."""
     from epichypersketch_jl_ray.functions.bpe import train_bpe_distributed
     from epichypersketch_jl_ray.functions.text import langid_scores
     from epichypersketch_jl_ray.pipelines import textstats

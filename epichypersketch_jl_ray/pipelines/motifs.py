@@ -56,7 +56,6 @@ def motif_pipeline(
     seed: int = MOTIF_SEED,
     max_active_len: int = 64,
     batch_size: int | str = 2048,
-    spill_dir: str | None = None,
 ) -> ray.data.Dataset:
     """count (pass 1) → tree merge → broadcast → select+extract (pass 2).
 
@@ -67,23 +66,14 @@ def motif_pipeline(
     /root/reference/src/record.jl:58-62 → /root/reference/src/memory.jl:97-148)
     — so long sequences automatically get small batches.
 
-    Both passes read the activation dataset. Default: materialize in the
-    object store (Ray spills to disk under pressure) — the streaming analogue
-    of the reference keeping its Records alive across count!/make_selection!
-    (/root/reference/src/count_gpu_extract.jl:37-53). With ``spill_dir`` the
-    activation is written once to partitioned parquet and re-read per pass —
-    the cluster-robust variant: pass 2 survives driver/object-store loss and
-    can be re-run against the spilled files.
+    Both passes read the activation dataset, materialized once in the object
+    store (Ray spills to disk under pressure) — the streaming analogue of the
+    reference keeping its Records alive across count!/make_selection!
+    (reference src/count_gpu_extract.jl:37-53).
     """
     from epichypersketch_jl_ray.stages.motifs import MotifCountState
 
-    if spill_dir is not None:
-        from epichypersketch_jl_ray.sources.sinks import write_partitioned
-
-        write_partitioned(activation, spill_dir)
-        act = ray.data.read_parquet(spill_dir)
-    else:
-        act = activation.materialize()
+    act = activation.materialize()
 
     if batch_size == ":auto":
         from epichypersketch_jl_ray.memory import calculate_optimal_batch_size

@@ -76,15 +76,6 @@ def _distinct_users_by_type_sketches(sf_dir: str):
     return sketch_dataset(ds, lambda: GroupedSketch(_hll_14), update, GroupedSketch)
 
 
-def distinct_users_by_type(sf_dir: str) -> pd.DataFrame:
-    """Grouped approximate distinct via per-type HLLs; accuracy vs the exact
-    grouped count asserted in pytest (register-level SQL verification lives
-    on the merged registry query)."""
-    grouped = _distinct_users_by_type_sketches(sf_dir)
-    rows = [(t, float(grouped.parts[t].estimate())) for t in grouped.keys()]
-    return pd.DataFrame(rows, columns=["event_type", "distinct_users_est"])
-
-
 def distinct_users_by_type_exact(sf_dir: str) -> ray.data.Dataset:
     """Exact grouped distinct count — two-level groupby (distinct pairs,
     then count per type); the shuffle-paying baseline for the grouped HLL."""

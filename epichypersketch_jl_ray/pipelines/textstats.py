@@ -9,11 +9,7 @@ import pyarrow as pa
 
 import ray
 
-from epichypersketch_jl_ray.functions.text import (
-    langid_scores,
-    quality_features,
-    winnow_fingerprints,
-)
+from epichypersketch_jl_ray.functions.text import quality_features, winnow_fingerprints
 from epichypersketch_jl_ray.sources.tables import read_table
 
 
@@ -477,29 +473,11 @@ FROM documents
 """
 
 
-def lang_predict(sf_dir: str) -> ray.data.Dataset:
-    """Stopword-heuristic language ID per document (no SQL oracle — the
-    heuristic is not SQL-expressible; rows-only check)."""
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
-
-    def predict(batch: pa.Table) -> pa.Table:
-        pred = langid_scores(batch["text"])
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "lang_declared": batch["lang"],
-                "lang_pred": pa.array(pred.astype(str), pa.string()),
-            }
-        )
-
-    return ds.map_batches(predict, batch_format="pyarrow")
-
-
 def fingerprint_columns(
     texts: pa.Array | pa.ChunkedArray, *, k: int = 8, window: int = 4
 ) -> tuple[np.ndarray, np.ndarray]:
     """(per-row fingerprint count, per-row xor digest) — the winnowing
-    summary kernel shared by doc_fingerprints and the fused per-doc frame."""
+    summary kernel of the fused per-doc frame (merged.doc_lang_fingerprints)."""
     hashes, off = winnow_fingerprints(texts, k=k, window=window)
     n_fp = np.diff(off)
     digest = np.zeros(len(n_fp), dtype=np.uint64)
@@ -507,52 +485,6 @@ def fingerprint_columns(
         row_ids = np.repeat(np.arange(len(n_fp)), n_fp)
         np.bitwise_xor.at(digest, row_ids, hashes)
     return n_fp.astype(np.int64), digest.view(np.int64)
-
-
-def doc_fingerprints(sf_dir: str, *, k: int = 8, window: int = 4) -> ray.data.Dataset:
-    """Winnowing fingerprint summary per document (rows-only check)."""
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def fp(batch: pa.Table) -> pa.Table:
-        n_fp, digest = fingerprint_columns(batch["text"], k=k, window=window)
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "n_fingerprints": pa.array(n_fp, pa.int64()),
-                "fp_digest": pa.array(digest, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(fp, batch_format="pyarrow")
-
-
-def bpe_trained_token_counts(sf_dir: str, *, num_merges: int = 64) -> ray.data.Dataset:
-    """Per-doc token count under a tokenizer TRAINED on this corpus —
-    end-to-end trainable-BPE: exact distributed word counts -> driver merge
-    loop over DISTINCT words only (functions/bpe.train_bpe_distributed) ->
-    tokenizer broadcast once (ray.put) -> distributed apply. Rows-only check
-    (iterative training is not SQL-expressible); exactness of the
-    distributed trainer vs the single-process reference is pinned in
-    tests/test_bpe.py."""
-    from epichypersketch_jl_ray.functions.bpe import train_bpe_distributed
-
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    tok = train_bpe_distributed(docs, "text", num_merges=num_merges)
-    tok_ref = ray.put(tok)
-
-    class CountTokens:
-        def __init__(self) -> None:
-            self.tok = ray.get(tok_ref)  # once per actor; LRU fills per worker
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "doc_id": batch["doc_id"],
-                    "n_tokens_bpe_trained": self.tok.token_counts(batch["text"]),
-                }
-            )
-
-    return docs.map_batches(CountTokens, batch_format="pyarrow", concurrency=(1, 8))
 
 
 def export_by_lang(sf_dir: str, *, out_dir: str | None = None) -> ray.data.Dataset:

@@ -29,12 +29,13 @@ from epichypersketch_jl_ray.stages.udaf import partial_states, tree_merge
 WEB_SEED = 20260401
 
 
-def web_batch_features(batch: pa.Table, *, verify_text: bool = True):
+def web_batch_features(batch: pa.Table):
     """Extract per-batch arrays for the sketch update: trigram keys salted by
-    (url, lang), url hashes, text lengths."""
+    (url, lang), url hashes, text lengths. A stored ``text`` column must
+    equal the extraction (input_hint invariant)."""
     html = batch["html"]
     text = extract_text(html)
-    if verify_text and "text" in batch.column_names:
+    if "text" in batch.column_names:
         stored = batch["text"]
         if isinstance(stored, pa.ChunkedArray):
             stored = stored.combine_chunks()

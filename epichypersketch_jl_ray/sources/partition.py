@@ -1,6 +1,5 @@
 """Length-bucket partitioning (reference partition_by_length,
-/root/reference/src/partition.jl:54-97) and partition statistics
-(print_partition_stats, /root/reference/src/partition.jl:353-382).
+reference src/partition.jl:54-97).
 
 In the reference, length partitioning is load-bearing: it bounds the padded
 RefArray/C(max_len,k) memory blowup. Here enumeration is per-row, so the
@@ -46,32 +45,3 @@ def add_length_bucket(ds: ray.data.Dataset, *, width: int = 10) -> ray.data.Data
     return with_lens.map_batches(bucketize, batch_format="pyarrow")
 
 
-def partition_stats(ds: ray.data.Dataset, *, width: int = 10) -> list[dict]:
-    """Per-bucket row counts and length ranges (reference
-    print_partition_stats diagnostics) as a list of dicts."""
-    from ray.data.aggregate import Count, Max, Min
-
-    def with_len(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_len", pc.list_value_length(batch["features"]).cast(pa.int64())
-        )
-
-    with_lens = ds.map_batches(with_len, batch_format="pyarrow")
-    min_len = int(with_lens.min("_len"))
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        lens = np.asarray(batch["_len"].to_numpy(zero_copy_only=False))
-        return batch.append_column(
-            "len_bucket", pa.array((lens - min_len) // width, pa.int64())
-        )
-
-    agg = (
-        with_lens.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("len_bucket")
-        .aggregate(
-            Count(alias_name="rows"),
-            Min("_len", alias_name="min_len"),
-            Max("_len", alias_name="max_len"),
-        )
-    )
-    return sorted(agg.take_all(), key=lambda r: r["len_bucket"])

@@ -13,72 +13,11 @@ import os
 import ray.data
 
 
-def write_partitioned(
-    ds: ray.data.Dataset, out_dir: str, *, num_rows_per_file: int | None = None
-) -> str:
+def write_partitioned(ds: ray.data.Dataset, out_dir: str) -> str:
     """Write a Dataset as a directory of parquet part files."""
     os.makedirs(out_dir, exist_ok=True)
-    kwargs = {}
-    if num_rows_per_file:
-        kwargs["num_rows_per_file"] = num_rows_per_file
-    ds.write_parquet(out_dir, **kwargs)
+    ds.write_parquet(out_dir)
     return out_dir
-
-
-@ray.remote
-def _transform_shard_task(in_path: str, transform, out_path: str) -> int:
-    import pyarrow.parquet as pq
-
-    tbl = pq.read_table(in_path)
-    out = transform(tbl)
-    tmp = out_path + f".tmp.{os.getpid()}"
-    pq.write_table(out, tmp)
-    os.replace(tmp, out_path)
-    with open(out_path + ".done", "w") as fh:
-        fh.write(str(len(out)))
-    return len(out)
-
-
-def resumable_transform_write(
-    input_files: list[str],
-    transform,
-    out_dir: str,
-    *,
-    max_in_flight: int = 32,
-) -> dict:
-    """Per-input-shard transform → one output parquet per shard, with a
-    ``.done`` marker so a failed run reruns ONLY unfinished shards (the
-    resumable-output layout for row-producing pipelines; sketch-state resume
-    lives in checkpoint.py). Writes are atomic (tmp + rename) and the marker
-    lands only after the data file is in place."""
-    os.makedirs(out_dir, exist_ok=True)
-    t_ref = ray.put(transform)
-    pending = {}
-    skipped, rows = 0, 0
-    out_paths = {}
-    for f in sorted(input_files):
-        out_path = os.path.join(out_dir, f"out-{os.path.basename(f)}")
-        out_paths[f] = out_path
-        if os.path.exists(out_path + ".done") and os.path.exists(out_path):
-            skipped += 1
-            with open(out_path + ".done") as fh:
-                rows += int(fh.read().strip() or 0)
-            continue
-        pending[_transform_shard_task.remote(f, t_ref, out_path)] = f
-        while len(pending) >= max_in_flight:
-            ready, _ = ray.wait(list(pending), num_returns=1)
-            rows += ray.get(ready[0])
-            pending.pop(ready[0])
-    while pending:
-        ready, _ = ray.wait(list(pending), num_returns=1)
-        rows += ray.get(ready[0])
-        pending.pop(ready[0])
-    return {
-        "shards": len(input_files),
-        "skipped": skipped,
-        "rows": rows,
-        "files": [out_paths[f] for f in sorted(input_files)],
-    }
 
 
 def overwrite_store(

@@ -214,7 +214,6 @@ def read_warc(
     paths: str | list[str],
     *,
     record_types: tuple[str, ...] | None = ("response",),
-    concurrency: int | None = None,
 ):
     """WARC file(s)/dir -> Dataset of records (see _SCHEMA). One read task
     per file — the Common-Crawl-shaped unit of work; pass a directory of
@@ -227,7 +226,6 @@ def read_warc(
         _ParseWarc(tuple(record_types) if record_types else None),
         batch_format="numpy",
         batch_size=1,  # a 1 GB gzip member list is already a full task
-        concurrency=concurrency,
     )
 
 

@@ -133,10 +133,10 @@ def generate_webpages(
     *,
     n_shards: int = 8,
     seed: int = 42,
-    overwrite: bool = False,
     length_mu: float = 3.3,
 ) -> list[str]:
     """Write the fixture as n_shards parquet files; returns the file list.
+    A shard file that already exists is kept, not rewritten.
 
     Shard boundaries are fixed functions of (n_rows, n_shards) and every
     chunk is seeded by its global row range, so the logical table is
@@ -148,7 +148,7 @@ def generate_webpages(
     for s in range(n_shards):
         path = os.path.join(out_dir, f"webpages-{s:05d}.parquet")
         files.append(path)
-        if os.path.exists(path) and not overwrite:
+        if os.path.exists(path):
             continue
         tbl = _chunk(int(bounds[s]), int(bounds[s + 1]), seed, length_mu)
         pq.write_table(tbl, path)

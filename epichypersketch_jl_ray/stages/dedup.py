@@ -17,13 +17,11 @@ Partitioning strategy (documented per the north_rule):
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 
 from epichypersketch_jl_ray.functions.text import word_shingle_hashes
-from epichypersketch_jl_ray.state.minhash import MinHasher, hamming_distance64, simhash64_batch
+from epichypersketch_jl_ray.state.minhash import MinHasher, simhash64_batch
 
 
 def content_key_table(
@@ -45,14 +43,6 @@ def content_key_table(
     for c in keep:
         cols[c] = batch[c]
     return pa.table(cols)
-
-
-def md5_hex(texts: pa.Array | pa.ChunkedArray) -> pa.Array:
-    """md5 hex digest per row (matches DuckDB md5()); per-row C calls —
-    acceptable off the hot path, exact-dedup key parity with SQL."""
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    return pa.array([hashlib.md5(t.encode()).hexdigest() for t in texts.to_pylist()], pa.string())
 
 
 class SignatureStage:
@@ -122,144 +112,6 @@ def candidate_pairs_from_band(batch: pa.Table) -> pa.Table:
         {
             "doc_a": pa.array(np.concatenate(out_a), pa.int64()),
             "doc_b": pa.array(np.concatenate(out_b), pa.int64()),
-        }
-    )
-
-
-def prefix_filter_rows(
-    batch: pa.Table,
-    *,
-    threshold: float,
-    hot_shingles: np.ndarray,
-    hot_counts: np.ndarray | None = None,
-    num_buckets: int = 64,
-) -> pa.Table:
-    """AllPairs/PPJoin prefix emission (Bayardo et al. WWW'07; Xiao et al.
-    WWW'08 prefix-filtering principle): for a set S under a fixed global
-    shingle order, any T with Jaccard(S,T) >= t shares an element with S's
-    first |S| - ceil(t*|S|) + 1 shingles. Emitting only prefix shingles and
-    pairing within equal shingle keys therefore finds EVERY qualifying pair
-    (no false negatives); exact verification removes the false positives.
-
-    Global order: (estimated document frequency, hash) ascending —
-    ``hot_shingles`` (sorted uint64) with parallel ``hot_counts`` (e.g.
-    SpaceSaving survivors + estimates over the shingle stream; shingles
-    outside the survivor set get df 0 and sort first). This is the classic
-    df-ascending order: prefixes hold each doc's RAREST shingles, so
-    candidates require sharing a rare shingle and no inverted-index posting
-    list explodes. Any doc-independent total order is correct (the
-    principle only needs consistency); the df order just bounds candidate
-    volume under power-law shingle frequencies. Omitting ``hot_counts``
-    degrades to the binary hot-last order.
-
-    Output: one row per prefix shingle — (shingle, shingle_bucket, doc_id,
-    set_size); set_size feeds the length filter min >= t*max at pair time.
-    """
-    flat, lengths = _list_flat_lengths(batch["shingles"])
-    n = len(batch)
-    doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    if len(flat) == 0:
-        return pa.table(
-            {
-                "shingle": pa.array([], pa.int64()),
-                "shingle_bucket": pa.array([], pa.int64()),
-                "doc_id": pa.array([], pa.int64()),
-                "set_size": pa.array([], pa.int64()),
-                "prefix_pos": pa.array([], pa.int64()),
-            }
-        )
-    row_ids = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    pos = np.searchsorted(hot_shingles, flat)
-    pos_c = np.minimum(pos, max(len(hot_shingles) - 1, 0))
-    is_hot = (
-        (hot_shingles[pos_c] == flat) if len(hot_shingles) else np.zeros(len(flat), bool)
-    )
-    if hot_counts is not None and len(hot_shingles):
-        df_rank = np.where(is_hot, hot_counts[pos_c], 0)
-    else:
-        df_rank = is_hot.astype(np.int64)
-    # within each row: rarest shingles first (df rank, then hash) — one
-    # lexsort for the whole batch (primary key = row)
-    order = np.lexsort((flat, df_rank, row_ids))
-    s_flat, s_rows = flat[order], row_ids[order]
-    starts = np.concatenate(([0], np.cumsum(lengths)))
-    rank = np.arange(len(s_flat), dtype=np.int64) - starts[s_rows]
-    # prefix length p = m - ceil(t*m) + 1; the epsilon guards float error in
-    # the SAFE direction (a too-small ceil only lengthens the prefix)
-    prefix_len = lengths - np.ceil(threshold * lengths - 1e-9).astype(np.int64) + 1
-    keep = rank < prefix_len[s_rows]
-    sh = s_flat[keep].view(np.int64)
-    rows = s_rows[keep]
-    return pa.table(
-        {
-            "shingle": pa.array(sh, pa.int64()),
-            "shingle_bucket": pa.array(sh % num_buckets, pa.int64()),
-            "doc_id": pa.array(doc_ids[rows], pa.int64()),
-            "set_size": pa.array(lengths[rows], pa.int64()),
-            "prefix_pos": pa.array(rank[keep], pa.int64()),
-        }
-    )
-
-
-def candidate_pairs_from_prefix(batch: pa.Table, *, threshold: float) -> pa.Table:
-    """All (a<b) doc pairs sharing a prefix shingle, for every shingle key
-    in the bucket at once (vectorized run-length grouping, same shape as
-    candidate_pairs_from_band), with two per-emission prunes that cannot
-    drop a qualifying pair:
-
-    - length filter: J(A,B) <= min(|A|,|B|)/max(|A|,|B|), so pairs failing
-      min >= ceil(t*max) cannot qualify.
-    - positional filter (safe distributed variant of PPJoin's): with the
-      matched shingle at prefix ranks (pa, pb), overlap <= min(pa,pb) + 1 +
-      min(|A|-pa-1, |B|-pb-1) — tokens before the match contribute at most
-      min(pa,pb) and tokens after at most the smaller remainder. J >= t
-      needs overlap >= ceil(t/(1+t) * (|A|+|B|)), so emissions whose bound
-      falls short are dropped. Unlike PPJoin's sequential-scan filter
-      (overlap-so-far = 1 at the FIRST match only), this bound is valid at
-      EVERY match independently, so it needs no cross-match state and a
-      qualifying pair always survives at each of its matches.
-    """
-    empty = pa.table({"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64())})
-    keys = batch["shingle"].to_numpy(zero_copy_only=False)
-    docs = batch["doc_id"].to_numpy(zero_copy_only=False)
-    sizes = batch["set_size"].to_numpy(zero_copy_only=False)
-    positions = batch["prefix_pos"].to_numpy(zero_copy_only=False)
-    if len(keys) == 0:
-        return empty
-    order = np.lexsort((docs, keys))
-    keys, docs, sizes, positions = keys[order], docs[order], sizes[order], positions[order]
-    boundaries = np.flatnonzero(np.diff(keys, prepend=keys[0] - 1))
-    group_sizes = np.diff(np.append(boundaries, len(keys)))
-    out_a, out_b = [], []
-    for start, size in zip(boundaries[group_sizes > 1], group_sizes[group_sizes > 1]):
-        grp_d = docs[start : start + size]
-        grp_s = sizes[start : start + size]
-        grp_p = positions[start : start + size]
-        ii, jj = np.triu_indices(int(size), k=1)
-        lo = np.minimum(grp_s[ii], grp_s[jj]).astype(np.float64)
-        hi = np.maximum(grp_s[ii], grp_s[jj]).astype(np.float64)
-        ok = lo >= np.ceil(threshold * hi - 1e-9)
-        alpha = np.ceil(threshold / (1.0 + threshold) * (grp_s[ii] + grp_s[jj]) - 1e-9)
-        overlap_bound = (
-            np.minimum(grp_p[ii], grp_p[jj])
-            + 1
-            + np.minimum(grp_s[ii] - grp_p[ii], grp_s[jj] - grp_p[jj])
-            - 1
-        )
-        ok &= overlap_bound >= alpha
-        # self-pairs can't occur (shingles are distinct per doc); a doc
-        # pair surviving under several shingles is deduplicated downstream
-        # (dedicated groupby or dedupe_on in the attach pass)
-        out_a.append(grp_d[ii][ok])
-        out_b.append(grp_d[jj][ok])
-    if not out_a:
-        return empty
-    a = np.concatenate(out_a)
-    b = np.concatenate(out_b)
-    return pa.table(
-        {
-            "doc_a": pa.array(np.minimum(a, b), pa.int64()),
-            "doc_b": pa.array(np.maximum(a, b), pa.int64()),
         }
     )
 
@@ -503,21 +355,6 @@ def _list_flat_lengths_nullsafe(
     return flat, lengths
 
 
-def exact_jaccard(
-    pairs: np.ndarray, shingle_sets: dict[int, np.ndarray]
-) -> np.ndarray:
-    """Exact Jaccard for candidate pairs given doc_id -> sorted distinct
-    shingle-hash arrays (test/fixture helper; the pipeline path is the
-    distributed ``jaccard_verify_batch``)."""
-    out = np.empty(len(pairs), dtype=np.float64)
-    for i, (a, b) in enumerate(pairs):
-        sa, sb = shingle_sets[int(a)], shingle_sets[int(b)]
-        inter = np.intersect1d(sa, sb, assume_unique=True).size
-        union = sa.size + sb.size - inter
-        out[i] = inter / union if union else 0.0
-    return out
-
-
 def _list_flat_lengths(arr: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
     """(flat values, per-row lengths) from a list<int64> column — via
     flatten()/value_lengths(), which honour a sliced array's offset (a raw
@@ -705,11 +542,6 @@ def simhash_chunks_from_signatures(batch: pa.Table) -> pa.Table:
             "simhash": pa.array(np.repeat(sh.view(np.int64), 4), pa.int64()),
         }
     )
-
-
-def simhash_stage(batch: pa.Table) -> pa.Table:
-    """doc text -> 64-bit simhash + 4 chunk rows for pigeonhole banding."""
-    return simhash_chunks_from_signatures(simhash_signature_table(batch))
 
 
 def simhash_candidates_from_chunk(batch: pa.Table) -> pa.Table:

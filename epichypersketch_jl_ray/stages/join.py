@@ -265,14 +265,14 @@ def bucketed_asof_join(
     *,
     by: str,
     on: str,
-    right_suffix: str = "_r",
     bucket_count: int | None = None,
     size_hint_rows: int | None = None,
     seed: int = 23,
 ) -> ray.data.Dataset:
     """Backward-inclusive as-of join (for each left row, the latest right row
     with the same ``by`` key and right.on <= left.on). Inner semantics: left
-    rows with no match are dropped (no nulls in the output)."""
+    rows with no match are dropped (no nulls in the output). Right columns
+    other than ``by`` get the suffix ``_r``."""
     if bucket_count is None:
         bucket_count = auto_bucket_count(size_hint_rows)
     l_cols = list(left.schema().names)
@@ -288,17 +288,17 @@ def bucketed_asof_join(
             return pd.DataFrame()
         l = l.sort_values(on, kind="stable")
         r = r.sort_values(on, kind="stable").rename(
-            columns={c: c + right_suffix for c in r.columns if c != by}
+            columns={c: c + "_r" for c in r.columns if c != by}
         )
         out = pd.merge_asof(
             l,
             r,
             left_on=on,
-            right_on=on + right_suffix,
+            right_on=on + "_r",
             by=by,
             direction="backward",
             allow_exact_matches=True,
         )
-        return out.dropna(subset=[on + right_suffix])
+        return out.dropna(subset=[on + "_r"])
 
     return both.groupby("_bucket").map_groups(asof_bucket, batch_format="pandas")

@@ -51,6 +51,7 @@ from epichypersketch_jl_ray.functions.hashing import splitmix64
 from epichypersketch_jl_ray.stages.ann import _embedding_matrix
 
 _SCALE = np.int64(1 << 21)  # fixed-point quantum for unit-norm coordinates
+INIT_SAMPLE = 2048  # rows the k-means++ seeding sees
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -151,19 +152,18 @@ def kmeans_fit(
     k: int,
     iters: int = 10,
     seed: int = 73,
-    id_col: str = "vec_id",
-    col: str = "embedding",
     spherical: bool = True,
-    sample: int = 2048,
     batch_size: int = 4096,
 ) -> KMeansModel:
     """Fit k-means on the FULL dataset with exact (fixed-point) partial sums.
+    The k-means++ seeding sees a priority sample of ``INIT_SAMPLE`` rows of
+    the (vec_id, embedding) columns.
 
     Stops early — deterministically, at the same iteration for every batch
     size / parallelism — when an iteration reproduces the previous quantized
     centroid table exactly.
     """
-    x0 = _priority_sample(ds, sample=min(sample, 1 << 20), seed=seed, id_col=id_col, col=col)
+    x0 = _priority_sample(ds, sample=INIT_SAMPLE, seed=seed, id_col="vec_id", col="embedding")
     if len(x0) == 0:
         raise ValueError("kmeans_fit: empty dataset")
     k = min(k, len(x0))
@@ -176,7 +176,7 @@ def kmeans_fit(
         cent_ref = ray.put(model.centroids)
 
         def partials(batch: pa.Table, _ref=cent_ref, _sph=spherical) -> pa.Table:
-            e = _embedding_matrix(batch, col)
+            e = _embedding_matrix(batch, "embedding")
             m = KMeansModel(centroids=ray.get(_ref), spherical=_sph)
             a, sim = m.assign(e)
             q = _quantize(_normalize(e) if m.spherical else e)
@@ -253,23 +253,21 @@ def assign_clusters(
     ds: ray.data.Dataset,
     model: KMeansModel,
     *,
-    id_col: str = "vec_id",
-    col: str = "embedding",
     keep_embedding: bool = True,
 ) -> ray.data.Dataset:
-    """One map_batches pass attaching (cluster, cent_sim) to every row;
-    centroids broadcast once via ray.put."""
+    """One map_batches pass attaching (cluster, cent_sim) to every row's
+    vec_id (from its ``embedding``); centroids broadcast once via ray.put."""
     ref = ray.put((model.centroids, model.spherical))
 
     def tag(batch: pa.Table) -> pa.Table:
         cent, sph = ray.get(ref)
-        e = _embedding_matrix(batch, col)
+        e = _embedding_matrix(batch, "embedding")
         a, sim = KMeansModel(centroids=cent, spherical=sph).assign(e)
         cols: dict[str, pa.Array] = {
             "cluster": pa.array(a.astype(np.int64), pa.int64()),
-            id_col: batch[id_col].combine_chunks()
-            if isinstance(batch[id_col], pa.ChunkedArray)
-            else batch[id_col],
+            "vec_id": batch["vec_id"].combine_chunks()
+            if isinstance(batch["vec_id"], pa.ChunkedArray)
+            else batch["vec_id"],
             "cent_sim": pa.array(sim, pa.float64()),
         }
         if keep_embedding:

@@ -164,9 +164,7 @@ class MotifCountState(MergeableSketch):
         self.truncated = truncated
 
     def merge(self, other: "MotifCountState") -> "MotifCountState":
-        self.cms.merge(other.cms)
-        self.truncated += other.truncated
-        return self
+        return self.merge_many([other])
 
     def merge_many(self, others: list["MotifCountState"]) -> "MotifCountState":
         self.cms.merge_many([o.cms for o in others])

@@ -88,27 +88,6 @@ def make_fake_image_table(n: int, *, seed: int = 7, side: int = 8) -> pa.Table:
     )
 
 
-def make_bmp_image_table(n: int, *, seed: int = 7, side: int = 8) -> pa.Table:
-    """Deterministic REAL-format fixture: payloads are valid 8-bit grayscale
-    BMP files (functions/codecs.encode_bmp_gray8)."""
-    from epichypersketch_jl_ray.functions.codecs import encode_bmp_gray8
-
-    rng = np.random.default_rng(seed)
-    payloads = [
-        encode_bmp_gray8(rng.integers(0, 256, size=(side, side), dtype=np.uint8))
-        for _ in range(n)
-    ]
-    return pa.table(
-        {
-            "id": pa.array(range(n), pa.int64()),
-            "payload": pa.array(payloads, pa.binary()),
-            "mime": pa.array(["image/bmp"] * n, pa.string()),
-            "width": pa.array([side] * n, pa.int32()),
-            "height": pa.array([side] * n, pa.int32()),
-        }
-    )
-
-
 def make_mixed_image_table(n: int, *, seed: int = 7, side: int = 8) -> pa.Table:
     """Deterministic REAL-format fixture mixing formats the way a scraped
     corpus would: ids cycle grayscale BMP / PNG (through all five row filters
@@ -491,29 +470,6 @@ def make_fake_audio_table(n: int, *, seed: int = 17, samples: int = 4096) -> pa.
             "payload": pa.array(payloads, pa.binary()),
             "mime": pa.array(["audio/fake"] * n, pa.string()),
             "sample_rate": pa.array([16000] * n, pa.int32()),
-            "n_samples": pa.array([samples] * n, pa.int32()),
-        }
-    )
-
-
-def make_wav_audio_table(n: int, *, seed: int = 17, samples: int = 4096, rate: int = 16000) -> pa.Table:
-    """Deterministic REAL-format fixture: payloads are valid RIFF/WAVE PCM16
-    mono files (functions/codecs.encode_wav_pcm16)."""
-    from epichypersketch_jl_ray.functions.codecs import encode_wav_pcm16
-
-    rng = np.random.default_rng(seed)
-    payloads = [
-        encode_wav_pcm16(
-            rng.integers(-32768, 32768, size=samples).astype(np.int16), sample_rate=rate
-        )
-        for _ in range(n)
-    ]
-    return pa.table(
-        {
-            "id": pa.array(range(n), pa.int64()),
-            "payload": pa.array(payloads, pa.binary()),
-            "mime": pa.array(["audio/wav"] * n, pa.string()),
-            "sample_rate": pa.array([rate] * n, pa.int32()),
             "n_samples": pa.array([samples] * n, pa.int32()),
         }
     )

@@ -131,33 +131,27 @@ def partial_states(
     )
 
 
-def tree_merge(states_ds, cls: type[MergeableSketch]) -> MergeableSketch:
-    """Merge a Dataset of serialized partial states into one sketch.
+def _merge_blocks(cls: type[MergeableSketch], *blocks) -> pa.Table:
+    sketches = [sk for blk in blocks for sk in _sketches_from_table(blk, cls)]
+    if not sketches:  # all-empty blocks
+        return _state_table([])
+    return _state_table([sketches[0].merge_many(sketches[1:])])
 
-    Sized from the actual block count, so the 100 TB case needs no manual
-    tuning: the dataset streams once, the driver collects only object REFS
-    to the state blocks (``iter_internal_ref_bundles`` — bytes stay in the
-    object store), and while more than ``MERGE_FANOUT**2`` blocks remain they
-    are reduced by remote k-way merge tasks (each emits one 1-row block).
-    The remaining blocks' states are deserialized on the driver and combined
-    with a single ``merge_many`` — bounded regardless of input size
-    (asserted by a forced-10k-partial unit test), and one linear pass rather
-    than a pairwise fold (which is quadratic for COO-sketch merges).
+
+def merge_state_refs(refs: list, cls: type[MergeableSketch]) -> list[MergeableSketch]:
+    """Object refs to state blocks → at most ``MERGE_FANOUT**2`` states on
+    the driver, for the caller's one final ``merge_many``.
+
+    While more than ``MERGE_FANOUT**2`` blocks remain they are reduced by
+    remote k-way merge tasks (each emits one 1-row block), so the driver
+    holds a bounded number of states however many partials there are (a
+    state can be a corpus-sized Bloom filter). Block order is kept, so the
+    merge order is the order of ``refs``. Shared by ``tree_merge`` and
+    ``checkpoint.build_checkpointed``.
     """
     import ray
 
-    @ray.remote
-    def _merge_blocks(*blocks) -> pa.Table:
-        sketches = [sk for blk in blocks for sk in _sketches_from_table(blk, cls)]
-        if not sketches:  # all-empty blocks
-            return _state_table([])
-        return _state_table([sketches[0].merge_many(sketches[1:])])
-
-    refs = [
-        ref
-        for bundle in states_ds.iter_internal_ref_bundles()
-        for ref in bundle.block_refs
-    ]
+    merge_blocks = ray.remote(_merge_blocks)
     driver_cap = MERGE_FANOUT * MERGE_FANOUT
     while len(refs) > driver_cap:
         # Adaptive group width: aim to finish in ONE remote round (each
@@ -167,10 +161,30 @@ def tree_merge(states_ds, cls: type[MergeableSketch]) -> MergeableSketch:
         # needs only ~log_64 rounds.
         group = min(64, max(MERGE_FANOUT, -(-len(refs) // driver_cap)))
         refs = [
-            _merge_blocks.remote(*refs[i : i + group])
+            merge_blocks.remote(cls, *refs[i : i + group])
             for i in range(0, len(refs), group)
         ]
-    sketches = [sk for ref in refs for sk in _sketches_from_table(ray.get(ref), cls)]
+    return [sk for ref in refs for sk in _sketches_from_table(ray.get(ref), cls)]
+
+
+def tree_merge(states_ds, cls: type[MergeableSketch]) -> MergeableSketch:
+    """Merge a Dataset of serialized partial states into one sketch.
+
+    Sized from the actual block count, so the 100 TB case needs no manual
+    tuning: the dataset streams once, the driver collects only object REFS
+    to the state blocks (``iter_internal_ref_bundles`` — bytes stay in the
+    object store), ``merge_state_refs`` reduces them to at most
+    ``MERGE_FANOUT**2`` states (asserted by a forced-10k-partial unit test),
+    and the driver combines those with a single ``merge_many`` — one linear
+    pass rather than a pairwise fold (which is quadratic for COO-sketch
+    merges).
+    """
+    refs = [
+        ref
+        for bundle in states_ds.iter_internal_ref_bundles()
+        for ref in bundle.block_refs
+    ]
+    sketches = merge_state_refs(refs, cls)
     if not sketches:
         raise ValueError("no partial states to merge (empty input dataset?)")
     return sketches[0].merge_many(sketches[1:])

@@ -187,7 +187,7 @@ class CountMin(MergeableSketch):
             # O(num_counters) bincount beats O(n log n) sort for small sketches
             counts = np.bincount(flat_ids, weights=weights, minlength=self.num_counters)
             nz = np.flatnonzero(counts)
-            self._merge_coo(nz.astype(np.int64), counts[nz].astype(np.int64))
+            self._merge_coo([nz.astype(np.int64)], [counts[nz].astype(np.int64)])
             return
         order = np.argsort(flat_ids, kind="stable")
         sid = flat_ids[order]
@@ -197,20 +197,23 @@ class CountMin(MergeableSketch):
         else:
             cs = np.concatenate(([0], np.cumsum(weights[order])))
             cnt = (cs[np.append(start[1:], len(sid))] - cs[start]).astype(np.int64)
-        self._merge_coo(uniq, cnt)
+        self._merge_coo([uniq], [cnt])
 
-    def _merge_coo(self, ids: np.ndarray, counts: np.ndarray) -> None:
-        if len(self.ids) == 0:
-            self.ids, self.counts = ids, counts
+    def _merge_coo(self, ids: list[np.ndarray], counts: list[np.ndarray]) -> None:
+        """Add sorted sparse (ids, counts) runs into the COO state: one
+        concatenate + stable argsort + reduceat for any number of runs. A
+        single run into an empty state is already canonical and is taken
+        as is (the fresh-partial case of every batch update)."""
+        if len(self.ids) == 0 and len(ids) == 1:
+            self.ids, self.counts = ids[0], counts[0]
         else:
-            allid = np.concatenate([self.ids, ids])
-            allct = np.concatenate([self.counts, counts])
-            order = np.argsort(allid, kind="stable")
-            sid, sct = allid[order], allct[order]
-            uniq, start = np.unique(sid, return_index=True)
-            cs = np.concatenate(([0], np.cumsum(sct)))
-            self.ids = uniq
-            self.counts = cs[np.append(start[1:], len(sid))] - cs[start]
+            all_ids = np.concatenate([self.ids, *ids])
+            all_cts = np.concatenate([self.counts, *counts])
+            order = np.argsort(all_ids, kind="stable")
+            sid, sct = all_ids[order], all_cts[order]
+            starts = np.flatnonzero(np.diff(sid, prepend=sid[0] - 1)) if len(sid) else np.empty(0, np.int64)
+            self.ids = sid[starts]
+            self.counts = np.add.reduceat(sct, starts) if len(sid) else sct
         # densify when COO overhead exceeds dense storage (2 int64 per nnz)
         if len(self.ids) > self.num_counters // 2:
             self.densify()
@@ -227,23 +230,7 @@ class CountMin(MergeableSketch):
     # --- merge / query -----------------------------------------------------
 
     def merge(self, other: "CountMin") -> "CountMin":
-        if (self.rows, self.cols, self.hash_width, self.seed) != (
-            other.rows,
-            other.cols,
-            other.hash_width,
-            other.seed,
-        ):
-            raise ValueError("cannot merge CountMin sketches with different geometry/seed")
-        self.n_inserts += other.n_inserts
-        if self.dense is not None or other.dense is not None:
-            self.densify()
-            if other.dense is not None:
-                self.dense += other.dense
-            else:
-                np.add.at(self.dense.ravel(), other.ids, other.counts)
-        else:
-            self._merge_coo(other.ids.copy(), other.counts.copy())
-        return self
+        return self.merge_many([other])
 
     def merge_many(self, others: list["CountMin"]) -> "CountMin":
         for o in others:
@@ -264,15 +251,7 @@ class CountMin(MergeableSketch):
                 else:
                     np.add.at(d, o.ids, o.counts)
             return self
-        all_ids = np.concatenate([self.ids] + [o.ids for o in others])
-        all_cts = np.concatenate([self.counts] + [o.counts for o in others])
-        order = np.argsort(all_ids, kind="stable")
-        sid, sct = all_ids[order], all_cts[order]
-        starts = np.flatnonzero(np.diff(sid, prepend=sid[0] - 1)) if len(sid) else np.empty(0, np.int64)
-        self.ids = sid[starts]
-        self.counts = np.add.reduceat(sct, starts) if len(sid) else sct
-        if len(self.ids) > self.num_counters // 2:
-            self.densify()
+        self._merge_coo([o.ids for o in others], [o.counts for o in others])
         return self
 
     def lookup_flat(self, flat_ids: np.ndarray) -> np.ndarray:

@@ -121,17 +121,14 @@ class MinHasher:
         return keys
 
 
-def simhash64(token_hashes: np.ndarray, weights: np.ndarray | None = None) -> int:
+def simhash64(token_hashes: np.ndarray) -> int:
     """64-bit SimHash of one document's token hash multiset."""
     h = np.asarray(token_hashes, dtype=np.uint64)
     if h.size == 0:
         return 0
     bits = np.unpackbits(h[:, None].astype(">u8").view(np.uint8), axis=1).astype(np.float64)
     bits = bits.reshape(len(h), 64)
-    signs = bits * 2.0 - 1.0
-    if weights is not None:
-        signs *= np.asarray(weights, dtype=np.float64)[:, None]
-    v = signs.sum(axis=0)
+    v = (bits * 2.0 - 1.0).sum(axis=0)
     out_bits = (v > 0).astype(np.uint8)
     return int(np.packbits(out_bits).view(">u8")[0])
 

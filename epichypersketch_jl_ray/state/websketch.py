@@ -58,13 +58,7 @@ class WebSketchState(MergeableSketch):
         return self
 
     def merge(self, other: "WebSketchState") -> "WebSketchState":
-        self.cms.merge(other.cms)
-        self.hll.merge(other.hll)
-        self.kll.merge(other.kll)
-        self.tdigest.merge(other.tdigest)
-        self.bloom.merge(other.bloom)
-        self.rows_seen += other.rows_seen
-        return self
+        return self.merge_many([other])
 
     def merge_many(self, others: list["WebSketchState"]) -> "WebSketchState":
         self.cms.merge_many([o.cms for o in others])

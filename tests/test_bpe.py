@@ -7,11 +7,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pytest
 
-from epichypersketch_jl_ray.functions.bpe import (
-    BpeTokenizer,
-    train_bpe,
-    train_bpe_on_dataset,
-)
+from epichypersketch_jl_ray.functions.bpe import BpeTokenizer, train_bpe
 
 
 def test_classic_merges_hand_checked():
@@ -67,7 +63,7 @@ def test_distributed_apply_equals_local(ray_session):
 
     docs = [f"document number {i} talks about sketching and streams" for i in range(200)]
     ds = ray.data.from_items([{"text": t} for t in docs])
-    tok = train_bpe_on_dataset(ds, "text", num_merges=80, sample_rows=100)
+    tok = BpeTokenizer(train_bpe(docs[:100], 80))
     ref = ray.put(tok)  # broadcast once, read per task
 
     def apply(batch: pa.Table) -> pa.Table:
@@ -137,14 +133,20 @@ def test_distributed_training_default_cap_is_finite(ray_session):
     assert capped.merges == uncapped.merges
 
 
-def test_bpe_trained_counts_pipeline(ray_session, sf_dir):
+@pytest.fixture(scope="module")
+def doc_frame(ray_session, sf_dir):
+    from epichypersketch_jl_ray.pipelines.merged import doc_lang_fingerprints
+
+    return doc_lang_fingerprints(sf_dir).to_pandas().set_index("doc_id").sort_index()
+
+
+def test_bpe_trained_counts_pipeline(ray_session, sf_dir, doc_frame):
     """The doc_lang_fingerprints BPE column: corpus-trained tokenizer counts
     equal direct local encode for every doc."""
     from epichypersketch_jl_ray.functions.bpe import train_bpe_distributed
-    from epichypersketch_jl_ray.pipelines.textstats import bpe_trained_token_counts
     from epichypersketch_jl_ray.sources.tables import read_table
 
-    out = bpe_trained_token_counts(sf_dir).to_pandas().set_index("doc_id")
+    out = doc_frame
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     tok = train_bpe_distributed(docs, "text", num_merges=64)
     df = docs.to_pandas()
@@ -153,27 +155,27 @@ def test_bpe_trained_counts_pipeline(ray_session, sf_dir):
         assert int(out.loc[row["doc_id"], "n_tokens_bpe_trained"]) == len(tok.encode(row["text"]))
 
 
-def test_fused_doc_frame_equals_singles(ray_session, sf_dir):
+def test_fused_doc_frame_equals_singles(ray_session, sf_dir, doc_frame):
     """merged.doc_lang_fingerprints (one read + one fused map, no joins)
-    byte-equals the four single-purpose per-doc pipelines."""
+    byte-equals each single-purpose per-doc computation: langid_scores,
+    textstats.fingerprint_columns and the classifier.quality_scores
+    pipeline (the BPE column: test_bpe_trained_counts_pipeline)."""
     import numpy as np
 
+    from epichypersketch_jl_ray.functions.text import langid_scores
     from epichypersketch_jl_ray.pipelines.classifier import quality_scores
-    from epichypersketch_jl_ray.pipelines.merged import doc_lang_fingerprints
-    from epichypersketch_jl_ray.pipelines.textstats import (
-        bpe_trained_token_counts,
-        doc_fingerprints,
-        lang_predict,
-    )
+    from epichypersketch_jl_ray.pipelines.textstats import fingerprint_columns
+    from epichypersketch_jl_ray.sources.tables import read_table
 
-    o = doc_lang_fingerprints(sf_dir).to_pandas().set_index("doc_id").sort_index()
-    lp = lang_predict(sf_dir).to_pandas().set_index("doc_id").sort_index()
-    fp = doc_fingerprints(sf_dir).to_pandas().set_index("doc_id").sort_index()
+    o = doc_frame
+    docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"]).to_pandas()
+    docs = docs.set_index("doc_id").sort_index()
+    text = pa.array(docs["text"].tolist(), pa.string())
+    n_fp, digest = fingerprint_columns(text)
     qs = quality_scores(sf_dir).to_pandas().set_index("doc_id").sort_index()
-    bt = bpe_trained_token_counts(sf_dir).to_pandas().set_index("doc_id").sort_index()
-    assert (o["lang_pred"] == lp["lang_pred"]).all()
-    assert (o["lang_declared"] == lp["lang_declared"]).all()
-    assert (o["n_fingerprints"] == fp["n_fingerprints"]).all()
-    assert (o["fp_digest"] == fp["fp_digest"]).all()
+    assert (o.index == docs.index).all()
+    assert (o["lang_pred"].to_numpy() == langid_scores(text).astype(str)).all()
+    assert (o["lang_declared"] == docs["lang"]).all()
+    assert (o["n_fingerprints"].to_numpy() == n_fp).all()
+    assert (o["fp_digest"].to_numpy() == digest).all()
     assert np.array_equal(o["quality_prob"].to_numpy(), qs["quality_prob"].to_numpy())
-    assert (o["n_tokens_bpe_trained"] == bt["n_tokens_bpe_trained"]).all()

@@ -83,11 +83,12 @@ def test_wav_stereo_downmixes_to_mono():
 
 
 def test_wav_ieee_float32_round_trip():
-    from epichypersketch_jl_ray.functions.codecs import encode_wav_float32
+    from epichypersketch_jl_ray.functions.codecs import _wav_container
 
     rng = np.random.default_rng(6)
     samples = rng.uniform(-1, 1, 333).astype(np.float32)
-    out, rate = decode_wav(encode_wav_float32(samples, sample_rate=48000))
+    # format 3 = IEEE float, mono, 32-bit
+    out, rate = decode_wav(_wav_container(3, 1, 48000, 32, samples.astype("<f4").tobytes()))
     assert rate == 48000
     np.testing.assert_array_equal(out, samples)
 
@@ -223,27 +224,35 @@ def test_ima_adpcm_fact_trim_and_block_independence():
     np.testing.assert_array_equal(out[:spb], out_head)
 
 
-def test_decode_image_stage_real_bmp_known_pixels():
-    from epichypersketch_jl_ray.stages.multimodal import DecodeImage, make_bmp_image_table
+def _bmp_image_table(images: list[np.ndarray], mime: str = "image/bmp") -> pa.Table:
+    n = len(images)
+    return pa.table(
+        {
+            "id": pa.array(range(n), pa.int64()),
+            "payload": pa.array([encode_bmp_gray8(px) for px in images], pa.binary()),
+            "mime": pa.array([mime] * n, pa.string()),
+            "width": pa.array([px.shape[1] for px in images], pa.int32()),
+            "height": pa.array([px.shape[0] for px in images], pa.int32()),
+        }
+    )
 
-    tbl = make_bmp_image_table(5, seed=7, side=8)
-    out = DecodeImage()(tbl)
-    # independently re-generate the pixel truth the fixture encoded
+
+def test_decode_image_stage_real_bmp_known_pixels():
+    from epichypersketch_jl_ray.stages.multimodal import DecodeImage
+
     rng = np.random.default_rng(7)
+    images = [rng.integers(0, 256, size=(8, 8), dtype=np.uint8) for _ in range(5)]
+    out = DecodeImage()(_bmp_image_table(images))
     arr = out["pixels"]
-    for i in range(5):
-        want = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
+    for i, want in enumerate(images):
         got = np.asarray(arr[i].as_py(), dtype=np.float32)
         np.testing.assert_allclose(got, want.astype(np.float32).ravel() / 255.0)
 
 
 def test_decode_image_stage_rejects_compressed_mime():
-    from epichypersketch_jl_ray.stages.multimodal import DecodeImage, make_bmp_image_table
+    from epichypersketch_jl_ray.stages.multimodal import DecodeImage
 
-    tbl = make_bmp_image_table(1)
-    tbl = tbl.set_column(
-        tbl.schema.get_field_index("mime"), "mime", pa.array(["image/avif"], pa.string())
-    )
+    tbl = _bmp_image_table([np.zeros((8, 8), np.uint8)], mime="image/avif")
     with pytest.raises(NotImplementedError):
         DecodeImage()(tbl)
 
@@ -331,15 +340,23 @@ def test_decode_image_stage_mixed_bmp_png_jpeg_gif_webp():
 
 
 def test_window_audio_stage_real_wav_known_samples():
-    from epichypersketch_jl_ray.stages.multimodal import WindowAudio, make_wav_audio_table
+    from epichypersketch_jl_ray.stages.multimodal import WindowAudio
 
-    tbl = make_wav_audio_table(2, seed=17, samples=2048)
+    rng = np.random.default_rng(17)
+    clips = [rng.integers(-32768, 32768, size=2048).astype(np.int16) for _ in range(2)]
+    tbl = pa.table(
+        {
+            "id": pa.array(range(2), pa.int64()),
+            "payload": pa.array([encode_wav_pcm16(c, sample_rate=16000) for c in clips], pa.binary()),
+            "mime": pa.array(["audio/wav"] * 2, pa.string()),
+            "sample_rate": pa.array([16000] * 2, pa.int32()),
+            "n_samples": pa.array([2048] * 2, pa.int32()),
+        }
+    )
     out = WindowAudio(window=512)(tbl)
     assert len(out) == 2 * (2048 // 512)
-    rng = np.random.default_rng(17)
-    first_truth = rng.integers(-32768, 32768, size=2048).astype(np.int16)
     got = np.asarray(out["pixels"][0].as_py(), dtype=np.float32)
-    np.testing.assert_allclose(got, first_truth[:512].astype(np.float32) / 32768.0)
+    np.testing.assert_allclose(got, clips[0][:512].astype(np.float32) / 32768.0)
 
 
 def test_frame_sample_video_real_raw(ray_session):

@@ -357,60 +357,6 @@ def test_ngram_jaccard_hot_correction_exact(ray_session, sf_dir, df_cap):
     assert got.equals(base)
 
 
-@pytest.mark.parametrize("threshold", [0.3, 0.5, 0.8])
-def test_prefix_filter_no_false_negatives_property(threshold):
-    """Prefix-filtering principle, checked directly against brute force on
-    random shingle sets — every pair with true Jaccard >= t must appear in
-    the candidate set, for any hot-shingle ordering set (here: the
-    empirically most common shingles, mimicking the SpaceSaving survivors)."""
-    import pyarrow as pa
-
-    from epichypersketch_jl_ray.stages.dedup import (
-        candidate_pairs_from_prefix,
-        prefix_filter_rows,
-    )
-
-    rng = np.random.default_rng(42)
-    n_docs, vocab = 60, 40
-    sets = []
-    for _ in range(n_docs):
-        m = rng.integers(3, 15)
-        sets.append(np.unique(rng.integers(0, vocab, m).astype(np.uint64)))
-    # a pool of near-dup clones to guarantee qualifying pairs exist
-    for i in range(0, 20, 2):
-        clone = sets[i].copy()
-        if len(clone) > 1 and rng.random() < 0.7:
-            clone = clone[:-1]
-        sets.append(clone)
-    flat = np.concatenate(sets)
-    off = np.concatenate(([0], np.cumsum([len(s) for s in sets]))).astype(np.int32)
-    tbl = pa.table(
-        {
-            "doc_id": pa.array(np.arange(len(sets)), pa.int64()),
-            "shingles": pa.ListArray.from_arrays(
-                pa.array(off, pa.int32()), pa.array(flat.view(np.int64), pa.int64())
-            ),
-        }
-    )
-    vals, counts = np.unique(flat, return_counts=True)
-    hot = np.sort(vals[counts >= np.quantile(counts, 0.8)])
-    prefixes = prefix_filter_rows(tbl, threshold=threshold, hot_shingles=hot)
-    cand = candidate_pairs_from_prefix(prefixes, threshold=threshold)
-    cand_set = set(
-        zip(cand["doc_a"].to_pylist(), cand["doc_b"].to_pylist())
-    )
-    found_qualifying = 0
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            inter = np.intersect1d(sets[i], sets[j], assume_unique=True).size
-            union = len(sets[i]) + len(sets[j]) - inter
-            jac = inter / union if union else 0.0
-            if jac >= threshold:
-                found_qualifying += 1
-                assert (i, j) in cand_set, (i, j, jac)
-    assert found_qualifying > 0  # the fixture actually exercises the claim
-
-
 def test_ngram_jaccard_at_10x_planted_families(ray_session, tmp_path):
     """Prefix-filter pipeline on the same 40-family planted corpus the
     minhash 10x test uses: EXACT equality with brute-force SQL — the

@@ -1,6 +1,6 @@
 """Fault-tolerance: corrupted/torn checkpoint blobs are detected by digest
 validation and recomputed; the resumed state is byte-identical. Plus
-public-API export surface and format_duration."""
+public-API export surface."""
 
 import glob
 import json
@@ -43,19 +43,6 @@ def test_public_api_exports():
         assert getattr(pkg, name) is not None
     with pytest.raises(AttributeError):
         pkg.nonexistent_symbol
-
-
-def test_format_duration():
-    from epichypersketch_jl_ray.functions.perf import format_duration, timed
-
-    assert format_duration(0.05) == "50ms"
-    assert format_duration(12.3) == "12.30s"
-    assert format_duration(75) == "1m15s"
-    assert format_duration(3700) == "1h1m40s"
-    sink = {}
-    with timed("x", sink):
-        pass
-    assert "x" in sink
 
 
 def test_empty_shard_contributes_empty_partial(ray_session, tmp_path):

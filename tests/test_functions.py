@@ -12,7 +12,6 @@ from epichypersketch_jl_ray.functions.hashing import fnv1a64, hash_combine, hash
 from epichypersketch_jl_ray.functions.html import extract_text, render_html
 from epichypersketch_jl_ray.functions.text import (
     _dedupe_per_row,
-    char_shingle_hashes,
     langid_scores,
     ngram_hashes,
     quality_features,
@@ -243,11 +242,7 @@ def test_hash_strings_fast_trailing_empty():
 def test_json_int_field_flat_and_missing():
     import pyarrow as pa
 
-    from epichypersketch_jl_ray.functions.json import (
-        json_int_field,
-        json_int_field_numpy,
-        json_string_field,
-    )
+    from epichypersketch_jl_ray.functions.json import json_int_field
 
     arr = pa.array(
         [
@@ -262,20 +257,11 @@ def test_json_int_field_flat_and_missing():
     )
     out = json_int_field(arr, "k")
     assert out.to_pylist() == [87, -3, 0, None, None, None, None]
-    vals, valid = json_int_field_numpy(arr, "k")
-    assert vals[valid].tolist() == [87, -3, 0]
-    assert valid.tolist() == [True, True, True, False, False, False, False]
-
-    s = json_string_field(pa.array(['{"lang": "en"}', '{"lang":""}', "{}"]), "lang")
-    assert s.to_pylist() == ["en", "", None]
 
     # non-flat objects yield null, never a wrong value — even when the key
     # exists nested or at top level alongside nesting
     nested = pa.array(['{"a": {"k": 9}, "k": 2}', '{"nested": {"k": 5}}'])
     assert json_int_field(nested, "k").to_pylist() == [None, None]
-    assert json_string_field(
-        pa.array(['{"a": {"lang": "de"}, "lang": "en"}']), "lang"
-    ).to_pylist() == [None]
 
 
 def test_pii_redaction_and_counts():

@@ -1,5 +1,5 @@
 """Distributed fixed-point k-means (stages/kmeans.py) and SemDeDup semantic
-dedup (pipelines/dedup.semantic_pairs / dedup_semantic)."""
+dedup (pipelines/dedup.semantic_pairs)."""
 
 import numpy as np
 import pyarrow as pa
@@ -110,31 +110,6 @@ def test_semantic_pairs_precision_and_recall(ray_session, sf_dir):
     ex = {(a, b): c for a, b, c in exact[["vec_a", "vec_b", "cosine"]].itertuples(index=False)}
     for a, b, c in sem[["vec_a", "vec_b", "cosine"]].itertuples(index=False):
         assert abs(ex[(int(a), int(b))] - c) < 1e-9
-
-
-def test_dedup_semantic_drops_planted_duplicates(ray_session, tmp_path):
-    """Planted near-copies (cos ~ 1 - 1e-8) land in the same cluster and each
-    duplicate component keeps exactly ONE member — the one with the lowest
-    centroid similarity (SemDeDup keep policy)."""
-    from epichypersketch_jl_ray.pipelines.dedup import dedup_semantic
-
-    d = _planted_dir(tmp_path, n_per=60, dup_groups=3)
-    out = dedup_semantic(d, threshold=0.9999, k=3, iters=10, seed=1).to_pandas()
-    n = 3 * 60 + 3
-    assert len(out) == n
-    dropped = out[~out["keep"]]
-    # exactly one member of each of the 3 planted pairs is dropped
-    assert len(dropped) == 3
-    pairs = {(i, n - 3 + i) for i in range(3)}
-    for i, j in pairs:
-        ki = bool(out.loc[out["vec_id"] == i, "keep"].iloc[0])
-        kj = bool(out.loc[out["vec_id"] == j, "keep"].iloc[0])
-        assert ki != kj  # one kept, one dropped
-        si = float(out.loc[out["vec_id"] == i, "cent_sim"].iloc[0])
-        sj = float(out.loc[out["vec_id"] == j, "cent_sim"].iloc[0])
-        kept_sim = si if ki else sj
-        drop_sim = sj if ki else si
-        assert kept_sim <= drop_sim + 1e-12
 
 
 def test_merged_embedding_neardup_pairs_shape(ray_session, sf_dir):

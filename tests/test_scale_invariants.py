@@ -178,27 +178,6 @@ def test_motif_k2(ray_session):
     assert (outc["end"] == 19).all()
 
 
-def test_motif_spill_dir_equals_materialized(ray_session, tmp_path):
-    """The parquet-spill two-pass variant must equal the materialized one."""
-    import pandas as pd
-    import ray.data
-
-    from epichypersketch_jl_ray.api import activation_table_from_dict
-    from epichypersketch_jl_ray.pipelines.motifs import motif_pipeline
-    from epichypersketch_jl_ray.sources.reference_fixtures import make_ordinary_dict
-
-    tbl, _ = activation_table_from_dict(make_ordinary_dict())
-    a = motif_pipeline(ray.data.from_arrow(tbl), motif_size=3, min_count=8).to_pandas()
-    b = motif_pipeline(
-        ray.data.from_arrow(tbl), motif_size=3, min_count=8, spill_dir=str(tmp_path / "act")
-    ).to_pandas()
-    cols = sorted(a.columns)
-    pd.testing.assert_frame_equal(
-        a[cols].sort_values(cols).reset_index(drop=True),
-        b[cols].sort_values(cols).reset_index(drop=True),
-    )
-
-
 def test_motif_exact_verify_survives_coarse_sketch(ray_session):
     """A deliberately under-sized CMS (55 columns — massive collisions) must
     still produce EXACTLY the collision-free output: the exact-verify tail

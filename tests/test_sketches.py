@@ -178,12 +178,13 @@ def test_grouped_hll_accuracy(ray_session, sf_dir):
     grouped distinct counts."""
     import duckdb
 
-    from epichypersketch_jl_ray.pipelines.sketches import (
-        distinct_users_by_type,
-        distinct_users_by_type_exact_sql,
-    )
+    from epichypersketch_jl_ray.pipelines.merged import distinct_users_hll
+    from epichypersketch_jl_ray.pipelines.sketches import distinct_users_by_type_exact_sql
 
-    approx = distinct_users_by_type(sf_dir)
+    out = distinct_users_hll(sf_dir)
+    approx = out[(out["bucket"] == -1) & (out["event_type"] != "*")].rename(
+        columns={"value": "distinct_users_est"}
+    )
     con = duckdb.connect()
     con.sql(f"CREATE VIEW events AS SELECT * FROM read_parquet('{sf_dir}/events.parquet')")
     exact = con.sql(distinct_users_by_type_exact_sql()).df().set_index("event_type")["distinct_users"]

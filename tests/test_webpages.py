@@ -196,6 +196,41 @@ def test_checkpointed_equals_streaming(web_dir, web_state, tmp_path):
         assert getattr(ck, name).digest() == getattr(web_state, name).digest(), name
 
 
+def test_checkpointed_merge_bounds_driver_states(ray_session, tmp_path, monkeypatch):
+    """Above MERGE_FANOUT files the checkpointed merge runs remote merge
+    rounds until at most udaf.MERGE_FANOUT**2 states are left, so the
+    driver deserializes that many, not one per blob group. The merged
+    CMS/HLL/Bloom equal an in-process fold of the per-file states."""
+    from epichypersketch_jl_ray import checkpoint
+    from epichypersketch_jl_ray.pipelines.webpages import WebSketchBuilder
+    from epichypersketch_jl_ray.stages import udaf
+    from epichypersketch_jl_ray.state.websketch import WebSketchState
+
+    files = generate_webpages(str(tmp_path / "web"), 400, n_shards=20)  # one batch each
+    make_partial = WebSketchBuilder(n_docs_hint=400)
+    states = [make_partial(pq.read_table(f)) for f in files]
+    want = states[0].merge_many(states[1:])
+
+    fanout = 2
+    monkeypatch.setattr(checkpoint, "MERGE_FANOUT", fanout)
+    monkeypatch.setattr(udaf, "MERGE_FANOUT", fanout)
+    driver_loads = []
+    from_bytes = WebSketchState.from_bytes
+
+    def counting_from_bytes(cls, data):
+        driver_loads.append(len(data))
+        return from_bytes(data)
+
+    monkeypatch.setattr(WebSketchState, "from_bytes", classmethod(counting_from_bytes))
+    got, _ = checkpoint.build_checkpointed(
+        files, make_partial, WebSketchState, str(tmp_path / "ck")
+    )
+    assert 0 < len(driver_loads) <= fanout**2, len(driver_loads)
+    assert got.rows_seen == 400
+    for name in ("cms", "hll", "bloom"):
+        assert getattr(got, name).digest() == getattr(want, name).digest(), name
+
+
 def test_split_file_read_equals_per_batch(ray_session):
     """With at most half as many large files as CPUs the per-block build
     splits each file into several read blocks (2 files on 4 CPUs: 4
