@@ -1227,7 +1227,8 @@ def duplicated_spans(
     2^-128 collision odds stand in for byte-compare.
 
     ``prefilter=True`` adds a CMS pass first (the repo's count-then-select
-    shape, pipelines/ngrams.py): a broadcast CountMin over gram h1 drops
+    shape, pipelines/ngrams.py): the cells >= 2 of a CountMin over gram h1
+    (``CountMin.at_least(2)``), broadcast, drop
     every gram whose corpus count is 1 BEFORE the groupby — CMS never
     underestimates, so no duplicated gram is lost, and collisions only ship
     harmless extra rows. MEASURED OFF by default: each batch's sparse CMS
@@ -1257,7 +1258,7 @@ def duplicated_spans(
             return _cms_factory().add_keys(h1)
 
         states = partial_states(ds, cms_partial, batch_size=None)
-        cms_ref = ray.put(tree_merge(states, CountMin))
+        cms_ref = ray.put(tree_merge(states, CountMin).at_least(2))
 
     nb = np.uint64(num_buckets)
 

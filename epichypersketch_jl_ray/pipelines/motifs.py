@@ -40,7 +40,7 @@ from epichypersketch_jl_ray.stages.udaf import partial_states, tree_merge
 
 # collision-free-at-test-scale sketch geometry (see module docstring)
 ORACLE_DELTA = 9e-3  # 5 rows
-ORACLE_EPSILON = 3.24e-7  # 8,389,040 cols
+ORACLE_EPSILON = 3.24e-7  # 8,389,759 cols: 5 x 8,389,759 = 41.9 M cells
 MOTIF_SEED = 20260817
 
 
@@ -114,7 +114,8 @@ def motif_pipeline(
             merged.truncated,
             max_active_len,
         )
-    cms_ref = ray.put(merged.cms)
+    # only cells >= min_count can pass the select, so only they are broadcast
+    cms_ref = ray.put(merged.cms.at_least(min_count))
     selector = MotifSelector(cms_ref, min_count=min_count, **kwargs)
     out = act.map_batches(selector, batch_format="pyarrow", batch_size=batch_size)
     key_cols = [f"m{i + 1}" for i in range(motif_size)]

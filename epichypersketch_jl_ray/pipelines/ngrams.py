@@ -4,7 +4,8 @@ from text are counted, selected against min_count, and extracted).
 
 Pass 1: map_batches → per-batch sparse CMS partial over hashed trigrams
         (one CMS insert per n-gram occurrence, reference count! semantics).
-Pass 2: broadcast merged CMS; re-derive n-grams per batch, keep those with
+Pass 2: broadcast the merged CMS's cells >= min_count (CountMin.at_least);
+        re-derive n-grams per batch, keep those with
         estimate >= min_count, emit (ngram, estimate); a small groupby
         dedupes across batches (selected set is tiny by construction).
 """
@@ -66,7 +67,7 @@ def heavy_ngrams(
         return _cms_factory(delta=delta, epsilon=epsilon).add_keys(ng)
 
     merged = tree_merge(partial_states(ds, partial, batch_size=batch_size), CountMin)
-    cms_ref = ray.put(merged)
+    cms_ref = ray.put(merged.at_least(min_count))  # the cells a select can pass
 
     def select(batch: pa.Table) -> pa.Table:
         from epichypersketch_jl_ray.stages.udaf import broadcast_get
@@ -109,10 +110,8 @@ def heavy_ngrams(
         )
 
     # pass 2 selects, it doesn't enumerate — a larger batch just means fewer
-    # duplicate (ngram, batch_n) rows entering the dedupe shuffle
-    # select stays coarse: every select task pays one memoized-per-worker
-    # CM01 decode of the broadcast CMS, so more tasks = more decodes (ABAB-
-    # measured: 4096-doc selects beat 1024-doc selects on this pipeline)
+    # duplicate (ngram, batch_n) rows entering the dedupe shuffle and fewer
+    # tasks
     out = ds.map_batches(select, batch_format="pyarrow", batch_size=4 * batch_size)
     return _dedupe_selected(out, ["ngram"], min_count=min_count)
 
@@ -144,7 +143,7 @@ def heavy_ngrams_by_lang(
         return _cms_factory(seed=NGRAM_SEED + 1).add_keys(keys)
 
     merged = tree_merge(partial_states(ds, partial, batch_size=batch_size), CountMin)
-    cms_ref = ray.put(merged)
+    cms_ref = ray.put(merged.at_least(min_count))  # the cells a select can pass
 
     def select(batch: pa.Table) -> pa.Table:
         from epichypersketch_jl_ray.stages.udaf import broadcast_get
@@ -192,9 +191,8 @@ def heavy_ngrams_by_lang(
             }
         )
 
-    # select stays coarse: every select task pays one memoized-per-worker
-    # CM01 decode of the broadcast CMS, so more tasks = more decodes (ABAB-
-    # measured: 4096-doc selects beat 1024-doc selects on this pipeline)
+    # coarse select batches: fewer duplicate (lang, ngram, batch_n) rows
+    # into the dedupe shuffle and fewer tasks (see heavy_ngrams)
     out = ds.map_batches(select, batch_format="pyarrow", batch_size=4 * batch_size)
     return _dedupe_selected(out, ["lang", "ngram"], min_count=min_count)
 

@@ -5,7 +5,8 @@ Ray Data passes over Arrow batches:
   pass 1  partial_states(MotifCounter) → per-batch sparse CMS partial
           → tree_merge                       (reference count!/count_cpu!,
           /root/reference/src/count_cpu.jl:76-144)
-  pass 2  broadcast merged CMS via ray.put; map_batches(MotifSelector) fuses
+  pass 2  broadcast the merged CMS's cells >= min_count (CountMin.at_least)
+          via ray.put; map_batches(MotifSelector) fuses
           selection + extraction             (reference make_selection_cpu! +
           _obtain_enriched_configurations_cpu_, /root/reference/src/count_cpu.jl:149-293
           — fused because both read the same enumeration; the reference splits
@@ -214,13 +215,15 @@ class MotifCounter:
 
 
 class MotifSelector:
-    """Pass-2: re-enumerate, query the broadcast merged CMS, emit one output
-    row per (selected combination, sequence).
+    """Pass-2: re-enumerate, query the broadcast CMS, emit one output row
+    per (selected combination, sequence).
 
-    The merged sketch ships as a ray.put object ref captured in the callable;
-    reads go through ``stages.udaf.broadcast_get`` — memoized per worker —
-    because the CM01 wire format makes a plain per-batch ``ray.get`` re-pay
-    the decode every call (measured 40x on the sf0.1 k=4 select).
+    ``cms_ref`` is a ray.put object ref (or a CountMin, read in place) of
+    the merged sketch's ``at_least(min_count)`` view: its estimates pass
+    and fail exactly where the merged sketch's do, with the same values,
+    and it holds only the cells that can pass — on motifs_k3 176 of
+    801,137 — so a worker decodes and searches a few KB, not the sketch.
+    Reads go through ``stages.udaf.broadcast_get``, memoized per worker.
     """
 
     def __init__(

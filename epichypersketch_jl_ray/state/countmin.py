@@ -254,6 +254,32 @@ class CountMin(MergeableSketch):
         self._merge_coo([o.ids for o in others], [o.counts for o in others])
         return self
 
+    def at_least(self, t: int) -> "CountMin":
+        """Threshold view: a new sketch with this one's geometry, seed and
+        n_inserts that keeps only the cells >= t; this sketch is not touched.
+
+        An estimate is the min over rows, so it reaches t exactly when every
+        row's cell does: ``view.estimate(x) >= t`` exactly when
+        ``self.estimate(x) >= t``, and where it passes the two are equal. A
+        select pass broadcasts the view, O(cells >= t) instead of O(sketch).
+        Survivors stay dense only past ``_merge_coo``'s densify point.
+        """
+        view = object.__new__(CountMin)
+        for name in self.__slots__:
+            setattr(view, name, getattr(self, name))
+        if self.dense is not None:
+            flat = self.dense.ravel()
+            keep = flat >= t
+            ids = np.flatnonzero(keep).astype(np.int64)
+            if len(ids) > self.num_counters // 2:
+                view.dense = np.where(keep, flat, 0).reshape(self.rows, self.cols)
+            else:
+                view.dense, view.ids, view.counts = None, ids, flat[ids]
+            return view
+        keep = self.counts >= t
+        view.ids, view.counts = self.ids[keep], self.counts[keep]
+        return view
+
     def lookup_flat(self, flat_ids: np.ndarray) -> np.ndarray:
         """Counter values for flat cell ids (any shape)."""
         if self.dense is not None:

@@ -140,3 +140,60 @@ def _rebuild_legacy(state):
     for k, v in state.items():
         setattr(obj, k, v)
     return obj
+
+
+def _view_case(dense: bool, keys: bool):
+    """A random sketch and its queries: every inserted item plus unseen
+    ones. ``dense`` packs 300 inserts into 3 x 55 cells (densified, many
+    estimates inflated by collisions); otherwise 5000 inserts into a sparse
+    7 x 27183 sketch."""
+    from epichypersketch_jl_ray.functions.hashing import hash_int64
+
+    rng = np.random.default_rng(21 if dense else 22)
+    geometry = dict(delta=0.05, epsilon=0.05) if dense else dict(delta=1e-3, epsilon=1e-4)
+    items = rng.zipf(1.6, size=300 if dense else 5000) % 3000
+    unseen = np.arange(3000, 3200)
+    if keys:
+        cm = CountMin(1, seed=17, **geometry).add_keys(hash_int64(items, seed=2))
+        return cm, hash_int64(np.concatenate([np.unique(items), unseen]), seed=2), CountMin.estimate_keys
+    pairs = np.stack([items, items // 7], axis=1)
+    q = np.concatenate([np.unique(pairs, axis=0), np.stack([unseen, unseen], axis=1)])
+    return CountMin(2, seed=17, **geometry).add(pairs), q, CountMin.estimate
+
+
+@pytest.mark.parametrize("keys", [False, True], ids=["features", "keys"])
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_at_least_view_contract(dense, keys):
+    """The threshold view passes exactly the queries the full sketch passes,
+    with the same values; round-trips the wire format, keeps n_inserts and
+    leaves the source sketch byte-identical."""
+    cm, q, est = _view_case(dense, keys)
+    assert (cm.dense is not None) == dense
+    full = est(cm, q)
+    before = cm.to_bytes()
+    for t in (1, 2, 3, 5):
+        view = cm.at_least(t)
+        assert cm.to_bytes() == before
+        assert view.n_inserts == cm.n_inserts
+        got = est(view, q)
+        passed = full >= t
+        assert passed.any() and not passed.all()
+        np.testing.assert_array_equal(got >= t, passed)
+        np.testing.assert_array_equal(got[passed], full[passed])
+        back = CountMin.from_bytes(view.to_bytes())
+        assert back.to_bytes() == view.to_bytes() and back.n_inserts == cm.n_inserts
+        np.testing.assert_array_equal(est(back, q), got)
+        if not dense and t > 1:
+            assert len(view.ids) < len(cm.ids)
+    # survivors past half the cells keep the view dense (the densify rule)
+    assert (cm.at_least(1).dense is not None) == dense
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_at_least_empty_view_estimates_zero(dense):
+    cm, q, est = _view_case(dense, keys=False)
+    top = int(cm.dense.max()) if dense else int(cm.counts.max())
+    view = cm.at_least(top + 1)
+    assert view.dense is None and len(view.ids) == 0
+    assert not est(view, q).any()
+    assert not est(CountMin.from_bytes(view.to_bytes()), q).any()

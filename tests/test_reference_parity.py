@@ -217,3 +217,27 @@ def test_large_positions_and_features_hash_safety(api):
     assert (out["d12"] == 100 - 8).all()
     assert (out["d23"] == 150 - 8).all()
     assert (out["start"] == big_p).all()
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [dict(delta=9e-3, epsilon=3.24e-7), dict(delta=0.05, epsilon=0.05)],
+    ids=["oracle", "coarse"],
+)
+@pytest.mark.parametrize("conv", [False, True], ids=["ordinary", "conv"])
+def test_selector_output_same_on_threshold_view(conv, geometry):
+    """MotifSelector against the merged sketch and against its
+    ``at_least(min_count)`` view (what motif_pipeline broadcasts) emits the
+    same table, ``estimate`` included — in the collision-free geometry and
+    in a 3 x 55 one where collisions inflate most estimates."""
+    from epichypersketch_jl_ray.api import activation_table_from_dict
+    from epichypersketch_jl_ray.stages.motifs import MotifCounter, MotifSelector
+
+    tbl, _ = activation_table_from_dict(make_conv_dict() if conv else make_ordinary_dict())
+    kwargs = dict(motif_size=3, conv=conv, filter_len=FILTER_LEN if conv else 0)
+    cms = MotifCounter(**kwargs, seed=20260817, **geometry)(tbl).cms
+    for min_count in (3, 8):
+        full = MotifSelector(cms, min_count=min_count, **kwargs)(tbl)
+        view = MotifSelector(cms.at_least(min_count), min_count=min_count, **kwargs)(tbl)
+        assert full.num_rows > 0
+        assert view.equals(full)

@@ -219,6 +219,28 @@ def test_heavy_ngrams_exact_verify_survives_coarse_sketch(ray_session, sf_dir):
     pd.testing.assert_frame_equal(outs[0], outs[1])
 
 
+@pytest.mark.parametrize("query", ["heavy_ngrams", "heavy_ngrams_by_lang"])
+def test_heavy_ngrams_selection_same_on_threshold_view(ray_session, sf_dir, monkeypatch, query):
+    """The select pass emits the same n-grams whether it reads the merged
+    sketch or the ``at_least(min_count)`` view the pipeline broadcasts. The
+    exact-verify dedupe is bypassed so CMS false survivors would show too;
+    per-batch counts are summed so Ray's batching cannot differ the runs."""
+    from epichypersketch_jl_ray.pipelines import ngrams
+
+    monkeypatch.setattr(ngrams, "_dedupe_selected", lambda out, cols, *, min_count: out)
+
+    def selected() -> pd.DataFrame:
+        df = getattr(ngrams, query)(sf_dir).to_pandas()
+        keys = [c for c in df.columns if c != "batch_n"]
+        return df.groupby(keys, as_index=False)["batch_n"].sum().sort_values(keys, ignore_index=True)
+
+    view = selected()
+    monkeypatch.setattr(CountMin, "at_least", lambda self, t: self)
+    full = selected()
+    assert len(full) > 0
+    pd.testing.assert_frame_equal(view, full)
+
+
 def test_broadcast_cache_is_bounded_lru(ray_session):
     """The per-worker broadcast memo must not grow with the number of
     broadcasts in a session: iterative engines put one node-scale vector
