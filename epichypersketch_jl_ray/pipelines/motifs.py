@@ -12,12 +12,13 @@ re-emitted one row per occurrence with summed contribution
 
 Exactness at ANY scale (round-4 change): CMS never underestimates, so the
 selected set is always a SUPERSET of the true min_count survivors; a final
-survivor-scale exact-verify (one groupby over the pass-2 OUTPUT — hundreds
-to tens of thousands of rows, never the corpus) recounts each selected
-combination, drops false survivors and replaces the estimate with the exact
-count. This "sketch-prune + exact-verify" shape (the same pattern as the
-dedup verify tails) makes the pipeline exact regardless of corpus size: a
-10x-gate-scale sweep caught the pure-CMS version emitting 6/227/91 inflated
+survivor-scale exact-verify recounts each selected combination over the
+pass-2 OUTPUT (hundreds to tens of thousands of rows, never the corpus: in
+the driver up to DRIVER_RECOUNT_MAX_ROWS rows, by a bucket groupby above),
+drops false survivors and replaces the estimate with the exact count. This
+"sketch-prune + exact-verify" shape (the same pattern as the dedup verify
+tails) makes the pipeline exact regardless of corpus size: a 10x-gate-scale
+sweep caught the pure-CMS version emitting 6/227/91 inflated
 rows at sf0.1 — the birthday-collision probability (N/cols)^rows grows with
 the distinct-combination count N, so no fixed geometry stays collision-free.
 The CMS still does all the pruning work (the verify pass touches only what
@@ -42,6 +43,10 @@ from epichypersketch_jl_ray.stages.udaf import partial_states, tree_merge
 ORACLE_DELTA = 9e-3  # 5 rows
 ORACLE_EPSILON = 3.24e-7  # 8,389,759 cols: 5 x 8,389,759 = 41.9 M cells
 MOTIF_SEED = 20260817
+# Largest selection the exact-verify tail recounts in the driver process;
+# above it a bucket groupby recounts in parallel. Measured crossover in
+# SCALE.md ("The motif exact-verify tail").
+DRIVER_RECOUNT_MAX_ROWS = 200_000
 
 
 def motif_pipeline(
@@ -117,7 +122,10 @@ def motif_pipeline(
     # only cells >= min_count can pass the select, so only they are broadcast
     cms_ref = ray.put(merged.cms.at_least(min_count))
     selector = MotifSelector(cms_ref, min_count=min_count, **kwargs)
-    out = act.map_batches(selector, batch_format="pyarrow", batch_size=batch_size)
+    # materialized on its own: the select gets every CPU (an attached
+    # all-to-all tail holds CPU reservations for operators still waiting on
+    # it) and its row count becomes block metadata
+    out = act.map_batches(selector, batch_format="pyarrow", batch_size=batch_size).materialize()
     key_cols = [f"m{i + 1}" for i in range(motif_size)]
     schema_fields: list[tuple[str, pa.DataType]] = [(c, pa.int32()) for c in key_cols]
     if conv:
@@ -134,74 +142,68 @@ def motif_pipeline(
 
 
 def _exact_support_correct(
-    out: ray.data.Dataset,
+    out: ray.data.dataset.MaterializedDataset,
     key_cols: list[str],
     min_count: int,
     *,
     schema_fields: list[tuple[str, pa.DataType]],
-    num_buckets: int = 32,
 ) -> ray.data.Dataset:
     """Sketch-prune + exact-verify tail (module docstring): recount each
     CMS-selected combination over the pass-2 output, drop combinations whose
     exact support < min_count (CMS false survivors) and set ``estimate`` to
-    the exact count. Runs at OUTPUT scale — the bucket groupby shuffles only
-    rows the sketch already let through, never the corpus.
+    the exact count. Runs at OUTPUT scale, never over the corpus.
 
-    One null-keyed SENTINEL row (typed from ``schema_fields``, bucket -1) is
-    unioned in before the groupby: Ray skips UDF calls on empty blocks and a
-    groupby of a fully-empty dataset drops the schema entirely, so the
-    sentinel guarantees the tail always flows at least one typed row through
-    map_groups and the final filter — the result keeps its schema even when
-    the sketch selected nothing."""
-    import pyarrow.compute as pc
-
+    ``out``'s row count is block metadata, so counting runs nothing. Up to
+    ``DRIVER_RECOUNT_MAX_ROWS`` rows the driver fetches the blocks and
+    recounts them in numpy; an empty selection gives an empty table of
+    ``schema_fields``. Above it a bucket groupby recounts the rows in
+    parallel: every occurrence of a combination hashes to one bucket."""
     from epichypersketch_jl_ray.functions.hashing import hash_combine, hash_int64
+    from epichypersketch_jl_ray.stages.join import auto_bucket_count
 
-    sentinel_tbl = pa.table(
-        {name: pa.array([None], type=t) for name, t in schema_fields}
-    )
-    out = out.union(ray.data.from_arrow(sentinel_tbl))
+    n_selected = out.count()
+    if n_selected <= DRIVER_RECOUNT_MAX_ROWS:
+        schema = pa.schema(schema_fields)
+        # 0-row blocks carry no schema
+        blocks = [b.cast(schema) for b in ray.get(out.to_arrow_refs()) if b.num_rows]
+        tbl = pa.concat_tables(blocks) if blocks else schema.empty_table()
+        return ray.data.from_arrow(_recount(tbl, key_cols, min_count))
+
+    num_buckets = auto_bucket_count(n_selected)
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        valid = pc.is_valid(batch[key_cols[0]]).to_numpy(zero_copy_only=False)
         hs = [
-            hash_int64(
-                pc.fill_null(batch[c], 0).to_numpy(zero_copy_only=False).astype(np.int64),
-                seed=11,
-            )
+            hash_int64(batch[c].to_numpy(zero_copy_only=False).astype(np.int64), seed=11)
             for c in key_cols
         ]
         h = hs[0] if len(hs) == 1 else hash_combine(*hs)
         bucket = (h % np.uint64(num_buckets)).astype(np.int64)
-        bucket = np.where(valid, bucket, -1)
         return batch.append_column("bucket", pa.array(bucket, pa.int64()))
 
     def per_bucket(batch: pa.Table) -> pa.Table:
-        batch = batch.drop_columns(["bucket"])
-        if not pc.any(pc.is_valid(batch[key_cols[0]])).as_py():
-            return batch  # sentinel group passes through; dropped after the groupby
-        keys = np.stack(
-            [batch[c].to_numpy(zero_copy_only=False).astype(np.int64) for c in key_cols],
-            axis=1,
-        )
-        _, inv, cnt = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-        exact = cnt[inv]
-        fixed = batch.set_column(
-            batch.schema.get_field_index("estimate"),
-            "estimate",
-            pa.array(exact.astype(np.int64), pa.int64()),
-        )
-        return fixed.filter(pa.array(exact >= min_count))
-
-    def drop_sentinels(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_valid(batch[key_cols[0]]))
+        return _recount(batch.drop_columns(["bucket"]), key_cols, min_count)
 
     return (
         out.map_batches(add_bucket, batch_format="pyarrow")
         .groupby("bucket")
         .map_groups(per_bucket, batch_format="pyarrow")
-        .map_batches(drop_sentinels, batch_format="pyarrow")
     )
+
+
+def _recount(tbl: pa.Table, key_cols: list[str], min_count: int) -> pa.Table:
+    """Rows of ``tbl`` whose key combination occurs at least ``min_count``
+    times in it, with ``estimate`` set to that exact count."""
+    keys = np.stack(
+        [tbl[c].to_numpy(zero_copy_only=False).astype(np.int64) for c in key_cols], axis=1
+    )
+    _, inv, cnt = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    exact = cnt[inv]
+    fixed = tbl.set_column(
+        tbl.schema.get_field_index("estimate"),
+        "estimate",
+        pa.array(exact.astype(np.int64), pa.int64()),
+    )
+    return fixed.filter(pa.array(exact >= min_count))
 
 
 # session-level cache of MATERIALIZED activation datasets: the driver and

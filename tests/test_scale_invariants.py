@@ -178,28 +178,72 @@ def test_motif_k2(ray_session):
     assert (outc["end"] == 19).all()
 
 
-def test_motif_exact_verify_survives_coarse_sketch(ray_session):
+def _fixture_motifs(fixture: str, **kwargs):
+    """motif_pipeline over a reference fixture (k=3, planted counts 8..25)."""
+    import ray.data
+
+    from epichypersketch_jl_ray.api import activation_table_from_dict
+    from epichypersketch_jl_ray.pipelines.motifs import motif_pipeline
+    from epichypersketch_jl_ray.sources import reference_fixtures as rf
+
+    if fixture == "conv":
+        tbl, _ = activation_table_from_dict(rf.make_conv_dict())
+        kwargs.update(conv=True, filter_len=rf.FILTER_LEN)
+    else:
+        tbl, _ = activation_table_from_dict(rf.make_ordinary_dict())
+    return motif_pipeline(ray.data.from_arrow(tbl), motif_size=3, **kwargs)
+
+
+@pytest.mark.parametrize("recount", ["driver", "groupby"])
+@pytest.mark.parametrize("fixture", ["ordinary", "conv"])
+def test_motif_exact_verify_survives_coarse_sketch(ray_session, monkeypatch, fixture, recount):
     """A deliberately under-sized CMS (55 columns — massive collisions) must
     still produce EXACTLY the collision-free output: the exact-verify tail
     (pipelines/motifs._exact_support_correct) drops CMS false survivors and
     replaces inflated estimates with exact counts. Guards the round-4
     sf0.1 finding that no fixed geometry stays collision-free as the
-    distinct-combination count grows."""
-    import pandas as pd
-    import ray.data
+    distinct-combination count grows. The coarse run recounts in the driver
+    (default gate) or through the bucket groupby (gate 0); both must give
+    the default-gate, collision-free output."""
+    from epichypersketch_jl_ray.pipelines import motifs as pm
 
-    from epichypersketch_jl_ray.api import activation_table_from_dict
-    from epichypersketch_jl_ray.pipelines.motifs import motif_pipeline
-    from epichypersketch_jl_ray.sources.reference_fixtures import make_ordinary_dict
-
-    tbl, _ = activation_table_from_dict(make_ordinary_dict())
-    outs = []
-    for delta, eps in ((9e-3, 3.24e-7), (0.5, 0.05)):  # exact regime vs 1x55 sketch
-        ds = ray.data.from_arrow(tbl)
-        df = motif_pipeline(ds, motif_size=3, min_count=8, delta=delta, epsilon=eps).to_pandas()
+    def frame(**kwargs) -> pd.DataFrame:
+        df = _fixture_motifs(fixture, min_count=8, **kwargs).to_pandas()
         cols = sorted(df.columns)
-        outs.append(df[cols].sort_values(cols).reset_index(drop=True))
-    pd.testing.assert_frame_equal(outs[0], outs[1])
+        return df[cols].sort_values(cols).reset_index(drop=True)
+
+    exact = frame(delta=9e-3, epsilon=3.24e-7)
+    selected = []
+    recount_tail = pm._exact_support_correct
+
+    def spy(out, *args, **kwargs):
+        selected.append(out.count())
+        return recount_tail(out, *args, **kwargs)
+
+    monkeypatch.setattr(pm, "_exact_support_correct", spy)
+    if recount == "groupby":
+        monkeypatch.setattr(pm, "DRIVER_RECOUNT_MAX_ROWS", 0)
+    coarse = frame(delta=0.5, epsilon=0.05)  # 1x55 sketch
+    pd.testing.assert_frame_equal(exact, coarse)
+    assert len(exact) > 0
+    assert selected[0] > len(coarse)  # the recount dropped CMS false survivors
+
+
+@pytest.mark.parametrize("fixture", ["ordinary", "conv"])
+def test_motif_empty_selection_keeps_schema(ray_session, fixture):
+    """A min_count above every count selects nothing; the result is a 0-row
+    dataset that still has every typed output column."""
+    import pyarrow as pa
+
+    ds = _fixture_motifs(fixture, min_count=10**6)
+    i32, i64 = pa.int32(), pa.int64()
+    cols = [("m1", i32), ("m2", i32), ("m3", i32)]
+    if fixture == "conv":
+        cols += [("d12", i32), ("d23", i32), ("start", i32), ("end", i32)]
+    cols += [("data_index", i64), ("contribution", pa.float64()), ("estimate", i64)]
+    assert ds.count() == 0
+    schema = ds.schema()
+    assert list(zip(schema.names, schema.types)) == cols
 
 
 def test_heavy_ngrams_exact_verify_survives_coarse_sketch(ray_session, sf_dir):
