@@ -78,6 +78,16 @@ def ngram_tokens(
     return toks, row_ids, starts
 
 
+def ngram_strings(flat_tokens: pa.Array, starts: np.ndarray, n: int) -> pa.Array:
+    """The space-joined n-grams whose first token is ``flat_tokens[starts]``
+    (``starts`` from ``ngram_tokens``; DuckDB ``toks[i] || ' ' || ...``)."""
+    joined = pc.take(flat_tokens, pa.array(starts))
+    for j in range(1, n):
+        part = pc.take(flat_tokens, pa.array(starts + j))
+        joined = pc.binary_join_element_wise(joined, part, " ")
+    return joined
+
+
 def word_shingle_hashes(
     texts: pa.Array | pa.ChunkedArray, n: int = 5
 ) -> tuple[np.ndarray, np.ndarray]:

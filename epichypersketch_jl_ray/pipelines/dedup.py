@@ -1199,7 +1199,6 @@ def duplicated_spans(
     sf_dir: str,
     *,
     gram_len: int = 32,
-    prefilter: bool = False,
     table: str = "documents",
     num_buckets: int | None = None,
 ) -> ray.data.Dataset:
@@ -1225,23 +1224,8 @@ def duplicated_spans(
     Equal-length intervals merge exactly when consecutive starts
     differ by <= gram_len, so the per-doc pass is one sort + one diff.
     2^-128 collision odds stand in for byte-compare.
-
-    ``prefilter=True`` adds a CMS pass first (the repo's count-then-select
-    shape, pipelines/ngrams.py): the cells >= 2 of a CountMin over gram h1
-    (``CountMin.at_least(2)``), broadcast, drop
-    every gram whose corpus count is 1 BEFORE the groupby — CMS never
-    underestimates, so no duplicated gram is lost, and collisions only ship
-    harmless extra rows. MEASURED OFF by default: each batch's sparse CMS
-    partial carries ~one entry per distinct gram in the batch, the same
-    order as the shuffle rows it would save, so at sf0.1 the direct groupby
-    wins 14x (11.6 s vs 163 s). The flag pays only on template-heavy
-    corpora whose DISTINCT-gram set is much smaller than the gram stream
-    (partials then cap at the distinct count while the shuffle does not).
     """
     from epichypersketch_jl_ray.functions.hashing import rolling_gram_hashes
-    from epichypersketch_jl_ray.pipelines.ngrams import _cms_factory
-    from epichypersketch_jl_ray.stages.udaf import partial_states, tree_merge
-    from epichypersketch_jl_ray.state.countmin import CountMin
     from epichypersketch_jl_ray.sources.tables import table_rows
     from epichypersketch_jl_ray.stages.join import auto_bucket_count
 
@@ -1251,25 +1235,11 @@ def duplicated_spans(
         # a fixed 64 would mean 1e10-row buckets at web scale
         num_buckets = auto_bucket_count(table_rows(sf_dir, table) * 300)
 
-    cms_ref = None
-    if prefilter:
-        def cms_partial(batch: pa.Table) -> CountMin:
-            h1, _, _, _ = rolling_gram_hashes(batch["text"], gram_len)
-            return _cms_factory().add_keys(h1)
-
-        states = partial_states(ds, cms_partial, batch_size=None)
-        cms_ref = ray.put(tree_merge(states, CountMin).at_least(2))
-
     nb = np.uint64(num_buckets)
 
     def gram_rows(batch: pa.Table) -> pa.Table:
         h1, h2, rows, pos = rolling_gram_hashes(batch["text"], gram_len)
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)[rows]
-        if cms_ref is not None:
-            from epichypersketch_jl_ray.stages.udaf import broadcast_get
-
-            keep = broadcast_get(cms_ref).estimate_keys(h1) >= 2
-            h1, h2, ids, pos = h1[keep], h2[keep], ids[keep], pos[keep]
         return pa.table(
             {
                 "gb": pa.array((h1 % nb).astype(np.int64), pa.int64()),

@@ -171,9 +171,10 @@ def distinct_users_hll(sf_dir: str) -> pd.DataFrame:
     linear-counting branch uses scalar libm log (state/hll.py), bit-identical
     to DuckDB ln over the full V domain (pinned in tests). Oracle validity:
     the linear-counting regime (E <= 2.5m, V > 0) — true by orders of
-    magnitude at every gate scale (<= 1.5k users vs m = 16384); beyond it
-    the raw-estimate branch's float sum is order-sensitive and the sketch
-    falls back to rows-only semantics."""
+    magnitude at every gate scale (<= 1.5k users vs m = 16384). Beyond it
+    the SQL still applies m*ln(m/V) while the sketch does not (and the
+    raw-estimate branch's float sum is order-sensitive), so a sketch outside
+    the regime raises ValueError instead of returning an unoracleable row."""
     import numpy as np
 
     from epichypersketch_jl_ray.pipelines import sketches
@@ -182,6 +183,13 @@ def distinct_users_hll(sf_dir: str) -> pd.DataFrame:
     overall = sketches._distinct_users_hll_sketch(sf_dir)
     frames = []
     for etype, sk in [*((t, grouped.parts[t]) for t in grouped.keys()), ("*", overall)]:
+        v, e = int(np.count_nonzero(sk.registers == 0)), sk.raw_estimate()
+        if v == 0 or e > 2.5 * sk.m:
+            raise ValueError(
+                f"distinct_users_hll: event_type {etype!r} is outside the linear-counting"
+                f" regime that distinct_users_hll_sql assumes (needs V > 0 and E <= 2.5m;"
+                f" got V={v} empty registers, E={e:.0f}, 2.5m={2.5 * sk.m:.0f})"
+            )
         nz = np.nonzero(sk.registers)[0]
         frames.append(
             pd.DataFrame(

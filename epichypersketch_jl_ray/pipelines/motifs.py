@@ -13,9 +13,9 @@ re-emitted one row per occurrence with summed contribution
 Exactness at ANY scale (round-4 change): CMS never underestimates, so the
 selected set is always a SUPERSET of the true min_count survivors; a final
 survivor-scale exact-verify recounts each selected combination over the
-pass-2 OUTPUT (hundreds to tens of thousands of rows, never the corpus: in
-the driver up to DRIVER_RECOUNT_MAX_ROWS rows, by a bucket groupby above),
-drops false survivors and replaces the estimate with the exact count. This
+pass-2 OUTPUT (hundreds to tens of thousands of rows, never the corpus; the
+shared tail of every CMS query, stages/udaf.exact_recount), drops false
+survivors and replaces the estimate with the exact count. This
 "sketch-prune + exact-verify" shape (the same pattern as the dedup verify
 tails) makes the pipeline exact regardless of corpus size: a 10x-gate-scale
 sweep caught the pure-CMS version emitting 6/227/91 inflated
@@ -37,16 +37,12 @@ import ray
 from epichypersketch_jl_ray.sources.activation import activation_from_table
 from epichypersketch_jl_ray.sources.tables import read_table
 from epichypersketch_jl_ray.stages.motifs import MotifCounter, MotifSelector
-from epichypersketch_jl_ray.stages.udaf import partial_states, tree_merge
+from epichypersketch_jl_ray.stages.udaf import exact_recount, partial_states, tree_merge
 
 # collision-free-at-test-scale sketch geometry (see module docstring)
 ORACLE_DELTA = 9e-3  # 5 rows
 ORACLE_EPSILON = 3.24e-7  # 8,389,759 cols: 5 x 8,389,759 = 41.9 M cells
 MOTIF_SEED = 20260817
-# Largest selection the exact-verify tail recounts in the driver process;
-# above it a bucket groupby recounts in parallel. Measured crossover in
-# SCALE.md ("The motif exact-verify tail").
-DRIVER_RECOUNT_MAX_ROWS = 200_000
 
 
 def motif_pipeline(
@@ -138,55 +134,11 @@ def motif_pipeline(
         ("contribution", pa.float64()),
         ("estimate", pa.int64()),
     ]
-    return _exact_support_correct(out, key_cols, min_count, schema_fields=schema_fields)
-
-
-def _exact_support_correct(
-    out: ray.data.dataset.MaterializedDataset,
-    key_cols: list[str],
-    min_count: int,
-    *,
-    schema_fields: list[tuple[str, pa.DataType]],
-) -> ray.data.Dataset:
-    """Sketch-prune + exact-verify tail (module docstring): recount each
-    CMS-selected combination over the pass-2 output, drop combinations whose
-    exact support < min_count (CMS false survivors) and set ``estimate`` to
-    the exact count. Runs at OUTPUT scale, never over the corpus.
-
-    ``out``'s row count is block metadata, so counting runs nothing. Up to
-    ``DRIVER_RECOUNT_MAX_ROWS`` rows the driver fetches the blocks and
-    recounts them in numpy; an empty selection gives an empty table of
-    ``schema_fields``. Above it a bucket groupby recounts the rows in
-    parallel: every occurrence of a combination hashes to one bucket."""
-    from epichypersketch_jl_ray.functions.hashing import hash_combine, hash_int64
-    from epichypersketch_jl_ray.stages.join import auto_bucket_count
-
-    n_selected = out.count()
-    if n_selected <= DRIVER_RECOUNT_MAX_ROWS:
-        schema = pa.schema(schema_fields)
-        # 0-row blocks carry no schema
-        blocks = [b.cast(schema) for b in ray.get(out.to_arrow_refs()) if b.num_rows]
-        tbl = pa.concat_tables(blocks) if blocks else schema.empty_table()
-        return ray.data.from_arrow(_recount(tbl, key_cols, min_count))
-
-    num_buckets = auto_bucket_count(n_selected)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        hs = [
-            hash_int64(batch[c].to_numpy(zero_copy_only=False).astype(np.int64), seed=11)
-            for c in key_cols
-        ]
-        h = hs[0] if len(hs) == 1 else hash_combine(*hs)
-        bucket = (h % np.uint64(num_buckets)).astype(np.int64)
-        return batch.append_column("bucket", pa.array(bucket, pa.int64()))
-
-    def per_bucket(batch: pa.Table) -> pa.Table:
-        return _recount(batch.drop_columns(["bucket"]), key_cols, min_count)
-
-    return (
-        out.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    return exact_recount(
+        out,
+        lambda tbl: _recount(tbl, key_cols, min_count),
+        schema=pa.schema(schema_fields),
+        key_cols=key_cols,
     )
 
 

@@ -267,15 +267,17 @@ def _resolve_ngram_strings(
     hashes: one corpus scan with ONE tokenization per batch (token hashes
     are computed from the already-split token array, not by re-splitting
     the text). Shared by every SpaceSaving n-gram pipeline."""
-    import pyarrow.compute as pc
-
     import ray as _ray
 
     wanted_ref = _ray.put(np.sort(np.asarray(wanted, dtype=np.uint64)))
 
     def resolve(batch: pa.Table) -> pa.Table:
         from epichypersketch_jl_ray.functions.hashing import hash_strings_fast
-        from epichypersketch_jl_ray.functions.text import ngram_hashes, ngram_tokens
+        from epichypersketch_jl_ray.functions.text import (
+            ngram_hashes,
+            ngram_strings,
+            ngram_tokens,
+        )
 
         w = _ray.get(wanted_ref)
         toks, _row_ids, starts = ngram_tokens(batch["text"], n)
@@ -289,11 +291,12 @@ def _resolve_ngram_strings(
         # dedupe keys within batch
         _, first = np.unique(ng[sel], return_index=True)
         sel = sel[first]
-        parts = [pc.take(flat_tokens, pa.array(starts[sel] + j)) for j in range(n)]
-        joined = parts[0]
-        for p in parts[1:]:
-            joined = pc.binary_join_element_wise(joined, p, " ")
-        return pa.table({"key": pa.array(ng[sel].view(np.int64), pa.int64()), "ngram": joined})
+        return pa.table(
+            {
+                "key": pa.array(ng[sel].view(np.int64), pa.int64()),
+                "ngram": ngram_strings(flat_tokens, starts[sel], n),
+            }
+        )
 
     rows = ds.map_batches(resolve, batch_format="pyarrow").to_pandas().drop_duplicates("key")
     return dict(zip(rows["key"].to_numpy().view(np.uint64), rows["ngram"]))

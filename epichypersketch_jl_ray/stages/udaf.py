@@ -9,6 +9,7 @@ idiomatic Ray Data pattern (SURVEY.md §2.4 A2):
       → tree_merge: remote k-way merges over block refs, then ONE driver
         merge_many
       → one merged sketch, broadcast via ray.put for any later pass
+      → exact_recount: a CMS select's survivors recounted exactly
 
 A partial covers one ``batch_size``-row batch, or, where the caller sized
 the blocks (``per_block=True``), a whole block, like the reference's
@@ -210,6 +211,68 @@ def sketch_dataset(
         return sk
 
     return tree_merge(partial_states(ds, partial, batch_size=batch_size), cls)
+
+
+# Largest selection exact_recount recounts in the driver process; above it a
+# bucket groupby recounts in parallel. Measured crossover in SCALE.md ("The
+# exact-recount tail of every CMS query").
+DRIVER_RECOUNT_MAX_ROWS = 200_000
+
+
+def exact_recount(
+    selected,
+    recount: Callable[[pa.Table], pa.Table],
+    *,
+    schema: pa.Schema,
+    key_cols: list[str],
+):
+    """Exact-recount tail of every CMS select (count → select → recount).
+
+    A CountMin never undercounts, so a select against ``min_count`` keeps a
+    superset of the true survivors. The caller's ``recount`` (table →
+    table) counts each key exactly over the rows it is given, drops keys
+    below ``min_count`` and writes the exact count; every row of a key
+    reaches the same ``recount`` call. The tail runs at selection scale,
+    never over the corpus.
+
+    ``selected`` is materialized, so its row count is block metadata. Up to
+    ``DRIVER_RECOUNT_MAX_ROWS`` rows the driver fetches the blocks, casts
+    them to ``schema`` (an empty selection is ``schema.empty_table()``, so
+    the typed columns survive) and recounts them in one call. Above it a
+    groupby on ``hash(key_cols) % auto_bucket_count(rows)`` sends every row
+    of a key to one bucket and recounts each bucket in parallel."""
+    import numpy as np
+    import ray.data
+
+    from epichypersketch_jl_ray.functions.hashing import hash_combine, hash_int64
+    from epichypersketch_jl_ray.stages.join import auto_bucket_count
+
+    n_selected = selected.count()
+    if n_selected <= DRIVER_RECOUNT_MAX_ROWS:
+        # 0-row blocks carry no schema
+        blocks = [b.cast(schema) for b in ray.get(selected.to_arrow_refs()) if b.num_rows]
+        tbl = pa.concat_tables(blocks) if blocks else schema.empty_table()
+        return ray.data.from_arrow(recount(tbl))
+
+    num_buckets = auto_bucket_count(n_selected)
+
+    def add_bucket(batch: pa.Table) -> pa.Table:
+        hs = [
+            hash_int64(batch[c].to_numpy(zero_copy_only=False).astype(np.int64), seed=11)
+            for c in key_cols
+        ]
+        h = hs[0] if len(hs) == 1 else hash_combine(*hs)
+        bucket = (h % np.uint64(num_buckets)).astype(np.int64)
+        return batch.append_column("bucket", pa.array(bucket, pa.int64()))
+
+    def per_bucket(batch: pa.Table) -> pa.Table:
+        return recount(batch.drop_columns(["bucket"]))
+
+    return (
+        selected.map_batches(add_bucket, batch_format="pyarrow")
+        .groupby("bucket")
+        .map_groups(per_bucket, batch_format="pyarrow")
+    )
 
 
 # worker-local broadcast cache: since the CM01 wire format, ray.get of a

@@ -70,9 +70,15 @@ class HyperLogLog(MergeableSketch):
         np.maximum(self.registers, other.registers, out=self.registers)
         return self
 
+    def raw_estimate(self) -> float:
+        """The uncorrected HLL estimate E; ``estimate`` uses linear counting
+        while E <= 2.5m and some register is still 0."""
+        m = float(self.m)
+        return _alpha(self.m) * m * m / np.sum(np.exp2(-self.registers.astype(np.float64)))
+
     def estimate(self) -> float:
         m = float(self.m)
-        e = _alpha(self.m) * m * m / np.sum(np.exp2(-self.registers.astype(np.float64)))
+        e = self.raw_estimate()
         if e <= 2.5 * m:
             v = int(np.count_nonzero(self.registers == 0))
             if v > 0:

@@ -198,14 +198,15 @@ def _fixture_motifs(fixture: str, **kwargs):
 @pytest.mark.parametrize("fixture", ["ordinary", "conv"])
 def test_motif_exact_verify_survives_coarse_sketch(ray_session, monkeypatch, fixture, recount):
     """A deliberately under-sized CMS (55 columns — massive collisions) must
-    still produce EXACTLY the collision-free output: the exact-verify tail
-    (pipelines/motifs._exact_support_correct) drops CMS false survivors and
-    replaces inflated estimates with exact counts. Guards the round-4
-    sf0.1 finding that no fixed geometry stays collision-free as the
-    distinct-combination count grows. The coarse run recounts in the driver
-    (default gate) or through the bucket groupby (gate 0); both must give
-    the default-gate, collision-free output."""
+    still produce EXACTLY the collision-free output: the exact-recount tail
+    (stages/udaf.exact_recount) drops CMS false survivors and replaces
+    inflated estimates with exact counts. Guards the round-4 sf0.1 finding
+    that no fixed geometry stays collision-free as the distinct-combination
+    count grows. The coarse run recounts in the driver (default gate) or
+    through the bucket groupby (gate 0); both must give the default-gate,
+    collision-free output."""
     from epichypersketch_jl_ray.pipelines import motifs as pm
+    from epichypersketch_jl_ray.stages import udaf
 
     def frame(**kwargs) -> pd.DataFrame:
         df = _fixture_motifs(fixture, min_count=8, **kwargs).to_pandas()
@@ -214,15 +215,14 @@ def test_motif_exact_verify_survives_coarse_sketch(ray_session, monkeypatch, fix
 
     exact = frame(delta=9e-3, epsilon=3.24e-7)
     selected = []
-    recount_tail = pm._exact_support_correct
 
     def spy(out, *args, **kwargs):
         selected.append(out.count())
-        return recount_tail(out, *args, **kwargs)
+        return udaf.exact_recount(out, *args, **kwargs)
 
-    monkeypatch.setattr(pm, "_exact_support_correct", spy)
+    monkeypatch.setattr(pm, "exact_recount", spy)
     if recount == "groupby":
-        monkeypatch.setattr(pm, "DRIVER_RECOUNT_MAX_ROWS", 0)
+        monkeypatch.setattr(udaf, "DRIVER_RECOUNT_MAX_ROWS", 0)
     coarse = frame(delta=0.5, epsilon=0.05)  # 1x55 sketch
     pd.testing.assert_frame_equal(exact, coarse)
     assert len(exact) > 0
@@ -246,32 +246,71 @@ def test_motif_empty_selection_keeps_schema(ray_session, fixture):
     assert list(zip(schema.names, schema.types)) == cols
 
 
-def test_heavy_ngrams_exact_verify_survives_coarse_sketch(ray_session, sf_dir):
-    """Same guard as the motifs one, for the n-gram heavy hitters: a 55-column
-    CMS (massive collisions) must produce exactly the collision-free output —
-    _dedupe_selected sums true per-batch counts and drops CMS false
-    survivors."""
-    import pandas as pd
+NGRAM_QUERIES = ["heavy_ngrams", "heavy_ngrams_by_lang"]
 
-    from epichypersketch_jl_ray.pipelines.ngrams import heavy_ngrams
 
-    outs = []
-    for delta, eps in ((1e-4, 6.5e-7), (0.5, 0.05)):
-        df = heavy_ngrams(sf_dir, delta=delta, epsilon=eps).to_pandas()
+@pytest.mark.parametrize("recount", ["driver", "groupby"])
+@pytest.mark.parametrize("query", NGRAM_QUERIES)
+def test_heavy_ngrams_exact_verify_survives_coarse_sketch(
+    ray_session, sf_dir, monkeypatch, query, recount
+):
+    """Same guard as the motif one, for the n-gram heavy hitters: a 55-column
+    CMS (massive collisions) must produce exactly the collision-free output.
+    The coarse run selects in 64-row batches, so an n-gram's rows spread
+    over several batches; the recount sums their per-batch counts and drops
+    CMS false survivors, in the driver (default gate) or through the bucket
+    groupby (gate 0)."""
+    from epichypersketch_jl_ray.pipelines import ngrams
+    from epichypersketch_jl_ray.stages import udaf
+
+    def frame(**kwargs) -> pd.DataFrame:
+        df = getattr(ngrams, query)(sf_dir, **kwargs).to_pandas()
         cols = sorted(df.columns)
-        outs.append(df[cols].sort_values(cols).reset_index(drop=True))
-    pd.testing.assert_frame_equal(outs[0], outs[1])
+        return df[cols].sort_values(cols).reset_index(drop=True)
+
+    exact = frame()
+    selected = []
+
+    def spy(out, *args, **kwargs):
+        selected.append(out.to_pandas()["h"].nunique())
+        return udaf.exact_recount(out, *args, **kwargs)
+
+    monkeypatch.setattr(ngrams, "exact_recount", spy)
+    monkeypatch.setattr(ngrams, "NGRAM_DELTA", 0.5)
+    monkeypatch.setattr(ngrams, "NGRAM_EPSILON", 0.05)  # 1x55 sketch
+    if recount == "groupby":
+        monkeypatch.setattr(udaf, "DRIVER_RECOUNT_MAX_ROWS", 0)
+    coarse = frame(batch_size=16)  # selects in batches of 4 * 16 rows
+    pd.testing.assert_frame_equal(exact, coarse)
+    assert len(exact) > 0
+    assert selected[0] > len(coarse)  # the recount dropped CMS false survivors
 
 
-@pytest.mark.parametrize("query", ["heavy_ngrams", "heavy_ngrams_by_lang"])
+@pytest.mark.parametrize("query", NGRAM_QUERIES)
+def test_heavy_ngrams_empty_selection_keeps_schema(ray_session, sf_dir, query):
+    """A min_count above every count selects nothing; the result is a 0-row
+    dataset that still has every typed output column."""
+    import pyarrow as pa
+
+    from epichypersketch_jl_ray.pipelines import ngrams
+
+    ds = getattr(ngrams, query)(sf_dir, min_count=10**9)
+    cols = [("lang", pa.string())] if query == "heavy_ngrams_by_lang" else []
+    cols += [("ngram", pa.string()), ("estimate", pa.int64())]
+    assert ds.count() == 0
+    schema = ds.schema()
+    assert list(zip(schema.names, schema.types)) == cols
+
+
+@pytest.mark.parametrize("query", NGRAM_QUERIES)
 def test_heavy_ngrams_selection_same_on_threshold_view(ray_session, sf_dir, monkeypatch, query):
     """The select pass emits the same n-grams whether it reads the merged
     sketch or the ``at_least(min_count)`` view the pipeline broadcasts. The
-    exact-verify dedupe is bypassed so CMS false survivors would show too;
+    exact recount is bypassed so CMS false survivors would show too;
     per-batch counts are summed so Ray's batching cannot differ the runs."""
     from epichypersketch_jl_ray.pipelines import ngrams
 
-    monkeypatch.setattr(ngrams, "_dedupe_selected", lambda out, cols, *, min_count: out)
+    monkeypatch.setattr(ngrams, "exact_recount", lambda selected, *a, **kw: selected)
 
     def selected() -> pd.DataFrame:
         df = getattr(ngrams, query)(sf_dir).to_pandas()

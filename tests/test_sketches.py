@@ -195,6 +195,26 @@ def test_grouped_hll_accuracy(ray_session, sf_dir):
         assert abs(row["distinct_users_est"] - true) / true < 5 * 1.04 / (2**7)
 
 
+@pytest.mark.parametrize("regime", ["no_empty_register", "raw_estimate_above_2.5m"])
+def test_distinct_users_hll_rejects_sketch_outside_linear_counting(monkeypatch, regime):
+    """The registry HLL query is oracled by SQL linear counting m*ln(m/V);
+    a sketch outside that regime must fail with a message naming it, not
+    leave a hash mismatch for the oracle to find."""
+    from types import SimpleNamespace
+
+    from epichypersketch_jl_ray.pipelines import merged, sketches
+
+    hll = HyperLogLog(p=14)
+    hll.registers[:] = 10
+    if regime == "raw_estimate_above_2.5m":
+        hll.registers[0] = 0  # V = 1 > 0, but E ~ 1.1e7 > 2.5m
+    no_types = SimpleNamespace(keys=lambda: [], parts={})
+    monkeypatch.setattr(sketches, "_distinct_users_by_type_sketches", lambda sf_dir: no_types)
+    monkeypatch.setattr(sketches, "_distinct_users_hll_sketch", lambda sf_dir: hll)
+    with pytest.raises(ValueError, match="outside the linear-counting regime"):
+        merged.distinct_users_hll("unused")
+
+
 def test_ddsketch_relative_error_and_merge():
     """DDSketch: every quantile within the alpha relative-error bound of
     the exact order statistic; merge == single-sketch build (bucket-wise

@@ -84,30 +84,6 @@ def test_duplicated_spans_planted(ray_session, tmp_path):
     assert 3 not in by_doc
 
 
-def test_duplicated_spans_prefilter_equals_direct(ray_session, tmp_path):
-    from epichypersketch_jl_ray.pipelines.dedup import duplicated_spans
-
-    rng = np.random.default_rng(4)
-    words = ["alpha", "beta", "gamma", "delta", "epsil", "zetaa"]
-    texts = [" ".join(rng.choice(words, 30)) for _ in range(40)]
-    texts += texts[:5]  # exact dups guarantee spans
-    d = _docs_dir(tmp_path, texts)
-    a = (
-        duplicated_spans(d, gram_len=24, prefilter=False)
-        .to_pandas()
-        .sort_values(["doc_id", "span_start"])
-        .reset_index(drop=True)
-    )
-    b = (
-        duplicated_spans(d, gram_len=24, prefilter=True)
-        .to_pandas()
-        .sort_values(["doc_id", "span_start"])
-        .reset_index(drop=True)
-    )
-    assert a.equals(b)
-    assert len(a) > 0
-
-
 def test_duplicated_spans_oracle_sf0001(ray_session, sf_dir):
     """Full DuckDB parity on the fixture corpus (the registry's merged
     dedup_exact entry carries the same union oracle)."""
