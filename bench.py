@@ -59,10 +59,14 @@ def _init_ray():
 def run_headline() -> dict:
     """Webtext 4-sketch build over the cached deterministic corpus.
 
-    Times BOTH build paths: the Dataset path (map_batches partials + tree
-    merge) and the checkpointed per-partition path (raw Ray tasks + blob
-    manifest — the resumable production path). Headline value = checkpointed
-    wall (fresh checkpoint dir each run, so nothing is resumed).
+    Times BOTH build paths after one untimed build that warms the session
+    (workers, imports), so neither timed build pays the cold start: the
+    direct path (``build_web_sketches``: one Ray task per file or file
+    slice, each folding its rows into one partial, then one merge) and the
+    checkpointed per-partition path (the same per-file fold plus blobs,
+    sha256 digests and a manifest — the resumable production path).
+    Headline value = checkpointed wall (fresh checkpoint dir each run, so
+    nothing is resumed). The ``dataset_path_*`` keys are the direct path.
     """
     import glob
     import shutil
@@ -82,9 +86,10 @@ def run_headline() -> dict:
     )
     from epichypersketch_jl_ray.state.websketch import WebSketchState
 
+    build_web_sketches(web_dir, batch_size=4096)  # untimed warm-up
     t0 = time.monotonic()
     state = build_web_sketches(web_dir, batch_size=4096)
-    dataset_wall = time.monotonic() - t0
+    direct_wall = time.monotonic() - t0
 
     ck_dir = tempfile.mkdtemp(prefix="graft_bench_ck_")
     files = sorted(glob.glob(f"{web_dir}/*.parquet"))
@@ -101,8 +106,8 @@ def run_headline() -> dict:
         "web_rows": WEB_ROWS,
         "wall_s": round(ck_wall, 3),
         "docs_per_sec": round(WEB_ROWS / ck_wall, 1),
-        "dataset_path_wall_s": round(dataset_wall, 3),
-        "dataset_path_docs_per_sec": round(WEB_ROWS / dataset_wall, 1),
+        "dataset_path_wall_s": round(direct_wall, 3),
+        "dataset_path_docs_per_sec": round(WEB_ROWS / direct_wall, 1),
         "summary": {k: (round(v, 2) if isinstance(v, float) else v) for k, v in summary.items()},
     }
 

@@ -3,9 +3,11 @@
 checkpoint row).
 
 Unit of work = one input parquet file ("partition"). Each partition's partial
-sketch is computed AND written by a raw Ray task (the one place the Dataset
-API genuinely can't express the semantics: skip-finished-partitions resume
-needs explicit per-partition identity), as ``<ckpt>/part-<pathhash>-<name>.bin``
+sketch is computed AND written by a raw Ray task: the file fold that
+``pipelines.webpages.build_web_sketches`` runs too (``udaf.fold_parquet_part``
+over the whole file), plus a blob, its sha256 and a manifest line, because
+skip-finished-partitions resume needs explicit per-partition identity. The
+blob is ``<ckpt>/part-<pathhash>-<name>.bin``
 (full-path hash prefix: same-basename inputs from different directories get
 distinct blobs) via an atomic tmp+rename; the driver appends a JSONL
 manifest line per finished partition:
@@ -34,7 +36,7 @@ from typing import Callable
 
 import ray
 
-from epichypersketch_jl_ray.stages.udaf import _state_table, fold_partials, merge_state_refs
+from epichypersketch_jl_ray.stages.udaf import _state_table, fold_parquet_part, merge_state_refs
 from epichypersketch_jl_ray.state.base import MergeableSketch
 
 MAX_IN_FLIGHT = 64  # partition tasks submitted at once
@@ -51,15 +53,14 @@ def _partition_task(
     resume avoids deserializing every blob twice)."""
     import hashlib
 
-    import pyarrow as pa
     import pyarrow.parquet as pq
 
     t0 = time.monotonic()
     pf = pq.ParquetFile(path)
-    # a legitimately empty input shard contributes an empty partial (rows=0
-    # recorded in the manifest) instead of aborting the build
-    batches = (pa.Table.from_batches([b]) for b in pf.iter_batches(batch_size=batch_size))
-    state = fold_partials(batches, make_partial, pf.schema_arrow)
+    # the whole file, every column; a legitimately empty input shard
+    # contributes an empty partial (rows=0 recorded in the manifest)
+    # instead of aborting the build
+    state = fold_parquet_part(pf, 0, 1, make_partial, batch_size, None)
     raw = state.to_bytes()
     tmp = blob_path + f".tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:

@@ -30,6 +30,10 @@ def _tag(ds: ray.data.Dataset, col: str, value: str) -> ray.data.Dataset:
 
 # --- sketch-family merges ---------------------------------------------------
 
+# Largest n_chars whose ddsketch bucket index is pinned against DuckDB
+# (tests/test_queries_oracle.py pins every integer in [1, 2^17]).
+DDSKETCH_N_CHARS_MAX = 1 << 17
+
 
 def doc_length_quantiles_approx(sf_dir: str) -> pd.DataFrame:
     """t-digest + DDSketch n_chars quantiles in one frame (method column) —
@@ -48,12 +52,31 @@ def doc_length_quantiles_approx(sf_dir: str) -> pd.DataFrame:
       exact interpolation over it (unit weights make the cumulative centers
       exact multiples of 0.5, so every arithmetic step is bit-reproducible);
       the CLUSTERING stays pinned by the rank-error/merge-canonicality
-      tests in pytest."""
+      tests in pytest.
+
+    The ddsketch bucket index is pinned against DuckDB only over n_chars in
+    [1, DDSKETCH_N_CHARS_MAX] (2^17), so a document outside that domain
+    raises ValueError instead of returning an unoracled row. The bounds
+    checked are the t-digest's exact min and max, stored with its
+    centroids as the idx -1/-2 rows."""
+    import os
+
+    import pyarrow.parquet as pq
+
     from epichypersketch_jl_ray.pipelines import sketches
 
     td = sketches.doc_length_quantiles_tdigest(sf_dir, store_centroids=True).assign(
         method="tdigest"
     )
+    store = pq.read_table(os.path.join(sketches.TDIGEST_CENTROID_STORE, "part-0.parquet"))
+    extremes = dict(zip(store["idx"].to_pylist(), store["mean"].to_pylist()))
+    lo, hi = extremes[-1], extremes[-2]
+    if lo < 1 or hi > DDSKETCH_N_CHARS_MAX:
+        raise ValueError(
+            f"doc_length_quantiles_approx: n_chars spans [{lo:.0f}, {hi:.0f}], outside"
+            f" the [1, {DDSKETCH_N_CHARS_MAX}] domain where the ddsketch bucket index is"
+            f" pinned against doc_length_quantiles_approx_sql"
+        )
     dd = sketches.doc_length_quantiles_dd(sf_dir).assign(method="ddsketch")
     return pd.concat([td, dd], ignore_index=True)[["method", "q", "n_chars_q"]]
 

@@ -1,10 +1,11 @@
 """Flagship webtext pipeline over the input_hint webpages table.
 
-    read_parquet (pruned columns)
-      → partial_states(WebSketchBuilder)           # html→text extract,
-        tokenize, (url,lang)-salted trigram keys,  # 4 sketches in ONE scan
-        one WebSketchState per batch, or per block
-      → tree_merge → queries (heavy hitters / distinct / quantiles / membership)
+    sorted parquet files, cut into units (a file, or a slice of one)
+      → one Ray task per unit: fold_parquet_part(WebSketchBuilder) over
+        pruned columns (html→text extract, tokenize, (url,lang)-salted
+        trigram keys, 4 sketches in ONE scan; one WebSketchState per unit)
+      → merge_state_refs + one merge_many
+      → queries (heavy hitters / distinct / quantiles / membership)
 
 The html→text extraction runs INSIDE the pass and its output is checked
 byte-identical against the stored ``text`` column (input_hint invariant) —
@@ -24,9 +25,15 @@ from epichypersketch_jl_ray.functions.hashing import fnv1a64, hash_combine
 from epichypersketch_jl_ray.functions.html import extract_text
 from epichypersketch_jl_ray.functions.text import ngram_hashes, token_hashes
 from epichypersketch_jl_ray.state.websketch import WebSketchState
-from epichypersketch_jl_ray.stages.udaf import partial_states, tree_merge
+from epichypersketch_jl_ray.stages.udaf import (
+    _state_table,
+    fold_parquet_part,
+    merge_state_refs,
+    tree_merge,  # noqa: F401  (perfbench/web.py wraps pipelines.webpages.tree_merge)
+)
 
 WEB_SEED = 20260401
+WEB_COLUMNS = ["url", "html", "text", "lang"]
 
 
 def web_batch_features(batch: pa.Table):
@@ -88,7 +95,7 @@ def corpus_rows(files: list[str]) -> int:
 
 def _cluster_cpus() -> int:
     """CPUs of the running Ray cluster (of this machine before Ray starts:
-    what ``read_parquet``'s auto-init would get)."""
+    what the first task submission's auto-init would get)."""
     import os
 
     if ray.is_initialized():
@@ -106,10 +113,9 @@ def make_state(*, n_docs_hint: int | None = None, **kwargs) -> WebSketchState:
 
 class WebSketchBuilder:
     """Pass-1 partial builder: one scan of a batch, four sketches, one
-    WebSketchState. The same callable is the streaming path's partial
-    (``partial_states``) and ``checkpoint.build_checkpointed``'s
-    ``make_partial``; ``n_docs_hint`` sizes the Bloom filter (see
-    ``make_state``)."""
+    WebSketchState. The same callable is ``build_web_sketches``' and
+    ``checkpoint.build_checkpointed``'s ``make_partial``; ``n_docs_hint``
+    sizes the Bloom filter (see ``make_state``)."""
 
     def __init__(self, **state_kwargs) -> None:
         self.state_kwargs = state_kwargs
@@ -120,6 +126,16 @@ class WebSketchBuilder:
         return st.update(ngram_keys=keys, url_hashes=url_h, text_lengths=lengths)
 
 
+@ray.remote
+def _fold_unit(path: str, part: int, parts: int, make_partial, batch_size: int) -> pa.Table:
+    """State block of one unit: slice ``part`` of ``parts`` of a file."""
+    import pyarrow.parquet as pq
+
+    pf = pq.ParquetFile(path)
+    state = fold_parquet_part(pf, part, parts, make_partial, batch_size, WEB_COLUMNS)
+    return _state_table([state])
+
+
 def build_web_sketches(
     input_dir: str,
     *,
@@ -128,38 +144,31 @@ def build_web_sketches(
 ) -> WebSketchState:
     """Build the merged 4-sketch state for a webpages parquet directory.
 
-    One streaming execution: read_parquet → ``partial_states`` →
-    ``tree_merge``. When the files average at least ``batch_size`` rows,
-    each read block becomes ONE partial (``per_block=True``: its
-    ``batch_size``-row slices are folded), which is fewer states than one
-    per batch. The read then makes one block per file, so the partial map
-    fuses into the read task and the file is the unit of parallelism, as in
-    ``checkpoint.build_checkpointed``. Only with at most half as many files
-    as cluster CPUs is each file split into ``CPUs // files`` blocks: the
-    split stops the fusion, which costs less than the idle CPUs.
-    Smaller files keep Ray's default read, which bundles them, and one
-    partial per ``batch_size``-row batch. Either way ``batch_size`` bounds
-    the rows the kernels see at once.
+    The sorted file list is cut into units, one Ray task per unit, each
+    folding its rows into ONE partial (``udaf.fold_parquet_part``, the fold
+    ``checkpoint.build_checkpointed`` runs per file, without its blobs).
+    Each file is one unit; only with fewer files than cluster CPUs is each
+    file cut into ``CPUs // files`` contiguous row ranges, so the CPUs are
+    not left idle. ``batch_size`` bounds the rows the kernels see at once.
+    The task outputs are merged by ``merge_state_refs`` and one driver
+    ``merge_many``, in unit order.
 
     The Bloom filter is sized from the row count in the footers of the same
     file list the build reads, unless the caller passes an explicit
     ``bloom_capacity``.
     """
     files = parquet_files(input_dir)
-    rows = corpus_rows(files)
     if "bloom_capacity" not in state_kwargs and "n_docs_hint" not in state_kwargs:
-        state_kwargs["n_docs_hint"] = rows
-    per_block = rows >= batch_size * len(files)
-    blocks = len(files) * max(1, _cluster_cpus() // len(files))
-    ds = ray.data.read_parquet(
-        files,
-        columns=["url", "html", "text", "lang"],
-        override_num_blocks=blocks if per_block else None,
-    )
-    states = partial_states(
-        ds, WebSketchBuilder(**state_kwargs), batch_size=batch_size, per_block=per_block
-    )
-    return tree_merge(states, WebSketchState)
+        state_kwargs["n_docs_hint"] = corpus_rows(files)
+    parts = max(1, _cluster_cpus() // len(files))
+    make_partial = WebSketchBuilder(**state_kwargs)
+    refs = [
+        _fold_unit.remote(f, part, parts, make_partial, batch_size)
+        for f in files
+        for part in range(parts)
+    ]
+    states = merge_state_refs(refs, WebSketchState)
+    return states[0].merge_many(states[1:])
 
 
 def query_plants(state: WebSketchState, phrases: list[tuple[str, str]]) -> pd.DataFrame:

@@ -1,7 +1,8 @@
 """Ray Data stage builders.
 
-udaf.py    — generic mergeable-sketch harness (partial states via map_batches,
-             tree merge) replacing the reference's shared mutable CMS
+udaf.py    — generic mergeable-sketch harness (partial states via map_batches
+             or one Ray task per parquet file slice, tree merge) replacing
+             the reference's shared mutable CMS
              (/root/reference/src/partition.jl:148).
              Also the exact-recount tail every CMS select ends in.
 motifs.py  — k-combination enumeration / counting / selection+extraction

@@ -1,24 +1,24 @@
-"""Generic Ray Data UDAF harness for mergeable sketches.
+"""Generic UDAF harness for mergeable sketches.
 
 The reference's only distribution mechanism is ONE shared mutable
 CountMinSketch accumulated across sequentially-processed partitions
 (/root/reference/src/partition.jl:148,204-214,307-336). Here that becomes the
-idiomatic Ray Data pattern (SURVEY.md §2.4 A2):
+pattern of one partial state per unit of input and an associative merge
+(SURVEY.md §2.4 A2). A partial is made one of two ways:
 
-    partial_states: map over batches or blocks (→ ONE partial state each)
-      → tree_merge: remote k-way merges over block refs, then ONE driver
-        merge_many
+    Dataset input (the motif and n-gram counts, sketch_dataset):
+      partial_states: a map over batches (→ ONE partial state each)
+      → tree_merge: the state blocks' refs → merge_state_refs
+    parquet files (the web builds, checkpoint.build_checkpointed):
+      fold_parquet_part: one Ray task per file, or per contiguous slice of
+      a file, folds its batches (→ ONE partial state each)
+      → the tasks' refs → merge_state_refs
+    merge_state_refs: remote k-way merges, then ONE driver merge_many
       → one merged sketch, broadcast via ray.put for any later pass
       → exact_recount: a CMS select's survivors recounted exactly
 
-A partial covers one ``batch_size``-row batch, or, where the caller sized
-the blocks (``per_block=True``), a whole block, like the reference's
-one-CMS-per-partition count pass: the map then runs on Ray's native blocks,
-so it fuses into the upstream read task, and each block's
-``batch_size``-row slices are folded before the ONE serialization per
-block. A parquet read with one block per file then emits one state per
-file (a file above Ray's target block size, 128 MiB, can come out of the
-read as several blocks, one state each).
+The file fold is the reference's one-CMS-per-partition count pass, without
+a Ray Data operator.
 
 Because every sketch's ``merge`` is associative + commutative, Ray's
 nondeterministic block order cannot change the merged state (asserted by
@@ -33,7 +33,8 @@ operators: a one-row table whose single ``state`` column holds the state's
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from itertools import accumulate
+from typing import Callable
 
 import pyarrow as pa
 
@@ -69,67 +70,80 @@ def _sketches_from_table(tbl, cls: type[MergeableSketch]) -> list[MergeableSketc
     return [cls.from_bytes(col[i].as_py()) for i in range(len(col))]
 
 
-def fold_partials(
-    batches: Iterable[pa.Table],
-    make_partial: Callable[[pa.Table], MergeableSketch],
-    schema: pa.Schema,
-) -> MergeableSketch:
-    """One state for a run of Arrow batches: ``make_partial`` per batch,
-    folded in ``merge_many`` groups of ``MERGE_FANOUT``, so at most
-    ``MERGE_FANOUT + 1`` states are alive however many batches the run has
-    (a partial can be a whole corpus-sized Bloom filter), and the COO
-    CountMin accumulator is re-sorted once per group, not once per batch.
-    A single batch's state is returned as is (``merge_many([])`` still
-    re-sorts a COO CountMin). With no batches at all the state is
-    ``make_partial`` of an empty table of ``schema``.
-
-    The fold behind both build paths: ``partial_states`` (one block's
-    slices) and ``checkpoint.build_checkpointed`` (one file's batches).
-    """
-    parts: list[MergeableSketch] = []
-    for batch in batches:
-        parts.append(make_partial(batch))
-        if len(parts) > MERGE_FANOUT:
-            parts = [parts[0].merge_many(parts[1:])]
-    if not parts:
-        return make_partial(schema.empty_table())
-    return parts[0].merge_many(parts[1:]) if len(parts) > 1 else parts[0]
-
-
 def partial_states(
     ds,
     make_partial: Callable[[pa.Table], MergeableSketch],
     *,
     batch_size: int | None,
-    per_block: bool = False,
 ):
-    """Dataset of serialized partial states.
-
-    By default Ray cuts ``ds`` into ``batch_size``-row batches (bundling
-    blocks smaller than that) and each batch becomes one state
-    (``batch_size=None``: one state per block). With ``per_block=True`` the
-    map takes Ray's native blocks, so it fuses into an unsplit upstream
-    read, and each non-empty block becomes ONE state: ``make_partial`` sees
-    the block's zero-copy ``batch_size``-row slices, which ``fold_partials``
-    folds (at most ``MERGE_FANOUT + 1`` states alive) before the one
-    serialization. That pays only where the caller sized the blocks, e.g.
-    one block per file of at least ``batch_size`` rows; over small blocks
-    it makes more tasks and states than the bundled per-batch map.
+    """Dataset of serialized partial states: Ray cuts ``ds`` into
+    ``batch_size``-row batches (bundling blocks smaller than that) and each
+    batch becomes one state (``batch_size=None``: one state per block).
 
     Ray passes an empty block on without calling the map. The Ray operator
     is named after ``make_partial`` (``MapBatches(<its name or class>)``)
     so per-operator stats stay attributable.
     """
 
-    def partial(block: pa.Table) -> pa.Table:
-        step = batch_size or block.num_rows
-        slices = (block.slice(i, step) for i in range(0, block.num_rows, step))
-        return _state_table([fold_partials(slices, make_partial, block.schema)])
+    def partial(batch: pa.Table) -> pa.Table:
+        return _state_table([make_partial(batch)])
 
     partial.__name__ = getattr(make_partial, "__name__", type(make_partial).__name__)
-    return ds.map_batches(
-        partial, batch_format="pyarrow", batch_size=None if per_block else batch_size
-    )
+    return ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
+
+
+def fold_parquet_part(
+    pf,
+    part: int,
+    parts: int,
+    make_partial: Callable[[pa.Table], MergeableSketch],
+    batch_size: int,
+    columns: list[str] | None,
+) -> MergeableSketch:
+    """One state for slice ``part`` of ``parts`` of an open
+    ``pyarrow.parquet.ParquetFile``: the contiguous rows
+    ``[n * part // parts, n * (part + 1) // parts)``, n being the footer's
+    row count, so the slices of a file cover each row exactly once. The one
+    file fold of both web build paths: ``pipelines.webpages.build_web_sketches``
+    (one Ray task per slice) and ``checkpoint.build_checkpointed`` (one task
+    per whole file).
+
+    Only the row groups that overlap the slice are read, as
+    ``batch_size``-row batches of ``columns`` (None: every column); rows
+    outside the slice are cut off zero-copy. ``make_partial`` runs per
+    batch, and the partials are folded in ``merge_many`` groups of
+    ``MERGE_FANOUT``, so at most ``MERGE_FANOUT + 1`` states are alive
+    however long the slice is (a partial can be a whole corpus-sized Bloom
+    filter), and the COO CountMin accumulator is re-sorted once per group,
+    not once per batch. A single batch's state is returned as is
+    (``merge_many([])`` still re-sorts a COO CountMin). A 0-row slice (an
+    empty file) gives ``make_partial`` of an empty table.
+    """
+    meta = pf.metadata
+    n = meta.num_rows
+    start, stop = n * part // parts, n * (part + 1) // parts
+    # first row of each row group, and one past the last row
+    n_groups = meta.num_row_groups
+    bounds = list(accumulate((meta.row_group(i).num_rows for i in range(n_groups)), initial=0))
+    groups = [i for i in range(n_groups) if bounds[i] < stop and bounds[i + 1] > start]
+    states: list[MergeableSketch] = []
+    if groups:
+        pos = bounds[groups[0]]  # file row of the next batch's first row
+        for b in pf.iter_batches(batch_size=batch_size, row_groups=groups, columns=columns):
+            lo, hi = max(start - pos, 0), min(stop - pos, b.num_rows)
+            pos += b.num_rows
+            if hi > lo:
+                states.append(make_partial(pa.Table.from_batches([b]).slice(lo, hi - lo)))
+                if len(states) > MERGE_FANOUT:
+                    states = [states[0].merge_many(states[1:])]
+            if pos >= stop:
+                break
+    if not states:
+        schema = pf.schema_arrow
+        if columns is not None:
+            schema = pa.schema([schema.field(c) for c in columns])
+        return make_partial(schema.empty_table())
+    return states[0].merge_many(states[1:]) if len(states) > 1 else states[0]
 
 
 def _merge_blocks(cls: type[MergeableSketch], *blocks) -> pa.Table:
@@ -147,7 +161,8 @@ def merge_state_refs(refs: list, cls: type[MergeableSketch]) -> list[MergeableSk
     remote k-way merge tasks (each emits one 1-row block), so the driver
     holds a bounded number of states however many partials there are (a
     state can be a corpus-sized Bloom filter). Block order is kept, so the
-    merge order is the order of ``refs``. Shared by ``tree_merge`` and
+    merge order is the order of ``refs``. Shared by ``tree_merge``,
+    ``pipelines.webpages.build_web_sketches`` and
     ``checkpoint.build_checkpointed``.
     """
     import ray

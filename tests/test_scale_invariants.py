@@ -95,14 +95,10 @@ def test_tree_merge_equals_merge_many_coo_countmin(ray_session):
         assert _tree_merge_equals_merge_many(parts, CountMin), f"eps={eps}"
 
 
-@pytest.mark.parametrize("per_block", [False, True])
 @pytest.mark.parametrize("with_empty_block", [False, True])
-def test_partial_states_merge_equals_in_process_fold(ray_session, with_empty_block, per_block):
-    """Both partial_states modes merge to one in-process merge_many of the
-    same batch_size-row slices, and a 0-row block contributes no state (Ray
-    passes an empty block through a batch_size=None map as a 0-row block
-    without a ``state`` column, which tree_merge must skip). per_block=True
-    folds each block's slices into ONE state."""
+def test_partial_states_merge_equals_in_process_fold(ray_session, with_empty_block):
+    """partial_states merges to one in-process merge_many of the same
+    batch_size-row slices, and a 0-row block contributes no state."""
     import pyarrow as pa
     import ray.data
 
@@ -117,9 +113,7 @@ def test_partial_states_merge_equals_in_process_fold(ray_session, with_empty_blo
     if with_empty_block:
         blocks.insert(1, blocks[0].slice(0, 0))
     ds = ray.data.from_arrow(blocks)
-    states = partial_states(ds, key_cms, batch_size=256, per_block=per_block).materialize()
-    if per_block:
-        assert states.count() == 3
+    states = partial_states(ds, key_cms, batch_size=256).materialize()
     slices = [key_cms(t.slice(i, 256)) for t in blocks for i in range(0, len(t), 256)]
     assert len(slices) == 12
     reference = slices[0].merge_many(slices[1:])

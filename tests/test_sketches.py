@@ -215,6 +215,33 @@ def test_distinct_users_hll_rejects_sketch_outside_linear_counting(monkeypatch, 
         merged.distinct_users_hll("unused")
 
 
+@pytest.mark.parametrize(
+    "n_chars, in_domain",
+    [([1, 40, 1 << 17], True), ([0, 40, 500], False), ([1, 40, (1 << 17) + 1], False)],
+)
+def test_doc_length_quantiles_approx_rejects_n_chars_outside_pinned_domain(
+    ray_session, monkeypatch, n_chars, in_domain
+):
+    """The ddsketch rows are oracled only where the bucket index is pinned
+    against DuckDB, n_chars in [1, 2^17]: a document outside it must fail
+    with a message naming the bound, and the bounds themselves pass."""
+    import pyarrow as pa
+    import ray.data
+
+    from epichypersketch_jl_ray.pipelines import merged, sketches
+
+    docs = pa.table({"n_chars": pa.array(n_chars * 100, pa.int64())})
+    monkeypatch.setattr(
+        sketches, "read_table", lambda sf_dir, table, columns: ray.data.from_arrow(docs)
+    )
+    if in_domain:
+        out = merged.doc_length_quantiles_approx("unused")
+        assert set(out["method"]) == {"tdigest", "ddsketch"}
+    else:
+        with pytest.raises(ValueError, match=r"outside the \[1, 131072\] domain"):
+            merged.doc_length_quantiles_approx("unused")
+
+
 def test_ddsketch_relative_error_and_merge():
     """DDSketch: every quantile within the alpha relative-error bound of
     the exact order statistic; merge == single-sketch build (bucket-wise

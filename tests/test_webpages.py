@@ -231,18 +231,67 @@ def test_checkpointed_merge_bounds_driver_states(ray_session, tmp_path, monkeypa
         assert getattr(got, name).digest() == getattr(want, name).digest(), name
 
 
-def test_split_file_read_equals_per_batch(ray_session):
-    """With at most half as many large files as CPUs the per-block build
-    splits each file into several read blocks (2 files on 4 CPUs: 4
-    blocks). Its CMS/HLL/Bloom equal the per-batch build's byte for byte."""
-    from epichypersketch_jl_ray.pipelines.webpages import build_web_sketches
-    from epichypersketch_jl_ray.sources.webpages import webpages_dir_for
+def test_file_slices_fold_each_row_once(ray_session, tmp_path):
+    """With fewer files than CPUs the build cuts each file into CPUs // files
+    row ranges (2 files on 4 CPUs: 4 ranges). Both files have an odd row
+    count, and one has several row groups, so range edges fall inside row
+    groups and inside batches. No row at an edge is read twice or skipped:
+    each range folds exactly its rows, rows_seen is the footer total, and
+    the CMS/HLL/Bloom equal an in-process merge_many over the whole table."""
+    import pyarrow.parquet as pq
 
-    split_dir = webpages_dir_for(1000, n_shards=2)
-    split = build_web_sketches(split_dir, batch_size=100)  # 500-row files: per block
-    per_batch = build_web_sketches(split_dir, batch_size=4096)  # small files: per batch
+    from epichypersketch_jl_ray.pipelines.webpages import (
+        WEB_COLUMNS,
+        WebSketchBuilder,
+        _cluster_cpus,
+        build_web_sketches,
+    )
+    from epichypersketch_jl_ray.stages.udaf import fold_parquet_part
+
+    tbl = pq.read_table(webpages_dir_for(1000, n_shards=2), columns=WEB_COLUMNS)
+    d = tmp_path / "web"
+    d.mkdir()
+    pq.write_table(tbl.slice(0, 501), d / "a.parquet")
+    pq.write_table(tbl.slice(501, 499), d / "b.parquet", row_group_size=97)
+    files = [str(d / "a.parquet"), str(d / "b.parquet")]
+    assert pq.ParquetFile(files[1]).metadata.num_row_groups == 6
+    parts = _cluster_cpus() // len(files)
+    assert parts == 2
+
+    batch_size = 64
+    make_partial = WebSketchBuilder(n_docs_hint=1000)
+    for f in files:
+        pf = pq.ParquetFile(f)
+        n = pf.metadata.num_rows
+        for part in range(parts):
+            st = fold_parquet_part(pf, part, parts, make_partial, batch_size, WEB_COLUMNS)
+            assert st.rows_seen == n * (part + 1) // parts - n * part // parts
+
+    built = build_web_sketches(str(d), batch_size=batch_size)
+    assert built.rows_seen == sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+    states = [make_partial(tbl.slice(i, batch_size)) for i in range(0, len(tbl), batch_size)]
+    want = states[0].merge_many(states[1:])
     for name in ("cms", "hll", "bloom"):
-        assert getattr(split, name).digest() == getattr(per_batch, name).digest(), name
+        assert getattr(built, name).digest() == getattr(want, name).digest(), name
+
+
+def test_empty_shard_in_web_build(ray_session, tmp_path):
+    """A 0-row parquet shard among non-empty ones contributes an empty
+    partial: rows_seen and the CMS/HLL/Bloom equal the build without it."""
+    import pyarrow.parquet as pq
+
+    from epichypersketch_jl_ray.pipelines.webpages import build_web_sketches
+
+    src = webpages_dir_for(1500, n_shards=4)
+    d = tmp_path / "web"
+    shutil.copytree(src, d)
+    base = build_web_sketches(str(d), batch_size=256)
+    schema = pq.ParquetFile(f"{src}/webpages-00000.parquet").schema_arrow
+    pq.write_table(schema.empty_table(), d / "zz-empty.parquet")
+    with_empty = build_web_sketches(str(d), batch_size=256)
+    assert with_empty.rows_seen == base.rows_seen == 1500
+    for name in ("cms", "hll", "bloom"):
+        assert getattr(with_empty, name).digest() == getattr(base, name).digest(), name
 
 
 def test_build_without_parquet_files_raises(tmp_path):
