@@ -37,12 +37,68 @@ import ray
 from epichypersketch_jl_ray.sources.activation import activation_from_table
 from epichypersketch_jl_ray.sources.tables import read_table
 from epichypersketch_jl_ray.stages.motifs import MotifCounter, MotifSelector
-from epichypersketch_jl_ray.stages.udaf import exact_recount, partial_states, tree_merge
+from epichypersketch_jl_ray.stages.udaf import (
+    _state_table,
+    exact_recount,
+    fold_partials,
+    merge_state_refs,
+    tree_merge,  # noqa: F401  (perfbench/motifs.py wraps pipelines.motifs.tree_merge)
+)
 
 # collision-free-at-test-scale sketch geometry (see module docstring)
 ORACLE_DELTA = 9e-3  # 5 rows
 ORACLE_EPSILON = 3.24e-7  # 8,389,759 cols: 5 x 8,389,759 = 41.9 M cells
 MOTIF_SEED = 20260817
+
+
+def _block_batches(
+    block,
+    batch_size: int | str,
+    *,
+    motif_size: int,
+    conv: bool,
+    delta: float,
+    epsilon: float,
+    max_active_len: int,
+) -> list[pa.Table]:
+    """An activation block (a user Dataset's blocks may be pandas) as
+    consecutive ``batch_size``-row Arrow slices; a 0-row block is its own
+    one slice. ``":auto"`` sizes the slices from the longest sequence in
+    the block, clipped to ``max_active_len``: the reference's
+    get_max_active_len -> batch-size chain (reference src/record.jl:58-62).
+    The cap is a truncation bound; sizing C(cap, k) when real rows are ~7
+    long would make k=4/5 batches of 10-67 rows."""
+    from ray.data.block import BlockAccessor
+
+    tbl = BlockAccessor.for_block(block).to_arrow()
+    if not tbl.num_rows:
+        return [tbl]
+    if batch_size == ":auto":
+        from epichypersketch_jl_ray.memory import calculate_optimal_batch_size
+
+        longest = int(np.max(np.asarray(tbl["features"].combine_chunks().value_lengths())))
+        batch_size = calculate_optimal_batch_size(
+            max(1, min(longest, max_active_len)),
+            motif_size,
+            conv=conv,
+            delta=delta,
+            epsilon=epsilon,
+        )
+    return [tbl.slice(i, batch_size) for i in range(0, tbl.num_rows, batch_size)]
+
+
+@ray.remote
+def _count_block(block, make_partial, sizing: dict) -> pa.Table:
+    """State block of one activation block: its batches folded into one
+    state (no state for a 0-row block)."""
+    batches = _block_batches(block, **sizing)
+    return _state_table([fold_partials(batches, make_partial)] if batches[0].num_rows else [])
+
+
+@ray.remote
+def _select_block(block, selector, sizing: dict) -> pa.Table:
+    """Select output of one activation block, batch by batch."""
+    return pa.concat_tables([selector(b) for b in _block_batches(block, **sizing)])
 
 
 def motif_pipeline(
@@ -58,55 +114,56 @@ def motif_pipeline(
     max_active_len: int = 64,
     batch_size: int | str = 2048,
 ) -> ray.data.Dataset:
-    """count (pass 1) → tree merge → broadcast → select+extract (pass 2).
+    """count (pass 1) → merge → broadcast → select+extract (pass 2) →
+    exact recount.
 
-    ``batch_size=":auto"`` sizes the batch from the enumeration working set
-    — C(max_active_len, motif_size) per-row cost against the reference's
-    4 GB × 0.8 budget and [10, 10000] clamps
+    The activation is materialized once in the object store (Ray spills to
+    disk under pressure) — the analogue of the reference keeping its
+    Records alive across count!/make_selection! (reference
+    src/count_gpu_extract.jl:37-53). Both passes are plain Ray tasks over
+    its block refs, one task per block, so the activation's blocks are the
+    unit of parallelism (``activation_from_table`` makes at least as many
+    as there are CPUs):
+
+    - count: ``_count_block`` folds its block's batches into ONE
+      ``MotifCountState`` (``udaf.fold_partials``); the tasks' refs go
+      through ``udaf.merge_state_refs`` and one driver ``merge_many``;
+    - select: ``_select_block`` runs ``MotifSelector`` on its block's
+      batches against the ``ray.put`` ``at_least(min_count)`` view of the
+      merged sketch; the select blocks go to ``udaf.exact_recount``.
+
+    ``batch_size`` bounds the rows the enumeration sees at once;
+    ``":auto"`` sizes each block's batches from the enumeration working set
+    of its longest sequence — C(len, motif_size) per-row cost against the
+    reference's 4 GB × 0.8 budget and [10, 10000] clamps
     (memory.calculate_optimal_batch_size, mirroring
-    /root/reference/src/record.jl:58-62 → /root/reference/src/memory.jl:97-148)
-    — so long sequences automatically get small batches.
-
-    Both passes read the activation dataset, materialized once in the object
-    store (Ray spills to disk under pressure) — the streaming analogue of the
-    reference keeping its Records alive across count!/make_selection!
-    (reference src/count_gpu_extract.jl:37-53).
+    reference src/memory.jl:97-148) — so long sequences get small
+    batches. The merged CountMin cells are integer sums, so neither the
+    batching nor the blocks change the output.
     """
     from epichypersketch_jl_ray.stages.motifs import MotifCountState
 
     act = activation.materialize()
-
-    if batch_size == ":auto":
-        from epichypersketch_jl_ray.memory import calculate_optimal_batch_size
-
-        # size from the OBSERVED max sequence length, not the worst-case cap
-        # — exactly the reference's get_max_active_len -> batch-size chain
-        # (/root/reference/src/record.jl:58-62). The cap is a TRUNCATION
-        # bound; sizing C(cap, k) when real rows are ~7 long makes k=4/5
-        # batches of 10-67 rows, i.e. thousands of tasks and thousands of
-        # CMS partials per query. One cheap scan of the materialized
-        # activation (list lengths only) fixes the fan-in.
-        def _row_lens(batch: pa.Table) -> pa.Table:
-            arr = batch["features"]
-            if isinstance(arr, pa.ChunkedArray):
-                arr = arr.combine_chunks()
-            lens = np.asarray(arr.value_lengths(), dtype=np.int64)
-            m = int(lens.max()) if len(lens) else 0
-            return pa.table({"m": pa.array([m], pa.int64())})
-
-        observed = act.map_batches(_row_lens, batch_format="pyarrow").max("m")
-        eff_len = max(1, min(int(observed or 1), max_active_len))
-        batch_size = calculate_optimal_batch_size(
-            eff_len, motif_size, conv=conv, delta=delta, epsilon=epsilon
-        )
+    blocks = [ref for bundle in act.iter_internal_ref_bundles() for ref in bundle.block_refs]
     kwargs = dict(
         motif_size=motif_size,
         conv=conv,
         filter_len=filter_len,
         max_active_len=max_active_len,
     )
+    sizing = dict(
+        batch_size=batch_size,
+        motif_size=motif_size,
+        conv=conv,
+        delta=delta,
+        epsilon=epsilon,
+        max_active_len=max_active_len,
+    )
     counter = MotifCounter(**kwargs, delta=delta, epsilon=epsilon, seed=seed)
-    merged = tree_merge(partial_states(act, counter, batch_size=batch_size), MotifCountState)
+    states = merge_state_refs(
+        [_count_block.remote(b, counter, sizing) for b in blocks], MotifCountState
+    )
+    merged = states[0].merge_many(states[1:])
     if merged.truncated:
         import logging
 
@@ -118,10 +175,8 @@ def motif_pipeline(
     # only cells >= min_count can pass the select, so only they are broadcast
     cms_ref = ray.put(merged.cms.at_least(min_count))
     selector = MotifSelector(cms_ref, min_count=min_count, **kwargs)
-    # materialized on its own: the select gets every CPU (an attached
-    # all-to-all tail holds CPU reservations for operators still waiting on
-    # it) and its row count becomes block metadata
-    out = act.map_batches(selector, batch_format="pyarrow", batch_size=batch_size).materialize()
+    # materialized: its row count is block metadata for exact_recount
+    out = ray.data.from_arrow_refs([_select_block.remote(b, selector, sizing) for b in blocks])
     key_cols = [f"m{i + 1}" for i in range(motif_size)]
     schema_fields: list[tuple[str, pa.DataType]] = [(c, pa.int32()) for c in key_cols]
     if conv:
@@ -159,7 +214,7 @@ def _recount(tbl: pa.Table, key_cols: list[str], min_count: int) -> pa.Table:
 
 
 # session-level cache of MATERIALIZED activation datasets: the driver and
-# bench call several motif queries in one Ray session; the groupby shuffle
+# bench call several motif queries in one Ray session; the bucket exchange
 # that builds the sequences is the dominant fixed cost, so building it once
 # per (sf_dir, conv) amortizes it (a MaterializedDataset pins its blocks in
 # the object store for the session — small relative to the store).

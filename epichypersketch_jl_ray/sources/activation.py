@@ -8,12 +8,14 @@ The Ray-native equivalent is a Dataset with one row per sequence:
     features:list<struct<feature:int32, contribution:double[, position:int32]>>
 
 Building it from a normalized table (one row per feature occurrence) needs a
-group-by-key — the ONE unavoidable shuffle in the motif pipeline. To keep it
-vectorized we group by a *bucket* of the key (hash(key) % num_buckets) and do
-the real per-key grouping inside each bucket with numpy sort + run-length
-offsets: ``num_buckets`` python-function calls total instead of one per key
-(SURVEY.md §7.3 partitioning note; skew in key sizes is bounded because a
-bucket holds many keys).
+group-by-key — the ONE unavoidable shuffle in the motif pipeline. It runs as
+plain Ray tasks over block refs, with no Ray Data operator: one split task per
+input block cuts the block into one slice per *bucket* of the key
+(hash(key) % num_buckets), and one build task per bucket concatenates its
+slices and does the real per-key grouping with numpy sort + run-length
+offsets: ``num_buckets`` vectorized build calls instead of one Python call per
+key (SURVEY.md §7.3 partitioning note; skew in key sizes is bounded because a
+bucket holds many keys). A bucket that receives no row builds a 0-row block.
 
 Per-sequence ordering invariants (reference sort_activation_dict!,
 /root/reference/src/record.jl:237-242):
@@ -30,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+import ray
 import ray.data
 
 
@@ -62,7 +65,9 @@ def _build_sequences(
             "stays under 2^31 rows"
         )
     boundaries = np.flatnonzero(np.diff(keys)) + 1
-    offsets = np.concatenate(([0], boundaries, [len(keys)])).astype(np.int32)
+    # no row, no sequence: offsets [0] (an empty batch has no first key)
+    ends = [len(keys)] if len(keys) else []
+    offsets = np.concatenate(([0], boundaries, ends)).astype(np.int32)
     uniq_keys = keys[offsets[:-1]]
     fields = [
         pa.field("feature", pa.int32()),
@@ -77,6 +82,38 @@ def _build_sequences(
     return pa.table({"data_index": pa.array(uniq_keys, pa.int64()), "features": features})
 
 
+@ray.remote
+def _split_block(block, key_col: str, cols: list[str], num_buckets: int):
+    """One slice of ``block`` per bucket, ``hash(key) % num_buckets``: the
+    block's rows stably sorted by bucket, cut at the bucket boundaries."""
+    from ray.data.block import BlockAccessor
+
+    from epichypersketch_jl_ray.functions.hashing import hash_int64
+
+    tbl = BlockAccessor.for_block(block).to_arrow().select(cols)
+    k = tbl[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    bucket = (hash_int64(k, seed=1) % np.uint64(num_buckets)).astype(np.int64)
+    order = np.argsort(bucket, kind="stable")
+    bounds = np.searchsorted(bucket[order], np.arange(num_buckets + 1))
+    tbl = tbl.take(order)
+    slices = [tbl.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return slices if num_buckets > 1 else slices[0]
+
+
+@ray.remote
+def _build_bucket(
+    key_col: str,
+    feature_col: str,
+    contribution_col: str,
+    position_col: str | None,
+    *slices: pa.Table,
+) -> pa.Table:
+    """Activation block of one bucket from its slice of every input block."""
+    return _build_sequences(
+        pa.concat_tables(slices), key_col, feature_col, contribution_col, position_col
+    )
+
+
 def activation_from_table(
     ds: ray.data.Dataset,
     *,
@@ -89,13 +126,19 @@ def activation_from_table(
 ) -> ray.data.Dataset:
     """Normalized rows -> activation dataset (one row per sequence).
 
-    The bucket groupby is the pipeline's single all-to-all exchange; the
+    The bucket split is the pipeline's single all-to-all exchange; the
     bucket key is a splitmix of the sequence key so power-law keys spread
     evenly (north_rule skew requirement). ``num_buckets`` defaults to
     auto_bucket_count(size_hint_rows) so buckets scale with the input
-    instead of growing to corpus/64.
+    instead of growing to corpus/64; it is at least max(16, CPUs), so the
+    activation has at least as many blocks as CPUs.
+
+    The input's blocks stream in as they are produced
+    (``iter_internal_ref_bundles``), so reading overlaps splitting: one
+    ``_split_block`` task per block (``num_returns=num_buckets``), then one
+    ``_build_bucket`` task per bucket. The result is materialized: one
+    block per bucket, in bucket order, some of them possibly empty.
     """
-    from epichypersketch_jl_ray.functions.hashing import hash_int64
     from epichypersketch_jl_ray.stages.join import auto_bucket_count
 
     if num_buckets is None:
@@ -104,17 +147,17 @@ def activation_from_table(
     cols = [key_col, feature_col, contribution_col] + (
         [position_col] if position_col else []
     )
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        bucket = (hash_int64(k, seed=1) % np.uint64(num_buckets)).astype(np.int64)
-        return batch.select(cols).append_column("bucket", pa.array(bucket, pa.int64()))
-
-    def per_bucket(batch: pa.Table) -> pa.Table:
-        return _build_sequences(batch, key_col, feature_col, contribution_col, position_col)
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    split = _split_block.options(num_returns=num_buckets)
+    # per input block, its slice refs in bucket order
+    splits = [
+        split.remote(ref, key_col, cols, num_buckets)
+        for bundle in ds.iter_internal_ref_bundles()
+        for ref in bundle.block_refs
+    ]
+    if num_buckets == 1:  # num_returns=1 gives one ref, not a list
+        splits = [[s] for s in splits]
+    build_refs = [
+        _build_bucket.remote(key_col, feature_col, contribution_col, position_col, *slices)
+        for slices in zip(*splits)
+    ]
+    return ray.data.from_arrow_refs(build_refs)

@@ -1,12 +1,13 @@
 """Motif (k-combination) enumeration, counting, selection and extraction —
 the reference's three-pass core (SURVEY.md §2.3 C1-C6) re-expressed as two
-Ray Data passes over Arrow batches:
+passes over Arrow batches, each one Ray task per activation block
+(pipelines/motifs.motif_pipeline):
 
-  pass 1  partial_states(MotifCounter) → per-batch sparse CMS partial
-          → tree_merge                       (reference count!/count_cpu!,
+  pass 1  MotifCounter per batch → sparse CMS partial, folded to one state
+          per block → merge_state_refs   (reference count!/count_cpu!,
           /root/reference/src/count_cpu.jl:76-144)
   pass 2  broadcast the merged CMS's cells >= min_count (CountMin.at_least)
-          via ray.put; map_batches(MotifSelector) fuses
+          via ray.put; MotifSelector per batch fuses
           selection + extraction             (reference make_selection_cpu! +
           _obtain_enriched_configurations_cpu_, /root/reference/src/count_cpu.jl:149-293
           — fused because both read the same enumeration; the reference splits
@@ -178,7 +179,7 @@ class MotifCountState(MergeableSketch):
 
 class MotifCounter:
     """Pass-1 partial builder: enumerate + count into a local CMS, return a
-    sparse MotifCountState per batch. A stateless partial_states callable; the
+    sparse MotifCountState per batch. A stateless ``make_partial``; the
     comb_table cache is module-level (lru_cache) so it persists per worker
     process across batches (reference Record combs,
     /root/reference/src/record.jl:13-106)."""

@@ -4,21 +4,25 @@ The reference's only distribution mechanism is ONE shared mutable
 CountMinSketch accumulated across sequentially-processed partitions
 (/root/reference/src/partition.jl:148,204-214,307-336). Here that becomes the
 pattern of one partial state per unit of input and an associative merge
-(SURVEY.md §2.4 A2). A partial is made one of two ways:
+(SURVEY.md §2.4 A2). A partial is made one of three ways:
 
-    Dataset input (the motif and n-gram counts, sketch_dataset):
+    Dataset input (the n-gram counts, sketch_dataset):
       partial_states: a map over batches (→ ONE partial state each)
       → tree_merge: the state blocks' refs → merge_state_refs
+    activation blocks (the motif count, pipelines.motifs):
+      one Ray task per block of the materialized activation folds its
+      batch_size-row slices with fold_partials (→ ONE partial state each)
+      → the tasks' refs → merge_state_refs
     parquet files (the web builds, checkpoint.build_checkpointed):
       fold_parquet_part: one Ray task per file, or per contiguous slice of
-      a file, folds its batches (→ ONE partial state each)
+      a file, folds its batches with fold_partials (→ ONE partial state each)
       → the tasks' refs → merge_state_refs
     merge_state_refs: remote k-way merges, then ONE driver merge_many
       → one merged sketch, broadcast via ray.put for any later pass
       → exact_recount: a CMS select's survivors recounted exactly
 
-The file fold is the reference's one-CMS-per-partition count pass, without
-a Ray Data operator.
+The block and file folds are the reference's one-CMS-per-partition count
+pass, without a Ray Data operator.
 
 Because every sketch's ``merge`` is associative + commutative, Ray's
 nondeterministic block order cannot change the merged state (asserted by
@@ -34,7 +38,7 @@ operators: a one-row table whose single ``state`` column holds the state's
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Iterable
 
 import pyarrow as pa
 
@@ -52,10 +56,10 @@ def _state_table(states: list[MergeableSketch]) -> pa.Table:
 def _sketches_from_table(tbl, cls: type[MergeableSketch]) -> list[MergeableSketch]:
     """Deserialize every state row of a state block.
 
-    A 0-row block holds no states. Ray passes an empty input block (the
-    motif activation groupby emits some) through a ``batch_size=None`` map
-    without calling it, so such a block arrives here with no ``state``
-    column at all.
+    A 0-row block holds no states: a motif count task returns one for a
+    0-row activation block, and Ray passes an empty input block through a
+    ``batch_size=None`` map without calling it, so such a block arrives
+    here with no ``state`` column at all.
 
     Callers merge the returned list with ONE ``merge_many`` call rather than
     folding pairwise: for concatenate-then-sort merges (sparse CountMin COO)
@@ -92,6 +96,31 @@ def partial_states(
     return ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
 
 
+def fold_partials(
+    tables: Iterable[pa.Table], make_partial: Callable[[pa.Table], MergeableSketch]
+) -> MergeableSketch | None:
+    """ONE state for a stream of tables (None for an empty stream).
+
+    ``make_partial`` runs per table, and the partials are folded in
+    ``merge_many`` groups of ``MERGE_FANOUT``, so at most
+    ``MERGE_FANOUT + 1`` states are alive however long the stream is (a
+    partial can be a whole corpus-sized Bloom filter), and the COO CountMin
+    accumulator is re-sorted once per group, not once per table. A single
+    table's state is returned as is (``merge_many([])`` still re-sorts a COO
+    CountMin). The fold of every one-task-per-input count:
+    ``fold_parquet_part`` (a file slice) and ``pipelines.motifs`` (a block
+    of the activation).
+    """
+    states: list[MergeableSketch] = []
+    for tbl in tables:
+        states.append(make_partial(tbl))
+        if len(states) > MERGE_FANOUT:
+            states = [states[0].merge_many(states[1:])]
+    if not states:
+        return None
+    return states[0].merge_many(states[1:]) if len(states) > 1 else states[0]
+
+
 def fold_parquet_part(
     pf,
     part: int,
@@ -110,14 +139,9 @@ def fold_parquet_part(
 
     Only the row groups that overlap the slice are read, as
     ``batch_size``-row batches of ``columns`` (None: every column); rows
-    outside the slice are cut off zero-copy. ``make_partial`` runs per
-    batch, and the partials are folded in ``merge_many`` groups of
-    ``MERGE_FANOUT``, so at most ``MERGE_FANOUT + 1`` states are alive
-    however long the slice is (a partial can be a whole corpus-sized Bloom
-    filter), and the COO CountMin accumulator is re-sorted once per group,
-    not once per batch. A single batch's state is returned as is
-    (``merge_many([])`` still re-sorts a COO CountMin). A 0-row slice (an
-    empty file) gives ``make_partial`` of an empty table.
+    outside the slice are cut off zero-copy, and the batches are folded by
+    ``fold_partials``. A 0-row slice (an empty file) gives ``make_partial``
+    of an empty table.
     """
     meta = pf.metadata
     n = meta.num_rows
@@ -126,24 +150,24 @@ def fold_parquet_part(
     n_groups = meta.num_row_groups
     bounds = list(accumulate((meta.row_group(i).num_rows for i in range(n_groups)), initial=0))
     groups = [i for i in range(n_groups) if bounds[i] < stop and bounds[i + 1] > start]
-    states: list[MergeableSketch] = []
-    if groups:
+
+    def tables():
         pos = bounds[groups[0]]  # file row of the next batch's first row
         for b in pf.iter_batches(batch_size=batch_size, row_groups=groups, columns=columns):
             lo, hi = max(start - pos, 0), min(stop - pos, b.num_rows)
             pos += b.num_rows
             if hi > lo:
-                states.append(make_partial(pa.Table.from_batches([b]).slice(lo, hi - lo)))
-                if len(states) > MERGE_FANOUT:
-                    states = [states[0].merge_many(states[1:])]
+                yield pa.Table.from_batches([b]).slice(lo, hi - lo)
             if pos >= stop:
                 break
-    if not states:
+
+    state = fold_partials(tables(), make_partial) if groups else None
+    if state is None:
         schema = pf.schema_arrow
         if columns is not None:
             schema = pa.schema([schema.field(c) for c in columns])
         return make_partial(schema.empty_table())
-    return states[0].merge_many(states[1:]) if len(states) > 1 else states[0]
+    return state
 
 
 def _merge_blocks(cls: type[MergeableSketch], *blocks) -> pa.Table:
@@ -161,7 +185,9 @@ def merge_state_refs(refs: list, cls: type[MergeableSketch]) -> list[MergeableSk
     remote k-way merge tasks (each emits one 1-row block), so the driver
     holds a bounded number of states however many partials there are (a
     state can be a corpus-sized Bloom filter). Block order is kept, so the
-    merge order is the order of ``refs``. Shared by ``tree_merge``,
+    merge order is the order of ``refs``. Raises ValueError when the
+    blocks hold no state at all (an empty input). Shared by ``tree_merge``,
+    ``pipelines.motifs.motif_pipeline``,
     ``pipelines.webpages.build_web_sketches`` and
     ``checkpoint.build_checkpointed``.
     """
@@ -180,7 +206,10 @@ def merge_state_refs(refs: list, cls: type[MergeableSketch]) -> list[MergeableSk
             merge_blocks.remote(cls, *refs[i : i + group])
             for i in range(0, len(refs), group)
         ]
-    return [sk for ref in refs for sk in _sketches_from_table(ray.get(ref), cls)]
+    states = [sk for ref in refs for sk in _sketches_from_table(ray.get(ref), cls)]
+    if not states:
+        raise ValueError("no partial states to merge (empty input dataset?)")
+    return states
 
 
 def tree_merge(states_ds, cls: type[MergeableSketch]) -> MergeableSketch:
@@ -201,8 +230,6 @@ def tree_merge(states_ds, cls: type[MergeableSketch]) -> MergeableSketch:
         for ref in bundle.block_refs
     ]
     sketches = merge_state_refs(refs, cls)
-    if not sketches:
-        raise ValueError("no partial states to merge (empty input dataset?)")
     return sketches[0].merge_many(sketches[1:])
 
 

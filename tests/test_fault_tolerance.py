@@ -163,3 +163,45 @@ def test_stale_manifest_format_recomputes_loudly(ray_session, tmp_path, caplog):
     import numpy as np
 
     assert merged.estimate(np.array([[7]], dtype=np.int64))[0] == 2
+
+
+def test_motif_count_survives_a_killed_worker(ray_session, tmp_path, monkeypatch):
+    """The worker running the first count task exits mid-task; Ray's
+    default task retries rerun it and the motif output equals the
+    undisturbed run's."""
+    import os
+
+    import pandas as pd
+    import ray.data
+
+    from epichypersketch_jl_ray.api import activation_table_from_dict
+    from epichypersketch_jl_ray.pipelines import motifs as pm
+    from epichypersketch_jl_ray.sources.reference_fixtures import make_ordinary_dict
+
+    tbl, _ = activation_table_from_dict(make_ordinary_dict())
+    parts = [tbl.slice(i, 200) for i in range(0, tbl.num_rows, 200)]
+
+    def frame() -> pd.DataFrame:
+        df = pm.motif_pipeline(ray.data.from_arrow(parts), motif_size=3, min_count=8).to_pandas()
+        cols = sorted(df.columns)
+        return df[cols].sort_values(cols).reset_index(drop=True)
+
+    clean = frame()
+    marker = tmp_path / "killed"
+    real_counter = pm.MotifCounter
+
+    def crash_once_counter(**kwargs):
+        counter = real_counter(**kwargs)
+
+        def count(batch):
+            if not marker.exists():
+                marker.touch()
+                os._exit(1)  # the worker process dies, as on a lost node
+            return counter(batch)
+
+        return count
+
+    monkeypatch.setattr(pm, "MotifCounter", crash_once_counter)
+    retried = frame()
+    assert marker.exists()
+    pd.testing.assert_frame_equal(clean, retried)

@@ -340,3 +340,108 @@ def test_broadcast_cache_is_bounded_lru(ray_session):
     key = refs[-1].hex()
     assert key not in udaf._BROADCAST_CACHE
     udaf._BROADCAST_CACHE.clear()
+
+
+def _normalized_rows(fixture: str):
+    """The reference fixture as normalized occurrence rows (one row per
+    feature), shuffled so the activation build has to regroup and sort."""
+    import pyarrow as pa
+
+    from epichypersketch_jl_ray.api import activation_table_from_dict
+    from epichypersketch_jl_ray.sources import reference_fixtures as rf
+
+    d = rf.make_conv_dict() if fixture == "conv" else rf.make_ordinary_dict()
+    act, conv = activation_table_from_dict(d)
+    feats = act["features"].combine_chunks()
+    flat = feats.flatten()
+    cols = {
+        "key": np.repeat(act["data_index"].to_numpy(), np.asarray(feats.value_lengths())),
+        "feat": flat.field("feature"),
+        "contrib": flat.field("contribution"),
+    }
+    if conv:
+        cols["pos"] = flat.field("position")
+    rows = pa.table(cols)
+    return rows.take(np.random.default_rng(5).permutation(rows.num_rows)), conv
+
+
+@pytest.mark.parametrize("source", ["arrow", "pandas"])
+@pytest.mark.parametrize("fixture", ["ordinary", "conv"])
+def test_activation_buckets_equal_one_in_process_build(ray_session, fixture, source):
+    """The split/build tasks over a 3-block input with 64 buckets give one
+    block per bucket, a 0-row block (with the full schema) for each bucket
+    no key hashes to, and, sorted by data_index, exactly the rows of one
+    in-process _build_sequences over the whole table; conv sequences stay
+    in position order."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from epichypersketch_jl_ray.functions.hashing import hash_int64
+    from epichypersketch_jl_ray.sources.activation import _build_sequences, activation_from_table
+
+    rows, conv = _normalized_rows(fixture)
+    pos = "pos" if conv else None
+    cuts = [i * rows.num_rows // 3 for i in range(4)]
+    thirds = [rows.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
+    if source == "pandas":
+        ds = ray.data.from_pandas([t.to_pandas() for t in thirds])
+    else:
+        ds = ray.data.from_arrow(thirds)
+    act = activation_from_table(
+        ds, key_col="key", feature_col="feat", contribution_col="contrib",
+        position_col=pos, num_buckets=64,
+    )
+    blocks = ray.get(act.to_arrow_refs())
+    whole = _build_sequences(rows, "key", "feat", "contrib", pos)
+    assert len(blocks) == 64
+    keys = np.unique(rows["key"].to_numpy())
+    unused = 64 - len(np.unique(hash_int64(keys, seed=1) % np.uint64(64)))
+    assert sum(b.num_rows == 0 for b in blocks) == unused
+    if conv:
+        assert unused > 0  # 200 sequences leave some of the 64 buckets empty
+    assert all(b.schema == whole.schema for b in blocks)
+    got = pa.concat_tables(blocks).sort_by("data_index")
+    assert got.equals(whole)
+    if conv:
+        for seq in got["features"].to_pylist():
+            p = [f["position"] for f in seq]
+            assert p == sorted(p)
+
+
+def test_motif_count_and_select_per_block_equal_one_block(ray_session, caplog):
+    """Count and select run one task per activation block. Over blocks of
+    uneven size, one of them 0-row and two holding sequences longer than
+    max_active_len, the output equals the one-block run, and the warning
+    reports the truncations of every block summed. An activation with no
+    row at all has no partial state to merge."""
+    import logging
+
+    import ray.data
+
+    from epichypersketch_jl_ray.api import activation_table_from_dict
+    from epichypersketch_jl_ray.pipelines.motifs import motif_pipeline
+    from epichypersketch_jl_ray.sources.reference_fixtures import make_ordinary_dict
+
+    tbl, _ = activation_table_from_dict(make_ordinary_dict())
+    cap = 6
+    long_rows = np.asarray(tbl["features"].combine_chunks().value_lengths()) > cap
+    cuts = [0, 250, 250, 500, tbl.num_rows]  # the second block has 0 rows
+    parts = [tbl.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
+    assert sum(bool(long_rows[a:b].any()) for a, b in zip(cuts[:-1], cuts[1:])) >= 2
+
+    def frame(ds) -> pd.DataFrame:
+        df = motif_pipeline(ds, motif_size=3, min_count=8, max_active_len=cap).to_pandas()
+        cols = sorted(df.columns)
+        return df[cols].sort_values(cols).reset_index(drop=True)
+
+    one = frame(ray.data.from_arrow(tbl))
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="epichypersketch_jl_ray.pipelines.motifs"):
+        several = frame(ray.data.from_arrow(parts))
+    assert ray.data.from_arrow(parts).num_blocks() == 4
+    pd.testing.assert_frame_equal(one, several)
+    assert len(one) > 0
+    assert f"{int(long_rows.sum())} sequences truncated to max_active_len={cap}" in caplog.text
+    with pytest.raises(ValueError, match="no partial states"):
+        motif_pipeline(ray.data.from_arrow(tbl.slice(0, 0)), motif_size=3, min_count=8)
