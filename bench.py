@@ -1,12 +1,16 @@
 """Benchmark harness.
 
 Default mode: runs the headline webtext sketch-build pipeline (docs/sec) plus
-every queries() pipeline over $GRAFT_SF_DIR (default /root/testdata/sf0.1)
-and prints ONE JSON line:
+every queries() pipeline over $GRAFT_SF_DIR (default: SF_DIR below),
+writes the full record (per-query walls, headline details, machine probes
+and context) to .bench_results/bench-<sf>-<UTC time>.json and prints ONE
+short JSON line:
 
   {"metric": "webtext_sketch_build_wall", "value": <sec>, "unit": "sec",
-   "queries": {...per-query sec...}, "sf": ..., "num_cpus": N,
-   "docs_per_sec": ...}
+   "docs_per_sec": ..., "queries_total_s": ..., "record": <path>}
+
+--headline-only: runs only the headline and prints it as one JSON line
+(the line --scaling parses).
 
 --scaling: runs the headline pipeline twice in FRESH processes at
 RAY_GRAFT_CPUS=N and =4N (default N=1; override GRAFT_SCALE_N) on the same
@@ -250,6 +254,7 @@ def main() -> None:
         return
 
     probe_start = machine_probe()  # calibrate BOTH endpoints: phases shift mid-run
+    cpu_times0 = _cpu_times()
     headline = run_headline()
     if "--headline-only" in sys.argv:
         print(
@@ -271,27 +276,63 @@ def main() -> None:
         return
 
     queries = run_queries()
+    record = {
+        "metric": "webtext_sketch_build_wall",
+        "value": headline["wall_s"],
+        "unit": "sec",
+        "queries": queries,
+        "sf": SF_DIR,
+        "num_cpus": NUM_CPUS,
+        "headline": headline,
+        "queries_total_s": round(sum(queries.values()), 3),
+        "machine_probe_start": probe_start,
+        "machine_probe": machine_probe(),
+        "machine": _machine_context(cpu_times0),
+    }
+    path = _write_record(record)
     print(
         json.dumps(
             {
                 "metric": "webtext_sketch_build_wall",
                 "value": headline["wall_s"],
                 "unit": "sec",
-                "queries": queries,
-                "sf": SF_DIR,
-                "num_cpus": NUM_CPUS,
                 "docs_per_sec": headline["docs_per_sec"],
-                "web_rows": headline["web_rows"],
-                "queries_total_s": round(sum(queries.values()), 3),
-                "machine_probe_start": probe_start,
-                "machine_probe": machine_probe(),
-                "summary": headline["summary"],
+                "queries_total_s": record["queries_total_s"],
+                "record": path,
             }
         )
     )
     import ray
 
     ray.shutdown()
+
+
+def _cpu_times():
+    import ray  # noqa: F401  (puts Ray's bundled psutil on sys.path)
+    import psutil
+
+    return psutil.cpu_times()
+
+
+def _machine_context(cpu_times0) -> dict:
+    """perfbench's machine context (CPU affinity, thread env, versions, git
+    commit) plus the share of CPU time stolen by other guests since
+    ``cpu_times0``."""
+    from perfbench.run import machine_context, steal_share
+
+    return dict(machine_context(NUM_CPUS), steal_share=steal_share(cpu_times0, _cpu_times()))
+
+
+def _write_record(record: dict) -> str:
+    """Write the full record to .bench_results/ next to this file; return
+    its path."""
+    out_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), ".bench_results")
+    os.makedirs(out_dir, exist_ok=True)
+    stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
+    path = os.path.join(out_dir, f"bench-{os.path.basename(SF_DIR.rstrip('/'))}-{stamp}.json")
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=1)
+    return path
 
 
 if __name__ == "__main__":

@@ -84,12 +84,18 @@ def fnv1a64(strings) -> np.ndarray:
     return splitmix64(out)
 
 
+# (1 << 8*len) - 1: keeps a string's own bytes of its 8-byte window
+_LEN_MASKS = np.array([(1 << (8 * n)) - 1 for n in range(9)], dtype=np.uint64)
+
+
 def hash_strings_fast(strings) -> np.ndarray:
     """Deterministic uint64 hash of short strings, vectorized without masked
-    passes: strings of <= 8 bytes pack into one little-endian uint64 (8
-    unconditional gathers + shifts) mixed with the length through splitmix64.
-    Falls back to fnv1a64 when any string exceeds 8 bytes. Used for TOKEN
-    hashing (tokens are short); NOT interchangeable with fnv1a64 values.
+    passes: a string of <= 8 bytes is read as ONE little-endian uint64 (a
+    single gather of the 8-byte window at its start, over a buffer padded
+    with 8 zero bytes, AND a per-length mask) and mixed with its length
+    through splitmix64. Strings over 8 bytes fall back to fnv1a64. Used
+    for TOKEN hashing (tokens are short); NOT interchangeable with fnv1a64
+    values.
     """
     if isinstance(strings, pa.ChunkedArray):
         strings = strings.combine_chunks()
@@ -97,32 +103,20 @@ def hash_strings_fast(strings) -> np.ndarray:
         strings = pa.array(strings, type=pa.string())
     offsets, values = _string_buffers(strings)
     lengths = offsets[1:] - offsets[:-1]
-    n = len(lengths)
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    starts = offsets[:-1]
-    short = lengths <= 8
-    out = np.empty(n, dtype=np.uint64)
-    if short.any():
-        s_start = starts[short]
-        s_len = lengths[short]
-        safe_len = np.maximum(s_len, 1)
-        word = np.zeros(len(s_len), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for j in range(8):
-                # clamp: a zero-length string at the buffer's end would index
-                # one past `values`; its contribution is zeroed by the
-                # (s_len > j) mask regardless
-                idx = np.minimum(s_start + np.minimum(j, safe_len - 1), max(len(values) - 1, 0))
-                byte = (
-                    values[idx].astype(np.uint64) if len(values) else np.zeros(len(s_len), np.uint64)
-                )
-                word |= (byte * (s_len > j).astype(np.uint64)) << np.uint64(8 * j)
-            out[short] = splitmix64(word + splitmix64(s_len.astype(np.uint64)))
-    if not short.all():
-        # per-STRING fallback (never per-batch: the same string must hash
-        # identically regardless of what else shares its batch)
-        long_idx = np.flatnonzero(~short)
+    # the padding keeps the window of a string that ends the buffer (a
+    # zero-length one included) in bounds
+    padded = np.zeros(len(values) + 8, dtype=np.uint8)
+    padded[: len(values)] = values
+    windows = np.lib.stride_tricks.as_strided(
+        padded, shape=(len(values) + 1, 8), strides=(1, 1), writeable=False
+    )
+    word = windows[offsets[:-1]].view("<u8").ravel() & _LEN_MASKS[np.minimum(lengths, 8)]
+    with np.errstate(over="ignore"):
+        out = splitmix64(word + splitmix64(lengths))
+    # per-STRING fallback (never per-batch: the same string must hash
+    # identically regardless of what else shares its batch)
+    long_idx = np.flatnonzero(lengths > 8)
+    if len(long_idx):
         out[long_idx] = fnv1a64(strings.take(pa.array(long_idx)))
     return out
 

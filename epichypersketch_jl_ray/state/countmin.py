@@ -22,7 +22,10 @@ Deliberate divergences from the reference (SURVEY.md §7.4):
 
 Storage is sparse COO (sorted flat ids + counts) so per-batch partial states
 cost O(#touched cells), densifying only when the sketch fills up — this is
-what makes per-block partial emission + tree merge cheap at scale.
+what makes per-block partial emission + tree merge cheap at scale. A batch
+is counted in one pass (a bincount up to 2^24 cells, a sort above), and a
+fresh state whose first batch fills more than half the cells is built dense
+directly: the same array, and the same bytes, as COO then ``densify``.
 """
 
 from __future__ import annotations
@@ -137,12 +140,10 @@ class CountMin(MergeableSketch):
         from epichypersketch_jl_ray.functions.hashing import splitmix64
 
         k = np.asarray(keys, dtype=np.uint64)
-        cols = np.empty((len(k), self.rows), dtype=np.int64)
-        for r in range(self.rows):
-            cols[:, r] = (splitmix64(k ^ self.row_seeds[r]) % np.uint64(self.cols)).astype(
-                np.int64
-            )
-        return cols
+        # one (rows, n) mix for all rows; the (n, rows) result is its
+        # transposed view, so _add_cols reads it back row-major, copy-free
+        mixed = splitmix64(k[None, :] ^ self.row_seeds[:, None])
+        return (mixed % np.uint64(self.cols)).astype(np.int64).T
 
     # --- update ------------------------------------------------------------
 
@@ -167,27 +168,34 @@ class CountMin(MergeableSketch):
         n = cols.shape[0]
         if n == 0:
             return self
-        flat = cols + (np.arange(self.rows, dtype=np.int64) * self.cols)[None, :]
-        flat = flat.ravel()
+        # row-major flat ids (row r's n cells, then row r+1's): the order
+        # key_columns computes them in; every scatter below is order-free
+        flat = (cols.T + (np.arange(self.rows, dtype=np.int64) * self.cols)[:, None]).ravel()
         if weights is None:
             w = None
             self.n_inserts += n
         else:
-            w = np.repeat(np.asarray(weights, dtype=np.int64), self.rows)
-            self.n_inserts += int(np.asarray(weights, dtype=np.int64).sum())
+            w = np.asarray(weights, dtype=np.int64)
+            self.n_inserts += int(w.sum())
+            w = np.tile(w, self.rows)
         self._scatter(flat, w)
         return self
 
     def _scatter(self, flat_ids: np.ndarray, weights: np.ndarray | None) -> None:
-        if self.dense is not None:
-            d = self.dense.ravel()
-            np.add.at(d, flat_ids, 1 if weights is None else weights)
-            return
         if self.num_counters <= (1 << 24):
-            # O(num_counters) bincount beats O(n log n) sort for small sketches
+            # O(num_counters) bincount beats O(n log n) sort for small
+            # sketches (weighted bincount sums in float64: exact below 2^53)
             counts = np.bincount(flat_ids, weights=weights, minlength=self.num_counters)
+            counts = counts.astype(np.int64, copy=False)
+            if self.dense is not None:
+                self.dense += counts.reshape(self.rows, self.cols)
+                return
+            if len(self.ids) == 0 and np.count_nonzero(counts) > self.num_counters // 2:
+                # born dense: the array _merge_coo's densify would build
+                self.dense = counts.reshape(self.rows, self.cols)
+                return
             nz = np.flatnonzero(counts)
-            self._merge_coo([nz.astype(np.int64)], [counts[nz].astype(np.int64)])
+            self._merge_coo([nz], [counts[nz]])
             return
         order = np.argsort(flat_ids, kind="stable")
         sid = flat_ids[order]
@@ -197,6 +205,9 @@ class CountMin(MergeableSketch):
         else:
             cs = np.concatenate(([0], np.cumsum(weights[order])))
             cnt = (cs[np.append(start[1:], len(sid))] - cs[start]).astype(np.int64)
+        if self.dense is not None:
+            self.dense.ravel()[uniq] += cnt  # uniq holds each cell once
+            return
         self._merge_coo([uniq], [cnt])
 
     def _merge_coo(self, ids: list[np.ndarray], counts: list[np.ndarray]) -> None:
@@ -249,7 +260,7 @@ class CountMin(MergeableSketch):
                 if o.dense is not None:
                     d += o.dense.ravel()
                 else:
-                    np.add.at(d, o.ids, o.counts)
+                    d[o.ids] += o.counts  # a canonical COO holds each id once
             return self
         self._merge_coo([o.ids for o in others], [o.counts for o in others])
         return self
@@ -302,8 +313,8 @@ class CountMin(MergeableSketch):
         return self._estimate_cols(self.key_columns(keys))
 
     def _estimate_cols(self, cols: np.ndarray) -> np.ndarray:
-        flat = cols + (np.arange(self.rows, dtype=np.int64) * self.cols)[None, :]
-        return self.lookup_flat(flat).min(axis=1)
+        flat = cols.T + (np.arange(self.rows, dtype=np.int64) * self.cols)[:, None]
+        return self.lookup_flat(flat).min(axis=0)
 
     # --- protocol ----------------------------------------------------------
 

@@ -197,3 +197,118 @@ def test_at_least_empty_view_estimates_zero(dense):
     assert view.dense is None and len(view.ids) == 0
     assert not est(view, q).any()
     assert not est(CountMin.from_bytes(view.to_bytes()), q).any()
+
+
+# (delta, epsilon): a 2 x 272 sketch, counted by bincount, and a
+# 1 x 18,121,880 one, past 2^24 cells, counted by sort
+_PIN_GEOMETRIES = {"small": (0.3, 0.01), "large": (0.5, 1.5e-7)}
+
+
+def _pin_sketch(geometry: str, width: int) -> CountMin:
+    delta, epsilon = _PIN_GEOMETRIES[geometry]
+    return CountMin(width, delta=delta, epsilon=epsilon, seed=29)
+
+
+def _cells(cm: CountMin) -> tuple[np.ndarray, np.ndarray]:
+    """(flat ids, counts) of the nonzero cells, whatever the storage."""
+    if cm.dense is not None:
+        flat = cm.dense.ravel()
+        ids = np.flatnonzero(flat)
+        return ids, flat[ids]
+    keep = cm.counts != 0
+    return cm.ids[keep], cm.counts[keep]
+
+
+def _reference_add(cm: CountMin, before: CountMin, batch, weights, keys: bool):
+    """``before``'s cells plus the batch, added one sketch row at a time
+    with unbuffered np.add.at, hashed per row as the hash family defines."""
+    from epichypersketch_jl_ray.functions.hashing import splitmix64
+
+    ref = np.zeros(cm.num_counters, dtype=np.int64)
+    ids, counts = _cells(before)
+    ref[ids] = counts
+    w = 1 if weights is None else weights
+    for r in range(cm.rows):
+        if keys:
+            col = (splitmix64(batch ^ cm.row_seeds[r]) % np.uint64(cm.cols)).astype(np.int64)
+        else:
+            col = ((batch % cm.num_counters) @ cm.coeffs[r]) % cm.num_counters % cm.cols
+        np.add.at(ref, r * cm.cols + col, w)
+    nz = np.flatnonzero(ref)
+    return nz, ref[nz]
+
+
+@pytest.mark.parametrize("n", [300, 5000])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("start", ["fresh", "coo", "dense"])
+@pytest.mark.parametrize("keys", [True, False], ids=["add_keys", "add"])
+@pytest.mark.parametrize("geometry", list(_PIN_GEOMETRIES))
+def test_add_matches_per_row_add_at_reference(geometry, keys, start, weighted, n):
+    """add_keys / add on a fresh, a COO and a dense state give the cells a
+    per-row np.add.at gives, and n_inserts counts the batch's weight."""
+    rng = np.random.default_rng(n)
+    width = 1 if keys else 2
+
+    def batch(size):
+        if keys:
+            return rng.integers(0, 2**63, size=size // 3, dtype=np.int64).astype(np.uint64)[
+                rng.integers(0, size // 3, size=size)
+            ]
+        return rng.integers(0, 10**9, size=(size, width), dtype=np.int64)
+
+    cm = _pin_sketch(geometry, width)
+    if start != "fresh":
+        (cm.add_keys if keys else cm.add)(batch(200))
+        if start == "dense":
+            cm.densify()
+    before = CountMin.from_bytes(cm.to_bytes())
+    x = batch(n)
+    w = rng.integers(1, 7, size=n) if weighted else None
+    want_ids, want_counts = _reference_add(cm, before, x, w, keys)
+    (cm.add_keys if keys else cm.add)(x, w)
+    got_ids, got_counts = _cells(cm)
+    np.testing.assert_array_equal(got_ids, want_ids)
+    np.testing.assert_array_equal(got_counts, want_counts)
+    assert cm.n_inserts == before.n_inserts + (n if w is None else int(w.sum()))
+    assert (cm.dense is not None) == (start == "dense" or len(want_ids) > cm.num_counters // 2)
+
+
+def test_born_dense_state_equals_densified_coo():
+    """A fresh state whose first batch fills more than half the cells is
+    built dense at once; it equals, byte for byte, the COO state of the same
+    cells densified."""
+    rng = np.random.default_rng(2)
+    x = rng.integers(0, 2**63, size=4000, dtype=np.int64).astype(np.uint64)
+    born = _pin_sketch("small", 1).add_keys(x)
+    assert born.dense is not None
+    old = _pin_sketch("small", 1)
+    flat = (old.key_columns(x).T + (np.arange(old.rows) * old.cols)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=old.num_counters)
+    old.ids = np.flatnonzero(counts)
+    old.counts = counts[old.ids]
+    old.n_inserts = len(x)
+    old.densify()
+    assert born.to_bytes() == old.to_bytes()
+    assert born.digest() == old.digest()
+    # at or below half the cells a fresh state stays COO
+    sparse = _pin_sketch("small", 1).add_keys(x[:40])
+    assert sparse.dense is None and len(sparse.ids) <= sparse.num_counters // 2
+
+
+@pytest.mark.parametrize("geometry", list(_PIN_GEOMETRIES))
+def test_dense_merge_of_coo_partials_matches_reference(geometry):
+    """merge_many folds COO partials into a dense accumulator cell by cell."""
+    rng = np.random.default_rng(8)
+    acc = _pin_sketch(geometry, 1).add_keys(rng.integers(0, 2**63, 500).astype(np.uint64))
+    acc.densify()
+    parts = [
+        _pin_sketch(geometry, 1).add_keys(rng.integers(0, 2**63, 100).astype(np.uint64))
+        for _ in range(3)
+    ]
+    assert all(p.dense is None for p in parts)
+    ref = acc.dense.ravel().copy()
+    for p in parts:
+        np.add.at(ref, p.ids, p.counts)
+    acc.merge_many(parts)
+    np.testing.assert_array_equal(acc.dense.ravel(), ref)
+    assert acc.n_inserts == 500 + 3 * 100

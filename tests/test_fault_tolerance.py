@@ -4,6 +4,7 @@ public-API export surface."""
 
 import glob
 import json
+import os
 
 import pytest
 
@@ -205,3 +206,66 @@ def test_motif_count_survives_a_killed_worker(ray_session, tmp_path, monkeypatch
     retried = frame()
     assert marker.exists()
     pd.testing.assert_frame_equal(clean, retried)
+
+
+def _crash_once(make_partial, marker):
+    """``make_partial`` whose first call, across every worker, exits its
+    process (as on a lost node); the marker file makes the crash happen
+    exactly once, so Ray's default task retries rerun the task."""
+    import os
+
+    def partial(batch):
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return make_partial(batch)
+        os._exit(1)
+
+    return partial
+
+
+def _web_digests(state) -> tuple:
+    return state.cms.digest(), state.hll.digest(), state.bloom.digest()
+
+
+def test_web_build_survives_a_killed_worker(ray_session, tmp_path, monkeypatch):
+    """The worker running the first per-unit fold task of
+    build_web_sketches exits on its first attempt; the merged CMS, HLL and
+    Bloom states equal the undisturbed build's byte for byte."""
+    from epichypersketch_jl_ray.pipelines import webpages as pw
+    from epichypersketch_jl_ray.sources.webpages import webpages_dir_for
+
+    # 2 files on 4 CPUs: each file folds as 2 slices, 4 tasks
+    web_dir = webpages_dir_for(3000, n_shards=2)
+    clean = pw.build_web_sketches(web_dir, batch_size=1000)
+    marker = str(tmp_path / "killed")
+    real_builder = pw.WebSketchBuilder
+    monkeypatch.setattr(
+        pw, "WebSketchBuilder", lambda **kw: _crash_once(real_builder(**kw), marker)
+    )
+    retried = pw.build_web_sketches(web_dir, batch_size=1000)
+    assert os.path.exists(marker)
+    assert _web_digests(retried) == _web_digests(clean)
+    assert retried.rows_seen == clean.rows_seen == 3000
+
+
+def test_checkpointed_build_survives_a_killed_worker(ray_session, tmp_path):
+    """The worker running the first partition task of build_checkpointed
+    exits on its first attempt; the retried task writes its blob and the
+    merged CMS, HLL and Bloom states equal the undisturbed build's."""
+    from epichypersketch_jl_ray.checkpoint import build_checkpointed, read_manifest
+    from epichypersketch_jl_ray.pipelines.webpages import WebSketchBuilder
+    from epichypersketch_jl_ray.sources.webpages import webpages_dir_for
+    from epichypersketch_jl_ray.state.websketch import WebSketchState
+
+    files = sorted(glob.glob(f"{webpages_dir_for(3000, n_shards=4)}/*.parquet"))
+    make_partial = WebSketchBuilder(n_docs_hint=3000)
+    clean, _ = build_checkpointed(files, make_partial, WebSketchState, str(tmp_path / "ck1"))
+    marker = str(tmp_path / "killed")
+    ck = str(tmp_path / "ck2")
+    retried, m = build_checkpointed(
+        files, _crash_once(make_partial, marker), WebSketchState, ck
+    )
+    assert os.path.exists(marker)
+    assert _web_digests(retried) == _web_digests(clean)
+    assert m["rows"] == 3000 and set(read_manifest(ck)) == set(files)

@@ -239,6 +239,65 @@ def test_hash_strings_fast_trailing_empty():
     assert d[1] == a[2]
 
 
+_M64 = (1 << 64) - 1
+
+
+def _splitmix64_ref(x: int) -> int:
+    z = (x + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _hash_string_ref(b: bytes) -> int:
+    """Per-string byte loop: a <= 8-byte string is its little-endian word
+    mixed with its length; a longer one is FNV-1a, finalized."""
+    if len(b) <= 8:
+        word = int.from_bytes(b, "little")
+        return _splitmix64_ref((word + _splitmix64_ref(len(b))) & _M64)
+    h = 0xCBF29CE484222325
+    for byte in b:
+        h = ((h ^ byte) * 0x100000001B3) & _M64
+    return _splitmix64_ref(h)
+
+
+def _ref_hashes(arr: pa.Array) -> np.ndarray:
+    vals = [v.encode() if isinstance(v, str) else v for v in arr.to_pylist()]
+    return np.array([_hash_string_ref(v) for v in vals], dtype=np.uint64)
+
+
+def test_hash_strings_fast_matches_byte_loop_reference():
+    """Pins hash_strings_fast to an independent per-string reference, for
+    every short length 0..8, the >8-byte fallback, non-ASCII bytes and the
+    buffer layouts a batch can arrive in."""
+    from epichypersketch_jl_ray.functions.hashing import hash_strings_fast
+
+    rng = np.random.default_rng(4)
+    alphabet = list("abcxyz \u00e9\u4e2d")
+    words = ["".join(rng.choice(alphabet, size=n)) for n in range(13) for _ in range(6)]
+    words += ["", "a" * 8, "b" * 9, "\u00e9" * 4, "\u00e9" * 5]
+    assert {len(w.encode()) for w in words} >= set(range(10))
+    base = pa.array(words)
+    cases = {
+        "string": base,
+        "large_string": pa.array(words, pa.large_string()),
+        "binary": pa.array([w.encode() for w in words], pa.binary()),
+        "sliced": base.slice(5, 40),
+        "all_empty": pa.array(["", "", ""]),
+        "trailing_empty": pa.array(["abcdefgh", "xy", ""]),
+        "short_only": pa.array(["a", "bc", "defghijk"]),
+        "long_only": pa.array(["abcdefghi", "0123456789abcdef"]),
+        "empty_array": pa.array([], pa.string()),
+        "chunked": pa.chunked_array([base.slice(0, 30), base.slice(30)]),
+    }
+    for name, arr in cases.items():
+        flat = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
+        got = hash_strings_fast(arr)
+        assert got.dtype == np.uint64, name
+        assert np.array_equal(got, _ref_hashes(flat)), name
+    assert base.slice(5, 40).offset == 5
+
+
 def test_json_int_field_flat_and_missing():
     import pyarrow as pa
 
