@@ -18,13 +18,29 @@ _FNV_PRIME = np.uint64(0x100000001B3)
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
-def splitmix64(x: np.ndarray | int) -> np.ndarray:
-    """Vectorized splitmix64 finalizer (Steele et al.); uint64 in/out."""
+_SM_ROUNDS = (
+    (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+    (np.uint64(27), np.uint64(0x94D049BB133111EB)),
+    (np.uint64(31), None),
+)
+
+
+def splitmix64(
+    x: np.ndarray | int, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Vectorized splitmix64 finalizer (Steele et al.); uint64 in/out.
+
+    The result goes to ``out`` when given (``x`` itself may be ``out``), and
+    the shifts to ``scratch`` (a uint64 array of the same shape): a caller
+    that passes both mixes in place and allocates nothing.
+    """
     with np.errstate(over="ignore"):
-        z = np.asarray(x, dtype=np.uint64) + _SM_GAMMA
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        z = np.add(np.asarray(x, dtype=np.uint64), _SM_GAMMA, out=out)
+        for shift, mult in _SM_ROUNDS:
+            z ^= np.right_shift(z, shift, out=scratch)
+            if mult is not None:
+                z *= mult
+        return z
 
 
 def hash_combine(*parts: np.ndarray) -> np.ndarray:

@@ -22,10 +22,17 @@ Deliberate divergences from the reference (SURVEY.md §7.4):
 
 Storage is sparse COO (sorted flat ids + counts) so per-batch partial states
 cost O(#touched cells), densifying only when the sketch fills up — this is
-what makes per-block partial emission + tree merge cheap at scale. A batch
-is counted in one pass (a bincount up to 2^24 cells, a sort above), and a
-fresh state whose first batch fills more than half the cells is built dense
-directly: the same array, and the same bytes, as COO then ``densify``.
+what makes per-block partial emission + tree merge cheap at scale. Up to
+2^24 cells a batch is counted one sketch row at a time: row r's columns go
+into one reused buffer (for pre-hashed keys the splitmix mix and the mod run
+in place there) and their ``bincount`` into row r of one (rows, cols) array.
+A dense state adds that array; a fresh state with more than half its cells
+nonzero takes it as its dense state (the same array, and the same bytes, as
+COO then ``densify``); otherwise its nonzeros merge into the COO state.
+Past 2^24 cells, and for a weighted batch whose total |weight| reaches 2^53
+(where a float64 bincount would round), a batch is counted exactly in int64
+by sorting its flat cell ids. Estimates take the same per-row columns and a
+running min over rows.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import struct
 
 import numpy as np
 
+from epichypersketch_jl_ray.functions.hashing import splitmix64
 from epichypersketch_jl_ray.state.base import MergeableSketch
 
 
@@ -104,8 +112,6 @@ class CountMin(MergeableSketch):
         self.n_inserts = 0  # N in the bound est <= true + eps*N
         self.dense = None  # np.ndarray (rows, cols) once densified
         # per-row seeds for the pre-hashed-key path (see add_keys)
-        from epichypersketch_jl_ray.functions.hashing import splitmix64
-
         self.row_seeds = splitmix64(
             np.uint64(self.seed) ^ np.arange(1, self.rows + 1, dtype=np.uint64)
         )
@@ -117,39 +123,62 @@ class CountMin(MergeableSketch):
 
         Multilinear hash + double-mod fold; features are pre-reduced mod
         num_counters so int64 products cannot overflow ((a*(f mod M)) mod M
-        == (a*f) mod M).
+        == (a*f) mod M). A row's sum of hash_width products is at most
+        hash_width * (M-1)^2, which must stay below 2^63.
         """
+        if self.hash_width * (self.num_counters - 1) ** 2 >= 2**63:
+            raise ValueError(
+                f"multilinear hash would overflow int64: hash_width * (num_counters - 1)^2 "
+                f"= {self.hash_width} * ({self.num_counters} - 1)^2 >= 2^63"
+            )
         f = np.asarray(features)
         if f.ndim == 1:
             f = f[:, None]
         if f.shape[1] != self.hash_width:
             raise ValueError(f"expected width {self.hash_width}, got {f.shape[1]}")
         fr = f.astype(np.int64, copy=False) % self.num_counters
-        h = fr @ self.coeffs.T  # (n, rows); max ~ width * M^2 < 2^63 for M<=2^21
+        h = fr @ self.coeffs.T  # (n, rows)
         return (h % self.num_counters) % self.cols
 
     def key_columns(self, keys: np.ndarray) -> np.ndarray:
-        """(n,) pre-hashed uint64 keys -> (n, rows) column indices.
+        """(n,) pre-hashed uint64 keys -> (n, rows) column indices: row r's
+        column is ``splitmix64(key ^ row_seeds[r]) % cols``.
 
         The multilinear family (hash_columns) is only pairwise-independent for
         SMALL integer features (the reference's regime,
         /root/reference/src/sketch.jl:68): two 64-bit keys congruent mod
         num_counters would collide in EVERY row. Pre-hashed keys therefore get
-        an independent splitmix64 mix per row instead.
+        an independent splitmix64 mix per row instead. add_keys and
+        estimate_keys compute the same columns one row at a time (_key_rows).
         """
-        from epichypersketch_jl_ray.functions.hashing import splitmix64
-
         k = np.asarray(keys, dtype=np.uint64)
-        # one (rows, n) mix for all rows; the (n, rows) result is its
-        # transposed view, so _add_cols reads it back row-major, copy-free
-        mixed = splitmix64(k[None, :] ^ self.row_seeds[:, None])
-        return (mixed % np.uint64(self.cols)).astype(np.int64).T
+        mixed = splitmix64(k[:, None] ^ self.row_seeds[None, :])
+        return (mixed % np.uint64(self.cols)).astype(np.int64)
+
+    def _key_rows(self, keys: np.ndarray):
+        """Yield key_columns' row 0, 1, ... of uint64 ``keys``, each as an
+        int64 view of ONE reused buffer, valid until the next row is taken:
+        the mix and the mod run in place, so a batch of n keys needs two
+        n-element buffers whatever the row count. The mod is taken as
+        ``x - (x // cols) * cols``: numpy divides an array by a scalar with
+        a multiply-and-shift, about 2x faster than its ``remainder``."""
+        buf = np.empty(len(keys), dtype=np.uint64)
+        scratch = np.empty_like(buf)
+        cols = np.uint64(self.cols)
+        for seed in self.row_seeds:
+            np.bitwise_xor(keys, seed, out=buf)
+            splitmix64(buf, out=buf, scratch=scratch)
+            np.floor_divide(buf, cols, out=scratch)
+            scratch *= cols
+            buf -= scratch
+            yield buf.view(np.int64)
 
     # --- update ------------------------------------------------------------
 
     def add(self, features: np.ndarray, weights: np.ndarray | None = None) -> "CountMin":
         """Count each feature-vector occurrence once (or ``weights`` times)."""
-        return self._add_cols(self.hash_columns(features), weights)
+        h = self.hash_columns(features)
+        return self._add_rows(h.T, len(h), weights)
 
     def add_keys(self, keys: np.ndarray, weights: np.ndarray | None = None) -> "CountMin":
         """Count pre-hashed uint64 keys (per-row independent hashing).
@@ -160,50 +189,63 @@ class CountMin(MergeableSketch):
         """
         k = np.asarray(keys, dtype=np.uint64)
         if weights is None and len(k) > 4096:
-            uniq, counts = np.unique(k, return_counts=True)
-            return self._add_cols(self.key_columns(uniq), counts.astype(np.int64))
-        return self._add_cols(self.key_columns(k), weights)
+            k, weights = np.unique(k, return_counts=True)
+        return self._add_rows(self._key_rows(k), len(k), weights)
 
-    def _add_cols(self, cols: np.ndarray, weights: np.ndarray | None) -> "CountMin":
-        n = cols.shape[0]
+    def _add_rows(self, rows, n: int, weights: np.ndarray | None) -> "CountMin":
+        """Count a batch of n items given as its columns, one array per
+        sketch row: an iterable, consumed once, row 0 first (``h.T`` of an
+        (n, rows) column matrix, or _key_rows)."""
         if n == 0:
             return self
-        # row-major flat ids (row r's n cells, then row r+1's): the order
-        # key_columns computes them in; every scatter below is order-free
-        flat = (cols.T + (np.arange(self.rows, dtype=np.int64) * self.cols)[:, None]).ravel()
-        if weights is None:
-            w = None
-            self.n_inserts += n
-        else:
+        w = wf = None
+        if weights is not None:
             w = np.asarray(weights, dtype=np.int64)
             self.n_inserts += int(w.sum())
-            w = np.tile(w, self.rows)
-        self._scatter(flat, w)
+            wf = w.astype(np.float64)
+        else:
+            self.n_inserts += n
+        # a weighted bincount sums in float64, exact while every partial sum
+        # stays below 2^53, which holds when the total |weight| does (a float
+        # sum of nonnegative integers reaches 2^53 exactly when the true sum
+        # does: below it every partial sum is exact)
+        if self.num_counters > (1 << 24) or (wf is not None and np.abs(wf).sum() >= 2.0**53):
+            self._add_sorted(rows, n, w)
+            return self
+        # O(cols) bincount per row beats an O(n log n) sort for small sketches
+        dense = self.dense is not None
+        acc = self.dense if dense else np.empty((self.rows, self.cols), np.int64)
+        for r, col in enumerate(rows):
+            counts = np.bincount(col, weights=wf, minlength=self.cols)
+            if dense:
+                acc[r] += counts.astype(np.int64, copy=False)
+            else:
+                acc[r] = counts  # exact: float counts are integers below 2^53
+        if dense:
+            return self
+        # numpy finds the nonzeros of a bool mask about 2x faster than an int64's
+        touched = acc.ravel() != 0
+        if len(self.ids) == 0 and np.count_nonzero(touched) > self.num_counters // 2:
+            # born dense: the array _merge_coo's densify would build
+            self.dense = acc
+            return self
+        nz = np.flatnonzero(touched)
+        self._merge_coo([nz], [acc.ravel()[nz]])
         return self
 
-    def _scatter(self, flat_ids: np.ndarray, weights: np.ndarray | None) -> None:
-        if self.num_counters <= (1 << 24):
-            # O(num_counters) bincount beats O(n log n) sort for small
-            # sketches (weighted bincount sums in float64: exact below 2^53)
-            counts = np.bincount(flat_ids, weights=weights, minlength=self.num_counters)
-            counts = counts.astype(np.int64, copy=False)
-            if self.dense is not None:
-                self.dense += counts.reshape(self.rows, self.cols)
-                return
-            if len(self.ids) == 0 and np.count_nonzero(counts) > self.num_counters // 2:
-                # born dense: the array _merge_coo's densify would build
-                self.dense = counts.reshape(self.rows, self.cols)
-                return
-            nz = np.flatnonzero(counts)
-            self._merge_coo([nz], [counts[nz]])
-            return
-        order = np.argsort(flat_ids, kind="stable")
-        sid = flat_ids[order]
+    def _add_sorted(self, rows, n: int, weights: np.ndarray | None) -> None:
+        """Exact int64 count of a batch by sorting its flat cell ids: the path
+        past 2^24 cells, and for weights too large for a float64 bincount."""
+        flat = np.empty(self.rows * n, dtype=np.int64)
+        for r, col in enumerate(rows):
+            np.add(col, r * self.cols, out=flat[r * n : (r + 1) * n])
+        order = np.argsort(flat, kind="stable")
+        sid = flat[order]
         uniq, start = np.unique(sid, return_index=True)
         if weights is None:
             cnt = np.diff(np.append(start, len(sid))).astype(np.int64)
         else:
-            cs = np.concatenate(([0], np.cumsum(weights[order])))
+            cs = np.concatenate(([0], np.cumsum(np.tile(weights, self.rows)[order])))
             cnt = (cs[np.append(start[1:], len(sid))] - cs[start]).astype(np.int64)
         if self.dense is not None:
             self.dense.ravel()[uniq] += cnt  # uniq holds each cell once
@@ -291,30 +333,36 @@ class CountMin(MergeableSketch):
         view.ids, view.counts = self.ids[keep], self.counts[keep]
         return view
 
-    def lookup_flat(self, flat_ids: np.ndarray) -> np.ndarray:
-        """Counter values for flat cell ids (any shape)."""
+    def _row_values(self, r: int, col: np.ndarray) -> np.ndarray:
+        """Counter values of sketch row r at columns ``col``."""
         if self.dense is not None:
-            return self.dense.ravel()[flat_ids]
-        shape = flat_ids.shape
-        q = flat_ids.ravel()
-        pos = np.searchsorted(self.ids, q)
-        pos_c = np.minimum(pos, len(self.ids) - 1) if len(self.ids) else pos
-        out = np.zeros(len(q), dtype=np.int64)
-        if len(self.ids):
-            hit = self.ids[pos_c] == q
-            out[hit] = self.counts[pos_c[hit]]
-        return out.reshape(shape)
+            return self.dense[r][col]
+        # search row r's slice of the sorted COO ids only (about 1/rows of
+        # them), which stays in cache where the whole id array would not
+        lo, hi = np.searchsorted(self.ids, (r * self.cols, (r + 1) * self.cols))
+        ids, counts = self.ids[lo:hi], self.counts[lo:hi]
+        out = np.zeros(len(col), dtype=np.int64)
+        if len(ids):
+            q = col + r * self.cols
+            pos = np.minimum(np.searchsorted(ids, q), len(ids) - 1)
+            hit = ids[pos] == q
+            out[hit] = counts[pos[hit]]
+        return out
 
     def estimate(self, features: np.ndarray) -> np.ndarray:
         """CMS point estimate: min over rows (/root/reference/src/count_gpu.jl:139-155)."""
-        return self._estimate_cols(self.hash_columns(features))
+        return self._estimate_rows(self.hash_columns(features).T)
 
     def estimate_keys(self, keys: np.ndarray) -> np.ndarray:
-        return self._estimate_cols(self.key_columns(keys))
+        return self._estimate_rows(self._key_rows(np.asarray(keys, dtype=np.uint64)))
 
-    def _estimate_cols(self, cols: np.ndarray) -> np.ndarray:
-        flat = cols.T + (np.arange(self.rows, dtype=np.int64) * self.cols)[:, None]
-        return self.lookup_flat(flat).min(axis=0)
+    def _estimate_rows(self, rows) -> np.ndarray:
+        """Running min over rows of each item's cell; ``rows`` as in _add_rows."""
+        est = None
+        for r, col in enumerate(rows):
+            v = self._row_values(r, col)
+            est = v if est is None else np.minimum(est, v, out=est)
+        return est
 
     # --- protocol ----------------------------------------------------------
 
@@ -390,8 +438,6 @@ class CountMin(MergeableSketch):
         obj.coeffs = rng.integers(
             1, obj.num_counters, size=(obj.rows, obj.hash_width), dtype=np.int64
         )
-        from epichypersketch_jl_ray.functions.hashing import splitmix64
-
         obj.row_seeds = splitmix64(
             np.uint64(obj.seed) ^ np.arange(1, obj.rows + 1, dtype=np.uint64)
         )

@@ -199,9 +199,10 @@ def test_at_least_empty_view_estimates_zero(dense):
     assert not est(CountMin.from_bytes(view.to_bytes()), q).any()
 
 
-# (delta, epsilon): a 2 x 272 sketch, counted by bincount, and a
-# 1 x 18,121,880 one, past 2^24 cells, counted by sort
-_PIN_GEOMETRIES = {"small": (0.3, 0.01), "large": (0.5, 1.5e-7)}
+# (delta, epsilon): a 2 x 272 sketch and the web build's 10 x 54,366 one,
+# counted by bincount, and a 1 x 18,121,880 one, past 2^24 cells, counted by
+# sort
+_PIN_GEOMETRIES = {"small": (0.3, 0.01), "web": (1e-4, 5e-5), "large": (0.5, 1.5e-7)}
 
 
 def _pin_sketch(geometry: str, width: int) -> CountMin:
@@ -312,3 +313,121 @@ def test_dense_merge_of_coo_partials_matches_reference(geometry):
     acc.merge_many(parts)
     np.testing.assert_array_equal(acc.dense.ravel(), ref)
     assert acc.n_inserts == 500 + 3 * 100
+
+
+def _web_key_batch(rng) -> np.ndarray:
+    """A batch shaped like one 4096-row web batch's trigram keys: 70,000
+    keys, 45,000 of them distinct and the rest repeats, so a fresh state at
+    the web geometry is born dense."""
+    pool = rng.integers(0, 2**63, size=45_000, dtype=np.int64).astype(np.uint64)
+    x = np.concatenate([pool, pool[rng.integers(0, len(pool), size=25_000)]])
+    return x[rng.permutation(len(x))]
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("start", ["fresh", "coo", "dense"])
+def test_add_keys_web_batch_matches_reference(start, weighted):
+    rng = np.random.default_rng(5)
+    cm = _pin_sketch("web", 1)
+    if start != "fresh":
+        cm.add_keys(rng.integers(0, 2**63, size=6000, dtype=np.int64).astype(np.uint64))
+        assert cm.dense is None
+        if start == "dense":
+            cm.densify()
+    before = CountMin.from_bytes(cm.to_bytes())
+    x = _web_key_batch(rng)
+    w = rng.integers(1, 7, size=len(x)) if weighted else None
+    want_ids, want_counts = _reference_add(cm, before, x, w, keys=True)
+    cm.add_keys(x, w)
+    got_ids, got_counts = _cells(cm)
+    np.testing.assert_array_equal(got_ids, want_ids)
+    np.testing.assert_array_equal(got_counts, want_counts)
+    assert cm.dense is not None  # more than half the cells are touched
+    assert cm.n_inserts == before.n_inserts + (len(x) if w is None else int(w.sum()))
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("start", ["fresh", "coo", "dense"])
+@pytest.mark.parametrize("geometry", list(_PIN_GEOMETRIES))
+def test_empty_key_batch_leaves_state_unchanged(geometry, start, weighted):
+    rng = np.random.default_rng(4)
+    cm = _pin_sketch(geometry, 1)
+    if start != "fresh":
+        cm.add_keys(rng.integers(0, 2**63, size=300, dtype=np.int64).astype(np.uint64))
+        if start == "dense":
+            cm.densify()
+    before = cm.to_bytes()
+    cm.add_keys(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64) if weighted else None)
+    assert cm.to_bytes() == before
+    assert cm.n_inserts == (0 if start == "fresh" else 300)
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["state", "at_least"])
+@pytest.mark.parametrize("start", ["coo", "dense"])
+def test_estimate_keys_is_row_min_over_key_columns(start, view):
+    """At the web geometry estimate_keys gives, for each key, the min over
+    rows of the cell key_columns names, on a COO and a dense state and on
+    their at_least views (the n-gram select's broadcast shape)."""
+    rng = np.random.default_rng(6)
+    cm = _pin_sketch("web", 1)
+    x = _web_key_batch(rng) if start == "dense" else _web_key_batch(rng)[:5000]
+    cm.add_keys(x)
+    assert (cm.dense is not None) == (start == "dense")
+    if view:
+        cm = cm.at_least(2)
+    unseen = rng.integers(0, 2**63, size=3000, dtype=np.int64).astype(np.uint64)
+    q = np.concatenate([x[:8000], unseen])
+    table = np.zeros(cm.num_counters, dtype=np.int64)
+    ids, counts = _cells(cm)
+    table[ids] = counts
+    cells = cm.key_columns(q) + np.arange(cm.rows) * cm.cols
+    want = table[cells].min(axis=1)
+    assert want.any() and not want.all()
+    np.testing.assert_array_equal(cm.estimate_keys(q), want)
+
+
+def test_key_columns_is_per_row_splitmix():
+    """key_columns, the readable definition of a key's columns, is row r's
+    ``splitmix64(key ^ row_seeds[r]) % cols``."""
+    from epichypersketch_jl_ray.functions.hashing import splitmix64
+
+    cm = _pin_sketch("web", 1)
+    k = np.random.default_rng(3).integers(0, 2**63, size=1000, dtype=np.int64).astype(np.uint64)
+    got = cm.key_columns(k)
+    assert got.shape == (1000, cm.rows) and got.dtype == np.int64
+    for r in range(cm.rows):
+        want = (splitmix64(k ^ cm.row_seeds[r]) % np.uint64(cm.cols)).astype(np.int64)
+        np.testing.assert_array_equal(got[:, r], want)
+
+
+@pytest.mark.parametrize("start", ["fresh", "coo", "dense"])
+@pytest.mark.parametrize("geometry", list(_PIN_GEOMETRIES))
+def test_weighted_counts_stay_exact_past_2_53(geometry, start):
+    """A float64 bincount would round a cell's total past 2^53; such batches
+    are counted in int64, so the estimate equals n_inserts' exact sum."""
+    cm = _pin_sketch(geometry, 1)
+    if start != "fresh":
+        cm.add_keys(np.arange(100, 400, dtype=np.uint64))
+        if start == "dense":
+            cm.densify()
+    before = int(cm.estimate_keys(np.array([5], dtype=np.uint64))[0])
+    w = np.array([2**52 + 1, 2**52 + 2])
+    cm.add_keys(np.array([5, 5], dtype=np.uint64), weights=w)
+    assert int(cm.estimate_keys(np.array([5], dtype=np.uint64))[0]) == before + 2**53 + 3
+    assert cm.n_inserts == (0 if start == "fresh" else 300) + 2**53 + 3
+    feat = _pin_sketch(geometry, 2).add(np.array([[7, 9], [7, 9]]), weights=w)
+    assert int(feat.estimate(np.array([[7, 9]]))[0]) == 2**53 + 3
+
+
+def test_multilinear_hash_bound_raises():
+    """hash_width * (num_counters - 1)^2 must stay below 2^63, or the
+    multilinear hash would wrap; a geometry past it raises instead."""
+    wide = CountMin(5, delta=0.5, epsilon=2e-9)  # 1 x 1,359,140,914 cells
+    assert 5 * (wide.num_counters - 1) ** 2 >= 2**63
+    with pytest.raises(ValueError, match="overflow"):
+        wide.add(np.ones((3, 5), dtype=np.int64))
+    with pytest.raises(ValueError, match="overflow"):
+        wide.estimate(np.ones((3, 5), dtype=np.int64))
+    # the same cells with one hash column stay inside the bound
+    narrow = CountMin(1, delta=0.5, epsilon=2e-9)
+    assert narrow.hash_columns(np.array([3])).shape == (1, 1)
