@@ -238,11 +238,13 @@ def build_checkpointed(
             bad_paths = [p for bad in ray.get(list(bad_refs)) for p in bad]
             # the merged groups stay in the object store; the driver gets
             # at most udaf.MERGE_FANOUT**2 of them, however many files
-            parts = [] if bad_paths else merge_state_refs(list(state_refs), cls)
+            if not bad_paths:
+                merged = merge_state_refs(list(state_refs), cls)
         else:
             parts, bad_paths = _load_validated(cls, entries)
+            if not bad_paths and parts:
+                merged = parts[0].merge_many(parts[1:])
         if not bad_paths:
-            merged = parts[0].merge_many(parts[1:]) if parts else None
             break
         bad_files = [f for f in files if done[f]["blob"] in set(bad_paths)]
         compute_partitions(bad_files)

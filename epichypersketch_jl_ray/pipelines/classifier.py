@@ -10,8 +10,8 @@ slice fits ``driver_cap`` rows (real reference corpora are bounded), the
 featurized slice pulls to the driver once and the GD loop runs locally —
 20 iterations cost milliseconds instead of 20 Ray jobs. Over the cap,
 each iteration is one Ray pass over the materialized labeled slice:
-per-batch gradient partials as a mergeable state
-(stages/udaf.sketch_dataset → tree_merge), the driver applies one step and
+per-batch gradient partials as a mergeable state, folded by one task
+per block (stages/udaf.sketch_dataset), the driver applies one step and
 re-broadcasts the weights.
 
 Determinism — and exact path equality: every (row, feature) gradient

@@ -82,7 +82,8 @@ def dedup_incremental(
        cluster's object store vs re-reading 100 TB of text per pass; every
        later stage reads keys, never text);
     2. the prior slice's folded keys build mergeable Bloom partials
-       (``tree_merge`` via sketch_dataset → ONE broadcast filter); capacity
+       (one fold task per key block via sketch_dataset → ONE broadcast
+       filter); capacity
        sizes from the table row count (a free metadata upper bound);
     3. new docs probe the Bloom per batch: misses are DEFINITELY novel
        (no false negatives) and stream straight to the output — zero

@@ -29,6 +29,8 @@ verify tail still guarantees exact output.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
@@ -38,10 +40,10 @@ from epichypersketch_jl_ray.sources.activation import activation_from_table
 from epichypersketch_jl_ray.sources.tables import read_table
 from epichypersketch_jl_ray.stages.motifs import MotifCounter, MotifSelector
 from epichypersketch_jl_ray.stages.udaf import (
-    _state_table,
+    block_refs,
+    block_slices,
     exact_recount,
-    fold_partials,
-    merge_state_refs,
+    fold_blocks,
     tree_merge,  # noqa: F401  (perfbench/motifs.py wraps pipelines.motifs.tree_merge)
 )
 
@@ -51,54 +53,40 @@ ORACLE_EPSILON = 3.24e-7  # 8,389,759 cols: 5 x 8,389,759 = 41.9 M cells
 MOTIF_SEED = 20260817
 
 
-def _block_batches(
-    block,
-    batch_size: int | str,
+def _slice_rows(
+    tbl: pa.Table,
     *,
+    batch_size: int | str,
     motif_size: int,
     conv: bool,
     delta: float,
     epsilon: float,
     max_active_len: int,
-) -> list[pa.Table]:
-    """An activation block (a user Dataset's blocks may be pandas) as
-    consecutive ``batch_size``-row Arrow slices; a 0-row block is its own
-    one slice. ``":auto"`` sizes the slices from the longest sequence in
+) -> int:
+    """Rows per slice of an activation block (``udaf.block_slices``):
+    ``batch_size``, or with ``":auto"`` sized from the longest sequence in
     the block, clipped to ``max_active_len``: the reference's
     get_max_active_len -> batch-size chain (reference src/record.jl:58-62).
     The cap is a truncation bound; sizing C(cap, k) when real rows are ~7
     long would make k=4/5 batches of 10-67 rows."""
-    from ray.data.block import BlockAccessor
+    if batch_size != ":auto":
+        return batch_size
+    from epichypersketch_jl_ray.memory import calculate_optimal_batch_size
 
-    tbl = BlockAccessor.for_block(block).to_arrow()
-    if not tbl.num_rows:
-        return [tbl]
-    if batch_size == ":auto":
-        from epichypersketch_jl_ray.memory import calculate_optimal_batch_size
-
-        longest = int(np.max(np.asarray(tbl["features"].combine_chunks().value_lengths())))
-        batch_size = calculate_optimal_batch_size(
-            max(1, min(longest, max_active_len)),
-            motif_size,
-            conv=conv,
-            delta=delta,
-            epsilon=epsilon,
-        )
-    return [tbl.slice(i, batch_size) for i in range(0, tbl.num_rows, batch_size)]
+    longest = int(np.max(np.asarray(tbl["features"].combine_chunks().value_lengths())))
+    return calculate_optimal_batch_size(
+        max(1, min(longest, max_active_len)),
+        motif_size,
+        conv=conv,
+        delta=delta,
+        epsilon=epsilon,
+    )
 
 
 @ray.remote
-def _count_block(block, make_partial, sizing: dict) -> pa.Table:
-    """State block of one activation block: its batches folded into one
-    state (no state for a 0-row block)."""
-    batches = _block_batches(block, **sizing)
-    return _state_table([fold_partials(batches, make_partial)] if batches[0].num_rows else [])
-
-
-@ray.remote
-def _select_block(block, selector, sizing: dict) -> pa.Table:
-    """Select output of one activation block, batch by batch."""
-    return pa.concat_tables([selector(b) for b in _block_batches(block, **sizing)])
+def _select_block(block, selector, slice_rows) -> pa.Table:
+    """Select output of one activation block, slice by slice."""
+    return pa.concat_tables([selector(b) for b in block_slices(block, slice_rows)])
 
 
 def motif_pipeline(
@@ -125,15 +113,14 @@ def motif_pipeline(
     unit of parallelism (``activation_from_table`` makes at least as many
     as there are CPUs):
 
-    - count: ``_count_block`` folds its block's batches into ONE
-      ``MotifCountState`` (``udaf.fold_partials``); the tasks' refs go
-      through ``udaf.merge_state_refs`` and one driver ``merge_many``;
+    - count: ``udaf.fold_blocks`` folds each block's slices into ONE
+      ``MotifCountState``, merged by ``udaf.merge_state_refs``;
     - select: ``_select_block`` runs ``MotifSelector`` on its block's
-      batches against the ``ray.put`` ``at_least(min_count)`` view of the
+      slices against the ``ray.put`` ``at_least(min_count)`` view of the
       merged sketch; the select blocks go to ``udaf.exact_recount``.
 
     ``batch_size`` bounds the rows the enumeration sees at once;
-    ``":auto"`` sizes each block's batches from the enumeration working set
+    ``":auto"`` sizes each block's slices from the enumeration working set
     of its longest sequence — C(len, motif_size) per-row cost against the
     reference's 4 GB × 0.8 budget and [10, 10000] clamps
     (memory.calculate_optimal_batch_size, mirroring
@@ -143,15 +130,15 @@ def motif_pipeline(
     """
     from epichypersketch_jl_ray.stages.motifs import MotifCountState
 
-    act = activation.materialize()
-    blocks = [ref for bundle in act.iter_internal_ref_bundles() for ref in bundle.block_refs]
+    blocks = list(block_refs(activation.materialize()))
     kwargs = dict(
         motif_size=motif_size,
         conv=conv,
         filter_len=filter_len,
         max_active_len=max_active_len,
     )
-    sizing = dict(
+    slice_rows = functools.partial(
+        _slice_rows,
         batch_size=batch_size,
         motif_size=motif_size,
         conv=conv,
@@ -160,10 +147,7 @@ def motif_pipeline(
         max_active_len=max_active_len,
     )
     counter = MotifCounter(**kwargs, delta=delta, epsilon=epsilon, seed=seed)
-    states = merge_state_refs(
-        [_count_block.remote(b, counter, sizing) for b in blocks], MotifCountState
-    )
-    merged = states[0].merge_many(states[1:])
+    merged = fold_blocks(blocks, counter, MotifCountState, batch_size=slice_rows)
     if merged.truncated:
         import logging
 
@@ -176,7 +160,7 @@ def motif_pipeline(
     cms_ref = ray.put(merged.cms.at_least(min_count))
     selector = MotifSelector(cms_ref, min_count=min_count, **kwargs)
     # materialized: its row count is block metadata for exact_recount
-    out = ray.data.from_arrow_refs([_select_block.remote(b, selector, sizing) for b in blocks])
+    out = ray.data.from_arrow_refs([_select_block.remote(b, selector, slice_rows) for b in blocks])
     key_cols = [f"m{i + 1}" for i in range(motif_size)]
     schema_fields: list[tuple[str, pa.DataType]] = [(c, pa.int32()) for c in key_cols]
     if conv:

@@ -2,8 +2,10 @@
 adaptation of the reference's CMS counting (SURVEY.md §1.3: sequences derived
 from text are counted, selected against min_count, and extracted).
 
-Pass 1: map_batches → per-batch sparse CMS partial over hashed trigrams
-        (one CMS insert per n-gram occurrence, reference count! semantics).
+Pass 1: one fold task per block of the read (stages/udaf.fold_blocks):
+        a sparse CMS partial per batch over hashed trigrams (one CMS insert
+        per n-gram occurrence, reference count! semantics), folded to one
+        state per block and merged.
 Pass 2: broadcast the merged CMS's cells >= min_count (CountMin.at_least);
         re-derive n-grams per batch, keep those with estimate >= min_count
         and emit each once per batch with its batch count (``batch_n``).
@@ -30,10 +32,10 @@ from epichypersketch_jl_ray.functions.text import (
 )
 from epichypersketch_jl_ray.sources.tables import read_table
 from epichypersketch_jl_ray.stages.udaf import (
+    block_refs,
     broadcast_get,
     exact_recount,
-    partial_states,
-    tree_merge,
+    fold_blocks,
 )
 from epichypersketch_jl_ray.state.countmin import CountMin
 
@@ -87,7 +89,7 @@ def _heavy_ngrams(
     def count(batch: pa.Table) -> CountMin:
         return CountMin(1, delta=delta, epsilon=epsilon, seed=seed).add_keys(keys_of(batch)[0])
 
-    merged = tree_merge(partial_states(ds, count, batch_size=batch_size), CountMin)
+    merged = fold_blocks(block_refs(ds), count, CountMin, batch_size=batch_size)
     cms_ref = ray.put(merged.at_least(min_count))  # the cells a select can pass
 
     def select(batch: pa.Table) -> pa.Table:

@@ -1,10 +1,10 @@
 """Flagship webtext pipeline over the input_hint webpages table.
 
     sorted parquet files, cut into units (a file, or a slice of one)
-      → one Ray task per unit: fold_parquet_part(WebSketchBuilder) over
+      → one Ray task per unit: udaf.fold_file_slice(WebSketchBuilder) over
         pruned columns (html→text extract, tokenize, (url,lang)-salted
         trigram keys, 4 sketches in ONE scan; one WebSketchState per unit)
-      → merge_state_refs + one merge_many
+      → merge_state_refs
       → queries (heavy hitters / distinct / quantiles / membership)
 
 The html→text extraction runs INSIDE the pass and its output is checked
@@ -26,8 +26,7 @@ from epichypersketch_jl_ray.functions.html import extract_text
 from epichypersketch_jl_ray.functions.text import ngram_hashes, token_hashes
 from epichypersketch_jl_ray.state.websketch import WebSketchState
 from epichypersketch_jl_ray.stages.udaf import (
-    _state_table,
-    fold_parquet_part,
+    fold_file_slice,
     merge_state_refs,
     tree_merge,  # noqa: F401  (perfbench/web.py wraps pipelines.webpages.tree_merge)
 )
@@ -126,16 +125,6 @@ class WebSketchBuilder:
         return st.update(ngram_keys=keys, url_hashes=url_h, text_lengths=lengths)
 
 
-@ray.remote
-def _fold_unit(path: str, part: int, parts: int, make_partial, batch_size: int) -> pa.Table:
-    """State block of one unit: slice ``part`` of ``parts`` of a file."""
-    import pyarrow.parquet as pq
-
-    pf = pq.ParquetFile(path)
-    state = fold_parquet_part(pf, part, parts, make_partial, batch_size, WEB_COLUMNS)
-    return _state_table([state])
-
-
 def build_web_sketches(
     input_dir: str,
     *,
@@ -145,13 +134,13 @@ def build_web_sketches(
     """Build the merged 4-sketch state for a webpages parquet directory.
 
     The sorted file list is cut into units, one Ray task per unit, each
-    folding its rows into ONE partial (``udaf.fold_parquet_part``, the fold
+    folding its rows into ONE partial (``udaf.fold_file_slice``: the fold
     ``checkpoint.build_checkpointed`` runs per file, without its blobs).
     Each file is one unit; only with fewer files than cluster CPUs is each
     file cut into ``CPUs // files`` contiguous row ranges, so the CPUs are
     not left idle. ``batch_size`` bounds the rows the kernels see at once.
-    The task outputs are merged by ``merge_state_refs`` and one driver
-    ``merge_many``, in unit order.
+    The task outputs are merged by ``udaf.merge_state_refs``, in unit
+    order.
 
     The Bloom filter is sized from the row count in the footers of the same
     file list the build reads, unless the caller passes an explicit
@@ -163,12 +152,11 @@ def build_web_sketches(
     parts = max(1, _cluster_cpus() // len(files))
     make_partial = WebSketchBuilder(**state_kwargs)
     refs = [
-        _fold_unit.remote(f, part, parts, make_partial, batch_size)
+        fold_file_slice.remote(f, part, parts, make_partial, batch_size, WEB_COLUMNS)
         for f in files
         for part in range(parts)
     ]
-    states = merge_state_refs(refs, WebSketchState)
-    return states[0].merge_many(states[1:])
+    return merge_state_refs(refs, WebSketchState)
 
 
 def query_plants(state: WebSketchState, phrases: list[tuple[str, str]]) -> pd.DataFrame:

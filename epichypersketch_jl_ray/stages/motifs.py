@@ -4,7 +4,7 @@ passes over Arrow batches, each one Ray task per activation block
 (pipelines/motifs.motif_pipeline):
 
   pass 1  MotifCounter per batch → sparse CMS partial, folded to one state
-          per block → merge_state_refs   (reference count!/count_cpu!,
+          per block (udaf.fold_blocks)   (reference count!/count_cpu!,
           /root/reference/src/count_cpu.jl:76-144)
   pass 2  broadcast the merged CMS's cells >= min_count (CountMin.at_least)
           via ray.put; MotifSelector per batch fuses

@@ -4,31 +4,31 @@ The reference's only distribution mechanism is ONE shared mutable
 CountMinSketch accumulated across sequentially-processed partitions
 (/root/reference/src/partition.jl:148,204-214,307-336). Here that becomes the
 pattern of one partial state per unit of input and an associative merge
-(SURVEY.md §2.4 A2). A partial is made one of three ways:
+(SURVEY.md §2.4 A2). A partial is made by one plain Ray task per unit, which
+folds the unit's ``batch_size``-row slices with fold_partials into ONE
+state. A unit is one of two shapes:
 
-    Dataset input (the n-gram counts, sketch_dataset):
-      partial_states: a map over batches (→ ONE partial state each)
-      → tree_merge: the state blocks' refs → merge_state_refs
-    activation blocks (the motif count, pipelines.motifs):
-      one Ray task per block of the materialized activation folds its
-      batch_size-row slices with fold_partials (→ ONE partial state each)
-      → the tasks' refs → merge_state_refs
-    parquet files (the web builds, checkpoint.build_checkpointed):
-      fold_parquet_part: one Ray task per file, or per contiguous slice of
-      a file, folds its batches with fold_partials (→ ONE partial state each)
-      → the tasks' refs → merge_state_refs
-    merge_state_refs: remote k-way merges, then ONE driver merge_many
-      → one merged sketch, broadcast via ray.put for any later pass
+    Dataset blocks (sketch_dataset, the n-gram and motif counts):
+      fold_blocks: one task per block ref, streamed from
+      iter_internal_ref_bundles; the task cuts its block into slices
+    parquet file slices (the web builds, checkpoint.build_checkpointed):
+      fold_file_slice: one task per file, or per contiguous slice of a
+      file (fold_parquet_part), reading only the needed row groups
+    → the tasks' state blocks → merge_state_refs: remote k-way merges,
+      then ONE driver merge_many → one merged sketch, broadcast via
+      ray.put for any later pass
       → exact_recount: a CMS select's survivors recounted exactly
 
-The block and file folds are the reference's one-CMS-per-partition count
-pass, without a Ray Data operator.
+These folds are the reference's one-CMS-per-partition count pass, without
+a Ray Data operator.
 
 Because every sketch's ``merge`` is associative + commutative, Ray's
 nondeterministic block order cannot change the merged state (asserted by
 randomized merge-order tests). No shuffle is needed at any point — partial
 states are small (sparse COO / registers / compactors), which is the whole
-point of sketching 100 TB.
+point of sketching 100 TB. The unit boundaries do show in the few sketches
+whose state depends on how the input was cut (KLL and t-digest
+compaction); their answers stay within the published bounds.
 
 This module is the only one that knows how a partial travels between
 operators: a one-row table whose single ``state`` column holds the state's
@@ -41,6 +41,7 @@ from itertools import accumulate
 from typing import Callable, Iterable
 
 import pyarrow as pa
+import ray
 
 from epichypersketch_jl_ray.state.base import MergeableSketch
 
@@ -53,47 +54,15 @@ def _state_table(states: list[MergeableSketch]) -> pa.Table:
     return pa.table({"state": pa.array([s.to_bytes() for s in states], type=pa.large_binary())})
 
 
-def _sketches_from_table(tbl, cls: type[MergeableSketch]) -> list[MergeableSketch]:
-    """Deserialize every state row of a state block.
-
-    A 0-row block holds no states: a motif count task returns one for a
-    0-row activation block, and Ray passes an empty input block through a
-    ``batch_size=None`` map without calling it, so such a block arrives
-    here with no ``state`` column at all.
+def _sketches_from_table(tbl: pa.Table, cls: type[MergeableSketch]) -> list[MergeableSketch]:
+    """Deserialize every state row of a state block (none for a 0-row one).
 
     Callers merge the returned list with ONE ``merge_many`` call rather than
     folding pairwise: for concatenate-then-sort merges (sparse CountMin COO)
     a pairwise fold re-sorts the growing accumulator per input — O(k·N log N)
     across k states — where a single merge_many is one O(N log N) pass.
     """
-    if len(tbl) == 0:
-        return []
-    if not isinstance(tbl, pa.Table):  # pandas/simple-block fallback
-        tbl = pa.Table.from_pandas(tbl)
-    col = tbl["state"]
-    return [cls.from_bytes(col[i].as_py()) for i in range(len(col))]
-
-
-def partial_states(
-    ds,
-    make_partial: Callable[[pa.Table], MergeableSketch],
-    *,
-    batch_size: int | None,
-):
-    """Dataset of serialized partial states: Ray cuts ``ds`` into
-    ``batch_size``-row batches (bundling blocks smaller than that) and each
-    batch becomes one state (``batch_size=None``: one state per block).
-
-    Ray passes an empty block on without calling the map. The Ray operator
-    is named after ``make_partial`` (``MapBatches(<its name or class>)``)
-    so per-operator stats stay attributable.
-    """
-
-    def partial(batch: pa.Table) -> pa.Table:
-        return _state_table([make_partial(batch)])
-
-    partial.__name__ = getattr(make_partial, "__name__", type(make_partial).__name__)
-    return ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
+    return [cls.from_bytes(v.as_py()) for v in tbl["state"]]
 
 
 def fold_partials(
@@ -107,9 +76,8 @@ def fold_partials(
     partial can be a whole corpus-sized Bloom filter), and the COO CountMin
     accumulator is re-sorted once per group, not once per table. A single
     table's state is returned as is (``merge_many([])`` still re-sorts a COO
-    CountMin). The fold of every one-task-per-input count:
-    ``fold_parquet_part`` (a file slice) and ``pipelines.motifs`` (a block
-    of the activation).
+    CountMin). The fold of every task: a Dataset block (``fold_blocks``) and
+    a file slice (``fold_parquet_part``).
     """
     states: list[MergeableSketch] = []
     for tbl in tables:
@@ -119,6 +87,49 @@ def fold_partials(
     if not states:
         return None
     return states[0].merge_many(states[1:]) if len(states) > 1 else states[0]
+
+
+def block_refs(ds) -> Iterable:
+    """Object refs to the blocks of a Dataset, as its execution yields them
+    (the bytes stay in the object store)."""
+    return (ref for bundle in ds.iter_internal_ref_bundles() for ref in bundle.block_refs)
+
+
+def block_slices(block, batch_size: int | Callable[[pa.Table], int]) -> list[pa.Table]:
+    """A Dataset block (Arrow or pandas) as consecutive Arrow slices of
+    ``batch_size`` rows, or of ``batch_size(block table)`` rows; a 0-row
+    block is its own one slice."""
+    from ray.data.block import BlockAccessor
+
+    tbl = BlockAccessor.for_block(block).to_arrow()
+    if not tbl.num_rows:
+        return [tbl]
+    rows = batch_size(tbl) if callable(batch_size) else batch_size
+    return [tbl.slice(i, rows) for i in range(0, tbl.num_rows, rows)]
+
+
+@ray.remote
+def _fold_block(block, make_partial, batch_size) -> pa.Table:
+    """State block of one Dataset block: its slices folded into one state
+    (no state for a 0-row block)."""
+    slices = block_slices(block, batch_size)
+    return _state_table([fold_partials(slices, make_partial)] if slices[0].num_rows else [])
+
+
+def fold_blocks(
+    blocks: Iterable,
+    make_partial: Callable[[pa.Table], MergeableSketch],
+    cls: type[MergeableSketch],
+    *,
+    batch_size: int | Callable[[pa.Table], int],
+) -> MergeableSketch:
+    """ONE sketch of Dataset blocks: one Ray task per block ref folds the
+    block's ``block_slices`` with ``fold_partials``, and the task outputs
+    go through ``merge_state_refs``. A task is submitted as soon as its
+    block ref arrives, so a streamed Dataset's read overlaps the fold."""
+    return merge_state_refs(
+        [_fold_block.remote(b, make_partial, batch_size) for b in blocks], cls
+    )
 
 
 def fold_parquet_part(
@@ -133,9 +144,8 @@ def fold_parquet_part(
     ``pyarrow.parquet.ParquetFile``: the contiguous rows
     ``[n * part // parts, n * (part + 1) // parts)``, n being the footer's
     row count, so the slices of a file cover each row exactly once. The one
-    file fold of both web build paths: ``pipelines.webpages.build_web_sketches``
-    (one Ray task per slice) and ``checkpoint.build_checkpointed`` (one task
-    per whole file).
+    file fold of both web build paths: the ``fold_file_slice`` task and
+    ``checkpoint.build_checkpointed`` (one task per whole file).
 
     Only the row groups that overlap the slice are read, as
     ``batch_size``-row batches of ``columns`` (None: every column); rows
@@ -170,6 +180,17 @@ def fold_parquet_part(
     return state
 
 
+@ray.remote
+def fold_file_slice(path: str, part: int, parts: int, make_partial, batch_size, columns):
+    """Ray task: the state block of slice ``part`` of ``parts`` of one
+    parquet file (``fold_parquet_part``), for ``merge_state_refs``."""
+    import pyarrow.parquet as pq
+
+    pf = pq.ParquetFile(path)
+    return _state_table([fold_parquet_part(pf, part, parts, make_partial, batch_size, columns)])
+
+
+@ray.remote
 def _merge_blocks(cls: type[MergeableSketch], *blocks) -> pa.Table:
     sketches = [sk for blk in blocks for sk in _sketches_from_table(blk, cls)]
     if not sketches:  # all-empty blocks
@@ -177,23 +198,19 @@ def _merge_blocks(cls: type[MergeableSketch], *blocks) -> pa.Table:
     return _state_table([sketches[0].merge_many(sketches[1:])])
 
 
-def merge_state_refs(refs: list, cls: type[MergeableSketch]) -> list[MergeableSketch]:
-    """Object refs to state blocks → at most ``MERGE_FANOUT**2`` states on
-    the driver, for the caller's one final ``merge_many``.
+def merge_state_refs(refs: list, cls: type[MergeableSketch]) -> MergeableSketch:
+    """Object refs to state blocks → ONE merged sketch.
 
     While more than ``MERGE_FANOUT**2`` blocks remain they are reduced by
     remote k-way merge tasks (each emits one 1-row block), so the driver
     holds a bounded number of states however many partials there are (a
-    state can be a corpus-sized Bloom filter). Block order is kept, so the
-    merge order is the order of ``refs``. Raises ValueError when the
-    blocks hold no state at all (an empty input). Shared by ``tree_merge``,
-    ``pipelines.motifs.motif_pipeline``,
-    ``pipelines.webpages.build_web_sketches`` and
-    ``checkpoint.build_checkpointed``.
+    state can be a corpus-sized Bloom filter); the driver finishes with one
+    ``merge_many``, one linear pass rather than a pairwise fold (quadratic
+    for COO-sketch merges). Block order is kept, so the merge order is the
+    order of ``refs``. Raises ValueError when the blocks hold no state at
+    all (an empty input). The merge of every fold and of
+    ``checkpoint.build_checkpointed``'s merged blob groups.
     """
-    import ray
-
-    merge_blocks = ray.remote(_merge_blocks)
     driver_cap = MERGE_FANOUT * MERGE_FANOUT
     while len(refs) > driver_cap:
         # Adaptive group width: aim to finish in ONE remote round (each
@@ -203,34 +220,25 @@ def merge_state_refs(refs: list, cls: type[MergeableSketch]) -> list[MergeableSk
         # needs only ~log_64 rounds.
         group = min(64, max(MERGE_FANOUT, -(-len(refs) // driver_cap)))
         refs = [
-            merge_blocks.remote(cls, *refs[i : i + group])
+            _merge_blocks.remote(cls, *refs[i : i + group])
             for i in range(0, len(refs), group)
         ]
     states = [sk for ref in refs for sk in _sketches_from_table(ray.get(ref), cls)]
     if not states:
         raise ValueError("no partial states to merge (empty input dataset?)")
-    return states
+    return states[0].merge_many(states[1:])
 
 
 def tree_merge(states_ds, cls: type[MergeableSketch]) -> MergeableSketch:
-    """Merge a Dataset of serialized partial states into one sketch.
+    """Merge a Dataset of state blocks into one sketch (``merge_state_refs``
+    over its block refs).
 
-    Sized from the actual block count, so the 100 TB case needs no manual
-    tuning: the dataset streams once, the driver collects only object REFS
-    to the state blocks (``iter_internal_ref_bundles`` — bytes stay in the
-    object store), ``merge_state_refs`` reduces them to at most
-    ``MERGE_FANOUT**2`` states (asserted by a forced-10k-partial unit test),
-    and the driver combines those with a single ``merge_many`` — one linear
-    pass rather than a pairwise fold (which is quadratic for COO-sketch
-    merges).
+    Nothing in the package calls it: it is kept only because the layered
+    benchmark wraps it by name as ``pipelines.webpages.tree_merge`` and
+    ``pipelines.motifs.tree_merge``. The benchmark change that points
+    perfbench at the fold tasks (ROADMAP direction 1) deletes it.
     """
-    refs = [
-        ref
-        for bundle in states_ds.iter_internal_ref_bundles()
-        for ref in bundle.block_refs
-    ]
-    sketches = merge_state_refs(refs, cls)
-    return sketches[0].merge_many(sketches[1:])
+    return merge_state_refs(list(block_refs(states_ds)), cls)
 
 
 def sketch_dataset(
@@ -241,7 +249,8 @@ def sketch_dataset(
     *,
     batch_size: int = 4096,
 ) -> MergeableSketch:
-    """End-to-end: dataset → per-batch partials → tree merge → sketch.
+    """End-to-end: dataset → one fold task per block (``fold_blocks``, one
+    partial per ``batch_size``-row slice) → merge → sketch.
 
     ``factory`` must be deterministic (seeded) so all workers agree on hash
     functions; ``update`` mutates the sketch with one Arrow batch.
@@ -252,7 +261,7 @@ def sketch_dataset(
         update(sk, batch)
         return sk
 
-    return tree_merge(partial_states(ds, partial, batch_size=batch_size), cls)
+    return fold_blocks(block_refs(ds), partial, cls, batch_size=batch_size)
 
 
 # Largest selection exact_recount recounts in the driver process; above it a

@@ -95,29 +95,41 @@ def test_tree_merge_equals_merge_many_coo_countmin(ray_session):
         assert _tree_merge_equals_merge_many(parts, CountMin), f"eps={eps}"
 
 
-@pytest.mark.parametrize("with_empty_block", [False, True])
-def test_partial_states_merge_equals_in_process_fold(ray_session, with_empty_block):
-    """partial_states merges to one in-process merge_many of the same
-    batch_size-row slices, and a 0-row block contributes no state."""
+@pytest.mark.parametrize("blocks", ["arrow", "with_empty_block", "pandas"])
+def test_sketch_dataset_equals_in_process_fold(ray_session, blocks):
+    """sketch_dataset merges to one in-process merge_many of the same
+    per-block batch_size-row slices, a 0-row block contributes no state,
+    and pandas blocks fold like Arrow ones."""
     import pyarrow as pa
     import ray.data
 
     from epichypersketch_jl_ray.functions.hashing import hash_int64
-    from epichypersketch_jl_ray.stages.udaf import partial_states, tree_merge
+    from epichypersketch_jl_ray.stages.udaf import sketch_dataset
 
-    def key_cms(batch: pa.Table) -> CountMin:
-        keys = hash_int64(batch["k"].to_numpy(), seed=4)
-        return CountMin(1, delta=0.01, epsilon=0.01, seed=5).add_keys(keys)
+    def add_keys(cms: CountMin, batch: pa.Table) -> None:
+        cms.add_keys(hash_int64(batch["k"].to_numpy(), seed=4))
 
-    blocks = [pa.table({"k": np.arange(i * 1000, i * 1000 + 1000)}) for i in range(3)]
-    if with_empty_block:
-        blocks.insert(1, blocks[0].slice(0, 0))
-    ds = ray.data.from_arrow(blocks)
-    states = partial_states(ds, key_cms, batch_size=256).materialize()
-    slices = [key_cms(t.slice(i, 256)) for t in blocks for i in range(0, len(t), 256)]
+    def key_cms() -> CountMin:
+        return CountMin(1, delta=0.01, epsilon=0.01, seed=5)
+
+    # 1000-row blocks cut into 256-row slices: the last slice of a block is
+    # not filled from the next block
+    tables = [pa.table({"k": np.arange(i * 1000, i * 1000 + 1000)}) for i in range(3)]
+    if blocks == "with_empty_block":
+        tables.insert(1, tables[0].slice(0, 0))
+    if blocks == "pandas":
+        ds = ray.data.from_pandas([t.to_pandas() for t in tables])
+    else:
+        ds = ray.data.from_arrow(tables)
+    slices = []
+    for t in tables:
+        for i in range(0, len(t), 256):
+            slices.append(key_cms())
+            add_keys(slices[-1], t.slice(i, 256))
     assert len(slices) == 12
     reference = slices[0].merge_many(slices[1:])
-    assert tree_merge(states, CountMin).digest() == reference.digest()
+    merged = sketch_dataset(ds, key_cms, add_keys, CountMin, batch_size=256)
+    assert merged.digest() == reference.digest()
 
 
 def test_tree_merge_auto_bounds_driver_states(ray_session, monkeypatch):
