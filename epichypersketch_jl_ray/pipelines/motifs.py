@@ -41,9 +41,9 @@ from epichypersketch_jl_ray.sources.tables import read_table
 from epichypersketch_jl_ray.stages.motifs import MotifCounter, MotifSelector
 from epichypersketch_jl_ray.stages.udaf import (
     block_refs,
-    block_slices,
     exact_recount,
     fold_blocks,
+    select_blocks,
     tree_merge,  # noqa: F401  (perfbench/motifs.py wraps pipelines.motifs.tree_merge)
 )
 
@@ -83,12 +83,6 @@ def _slice_rows(
     )
 
 
-@ray.remote
-def _select_block(block, selector, slice_rows) -> pa.Table:
-    """Select output of one activation block, slice by slice."""
-    return pa.concat_tables([selector(b) for b in block_slices(block, slice_rows)])
-
-
 def motif_pipeline(
     activation: ray.data.Dataset,
     *,
@@ -115,9 +109,10 @@ def motif_pipeline(
 
     - count: ``udaf.fold_blocks`` folds each block's slices into ONE
       ``MotifCountState``, merged by ``udaf.merge_state_refs``;
-    - select: ``_select_block`` runs ``MotifSelector`` on its block's
-      slices against the ``ray.put`` ``at_least(min_count)`` view of the
-      merged sketch; the select blocks go to ``udaf.exact_recount``.
+    - select: ``udaf.select_blocks`` runs ``MotifSelector`` on each
+      block's slices against the ``at_least(min_count)`` view of the
+      merged sketch; the select blocks' refs and their summed row count go
+      to ``udaf.exact_recount``.
 
     ``batch_size`` bounds the rows the enumeration sees at once;
     ``":auto"`` sizes each block's slices from the enumeration working set
@@ -157,10 +152,10 @@ def motif_pipeline(
             max_active_len,
         )
     # only cells >= min_count can pass the select, so only they are broadcast
-    cms_ref = ray.put(merged.cms.at_least(min_count))
-    selector = MotifSelector(cms_ref, min_count=min_count, **kwargs)
-    # materialized: its row count is block metadata for exact_recount
-    out = ray.data.from_arrow_refs([_select_block.remote(b, selector, slice_rows) for b in blocks])
+    selector = functools.partial(MotifSelector, min_count=min_count, **kwargs)
+    refs, n_selected = select_blocks(
+        [[b] for b in blocks], selector, merged.cms.at_least(min_count), batch_size=slice_rows
+    )
     key_cols = [f"m{i + 1}" for i in range(motif_size)]
     schema_fields: list[tuple[str, pa.DataType]] = [(c, pa.int32()) for c in key_cols]
     if conv:
@@ -174,7 +169,8 @@ def motif_pipeline(
         ("estimate", pa.int64()),
     ]
     return exact_recount(
-        out,
+        refs,
+        n_selected,
         lambda tbl: _recount(tbl, key_cols, min_count),
         schema=pa.schema(schema_fields),
         key_cols=key_cols,

@@ -6,10 +6,13 @@ Pass 1: one fold task per block of the read (stages/udaf.fold_blocks):
         a sparse CMS partial per batch over hashed trigrams (one CMS insert
         per n-gram occurrence, reference count! semantics), folded to one
         state per block and merged.
-Pass 2: broadcast the merged CMS's cells >= min_count (CountMin.at_least);
-        re-derive n-grams per batch, keep those with estimate >= min_count
-        and emit each once per batch with its batch count (``batch_n``).
-Recount: the materialized selection goes through the exact-recount tail
+Pass 2: broadcast the merged CMS's cells >= min_count (CountMin.at_least)
+        to one select task per run of consecutive blocks of a second read
+        (stages/udaf.select_blocks over block_groups, each run at least
+        one slice of 4 x batch_size rows); re-derive n-grams per slice, keep
+        those with estimate >= min_count and emit each once per slice with
+        its slice count (``batch_n``).
+Recount: the select blocks' refs go through the exact-recount tail
         every CMS query shares (stages/udaf.exact_recount): ``batch_n``
         summed per n-gram hash is the exact corpus count, so CMS false
         survivors drop and ``estimate`` is exact at any corpus size.
@@ -21,8 +24,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
-
 from epichypersketch_jl_ray.functions.hashing import fnv1a64, hash_combine
 from epichypersketch_jl_ray.functions.text import (
     hash_strings_fast,
@@ -32,10 +33,11 @@ from epichypersketch_jl_ray.functions.text import (
 )
 from epichypersketch_jl_ray.sources.tables import read_table
 from epichypersketch_jl_ray.stages.udaf import (
+    block_groups,
     block_refs,
-    broadcast_get,
     exact_recount,
     fold_blocks,
+    select_blocks,
 )
 from epichypersketch_jl_ray.state.countmin import CountMin
 
@@ -90,19 +92,21 @@ def _heavy_ngrams(
         return CountMin(1, delta=delta, epsilon=epsilon, seed=seed).add_keys(keys_of(batch)[0])
 
     merged = fold_blocks(block_refs(ds), count, CountMin, batch_size=batch_size)
-    cms_ref = ray.put(merged.at_least(min_count))  # the cells a select can pass
 
-    def select(batch: pa.Table) -> pa.Table:
-        keys, flat, row_ids, starts = keys_of(batch)
-        uniq, first, cnt = np.unique(keys, return_index=True, return_counts=True)
-        sel = broadcast_get(cms_ref).estimate_keys(uniq) >= min_count
-        keep = first[sel]
-        cols = {"h": pa.array(uniq[sel].view(np.int64), pa.int64())}
-        for c in group:
-            cols[c] = pc.take(batch[c], pa.array(row_ids[keep]))
-        cols["ngram"] = ngram_strings(flat, starts[keep], n)
-        cols["batch_n"] = pa.array(cnt[sel].astype(np.int64), pa.int64())
-        return pa.table(cols)
+    def selector(cms: CountMin):
+        def select(batch: pa.Table) -> pa.Table:
+            keys, flat, row_ids, starts = keys_of(batch)
+            uniq, first, cnt = np.unique(keys, return_index=True, return_counts=True)
+            sel = cms.estimate_keys(uniq) >= min_count
+            keep = first[sel]
+            cols = {"h": pa.array(uniq[sel].view(np.int64), pa.int64())}
+            for c in group:
+                cols[c] = pc.take(batch[c], pa.array(row_ids[keep]))
+            cols["ngram"] = ngram_strings(flat, starts[keep], n)
+            cols["batch_n"] = pa.array(cnt[sel].astype(np.int64), pa.int64())
+            return pa.table(cols)
+
+        return select
 
     def recount(tbl: pa.Table) -> pa.Table:
         """One row per n-gram hash whose summed ``batch_n`` reaches
@@ -113,17 +117,20 @@ def _heavy_ngrams(
         out = tbl.select(group + ["ngram"]).take(pa.array(first[keep]))
         return out.append_column("estimate", pa.array(exact[keep], pa.int64()))
 
-    # pass 2 selects, it doesn't enumerate: a larger batch means fewer
-    # duplicate rows per n-gram in the selection and fewer tasks. Materialized
-    # on its own, as in the motif pipeline: the select gets every CPU and
-    # its row count becomes block metadata
-    selected = ds.map_batches(select, batch_format="pyarrow", batch_size=4 * batch_size)
+    # pass 2 selects, it doesn't enumerate: a larger slice means fewer
+    # duplicate rows per n-gram in the selection. So each select task takes
+    # consecutive blocks of a second read up to one slice, whatever number
+    # of blocks the read cut the table into
+    rows = 4 * batch_size
+    refs, n_selected = select_blocks(
+        block_groups(ds, rows), selector, merged.at_least(min_count), batch_size=rows
+    )
     schema = pa.schema(
         [("h", pa.int64())]
         + [(c, pa.string()) for c in group]
         + [("ngram", pa.string()), ("batch_n", pa.int64())]
     )
-    return exact_recount(selected.materialize(), recount, schema=schema, key_cols=["h"])
+    return exact_recount(refs, n_selected, recount, schema=schema, key_cols=["h"])
 
 
 def heavy_ngrams_by_lang_sql(n: int = 3, min_count: int = 3) -> str:

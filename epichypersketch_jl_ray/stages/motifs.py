@@ -7,8 +7,8 @@ passes over Arrow batches, each one Ray task per activation block
           per block (udaf.fold_blocks)   (reference count!/count_cpu!,
           /root/reference/src/count_cpu.jl:76-144)
   pass 2  broadcast the merged CMS's cells >= min_count (CountMin.at_least)
-          via ray.put; MotifSelector per batch fuses
-          selection + extraction             (reference make_selection_cpu! +
+          to one select task per block (udaf.select_blocks); MotifSelector
+          per batch fuses selection + extraction (reference make_selection_cpu! +
           _obtain_enriched_configurations_cpu_, /root/reference/src/count_cpu.jl:149-293
           — fused because both read the same enumeration; the reference splits
           them only for kernel-structure reasons, SURVEY.md §2.3 C6)
@@ -219,17 +219,17 @@ class MotifSelector:
     """Pass-2: re-enumerate, query the broadcast CMS, emit one output row
     per (selected combination, sequence).
 
-    ``cms_ref`` is a ray.put object ref (or a CountMin, read in place) of
-    the merged sketch's ``at_least(min_count)`` view: its estimates pass
-    and fail exactly where the merged sketch's do, with the same values,
-    and it holds only the cells that can pass — on motifs_k3 176 of
-    801,137 — so a worker decodes and searches a few KB, not the sketch.
-    Reads go through ``stages.udaf.broadcast_get``, memoized per worker.
+    ``cms`` is the merged sketch's ``at_least(min_count)`` view (the
+    select task of ``stages.udaf.select_blocks`` gets it as a resolved task
+    argument): its estimates pass and fail exactly where the merged
+    sketch's do, with the same values, and it holds only the cells that can
+    pass — on motifs_k3 176 of 801,137 — so a worker decodes and searches a
+    few KB, not the sketch.
     """
 
     def __init__(
         self,
-        cms_ref,
+        cms: CountMin,
         *,
         motif_size: int,
         min_count: int,
@@ -237,7 +237,7 @@ class MotifSelector:
         filter_len: int = 0,
         max_active_len: int = 64,
     ) -> None:
-        self.cms_ref = cms_ref
+        self.cms = cms
         self.k = motif_size
         self.min_count = min_count
         self.conv = conv
@@ -245,11 +245,6 @@ class MotifSelector:
         self.max_active_len = max_active_len
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from epichypersketch_jl_ray.stages.udaf import broadcast_get
-
-        cms: CountMin = (
-            broadcast_get(self.cms_ref) if not isinstance(self.cms_ref, CountMin) else self.cms_ref
-        )
         k = self.k
         enum = enumerate_batch(
             batch,
@@ -258,7 +253,8 @@ class MotifSelector:
             filter_len=self.filter_len,
             max_active_len=self.max_active_len,
         )
-        est = cms.estimate(enum["hash_mat"]) if len(enum["hash_mat"]) else np.empty(0, np.int64)
+        hm = enum["hash_mat"]
+        est = self.cms.estimate(hm) if len(hm) else np.empty(0, np.int64)
         sel = est >= self.min_count
         cols: dict[str, pa.Array] = {}
         fm = enum["feat_mat"][sel]

@@ -17,10 +17,14 @@ state. A unit is one of two shapes:
     → the tasks' state blocks → merge_state_refs: remote k-way merges,
       then ONE driver merge_many → one merged sketch, broadcast via
       ray.put for any later pass
-      → exact_recount: a CMS select's survivors recounted exactly
+      → select_blocks: a CMS query's select, one task per block or
+        block_groups run, against the merged sketch's at_least(min_count)
+        view
+      → exact_recount: the select blocks' refs and summed row count; the
+        survivors recounted exactly
 
-These folds are the reference's one-CMS-per-partition count pass, without
-a Ray Data operator.
+These folds are the reference's one-CMS-per-partition count pass, and the
+select tasks its make_selection pass, without a Ray Data operator.
 
 Because every sketch's ``merge`` is associative + commutative, Ray's
 nondeterministic block order cannot change the merged state (asserted by
@@ -93,6 +97,23 @@ def block_refs(ds) -> Iterable:
     """Object refs to the blocks of a Dataset, as its execution yields them
     (the bytes stay in the object store)."""
     return (ref for bundle in ds.iter_internal_ref_bundles() for ref in bundle.block_refs)
+
+
+def block_groups(ds, min_rows: int) -> Iterable[list]:
+    """Object refs to the blocks of a Dataset, as its execution yields them,
+    in lists of consecutive blocks holding at least ``min_rows`` rows each
+    (the last list may hold fewer): units for a task whose slices should
+    span blocks however finely the read cut the input."""
+    group, rows = [], 0
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in zip(bundle.block_refs, bundle.metadata):
+            group.append(ref)
+            rows += meta.num_rows
+            if rows >= min_rows:
+                yield group
+                group, rows = [], 0
+    if group:
+        yield group
 
 
 def block_slices(block, batch_size: int | Callable[[pa.Table], int]) -> list[pa.Table]:
@@ -264,6 +285,39 @@ def sketch_dataset(
     return fold_blocks(block_refs(ds), partial, cls, batch_size=batch_size)
 
 
+@ray.remote(num_returns=2)
+def _select_block(make_select, view, batch_size, *blocks) -> tuple[pa.Table, int]:
+    """Select output of consecutive blocks and its row count:
+    ``make_select(view)`` run on the ``block_slices`` of the blocks'
+    concatenation. ``view`` and the blocks are top-level arguments, so Ray
+    fetches them before the task starts."""
+    from ray.data.block import BlockAccessor
+
+    tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+    tbl = pa.concat_tables([t for t in tables if t.num_rows] or tables[:1])
+    select = make_select(view)
+    out = pa.concat_tables([select(s) for s in block_slices(tbl, batch_size)])
+    return out, out.num_rows
+
+
+def select_blocks(
+    groups: Iterable[list],
+    make_select: Callable,
+    view,
+    *,
+    batch_size: int | Callable[[pa.Table], int],
+) -> tuple[list, int]:
+    """The select pass of every CMS query: one Ray task per group of block
+    refs (one block each, or ``block_groups``) runs ``make_select(view)``
+    (a table → table select) on the group's slices. ``view`` is the merged
+    sketch's ``at_least(min_count)`` view; it is ``ray.put`` once and
+    handed to every task. Returns the refs to the select blocks and their
+    summed row count, for ``exact_recount``."""
+    view_ref = ray.put(view)
+    pairs = [_select_block.remote(make_select, view_ref, batch_size, *g) for g in groups]
+    return [t for t, _ in pairs], sum(ray.get([n for _, n in pairs]))
+
+
 # Largest selection exact_recount recounts in the driver process; above it a
 # bucket groupby recounts in parallel. Measured crossover in SCALE.md ("The
 # exact-recount tail of every CMS query").
@@ -271,7 +325,8 @@ DRIVER_RECOUNT_MAX_ROWS = 200_000
 
 
 def exact_recount(
-    selected,
+    refs: list,
+    n_selected: int,
     recount: Callable[[pa.Table], pa.Table],
     *,
     schema: pa.Schema,
@@ -286,22 +341,22 @@ def exact_recount(
     reaches the same ``recount`` call. The tail runs at selection scale,
     never over the corpus.
 
-    ``selected`` is materialized, so its row count is block metadata. Up to
-    ``DRIVER_RECOUNT_MAX_ROWS`` rows the driver fetches the blocks, casts
-    them to ``schema`` (an empty selection is ``schema.empty_table()``, so
-    the typed columns survive) and recounts them in one call. Above it a
-    groupby on ``hash(key_cols) % auto_bucket_count(rows)`` sends every row
-    of a key to one bucket and recounts each bucket in parallel."""
+    ``refs`` are the select blocks of ``select_blocks`` and ``n_selected``
+    their summed row count. Up to ``DRIVER_RECOUNT_MAX_ROWS`` rows the
+    driver fetches the blocks with ``ray.get``, casts them to ``schema``
+    (an empty selection is ``schema.empty_table()``, so the typed columns
+    survive) and recounts them in one call; the result is wrapped as a
+    one-block Dataset. Above it the blocks become a Dataset, and a groupby
+    on ``hash(key_cols) % auto_bucket_count(rows)`` sends every row of a
+    key to one bucket and recounts each bucket in parallel."""
     import numpy as np
     import ray.data
 
     from epichypersketch_jl_ray.functions.hashing import hash_combine, hash_int64
     from epichypersketch_jl_ray.stages.join import auto_bucket_count
 
-    n_selected = selected.count()
     if n_selected <= DRIVER_RECOUNT_MAX_ROWS:
-        # 0-row blocks carry no schema
-        blocks = [b.cast(schema) for b in ray.get(selected.to_arrow_refs()) if b.num_rows]
+        blocks = [b.cast(schema) for b in ray.get(refs) if b.num_rows]
         tbl = pa.concat_tables(blocks) if blocks else schema.empty_table()
         return ray.data.from_arrow(recount(tbl))
 
@@ -320,7 +375,8 @@ def exact_recount(
         return recount(batch.drop_columns(["bucket"]))
 
     return (
-        selected.map_batches(add_bucket, batch_format="pyarrow")
+        ray.data.from_arrow_refs(refs)
+        .map_batches(add_bucket, batch_format="pyarrow")
         .groupby("bucket")
         .map_groups(per_bucket, batch_format="pyarrow")
     )

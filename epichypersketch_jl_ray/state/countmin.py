@@ -29,10 +29,14 @@ in place there) and their ``bincount`` into row r of one (rows, cols) array.
 A dense state adds that array; a fresh state with more than half its cells
 nonzero takes it as its dense state (the same array, and the same bytes, as
 COO then ``densify``); otherwise its nonzeros merge into the COO state.
-Past 2^24 cells, and for a weighted batch whose total |weight| reaches 2^53
-(where a float64 bincount would round), a batch is counted exactly in int64
-by sorting its flat cell ids. Estimates take the same per-row columns and a
-running min over rows.
+Past 2^24 cells (the motif and n-gram sketches), and for a weighted batch
+whose total |weight| reaches 2^53 (where a float64 bincount would round), a
+batch is counted exactly in int64 by sorting, one sketch row at a time: row
+r's columns are sorted on their own and run-length encoded (weights summed
+per run), and since rows own disjoint ranges of flat ids, the rows' runs
+concatenate already sorted. A COO merge goes row by row too: row r takes
+its ``searchsorted`` slice of every input and sorts and sums only those.
+Estimates take the same per-row columns and a running min over rows.
 """
 
 from __future__ import annotations
@@ -234,39 +238,66 @@ class CountMin(MergeableSketch):
         return self
 
     def _add_sorted(self, rows, n: int, weights: np.ndarray | None) -> None:
-        """Exact int64 count of a batch by sorting its flat cell ids: the path
-        past 2^24 cells, and for weights too large for a float64 bincount."""
-        flat = np.empty(self.rows * n, dtype=np.int64)
+        """Exact int64 count of a batch by sorting each row's columns: the
+        path past 2^24 cells, and for weights too large for a float64
+        bincount. Row r's columns are sorted on their own and run-length
+        encoded; rows own disjoint ranges of flat ids, so the rows' runs
+        concatenate already sorted."""
+        ids, cnts = [], []
         for r, col in enumerate(rows):
-            np.add(col, r * self.cols, out=flat[r * n : (r + 1) * n])
-        order = np.argsort(flat, kind="stable")
-        sid = flat[order]
-        uniq, start = np.unique(sid, return_index=True)
-        if weights is None:
-            cnt = np.diff(np.append(start, len(sid))).astype(np.int64)
-        else:
-            cs = np.concatenate(([0], np.cumsum(np.tile(weights, self.rows)[order])))
-            cnt = (cs[np.append(start[1:], len(sid))] - cs[start]).astype(np.int64)
-        if self.dense is not None:
-            self.dense.ravel()[uniq] += cnt  # uniq holds each cell once
-            return
-        self._merge_coo([uniq], [cnt])
+            if weights is None:
+                s = np.sort(col)
+                starts = _run_starts(s)
+                cnt = np.diff(starts, append=n)
+            else:
+                order = np.argsort(col)
+                s = col[order]
+                starts = _run_starts(s)
+                cnt = np.add.reduceat(weights[order], starts)  # exact int64 sums
+            if self.dense is not None:
+                self.dense[r][s[starts]] += cnt  # each column once
+            else:
+                ids.append(s[starts] + r * self.cols)
+                cnts.append(cnt)
+        if self.dense is None:
+            self._merge_coo([np.concatenate(ids)], [np.concatenate(cnts)])
 
     def _merge_coo(self, ids: list[np.ndarray], counts: list[np.ndarray]) -> None:
-        """Add sorted sparse (ids, counts) runs into the COO state: one
-        concatenate + stable argsort + reduceat for any number of runs. A
-        single run into an empty state is already canonical and is taken
-        as is (the fresh-partial case of every batch update)."""
+        """Add sorted sparse (ids, counts) runs into the COO state, one sketch
+        row at a time: row r takes its ``searchsorted`` slice of every run,
+        and where more than one run has cells in the row, the slices are
+        concatenated, argsorted and summed per id (reduceat; integer sums,
+        so the order of equal ids does not matter). Rows own disjoint id
+        ranges, so their results concatenate already sorted. A single run
+        into an empty state is already canonical and is taken as is (the
+        fresh-partial case of every batch update)."""
         if len(self.ids) == 0 and len(ids) == 1:
             self.ids, self.counts = ids[0], counts[0]
         else:
-            all_ids = np.concatenate([self.ids, *ids])
-            all_cts = np.concatenate([self.counts, *counts])
-            order = np.argsort(all_ids, kind="stable")
-            sid, sct = all_ids[order], all_cts[order]
-            starts = np.flatnonzero(np.diff(sid, prepend=sid[0] - 1)) if len(sid) else np.empty(0, np.int64)
-            self.ids = sid[starts]
-            self.counts = np.add.reduceat(sct, starts) if len(sid) else sct
+            runs = [(i, c) for i, c in zip([self.ids, *ids], [self.counts, *counts]) if len(i)]
+            bounds = np.arange(self.rows + 1) * self.cols
+            cuts = [np.searchsorted(i, bounds) for i, _ in runs]
+            out_ids, out_cts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+            for r in range(self.rows):
+                row = [
+                    (i[cut[r] : cut[r + 1]], c[cut[r] : cut[r + 1]])
+                    for (i, c), cut in zip(runs, cuts)
+                    if cut[r + 1] > cut[r]
+                ]
+                if len(row) == 1:  # one canonical run: ids unique, counts summed
+                    rid, rct = row[0]
+                elif row:
+                    rid = np.concatenate([i for i, _ in row])
+                    order = np.argsort(rid)
+                    rid = rid[order]
+                    starts = _run_starts(rid)
+                    rct = np.add.reduceat(np.concatenate([c for _, c in row])[order], starts)
+                    rid = rid[starts]
+                else:
+                    continue
+                out_ids.append(rid)
+                out_cts.append(rct)
+            self.ids, self.counts = np.concatenate(out_ids), np.concatenate(out_cts)
         # densify when COO overhead exceeds dense storage (2 int64 per nnz)
         if len(self.ids) > self.num_counters // 2:
             self.densify()
@@ -467,6 +498,12 @@ class CountMin(MergeableSketch):
             ("counts", coo[1]),
             ("n_inserts", self.n_inserts),
         )
+
+
+def _run_starts(s: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in a
+    nonempty sorted array."""
+    return np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
 
 
 _WIRE_MAGIC = b"CM01"

@@ -200,9 +200,14 @@ def test_at_least_empty_view_estimates_zero(dense):
 
 
 # (delta, epsilon): a 2 x 272 sketch and the web build's 10 x 54,366 one,
-# counted by bincount, and a 1 x 18,121,880 one, past 2^24 cells, counted by
-# sort
-_PIN_GEOMETRIES = {"small": (0.3, 0.01), "web": (1e-4, 5e-5), "large": (0.5, 1.5e-7)}
+# counted by bincount, and a 1 x 18,121,880 one and a 5 x 3,397,853 one,
+# past 2^24 cells, counted and merged by sort one sketch row at a time
+_PIN_GEOMETRIES = {
+    "small": (0.3, 0.01),
+    "web": (1e-4, 5e-5),
+    "large": (0.5, 1.5e-7),
+    "large_rows": (9e-3, 8e-7),
+}
 
 
 def _pin_sketch(geometry: str, width: int) -> CountMin:
@@ -313,6 +318,46 @@ def test_dense_merge_of_coo_partials_matches_reference(geometry):
     acc.merge_many(parts)
     np.testing.assert_array_equal(acc.dense.ravel(), ref)
     assert acc.n_inserts == 500 + 3 * 100
+
+
+def test_coo_merge_many_past_2_24_matches_reference():
+    """merge_many of COO partials at a multi-row sketch past 2^24 cells (the
+    per-row sort merge) gives the cells np.add.at gives, with an empty
+    partial, partials whose cells lie in some rows only, and weighted and
+    unweighted counts."""
+    rng = np.random.default_rng(9)
+    acc = _pin_sketch("large_rows", 2)
+    assert acc.rows == 5 and acc.num_counters > 1 << 24
+    acc.add(rng.integers(0, 1000, size=(3000, 2)))
+
+    def partial(n, weighted, rows=None):
+        p = _pin_sketch("large_rows", 2)
+        w = rng.integers(1, 9, size=n) if weighted else None
+        p.add(rng.integers(0, 1000, size=(n, 2)), w)
+        if rows is not None:  # keep the cells of some sketch rows only
+            keep = np.isin(p.ids // p.cols, rows)
+            p.ids, p.counts = p.ids[keep], p.counts[keep]
+        return p
+
+    parts = [
+        _pin_sketch("large_rows", 2),
+        partial(2000, False),
+        partial(2000, True),
+        partial(500, False, rows=[0, 3]),
+        partial(500, True, rows=[4]),
+        partial(500, False, rows=[]),
+    ]
+    assert all(p.dense is None for p in [acc, *parts])
+    ref = np.zeros(acc.num_counters, dtype=np.int64)
+    for p in [acc, *parts]:
+        np.add.at(ref, p.ids, p.counts)
+    n_inserts = acc.n_inserts + sum(p.n_inserts for p in parts)
+    acc.merge_many(parts)
+    assert acc.dense is None
+    want = np.flatnonzero(ref)
+    np.testing.assert_array_equal(acc.ids, want)
+    np.testing.assert_array_equal(acc.counts, ref[want])
+    assert acc.n_inserts == n_inserts
 
 
 def _web_key_batch(rng) -> np.ndarray:

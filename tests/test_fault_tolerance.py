@@ -208,6 +208,50 @@ def test_motif_count_survives_a_killed_worker(ray_session, tmp_path, monkeypatch
     pd.testing.assert_frame_equal(clean, retried)
 
 
+def test_motif_select_survives_a_killed_worker(ray_session, tmp_path, monkeypatch):
+    """The worker running the first select slice exits mid-task; Ray's
+    default task retries rerun the select task (both of its returns, the
+    block and its row count) and the motif output equals the undisturbed
+    run's."""
+    import pandas as pd
+    import ray.data
+
+    from epichypersketch_jl_ray.api import activation_table_from_dict
+    from epichypersketch_jl_ray.pipelines import motifs as pm
+    from epichypersketch_jl_ray.sources.reference_fixtures import make_ordinary_dict
+
+    tbl, _ = activation_table_from_dict(make_ordinary_dict())
+    parts = [tbl.slice(i, 200) for i in range(0, tbl.num_rows, 200)]
+
+    def frame() -> pd.DataFrame:
+        df = pm.motif_pipeline(ray.data.from_arrow(parts), motif_size=3, min_count=8).to_pandas()
+        cols = sorted(df.columns)
+        return df[cols].sort_values(cols).reset_index(drop=True)
+
+    clean = frame()
+    marker = str(tmp_path / "killed")
+    real_selector = pm.MotifSelector
+
+    def crash_once_selector(cms, **kwargs):
+        # built in the select task's worker, so it cannot call _crash_once
+        # (workers cannot import this test module)
+        select = real_selector(cms, **kwargs)
+
+        def crash_once(batch):
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return select(batch)
+            os._exit(1)  # the worker process dies, as on a lost node
+
+        return crash_once
+
+    monkeypatch.setattr(pm, "MotifSelector", crash_once_selector)
+    retried = frame()
+    assert os.path.exists(marker)
+    pd.testing.assert_frame_equal(clean, retried)
+
+
 def _crash_once(make_partial, marker):
     """``make_partial`` whose first call, across every worker, exits its
     process (as on a lost node); the marker file makes the crash happen

@@ -222,9 +222,9 @@ def test_motif_exact_verify_survives_coarse_sketch(ray_session, monkeypatch, fix
     exact = frame(delta=9e-3, epsilon=3.24e-7)
     selected = []
 
-    def spy(out, *args, **kwargs):
-        selected.append(out.count())
-        return udaf.exact_recount(out, *args, **kwargs)
+    def spy(refs, n_selected, *args, **kwargs):
+        selected.append(n_selected)
+        return udaf.exact_recount(refs, n_selected, *args, **kwargs)
 
     monkeypatch.setattr(pm, "exact_recount", spy)
     if recount == "groupby":
@@ -266,6 +266,9 @@ def test_heavy_ngrams_exact_verify_survives_coarse_sketch(
     over several batches; the recount sums their per-batch counts and drops
     CMS false survivors, in the driver (default gate) or through the bucket
     groupby (gate 0)."""
+    import pyarrow as pa
+    import ray
+
     from epichypersketch_jl_ray.pipelines import ngrams
     from epichypersketch_jl_ray.stages import udaf
 
@@ -277,9 +280,9 @@ def test_heavy_ngrams_exact_verify_survives_coarse_sketch(
     exact = frame()
     selected = []
 
-    def spy(out, *args, **kwargs):
-        selected.append(out.to_pandas()["h"].nunique())
-        return udaf.exact_recount(out, *args, **kwargs)
+    def spy(refs, n_selected, *args, **kwargs):
+        selected.append(pa.concat_tables(ray.get(refs)).to_pandas()["h"].nunique())
+        return udaf.exact_recount(refs, n_selected, *args, **kwargs)
 
     monkeypatch.setattr(ngrams, "exact_recount", spy)
     monkeypatch.setattr(ngrams, "NGRAM_DELTA", 0.5)
@@ -314,9 +317,14 @@ def test_heavy_ngrams_selection_same_on_threshold_view(ray_session, sf_dir, monk
     sketch or the ``at_least(min_count)`` view the pipeline broadcasts. The
     exact recount is bypassed so CMS false survivors would show too;
     per-batch counts are summed so Ray's batching cannot differ the runs."""
+    import pyarrow as pa
+    import ray
+
     from epichypersketch_jl_ray.pipelines import ngrams
 
-    monkeypatch.setattr(ngrams, "exact_recount", lambda selected, *a, **kw: selected)
+    monkeypatch.setattr(
+        ngrams, "exact_recount", lambda refs, *a, **kw: pa.concat_tables(ray.get(refs))
+    )
 
     def selected() -> pd.DataFrame:
         df = getattr(ngrams, query)(sf_dir).to_pandas()
