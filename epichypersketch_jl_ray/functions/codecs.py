@@ -1,18 +1,14 @@
 """Pure-numpy/stdlib codecs for the multimodal formats.
 
-BMP (BI_RGB), WAV (PCM) and raw concatenated video frames are fixed headers
-plus raw sample bytes, parseable with struct/numpy alone. PNG rides on
-stdlib zlib (DEFLATE) with numpy unfiltering, JPEG (baseline SOF0/SOF1 and
-progressive SOF2) is an 8x8 matrix DCT plus table-driven Huffman coding,
-GIF (still + animated) is variable-width LZW, lossless WebP (VP8L, in
-functions/webp.py, re-exported here) is canonical prefix codes + LZ77
-+ color cache + the four VP8L transforms, and FLAC (functions/flac.py,
-re-exported here) is Rice coding + fixed/LPC predictors — no codec
-library needed for any of them. These give the multimodal pipelines a
-REAL decode path
-inside this container; the remaining compressed formats (MP3, H.264,
-lossy-VP8 WebP) stay documented NotImplementedError seams in
-stages/multimodal.py because their decoders genuinely are absent here.
+BMP (BI_RGB), WAV (PCM) and Y4M are fixed headers plus raw sample bytes,
+parseable with struct/numpy alone; PNG rides on stdlib zlib (DEFLATE) with
+numpy unfiltering; GIF (still + animated) is variable-width LZW, and
+lossless WebP (VP8L, in functions/webp.py, re-exported here) is canonical
+prefix codes + LZ77 + color cache + the four VP8L transforms. Raw
+concatenated gray8 video frames need no codec at all (stages/multimodal.py
+slices them). Every other format (JPEG, lossy WebP, FLAC, MP3, AVI, H.264,
+...) is a NotImplementedError seam in stages/multimodal.py: no codec
+library is installed to decode it.
 
 Layouts implemented (public file-format specs):
 - BMP: 14-byte BITMAPFILEHEADER + 40-byte BITMAPINFOHEADER, BI_RGB only;
@@ -20,8 +16,12 @@ Layouts implemented (public file-format specs):
   grayscale convention) and 24-bit BGR; rows padded to 4 bytes; bottom-up
   (positive height) or top-down (negative height).
 - WAV: RIFF/WAVE chunk walk ("fmt " then "data", tolerating extra chunks),
-  integer PCM (format 1, 8/16-bit), IEEE float32 (3), G.711 A-law/mu-law
-  (6/7) and IMA/DVI ADPCM (0x11); multi-channel PCM downmixes to mono.
+  integer PCM (format 1, 8/16-bit) and IEEE float32 (3); multi-channel
+  frames downmix to mono.
+- PNG: 8-bit gray/RGB/palette/RGBA, all five row filters, Adam7 interlace.
+- Y4M (YUV4MPEG2): Cmono, C444 and C420 planar frames.
+- GIF89a: global/local color tables, sequential or interlaced rows,
+  animation with patch offsets, transparency and disposal 1/2.
 """
 
 from __future__ import annotations
@@ -92,191 +92,27 @@ def encode_wav_pcm16(samples: np.ndarray, *, sample_rate: int = 16000) -> bytes:
     return _wav_container(1, channels, sample_rate, 16, np.ascontiguousarray(s).tobytes())
 
 
-# --- G.711 companding (ITU-T, 1972) ------------------------------------------
-# Telephony / call-center speech corpora ship as 8 kHz companded WAV (format
-# code 6 = A-law, 7 = mu-law). Both laws are pure formulas — the 256-entry
-# decode tables below are COMPUTED from the piecewise-linear segment
-# definitions, no copied constants. The encoder quantizes to the decoder's
-# exact reproduction levels (nearest level wins), which makes
-# encode(decode(cw)) == cw an identity the tests assert for all 256 codes.
-
-
-def _g711_decode_table(law: str) -> np.ndarray:
-    cw = np.arange(256, dtype=np.int64)
-    if law == "mu":
-        u = (~cw) & 0xFF  # mu-law codewords are transmitted complemented
-        sign = (u >> 7) & 1
-        exponent = (u >> 4) & 7
-        mantissa = u & 0x0F
-        magnitude = (((mantissa << 3) + 0x84) << exponent) - 0x84
-    elif law == "a":
-        a = cw ^ 0x55  # even bits inverted on the wire
-        sign = 1 - ((a >> 7) & 1)  # A-law sign bit is 1 for POSITIVE
-        exponent = (a >> 4) & 7
-        mantissa = a & 0x0F
-        seg0 = (mantissa << 4) + 8
-        segN = ((mantissa << 4) + 0x108) << np.maximum(exponent - 1, 0)
-        magnitude = np.where(exponent == 0, seg0, segN)
-    else:
-        raise ValueError(f"unknown companding law {law!r}")
-    return np.where(sign == 1, -magnitude, magnitude).astype(np.int16)
-
-
-def _g711_encode(samples_i16: np.ndarray, law: str) -> np.ndarray:
-    levels = _g711_decode_table(law)
-    order = np.argsort(levels, kind="stable")
-    sorted_levels = levels[order].astype(np.int32)
-    x = samples_i16.astype(np.int32)
-    idx = np.searchsorted(sorted_levels, x)
-    lo = np.clip(idx - 1, 0, 255)
-    hi = np.clip(idx, 0, 255)
-    pick = np.where(np.abs(sorted_levels[hi] - x) < np.abs(x - sorted_levels[lo]), hi, lo)
-    return order[pick].astype(np.uint8)
-
-
-def encode_wav_g711(samples: np.ndarray, *, law: str = "mu", sample_rate: int = 8000) -> bytes:
-    """mono int16 samples -> RIFF/WAVE G.711 bytes (format 7 mu-law / 6 A-law)."""
-    s = np.asarray(samples, dtype=np.int16)
-    return _wav_container(7 if law == "mu" else 6, 1, sample_rate, 8, _g711_encode(s, law).tobytes())
-
-
-# --- IMA / DVI ADPCM (WAV format 0x11) ----------------------------------------
-# The other big telephony/speech-corpus encoding: 4 bits per sample, blocks of
-# (block_align) bytes each carrying its own (predictor, step-index) header, so
-# blocks decode independently — which is exactly what lets both directions be
-# vectorized ACROSS blocks here: the data-dependent recurrence runs as a loop
-# over sample positions with numpy ops over the whole block axis, never a
-# Python loop per sample. Step/index tables are the published IMA ADPCM
-# reference constants (Intel/DVI, reproduced in RFC 3551 §4.5.1 and the
-# Microsoft WAVE format docs).
-
-_IMA_STEP_TABLE = np.array(
-    [
-        7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 19, 21, 23, 25, 28, 31, 34, 37,
-        41, 45, 50, 55, 60, 66, 73, 80, 88, 97, 107, 118, 130, 143, 157, 173,
-        190, 209, 230, 253, 279, 307, 337, 371, 408, 449, 494, 544, 598, 658,
-        724, 796, 876, 963, 1060, 1166, 1282, 1411, 1552, 1707, 1878, 2066,
-        2272, 2499, 2749, 3024, 3327, 3660, 4026, 4428, 4871, 5358, 5894,
-        6484, 7132, 7845, 8630, 9493, 10442, 11487, 12635, 13899, 15289,
-        16818, 18500, 20350, 22385, 24623, 27086, 29794, 32767,
-    ],
-    dtype=np.int32,
-)
-_IMA_INDEX_TABLE = np.array([-1, -1, -1, -1, 2, 4, 6, 8] * 2, dtype=np.int32)
-
-
-def _ima_reconstruct(pred: np.ndarray, index: np.ndarray, code: np.ndarray):
-    """One IMA update step, vectorized over blocks: (pred, index, 4-bit code)
-    -> (new pred, new index). Shared by encoder and decoder so they can never
-    drift apart."""
-    step = _IMA_STEP_TABLE[index]
-    diff = (step >> 3) + np.where(code & 1, step >> 2, 0)
-    diff += np.where(code & 2, step >> 1, 0) + np.where(code & 4, step, 0)
-    pred = np.clip(pred + np.where(code & 8, -diff, diff), -32768, 32767)
-    index = np.clip(index + _IMA_INDEX_TABLE[code], 0, 88)
-    return pred, index
-
-
-def _ima_decode_blocks(blocks: np.ndarray, samples_per_block: int) -> np.ndarray:
-    """(n_blocks, block_align) uint8 -> (n_blocks, samples_per_block) int16."""
-    n = blocks.shape[0]
-    pred = blocks[:, :2].copy().view("<i2")[:, 0].astype(np.int32)
-    index = np.clip(blocks[:, 2].astype(np.int32), 0, 88)
-    body = blocks[:, 4:]
-    nib = np.empty((n, body.shape[1] * 2), dtype=np.uint8)
-    nib[:, 0::2] = body & 0x0F  # low nibble carries the earlier sample
-    nib[:, 1::2] = body >> 4
-    out = np.empty((n, samples_per_block), dtype=np.int16)
-    out[:, 0] = pred
-    for i in range(samples_per_block - 1):
-        pred, index = _ima_reconstruct(pred, index, nib[:, i].astype(np.int32))
-        out[:, i + 1] = pred
-    return out
-
-
-def _ima_encode_blocks(x: np.ndarray) -> np.ndarray:
-    """(n_blocks, samples_per_block) int16 -> (n_blocks, block_align) uint8.
-    Each block is self-contained (header predictor = its first sample, step
-    index restarts at 0), which is valid per spec and lets all blocks encode
-    in one vectorized pass."""
-    n, spb = x.shape
-    pred = x[:, 0].astype(np.int32)
-    index = np.zeros(n, dtype=np.int32)
-    header = np.zeros((n, 4), dtype=np.uint8)
-    header[:, :2] = pred.astype("<i2")[:, None].view(np.uint8).reshape(n, 2)
-    codes = np.empty((n, spb - 1), dtype=np.uint8)
-    for i in range(1, spb):
-        step = _IMA_STEP_TABLE[index]
-        diff = x[:, i].astype(np.int32) - pred
-        sign = diff < 0
-        mag = np.abs(diff)
-        code = np.where(sign, 8, 0).astype(np.int32)
-        for bit, shift in ((4, 0), (2, 1), (1, 2)):
-            th = step >> shift
-            hit = mag >= th
-            code |= np.where(hit, bit, 0)
-            mag -= np.where(hit, th, 0)
-        pred, index = _ima_reconstruct(pred, index, code)
-        codes[:, i - 1] = code
-    if codes.shape[1] % 2:
-        codes = np.concatenate([codes, np.zeros((n, 1), np.uint8)], axis=1)
-    packed = codes[:, 0::2] | (codes[:, 1::2] << 4)
-    return np.concatenate([header, packed], axis=1)
-
-
-def encode_wav_ima_adpcm(
-    samples: np.ndarray, *, sample_rate: int = 8000, block_align: int = 256
-) -> bytes:
-    """mono int16 samples -> RIFF/WAVE IMA ADPCM bytes (format 0x11). The
-    fmt extension carries samples-per-block and a fact chunk carries the true
-    sample count so the padded tail of the final block trims on decode."""
-    s = np.asarray(samples, dtype=np.int16).ravel()
-    if len(s) == 0:
-        raise ValueError("cannot encode an empty signal")
-    spb = (block_align - 4) * 2 + 1
-    n_blocks = (len(s) + spb - 1) // spb
-    padded = np.full(n_blocks * spb, s[-1], dtype=np.int16)
-    padded[: len(s)] = s
-    data = _ima_encode_blocks(padded.reshape(n_blocks, spb)).tobytes()
-    fmt = struct.pack(
-        "<HHIIHHHH",
-        0x11, 1, sample_rate,
-        (sample_rate * block_align + spb - 1) // spb,  # avg bytes/sec
-        block_align, 4,
-        2, spb,  # cbSize=2 extension: samples per block
-    )
-    chunks = (
-        b"fmt " + struct.pack("<I", len(fmt)) + fmt
-        + b"fact" + struct.pack("<II", 4, len(s))
-        + b"data" + struct.pack("<I", len(data)) + data
-    )
-    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
-
-
 def decode_wav(payload: bytes | np.ndarray) -> tuple[np.ndarray, int]:
     """RIFF/WAVE bytes -> (mono float32 samples in [-1, 1), sample_rate).
     Walks the chunk list, so extra chunks (LIST/fact/...) are tolerated.
-    Formats: 1 = integer PCM (8/16-bit), 3 = IEEE float32, 6 = G.711 A-law,
-    7 = G.711 mu-law, 0x11 = IMA/DVI ADPCM (mono). Multi-channel frames are
-    downmixed to mono by averaging (the analysis stages are single-channel)."""
+    Formats: 1 = integer PCM (8/16-bit), 3 = IEEE float32. Multi-channel
+    frames are downmixed to mono by averaging (the analysis stages are
+    single-channel)."""
     raw = payload.tobytes() if isinstance(payload, np.ndarray) else bytes(payload)
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise ValueError("not a WAV payload")
-    pos, fmt, fmt_body, data, fact = 12, None, b"", None, None
+    pos, fmt, data = 12, None, None
     while pos + 8 <= len(raw):
         cid, size = raw[pos : pos + 4], struct.unpack_from("<I", raw, pos + 4)[0]
         body = raw[pos + 8 : pos + 8 + size]
         if cid == b"fmt ":
             fmt = struct.unpack_from("<HHIIHH", body, 0)
-            fmt_body = body
         elif cid == b"data":
             data = body
-        elif cid == b"fact" and size >= 4:
-            fact = struct.unpack_from("<I", body, 0)[0]
         pos += 8 + size + (size & 1)  # chunks are word-aligned
     if fmt is None or data is None:
         raise ValueError("WAV payload missing fmt/data chunk")
-    audio_format, channels, sample_rate, _, block_align, bits = fmt
+    audio_format, channels, sample_rate, _, _, bits = fmt
     if channels < 1:
         raise ValueError("WAV fmt declares zero channels")
     if audio_format == 1 and bits == 16:
@@ -285,24 +121,6 @@ def decode_wav(payload: bytes | np.ndarray) -> tuple[np.ndarray, int]:
         s = (np.frombuffer(data, dtype=np.uint8).astype(np.float32) - 128.0) / 128.0
     elif audio_format == 3 and bits == 32:
         s = np.frombuffer(data, dtype="<f4").astype(np.float32)
-    elif audio_format in (6, 7) and bits == 8:
-        table = _g711_decode_table("a" if audio_format == 6 else "mu")
-        s = table[np.frombuffer(data, dtype=np.uint8)].astype(np.float32) / 32768.0
-    elif audio_format == 0x11 and bits == 4:
-        if channels != 1:
-            raise ValueError("IMA ADPCM decode supports mono only")
-        if block_align < 5:
-            raise ValueError(f"IMA ADPCM block_align {block_align} too small")
-        if len(fmt_body) >= 20 and struct.unpack_from("<H", fmt_body, 16)[0] >= 2:
-            spb = struct.unpack_from("<H", fmt_body, 18)[0]
-        else:
-            spb = (block_align - 4) * 2 + 1
-        n_blocks = len(data) // block_align
-        blocks = np.frombuffer(data[: n_blocks * block_align], dtype=np.uint8)
-        pcm = _ima_decode_blocks(blocks.reshape(n_blocks, block_align), spb)
-        s = pcm.reshape(-1).astype(np.float32) / 32768.0
-        if fact is not None:
-            s = s[:fact]
     else:
         raise ValueError(f"unsupported WAV encoding (format={audio_format}, bits={bits})")
     if channels > 1:
@@ -549,845 +367,119 @@ def decode_png(payload: bytes | np.ndarray) -> np.ndarray:
     return img
 
 
-# --- JPEG (ITU-T T.81 baseline sequential DCT) -------------------------------
-# Zero new dependencies: the DCT is an 8x8 matrix product, Huffman coding is
-# table-driven bit twiddling. Scope: baseline (SOF0) and extended-sequential
-# (SOF1) Huffman scans, 8-bit precision, grayscale or YCbCr (JFIF), any
-# sampling factors the file declares (4:4:4 / 4:2:2 / 4:2:0 via the generic
-# h/v block layout), DQT (8- and 16-bit), multi-table DHT, DRI/RSTn restart
-# markers. Progressive (SOF2) and arithmetic coding raise — never mis-read.
-#
-# The ENCODER exists so round-trip tests and fixtures need no external files:
-# it emits valid interchange-format JPEG with canonical fixed-length Huffman
-# tables (every conforming decoder accepts any table the DHT declares; fixed
-# lengths just cost compression, which fixtures don't care about) and a
-# documented quant-table family parameterized by `quality` (quality=100 ->
-# all-ones tables -> IDCT rounding is the only loss). The DECODER is fully
-# table-driven (T.81 F.2.2 canonical code reconstruction), so it decodes
-# Annex-K-coded files from the wild, not just our own output.
-
-_ZIGZAG = np.array([
-     0,  1,  8, 16,  9,  2,  3, 10, 17, 24, 32, 25, 18, 11,  4,  5,
-    12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13,  6,  7, 14, 21, 28,
-    35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
-    58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
-], dtype=np.int64)  # zigzag index -> row-major position
+# --- Y4M (YUV4MPEG2) ---------------------------------------------------------
+# The plain-text-header raw-YUV interchange format (``YUV4MPEG2 W.. H.. F..
+# C..\n`` then ``FRAME\n`` + planar payload). Cmono round-trips gray
+# bit-exact; C444/C420jpeg convert through full-range BT.601 (±1 LSB
+# rounding; C420 additionally 2x2 chroma subsampling).
 
 
-def _dct_matrix() -> np.ndarray:
-    u, x = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
-    a = np.cos((2 * x + 1) * u * np.pi / 16) / 2.0
-    a[0, :] /= np.sqrt(2.0)
-    return a  # forward: A @ block @ A.T ; inverse: A.T @ coef @ A
+def _rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
+    r, g, b = (rgb[..., i].astype(np.float64) for i in range(3))
+    y = 0.299 * r + 0.587 * g + 0.114 * b
+    cb = -0.168736 * r - 0.331264 * g + 0.5 * b + 128.0
+    cr = 0.5 * r - 0.418688 * g - 0.081312 * b + 128.0
+    return np.clip(np.round(np.stack([y, cb, cr], -1)), 0, 255).astype(np.uint8)
 
 
-_DCT_A = _dct_matrix()
-
-
-def _quant_table(quality: int) -> np.ndarray:
-    """Documented base table: 16 + 2*(u+v), scaled by the libjpeg-style
-    quality curve. quality=100 -> all ones (near-lossless)."""
-    if not 1 <= quality <= 100:
-        raise ValueError("quality must be in [1, 100]")
-    u, v = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
-    base = (16 + 2 * (u + v)).astype(np.float64)
-    scale = 5000.0 / quality if quality < 50 else 200.0 - 2.0 * quality
-    return np.clip(np.floor((base * scale + 50.0) / 100.0), 1, 255).astype(np.int64)
-
-
-# Encoder Huffman tables: canonical fixed-length codes. DC: 12 categories,
-# 5 bits each (codes 0..11; the all-ones 5-bit code stays unassigned, as
-# T.81 C.2 requires). AC: all 162 legal symbols (EOB, ZRL, (run<<4)|size for
-# run 0..15 / size 1..10), 8 bits each (codes 0..161 < 0xFF).
-_ENC_DC_VALS = list(range(12))
-_ENC_AC_VALS = sorted([0x00, 0xF0] + [(r << 4) | s for r in range(16) for s in range(1, 11)])
-_ENC_AC_CODE = {v: i for i, v in enumerate(_ENC_AC_VALS)}
-
-
-class _BitWriter:
-    def __init__(self) -> None:
-        self.out = bytearray()
-        self.acc = 0
-        self.nbits = 0
-
-    def put(self, value: int, nbits: int) -> None:
-        self.acc = (self.acc << nbits) | (value & ((1 << nbits) - 1))
-        self.nbits += nbits
-        while self.nbits >= 8:
-            self.nbits -= 8
-            byte = (self.acc >> self.nbits) & 0xFF
-            self.out.append(byte)
-            if byte == 0xFF:
-                self.out.append(0x00)  # byte stuffing
-        self.acc &= (1 << self.nbits) - 1
-
-    def align(self) -> None:
-        if self.nbits:
-            self.put((1 << (8 - self.nbits)) - 1, 8 - self.nbits)  # 1-fill
-
-
-def _mag_bits(v: int) -> tuple[int, int]:
-    """JPEG magnitude category + extra bits for a signed coefficient."""
-    size = int(v).bit_length() if v > 0 else int(-v).bit_length()
-    bits = v if v >= 0 else v + (1 << size) - 1
-    return size, bits
-
-
-def _encode_block(bw: _BitWriter, zz: np.ndarray, pred: int) -> int:
-    dc = int(zz[0])
-    size, bits = _mag_bits(dc - pred)
-    bw.put(size, 5)
-    if size:
-        bw.put(bits, size)
-    run = 0
-    nz = np.flatnonzero(zz[1:])
-    last = int(nz[-1]) + 1 if len(nz) else 0
-    for k in range(1, last + 1):
-        c = int(zz[k])
-        if c == 0:
-            run += 1
-            continue
-        while run > 15:
-            bw.put(_ENC_AC_CODE[0xF0], 8)
-            run -= 16
-        size, bits = _mag_bits(c)
-        bw.put(_ENC_AC_CODE[(run << 4) | size], 8)
-        bw.put(bits, size)
-        run = 0
-    if last < 63:
-        bw.put(_ENC_AC_CODE[0x00], 8)  # EOB
-    return dc
-
-
-def _dht_segment(tc: int, th: int, values: list[int], length: int) -> bytes:
-    bits = [0] * 16
-    bits[length - 1] = len(values)
-    body = bytes([(tc << 4) | th]) + bytes(bits) + bytes(values)
-    return b"\xff\xc4" + struct.pack(">H", 2 + len(body)) + body
-
-
-def _pad_to(img: np.ndarray, h: int, w: int) -> np.ndarray:
-    return np.pad(img, ((0, h - img.shape[0]), (0, w - img.shape[1])), mode="edge")
-
-
-def _jpeg_prep(pixels: np.ndarray, quality: int, subsample: str):
-    """Shared encoder front half: color transform, subsampling, DCT and
-    quantization. -> (h, w, comps [(plane, ch, cv, tq)], qts,
-    comp_blocks [(by, bx, 64) zigzag int64], mcus_x, mcus_y)."""
-    px = np.asarray(pixels, dtype=np.uint8)
-    gray = px.ndim == 2
-    if not gray and (px.ndim != 3 or px.shape[2] != 3):
-        raise ValueError("pixels must be (h, w) gray or (h, w, 3) RGB")
-    if subsample not in ("444", "420"):
-        raise ValueError("subsample must be '444' or '420'")
-    h, w = px.shape[:2]
-    if h == 0 or w == 0:
-        raise ValueError("empty image")
-
-    qt_l = _quant_table(quality)
-    if gray:
-        comps = [(px.astype(np.float64), 1, 1, 0)]
-        qts = [qt_l]
-    else:
-        rgb = px.astype(np.float64)
-        y = 0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2]
-        cb = 128.0 - 0.168736 * rgb[..., 0] - 0.331264 * rgb[..., 1] + 0.5 * rgb[..., 2]
-        cr = 128.0 + 0.5 * rgb[..., 0] - 0.418688 * rgb[..., 1] - 0.081312 * rgb[..., 2]
-        qt_c = _quant_table(min(100, quality + 5))
-        if subsample == "444":
-            comps = [(y, 1, 1, 0), (cb, 1, 1, 1), (cr, 1, 1, 1)]
-        else:
-            # 2x2 box-mean chroma; pad odd dims first so the mean is exact
-            cbp = _pad_to(cb, h + h % 2, w + w % 2)
-            crp = _pad_to(cr, h + h % 2, w + w % 2)
-            cb2 = cbp.reshape(cbp.shape[0] // 2, 2, cbp.shape[1] // 2, 2).mean(axis=(1, 3))
-            cr2 = crp.reshape(crp.shape[0] // 2, 2, crp.shape[1] // 2, 2).mean(axis=(1, 3))
-            comps = [(y, 2, 2, 0), (cb2, 1, 1, 1), (cr2, 1, 1, 1)]
-        qts = [qt_l, qt_c]
-
-    hmax = max(c[1] for c in comps)
-    vmax = max(c[2] for c in comps)
-    mcus_x = -(-w // (8 * hmax))
-    mcus_y = -(-h // (8 * vmax))
-
-    # per-component quantized coefficient blocks, MCU-aligned
-    comp_blocks = []
-    for plane, ch, cv, tq in comps:
-        bx, by = mcus_x * ch, mcus_y * cv
-        p = _pad_to(plane, by * 8, bx * 8) - 128.0
-        blocks = p.reshape(by, 8, bx, 8).transpose(0, 2, 1, 3)
-        coef = np.einsum("ui,yxij,jv->yxuv", _DCT_A, blocks, _DCT_A.T)
-        q = np.round(coef / qts[tq]).astype(np.int64)
-        comp_blocks.append(q.reshape(by, bx, 64)[:, :, _ZIGZAG])
-    return h, w, comps, qts, comp_blocks, mcus_x, mcus_y
-
-
-def _jpeg_headers(h, w, comps, qts, sof_marker: bytes) -> bytearray:
-    """SOI + JFIF + DQT + SOF + DHT segments shared by both encoders."""
-    out = bytearray(b"\xff\xd8")  # SOI
-    out += b"\xff\xe0" + struct.pack(">H", 16) + b"JFIF\x00\x01\x01\x00\x00\x01\x00\x01\x00\x00"
-    for tq, qt in enumerate(qts):
-        out += b"\xff\xdb" + struct.pack(">H", 67) + bytes([tq]) + bytes(
-            qt.ravel()[_ZIGZAG].astype(np.uint8)
-        )
-    nf = len(comps)
-    sof = struct.pack(">BHHB", 8, h, w, nf)
-    for ci, (_, ch, cv, tq) in enumerate(comps):
-        sof += bytes([ci + 1, (ch << 4) | cv, tq])
-    out += sof_marker + struct.pack(">H", 2 + len(sof)) + sof
-    out += _dht_segment(0, 0, _ENC_DC_VALS, 5)
-    out += _dht_segment(1, 0, _ENC_AC_VALS, 8)
-    if nf > 1:
-        out += _dht_segment(0, 1, _ENC_DC_VALS, 5)
-        out += _dht_segment(1, 1, _ENC_AC_VALS, 8)
-    return out
-
-
-def encode_jpeg_baseline(
-    pixels: np.ndarray,
-    *,
-    quality: int = 90,
-    subsample: str = "444",
-    restart_interval: int = 0,
-) -> bytes:
-    """(h, w) uint8 gray or (h, w, 3) uint8 RGB -> baseline JFIF bytes.
-
-    ``subsample`` is '444' or '420' (color only). ``restart_interval`` > 0
-    emits DRI + RSTn every that many MCUs (exercises the decoder's restart
-    path)."""
-    h, w, comps, qts, comp_blocks, mcus_x, mcus_y = _jpeg_prep(pixels, quality, subsample)
-    nf = len(comps)
-    out = _jpeg_headers(h, w, comps, qts, b"\xff\xc0")
-    if restart_interval:
-        out += b"\xff\xdd" + struct.pack(">HH", 4, restart_interval)
-    sos = bytes([nf])
-    for ci in range(nf):
-        t = 0 if ci == 0 else 1
-        sos += bytes([ci + 1, (t << 4) | t])
-    sos += bytes([0, 63, 0])
-    out += b"\xff\xda" + struct.pack(">H", 2 + len(sos)) + sos
-
-    bw = _BitWriter()
-    preds = [0] * nf
-    mcu_count = 0
-    rst = 0
-    for my in range(mcus_y):
-        for mx in range(mcus_x):
-            if restart_interval and mcu_count and mcu_count % restart_interval == 0:
-                bw.align()
-                out += bw.out
-                bw = _BitWriter()
-                out += bytes([0xFF, 0xD0 + rst])
-                rst = (rst + 1) % 8
-                preds = [0] * nf
-            for ci, (_, ch, cv, _tq) in enumerate(comps):
-                for by in range(cv):
-                    for bx in range(ch):
-                        zz = comp_blocks[ci][my * cv + by, mx * ch + bx]
-                        preds[ci] = _encode_block(bw, zz, preds[ci])
-            mcu_count += 1
-    bw.align()
-    out += bw.out
-    out += b"\xff\xd9"  # EOI
-    return bytes(out)
-
-
-def _sos_header(comp_specs: list[tuple[int, int, int]], ss: int, se: int, ah: int, al: int) -> bytes:
-    """comp_specs = [(component id, Td, Ta), ...] -> SOS segment bytes."""
-    sos = bytes([len(comp_specs)])
-    for cid, td, ta in comp_specs:
-        sos += bytes([cid, (td << 4) | ta])
-    sos += bytes([ss, se, (ah << 4) | al])
-    return b"\xff\xda" + struct.pack(">H", 2 + len(sos)) + sos
-
-
-def _enc_dc_first_scan(comp_blocks, comps, mcus_x, mcus_y, al: int) -> bytes:
-    """Interleaved DC scan at successive-approximation level Al (T.81 G.1.2.1:
-    point transform = arithmetic shift)."""
-    bw = _BitWriter()
-    preds = [0] * len(comps)
-    for my in range(mcus_y):
-        for mx in range(mcus_x):
-            for ci, (_, ch, cv, _tq) in enumerate(comps):
-                for by in range(cv):
-                    for bx in range(ch):
-                        v = int(comp_blocks[ci][my * cv + by, mx * ch + bx, 0]) >> al
-                        size, bits = _mag_bits(v - preds[ci])
-                        preds[ci] = v
-                        bw.put(size, 5)
-                        if size:
-                            bw.put(bits, size)
-    bw.align()
-    return bytes(bw.out)
-
-
-def _enc_dc_refine_scan(comp_blocks, comps, mcus_x, mcus_y, al: int) -> bytes:
-    bw = _BitWriter()
-    for my in range(mcus_y):
-        for mx in range(mcus_x):
-            for ci, (_, ch, cv, _tq) in enumerate(comps):
-                for by in range(cv):
-                    for bx in range(ch):
-                        bw.put((int(comp_blocks[ci][my * cv + by, mx * ch + bx, 0]) >> al) & 1, 1)
-    bw.align()
-    return bytes(bw.out)
-
-
-def _enc_ac_first_scan(blocks, ss: int, se: int, al: int) -> bytes:
-    """Non-interleaved AC band scan, first pass: magnitudes shifted by Al
-    (truncation toward zero per T.81 G.1.2.2). Per-block EOB0 (no cross-block
-    EOB runs — decoders must accept any run split)."""
-    bw = _BitWriter()
-    by, bx = blocks.shape[:2]
-    for m in range(by * bx):
-        blk = blocks[m // bx, m % bx]
-        r = 0
-        for k in range(ss, se + 1):
-            c = int(blk[k])
-            mag = (-c if c < 0 else c) >> al
-            if mag == 0:
-                r += 1
-                continue
-            while r > 15:
-                bw.put(_ENC_AC_CODE[0xF0], 8)
-                r -= 16
-            v = -mag if c < 0 else mag
-            size, bits = _mag_bits(v)
-            bw.put(_ENC_AC_CODE[(r << 4) | size], 8)
-            bw.put(bits, size)
-            r = 0
-        if r:
-            bw.put(_ENC_AC_CODE[0x00], 8)  # EOB0
-    bw.align()
-    return bytes(bw.out)
-
-
-def _enc_ac_refine_scan(blocks, ss: int, se: int, al: int) -> bytes:
-    """Non-interleaved AC band scan, refinement pass (T.81 G.1.2.3 /
-    libjpeg jcphuff structure): newly-nonzero coefficients emit (run|1) +
-    sign, already-nonzero ones buffer a correction bit that is flushed right
-    after the next emitted symbol. ZRLs flush at every nonzero magnitude so
-    buffered corrections always precede the decoder's 16-skip window."""
-    bw = _BitWriter()
-    by, bx = blocks.shape[:2]
-    for m in range(by * bx):
-        blk = blocks[m // bx, m % bx]
-        mags = [(-int(c) if c < 0 else int(c)) >> al for c in blk[ss : se + 1]]
-        eob = ss - 1  # position of the last newly-nonzero coefficient
-        for j, t in enumerate(mags):
-            if t == 1:
-                eob = ss + j
-        r = 0
-        pending: list[int] = []
-        for j, t in enumerate(mags):
-            k = ss + j
-            if t == 0:
-                r += 1
-                continue
-            while r > 15 and k <= eob:
-                bw.put(_ENC_AC_CODE[0xF0], 8)
-                r -= 16
-                for b in pending:
-                    bw.put(b, 1)
-                pending = []
-            if t > 1:  # history coefficient: correction bit only
-                pending.append(t & 1)
-                continue
-            bw.put(_ENC_AC_CODE[(r << 4) | 1], 8)
-            bw.put(1 if int(blk[k]) >= 0 else 0, 1)
-            for b in pending:
-                bw.put(b, 1)
-            pending = []
-            r = 0
-        if r or pending:
-            bw.put(_ENC_AC_CODE[0x00], 8)  # EOB0 folds trailing zeros
-            for b in pending:
-                bw.put(b, 1)
-    bw.align()
-    return bytes(bw.out)
-
-
-def encode_jpeg_progressive(
-    pixels: np.ndarray, *, quality: int = 90, subsample: str = "444"
-) -> bytes:
-    """(h, w) uint8 gray or (h, w, 3) uint8 RGB -> progressive (SOF2) JFIF
-    bytes. Scan script exercises every progressive decode path: interleaved
-    DC first (Al=1) + DC refine, then per component AC bands 1-5 and 6-63 at
-    Al=1 followed by their Al=0 refinements. Quantized coefficients are
-    identical to :func:`encode_jpeg_baseline` at the same quality, so both
-    decode to bit-identical pixels."""
-    h, w, comps, qts, comp_blocks, mcus_x, mcus_y = _jpeg_prep(pixels, quality, subsample)
-    nf = len(comps)
-    out = _jpeg_headers(h, w, comps, qts, b"\xff\xc2")
-    dc_specs = [(ci + 1, 0 if ci == 0 else 1, 0) for ci in range(nf)]
-    out += _sos_header(dc_specs, 0, 0, 0, 1)
-    out += _enc_dc_first_scan(comp_blocks, comps, mcus_x, mcus_y, 1)
-    bands = [(1, 5), (6, 63)]
-    for ci in range(nf):
-        ta = 0 if ci == 0 else 1
-        for ss, se in bands:
-            out += _sos_header([(ci + 1, 0, ta)], ss, se, 0, 1)
-            out += _enc_ac_first_scan(_comp_grid(comp_blocks, comps, ci, h, w), ss, se, 1)
-    out += _sos_header(dc_specs, 0, 0, 1, 0)
-    out += _enc_dc_refine_scan(comp_blocks, comps, mcus_x, mcus_y, 0)
-    for ci in range(nf):
-        ta = 0 if ci == 0 else 1
-        for ss, se in bands:
-            out += _sos_header([(ci + 1, 0, ta)], ss, se, 1, 0)
-            out += _enc_ac_refine_scan(_comp_grid(comp_blocks, comps, ci, h, w), ss, se, 0)
-    out += b"\xff\xd9"  # EOI
-    return bytes(out)
-
-
-def _comp_grid(comp_blocks, comps, ci: int, h: int, w: int) -> np.ndarray:
-    """Blocks of one component in NON-interleaved scan order: the component's
-    own block grid (ceil dims from its scaled size), which may be smaller
-    than the MCU-aligned storage grid (T.81 A.2.2)."""
-    hmax = max(c[1] for c in comps)
-    vmax = max(c[2] for c in comps)
-    _plane, ch, cv, _tq = comps[ci]
-    cw = -(-w * ch // hmax)
-    chh = -(-h * cv // vmax)
-    bx_n = -(-cw // 8)
-    by_n = -(-chh // 8)
-    return comp_blocks[ci][:by_n, :bx_n]
-
-
-class _BitReader:
-    """MSB-first reader over one unstuffed entropy segment."""
-
-    __slots__ = ("data", "pos", "nbits")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0  # bit position
-        self.nbits = len(data) * 8
-
-    def read(self, n: int) -> int:
-        if n == 0:
-            return 0
-        if self.pos + n > self.nbits:
-            raise ValueError("truncated JPEG entropy data")
-        v = 0
-        pos = self.pos
-        data = self.data
-        for _ in range(n):
-            v = (v << 1) | ((data[pos >> 3] >> (7 - (pos & 7))) & 1)
-            pos += 1
-        self.pos = pos
-        return v
-
-    def huff(self, table: tuple) -> int:
-        mincode, maxcode, valptr, huffval = table
-        code = 0
-        for length in range(1, 17):
-            code = (code << 1) | self.read(1)
-            if maxcode[length] >= 0 and code <= maxcode[length]:
-                return huffval[valptr[length] + code - mincode[length]]
-        raise ValueError("invalid JPEG Huffman code")
-
-
-def _build_decode_table(bits: list[int], huffval: list[int]) -> tuple:
-    """T.81 F.2.2.3 canonical reconstruction: mincode/maxcode/valptr."""
-    mincode = [0] * 17
-    maxcode = [-1] * 17
-    valptr = [0] * 17
-    code = 0
-    k = 0
-    for length in range(1, 17):
-        if bits[length - 1]:
-            valptr[length] = k
-            mincode[length] = code
-            code += bits[length - 1]
-            k += bits[length - 1]
-            maxcode[length] = code - 1
-        code <<= 1
-    return (mincode, maxcode, valptr, huffval)
-
-
-def _extend(v: int, size: int) -> int:
-    return v - (1 << size) + 1 if v < (1 << (size - 1)) else v
-
-
-def _decode_block(br: _BitReader, dctab: tuple, actab: tuple) -> np.ndarray:
-    zz = np.zeros(64, dtype=np.int64)
-    size = br.huff(dctab)
-    zz[0] = _extend(br.read(size), size) if size else 0
-    k = 1
-    while k < 64:
-        rs = br.huff(actab)
-        r, size = rs >> 4, rs & 15
-        if size == 0:
-            if r == 15:
-                k += 16
-                continue
-            break  # EOB
-        k += r
-        if k > 63:
-            raise ValueError("JPEG AC run past end of block")
-        zz[k] = _extend(br.read(size), size)
-        k += 1
-    return zz
-
-
-def decode_jpeg(payload: bytes | np.ndarray) -> np.ndarray:
-    """Huffman JPEG -> uint8 (h, w) or (h, w, 3).
-
-    Table-driven per ITU-T T.81: DQT (8/16-bit), multi-table DHT, SOF0/SOF1
-    (baseline/extended sequential) AND SOF2 (progressive: spectral selection,
-    successive approximation, EOB runs — T.81 annex G), DRI/RSTn, any
-    declared sampling factors, interleaved or single-component scans. All
-    scans accumulate quantized coefficients; dequantize + IDCT happen once
-    at EOI. Arithmetic coding and hierarchical modes raise
-    NotImplementedError.
-    """
-    data = bytes(bytearray(np.asarray(bytearray(payload), dtype=np.uint8))) if not isinstance(payload, bytes) else payload
-    if len(data) < 4 or data[0:2] != b"\xff\xd8":
-        raise ValueError("not a JPEG (missing SOI)")
-    qtabs: dict[int, np.ndarray] = {}
-    htabs: dict[tuple[int, int], tuple] = {}
-    frame = None  # (h, w, comps) ; comps: list of (cid, ch, cv, tq)
-    restart = 0
-    progressive = False
-    coefs: dict[int, np.ndarray] = {}  # cid -> (by, bx, 64) quantized zigzag
-    i = 2
-    while i < len(data):
-        if data[i] != 0xFF:
-            raise ValueError("JPEG marker expected")
-        while i < len(data) and data[i] == 0xFF:
-            i += 1
-        if i >= len(data):
-            break
-        marker = data[i]
-        i += 1
-        if marker == 0xD9:  # EOI
-            break
-        if 0xD0 <= marker <= 0xD7:  # stray RST
-            continue
-        if marker == 0x01:  # TEM
-            continue
-        (seglen,) = struct.unpack_from(">H", data, i)
-        if seglen < 2:
-            raise ValueError("malformed JPEG segment length")
-        seg = data[i + 2 : i + seglen]
-        i += seglen
-        if marker == 0xDB:  # DQT
-            j = 0
-            while j < len(seg):
-                pq, tq = seg[j] >> 4, seg[j] & 15
-                j += 1
-                if pq:
-                    vals = np.frombuffer(seg[j : j + 128], dtype=">u2").astype(np.int64)
-                    j += 128
-                else:
-                    vals = np.frombuffer(seg[j : j + 64], dtype=np.uint8).astype(np.int64)
-                    j += 64
-                qtabs[tq] = vals  # stored in zigzag order
-        elif marker == 0xC4:  # DHT
-            j = 0
-            while j < len(seg):
-                tc, th = seg[j] >> 4, seg[j] & 15
-                bits = list(seg[j + 1 : j + 17])
-                n = sum(bits)
-                huffval = list(seg[j + 17 : j + 17 + n])
-                htabs[(tc, th)] = _build_decode_table(bits, huffval)
-                j += 17 + n
-        elif marker in (0xC0, 0xC1, 0xC2):  # SOF0 / SOF1 / SOF2
-            prec, fh, fw, nf = struct.unpack_from(">BHHB", seg, 0)
-            if prec != 8:
-                raise NotImplementedError("only 8-bit JPEG precision supported")
-            progressive = marker == 0xC2
-            comps = []
-            for c in range(nf):
-                cid, hv, tq = seg[6 + 3 * c : 9 + 3 * c]
-                comps.append((cid, hv >> 4, hv & 15, tq))
-            frame = (fh, fw, comps)
-        elif marker in (0xC3, 0xC5, 0xC6, 0xC7, 0xC9, 0xCA, 0xCB, 0xCD, 0xCE, 0xCF):
-            raise NotImplementedError(f"JPEG SOF marker 0x{marker:02x} not supported")
-        elif marker == 0xDD:  # DRI
-            (restart,) = struct.unpack_from(">H", seg, 0)
-        elif marker == 0xDA:  # SOS
-            if frame is None:
-                raise ValueError("JPEG SOS before SOF")
-            fh, fw, comps = frame
-            if not coefs:
-                hmax = max(c[1] for c in comps)
-                vmax = max(c[2] for c in comps)
-                mx = -(-fw // (8 * hmax))
-                my = -(-fh // (8 * vmax))
-                for cid, ch, cv, _tq in comps:
-                    coefs[cid] = np.zeros((my * cv, mx * ch, 64), dtype=np.int64)
-            ns = seg[0]
-            ss, se, ahal = seg[1 + 2 * ns], seg[2 + 2 * ns], seg[3 + 2 * ns]
-            ah, al = ahal >> 4, ahal & 15
-            scan = []
-            for c in range(ns):
-                cs, tt = seg[1 + 2 * c], seg[2 + 2 * c]
-                comp = next(cc for cc in comps if cc[0] == cs)
-                # progressive AC/refinement scans may leave the unused table
-                # undefined — resolve lazily with .get
-                scan.append((comp, htabs.get((0, tt >> 4)), htabs.get((1, tt & 15))))
-            # entropy data: up to the next non-RST marker
-            j = i
-            segments = []  # restart-delimited, unstuffed
-            cur = bytearray()
-            while j < len(data):
-                b = data[j]
-                if b == 0xFF:
-                    nxt = data[j + 1] if j + 1 < len(data) else 0xD9
-                    if nxt == 0x00:
-                        cur.append(0xFF)
-                        j += 2
-                        continue
-                    if 0xD0 <= nxt <= 0xD7:
-                        segments.append(bytes(cur))
-                        cur = bytearray()
-                        j += 2
-                        continue
-                    if nxt == 0xFF:
-                        j += 1
-                        continue
-                    break
-                cur.append(b)
-                j += 1
-            segments.append(bytes(cur))
-            i = j
-            if progressive:
-                _decode_scan_progressive(
-                    scan, comps, fh, fw, restart, segments, coefs, ns, ss, se, ah, al
-                )
-            else:
-                if (ss, se, ah, al) != (0, 63, 0, 0):
-                    raise ValueError("sequential JPEG scan must cover the full spectrum")
-                _decode_scan_baseline(scan, comps, fh, fw, restart, segments, coefs, ns)
-        # APPn / COM / anything else with a length: skipped
-    if frame is None or not coefs:
-        raise ValueError("JPEG contains no decodable frame")
-    fh, fw, comps = frame
-    planes = _idct_planes(coefs, comps, qtabs)
-    hmax = max(c[1] for c in comps)
-    vmax = max(c[2] for c in comps)
-    out_planes = []
-    for cid, ch, cv, _tq in comps:
-        p = planes[cid]
-        cw = -(-fw * ch // hmax)
-        chh = -(-fh * cv // vmax)
-        p = p[:chh, :cw]
-        if ch != hmax or cv != vmax:
-            p = np.repeat(np.repeat(p, vmax // cv, axis=0), hmax // ch, axis=1)
-        out_planes.append(p[:fh, :fw].astype(np.float64))
-    if len(out_planes) == 1:
-        return np.clip(np.round(out_planes[0]), 0, 255).astype(np.uint8)
-    if len(out_planes) != 3:
-        raise NotImplementedError("only grayscale and 3-component YCbCr supported")
-    y, cb, cr = out_planes
+def _ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:
+    y, cb, cr = (ycc[..., i].astype(np.float64) for i in range(3))
     r = y + 1.402 * (cr - 128.0)
     g = y - 0.344136 * (cb - 128.0) - 0.714136 * (cr - 128.0)
     b = y + 1.772 * (cb - 128.0)
-    return np.clip(np.round(np.stack([r, g, b], axis=-1)), 0, 255).astype(np.uint8)
+    return np.clip(np.round(np.stack([r, g, b], -1)), 0, 255).astype(np.uint8)
 
 
-def _scan_geometry(scan, comps, fh, fw, ns):
-    """-> (mcu_specs [(comp, dctab, actab, ch, cv)], mcus_x, mcus_y). For a
-    non-interleaved scan the 'MCU' is one block of that component's own
-    (non-MCU-aligned) block grid, per T.81 A.2.2."""
-    hmax = max(c[1] for c in comps)
-    vmax = max(c[2] for c in comps)
-    if ns == 1:
-        comp, dctab, actab = scan[0]
-        _cid, ch, cv, _tq = comp
-        cw = -(-fw * ch // hmax)
-        chh = -(-fh * cv // vmax)
-        return [(comp, dctab, actab, 1, 1)], -(-cw // 8), -(-chh // 8)
-    mcus_x = -(-fw // (8 * hmax))
-    mcus_y = -(-fh // (8 * vmax))
-    return [(comp, dc, ac, comp[1], comp[2]) for comp, dc, ac in scan], mcus_x, mcus_y
-
-
-def _decode_scan_baseline(scan, comps, fh, fw, restart, segments, coefs, ns) -> None:
-    mcu_specs, mcus_x, mcus_y = _scan_geometry(scan, comps, fh, fw, ns)
-    seg_idx = 0
-    br = _BitReader(segments[0])
-    preds = {comp[0]: 0 for comp, *_ in mcu_specs}
-    interleaved = ns > 1
-    for m in range(mcus_x * mcus_y):
-        if restart and m and m % restart == 0:
-            seg_idx += 1
-            if seg_idx >= len(segments):
-                raise ValueError("JPEG truncated at restart marker")
-            br = _BitReader(segments[seg_idx])
-            preds = {k: 0 for k in preds}
-        my, mx = divmod(m, mcus_x)
-        for comp, dctab, actab, ch, cv in mcu_specs:
-            cid = comp[0]
-            cv_full = comp[2] if interleaved else 1
-            ch_full = comp[1] if interleaved else 1
-            for by in range(cv):
-                for bx in range(ch):
-                    zz = _decode_block(br, dctab, actab)
-                    preds[cid] += int(zz[0])
-                    zz[0] = preds[cid]
-                    coefs[cid][my * cv_full + by, mx * ch_full + bx] = zz
-
-
-def _decode_scan_progressive(
-    scan, comps, fh, fw, restart, segments, coefs, ns, ss, se, ah, al
-) -> None:
-    """One progressive scan (T.81 annex G): DC first/refine (interleaved or
-    not), AC first/refine (single-component only, with EOB-run state)."""
-    if ss == 0:
-        if se != 0:
-            raise ValueError("progressive DC scan must have Se=0")
-        _progressive_dc_scan(scan, comps, fh, fw, restart, segments, ns, ah, al, coefs)
-        return
-    if ns != 1:
-        raise ValueError("progressive AC scan must be single-component")
-    if not 1 <= ss <= se <= 63:
-        raise ValueError("invalid progressive spectral band")
-    _progressive_ac_scan(scan, comps, fh, fw, restart, segments, ss, se, ah, al, coefs)
-
-
-def _progressive_dc_scan(scan, comps, fh, fw, restart, segments, ns, ah, al, coefs) -> None:
-    mcu_specs, mcus_x, mcus_y = _scan_geometry(scan, comps, fh, fw, ns)
-    seg_idx = 0
-    br = _BitReader(segments[0])
-    preds = {comp[0]: 0 for comp, *_ in mcu_specs}
-    interleaved = ns > 1
-    for m in range(mcus_x * mcus_y):
-        if restart and m and m % restart == 0:
-            seg_idx += 1
-            if seg_idx >= len(segments):
-                raise ValueError("JPEG truncated at restart marker")
-            br = _BitReader(segments[seg_idx])
-            preds = {k: 0 for k in preds}
-        my, mx = divmod(m, mcus_x)
-        for comp, dctab, _actab, ch, cv in mcu_specs:
-            cid = comp[0]
-            cv_full = comp[2] if interleaved else 1
-            ch_full = comp[1] if interleaved else 1
-            for by in range(cv):
-                for bx in range(ch):
-                    blk = coefs[cid][my * cv_full + by, mx * ch_full + bx]
-                    if ah == 0:  # first scan: Huffman diff, scaled by 2^Al
-                        size = br.huff(dctab)
-                        preds[cid] += _extend(br.read(size), size) if size else 0
-                        blk[0] = preds[cid] << al
-                    else:  # refinement: one raw bit appends bit Al
-                        if br.read(1):
-                            blk[0] |= 1 << al
-
-
-def _progressive_ac_scan(scan, comps, fh, fw, restart, segments, ss, se, ah, al, coefs) -> None:
-    _mcu_specs, bx_n, by_n = _scan_geometry(scan, comps, fh, fw, 1)
-    comp, _dctab, actab = scan[0]
-    cid = comp[0]
-    store = coefs[cid]
-    seg_idx = 0
-    br = _BitReader(segments[0])
-    eobrun = 0
-    for m in range(bx_n * by_n):
-        if restart and m and m % restart == 0:
-            seg_idx += 1
-            if seg_idx >= len(segments):
-                raise ValueError("JPEG truncated at restart marker")
-            br = _BitReader(segments[seg_idx])
-            eobrun = 0
-        my, mx = divmod(m, bx_n)
-        blk = store[my, mx]
-        if ah == 0:
-            eobrun = _ac_first_block(br, actab, blk, ss, se, al, eobrun)
+def encode_y4m(
+    frames: np.ndarray, *, fps: tuple[int, int] = (25, 1), chroma: str | None = None
+) -> bytes:
+    """uint8 (n, h, w) gray -> Cmono Y4M; (n, h, w, 3) RGB -> C444 (default)
+    or C420jpeg (2x2-mean chroma subsampling) Y4M."""
+    f = np.asarray(frames, dtype=np.uint8)
+    if f.ndim == 3:
+        cspace = "mono"
+    elif f.ndim == 4 and f.shape[3] == 3:
+        cspace = chroma or "444"
+        if cspace not in ("444", "420jpeg"):
+            raise ValueError("chroma must be '444' or '420jpeg'")
+    else:
+        raise ValueError("expected (n, h, w) or (n, h, w, 3) uint8 frames")
+    n, h, w = f.shape[:3]
+    out = bytearray(f"YUV4MPEG2 W{w} H{h} F{fps[0]}:{fps[1]} Ip A1:1 C{cspace}\n".encode())
+    for fr in f:
+        out += b"FRAME\n"
+        if cspace == "mono":
+            out += fr.tobytes()
         else:
-            eobrun = _ac_refine_block(br, actab, blk, ss, se, al, eobrun)
-
-
-def _ac_first_block(br, actab, blk, ss, se, al, eobrun) -> int:
-    if eobrun > 0:
-        return eobrun - 1
-    k = ss
-    while k <= se:
-        rs = br.huff(actab)
-        r, s = rs >> 4, rs & 15
-        if s == 0:
-            if r < 15:  # EOBn: run of 2^r + extra blocks ending here
-                eobrun = (1 << r) - 1
-                if r:
-                    eobrun += br.read(r)
-                break
-            k += 16  # ZRL
-            continue
-        k += r
-        if k > se:
-            raise ValueError("JPEG AC run past end of band")
-        blk[k] = _extend(br.read(s), s) << al
-        k += 1
-    return eobrun
-
-
-def _ac_refine_block(br, actab, blk, ss, se, al, eobrun) -> int:
-    """T.81 G.1.2.3 / G.2: corrections interleave with newly-nonzero coefs."""
-    p1 = 1 << al
-
-    def correct(k: int) -> None:
-        # append bit Al to an already-nonzero coefficient's magnitude
-        if br.read(1) and (abs(int(blk[k])) & p1) == 0:
-            blk[k] += p1 if blk[k] >= 0 else -p1
-
-    k = ss
-    if eobrun == 0:
-        while k <= se:
-            rs = br.huff(actab)
-            r, s = rs >> 4, rs & 15
-            val = 0
-            if s == 0:
-                if r < 15:  # EOBn
-                    eobrun = 1 << r
-                    if r:
-                        eobrun += br.read(r)
-                    break
-                # ZRL: skip 16 zero-history coefficients
+            ycc = _rgb_to_ycbcr(fr)
+            out += ycc[..., 0].tobytes()
+            if cspace == "444":
+                out += ycc[..., 1].tobytes()
+                out += ycc[..., 2].tobytes()
             else:
-                if s != 1:
-                    raise ValueError("AC refinement symbol must have size 1")
-                val = p1 if br.read(1) else -p1
-            # advance over r zero-history coefficients; nonzero-history ones
-            # pass through with a correction bit and don't count toward r
-            while k <= se:
-                if blk[k] != 0:
-                    correct(k)
-                else:
-                    if r == 0:
-                        break
-                    r -= 1
-                k += 1
-            if val:
-                if k > se:
-                    raise ValueError("JPEG AC refinement ran past the band")
-                blk[k] = val
-            k += 1
-    if eobrun > 0:
-        while k <= se:  # EOB run: corrections only for the rest of the band
-            if blk[k] != 0:
-                correct(k)
-            k += 1
-        eobrun -= 1
-    return eobrun
+                for c in (1, 2):
+                    plane = ycc[..., c].astype(np.uint16)
+                    sub = (
+                        plane[0::2, 0::2] + plane[1::2, 0::2]
+                        + plane[0::2, 1::2] + plane[1::2, 1::2] + 2
+                    ) >> 2
+                    out += sub.astype(np.uint8).tobytes()
+    return bytes(out)
 
 
-def _idct_planes(coefs, comps, qtabs) -> dict[int, np.ndarray]:
-    """Dequantize the accumulated zigzag coefficients and IDCT every
-    component at once (vectorized einsum) -> pixel planes."""
-    planes = {}
-    for cid, _ch, _cv, tq in comps:
-        store = coefs.get(cid)
-        if store is None:
-            continue
-        by, bx = store.shape[:2]
-        nat = np.zeros((by, bx, 64), dtype=np.float64)
-        nat[:, :, _ZIGZAG] = store * qtabs[tq]
-        blocks = nat.reshape(by, bx, 8, 8)
-        pix = np.einsum("ui,yxuv,vj->yxij", _DCT_A, blocks, _DCT_A) + 128.0
-        planes[cid] = pix.transpose(0, 2, 1, 3).reshape(by * 8, bx * 8)
-    return planes
+def decode_y4m(payload: bytes | np.ndarray) -> np.ndarray:
+    """Y4M bytes -> uint8 (n, h, w) gray (Cmono) or (n, h, w, 3) RGB
+    (C444 / C420jpeg / C420 / C420mpeg2; chroma upsampled nearest)."""
+    raw = payload.tobytes() if isinstance(payload, np.ndarray) else bytes(payload)
+    eol = raw.find(b"\n")
+    if eol < 0 or not raw.startswith(b"YUV4MPEG2"):
+        raise ValueError("not a YUV4MPEG2 stream")
+    w = h = 0
+    cspace = "420jpeg"  # the format's default when no C tag is present
+    for token in raw[10:eol].decode("latin-1").split():
+        if token[0] == "W":
+            w = int(token[1:])
+        elif token[0] == "H":
+            h = int(token[1:])
+        elif token[0] == "C":
+            cspace = token[1:]
+    if w <= 0 or h <= 0:
+        raise ValueError("Y4M header missing W/H")
+    if cspace == "mono":
+        plane_sizes = [(h, w)]
+    elif cspace == "444":
+        plane_sizes = [(h, w)] * 3
+    elif cspace.startswith("420"):
+        if h % 2 or w % 2:
+            raise ValueError("C420 needs even dimensions")
+        plane_sizes = [(h, w), (h // 2, w // 2), (h // 2, w // 2)]
+    else:
+        raise NotImplementedError(f"Y4M colorspace C{cspace} not supported")
+    frame_bytes = sum(ph * pw for ph, pw in plane_sizes)
+    pos = eol + 1
+    frames: list[np.ndarray] = []
+    while pos < len(raw):
+        feol = raw.find(b"\n", pos)
+        if feol < 0 or not raw.startswith(b"FRAME", pos):
+            raise ValueError("bad Y4M FRAME header")
+        pos = feol + 1
+        if pos + frame_bytes > len(raw):
+            raise ValueError("truncated Y4M frame")
+        planes = []
+        for ph, pw in plane_sizes:
+            planes.append(
+                np.frombuffer(raw, np.uint8, ph * pw, pos).reshape(ph, pw)
+            )
+            pos += ph * pw
+        if cspace == "mono":
+            frames.append(planes[0])
+        else:
+            y, cb, cr = planes
+            if cspace.startswith("420"):
+                cb = cb.repeat(2, 0).repeat(2, 1)
+                cr = cr.repeat(2, 0).repeat(2, 1)
+            frames.append(_ycbcr_to_rgb(np.stack([y, cb, cr], -1)))
+    return np.stack(frames)
 
 
 # --- GIF (GIF89a, CompuServe spec) -------------------------------------------
@@ -1712,20 +804,9 @@ def decode_gif_frames(payload: bytes | np.ndarray) -> np.ndarray:
     return out
 
 
-# Lossless WebP (VP8L) lives in functions/webp.py, FLAC in
-# functions/flac.py and the Ogg container (+ Ogg-FLAC mapping) in
-# functions/ogg.py; re-exported here so the multimodal stages import
-# every codec from one module.
-from epichypersketch_jl_ray.functions.flac import (  # noqa: E402
-    decode_flac,
-    decode_flac_int,
-    encode_flac,
-)
-from epichypersketch_jl_ray.functions.ogg import (  # noqa: E402
-    decode_ogg_flac,
-    decode_ogg_flac_int,
-    encode_ogg_flac,
-)
+
+# Lossless WebP (VP8L) lives in functions/webp.py; re-exported here so the
+# multimodal stages import every codec from one module.
 from epichypersketch_jl_ray.functions.webp import (  # noqa: E402
     decode_webp,
     encode_webp_lossless,

@@ -20,8 +20,9 @@ Lossy WebP ("VP8 " chunks) raises NotImplementedError — that codec
 genuinely needs libvpx. "VP8X" extended containers are walked to find the
 VP8L chunk.
 
-The encoder exists so round trips are self-contained inside this
-container (same approach as the JPEG/GIF codecs in functions/codecs.py):
+The encoder exists so round trips need no external files (same approach
+as the GIF codec in functions/codecs.py), and it writes the WebP rows of
+the multimodal image fixture:
 literal coding with optional run-length LZ77 (distance-1 runs and
 distance-width row copies — exercising both 2D map codes), an optional
 color cache, subtract-green, uniform-mode predictor and color transforms,

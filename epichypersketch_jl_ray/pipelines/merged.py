@@ -400,10 +400,8 @@ def multimodal_features(sf_dir: str) -> pd.DataFrame:
     """Image + video + audio feature extraction in one frame: (modality, id,
     part_idx, embedding) — part_idx is the frame/window index (0 for whole
     images). All three actor-pool decode pipelines run for real over mixed
-    fixtures: images in BMP, PNG, JPEG (baseline and progressive), GIF and
-    lossless WebP; video as raw-gray8 frames, animated GIF, AVI-MJPEG and
-    Y4M; audio as WAV (PCM16, IMA-ADPCM, G.711 mu-law), FLAC and Ogg-FLAC.
-    Rows-only; decode correctness is bit-exact-tested in pytest."""
+    fixtures: images in BMP, PNG, GIF and lossless WebP; video as raw-gray8
+    frames, animated GIF and Y4M; audio as PCM16 WAV. Rows-only; decode correctness is bit-exact-tested in pytest."""
     from epichypersketch_jl_ray.pipelines import multimodal
 
     img = multimodal.image_features(sf_dir).assign(modality="image", part_idx=0)

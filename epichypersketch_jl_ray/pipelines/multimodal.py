@@ -2,12 +2,11 @@
 featurize → embedding column.
 
 The driver queries run REAL decodes end-to-end — the fixtures are valid
-BMP / PNG / baseline+progressive-JPEG / GIF / lossless-WebP / WAV-PCM /
-FLAC / raw-video / animated-GIF payloads and the decoders are the
-pure-numpy/stdlib parsers in functions/codecs.py. The remaining
-compressed formats (MP3/H.264/lossy-WebP) stay behind the documented
-NotImplementedError seams in stages/multimodal.py, exercised by the fake
-fixtures in tests.
+BMP / PNG / GIF / lossless-WebP / PCM16-WAV / raw-gray8-video /
+animated-GIF / Y4M payloads and the decoders are the pure-numpy/stdlib
+parsers in functions/codecs.py and functions/webp.py. Every other
+format stays behind the documented NotImplementedError seams in
+stages/multimodal.py.
 Rows-only driver check — binary fixtures have no SQL oracle; decode
 round-trip exactness is pinned by tests/test_codecs.py.
 
@@ -45,13 +44,11 @@ def _fixture_fingerprint() -> str:
     """Short hash of the fixture-generating source (encoders + table
     builders), so a codec or fixture change invalidates cached payloads."""
     import epichypersketch_jl_ray.functions.codecs as codecs
-    import epichypersketch_jl_ray.functions.flac as flac
-    import epichypersketch_jl_ray.functions.ogg as oggmod
     import epichypersketch_jl_ray.functions.webp as webp
     import epichypersketch_jl_ray.stages.multimodal as mm
 
     h = hashlib.sha1()
-    for mod in (codecs, webp, flac, oggmod, mm):
+    for mod in (codecs, webp, mm):
         with open(mod.__file__, "rb") as f:
             h.update(f.read())
     return h.hexdigest()[:12]
@@ -84,10 +81,9 @@ def _cached_media_dir(
 
 
 def image_features(sf_dir: str, *, n: int = 512, dim: int = 16) -> pd.DataFrame:
-    """Deterministic mixed BMP+PNG+JPEG+GIF+WebP corpus → REAL decode
-    (pure-numpy BI_RGB parser; stdlib-zlib + numpy-unfilter PNG across all
-    five row filters; table-driven JPEG, baseline and progressive SOF2; LZW
-    GIF incl. interlace; VP8L WebP; actor pool) → feature vectors.
+    """Deterministic mixed BMP+PNG+GIF+WebP corpus → REAL decode (pure-numpy
+    BI_RGB parser; stdlib-zlib + numpy-unfilter PNG across all five row
+    filters; LZW GIF; lossless VP8L WebP; actor pool) → feature vectors.
 
     ``sf_dir`` only scales the corpus (the multimodal fixture is generated,
     not read from the sf tables).
@@ -113,9 +109,9 @@ def image_features(sf_dir: str, *, n: int = 512, dim: int = 16) -> pd.DataFrame:
 
 
 def video_frame_features(sf_dir: str, *, n: int = 64, stride: int = 8, dim: int = 8) -> pd.DataFrame:
-    """Mixed raw + animated-GIF + MJPEG-AVI + Y4M video corpus (ffmpeg
-    rawvideo layout / GIF89a LZW / RIFF-AVI with per-frame JPEGs / YUV4MPEG2)
-    → frame sampling (actor pool, REAL decode on all four container paths)
+    """Mixed raw + animated-GIF + Y4M video corpus (ffmpeg rawvideo layout /
+    GIF89a / YUV4MPEG2) → frame sampling (actor pool, REAL decode on all
+    three container paths)
     → per-frame feature vectors. One output row per sampled frame."""
     scale = {"sf0.001": 1, "sf0.01": 2, "sf0.1": 4}.get(sf_dir.rstrip("/").rsplit("/", 1)[-1], 1)
     ds = ray.data.read_parquet(
@@ -139,9 +135,8 @@ def video_frame_features(sf_dir: str, *, n: int = 64, stride: int = 8, dim: int 
 
 
 def audio_window_features(sf_dir: str, *, n: int = 64, window: int = 1024, dim: int = 8) -> pd.DataFrame:
-    """Mixed WAV-PCM + FLAC corpus → REAL decode (pure-numpy RIFF parser /
-    full-spec FLAC with Rice, LPC, partitions and escapes) + window chunking
-    (actor pool) → per-window feature vectors. One output row per analysis
+    """PCM16-WAV corpus → REAL decode (pure-numpy RIFF parser) + window
+    chunking (actor pool) → per-window feature vectors. One output row per analysis
     window."""
     scale = {"sf0.001": 1, "sf0.01": 2, "sf0.1": 4}.get(sf_dir.rstrip("/").rsplit("/", 1)[-1], 1)
     ds = ray.data.read_parquet(

@@ -5,27 +5,15 @@ Decode dispatches on the row's ``mime``:
 - REAL decodes with the pure-numpy/stdlib codecs in functions/codecs.py —
   image/bmp (BI_RGB 8/24-bit), image/png (stdlib-zlib DEFLATE + numpy
   unfiltering, 8-bit gray/RGB/palette/RGBA, all five row filters, Adam7
-  interlace), image/jpeg (T.81
-  table-driven Huffman + matrix IDCT, gray/YCbCr, any declared sampling,
-  DRI/RSTn, baseline SOF0/SOF1 AND progressive SOF2 with spectral
-  selection / successive approximation / EOB runs), image/gif
-  (variable-width LZW, interlace, local palettes), image/webp (lossless
-  VP8L: prefix codes, LZ77, color cache, meta-prefix image and all four
-  transforms; lossy VP8 raises — that needs libvpx), audio/wav (PCM mono),
-  audio/flac (full-spec: fixed+LPC predictors, Rice partitions incl.
-  escapes, all stereo decorrelations, CRC+MD5 verified), audio/ogg
-  (Ogg-FLAC: RFC 3533 page framing with CRC + packet reassembly across
-  pages; Ogg-Vorbis/Opus raise — their codebooks need external libs),
-  video/raw-gray8 (concatenated raw frames, ffmpeg's rawvideo layout),
-  video/gif (animated GIF89a with patch-frame compositing, transparency
-  and disposal 0/1/2), video/avi (MJPEG: RIFF walk + the JPEG codec per
-  frame; DHT-less MJPEG raises), video/y4m (YUV4MPEG2 mono/444/420).
-- Remaining COMPRESSED formats (MP3/H.264/lossy-WebP) are honest
-  NotImplementedError seams — their codec libraries are absent from this
-  container; a real deployment loads the codec once per actor in
-  ``__init__`` (the reason these stages are callable classes).
-- mime */fake is the deterministic byte->float stand-in, enabled by
-  ``fake=True``, kept for exercising the compressed-codec seam plumbing.
+  interlace), image/gif (LZW, sequential or interlaced), image/webp
+  (lossless VP8L), audio/wav (8/16-bit PCM and float32, multi-channel
+  downmixed to mono), video/raw-gray8 (concatenated raw frames, ffmpeg's
+  rawvideo layout), video/gif (animated GIF89a) and video/y4m (YUV4MPEG2
+  mono/444/420).
+- Every other mime (JPEG, lossy WebP, FLAC, MP3, AVI, H.264, ...) raises
+  NotImplementedError: no codec library is installed for it. A real
+  deployment loads the codec once per actor in ``__init__`` (the reason
+  these stages are callable classes).
 
 Schema convention:
     id:int64, payload:binary, mime:string, width:int32, height:int32
@@ -37,6 +25,23 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from epichypersketch_jl_ray.functions.codecs import (
+    decode_bmp,
+    decode_gif,
+    decode_gif_frames,
+    decode_png,
+    decode_wav,
+    decode_webp,
+    decode_y4m,
+    encode_bmp_gray8,
+    encode_gif,
+    encode_png,
+    encode_wav_pcm16,
+    encode_webp_lossless,
+    encode_y4m,
+)
+
 
 def _binary_buffers(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     """(offsets int64, values uint8) of a binary array, honouring the
@@ -62,75 +67,33 @@ def _binary_buffers(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     return offsets, values
 
 
-IMAGE_SCHEMA = pa.schema(
-    [
-        ("id", pa.int64()),
-        ("payload", pa.binary()),
-        ("mime", pa.string()),
-        ("width", pa.int32()),
-        ("height", pa.int32()),
-    ]
-)
-
-
-def make_fake_image_table(n: int, *, seed: int = 7, side: int = 8) -> pa.Table:
-    """Deterministic fixture: payload bytes stand in for an encoded image."""
-    rng = np.random.default_rng(seed)
-    payloads = [rng.integers(0, 256, size=side * side, dtype=np.uint8).tobytes() for _ in range(n)]
-    return pa.table(
-        {
-            "id": pa.array(range(n), pa.int64()),
-            "payload": pa.array(payloads, pa.binary()),
-            "mime": pa.array(["image/fake"] * n, pa.string()),
-            "width": pa.array([side] * n, pa.int32()),
-            "height": pa.array([side] * n, pa.int32()),
-        }
-    )
-
-
 def make_mixed_image_table(n: int, *, seed: int = 7, side: int = 8) -> pa.Table:
-    """Deterministic REAL-format fixture mixing formats the way a scraped
-    corpus would: ids cycle grayscale BMP / PNG (through all five row filters
-    so every unfilter path runs in production queries, not just unit tests) /
-    JPEG alternating baseline and progressive SOF2 (quality=100, so the only
-    loss is IDCT rounding) / GIF (alternating sequential and interlaced row
-    order) / lossless WebP (VP8L, alternating plain literals and the
-    subtract-green + color-cache + LZ77 feature set)."""
-    from epichypersketch_jl_ray.functions.codecs import (
-        encode_bmp_gray8,
-        encode_gif,
-        encode_jpeg_baseline,
-        encode_jpeg_progressive,
-        encode_png,
-        encode_webp_lossless,
-    )
-
+    """Deterministic REAL-format fixture mixing lossless formats the way a
+    scraped corpus would: ids cycle grayscale BMP / PNG (through all five
+    row filters so every unfilter path runs in production queries, not just
+    unit tests) / GIF (alternating sequential and interlaced row order) /
+    lossless WebP (VP8L, alternating plain literals and the subtract-green
+    + color-cache + LZ77 feature set)."""
     rng = np.random.default_rng(seed)
     payloads, mimes = [], []
     for i in range(n):
         px = rng.integers(0, 256, size=(side, side), dtype=np.uint8)
-        if i % 5 == 0:
+        if i % 4 == 0:
             payloads.append(encode_bmp_gray8(px))
             mimes.append("image/bmp")
-        elif i % 5 == 1:
-            payloads.append(encode_png(px, filter_type=(i // 5) % 5))
+        elif i % 4 == 1:
+            payloads.append(encode_png(px, filter_type=(i // 4) % 5))
             mimes.append("image/png")
-        elif i % 5 == 2:
-            enc = encode_jpeg_progressive if i % 10 == 7 else encode_jpeg_baseline
-            payloads.append(enc(px, quality=100))
-            mimes.append("image/jpeg")
-        elif i % 5 == 3:
-            payloads.append(encode_gif(px, interlace=bool(i % 10 == 3)))
+        elif i % 4 == 2:
+            payloads.append(encode_gif(px, interlace=i % 8 == 6))
             mimes.append("image/gif")
+        elif i % 8 == 3:
+            payloads.append(encode_webp_lossless(px))
+            mimes.append("image/webp")
         else:
-            if i % 10 == 4:
-                payloads.append(encode_webp_lossless(px))
-            else:
-                payloads.append(
-                    encode_webp_lossless(
-                        px, subtract_green=True, cache_bits=4, use_lz77=True
-                    )
-                )
+            payloads.append(
+                encode_webp_lossless(px, subtract_green=True, cache_bits=4, use_lz77=True)
+            )
             mimes.append("image/webp")
     return pa.table(
         {
@@ -143,27 +106,24 @@ def make_mixed_image_table(n: int, *, seed: int = 7, side: int = 8) -> pa.Table:
     )
 
 
+_IMAGE_DECODERS = {
+    "image/bmp": decode_bmp,
+    "image/png": decode_png,
+    "image/gif": decode_gif,
+    "image/webp": decode_webp,
+}
+
+
 class DecodeImage:
     """Actor stage: decode payload bytes -> pixel arrays, dispatching on
-    mime (module docstring): image/bmp decodes FOR REAL (pure-numpy BI_RGB
-    parser), image/fake is the byte->float stand-in behind ``fake=True``,
-    compressed mimes raise the documented codec seam. The per-ITEM loop is
+    mime (module docstring): image/bmp, image/png, image/gif and lossless
+    image/webp decode FOR REAL, every other mime raises the documented codec
+    seam. The per-ITEM loop is
     inherent to decoding variable-size binary blobs (a real codec is
     per-item too); each item's work is vectorized numpy.
     """
 
-    def __init__(self, *, fake: bool = False) -> None:
-        self.fake = fake
-
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from epichypersketch_jl_ray.functions.codecs import (
-            decode_bmp,
-            decode_gif,
-            decode_jpeg,
-            decode_png,
-            decode_webp,
-        )
-
         payloads = batch["payload"]
         if isinstance(payloads, pa.ChunkedArray):
             payloads = payloads.combine_chunks()
@@ -174,35 +134,19 @@ class DecodeImage:
         parts: list[np.ndarray] = []
         for i, mime in enumerate(mimes):
             blob = values[offsets[i] : offsets[i + 1]]
-            if mime in ("image/bmp", "image/png", "image/jpeg", "image/gif", "image/webp"):
-                dec = {
-                    "image/bmp": decode_bmp,
-                    "image/png": decode_png,
-                    "image/jpeg": decode_jpeg,
-                    "image/gif": decode_gif,
-                    "image/webp": decode_webp,
-                }
-                img = dec[mime](blob)
-                if img.shape[0] != heights[i] or img.shape[1] != widths[i]:
-                    raise ValueError(
-                        f"{mime} header {img.shape[1]}x{img.shape[0]} contradicts "
-                        f"metadata {widths[i]}x{heights[i]} for id row {i}"
-                    )
-                parts.append(img.astype(np.float32).ravel() / 255.0)
-            elif mime == "image/fake":
-                if not self.fake:
-                    raise NotImplementedError(
-                        "fake payloads need fake=True (deterministic test decode)"
-                    )
-                if len(blob) != widths[i] * heights[i]:
-                    raise ValueError("payload length does not match width*height")
-                parts.append(blob.astype(np.float32) / 255.0)
-            else:
+            if mime not in _IMAGE_DECODERS:
                 raise NotImplementedError(
-                    f"decoding {mime} requires a codec library not present in this "
-                    "container (bmp/png/jpeg/gif/lossless-webp decode natively; "
-                    "other formats need a codec loaded once per actor here)"
+                    f"decoding {mime} requires a codec library that is not installed "
+                    "(bmp/png/gif/lossless-webp decode natively; other formats "
+                    "need a codec loaded once per actor here)"
                 )
+            img = _IMAGE_DECODERS[mime](blob)
+            if img.shape[0] != heights[i] or img.shape[1] != widths[i]:
+                raise ValueError(
+                    f"{mime} header {img.shape[1]}x{img.shape[0]} contradicts "
+                    f"metadata {widths[i]}x{heights[i]} for id row {i}"
+                )
+            parts.append(img.astype(np.float32).ravel() / 255.0)
         lengths = np.array([len(p) for p in parts], dtype=np.int64)
         lists = pa.ListArray.from_arrays(
             pa.array(np.concatenate(([0], np.cumsum(lengths))).astype(np.int32), pa.int32()),
@@ -213,75 +157,10 @@ class DecodeImage:
         return batch.append_column("pixels", lists)
 
 
-def make_gif_video_table(n: int, *, seed: int = 13, side: int = 4, frames: int = 24) -> pa.Table:
-    """Deterministic REAL-format fixture: payloads are animated GIF89a
-    streams (LZW-compressed grayscale frames) — a compressed video-ish
-    format the web actually serves, decoded natively by functions/codecs."""
-    from epichypersketch_jl_ray.functions.codecs import encode_gif
-
-    rng = np.random.default_rng(seed)
-    payloads = [
-        encode_gif(rng.integers(0, 256, size=(frames, side, side), dtype=np.uint8))
-        for _ in range(n)
-    ]
-    return pa.table(
-        {
-            "id": pa.array(range(n), pa.int64()),
-            "payload": pa.array(payloads, pa.binary()),
-            "mime": pa.array(["video/gif"] * n, pa.string()),
-            "width": pa.array([side] * n, pa.int32()),
-            "height": pa.array([side] * n, pa.int32()),
-            "n_frames": pa.array([frames] * n, pa.int32()),
-        }
-    )
-
-
-def make_mixed_video_table(n: int, *, seed: int = 13, side: int = 4, frames: int = 24) -> pa.Table:
-    """Raw-gray8 / animated-GIF / MJPEG-AVI / Y4M payloads interleaved the
-    way a scraped corpus mixes containers (ids cycle the four formats).
-    MJPEG frames are quality-100 JPEGs (loss limited to IDCT rounding);
-    the rest are lossless."""
-    from epichypersketch_jl_ray.functions.video import encode_avi_mjpeg, encode_y4m
-
-    raw = make_raw_video_table(n, seed=seed, side=side, frames=frames)
-    gif = make_gif_video_table(n, seed=seed + 1, side=side, frames=frames)
-    rng = np.random.default_rng(seed + 2)
-    stacks = [
-        rng.integers(0, 256, size=(frames, side, side), dtype=np.uint8) for _ in range(n)
-    ]
-    kinds = np.arange(n) % 4
-    payloads, mimes = [], []
-    for i in range(n):
-        if kinds[i] == 2:
-            payloads.append(encode_avi_mjpeg(stacks[i], quality=100))
-            mimes.append("video/avi")
-        elif kinds[i] == 3:
-            payloads.append(encode_y4m(stacks[i]))
-            mimes.append("video/y4m")
-        else:
-            payloads.append(b"")
-            mimes.append("")
-    extra = pa.table(
-        {
-            "id": pa.array(range(n), pa.int64()),
-            "payload": pa.array(payloads, pa.binary()),
-            "mime": pa.array(mimes, pa.string()),
-            "width": pa.array([side] * n, pa.int32()),
-            "height": pa.array([side] * n, pa.int32()),
-            "n_frames": pa.array([frames] * n, pa.int32()),
-        }
-    )
-    return pa.concat_tables(
-        [
-            raw.filter(pa.array(kinds == 0)),
-            gif.filter(pa.array(kinds == 1)),
-            extra.filter(pa.array(kinds >= 2)),
-        ]
-    ).sort_by("id")
-
-
-def make_fake_video_table(n: int, *, seed: int = 13, side: int = 4, frames: int = 24) -> pa.Table:
-    """Deterministic fixture: payload = ``frames`` concatenated fake frames."""
+def make_raw_video_table(n: int, *, seed: int = 13, side: int = 4, frames: int = 24) -> pa.Table:
+    """Deterministic REAL-format fixture: payload = ``frames`` concatenated
+    raw gray8 frames — ffmpeg's rawvideo layout (`-f rawvideo -pix_fmt
+    gray`), which IS the decoded representation; no codec involved."""
     rng = np.random.default_rng(seed)
     payloads = [
         rng.integers(0, 256, size=frames * side * side, dtype=np.uint8).tobytes()
@@ -291,7 +170,7 @@ def make_fake_video_table(n: int, *, seed: int = 13, side: int = 4, frames: int 
         {
             "id": pa.array(range(n), pa.int64()),
             "payload": pa.array(payloads, pa.binary()),
-            "mime": pa.array(["video/fake"] * n, pa.string()),
+            "mime": pa.array(["video/raw-gray8"] * n, pa.string()),
             "width": pa.array([side] * n, pa.int32()),
             "height": pa.array([side] * n, pa.int32()),
             "n_frames": pa.array([frames] * n, pa.int32()),
@@ -299,16 +178,34 @@ def make_fake_video_table(n: int, *, seed: int = 13, side: int = 4, frames: int 
     )
 
 
-def make_raw_video_table(n: int, *, seed: int = 13, side: int = 4, frames: int = 24) -> pa.Table:
-    """Deterministic REAL-format fixture: payload = ``frames`` concatenated
-    raw gray8 frames — ffmpeg's rawvideo layout (`-f rawvideo -pix_fmt
-    gray`), which IS the decoded representation; no codec involved."""
-    t = make_fake_video_table(n, seed=seed, side=side, frames=frames)
-    return t.set_column(
-        t.schema.get_field_index("mime"),
-        "mime",
-        pa.array(["video/raw-gray8"] * n, pa.string()),
-    )
+def make_mixed_video_table(n: int, *, seed: int = 13, side: int = 4, frames: int = 24) -> pa.Table:
+    """Raw-gray8 / animated-GIF / Y4M payloads interleaved the way a scraped
+    corpus mixes containers, all lossless: by id mod 4, 0 and 2 are raw,
+    1 is GIF and 3 is Cmono Y4M. Ids cycle three frame streams by id mod 4
+    (0: ``seed``, 1: ``seed + 1``, 2 and 3: ``seed + 2``), each the raw
+    fixture of its seed."""
+    streams = [make_raw_video_table(n, seed=seed + k, side=side, frames=frames) for k in range(3)]
+    payloads, mimes = [], []
+    for i in range(n):
+        raw = streams[min(i % 4, 2)]["payload"][i].as_py()
+        stack = np.frombuffer(raw, np.uint8).reshape(frames, side, side)
+        if i % 2 == 0:
+            payloads.append(raw)
+            mimes.append("video/raw-gray8")
+        elif i % 4 == 1:
+            payloads.append(encode_gif(stack))
+            mimes.append("video/gif")
+        else:
+            payloads.append(encode_y4m(stack))
+            mimes.append("video/y4m")
+    t = streams[0]
+    t = t.set_column(t.schema.get_field_index("payload"), "payload", pa.array(payloads, pa.binary()))
+    return t.set_column(t.schema.get_field_index("mime"), "mime", pa.array(mimes, pa.string()))
+
+
+# mime -> (payload bytes -> (n, h, w[, 3]) frame stack); video/raw-gray8 is
+# sliced in place by FrameSampleVideo._raw_frames
+_VIDEO_DECODERS = {"video/gif": decode_gif_frames, "video/y4m": decode_y4m}
 
 
 class FrameSampleVideo:
@@ -316,62 +213,40 @@ class FrameSampleVideo:
 
     video/raw-gray8 (concatenated raw frames, ffmpeg rawvideo layout)
     decodes FOR REAL — frame extraction is pure offset slicing, exactly
-    what the vectorized gather below does. video/gif (animated GIF89a) also
-    decodes FOR REAL via the pure-Python LZW decoder in functions/codecs
-    (per-item, inherent to an entropy-coded container). Other compressed
-    video (H.264/VP9) raises the documented codec seam: a pyav/ffmpeg
-    decoder loaded once per actor would seek+decode only the sampled
-    frames. video/fake (raw layout, kept for seam tests) needs
-    ``fake=True``. Output: one ROW PER SAMPLED FRAME (id, frame_idx,
-    pixels) — the flat layout downstream featurize stages consume, and the
-    shape that keeps block sizes bounded for long videos.
+    what the vectorized gather below does. video/gif (animated GIF89a, the
+    LZW decoder in functions/codecs) and video/y4m (YUV4MPEG2) also decode
+    FOR REAL, one stream at a time. Other video (AVI, H.264/VP9)
+    raises the documented codec seam: a pyav/ffmpeg decoder loaded once
+    per actor would seek+decode only the sampled frames. Output: one ROW
+    PER SAMPLED FRAME (id, frame_idx, pixels) — the flat layout downstream
+    featurize stages consume, and the shape that keeps block sizes bounded
+    for long videos.
     """
 
-    def __init__(self, *, stride: int = 8, fake: bool = False) -> None:
+    def __init__(self, *, stride: int = 8) -> None:
         if stride < 1:
             raise ValueError("stride must be >= 1")
         self.stride = stride
-        self.fake = fake
-
-    @staticmethod
-    def _stack_decoders() -> dict:
-        """mime -> (payload bytes -> (n, h, w[, 3]) frame-stack decoder)."""
-        from epichypersketch_jl_ray.functions.codecs import decode_gif_frames
-        from epichypersketch_jl_ray.functions.video import decode_avi_mjpeg, decode_y4m
-
-        return {
-            "video/gif": decode_gif_frames,
-            "video/avi": decode_avi_mjpeg,
-            "video/y4m": decode_y4m,
-        }
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         mimes = batch["mime"].to_pylist()
-        decoders = self._stack_decoders()
         for mime in set(mimes):
-            if mime == "video/raw-gray8" or mime in decoders:
-                continue
-            if mime == "video/fake":
-                if not self.fake:
-                    raise NotImplementedError(
-                        "fake payloads need fake=True (deterministic test decode)"
-                    )
-            else:
+            if mime != "video/raw-gray8" and mime not in _VIDEO_DECODERS:
                 raise NotImplementedError(
-                    f"decoding {mime} requires a codec library not present in this "
-                    "container (raw-gray8, animated GIF, MJPEG-AVI and Y4M decode "
-                    "natively; h264/vp9 need pyav/ffmpeg loaded once per actor here)"
+                    f"decoding {mime} requires a codec library that is not installed "
+                    "(raw-gray8, GIF and Y4M decode natively; avi/h264/vp9 need "
+                    "pyav/ffmpeg loaded once per actor here)"
                 )
-        stacked_mimes = sorted({m for m in mimes if m in decoders})
+        stacked_mimes = sorted({m for m in mimes if m in _VIDEO_DECODERS})
         if stacked_mimes:
             parts = []
-            raw_mask = np.array([m not in decoders for m in mimes], dtype=bool)
+            raw_mask = np.array([m not in _VIDEO_DECODERS for m in mimes], dtype=bool)
             if raw_mask.any():
                 parts.append(self._raw_frames(batch.filter(pa.array(raw_mask))))
             for mime in stacked_mimes:
                 mask = np.array([m == mime for m in mimes], dtype=bool)
                 parts.append(
-                    self._stacked_frames(batch.filter(pa.array(mask)), decoders[mime])
+                    self._stacked_frames(batch.filter(pa.array(mask)), _VIDEO_DECODERS[mime])
                 )
             return pa.concat_tables(parts)
         return self._raw_frames(batch)
@@ -421,6 +296,12 @@ class FrameSampleVideo:
         ids = batch["id"].to_numpy(zero_copy_only=False)
         offsets, values = _binary_buffers(payloads)
         frame_bytes = widths * heights
+        bad = np.flatnonzero(np.diff(offsets) != frame_bytes * n_frames)
+        if len(bad):
+            raise ValueError(
+                f"raw-gray8 payload of id {ids[bad[0]]} is {np.diff(offsets)[bad[0]]} bytes, "
+                f"metadata says {n_frames[bad[0]]} frames of {widths[bad[0]]}x{heights[bad[0]]}"
+            )
         # vectorized frame sampling: one output row per sampled frame, all
         # gathers as a single fancy-index (a real codec replaces exactly
         # this block with per-frame seek+decode)
@@ -460,78 +341,22 @@ class FrameSampleVideo:
         )
 
 
-def make_fake_audio_table(n: int, *, seed: int = 17, samples: int = 4096) -> pa.Table:
-    """Deterministic fixture: payload = fake PCM bytes (1 byte/sample)."""
-    rng = np.random.default_rng(seed)
-    payloads = [rng.integers(0, 256, size=samples, dtype=np.uint8).tobytes() for _ in range(n)]
-    return pa.table(
-        {
-            "id": pa.array(range(n), pa.int64()),
-            "payload": pa.array(payloads, pa.binary()),
-            "mime": pa.array(["audio/fake"] * n, pa.string()),
-            "sample_rate": pa.array([16000] * n, pa.int32()),
-            "n_samples": pa.array([samples] * n, pa.int32()),
-        }
-    )
-
-
 def make_mixed_audio_table(n: int, *, seed: int = 17, samples: int = 4096, rate: int = 16000) -> pa.Table:
-    """Deterministic REAL-format fixture mixing audio the way a scraped
-    corpus would: ids cycle WAV-PCM16 / FLAC (alternating best-of-fixed,
-    forced-LPC, multi-partition Rice, escape-partition and Ogg-contained
-    streams, so every FLAC decode path runs in production queries, not just
-    unit tests); WAV rows cycle PCM16 / IMA ADPCM (format 0x11) / G.711
-    mu-law (format 7), the telephony-corpus shapes."""
-    from epichypersketch_jl_ray.functions.codecs import (
-        encode_flac,
-        encode_wav_g711,
-        encode_wav_ima_adpcm,
-        encode_wav_pcm16,
-    )
-    from epichypersketch_jl_ray.functions.ogg import encode_ogg_flac
-
+    """Deterministic REAL-format fixture: PCM16 WAV clips of a smooth-ish
+    signal (a sine whose period cycles with the id, plus Gaussian noise)."""
     rng = np.random.default_rng(seed)
     t = np.arange(samples)
-    payloads, mimes = [], []
+    payloads = []
     for i in range(n):
-        # smooth-ish signal so FLAC's predictors actually engage
         sig = (
             6000 * np.sin(t / (20 + (i % 7) * 9)) + rng.normal(0, 80, samples)
         ).astype(np.int16)
-        if i % 2 == 0:
-            variant = (i // 2) % 3
-            if variant == 2:
-                payloads.append(encode_wav_g711(sig, law="mu", sample_rate=rate))
-            elif variant == 1:
-                payloads.append(encode_wav_ima_adpcm(sig, sample_rate=rate))
-            else:
-                payloads.append(encode_wav_pcm16(sig, sample_rate=rate))
-            mimes.append("audio/wav")
-        else:
-            variant = (i // 2) % 5
-            kw = [
-                {},
-                {"force_subframe": "lpc"},
-                {"partition_order": 2},
-                {"rice_escape": True},
-                {},
-            ][variant]
-            if variant == 4:
-                # Ogg-contained FLAC, paged small enough that packets span
-                # pages (the continuation path runs in production, not just
-                # unit tests)
-                payloads.append(
-                    encode_ogg_flac(sig, sample_rate=rate, block_size=2048, max_page_segments=4)
-                )
-                mimes.append("audio/ogg")
-            else:
-                payloads.append(encode_flac(sig, sample_rate=rate, block_size=2048, **kw))
-                mimes.append("audio/flac")
+        payloads.append(encode_wav_pcm16(sig, sample_rate=rate))
     return pa.table(
         {
             "id": pa.array(range(n), pa.int64()),
             "payload": pa.array(payloads, pa.binary()),
-            "mime": pa.array(mimes, pa.string()),
+            "mime": pa.array(["audio/wav"] * n, pa.string()),
             "sample_rate": pa.array([rate] * n, pa.int32()),
             "n_samples": pa.array([samples] * n, pa.int32()),
         }
@@ -543,24 +368,18 @@ class WindowAudio:
     per ``window``-sample hop (the flat layout featurize consumes, same
     contract as video frame sampling).
 
-    audio/wav, audio/flac and audio/ogg (Ogg-FLAC) decode FOR REAL
-    (pure-numpy RIFF parser — PCM, IEEE float, G.711 and IMA ADPCM
-    encodings; full-spec FLAC in functions/flac.py; RFC 3533 Ogg framing in
-    functions/ogg.py); audio/fake treats the payload as raw 8-bit samples
-    behind ``fake=True``; remaining compressed mimes (mp3, Ogg-Vorbis/Opus)
-    raise the documented codec seam.
+    audio/wav decodes FOR REAL (pure-numpy RIFF parser: 8/16-bit PCM and
+    IEEE float32, multi-channel downmixed to mono); every other mime (flac,
+    mp3, Ogg-Vorbis/Opus) raises the documented codec seam.
     """
 
-    def __init__(self, *, window: int = 1024, fake: bool = False) -> None:
+    def __init__(self, *, window: int = 1024) -> None:
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
-        self.fake = fake
 
     def _decode_samples(self, batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         """(flat float32 samples, int64 offsets) for the whole batch."""
-        from epichypersketch_jl_ray.functions.codecs import decode_flac, decode_wav
-
         payloads = batch["payload"]
         if isinstance(payloads, pa.ChunkedArray):
             payloads = payloads.combine_chunks()
@@ -568,33 +387,14 @@ class WindowAudio:
         mimes = batch["mime"].to_pylist()
         parts: list[np.ndarray] = []
         for i, mime in enumerate(mimes):
-            blob = values[offsets[i] : offsets[i + 1]]
-            if mime == "audio/wav":
-                samples, _rate = decode_wav(blob)
-                parts.append(samples)
-            elif mime in ("audio/flac", "audio/ogg"):
-                if mime == "audio/ogg":
-                    from epichypersketch_jl_ray.functions.ogg import decode_ogg_flac
-
-                    samples, _rate = decode_ogg_flac(blob)
-                else:
-                    samples, _rate = decode_flac(blob)
-                if samples.ndim != 1:
-                    samples = samples.mean(axis=1)  # downmix stereo
-                parts.append(samples.astype(np.float32))
-            elif mime == "audio/fake":
-                if not self.fake:
-                    raise NotImplementedError(
-                        "fake payloads need fake=True (deterministic test decode)"
-                    )
-                parts.append(blob.astype(np.float32) / 255.0)
-            else:
+            if mime != "audio/wav":
                 raise NotImplementedError(
-                    f"decoding {mime} requires an audio library not present in "
-                    "this container (wav/flac/ogg-flac decode natively; mp3 and "
-                    "Ogg-Vorbis/Opus need soundfile/torchaudio loaded once per "
-                    "actor here)"
+                    f"decoding {mime} requires an audio library that is not installed "
+                    "(wav decodes natively; flac, mp3 and Ogg-Vorbis/Opus need "
+                    "soundfile/torchaudio loaded once per actor here)"
                 )
+            samples, _rate = decode_wav(values[offsets[i] : offsets[i + 1]])
+            parts.append(samples)
         lengths = np.array([len(p) for p in parts], dtype=np.int64)
         flat = np.concatenate(parts) if parts else np.empty(0, np.float32)
         return flat, np.concatenate(([0], np.cumsum(lengths)))
@@ -641,7 +441,6 @@ class FeaturizeImage:
     for batched model inference; the model would load in __init__)."""
 
     def __init__(self, *, dim: int = 16, seed: int = 11) -> None:
-        rng = np.random.default_rng(seed)
         self.dim = dim
         self._proj: dict[int, np.ndarray] = {}
         self._seed = seed

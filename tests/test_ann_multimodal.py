@@ -1,7 +1,23 @@
 """ANN (brute-force + LSH recall) and multimodal plumbing tests."""
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
+
+
+def _bmp_table(n: int) -> pa.Table:
+    """The BMP rows of the mixed image fixture: real payloads of one size."""
+    from epichypersketch_jl_ray.stages.multimodal import make_mixed_image_table
+
+    tbl = make_mixed_image_table(4 * n)  # every fourth row is BMP
+    return tbl.filter(pc.equal(tbl["mime"], "image/bmp"))
+
+
+def _with_mime(tbl: pa.Table, mime: str) -> pa.Table:
+    return tbl.set_column(
+        tbl.schema.get_field_index("mime"), "mime", pa.array([mime] * tbl.num_rows, pa.string())
+    )
 
 
 def test_ann_lsh_recall(ray_session, sf_dir):
@@ -36,29 +52,56 @@ def test_multimodal_plumbing(ray_session, sf_dir):
     assert np.array_equal(a, b)
 
 
-def test_decode_stub_raises_without_fake(ray_session):
-    """The codec seam is per-mime at call time: fake payloads without
-    fake=True and compressed mimes raise; real formats (BMP) never do."""
-    from epichypersketch_jl_ray.stages.multimodal import DecodeImage, make_fake_image_table
+def test_decode_stages_raise_the_codec_seam_for_deleted_mimes(ray_session):
+    """The codec seam is per-mime at call time: a real payload labelled with
+    a mime no installed codec decodes raises NotImplementedError."""
+    from epichypersketch_jl_ray.stages.multimodal import (
+        DecodeImage,
+        FrameSampleVideo,
+        WindowAudio,
+        make_mixed_audio_table,
+        make_raw_video_table,
+    )
 
     with pytest.raises(NotImplementedError):
-        DecodeImage()(make_fake_image_table(2))
+        DecodeImage()(_with_mime(_bmp_table(2), "image/jpeg"))
+    with pytest.raises(NotImplementedError):
+        FrameSampleVideo(stride=8)(_with_mime(make_raw_video_table(2), "video/avi"))
+    with pytest.raises(NotImplementedError):
+        WindowAudio(window=1024)(_with_mime(make_mixed_audio_table(2), "audio/flac"))
 
 
 def test_decode_validates_payload(ray_session):
-    import pyarrow as pa
+    from epichypersketch_jl_ray.stages.multimodal import DecodeImage
 
-    from epichypersketch_jl_ray.stages.multimodal import DecodeImage, make_fake_image_table
-
-    tbl = make_fake_image_table(4)
+    tbl = _bmp_table(4)
     bad = tbl.set_column(3, "width", pa.array([99] * 4, pa.int32()))
     with pytest.raises(ValueError):
-        DecodeImage(fake=True)(bad)
+        DecodeImage()(bad)
+
+
+def test_multimodal_features_rows_and_keys_at_sf0_001(ray_session):
+    """The registered query's row count per modality and its full
+    (modality, id, part_idx) key set: 512 images, 64 videos x frames
+    0/8/16, 64 clips x 4 windows."""
+    from epichypersketch_jl_ray.pipelines.merged import multimodal_features
+
+    out = multimodal_features("sf0.001")
+    assert out.groupby("modality").size().to_dict() == {
+        "image": 512, "video": 64 * 3, "audio": 64 * 4,
+    }
+    keys = set(zip(out["modality"], out["id"], out["part_idx"]))
+    assert len(keys) == len(out)
+    assert keys == (
+        {("image", i, 0) for i in range(512)}
+        | {("video", i, f) for i in range(64) for f in (0, 8, 16)}
+        | {("audio", i, w) for i in range(64) for w in range(4)}
+    )
 
 
 def test_video_frame_sampling(ray_session, sf_dir):
     from epichypersketch_jl_ray.pipelines.multimodal import video_frame_features
-    from epichypersketch_jl_ray.stages.multimodal import FrameSampleVideo, make_fake_video_table
+    from epichypersketch_jl_ray.stages.multimodal import FrameSampleVideo
 
     out = video_frame_features(sf_dir, n=32, stride=8)
     # 24 frames, stride 8 -> frames 0, 8, 16 per video
@@ -69,10 +112,8 @@ def test_video_frame_sampling(ray_session, sf_dir):
     a = np.array(out.sort_values(["id", "frame_idx"])["embedding"].tolist())
     b = np.array(out2.sort_values(["id", "frame_idx"])["embedding"].tolist())
     assert np.array_equal(a, b)
-    with pytest.raises(NotImplementedError):
-        FrameSampleVideo(stride=8)(make_fake_video_table(2))
     with pytest.raises(ValueError):
-        FrameSampleVideo(stride=0, fake=True)
+        FrameSampleVideo(stride=0)
 
 
 def test_audio_windowing(ray_session, sf_dir):
@@ -84,46 +125,45 @@ def test_audio_windowing(ray_session, sf_dir):
     per_clip = out.groupby("id")["window_idx"].apply(sorted)
     assert all(v == [0, 1, 2, 3] for v in per_clip)
     assert all(len(e) == 8 for e in out["embedding"].head(5))
-    from epichypersketch_jl_ray.stages.multimodal import make_fake_audio_table
-
-    with pytest.raises(NotImplementedError):
-        WindowAudio(window=1024)(make_fake_audio_table(2))
+    with pytest.raises(ValueError):
+        WindowAudio(window=0)
 
 
 def test_multimodal_stages_honour_sliced_batches():
     """A zero-copy sliced batch has a non-zero array offset; the decode
-    stages must read the right rows' payload bytes (uniform payload sizes
-    would otherwise pass the length check while reading the wrong rows)."""
-    import numpy as np
-    import pyarrow as pa
-
+    stages must read the right rows' payload bytes (the BMP, raw-gray8 and
+    PCM16-WAV payloads are each of one size, so reading the wrong rows
+    would pass every length and header check)."""
     from epichypersketch_jl_ray.stages.multimodal import (
         DecodeImage,
         FrameSampleVideo,
         WindowAudio,
-        make_fake_audio_table,
-        make_fake_image_table,
-        make_fake_video_table,
+        make_mixed_audio_table,
+        make_raw_video_table,
     )
 
-    img = make_fake_image_table(10)
-    full = DecodeImage(fake=True)(img)
-    part = DecodeImage(fake=True)(img.slice(4, 3))
+    img = _bmp_table(10)
+    assert len(set(map(len, img["payload"].to_pylist()))) == 1
+    full = DecodeImage()(img)
+    part = DecodeImage()(img.slice(4, 3))
     for i in range(3):
         assert np.array_equal(
             np.asarray(part["pixels"][i].as_py()), np.asarray(full["pixels"][4 + i].as_py())
         )
 
-    vid = make_fake_video_table(6)
-    vfull = FrameSampleVideo(stride=8, fake=True)(vid).to_pandas()
-    vpart = FrameSampleVideo(stride=8, fake=True)(vid.slice(2, 2)).to_pandas()
+    vid = make_raw_video_table(6)
+    vfull = FrameSampleVideo(stride=8)(vid).to_pandas()
+    vpart = FrameSampleVideo(stride=8)(vid.slice(2, 2)).to_pandas()
+    assert len(vpart) == 2 * 3
     for _, row in vpart.iterrows():
         ref = vfull[(vfull["id"] == row["id"]) & (vfull["frame_idx"] == row["frame_idx"])]
         assert np.array_equal(np.asarray(row["pixels"]), np.asarray(ref.iloc[0]["pixels"]))
 
-    aud = make_fake_audio_table(6)
-    afull = WindowAudio(window=1024, fake=True)(aud).to_pandas()
-    apart = WindowAudio(window=1024, fake=True)(aud.slice(3, 2)).to_pandas()
+    aud = make_mixed_audio_table(6)
+    assert len(set(map(len, aud["payload"].to_pylist()))) == 1
+    afull = WindowAudio(window=1024)(aud).to_pandas()
+    apart = WindowAudio(window=1024)(aud.slice(3, 2)).to_pandas()
+    assert len(apart) == 2 * 4
     for _, row in apart.iterrows():
         ref = afull[(afull["id"] == row["id"]) & (afull["window_idx"] == row["window_idx"])]
         assert np.array_equal(np.asarray(row["pixels"]), np.asarray(ref.iloc[0]["pixels"]))
@@ -132,12 +172,9 @@ def test_multimodal_stages_honour_sliced_batches():
 def test_binary_buffers_slice_safe():
     """_binary_buffers on a plain sliced Array (offset != 0) must return the
     sliced rows' offsets, not the parent buffer's start."""
-    import numpy as np
-    import pyarrow as pa
+    from epichypersketch_jl_ray.stages.multimodal import _binary_buffers
 
-    from epichypersketch_jl_ray.stages.multimodal import _binary_buffers, make_fake_image_table
-
-    arr = make_fake_image_table(10)["payload"].combine_chunks()
+    arr = _bmp_table(10)["payload"].combine_chunks()
     sl = arr.slice(4, 3)
     assert sl.offset == 4
     offsets, values = _binary_buffers(sl)

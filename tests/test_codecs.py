@@ -1,6 +1,7 @@
-"""Pure-numpy codec correctness: BMP and WAV round-trips (bit-exact), edge
-cases (row padding, top-down BMP, 24-bit, extra WAV chunks), and the real
-multimodal decode path end-to-end."""
+"""Pure-numpy codec correctness: BMP, WAV, PNG and GIF round-trips
+(bit-exact, all lossless), edge cases (row padding, top-down BMP, 24-bit,
+extra WAV chunks, PNG filters/Adam7/palette, GIF LZW/interlace/animation),
+and the real multimodal decode path end-to-end."""
 
 import struct
 
@@ -91,137 +92,6 @@ def test_wav_ieee_float32_round_trip():
     out, rate = decode_wav(_wav_container(3, 1, 48000, 32, samples.astype("<f4").tobytes()))
     assert rate == 48000
     np.testing.assert_array_equal(out, samples)
-
-
-def test_g711_decode_tables_match_standard_anchors():
-    from epichypersketch_jl_ray.functions.codecs import _g711_decode_table
-
-    mu = _g711_decode_table("mu")
-    # published mu-law anchor points (transmitted-complement convention):
-    # 0xFF -> +0, 0x7F -> -0, 0x00 -> -32124, 0x80 -> +32124
-    assert mu[0xFF] == 0
-    assert mu[0x7F] == 0
-    assert mu[0x00] == -32124 and mu[0x80] == 32124
-    assert mu.min() == -32124 and mu.max() == 32124
-    a = _g711_decode_table("a")
-    # A-law has no zero level; extremes are +/-32256 (13-bit 4032 scaled x8)
-    assert 0 not in a
-    assert a.min() == -32256 and a.max() == 32256
-    assert abs(int(a[0x55 ^ 0x00])) == 8  # wire 0x55 = raw 0x00 = smallest negative
-    # both tables are odd-symmetric over magnitudes
-    assert sorted(-v for v in mu[mu < 0]) == sorted(v for v in mu[mu > 0])
-    assert sorted(-v for v in a[a < 0]) == sorted(v for v in a[a > 0])
-
-
-def test_g711_encode_decode_involution_and_round_trip():
-    from epichypersketch_jl_ray.functions.codecs import (
-        _g711_decode_table,
-        _g711_encode,
-        encode_wav_g711,
-    )
-
-    for law in ("mu", "a"):
-        table = _g711_decode_table(law)
-        cw = np.arange(256, dtype=np.uint8)
-        back = _g711_encode(table[cw], law)
-        if law == "a":
-            np.testing.assert_array_equal(back, cw)
-        else:
-            # mu-law 0x7F/0xFF are -0/+0: both decode to 0; encode picks one
-            keep = table[cw] != 0
-            np.testing.assert_array_equal(back[keep], cw[keep])
-            assert np.all(table[back[~keep]] == 0)
-        # WAV round trip: decoded output must be the exact quantized levels
-        rng = np.random.default_rng(9)
-        sig = rng.integers(-32768, 32768, 1000).astype(np.int16)
-        out, rate = decode_wav(encode_wav_g711(sig, law=law, sample_rate=8000))
-        assert rate == 8000
-        want = table[_g711_encode(sig, law)].astype(np.float32) / 32768.0
-        np.testing.assert_array_equal(out, want)
-        # quantization error bounded by the widest segment step (mu: 256*4;
-        # a: 1024 at the top segment) -- nearest-level quantization is closer
-        # than half a step everywhere
-        err = np.abs(out * 32768.0 - sig.astype(np.float32))
-        assert err.max() <= (1024 if law == "mu" else 512) + 4
-
-
-def _ima_reference_decode(blob: bytes, block_align: int, spb: int) -> np.ndarray:
-    """Independent scalar IMA ADPCM decoder (straight from the spec text),
-    used to pin the vectorized implementation."""
-    step_table = [
-        7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 19, 21, 23, 25, 28, 31, 34, 37,
-        41, 45, 50, 55, 60, 66, 73, 80, 88, 97, 107, 118, 130, 143, 157, 173,
-        190, 209, 230, 253, 279, 307, 337, 371, 408, 449, 494, 544, 598, 658,
-        724, 796, 876, 963, 1060, 1166, 1282, 1411, 1552, 1707, 1878, 2066,
-        2272, 2499, 2749, 3024, 3327, 3660, 4026, 4428, 4871, 5358, 5894,
-        6484, 7132, 7845, 8630, 9493, 10442, 11487, 12635, 13899, 15289,
-        16818, 18500, 20350, 22385, 24623, 27086, 29794, 32767,
-    ]
-    index_table = [-1, -1, -1, -1, 2, 4, 6, 8]
-    out = []
-    for b0 in range(0, len(blob), block_align):
-        block = blob[b0 : b0 + block_align]
-        pred = struct.unpack_from("<h", block, 0)[0]
-        index = min(max(block[2], 0), 88)
-        out.append(pred)
-        nibbles = []
-        for byte in block[4:]:
-            nibbles.append(byte & 0x0F)
-            nibbles.append(byte >> 4)
-        for code in nibbles[: spb - 1]:
-            step = step_table[index]
-            diff = step >> 3
-            if code & 1:
-                diff += step >> 2
-            if code & 2:
-                diff += step >> 1
-            if code & 4:
-                diff += step
-            pred = min(max(pred + (-diff if code & 8 else diff), -32768), 32767)
-            index = min(max(index + index_table[code & 7], 0), 88)
-            out.append(pred)
-    return np.array(out, dtype=np.int16)
-
-
-def test_ima_adpcm_matches_scalar_reference_and_round_trips():
-    from epichypersketch_jl_ray.functions.codecs import encode_wav_ima_adpcm
-
-    rng = np.random.default_rng(11)
-    t = np.arange(3000)
-    sig = (9000 * np.sin(t / 17) + rng.normal(0, 500, len(t))).astype(np.int16)
-    blob = encode_wav_ima_adpcm(sig, sample_rate=8000, block_align=256)
-    out, rate = decode_wav(blob)
-    assert rate == 8000 and len(out) == len(sig)
-    # pin the vectorized decoder against the scalar spec transcription
-    pos, data = 12, None
-    while pos + 8 <= len(blob):
-        cid, size = blob[pos : pos + 4], struct.unpack_from("<I", blob, pos + 4)[0]
-        if cid == b"data":
-            data = blob[pos + 8 : pos + 8 + size]
-        pos += 8 + size + (size & 1)
-    want = _ima_reference_decode(data, 256, (256 - 4) * 2 + 1)[: len(sig)]
-    np.testing.assert_array_equal((out * 32768.0).astype(np.int16), want)
-    # ADPCM is lossy but must track the signal: SNR well above 20 dB here
-    err = out * 32768.0 - sig.astype(np.float64)
-    snr = 10 * np.log10(np.mean(sig.astype(np.float64) ** 2) / np.mean(err**2))
-    assert snr > 20.0
-
-
-def test_ima_adpcm_fact_trim_and_block_independence():
-    from epichypersketch_jl_ray.functions.codecs import encode_wav_ima_adpcm
-
-    spb = (64 - 4) * 2 + 1  # 121 samples per 64-byte block
-    rng = np.random.default_rng(12)
-    # a length that is NOT a multiple of spb: fact chunk must trim the pad
-    sig = rng.integers(-20000, 20000, spb + 37).astype(np.int16)
-    out, _ = decode_wav(encode_wav_ima_adpcm(sig, block_align=64))
-    assert len(out) == len(sig)
-    # blocks are self-contained: decoding the second block alone must equal
-    # the tail of the full decode
-    full = encode_wav_ima_adpcm(sig, block_align=64)
-    head = encode_wav_ima_adpcm(sig[:spb], block_align=64)
-    out_head, _ = decode_wav(head)
-    np.testing.assert_array_equal(out[:spb], out_head)
 
 
 def _bmp_image_table(images: list[np.ndarray], mime: str = "image/bmp") -> pa.Table:
@@ -323,20 +193,44 @@ def test_png_round_trip_fuzz():
     png_case()
 
 
-def test_decode_image_stage_mixed_bmp_png_jpeg_gif_webp():
+def test_decode_image_stage_mixed_bmp_png_gif_webp():
     from epichypersketch_jl_ray.stages.multimodal import DecodeImage, make_mixed_image_table
 
-    tbl = make_mixed_image_table(20, seed=7, side=8)
-    mimes = tbl["mime"].to_pylist()
-    assert set(mimes) == {"image/bmp", "image/png", "image/jpeg", "image/gif", "image/webp"}
+    tbl = make_mixed_image_table(40, seed=7, side=8)
+    assert tbl["mime"].to_pylist() == ["image/bmp", "image/png", "image/gif", "image/webp"] * 10
+    # the PNG rows cycle all five row filters (filter type = byte 0 of the
+    # first scanline, after the 8-byte signature + 25-byte IHDR + 8-byte
+    # IDAT header, zlib-wrapped)
+    import zlib
+
+    filters = [
+        zlib.decompress(tbl["payload"][i].as_py()[41:-16])[0] for i in range(1, 40, 4)
+    ]
+    assert filters == [0, 1, 2, 3, 4] * 2
     out = DecodeImage()(tbl)
     rng = np.random.default_rng(7)  # regenerate the fixture's pixel truth
-    for i in range(20):
+    for i in range(40):
         want = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
         got = np.asarray(out["pixels"][i].as_py(), dtype=np.float32)
-        # jpeg is quality=100: loss limited to IDCT rounding (a few LSB)
-        atol = 3.0 / 255.0 if mimes[i] == "image/jpeg" else 0.0
-        np.testing.assert_allclose(got, want.astype(np.float32).ravel() / 255.0, atol=atol)
+        np.testing.assert_array_equal(got, want.astype(np.float32).ravel() / 255.0)
+
+
+def test_window_audio_stage_mixed_wav():
+    from epichypersketch_jl_ray.stages.multimodal import WindowAudio, make_mixed_audio_table
+
+    tbl = make_mixed_audio_table(8, seed=17, samples=2048)
+    assert tbl["mime"].to_pylist() == ["audio/wav"] * 8
+    out = WindowAudio(window=512)(tbl)
+    assert out.num_rows == 8 * (2048 // 512)
+    # regenerate the fixture's ground truth and compare every decoded window
+    rng = np.random.default_rng(17)
+    t = np.arange(2048)
+    for i in range(8):
+        sig = (6000 * np.sin(t / (20 + (i % 7) * 9)) + rng.normal(0, 80, 2048)).astype(np.int16)
+        rows = [r for r in range(out.num_rows) if out["id"][r].as_py() == i]
+        assert [out["window_idx"][r].as_py() for r in rows] == [0, 1, 2, 3]
+        got = np.concatenate([np.asarray(out["pixels"][r].as_py(), np.float32) for r in rows])
+        np.testing.assert_array_equal(got, sig.astype(np.float32) / 32768.0)
 
 
 def test_window_audio_stage_real_wav_known_samples():
@@ -366,9 +260,43 @@ def test_frame_sample_video_real_raw(ray_session):
     )
 
     tbl = make_raw_video_table(3, seed=13, side=4, frames=24)
-    out = FrameSampleVideo(stride=8)(tbl)  # no fake flag needed: real format
+    out = FrameSampleVideo(stride=8)(tbl)
     assert len(out) == 3 * 3  # frames 0, 8, 16 per video
     assert out["frame_idx"].to_pylist() == [0, 8, 16] * 3
+    # a short payload must not borrow the next row's bytes
+    payloads = tbl["payload"].to_pylist()
+    payloads[0] = payloads[0][:192]
+    with pytest.raises(ValueError, match="id 0"):
+        FrameSampleVideo(stride=8)(tbl.set_column(1, "payload", pa.array(payloads, pa.binary())))
+
+
+def test_frame_sample_video_mixed_containers(ray_session):
+    """The mixed raw+GIF+Y4M video fixture decodes all three container paths
+    to the same row layout, and every sampled frame equals the fixture's
+    frame truth exactly: id mod 4 picks the raw stream (0: seed, 1: seed + 1,
+    2 and 3: seed + 2)."""
+    from epichypersketch_jl_ray.stages.multimodal import (
+        FrameSampleVideo,
+        make_mixed_video_table,
+    )
+
+    tbl = make_mixed_video_table(8, seed=13, side=4, frames=24)
+    assert tbl["mime"].to_pylist() == [
+        "video/raw-gray8", "video/gif", "video/raw-gray8", "video/y4m",
+    ] * 2
+    out = FrameSampleVideo(stride=8)(tbl)
+    assert len(out) == 8 * 3
+    streams = [np.random.default_rng(13 + k) for k in range(3)]
+    truth = {k: [g.integers(0, 256, size=(24, 4, 4), dtype=np.uint8) for _ in range(8)]
+             for k, g in enumerate(streams)}
+    got = {
+        (out["id"][r].as_py(), out["frame_idx"][r].as_py()): np.asarray(out["pixels"][r].as_py(), np.float32)
+        for r in range(len(out))
+    }
+    assert set(got) == {(i, f) for i in range(8) for f in (0, 8, 16)}
+    for (i, f), px in got.items():
+        want = truth[min(i % 4, 2)][i][f]
+        np.testing.assert_array_equal(px, want.astype(np.float32).ravel() / 255.0)
 
 
 def test_bmp_wav_round_trip_fuzz():
@@ -399,155 +327,58 @@ def test_bmp_wav_round_trip_fuzz():
     wav_case()
 
 
-# --- JPEG (baseline T.81) ----------------------------------------------------
+# --- PNG Adam7 / palette / RGBA ------------------------------------------------
 
 
-def _psnr(a, b):
-    mse = np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2)
-    return 99.0 if mse == 0 else 10 * np.log10(255.0**2 / mse)
+@pytest.mark.parametrize("filter_type", [0, 1, 2, 3, 4])
+def test_png_adam7_round_trip_all_filters(filter_type):
+    from epichypersketch_jl_ray.functions.codecs import decode_png, encode_png
+
+    rng = np.random.default_rng(300 + filter_type)
+    for shape in [(11, 7), (1, 1), (8, 8), (13, 9, 3), (5, 3, 4)]:
+        px = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        got = decode_png(encode_png(px, filter_type=filter_type, interlace=True))
+        np.testing.assert_array_equal(got, px)
 
 
-@pytest.mark.parametrize("w,h", [(8, 8), (40, 24), (23, 17), (1, 1), (9, 8)])
-def test_jpeg_gray_q100_near_lossless(w, h):
-    from epichypersketch_jl_ray.functions.codecs import decode_jpeg, encode_jpeg_baseline
+def test_png_palette_and_rgba_round_trip():
+    from epichypersketch_jl_ray.functions.codecs import decode_png, encode_png
 
-    rng = np.random.default_rng(w * 100 + h)
-    px = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-    out = decode_jpeg(encode_jpeg_baseline(px, quality=100))
-    assert out.shape == (h, w)
-    # quality=100 -> all-ones quant tables; only IDCT float rounding remains
-    assert int(np.abs(out.astype(int) - px.astype(int)).max()) <= 3
-
-
-def test_jpeg_gray_quality_ladder():
-    from epichypersketch_jl_ray.functions.codecs import decode_jpeg, encode_jpeg_baseline
-
-    g = (np.add.outer(np.arange(24), np.arange(40)) * 3 % 256).astype(np.uint8)
-    last = 0.0
-    for q in (50, 75, 90, 100):
-        p = _psnr(g, decode_jpeg(encode_jpeg_baseline(g, quality=q)))
-        assert p >= last  # monotone quality
-        last = p
-    assert last >= 90  # q=100 nearly exact
+    rng = np.random.default_rng(42)
+    pal = rng.integers(0, 256, size=(200, 3), dtype=np.uint8)
+    idx = rng.integers(0, 200, size=(12, 9), dtype=np.uint8)
+    for interlace in (False, True):
+        got = decode_png(encode_png(idx, palette=pal, interlace=interlace, filter_type=4))
+        np.testing.assert_array_equal(got, pal[idx])  # palette resolves to RGB
+    rgba = rng.integers(0, 256, size=(7, 5, 4), dtype=np.uint8)
+    np.testing.assert_array_equal(decode_png(encode_png(rgba, filter_type=2)), rgba)
+    with pytest.raises(ValueError, match="out of range"):
+        encode_png(np.array([[250]], np.uint8), palette=pal[:100])
 
 
-@pytest.mark.parametrize("subsample", ["444", "420"])
-def test_jpeg_rgb_round_trip(subsample):
-    from epichypersketch_jl_ray.functions.codecs import decode_jpeg, encode_jpeg_baseline
-
-    yy, xx = np.meshgrid(np.arange(33), np.arange(47), indexing="ij")
-    px = np.stack(
-        [np.clip(yy * 3, 0, 255), np.clip(xx * 4, 0, 255), np.clip(120 + yy + xx, 0, 255)],
-        axis=-1,
-    ).astype(np.uint8)
-    out = decode_jpeg(encode_jpeg_baseline(px, quality=95, subsample=subsample))
-    assert out.shape == px.shape
-    assert _psnr(px, out) >= (50 if subsample == "444" else 40)
-
-
-def test_jpeg_restart_markers_do_not_change_pixels():
-    from epichypersketch_jl_ray.functions.codecs import decode_jpeg, encode_jpeg_baseline
-
-    rng = np.random.default_rng(5)
-    px = rng.integers(0, 256, size=(24, 40), dtype=np.uint8)
-    plain = decode_jpeg(encode_jpeg_baseline(px, quality=90))
-    with_rst = decode_jpeg(encode_jpeg_baseline(px, quality=90, restart_interval=2))
-    # identical quantized coefficients -> identical decode, RSTs are transparent
-    np.testing.assert_array_equal(plain, with_rst)
-
-
-def test_jpeg_420_restart_markers():
-    from epichypersketch_jl_ray.functions.codecs import decode_jpeg, encode_jpeg_baseline
-
-    yy, xx = np.meshgrid(np.arange(20), np.arange(36), indexing="ij")
-    px = np.stack([yy * 6, xx * 5, yy * 3 + xx * 3], axis=-1).astype(np.uint8)
-    plain = decode_jpeg(encode_jpeg_baseline(px, quality=90, subsample="420"))
-    with_rst = decode_jpeg(
-        encode_jpeg_baseline(px, quality=90, subsample="420", restart_interval=1)
-    )
-    np.testing.assert_array_equal(plain, with_rst)
-
-
-def test_jpeg_error_paths():
-    from epichypersketch_jl_ray.functions.codecs import decode_jpeg, encode_jpeg_baseline
-
-    with pytest.raises(ValueError):
-        decode_jpeg(b"not a jpeg")
-    with pytest.raises(NotImplementedError):  # arithmetic-coded sequential
-        decode_jpeg(b"\xff\xd8\xff\xc9" + struct.pack(">H", 8) + bytes(20))
-    with pytest.raises(ValueError):  # malformed zero-length segment
-        decode_jpeg(b"\xff\xd8\xff\xc2" + bytes(20))
-    blob = encode_jpeg_baseline(np.zeros((16, 16), np.uint8), quality=90)
-    with pytest.raises(ValueError):  # truncated entropy data
-        decode_jpeg(blob[: len(blob) // 2])
-    with pytest.raises(ValueError):
-        encode_jpeg_baseline(np.zeros((0, 4), np.uint8))
-    with pytest.raises(ValueError):
-        encode_jpeg_baseline(np.zeros((4, 4), np.uint8), quality=0)
-
-
-def test_jpeg_canonical_huffman_decode_variable_lengths():
-    """The decoder's T.81 F.2.2.3 canonical reconstruction on a VARIABLE
-    length table (our encoder only emits fixed-length ones): symbols a/b/c/d
-    with lengths 1/2/3/3 get codes 0 / 10 / 110 / 111."""
-    from epichypersketch_jl_ray.functions.codecs import _BitReader, _build_decode_table
-
-    bits = [1, 1, 2] + [0] * 13
-    table = _build_decode_table(bits, [10, 20, 30, 40])
-    # stream: 0, 10, 110, 111, 0  -> 0b0101101110 padded to 2 bytes
-    br = _BitReader(bytes([0b01011011, 0b10000000]))
-    assert [br.huff(table) for _ in range(5)] == [10, 20, 30, 40, 10]
-
-
-def test_jpeg_fuzz_gray_q100():
+def test_png_adam7_fuzz():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from epichypersketch_jl_ray.functions.codecs import decode_jpeg, encode_jpeg_baseline
+    from epichypersketch_jl_ray.functions.codecs import decode_png, encode_png
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
-        w=st.integers(1, 40),
-        h=st.integers(1, 40),
+        w=st.integers(1, 21),
+        h=st.integers(1, 19),
+        ft=st.integers(0, 4),
+        ch=st.sampled_from([1, 3, 4]),
         seed=st.integers(0, 2**16),
-        rst=st.sampled_from([0, 1, 3]),
     )
-    def case(w, h, seed, rst):
+    def run(w, h, ft, ch, seed):
         rng = np.random.default_rng(seed)
-        px = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-        out = decode_jpeg(encode_jpeg_baseline(px, quality=100, restart_interval=rst))
-        assert out.shape == (h, w)
-        assert int(np.abs(out.astype(int) - px.astype(int)).max()) <= 3
+        shape = (h, w) if ch == 1 else (h, w, ch)
+        px = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        np.testing.assert_array_equal(
+            decode_png(encode_png(px, filter_type=ft, interlace=True)), px
+        )
 
-    case()
-
-
-def test_jpeg_fuzz_rgb_both_subsamplings():
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    from epichypersketch_jl_ray.functions.codecs import decode_jpeg, encode_jpeg_baseline
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        w=st.integers(1, 24),
-        h=st.integers(1, 24),
-        seed=st.integers(0, 2**16),
-        sub=st.sampled_from(["444", "420"]),
-    )
-    def case(w, h, seed, sub):
-        rng = np.random.default_rng(seed)
-        # smooth-ish content: lossy codecs have no per-pixel bound on noise
-        base = rng.integers(0, 256, size=(3,), dtype=np.uint8)
-        yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        px = np.stack(
-            [np.clip(int(base[c]) + yy * 2 + xx, 0, 255) for c in range(3)], axis=-1
-        ).astype(np.uint8)
-        out = decode_jpeg(encode_jpeg_baseline(px, quality=97, subsample=sub))
-        assert out.shape == px.shape
-        assert _psnr(px, out) >= 30
-
-    case()
+    run()
 
 
 # --- GIF (LZW, GIF89a) -------------------------------------------------------
@@ -667,172 +498,5 @@ def test_gif_round_trip_fuzz():
         rng = np.random.default_rng(seed)
         px = (rng.integers(0, levels, size=(h, w)) * (255 // (levels - 1))).astype(np.uint8)
         np.testing.assert_array_equal(decode_gif(encode_gif(px, interlace=interlace)), px)
-
-    run()
-
-
-def test_frame_sample_video_mixed_containers(ray_session):
-    """The mixed raw+GIF+AVI+Y4M video fixture decodes all four container
-    paths to the same row layout; every row matches a direct decode of its
-    payload (MJPEG within quality-100 IDCT rounding)."""
-    from epichypersketch_jl_ray.functions.codecs import decode_gif_frames
-    from epichypersketch_jl_ray.functions.video import decode_avi_mjpeg, decode_y4m
-    from epichypersketch_jl_ray.stages.multimodal import (
-        FrameSampleVideo,
-        make_mixed_video_table,
-    )
-
-    tbl = make_mixed_video_table(8, seed=13, side=4, frames=24)
-    assert tbl["mime"].to_pylist() == [
-        "video/raw-gray8", "video/gif", "video/avi", "video/y4m",
-    ] * 2
-    out = FrameSampleVideo(stride=8)(tbl)
-    assert len(out) == 8 * 3
-    by_id = {}
-    for i in range(len(out)):
-        by_id.setdefault(out["id"][i].as_py(), []).append(i)
-    decoders = {"video/gif": decode_gif_frames, "video/avi": decode_avi_mjpeg,
-                "video/y4m": decode_y4m}
-    for row, mime in enumerate(tbl["mime"].to_pylist()):
-        if mime not in decoders:
-            continue
-        frames = decoders[mime](tbl["payload"][row].as_py())
-        rid = tbl["id"][row].as_py()
-        for j, i in enumerate(sorted(by_id[rid], key=lambda k: out["frame_idx"][k].as_py())):
-            assert out["frame_idx"][i].as_py() == j * 8
-            got = np.asarray(out["pixels"][i].as_py(), np.float32)
-            np.testing.assert_allclose(got, frames[j * 8].astype(np.float32).ravel() / 255.0)
-
-
-# --- progressive JPEG (SOF2) --------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "shape,subsample",
-    [((16, 16), "444"), ((13, 7), "444"), ((24, 24, 3), "444"), ((24, 24, 3), "420"),
-     ((13, 9, 3), "420"), ((20, 8, 3), "420"), ((1, 1), "444")],
-)
-def test_jpeg_progressive_equals_baseline(shape, subsample):
-    """Progressive encoding carries the SAME quantized coefficients as
-    baseline, so decode must be bit-identical — this pins every progressive
-    scan path (DC first/refine interleaved, AC first/refine per band) against
-    the independently-tested sequential path."""
-    from epichypersketch_jl_ray.functions.codecs import (
-        decode_jpeg,
-        encode_jpeg_baseline,
-        encode_jpeg_progressive,
-    )
-
-    rng = np.random.default_rng(sum(shape))
-    px = rng.integers(0, 256, size=shape, dtype=np.uint8)
-    for q in (100, 90, 50):
-        base = decode_jpeg(encode_jpeg_baseline(px, quality=q, subsample=subsample))
-        prog = decode_jpeg(encode_jpeg_progressive(px, quality=q, subsample=subsample))
-        np.testing.assert_array_equal(prog, base)
-
-
-def test_jpeg_progressive_sparse_blocks_eob_runs():
-    """Flat / near-flat images make most AC bands all-zero: the EOB-run and
-    trailing-correction paths dominate. Also covers newly-nonzero refinement
-    coefficients sitting AFTER the last history coefficient."""
-    from epichypersketch_jl_ray.functions.codecs import (
-        decode_jpeg,
-        encode_jpeg_baseline,
-        encode_jpeg_progressive,
-    )
-
-    flat = np.full((32, 32), 128, np.uint8)
-    np.testing.assert_array_equal(
-        decode_jpeg(encode_jpeg_progressive(flat, quality=90)),
-        decode_jpeg(encode_jpeg_baseline(flat, quality=90)),
-    )
-    ramp = np.tile(np.arange(32, dtype=np.uint8)[None, :] * 8, (32, 1))
-    for q in (100, 75):
-        np.testing.assert_array_equal(
-            decode_jpeg(encode_jpeg_progressive(ramp, quality=q)),
-            decode_jpeg(encode_jpeg_baseline(ramp, quality=q)),
-        )
-
-
-def test_jpeg_progressive_fuzz():
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    from epichypersketch_jl_ray.functions.codecs import (
-        decode_jpeg,
-        encode_jpeg_baseline,
-        encode_jpeg_progressive,
-    )
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        w=st.integers(1, 40),
-        h=st.integers(1, 40),
-        rgb=st.booleans(),
-        sub=st.sampled_from(["444", "420"]),
-        q=st.integers(30, 100),
-        seed=st.integers(0, 2**31),
-    )
-    def run(w, h, rgb, sub, q, seed):
-        rng = np.random.default_rng(seed)
-        shape = (h, w, 3) if rgb else (h, w)
-        px = rng.integers(0, 256, size=shape, dtype=np.uint8)
-        base = decode_jpeg(encode_jpeg_baseline(px, quality=q, subsample=sub))
-        prog = decode_jpeg(encode_jpeg_progressive(px, quality=q, subsample=sub))
-        np.testing.assert_array_equal(prog, base)
-
-    run()
-
-
-# --- PNG Adam7 / palette / RGBA ------------------------------------------------
-
-
-@pytest.mark.parametrize("filter_type", [0, 1, 2, 3, 4])
-def test_png_adam7_round_trip_all_filters(filter_type):
-    from epichypersketch_jl_ray.functions.codecs import decode_png, encode_png
-
-    rng = np.random.default_rng(300 + filter_type)
-    for shape in [(11, 7), (1, 1), (8, 8), (13, 9, 3), (5, 3, 4)]:
-        px = rng.integers(0, 256, size=shape, dtype=np.uint8)
-        got = decode_png(encode_png(px, filter_type=filter_type, interlace=True))
-        np.testing.assert_array_equal(got, px)
-
-
-def test_png_palette_and_rgba_round_trip():
-    from epichypersketch_jl_ray.functions.codecs import decode_png, encode_png
-
-    rng = np.random.default_rng(42)
-    pal = rng.integers(0, 256, size=(200, 3), dtype=np.uint8)
-    idx = rng.integers(0, 200, size=(12, 9), dtype=np.uint8)
-    for interlace in (False, True):
-        got = decode_png(encode_png(idx, palette=pal, interlace=interlace, filter_type=4))
-        np.testing.assert_array_equal(got, pal[idx])  # palette resolves to RGB
-    rgba = rng.integers(0, 256, size=(7, 5, 4), dtype=np.uint8)
-    np.testing.assert_array_equal(decode_png(encode_png(rgba, filter_type=2)), rgba)
-    with pytest.raises(ValueError, match="out of range"):
-        encode_png(np.array([[250]], np.uint8), palette=pal[:100])
-
-
-def test_png_adam7_fuzz():
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    from epichypersketch_jl_ray.functions.codecs import decode_png, encode_png
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        w=st.integers(1, 21),
-        h=st.integers(1, 19),
-        ft=st.integers(0, 4),
-        ch=st.sampled_from([1, 3, 4]),
-        seed=st.integers(0, 2**16),
-    )
-    def run(w, h, ft, ch, seed):
-        rng = np.random.default_rng(seed)
-        shape = (h, w) if ch == 1 else (h, w, ch)
-        px = rng.integers(0, 256, size=shape, dtype=np.uint8)
-        np.testing.assert_array_equal(
-            decode_png(encode_png(px, filter_type=ft, interlace=True)), px
-        )
 
     run()

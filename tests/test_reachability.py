@@ -1,5 +1,6 @@
-"""Guard against regrowth of unreached code: every top-level function and
-class of the package must be named by code outside ``tests/`` — in the
+"""Guard against regrowth of unreached code: every top-level function,
+class and assigned name of the package must be named by code outside
+``tests/`` — in the
 package itself, ``examples/``, ``bench.py``, ``perfbench/`` or
 ``__ray_entry__.py``. Code that only tests call is deleted together with
 its tests; the few test oracles and fakes kept on purpose are listed in
@@ -22,8 +23,6 @@ ALLOWED = {
     ("sources/reference_fixtures.py", "make_conv_dict"): "reference test fixture",
     ("sources/reference_fixtures.py", "brute_force_subset_counts"): "brute-force oracle for the motif tests",
     ("sources/reference_fixtures.py", "brute_force_conv_counts"): "brute-force oracle for the motif tests",
-    ("stages/multimodal.py", "make_fake_image_table"): "fake payloads for the decode-stub tests",
-    ("stages/multimodal.py", "make_fake_audio_table"): "fake payloads for the decode-stub tests",
 }
 
 
@@ -63,10 +62,18 @@ def _names(tree: ast.AST) -> Counter:
 
 
 def _top_level_defs(path: Path, tree: ast.Module):
+    """(module path, name, defining node) of every top-level def, class and
+    assignment target."""
     rel = path.relative_to(PACKAGE).as_posix()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield rel, node
+            yield rel, node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield rel, name.id, node
 
 
 def test_every_package_definition_is_reached_outside_tests():
@@ -75,15 +82,15 @@ def test_every_package_definition_is_reached_outside_tests():
     for tree in trees.values():
         names.update(_names(tree))
     defs = [
-        (rel, node)
+        (rel, name, node)
         for path in sorted(PACKAGE.rglob("*.py"))
-        for rel, node in _top_level_defs(path, trees[path])
+        for rel, name, node in _top_level_defs(path, trees[path])
     ]
     unreached = [
-        f"{rel}:{node.name}"
-        for rel, node in defs
-        if names[node.name] - _names(node)[node.name] <= 0 and (rel, node.name) not in ALLOWED
+        f"{rel}:{name}"
+        for rel, name, node in defs
+        if names[name] - _names(node)[name] <= 0 and (rel, name) not in ALLOWED
     ]
     assert not unreached, f"named only in tests (delete them, or allowlist with a reason): {unreached}"
-    stale = set(ALLOWED) - {(rel, node.name) for rel, node in defs}
+    stale = set(ALLOWED) - {(rel, name) for rel, name, _node in defs}
     assert not stale, f"allowlisted but no longer defined: {stale}"

@@ -1,65 +1,18 @@
-"""MJPEG-AVI and Y4M video containers: round trips (bit-exact where the
-format is lossless, IDCT-rounding tolerance for MJPEG), container error
-paths, and the DHT-less MJPEG seam."""
+"""Y4M (YUV4MPEG2) video container: round trips (bit-exact for Cmono,
+BT.601 rounding for C444/C420) and container error paths."""
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 import pytest
 
-from epichypersketch_jl_ray.functions.video import (
-    decode_avi_mjpeg,
-    decode_y4m,
-    encode_avi_mjpeg,
-    encode_y4m,
-)
+from epichypersketch_jl_ray.functions.codecs import decode_y4m, encode_y4m
 
 
 def _frames(n=6, h=16, w=16, channels=0, seed=3):
     rng = np.random.default_rng(seed)
     shape = (n, h, w) if channels == 0 else (n, h, w, channels)
     return rng.integers(0, 256, shape, dtype=np.uint8)
-
-
-def test_avi_mjpeg_gray_round_trip():
-    f = _frames()
-    out = decode_avi_mjpeg(encode_avi_mjpeg(f, quality=100))
-    assert out.shape == f.shape
-    # quality-100 JPEG: loss limited to IDCT rounding
-    assert np.abs(out.astype(int) - f.astype(int)).max() <= 3
-
-
-def test_avi_mjpeg_rgb_round_trip():
-    f = _frames(4, 16, 16, 3)
-    out = decode_avi_mjpeg(encode_avi_mjpeg(f, quality=100))
-    assert out.shape == f.shape
-    assert np.abs(out.astype(int) - f.astype(int)).max() <= 4
-
-
-def test_avi_error_paths():
-    with pytest.raises(ValueError):
-        decode_avi_mjpeg(b"RIFF\x04\x00\x00\x00WAVE")
-    with pytest.raises(ValueError):
-        decode_avi_mjpeg(b"nonsense")
-    # an AVI whose movi list is empty
-    empty = b"RIFF" + struct.pack("<I", 16) + b"AVI LIST" + struct.pack("<I", 4) + b"movi"
-    with pytest.raises(ValueError):
-        decode_avi_mjpeg(empty)
-
-
-def test_avi_dht_less_mjpeg_raises():
-    f = _frames(1)
-    data = bytearray(encode_avi_mjpeg(f))
-    # strip the DHT segments out of the embedded JPEG: find 0xFFC4, replace
-    # the whole segment with a same-length APP1 comment so offsets survive
-    i = bytes(data).find(b"\xff\xc4")
-    while i >= 0:
-        data[i + 1] = 0xE1  # DHT -> APP1 (kept, ignored by decoders)
-        i = bytes(data).find(b"\xff\xc4", i + 2)
-    with pytest.raises(NotImplementedError):
-        decode_avi_mjpeg(bytes(data))
 
 
 def test_y4m_mono_bit_exact():
