@@ -38,7 +38,7 @@ from ray.data.aggregate import Count, Sum
 
 from epichypersketch_jl_ray.sources.tables import read_table, table_rows
 from epichypersketch_jl_ray.stages.join import bucketed_hash_join
-from epichypersketch_jl_ray.stages.udaf import broadcast_evict, broadcast_get
+from epichypersketch_jl_ray.stages.udaf import broadcast_evict, broadcast_get, cluster_cpus
 
 FP_ONE = 10**9
 DAMP_NUM = 85
@@ -174,7 +174,7 @@ def pagerank_fixedpoint(
       beyond the driver. More elastic, pays per-iteration stage overhead.
     """
     edges = edges.materialize()
-    n_cpus = int(ray.cluster_resources().get("CPU", 8))
+    n_cpus = cluster_cpus()
     if edges.num_blocks() > 2 * n_cpus:
         # bound block count so per-iteration scheduling (dataset engine) or
         # shard count (actor engine) doesn't dwarf node-scale compute
@@ -290,7 +290,7 @@ def _iterate_actor_shards(
     error — at that point the caller should fall back to the Dataset engine.
     """
     refs = edges.to_arrow_refs()
-    n_shards = max(1, min(len(refs), int(ray.cluster_resources().get("CPU", 8))))
+    n_shards = max(1, min(len(refs), cluster_cpus()))
     chunks = [c for c in np.array_split(np.arange(len(refs)), n_shards) if len(c)]
     nodes_ref = ray.put(nodes)
 

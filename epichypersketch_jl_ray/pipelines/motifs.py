@@ -30,6 +30,7 @@ verify tail still guarantees exact output.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 import pyarrow as pa
@@ -42,7 +43,7 @@ from epichypersketch_jl_ray.stages.motifs import MotifCounter, MotifSelector
 from epichypersketch_jl_ray.stages.udaf import (
     block_refs,
     exact_recount,
-    fold_blocks,
+    fold_blocks_at_least,
     select_blocks,
     tree_merge,  # noqa: F401  (perfbench/motifs.py wraps pipelines.motifs.tree_merge)
 )
@@ -96,23 +97,26 @@ def motif_pipeline(
     max_active_len: int = 64,
     batch_size: int | str = 2048,
 ) -> ray.data.Dataset:
-    """count (pass 1) → merge → broadcast → select+extract (pass 2) →
-    exact recount.
+    """count (pass 1) → threshold merge → broadcast → select+extract
+    (pass 2) → exact recount.
 
     The activation is materialized once in the object store (Ray spills to
     disk under pressure) — the analogue of the reference keeping its
     Records alive across count!/make_selection! (reference
     src/count_gpu_extract.jl:37-53). Both passes are plain Ray tasks over
     its block refs, one task per block, so the activation's blocks are the
-    unit of parallelism (``activation_from_table`` makes at least as many
-    as there are CPUs):
+    unit of parallelism (``activation_from_table`` makes a multiple of the
+    cluster's CPU count):
 
-    - count: ``udaf.fold_blocks`` folds each block's slices into ONE
-      ``MotifCountState``, merged by ``udaf.merge_state_refs``;
+    - count: ``udaf.fold_blocks_at_least`` folds each block's slices into
+      ONE ``MotifCountState`` and cuts its CountMin into one cell-id range
+      per CPU; one task per range sums it across the blocks and keeps the
+      cells >= min_count, so the merged sketch is never built: the driver
+      gets the ``at_least(min_count)`` view and the summed ``truncated``
+      and ``n_inserts``;
     - select: ``udaf.select_blocks`` runs ``MotifSelector`` on each
-      block's slices against the ``at_least(min_count)`` view of the
-      merged sketch; the select blocks' refs and their summed row count go
-      to ``udaf.exact_recount``.
+      block's slices against that view; the select blocks' refs and their
+      summed row count go to ``udaf.exact_recount``.
 
     ``batch_size`` bounds the rows the enumeration sees at once;
     ``":auto"`` sizes each block's slices from the enumeration working set
@@ -142,7 +146,16 @@ def motif_pipeline(
         max_active_len=max_active_len,
     )
     counter = MotifCounter(**kwargs, delta=delta, epsilon=epsilon, seed=seed)
-    merged = fold_blocks(blocks, counter, MotifCountState, batch_size=slice_rows)
+    # only cells >= min_count can pass the select, so only they are summed
+    # and broadcast
+    merged = fold_blocks_at_least(
+        blocks,
+        counter,
+        MotifCountState,
+        batch_size=slice_rows,
+        t=min_count,
+        cms=operator.attrgetter("cms"),
+    )
     if merged.truncated:
         import logging
 
@@ -151,10 +164,9 @@ def motif_pipeline(
             merged.truncated,
             max_active_len,
         )
-    # only cells >= min_count can pass the select, so only they are broadcast
     selector = functools.partial(MotifSelector, min_count=min_count, **kwargs)
     refs, n_selected = select_blocks(
-        [[b] for b in blocks], selector, merged.cms.at_least(min_count), batch_size=slice_rows
+        [[b] for b in blocks], selector, merged.cms, batch_size=slice_rows
     )
     key_cols = [f"m{i + 1}" for i in range(motif_size)]
     schema_fields: list[tuple[str, pa.DataType]] = [(c, pa.int32()) for c in key_cols]

@@ -2,11 +2,14 @@
 adaptation of the reference's CMS counting (SURVEY.md §1.3: sequences derived
 from text are counted, selected against min_count, and extracted).
 
-Pass 1: one fold task per block of the read (stages/udaf.fold_blocks):
-        a sparse CMS partial per batch over hashed trigrams (one CMS insert
-        per n-gram occurrence, reference count! semantics), folded to one
-        state per block and merged.
-Pass 2: broadcast the merged CMS's cells >= min_count (CountMin.at_least)
+Pass 1: one fold task per block of the read
+        (stages/udaf.fold_blocks_at_least): a sparse CMS partial per batch
+        over hashed trigrams (one CMS insert per n-gram occurrence,
+        reference count! semantics), folded to one state per block and cut
+        into one cell-id range per CPU; one task per range sums it across
+        the blocks and keeps its cells >= min_count, so the merged CMS is
+        never built, only its at_least(min_count) view.
+Pass 2: broadcast that view
         to one select task per run of consecutive blocks of a second read
         (stages/udaf.select_blocks over block_groups, each run at least
         one slice of 4 x batch_size rows); re-derive n-grams per slice, keep
@@ -36,7 +39,7 @@ from epichypersketch_jl_ray.stages.udaf import (
     block_groups,
     block_refs,
     exact_recount,
-    fold_blocks,
+    fold_blocks_at_least,
     select_blocks,
 )
 from epichypersketch_jl_ray.state.countmin import CountMin
@@ -91,7 +94,10 @@ def _heavy_ngrams(
     def count(batch: pa.Table) -> CountMin:
         return CountMin(1, delta=delta, epsilon=epsilon, seed=seed).add_keys(keys_of(batch)[0])
 
-    merged = fold_blocks(block_refs(ds), count, CountMin, batch_size=batch_size)
+    # only cells >= min_count can pass the select, so only they are summed
+    view = fold_blocks_at_least(
+        block_refs(ds), count, CountMin, batch_size=batch_size, t=min_count
+    )
 
     def selector(cms: CountMin):
         def select(batch: pa.Table) -> pa.Table:
@@ -123,7 +129,7 @@ def _heavy_ngrams(
     # of blocks the read cut the table into
     rows = 4 * batch_size
     refs, n_selected = select_blocks(
-        block_groups(ds, rows), selector, merged.at_least(min_count), batch_size=rows
+        block_groups(ds, rows), selector, view, batch_size=rows
     )
     schema = pa.schema(
         [("h", pa.int64())]

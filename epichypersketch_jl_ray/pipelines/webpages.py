@@ -19,13 +19,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
-
 from epichypersketch_jl_ray.functions.hashing import fnv1a64, hash_combine
 from epichypersketch_jl_ray.functions.html import extract_text
 from epichypersketch_jl_ray.functions.text import ngram_hashes, token_hashes
 from epichypersketch_jl_ray.state.websketch import WebSketchState
 from epichypersketch_jl_ray.stages.udaf import (
+    cluster_cpus,
     fold_file_slice,
     merge_state_refs,
     tree_merge,  # noqa: F401  (perfbench/web.py wraps pipelines.webpages.tree_merge)
@@ -92,16 +91,6 @@ def corpus_rows(files: list[str]) -> int:
     return sum(pq.ParquetFile(f).metadata.num_rows for f in files)
 
 
-def _cluster_cpus() -> int:
-    """CPUs of the running Ray cluster (of this machine before Ray starts:
-    what the first task submission's auto-init would get)."""
-    import os
-
-    if ray.is_initialized():
-        return int(ray.cluster_resources().get("CPU", 1))
-    return os.cpu_count() or 1
-
-
 def make_state(*, n_docs_hint: int | None = None, **kwargs) -> WebSketchState:
     defaults = dict(seed=WEB_SEED, delta=1e-4, epsilon=5e-5, hll_p=14, kll_k=256)
     if n_docs_hint is not None and "bloom_capacity" not in kwargs:
@@ -149,7 +138,7 @@ def build_web_sketches(
     files = parquet_files(input_dir)
     if "bloom_capacity" not in state_kwargs and "n_docs_hint" not in state_kwargs:
         state_kwargs["n_docs_hint"] = corpus_rows(files)
-    parts = max(1, _cluster_cpus() // len(files))
+    parts = max(1, cluster_cpus() // len(files))
     make_partial = WebSketchBuilder(**state_kwargs)
     refs = [
         fold_file_slice.remote(f, part, parts, make_partial, batch_size, WEB_COLUMNS)

@@ -27,9 +27,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+import ray
 import ray.data
 
 from epichypersketch_jl_ray.functions.hashing import hash_int64
+from epichypersketch_jl_ray.stages.udaf import cluster_cpus
 
 _TARGET_ROWS_PER_BUCKET = 1 << 16
 
@@ -53,14 +55,7 @@ def auto_bucket_count(
     stage at half occupancy). Row-targeted sizing still dominates for big
     inputs; the explicit ``lo`` override remains for tests."""
     if lo is None:
-        lo = 16
-        try:
-            import ray as _ray
-
-            if _ray.is_initialized():
-                lo = max(16, int(_ray.cluster_resources().get("CPU", 16)))
-        except Exception:
-            pass
+        lo = max(16, cluster_cpus()) if ray.is_initialized() else 16
     if size_hint_rows is None:
         return lo
     return max(lo, min(hi, -(-int(size_hint_rows) // target_rows_per_bucket)))

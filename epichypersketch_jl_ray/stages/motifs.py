@@ -4,9 +4,10 @@ passes over Arrow batches, each one Ray task per activation block
 (pipelines/motifs.motif_pipeline):
 
   pass 1  MotifCounter per batch → sparse CMS partial, folded to one state
-          per block (udaf.fold_blocks)   (reference count!/count_cpu!,
+          per block, whose cells >= min_count a sharded reduce keeps
+          (udaf.fold_blocks_at_least)   (reference count!/count_cpu!,
           /root/reference/src/count_cpu.jl:76-144)
-  pass 2  broadcast the merged CMS's cells >= min_count (CountMin.at_least)
+  pass 2  broadcast the merged CMS's cells >= min_count (its at_least view)
           to one select task per block (udaf.select_blocks); MotifSelector
           per batch fuses selection + extraction (reference make_selection_cpu! +
           _obtain_enriched_configurations_cpu_, /root/reference/src/count_cpu.jl:149-293

@@ -8,18 +8,29 @@ pattern of one partial state per unit of input and an associative merge
 folds the unit's ``batch_size``-row slices with fold_partials into ONE
 state. A unit is one of two shapes:
 
-    Dataset blocks (sketch_dataset, the n-gram and motif counts):
+    Dataset blocks (sketch_dataset):
       fold_blocks: one task per block ref, streamed from
       iter_internal_ref_bundles; the task cuts its block into slices
     parquet file slices (the web builds, checkpoint.build_checkpointed):
       fold_file_slice: one task per file, or per contiguous slice of a
       file (fold_parquet_part), reading only the needed row groups
     → the tasks' state blocks → merge_state_refs: remote k-way merges,
-      then ONE driver merge_many → one merged sketch, broadcast via
-      ray.put for any later pass
-      → select_blocks: a CMS query's select, one task per block or
-        block_groups run, against the merged sketch's at_least(min_count)
-        view
+      then ONE driver merge_many → one merged sketch
+
+A CMS query (the motif and n-gram counts) needs of its merged sketch only
+the cells that reach min_count, so it never builds it:
+
+    Dataset blocks
+      fold_blocks_at_least: one task per block ref, the fold above, then
+      S + 1 returns (S = cluster_cpus()): the state's CountMin cut into S
+      cell-id ranges (CountMin.cut), and the state left without cells
+    → S _sum_shard tasks: each sums one range across every partial and
+      returns its cells >= min_count (countmin.sum_at_least); the driver
+      merges the cell-less states (n_inserts, truncated) with their
+      merge_many and concatenates the ranges' cells into the merged
+      state's CountMin: the at_least(min_count) view, ray.put once
+      → select_blocks: the select, one task per block or block_groups run,
+        against the view
       → exact_recount: the select blocks' refs and summed row count; the
         survivors recounted exactly
 
@@ -42,12 +53,16 @@ operators: a one-row table whose single ``state`` column holds the state's
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
+import numpy as np
 import pyarrow as pa
 import ray
 
 from epichypersketch_jl_ray.state.base import MergeableSketch
+
+if TYPE_CHECKING:
+    from epichypersketch_jl_ray.state.countmin import CountMin
 
 # Each remote merge task takes at least this many state blocks; at most
 # MERGE_FANOUT**2 blocks reach the driver's final merge_many.
@@ -80,8 +95,8 @@ def fold_partials(
     partial can be a whole corpus-sized Bloom filter), and the COO CountMin
     accumulator is re-sorted once per group, not once per table. A single
     table's state is returned as is (``merge_many([])`` still re-sorts a COO
-    CountMin). The fold of every task: a Dataset block (``fold_blocks``) and
-    a file slice (``fold_parquet_part``).
+    CountMin). The fold of every task: a Dataset block (``fold_blocks``,
+    ``fold_blocks_at_least``) and a file slice (``fold_parquet_part``).
     """
     states: list[MergeableSketch] = []
     for tbl in tables:
@@ -129,12 +144,19 @@ def block_slices(block, batch_size: int | Callable[[pa.Table], int]) -> list[pa.
     return [tbl.slice(i, rows) for i in range(0, tbl.num_rows, rows)]
 
 
+def _block_state(block, make_partial, batch_size) -> MergeableSketch | None:
+    """One Dataset block's slices folded into one state (None for a 0-row
+    block): the fold of every ``fold_blocks`` and ``fold_blocks_at_least``
+    task."""
+    slices = block_slices(block, batch_size)
+    return fold_partials(slices, make_partial) if slices[0].num_rows else None
+
+
 @ray.remote
 def _fold_block(block, make_partial, batch_size) -> pa.Table:
-    """State block of one Dataset block: its slices folded into one state
-    (no state for a 0-row block)."""
-    slices = block_slices(block, batch_size)
-    return _state_table([fold_partials(slices, make_partial)] if slices[0].num_rows else [])
+    """State block of one Dataset block (no state for a 0-row block)."""
+    state = _block_state(block, make_partial, batch_size)
+    return _state_table([] if state is None else [state])
 
 
 def fold_blocks(
@@ -151,6 +173,81 @@ def fold_blocks(
     return merge_state_refs(
         [_fold_block.remote(b, make_partial, batch_size) for b in blocks], cls
     )
+
+
+def cluster_cpus() -> int:
+    """CPUs of the running Ray cluster (of this machine before Ray starts:
+    what the first task submission's auto-init would get). Sizes every
+    per-CPU cut: web file slices, activation buckets, threshold-merge
+    shards, join bucket floors, graph shards."""
+    import os
+
+    if ray.is_initialized():
+        return int(ray.cluster_resources().get("CPU", 1))
+    return os.cpu_count() or 1
+
+
+@ray.remote
+def _fold_cut_block(block, make_partial, batch_size, cms, shards: int) -> list:
+    """``shards + 1`` returns for one Dataset block: its folded state's
+    CountMin (``cms(state)``) cut into ``shards`` cell-id ranges
+    (``CountMin.cut``), then the state block of the state left without
+    cells (no state, and empty ranges, for a 0-row block)."""
+    state = _block_state(block, make_partial, batch_size)
+    if state is None:
+        empty = np.empty(0, dtype=np.int64)
+        return [(empty, empty)] * shards + [_state_table([])]
+    return [*cms(state).cut(shards), _state_table([state])]
+
+
+@ray.remote
+def _sum_shard(cols: int, t: int, *runs) -> tuple[np.ndarray, np.ndarray]:
+    """One cell-id range summed across every partial, only its cells >= t."""
+    from epichypersketch_jl_ray.state.countmin import sum_at_least
+
+    return sum_at_least(runs, cols, t)
+
+
+def fold_blocks_at_least(
+    blocks: Iterable,
+    make_partial: Callable[[pa.Table], MergeableSketch],
+    cls: type[MergeableSketch],
+    *,
+    batch_size: int | Callable[[pa.Table], int],
+    t: int,
+    cms: Callable[[MergeableSketch], "CountMin"] = lambda state: state,
+) -> MergeableSketch:
+    """The merged state of Dataset blocks with its CountMin (``cms(state)``)
+    thresholded: the state ``fold_blocks`` would return, its CountMin
+    replaced by that CountMin's ``at_least(t)`` view (the same estimates for
+    every key, the same n_inserts). For a CMS count whose only consumer is
+    ``at_least(t)``, without holding the merged sketch anywhere:
+
+    - one task per block ref folds the block as ``fold_blocks`` does and
+      returns ``S + 1`` objects, S being ``cluster_cpus()``: its CountMin's
+      cells cut into S contiguous ranges of flat cell ids, and the state
+      left without cells (n_inserts and any side counts);
+    - the driver merges the cell-less states with their ``merge_many``;
+    - S ``_sum_shard`` tasks each sum one range across all partials and
+      return only its cells >= t, which the driver concatenates, already
+      sorted, into the merged state's CountMin.
+
+    Raises ValueError when the blocks hold no row (no state to merge)."""
+    shards = cluster_cpus()
+    fold = _fold_cut_block.options(num_returns=shards + 1)
+    outs = [fold.remote(b, make_partial, batch_size, cms, shards) for b in blocks]
+    states = [
+        sk for tbl in ray.get([o[-1] for o in outs]) for sk in _sketches_from_table(tbl, cls)
+    ]
+    if not states:
+        raise ValueError("no partial states to merge (empty input dataset?)")
+    merged = states[0].merge_many(states[1:])
+    view = cms(merged)
+    cells = ray.get(
+        [_sum_shard.remote(view.cols, t, *(o[s] for o in outs)) for s in range(shards)]
+    )
+    view.merge_cells(np.concatenate([i for i, _ in cells]), np.concatenate([c for _, c in cells]))
+    return merged
 
 
 def fold_parquet_part(
@@ -229,8 +326,9 @@ def merge_state_refs(refs: list, cls: type[MergeableSketch]) -> MergeableSketch:
     ``merge_many``, one linear pass rather than a pairwise fold (quadratic
     for COO-sketch merges). Block order is kept, so the merge order is the
     order of ``refs``. Raises ValueError when the blocks hold no state at
-    all (an empty input). The merge of every fold and of
-    ``checkpoint.build_checkpointed``'s merged blob groups.
+    all (an empty input). The merge of every fold but the CMS queries'
+    (``fold_blocks_at_least``) and of ``checkpoint.build_checkpointed``'s
+    merged blob groups.
     """
     driver_cap = MERGE_FANOUT * MERGE_FANOUT
     while len(refs) > driver_cap:
@@ -349,7 +447,6 @@ def exact_recount(
     one-block Dataset. Above it the blocks become a Dataset, and a groupby
     on ``hash(key_cols) % auto_bucket_count(rows)`` sends every row of a
     key to one bucket and recounts each bucket in parallel."""
-    import numpy as np
     import ray.data
 
     from epichypersketch_jl_ray.functions.hashing import hash_combine, hash_int64

@@ -36,6 +36,9 @@ r's columns are sorted on their own and run-length encoded (weights summed
 per run), and since rows own disjoint ranges of flat ids, the rows' runs
 concatenate already sorted. A COO merge goes row by row too: row r takes
 its ``searchsorted`` slice of every input and sorts and sums only those.
+The same sum serves a sharded threshold merge: ``cut`` moves a partial's
+cells out as contiguous ranges of flat ids, and ``sum_at_least`` sums one
+range across all partials and keeps only the cells that reach a threshold.
 Estimates take the same per-row columns and a running min over rows.
 """
 
@@ -263,41 +266,15 @@ class CountMin(MergeableSketch):
             self._merge_coo([np.concatenate(ids)], [np.concatenate(cnts)])
 
     def _merge_coo(self, ids: list[np.ndarray], counts: list[np.ndarray]) -> None:
-        """Add sorted sparse (ids, counts) runs into the COO state, one sketch
-        row at a time: row r takes its ``searchsorted`` slice of every run,
-        and where more than one run has cells in the row, the slices are
-        concatenated, argsorted and summed per id (reduceat; integer sums,
-        so the order of equal ids does not matter). Rows own disjoint id
-        ranges, so their results concatenate already sorted. A single run
-        into an empty state is already canonical and is taken as is (the
-        fresh-partial case of every batch update)."""
+        """Add sorted sparse (ids, counts) runs into the COO state
+        (``_sum_runs``). A single run into an empty state is already
+        canonical and is taken as is (the fresh-partial case of every batch
+        update)."""
         if len(self.ids) == 0 and len(ids) == 1:
             self.ids, self.counts = ids[0], counts[0]
         else:
-            runs = [(i, c) for i, c in zip([self.ids, *ids], [self.counts, *counts]) if len(i)]
-            bounds = np.arange(self.rows + 1) * self.cols
-            cuts = [np.searchsorted(i, bounds) for i, _ in runs]
-            out_ids, out_cts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-            for r in range(self.rows):
-                row = [
-                    (i[cut[r] : cut[r + 1]], c[cut[r] : cut[r + 1]])
-                    for (i, c), cut in zip(runs, cuts)
-                    if cut[r + 1] > cut[r]
-                ]
-                if len(row) == 1:  # one canonical run: ids unique, counts summed
-                    rid, rct = row[0]
-                elif row:
-                    rid = np.concatenate([i for i, _ in row])
-                    order = np.argsort(rid)
-                    rid = rid[order]
-                    starts = _run_starts(rid)
-                    rct = np.add.reduceat(np.concatenate([c for _, c in row])[order], starts)
-                    rid = rid[starts]
-                else:
-                    continue
-                out_ids.append(rid)
-                out_cts.append(rct)
-            self.ids, self.counts = np.concatenate(out_ids), np.concatenate(out_cts)
+            runs = zip([self.ids, *ids], [self.counts, *counts])
+            self.ids, self.counts = _sum_runs(runs, self.cols)
         # densify when COO overhead exceeds dense storage (2 int64 per nnz)
         if len(self.ids) > self.num_counters // 2:
             self.densify()
@@ -345,8 +322,11 @@ class CountMin(MergeableSketch):
         An estimate is the min over rows, so it reaches t exactly when every
         row's cell does: ``view.estimate(x) >= t`` exactly when
         ``self.estimate(x) >= t``, and where it passes the two are equal. A
-        select pass broadcasts the view, O(cells >= t) instead of O(sketch).
-        Survivors stay dense only past ``_merge_coo``'s densify point.
+        select pass broadcasts the view, O(cells >= t) instead of O(sketch);
+        the CMS queries build it without a merged sketch (``cut`` and
+        ``sum_at_least``), and this is the reference they are tested
+        against. Survivors stay dense only past ``_merge_coo``'s densify
+        point.
         """
         view = object.__new__(CountMin)
         for name in self.__slots__:
@@ -363,6 +343,36 @@ class CountMin(MergeableSketch):
         keep = self.counts >= t
         view.ids, view.counts = self.ids[keep], self.counts[keep]
         return view
+
+    def cut(self, shards: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Move this sketch's nonzero cells out as ``shards`` sorted (ids,
+        counts) runs, run s holding the flat ids in ``[s * num_counters //
+        shards, (s + 1) * num_counters // shards)`` (an empty run where the
+        range has no cell), from a dense state as from a COO one. The sketch
+        keeps its geometry, seed and n_inserts, and no cell: the partial's
+        side of a sharded threshold merge, whose shards ``sum_at_least``
+        reduces."""
+        if self.dense is not None:
+            flat = self.dense.ravel()
+            ids = np.flatnonzero(flat).astype(np.int64)
+            counts = flat[ids]
+        else:
+            ids, counts = self.ids, self.counts
+        bounds = np.arange(shards + 1, dtype=np.int64) * self.num_counters // shards
+        cuts = np.searchsorted(ids, bounds)
+        self.dense = None
+        self.ids = self.counts = np.empty(0, dtype=np.int64)
+        return [(ids[a:b], counts[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+
+    def merge_cells(self, ids: np.ndarray, counts: np.ndarray) -> "CountMin":
+        """Add sorted canonical (ids, counts) cells of this geometry to this
+        COO sketch, without counting inserts: the driver end of a sharded
+        threshold merge puts the shards' ``sum_at_least`` cells,
+        concatenated in shard order, into the merged sketch ``cut`` left
+        without cells (past half the cells it densifies, as ``at_least``
+        keeps such a view dense)."""
+        self._merge_coo([ids], [counts])
+        return self
 
     def _row_values(self, r: int, col: np.ndarray) -> np.ndarray:
         """Counter values of sketch row r at columns ``col``."""
@@ -504,6 +514,57 @@ def _run_starts(s: np.ndarray) -> np.ndarray:
     """Index of the first element of each run of equal values in a
     nonempty sorted array."""
     return np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+
+
+def _sum_runs(runs, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell-by-cell sum of sorted canonical (ids, counts) runs of a sketch
+    with ``cols`` columns, one sketch row at a time: row r takes its
+    ``searchsorted`` slice of every run, and where more than one run has
+    cells in the row, the slices are concatenated, argsorted and summed per
+    id (reduceat; integer sums, so the order of equal ids does not matter).
+    Rows own disjoint id ranges, so their results concatenate already
+    sorted. Only the rows between the runs' first and last id are visited,
+    so a run set that covers one range of flat ids costs that range."""
+    runs = [(i, c) for i, c in runs if len(i)]
+    out_ids, out_cts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    if not runs:
+        return out_ids[0], out_cts[0]
+    first = min(int(i[0]) for i, _ in runs) // cols
+    last = max(int(i[-1]) for i, _ in runs) // cols
+    bounds = np.arange(first, last + 2, dtype=np.int64) * cols
+    cuts = [np.searchsorted(i, bounds) for i, _ in runs]
+    for r in range(len(bounds) - 1):
+        row = [
+            (i[cut[r] : cut[r + 1]], c[cut[r] : cut[r + 1]])
+            for (i, c), cut in zip(runs, cuts)
+            if cut[r + 1] > cut[r]
+        ]
+        if len(row) == 1:  # one canonical run: ids unique, counts summed
+            rid, rct = row[0]
+        elif row:
+            rid = np.concatenate([i for i, _ in row])
+            order = np.argsort(rid)
+            rid = rid[order]
+            starts = _run_starts(rid)
+            rct = np.add.reduceat(np.concatenate([c for _, c in row])[order], starts)
+            rid = rid[starts]
+        else:
+            continue
+        out_ids.append(rid)
+        out_cts.append(rct)
+    return np.concatenate(out_ids), np.concatenate(out_cts)
+
+
+def sum_at_least(runs, cols: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells that reach ``t`` of the sum of sorted (ids, counts) runs
+    of a sketch with ``cols`` columns, as sorted (ids, counts): the reduce of
+    one shard of a sharded threshold merge, its runs being that shard of
+    every partial's ``CountMin.cut``. A cell of the merged sketch is the sum
+    of the partials' cells of its id, so the shard's cells that reach ``t``
+    are exactly the merged sketch's ``at_least(t)`` cells in that range."""
+    ids, counts = _sum_runs(runs, cols)
+    keep = counts >= t
+    return ids[keep], counts[keep]
 
 
 _WIRE_MAGIC = b"CM01"

@@ -476,3 +476,78 @@ def test_multilinear_hash_bound_raises():
     # the same cells with one hash column stay inside the bound
     narrow = CountMin(1, delta=0.5, epsilon=2e-9)
     assert narrow.hash_columns(np.array([3])).shape == (1, 1)
+
+
+def _threshold_merge(parts: list[CountMin], shards: int, t: int) -> CountMin:
+    """merge_many(parts).at_least(t) as a sharded threshold merge: every
+    partial cut into ``shards`` cell-id ranges, each range summed across the
+    partials by sum_at_least, the cell-less partials merged by merge_many
+    and the ranges' cells concatenated into the result."""
+    from epichypersketch_jl_ray.state.countmin import sum_at_least
+
+    cuts = [p.cut(shards) for p in parts]
+    assert all(len(c) == shards for c in cuts)
+    assert all(p.dense is None and len(p.ids) == 0 for p in parts)
+    merged = parts[0].merge_many(parts[1:])
+    cells = [sum_at_least([c[s] for c in cuts], merged.cols, t) for s in range(shards)]
+    for (ids, _), s in zip(cells, range(shards)):
+        lo, hi = s * merged.num_counters // shards, (s + 1) * merged.num_counters // shards
+        assert ((ids >= lo) & (ids < hi)).all()
+    return merged.merge_cells(
+        np.concatenate([i for i, _ in cells]), np.concatenate([c for _, c in cells])
+    )
+
+
+@pytest.mark.parametrize("t", ["one", "three", "above_all"])
+@pytest.mark.parametrize("shards", [1, 3, 7, 64])
+@pytest.mark.parametrize("geometry", ["small", "large_rows"])
+def test_sharded_threshold_merge_equals_merge_many_at_least(geometry, shards, t):
+    """Cutting random partials into cell-id ranges, summing each range with
+    sum_at_least and concatenating gives the cells, the n_inserts and the
+    estimates of merge_many(partials).at_least(t). The partials: COO ones
+    over one key pool (overlapping ids), weighted and not, a dense one and
+    an empty one; 7 and 64 ranges exceed the sketch's rows, and at the
+    large geometry 64 ranges leave some ranges without a cell. Thresholds:
+    1 (every nonzero cell), 3, and one above every count (no cell)."""
+    rng = np.random.default_rng(shards)
+    # 20 keys at the large geometry: 100 cells, so 64 ranges leave some empty
+    pool_size = 400 if geometry == "small" else 20
+    pool = rng.integers(0, 2**63, size=pool_size, dtype=np.int64).astype(np.uint64)
+
+    def partial(n, weighted=False, dense=False):
+        p = _pin_sketch(geometry, 1)
+        if n:
+            w = rng.integers(1, 5, n) if weighted else None
+            p.add_keys(pool[rng.integers(0, len(pool), n)], w)
+        return p.densify() if dense else p
+
+    # at the small geometry (544 cells) the merged sketch is dense, and so
+    # is its at_least(1) view
+    n = [300, 500, 0, 200, 80] if geometry == "large_rows" else [80, 110, 0, 60, 40]
+    parts = [
+        partial(n[0]),
+        partial(n[1], weighted=True),
+        partial(n[2]),
+        partial(n[3], dense=True),
+        partial(n[4]),
+    ]
+    assert [p.dense is not None for p in parts] == [False, False, False, True, False]
+    n_inserts = sum(p.n_inserts for p in parts)
+    copies = [CountMin.from_bytes(p.to_bytes()) for p in parts]
+    full = copies[0].merge_many(copies[1:])
+    top = int(_cells(full)[1].max())
+    threshold = {"one": 1, "three": 3, "above_all": top + 1}[t]
+    want = full.at_least(threshold)
+    got = _threshold_merge(parts, shards, threshold)
+
+    for a, b in zip(_cells(got), _cells(want)):
+        np.testing.assert_array_equal(a, b)
+    assert (got.dense is None) == (want.dense is None)
+    assert got.n_inserts == want.n_inserts == n_inserts
+    q = np.concatenate([pool, rng.integers(0, 2**63, size=200, dtype=np.int64).astype(np.uint64)])
+    np.testing.assert_array_equal(got.estimate_keys(q), want.estimate_keys(q))
+    if t == "above_all":
+        assert len(got.ids) == 0 and not got.estimate_keys(q).any()
+    if geometry == "large_rows" and shards == 64:
+        bounds = np.arange(65) * full.num_counters // 64
+        assert len(np.unique(np.searchsorted(bounds, _cells(full)[0], side="right"))) < 64

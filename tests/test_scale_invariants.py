@@ -132,6 +132,63 @@ def test_sketch_dataset_equals_in_process_fold(ray_session, blocks):
     assert merged.digest() == reference.digest()
 
 
+@pytest.mark.parametrize("shards", [1, None, 7])
+def test_fold_blocks_at_least_equals_merge_at_least(ray_session, monkeypatch, shards):
+    """fold_blocks_at_least over blocks of a 1 x 2,719-cell sketch (COO
+    partials with overlapping cells, one block dense, one 0-row) equals the
+    in-process merge_many of the same slices with its CountMin replaced by
+    at_least(t): the same cells and n_inserts, and the side count summed.
+    One range (S = 1), the session's 4 CPUs, and 7 ranges; an input with no
+    row raises as merge_state_refs does."""
+    import pyarrow as pa
+    import ray
+
+    from epichypersketch_jl_ray.functions.hashing import hash_int64
+    from epichypersketch_jl_ray.stages import udaf
+    from epichypersketch_jl_ray.stages.motifs import MotifCountState
+
+    if shards is not None:
+        monkeypatch.setattr(udaf, "cluster_cpus", lambda: shards)
+
+    def count(batch: pa.Table) -> MotifCountState:
+        cms = CountMin(1, delta=0.5, epsilon=1e-3, seed=5)
+        cms.add_keys(hash_int64(batch["k"].to_numpy(), seed=4))
+        return MotifCountState(cms, truncated=batch.num_rows)
+
+    rng = np.random.default_rng(2)
+    tables = [pa.table({"k": rng.integers(0, n, size=n)}) for n in (900, 300, 0, 6000, 500)]
+    partials = [count(t) for t in tables[:2] + tables[3:]]
+    assert [p.cms.dense is not None for p in partials] == [False, False, True, False]
+    reference = partials[0].merge_many(partials[1:])
+    refs = [ray.put(t) for t in tables]
+    for t in (1, 3, 10**9):
+        got = udaf.fold_blocks_at_least(
+            refs, count, MotifCountState, batch_size=10_000, t=t, cms=lambda st: st.cms
+        )
+        want = reference.cms.at_least(t)
+        assert got.truncated == sum(len(x) for x in tables)
+        assert got.cms.n_inserts == want.n_inserts == reference.cms.n_inserts
+        assert got.cms.digest() == want.digest()
+    with pytest.raises(ValueError, match="no partial states"):
+        udaf.fold_blocks_at_least(
+            [refs[2]], count, MotifCountState, batch_size=10, t=1, cms=lambda st: st.cms
+        )
+
+
+def test_cms_queries_never_merge_on_the_driver(ray_session, sf_dir, monkeypatch):
+    """The motif count and the n-gram count go through the sharded
+    threshold merge: neither calls merge_state_refs."""
+    from epichypersketch_jl_ray.pipelines import motifs, ngrams
+    from epichypersketch_jl_ray.stages import udaf
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("merge_state_refs called")
+
+    monkeypatch.setattr(udaf, "merge_state_refs", refuse)
+    assert motifs.motifs_ordinary(sf_dir).count() > 0
+    assert ngrams.heavy_ngrams(sf_dir).count() > 0
+
+
 def test_tree_merge_auto_bounds_driver_states(ray_session, monkeypatch):
     """tree_merge with a forced 10k-partial run: the driver must
     deserialize at most MERGE_FANOUT**2 states — everything else is
@@ -315,12 +372,15 @@ def test_heavy_ngrams_empty_selection_keeps_schema(ray_session, sf_dir, query):
 def test_heavy_ngrams_selection_same_on_threshold_view(ray_session, sf_dir, monkeypatch, query):
     """The select pass emits the same n-grams whether it reads the merged
     sketch or the ``at_least(min_count)`` view the pipeline broadcasts. The
-    exact recount is bypassed so CMS false survivors would show too;
-    per-batch counts are summed so Ray's batching cannot differ the runs."""
+    full sketch is the threshold merge run with threshold 1, which keeps
+    every nonzero cell. The exact recount is bypassed so CMS false survivors
+    would show too; per-batch counts are summed so Ray's batching cannot
+    differ the runs."""
     import pyarrow as pa
     import ray
 
     from epichypersketch_jl_ray.pipelines import ngrams
+    from epichypersketch_jl_ray.stages import udaf
 
     monkeypatch.setattr(
         ngrams, "exact_recount", lambda refs, *a, **kw: pa.concat_tables(ray.get(refs))
@@ -332,7 +392,11 @@ def test_heavy_ngrams_selection_same_on_threshold_view(ray_session, sf_dir, monk
         return df.groupby(keys, as_index=False)["batch_n"].sum().sort_values(keys, ignore_index=True)
 
     view = selected()
-    monkeypatch.setattr(CountMin, "at_least", lambda self, t: self)
+    monkeypatch.setattr(
+        ngrams,
+        "fold_blocks_at_least",
+        lambda *args, **kwargs: udaf.fold_blocks_at_least(*args, **{**kwargs, "t": 1}),
+    )
     full = selected()
     assert len(full) > 0
     pd.testing.assert_frame_equal(view, full)
@@ -427,6 +491,35 @@ def test_activation_buckets_equal_one_in_process_build(ray_session, fixture, sou
         for seq in got["features"].to_pylist():
             p = [f["position"] for f in seq]
             assert p == sorted(p)
+
+
+@pytest.mark.parametrize("hint", [None, 1_000, 5 * 2**16 + 1, 9 * 2**16])
+def test_activation_default_buckets_are_a_multiple_of_cpus(ray_session, hint):
+    """Without num_buckets the activation has one block per bucket, and the
+    bucket count is the smallest multiple of the cluster's CPU count that is
+    at least ceil(size_hint_rows / 2**16): 4, 4, 8 and 12 buckets on the
+    session's 4 CPUs; the rows equal one in-process build."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from epichypersketch_jl_ray.sources.activation import _build_sequences, activation_from_table
+    from epichypersketch_jl_ray.stages.udaf import cluster_cpus
+
+    rows, _ = _normalized_rows("ordinary")
+    cuts = [i * rows.num_rows // 3 for i in range(4)]
+    ds = ray.data.from_arrow([rows.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])])
+    act = activation_from_table(
+        ds, key_col="key", feature_col="feat", contribution_col="contrib", size_hint_rows=hint
+    )
+    blocks = ray.get(act.to_arrow_refs())
+    cpus = cluster_cpus()
+    need = -(-(hint or 0) // 2**16)
+    assert cpus == 4
+    assert len(blocks) % cpus == 0 and len(blocks) >= need
+    assert len(blocks) == {None: 4, 1_000: 4, 5 * 2**16 + 1: 8, 9 * 2**16: 12}[hint]
+    whole = _build_sequences(rows, "key", "feat", "contrib", None)
+    assert pa.concat_tables(blocks).sort_by("data_index").equals(whole)
 
 
 def test_motif_count_and_select_per_block_equal_one_block(ray_session, caplog):

@@ -243,10 +243,9 @@ def test_file_slices_fold_each_row_once(ray_session, tmp_path):
     from epichypersketch_jl_ray.pipelines.webpages import (
         WEB_COLUMNS,
         WebSketchBuilder,
-        _cluster_cpus,
         build_web_sketches,
     )
-    from epichypersketch_jl_ray.stages.udaf import fold_parquet_part
+    from epichypersketch_jl_ray.stages.udaf import cluster_cpus, fold_parquet_part
 
     tbl = pq.read_table(webpages_dir_for(1000, n_shards=2), columns=WEB_COLUMNS)
     d = tmp_path / "web"
@@ -255,7 +254,7 @@ def test_file_slices_fold_each_row_once(ray_session, tmp_path):
     pq.write_table(tbl.slice(501, 499), d / "b.parquet", row_group_size=97)
     files = [str(d / "a.parquet"), str(d / "b.parquet")]
     assert pq.ParquetFile(files[1]).metadata.num_row_groups == 6
-    parts = _cluster_cpus() // len(files)
+    parts = cluster_cpus() // len(files)
     assert parts == 2
 
     batch_size = 64
