@@ -65,10 +65,11 @@ def run_headline() -> dict:
 
     Times BOTH build paths after one untimed build that warms the session
     (workers, imports), so neither timed build pays the cold start: the
-    direct path (``build_web_sketches``: one Ray task per file or file
-    slice, each folding its rows into one partial, then one merge) and the
-    checkpointed per-partition path (the same per-file fold plus blobs,
-    sha256 digests and a manifest — the resumable production path).
+    direct path (``build_web_sketches``: one Ray task per corpus row
+    range, a multiple of the CPU count of them, each folding its rows into
+    one partial, then one merge) and the checkpointed per-partition path
+    (the same row fold over each whole file, plus blobs, sha256 digests and
+    a manifest — the resumable production path).
     Headline value = checkpointed wall (fresh checkpoint dir each run, so
     nothing is resumed). The ``dataset_path_*`` keys are the direct path.
     """

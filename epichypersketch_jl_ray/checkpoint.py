@@ -2,12 +2,13 @@
 (north_rule requirement; absent from the reference, SURVEY.md §4
 checkpoint row).
 
-Unit of work = one input parquet file ("partition"). Each partition's partial
-sketch is computed AND written by a raw Ray task: the file fold that
-``pipelines.webpages.build_web_sketches`` runs too (``udaf.fold_parquet_part``
-over the whole file), plus a blob, its sha256 and a manifest line, because
-skip-finished-partitions resume needs explicit per-partition identity. The
-blob is ``<ckpt>/part-<pathhash>-<name>.bin``
+Unit of work = one input parquet file ("partition"), not a corpus row
+range as in ``pipelines.webpages.build_web_sketches``, because
+skip-finished-partitions resume needs explicit per-partition identity. Each
+partition's partial sketch is computed AND written by a raw Ray task: the
+fold every row range of the direct build runs (``udaf.fold_parquet_rows``,
+here over rows ``[0, n)`` of the one file), plus a blob, its sha256 and a
+manifest line. The blob is ``<ckpt>/part-<pathhash>-<name>.bin``
 (full-path hash prefix: same-basename inputs from different directories get
 distinct blobs) via an atomic tmp+rename; the driver appends a JSONL
 manifest line per finished partition:
@@ -36,7 +37,7 @@ from typing import Callable
 
 import ray
 
-from epichypersketch_jl_ray.stages.udaf import _state_table, fold_parquet_part, merge_state_refs
+from epichypersketch_jl_ray.stages.udaf import _state_table, fold_parquet_rows, merge_state_refs
 from epichypersketch_jl_ray.state.base import MergeableSketch
 
 MAX_IN_FLIGHT = 64  # partition tasks submitted at once
@@ -57,16 +58,19 @@ def _partition_task(
 
     t0 = time.monotonic()
     pf = pq.ParquetFile(path)
+    n = pf.metadata.num_rows
     # the whole file, every column; a legitimately empty input shard
     # contributes an empty partial (rows=0 recorded in the manifest)
     # instead of aborting the build
-    state = fold_parquet_part(pf, 0, 1, make_partial, batch_size, None)
+    state = fold_parquet_rows([(path, 0, n)], make_partial, batch_size, None)
+    if state is None:
+        state = make_partial(pf.schema_arrow.empty_table())
     raw = state.to_bytes()
     tmp = blob_path + f".tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
         fh.write(raw)
     os.replace(tmp, blob_path)
-    return pf.metadata.num_rows, time.monotonic() - t0, hashlib.sha256(raw).hexdigest()
+    return n, time.monotonic() - t0, hashlib.sha256(raw).hexdigest()
 
 
 def _load_validated(

@@ -830,6 +830,31 @@ def dedup_ngram_jaccard_sql(threshold: float = 0.5) -> str:
     return dedup_minhash_lsh_sql(threshold)
 
 
+# Every embedding pair's cosine is quantized to the 2^-16 grid,
+# floor(x * 2^16) / 2^16, by the pipelines and by their SQL oracles alike,
+# and the threshold is compared on the quantized value: the binary
+# quantization embedding_analysis uses. Scaling by a power of two and
+# floor are exact in IEEE doubles, so both sides agree on every pair whose
+# raw cosine they agree on (a decimal round(x, 12) does not: numpy rounds
+# half to even, DuckDB half away from zero), and a last-bit drift between
+# the BLAS and the DuckDB dot flips a value only within that drift of a
+# 2^-16 step.
+_COSINE_SCALE = 65536.0
+
+
+def quantize_cosine(sims: np.ndarray) -> np.ndarray:
+    """Cosines on the 2^-16 grid (rounded down), as the SQL oracles
+    compute them (``cosine_sql``)."""
+    return np.floor(sims * _COSINE_SCALE) / _COSINE_SCALE
+
+
+def cosine_sql(a: str, b: str) -> str:
+    """DuckDB expression: the quantized cosine (``quantize_cosine``) of two
+    embedding list columns."""
+    sim = f"list_cosine_similarity(CAST({a} AS DOUBLE[]), CAST({b} AS DOUBLE[]))"
+    return f"floor({sim} * {_COSINE_SCALE!r}) / {_COSINE_SCALE!r}"
+
+
 def dedup_embedding(sf_dir: str, *, threshold: float = 0.45) -> ray.data.Dataset:
     """Embedding-cosine near-dup pairs over the embeddings table — EXACT
     all-pairs via block-pair decomposition.
@@ -866,7 +891,15 @@ def dedup_embedding(sf_dir: str, *, threshold: float = 0.45) -> ray.data.Dataset
             }
         )
 
-    blocks = ds.map_batches(normalize, batch_format="pyarrow").materialize().to_arrow_refs()
+    # the read cuts a table of a few rows into some 0-row blocks without
+    # columns; only the blocks holding rows pair up
+    normalized = ds.map_batches(normalize, batch_format="pyarrow").materialize()
+    blocks = [
+        ref
+        for bundle in normalized.iter_internal_ref_bundles()
+        for ref, meta in zip(bundle.block_refs, bundle.metadata)
+        if meta.num_rows
+    ]
     nb = len(blocks)
     pair_idx = [{"i": i, "j": j} for i in range(nb) for j in range(i, nb)]
 
@@ -881,7 +914,7 @@ def dedup_embedding(sf_dir: str, *, threshold: float = 0.45) -> ray.data.Dataset
             idb = tb["vec_id"].to_numpy(zero_copy_only=False)
             ea = _embedding_matrix(ta, "embedding")
             eb = _embedding_matrix(tb, "embedding")
-            sims = ea @ eb.T
+            sims = quantize_cosine(ea @ eb.T)
             ii, jj = np.nonzero(sims >= threshold)
             keep = ida[ii] != idb[jj]
             ii, jj = ii[keep], jj[keep]
@@ -896,7 +929,7 @@ def dedup_embedding(sf_dir: str, *, threshold: float = 0.45) -> ray.data.Dataset
                     {
                         "vec_a": pa.array(lo, pa.int64()),
                         "vec_b": pa.array(hi, pa.int64()),
-                        "cosine": pa.array(np.round(sims[ii, jj], 12), pa.float64()),
+                        "cosine": pa.array(sims[ii, jj], pa.float64()),
                     }
                 )
             )
@@ -909,10 +942,10 @@ def dedup_embedding(sf_dir: str, *, threshold: float = 0.45) -> ray.data.Dataset
 
 def dedup_embedding_sql(threshold: float = 0.45) -> str:
     return f"""
-SELECT a.vec_id AS vec_a, b.vec_id AS vec_b,
-       round(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]), CAST(b.embedding AS DOUBLE[])), 12) AS cosine
-FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-WHERE list_cosine_similarity(CAST(a.embedding AS DOUBLE[]), CAST(b.embedding AS DOUBLE[])) >= {threshold}
+WITH s AS (SELECT a.vec_id AS vec_a, b.vec_id AS vec_b,
+                  {cosine_sql("a.embedding", "b.embedding")} AS cosine
+           FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id)
+SELECT vec_a, vec_b, cosine FROM s WHERE cosine >= {threshold}
 """
 
 
@@ -982,7 +1015,7 @@ def dedup_embedding_lsh(
     def bucket_pairs(group: pa.Table) -> pa.Table:
         ids = group["vec_id"].to_numpy(zero_copy_only=False)
         e = _embedding_matrix(group, "emb")
-        sims = e @ e.T
+        sims = quantize_cosine(e @ e.T)
         ii, jj = np.nonzero(sims >= threshold)
         keep = ids[ii] < ids[jj]
         ii, jj = ii[keep], jj[keep]
@@ -990,7 +1023,7 @@ def dedup_embedding_lsh(
             {
                 "vec_a": pa.array(ids[ii], pa.int64()),
                 "vec_b": pa.array(ids[jj], pa.int64()),
-                "cosine": pa.array(np.round(sims[ii, jj], 12), pa.float64()),
+                "cosine": pa.array(sims[ii, jj], pa.float64()),
             }
         )
 
@@ -1178,7 +1211,7 @@ def semantic_pairs(
 
         ids = group["vec_id"].to_numpy(zero_copy_only=False)
         e = _embedding_matrix(group, "emb")  # already unit-norm
-        sims = e @ e.T
+        sims = quantize_cosine(e @ e.T)
         ii, jj = np.nonzero(sims >= threshold)
         keep = ids[ii] < ids[jj]
         ii, jj = ii[keep], jj[keep]
@@ -1186,7 +1219,7 @@ def semantic_pairs(
             {
                 "vec_a": pa.array(ids[ii], pa.int64()),
                 "vec_b": pa.array(ids[jj], pa.int64()),
-                "cosine": pa.array(np.round(sims[ii, jj], 12), pa.float64()),
+                "cosine": pa.array(sims[ii, jj], pa.float64()),
             }
         )
 

@@ -504,7 +504,8 @@ def embedding_neardup_pairs_sql(threshold: float = 0.45) -> str:
     """Exact-recompute oracle over the STORED assignment tables the Ray
     pipeline writes (run the pipeline first): all within-bucket /
     within-cluster unordered pairs, exact cosine from the embeddings view,
-    same threshold and rounding as the pipeline."""
+    quantized as the pipeline quantizes it (``dedup.cosine_sql``) and
+    compared with the same threshold."""
     import os
 
     from epichypersketch_jl_ray.pipelines import dedup
@@ -519,15 +520,13 @@ clus AS (SELECT cluster, vec_id FROM read_parquet('{sem_glob}')),
 scand AS (SELECT DISTINCT a.vec_id AS vec_a, b.vec_id AS vec_b
           FROM clus a JOIN clus b ON a.cluster = b.cluster AND a.vec_id < b.vec_id),
 allc AS (SELECT 'lsh' AS method, vec_a, vec_b FROM lcand
-         UNION ALL SELECT 'semantic' AS method, vec_a, vec_b FROM scand)
-SELECT c.method, c.vec_a, c.vec_b,
-       round(list_cosine_similarity(CAST(ea.embedding AS DOUBLE[]),
-                                    CAST(eb.embedding AS DOUBLE[])), 12) AS cosine
-FROM allc c
-JOIN embeddings ea ON ea.vec_id = c.vec_a
-JOIN embeddings eb ON eb.vec_id = c.vec_b
-WHERE list_cosine_similarity(CAST(ea.embedding AS DOUBLE[]),
-                             CAST(eb.embedding AS DOUBLE[])) >= {threshold}
+         UNION ALL SELECT 'semantic' AS method, vec_a, vec_b FROM scand),
+pairs AS (SELECT c.method, c.vec_a, c.vec_b,
+                 {dedup.cosine_sql("ea.embedding", "eb.embedding")} AS cosine
+          FROM allc c
+          JOIN embeddings ea ON ea.vec_id = c.vec_a
+          JOIN embeddings eb ON eb.vec_id = c.vec_b)
+SELECT method, vec_a, vec_b, cosine FROM pairs WHERE cosine >= {threshold}
 """
 
 

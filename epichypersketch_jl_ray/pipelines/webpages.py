@@ -1,9 +1,12 @@
 """Flagship webtext pipeline over the input_hint webpages table.
 
-    sorted parquet files, cut into units (a file, or a slice of one)
-      → one Ray task per unit: udaf.fold_file_slice(WebSketchBuilder) over
-        pruned columns (html→text extract, tokenize, (url,lang)-salted
-        trigram keys, 4 sketches in ONE scan; one WebSketchState per unit)
+    sorted parquet files, their global row range [0, N) (N from the
+    footers) cut into U contiguous ranges, U the smallest multiple of the
+    cluster's CPUs that is at least ceil(N / 2**16) (udaf.cpu_units)
+      → one Ray task per range: udaf.fold_parquet_ranges(WebSketchBuilder)
+        over pruned columns, batch_size-row tables that span files
+        (html→text extract, tokenize, (url,lang)-salted trigram keys, 4
+        sketches in ONE scan; one WebSketchState per range)
       → merge_state_refs
       → queries (heavy hitters / distinct / quantiles / membership)
 
@@ -24,9 +27,7 @@ from epichypersketch_jl_ray.functions.html import extract_text
 from epichypersketch_jl_ray.functions.text import ngram_hashes, token_hashes
 from epichypersketch_jl_ray.state.websketch import WebSketchState
 from epichypersketch_jl_ray.stages.udaf import (
-    cluster_cpus,
-    fold_file_slice,
-    merge_state_refs,
+    fold_parquet_ranges,
     tree_merge,  # noqa: F401  (perfbench/web.py wraps pipelines.webpages.tree_merge)
 )
 
@@ -83,12 +84,13 @@ def parquet_files(input_dir: str) -> list[str]:
     return files
 
 
-def corpus_rows(files: list[str]) -> int:
-    """Total row count of parquet files from their FOOTERS only (no column
-    data read) — the cheap pre-pass that sizes the Bloom filter."""
+def file_rows(files: list[str]) -> list[int]:
+    """Row count of each parquet file from its FOOTER only (no column data
+    read) — the cheap pre-pass that sizes the Bloom filter and cuts the
+    corpus into row ranges."""
     import pyarrow.parquet as pq
 
-    return sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+    return [pq.ParquetFile(f).metadata.num_rows for f in files]
 
 
 def make_state(*, n_docs_hint: int | None = None, **kwargs) -> WebSketchState:
@@ -122,30 +124,32 @@ def build_web_sketches(
 ) -> WebSketchState:
     """Build the merged 4-sketch state for a webpages parquet directory.
 
-    The sorted file list is cut into units, one Ray task per unit, each
-    folding its rows into ONE partial (``udaf.fold_file_slice``: the fold
-    ``checkpoint.build_checkpointed`` runs per file, without its blobs).
-    Each file is one unit; only with fewer files than cluster CPUs is each
-    file cut into ``CPUs // files`` contiguous row ranges, so the CPUs are
-    not left idle. ``batch_size`` bounds the rows the kernels see at once.
-    The task outputs are merged by ``udaf.merge_state_refs``, in unit
+    The sorted file list's global row range ``[0, N)`` is cut into
+    ``udaf.cpu_units(N)`` contiguous ranges, one Ray task per range
+    (``udaf.fold_parquet_ranges``): 4 ranges on 4 CPUs up to 2**18 rows,
+    however many files hold them. A task reads only the row groups of its
+    files that overlap its range, folds them as ``batch_size``-row tables
+    that span file boundaries (only its last table may be shorter), and
+    returns ONE partial; ``batch_size`` bounds the rows the kernels see at
+    once. The partials are merged by ``udaf.merge_state_refs``, in range
     order.
 
-    The Bloom filter is sized from the row count in the footers of the same
-    file list the build reads, unless the caller passes an explicit
-    ``bloom_capacity``.
+    ``N`` and the per-file row counts come from the footers, read once; the
+    Bloom filter is sized from ``N`` unless the caller passes an explicit
+    ``bloom_capacity``. Raises ValueError when no file holds a row.
     """
     files = parquet_files(input_dir)
+    rows = file_rows(files)
     if "bloom_capacity" not in state_kwargs and "n_docs_hint" not in state_kwargs:
-        state_kwargs["n_docs_hint"] = corpus_rows(files)
-    parts = max(1, cluster_cpus() // len(files))
-    make_partial = WebSketchBuilder(**state_kwargs)
-    refs = [
-        fold_file_slice.remote(f, part, parts, make_partial, batch_size, WEB_COLUMNS)
-        for f in files
-        for part in range(parts)
-    ]
-    return merge_state_refs(refs, WebSketchState)
+        state_kwargs["n_docs_hint"] = sum(rows)
+    return fold_parquet_ranges(
+        files,
+        rows,
+        WebSketchBuilder(**state_kwargs),
+        WebSketchState,
+        batch_size=batch_size,
+        columns=WEB_COLUMNS,
+    )
 
 
 def query_plants(state: WebSketchState, phrases: list[tuple[str, str]]) -> pd.DataFrame:

@@ -128,12 +128,11 @@ def activation_from_table(
 
     The bucket split is the pipeline's single all-to-all exchange; the
     bucket key is a splitmix of the sequence key so power-law keys spread
-    evenly (north_rule skew requirement). ``num_buckets`` defaults to the
-    smallest multiple of the cluster's CPU count (``udaf.cluster_cpus``)
-    that is at least ``ceil(size_hint_rows / 2**16)`` (the
-    ``auto_bucket_count`` row target, at most 4096): buckets scale with the
-    input, and every round of one task per activation block (the motif
-    count and select) fills the CPUs evenly.
+    evenly (north_rule skew requirement). ``num_buckets`` defaults to
+    ``udaf.cpu_units(size_hint_rows)``: the smallest multiple of the
+    cluster's CPU count that is at least ``ceil(size_hint_rows / 2**16)``,
+    so buckets scale with the input, and every round of one task per
+    activation block (the motif count and select) fills the CPUs evenly.
 
     The input's blocks stream in as they are produced
     (``iter_internal_ref_bundles``), so reading overlaps splitting: one
@@ -141,12 +140,10 @@ def activation_from_table(
     ``_build_bucket`` task per bucket. The result is materialized: one
     block per bucket, in bucket order, some of them possibly empty.
     """
-    from epichypersketch_jl_ray.stages.join import auto_bucket_count
-    from epichypersketch_jl_ray.stages.udaf import cluster_cpus
+    from epichypersketch_jl_ray.stages.udaf import cpu_units
 
     if num_buckets is None:
-        cpus = cluster_cpus()
-        num_buckets = -(-auto_bucket_count(size_hint_rows, lo=1) // cpus) * cpus
+        num_buckets = cpu_units(size_hint_rows)
 
     cols = [key_col, feature_col, contribution_col] + (
         [position_col] if position_col else []

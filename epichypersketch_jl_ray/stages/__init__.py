@@ -1,7 +1,7 @@
 """Ray Data stage builders.
 
-udaf.py    — generic mergeable-sketch harness (partial states via map_batches
-             or one Ray task per parquet file slice, tree merge) replacing
+udaf.py    — generic mergeable-sketch harness (one Ray task per Dataset
+             block or per corpus row range, k-way merge) replacing
              the reference's shared mutable CMS
              (/root/reference/src/partition.jl:148).
              Also the exact-recount tail every CMS select ends in.

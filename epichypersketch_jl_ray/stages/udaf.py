@@ -11,9 +11,13 @@ state. A unit is one of two shapes:
     Dataset blocks (sketch_dataset):
       fold_blocks: one task per block ref, streamed from
       iter_internal_ref_bundles; the task cuts its block into slices
-    parquet file slices (the web builds, checkpoint.build_checkpointed):
-      fold_file_slice: one task per file, or per contiguous slice of a
-      file (fold_parquet_part), reading only the needed row groups
+    corpus row ranges (build_web_sketches, checkpoint.build_checkpointed):
+      fold_parquet_ranges: the parquet files' global row range [0, N) cut
+      into cpu_units(N) contiguous ranges (row_ranges), one task per
+      range; the task reads only the overlapping row groups of the files
+      it touches and re-chunks them into batch_size-row tables across
+      file boundaries (fold_parquet_rows). A checkpoint partition is one
+      whole file, folded by the same fold_parquet_rows
     → the tasks' state blocks → merge_state_refs: remote k-way merges,
       then ONE driver merge_many → one merged sketch
 
@@ -52,8 +56,9 @@ operators: a one-row table whose single ``state`` column holds the state's
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 import pyarrow as pa
@@ -96,7 +101,7 @@ def fold_partials(
     accumulator is re-sorted once per group, not once per table. A single
     table's state is returned as is (``merge_many([])`` still re-sorts a COO
     CountMin). The fold of every task: a Dataset block (``fold_blocks``,
-    ``fold_blocks_at_least``) and a file slice (``fold_parquet_part``).
+    ``fold_blocks_at_least``) and a corpus row range (``fold_parquet_rows``).
     """
     states: list[MergeableSketch] = []
     for tbl in tables:
@@ -178,13 +183,26 @@ def fold_blocks(
 def cluster_cpus() -> int:
     """CPUs of the running Ray cluster (of this machine before Ray starts:
     what the first task submission's auto-init would get). Sizes every
-    per-CPU cut: web file slices, activation buckets, threshold-merge
-    shards, join bucket floors, graph shards."""
+    per-CPU cut: ``cpu_units`` (web corpus row ranges, activation buckets),
+    threshold-merge shards, join bucket floors, graph shards."""
     import os
 
     if ray.is_initialized():
         return int(ray.cluster_resources().get("CPU", 1))
     return os.cpu_count() or 1
+
+
+def cpu_units(rows: int | None) -> int:
+    """How many units to cut ``rows`` input rows into: the smallest multiple
+    of ``cluster_cpus()`` that is at least ``ceil(rows / 2**16)`` (the
+    ``join.auto_bucket_count`` row target, at most 4096; one per CPU when
+    ``rows`` is None). Units scale with the input, and every round of one
+    task per unit fills the CPUs evenly. The one cut rule of the activation
+    buckets and the web build's corpus row ranges."""
+    from epichypersketch_jl_ray.stages.join import auto_bucket_count
+
+    cpus = cluster_cpus()
+    return -(-auto_bucket_count(rows, lo=1) // cpus) * cpus
 
 
 @ray.remote
@@ -250,62 +268,117 @@ def fold_blocks_at_least(
     return merged
 
 
-def fold_parquet_part(
-    pf,
-    part: int,
-    parts: int,
-    make_partial: Callable[[pa.Table], MergeableSketch],
-    batch_size: int,
-    columns: list[str] | None,
-) -> MergeableSketch:
-    """One state for slice ``part`` of ``parts`` of an open
-    ``pyarrow.parquet.ParquetFile``: the contiguous rows
-    ``[n * part // parts, n * (part + 1) // parts)``, n being the footer's
-    row count, so the slices of a file cover each row exactly once. The one
-    file fold of both web build paths: the ``fold_file_slice`` task and
-    ``checkpoint.build_checkpointed`` (one task per whole file).
-
-    Only the row groups that overlap the slice are read, as
-    ``batch_size``-row batches of ``columns`` (None: every column); rows
-    outside the slice are cut off zero-copy, and the batches are folded by
-    ``fold_partials``. A 0-row slice (an empty file) gives ``make_partial``
-    of an empty table.
-    """
-    meta = pf.metadata
-    n = meta.num_rows
-    start, stop = n * part // parts, n * (part + 1) // parts
-    # first row of each row group, and one past the last row
-    n_groups = meta.num_row_groups
-    bounds = list(accumulate((meta.row_group(i).num_rows for i in range(n_groups)), initial=0))
-    groups = [i for i in range(n_groups) if bounds[i] < stop and bounds[i + 1] > start]
-
-    def tables():
-        pos = bounds[groups[0]]  # file row of the next batch's first row
-        for b in pf.iter_batches(batch_size=batch_size, row_groups=groups, columns=columns):
-            lo, hi = max(start - pos, 0), min(stop - pos, b.num_rows)
-            pos += b.num_rows
-            if hi > lo:
-                yield pa.Table.from_batches([b]).slice(lo, hi - lo)
-            if pos >= stop:
-                break
-
-    state = fold_partials(tables(), make_partial) if groups else None
-    if state is None:
-        schema = pf.schema_arrow
-        if columns is not None:
-            schema = pa.schema([schema.field(c) for c in columns])
-        return make_partial(schema.empty_table())
-    return state
+def row_ranges(
+    files: list[str], file_rows: list[int], units: int
+) -> list[list[tuple[str, int, int]]]:
+    """The global row range ``[0, N)`` of ``files`` taken in order (``N``
+    the sum of ``file_rows``, their footer row counts) cut into ``units``
+    contiguous ranges ``[N * u // units, N * (u + 1) // units)``, so the
+    ranges cover each row exactly once. Each range is given as its pieces:
+    ``(path, lo, hi)`` for rows ``[lo, hi)`` of each file it overlaps, in
+    file order; a 0-row file is in no range, and with fewer rows than units
+    some ranges have no piece."""
+    starts = list(accumulate(file_rows, initial=0))
+    n = starts[-1]
+    ranges = []
+    for u in range(units):
+        lo, hi = n * u // units, n * (u + 1) // units
+        pieces = []
+        f = bisect_right(starts, lo) - 1  # the file holding row lo
+        while f < len(files) and starts[f] < hi:
+            first, stop = max(lo, starts[f]), min(hi, starts[f + 1])
+            if stop > first:
+                pieces.append((files[f], first - starts[f], stop - starts[f]))
+            f += 1
+        ranges.append(pieces)
+    return ranges
 
 
-@ray.remote
-def fold_file_slice(path: str, part: int, parts: int, make_partial, batch_size, columns):
-    """Ray task: the state block of slice ``part`` of ``parts`` of one
-    parquet file (``fold_parquet_part``), for ``merge_state_refs``."""
+def _piece_batches(
+    path: str, lo: int, hi: int, batch_size: int, columns: list[str] | None
+) -> Iterator[pa.RecordBatch]:
+    """Rows ``[lo, hi)`` of one parquet file: only the row groups that
+    overlap them are read, as ``batch_size``-row batches of ``columns``
+    (None: every column), and the rows outside are cut off zero-copy."""
     import pyarrow.parquet as pq
 
     pf = pq.ParquetFile(path)
-    return _state_table([fold_parquet_part(pf, part, parts, make_partial, batch_size, columns)])
+    meta = pf.metadata
+    # first row of each row group, and one past the last row
+    n_groups = meta.num_row_groups
+    bounds = list(accumulate((meta.row_group(i).num_rows for i in range(n_groups)), initial=0))
+    groups = [i for i in range(n_groups) if bounds[i] < hi and bounds[i + 1] > lo]
+    if not groups:
+        return
+    pos = bounds[groups[0]]  # file row of the next batch's first row
+    for b in pf.iter_batches(batch_size=batch_size, row_groups=groups, columns=columns):
+        start, stop = max(lo - pos, 0), min(hi - pos, b.num_rows)
+        pos += b.num_rows
+        if stop > start:
+            yield b.slice(start, stop - start)
+        if pos >= hi:
+            break
+
+
+def parquet_tables(
+    pieces: list[tuple[str, int, int]], batch_size: int, columns: list[str] | None
+) -> Iterator[pa.Table]:
+    """The rows of ``pieces`` (``(path, lo, hi)``, as ``row_ranges`` gives
+    them) in order, re-chunked into tables of exactly ``batch_size`` rows
+    across file boundaries; only the last table may be shorter. Zero-copy:
+    a table that spans two read batches holds one chunk of each."""
+    held: list[pa.RecordBatch] = []
+    rows = 0
+    for path, lo, hi in pieces:
+        for b in _piece_batches(path, lo, hi, batch_size, columns):
+            held.append(b)
+            rows += b.num_rows
+            if rows >= batch_size:  # each batch holds <= batch_size rows
+                tbl = pa.Table.from_batches(held)
+                yield tbl.slice(0, batch_size)
+                held, rows = tbl.slice(batch_size).to_batches(), rows - batch_size
+    if rows:
+        yield pa.Table.from_batches(held)
+
+
+def fold_parquet_rows(
+    pieces: list[tuple[str, int, int]],
+    make_partial: Callable[[pa.Table], MergeableSketch],
+    batch_size: int,
+    columns: list[str] | None,
+) -> MergeableSketch | None:
+    """ONE state for the rows of ``pieces`` (None when they hold no row):
+    their ``parquet_tables`` folded by ``fold_partials``. The fold of
+    every corpus row range (``fold_parquet_ranges``) and of every
+    ``checkpoint.build_checkpointed`` partition (one whole file)."""
+    return fold_partials(parquet_tables(pieces, batch_size, columns), make_partial)
+
+
+@ray.remote
+def _fold_rows(pieces, make_partial, batch_size, columns) -> pa.Table:
+    """State block of one corpus row range (no state for an empty one)."""
+    state = fold_parquet_rows(pieces, make_partial, batch_size, columns)
+    return _state_table([] if state is None else [state])
+
+
+def fold_parquet_ranges(
+    files: list[str],
+    file_rows: list[int],
+    make_partial: Callable[[pa.Table], MergeableSketch],
+    cls: type[MergeableSketch],
+    *,
+    batch_size: int,
+    columns: list[str] | None,
+) -> MergeableSketch:
+    """ONE sketch of parquet files (``file_rows``: their footer row
+    counts): their global row range cut into ``cpu_units(N)`` contiguous
+    ranges (``row_ranges``), one Ray task per range folding it with
+    ``fold_parquet_rows``, and the task outputs merged by
+    ``merge_state_refs`` in range order. Raises ValueError when the files
+    hold no row."""
+    ranges = row_ranges(files, file_rows, cpu_units(sum(file_rows)))
+    refs = [_fold_rows.remote(p, make_partial, batch_size, columns) for p in ranges]
+    return merge_state_refs(refs, cls)
 
 
 @ray.remote

@@ -143,6 +143,46 @@ def test_embedding_lsh_recall_vs_exact(ray_session, sf_dir):
         assert recall >= 0.5, f"recall {recall:.2f} over {len(want)} pairs"
 
 
+def test_embedding_cosine_near_tie_matches_oracle(ray_session, tmp_path):
+    """Planted near ties: vec 1 and vec 2 have a cosine whose decimal
+    rounding to 12 places is a tie (np.round rounds it half to even,
+    DuckDB's round half away from zero), and vec 1 and vec 3 have a cosine
+    just above the threshold whose 2^-16 quantization falls below it. The
+    exact pipeline and its SQL oracle quantize the cosine the same binary
+    way and compare the quantized value with the threshold: equal frames,
+    the tie pair kept, the threshold pair dropped."""
+    import duckdb
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from epichypersketch_jl_ray.pipelines.dedup import dedup_embedding, dedup_embedding_sql
+
+    x, y = 0.8289249539375305, 0.3251425325870514  # float32 values
+    tie = x / np.sqrt(x * x + y * y)
+    assert np.round(tie, 12) != duckdb.sql(f"SELECT round({tie!r}, 12)").fetchone()[0]
+    z = 0.450005
+    vecs = [[1.0, 0.0, 0.0], [x, y, 0.0], [z, 0.0, np.sqrt(1 - z * z)]]
+    tbl = pa.table(
+        {
+            "vec_id": pa.array([1, 2, 3], pa.int64()),
+            "embedding": pa.array(vecs, pa.list_(pa.float32())),
+        }
+    )
+    pq.write_table(tbl, tmp_path / "embeddings.parquet")
+
+    got = dedup_embedding(str(tmp_path)).to_pandas()
+    con = duckdb.connect()
+    con.sql(f"CREATE VIEW embeddings AS SELECT * FROM '{tmp_path}/embeddings.parquet'")
+    want = con.sql(dedup_embedding_sql()).df()
+    key = ["vec_a", "vec_b"]
+    got = got.sort_values(key).reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want.sort_values(key).reset_index(drop=True))
+    assert (1, 2) in set(zip(got["vec_a"], got["vec_b"]))
+    assert (1, 3) not in set(zip(got["vec_a"], got["vec_b"]))
+    assert got["cosine"].iloc[0] == np.floor(tie * 2**16) / 2**16
+
+
 def test_jaccard_verify_batch_property():
     """jaccard_verify_batch (vectorized lexsort intersection) equals the
     per-pair set computation on random distinct-per-side lists."""

@@ -273,14 +273,18 @@ def _web_digests(state) -> tuple:
 
 
 def test_web_build_survives_a_killed_worker(ray_session, tmp_path, monkeypatch):
-    """The worker running the first per-unit fold task of
+    """The worker running the first row-range fold task of
     build_web_sketches exits on its first attempt; the merged CMS, HLL and
     Bloom states equal the undisturbed build's byte for byte."""
     from epichypersketch_jl_ray.pipelines import webpages as pw
     from epichypersketch_jl_ray.sources.webpages import webpages_dir_for
+    from epichypersketch_jl_ray.stages.udaf import row_ranges
 
-    # 2 files on 4 CPUs: each file folds as 2 slices, 4 tasks
-    web_dir = webpages_dir_for(3000, n_shards=2)
+    # 6 files of 500 rows on 4 CPUs: 4 ranges of 750 rows, each of which
+    # spans two files, so the killed task's range crosses a file boundary
+    web_dir = webpages_dir_for(3000, n_shards=6)
+    files = pw.parquet_files(web_dir)
+    assert [len(p) for p in row_ranges(files, pw.file_rows(files), 4)] == [2, 2, 2, 2]
     clean = pw.build_web_sketches(web_dir, batch_size=1000)
     marker = str(tmp_path / "killed")
     real_builder = pw.WebSketchBuilder

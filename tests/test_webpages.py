@@ -231,45 +231,85 @@ def test_checkpointed_merge_bounds_driver_states(ray_session, tmp_path, monkeypa
         assert getattr(got, name).digest() == getattr(want, name).digest(), name
 
 
-def test_file_slices_fold_each_row_once(ray_session, tmp_path):
-    """With fewer files than CPUs the build cuts each file into CPUs // files
-    row ranges (2 files on 4 CPUs: 4 ranges). Both files have an odd row
-    count, and one has several row groups, so range edges fall inside row
-    groups and inside batches. No row at an edge is read twice or skipped:
-    each range folds exactly its rows, rows_seen is the footer total, and
-    the CMS/HLL/Bloom equal an in-process merge_many over the whole table."""
+def test_row_ranges_fold_each_row_once(ray_session, tmp_path):
+    """The build cuts the corpus's global row range into cpu_units(N)
+    contiguous ranges (5 files, 990 rows on 4 CPUs: 4 ranges). The files
+    have odd row counts, one has several row groups and a 0-row file sits
+    in the middle, so range edges fall inside row groups, inside batches
+    and across file boundaries. No row at an edge is read twice or
+    skipped: each range folds exactly its rows, as batch_size-row tables
+    but for its last one, rows_seen is the footer total, and the
+    CMS/HLL/Bloom equal an in-process merge_many over the whole table. With
+    fewer rows than ranges, the empty ranges add nothing."""
     import pyarrow.parquet as pq
 
     from epichypersketch_jl_ray.pipelines.webpages import (
         WEB_COLUMNS,
         WebSketchBuilder,
         build_web_sketches,
+        file_rows,
+        parquet_files,
     )
-    from epichypersketch_jl_ray.stages.udaf import cluster_cpus, fold_parquet_part
+    from epichypersketch_jl_ray.stages.udaf import cpu_units, fold_parquet_rows, row_ranges
 
     tbl = pq.read_table(webpages_dir_for(1000, n_shards=2), columns=WEB_COLUMNS)
     d = tmp_path / "web"
     d.mkdir()
-    pq.write_table(tbl.slice(0, 501), d / "a.parquet")
-    pq.write_table(tbl.slice(501, 499), d / "b.parquet", row_group_size=97)
-    files = [str(d / "a.parquet"), str(d / "b.parquet")]
-    assert pq.ParquetFile(files[1]).metadata.num_row_groups == 6
-    parts = cluster_cpus() // len(files)
-    assert parts == 2
+    pq.write_table(tbl.slice(0, 301), d / "a.parquet")
+    pq.write_table(tbl.slice(301, 257), d / "b.parquet", row_group_size=53)
+    pq.write_table(tbl.schema.empty_table(), d / "c.parquet")
+    pq.write_table(tbl.slice(558, 233), d / "d.parquet")
+    pq.write_table(tbl.slice(791, 199), d / "e.parquet")
+    files = parquet_files(str(d))
+    rows = file_rows(files)
+    assert rows == [301, 257, 0, 233, 199]
+    assert pq.ParquetFile(files[1]).metadata.num_row_groups == 5
+    assert cpu_units(sum(rows)) == 4
+    fa, fb, _, fd, fe = files
+    ranges = row_ranges(files, rows, cpu_units(sum(rows)))
+    # edges 247, 495 and 742: inside a 64-row batch each, 495 inside b's
+    # row group [159, 212); ranges 1-3 cross file boundaries, range 2 the
+    # 0-row file c
+    assert ranges == [
+        [(fa, 0, 247)],
+        [(fa, 247, 301), (fb, 0, 194)],
+        [(fb, 194, 257), (fd, 0, 184)],
+        [(fd, 184, 233), (fe, 0, 199)],
+    ]
 
     batch_size = 64
     make_partial = WebSketchBuilder(n_docs_hint=1000)
-    for f in files:
-        pf = pq.ParquetFile(f)
-        n = pf.metadata.num_rows
-        for part in range(parts):
-            st = fold_parquet_part(pf, part, parts, make_partial, batch_size, WEB_COLUMNS)
-            assert st.rows_seen == n * (part + 1) // parts - n * part // parts
+    for pieces in ranges:
+        sizes = []
+
+        def spy(t):
+            sizes.append(t.num_rows)
+            return make_partial(t)
+
+        st = fold_parquet_rows(pieces, spy, batch_size, WEB_COLUMNS)
+        assert st.rows_seen == sum(sizes) == sum(hi - lo for _, lo, hi in pieces)
+        assert set(sizes[:-1]) <= {batch_size} and 0 < sizes[-1] <= batch_size
+
+    def whole(t):
+        states = [make_partial(t.slice(i, batch_size)) for i in range(0, len(t), batch_size)]
+        return states[0].merge_many(states[1:])
 
     built = build_web_sketches(str(d), batch_size=batch_size)
-    assert built.rows_seen == sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-    states = [make_partial(tbl.slice(i, batch_size)) for i in range(0, len(tbl), batch_size)]
-    want = states[0].merge_many(states[1:])
+    assert built.rows_seen == sum(rows) == 990
+    want = whole(tbl.slice(0, 990))
+    for name in ("cms", "hll", "bloom"):
+        assert getattr(built, name).digest() == getattr(want, name).digest(), name
+
+    # 3 rows on 4 ranges: range 0 is empty
+    tiny = tmp_path / "tiny"
+    tiny.mkdir()
+    pq.write_table(tbl.slice(0, 2), tiny / "a.parquet")
+    pq.write_table(tbl.slice(2, 1), tiny / "b.parquet")
+    files = parquet_files(str(tiny))
+    assert [len(p) for p in row_ranges(files, file_rows(files), 4)] == [0, 1, 1, 1]
+    built = build_web_sketches(str(tiny), batch_size=batch_size, n_docs_hint=1000)
+    assert built.rows_seen == 3
+    want = whole(tbl.slice(0, 3))
     for name in ("cms", "hll", "bloom"):
         assert getattr(built, name).digest() == getattr(want, name).digest(), name
 
@@ -311,7 +351,7 @@ def test_bloom_capacity_sized_to_corpus(ray_session):
     from epichypersketch_jl_ray.pipelines.webpages import (
         bloom_capacity_for,
         build_web_sketches,
-        corpus_rows,
+        file_rows,
         make_state,
         parquet_files,
     )
@@ -326,7 +366,7 @@ def test_bloom_capacity_sized_to_corpus(ray_session):
     assert st2.bloom.capacity == 1 << 20
 
     web_dir = webpages_dir_for(3000, n_shards=4)
-    assert corpus_rows(parquet_files(web_dir)) == 3000
+    assert sum(file_rows(parquet_files(web_dir))) == 3000
     state = build_web_sketches(web_dir)
     assert state.bloom.capacity >= 3000
     assert state.bloom.fill_ratio() < 0.55
