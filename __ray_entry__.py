@@ -78,9 +78,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "ann_cosine_topk": ann.ann_cosine_topk,
         "ann_approx_topk": merged.ann_approx_topk,
         "embedding_principal_components": merged.embedding_analysis,  # FD-PCA + k-means profile
-        # multimodal (REAL decode: bmp/png/gif/webp images, raw-gray8/
-        # animated-gif/y4m video, pcm16 wav audio; every other format is a
-        # documented codec seam)
+        # multimodal (REAL decode: bmp/png images, raw-gray8/y4m video,
+        # pcm16 wav audio; every other format is a documented codec seam)
         "multimodal_features": merged.multimodal_features,
         # text analysis
         "doc_stats": textstats.doc_stats,

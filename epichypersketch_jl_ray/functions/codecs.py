@@ -2,13 +2,10 @@
 
 BMP (BI_RGB), WAV (PCM) and Y4M are fixed headers plus raw sample bytes,
 parseable with struct/numpy alone; PNG rides on stdlib zlib (DEFLATE) with
-numpy unfiltering; GIF (still + animated) is variable-width LZW, and
-lossless WebP (VP8L, in functions/webp.py, re-exported here) is canonical
-prefix codes + LZ77 + color cache + the four VP8L transforms. Raw
-concatenated gray8 video frames need no codec at all (stages/multimodal.py
-slices them). Every other format (JPEG, lossy WebP, FLAC, MP3, AVI, H.264,
-...) is a NotImplementedError seam in stages/multimodal.py: no codec
-library is installed to decode it.
+numpy unfiltering. Raw concatenated gray8 video frames need no codec at all
+(stages/multimodal.py slices them). Every other format (JPEG, WebP, FLAC,
+MP3, AVI, H.264, ...) is a NotImplementedError seam in stages/multimodal.py:
+no codec library is installed to decode it.
 
 Layouts implemented (public file-format specs):
 - BMP: 14-byte BITMAPFILEHEADER + 40-byte BITMAPINFOHEADER, BI_RGB only;
@@ -20,8 +17,6 @@ Layouts implemented (public file-format specs):
   frames downmix to mono.
 - PNG: 8-bit gray/RGB/palette/RGBA, all five row filters, Adam7 interlace.
 - Y4M (YUV4MPEG2): Cmono, C444 and C420 planar frames.
-- GIF89a: global/local color tables, sequential or interlaced rows,
-  animation with patch offsets, transparency and disposal 1/2.
 """
 
 from __future__ import annotations
@@ -480,334 +475,3 @@ def decode_y4m(payload: bytes | np.ndarray) -> np.ndarray:
                 cr = cr.repeat(2, 0).repeat(2, 1)
             frames.append(_ycbcr_to_rgb(np.stack([y, cb, cr], -1)))
     return np.stack(frames)
-
-
-# --- GIF (GIF89a, CompuServe spec) -------------------------------------------
-# Pure stdlib/numpy: the only compression is LZW with variable-width codes
-# (3..12 bits, LSB-first packing), implementable exactly from the public
-# spec. Scope: 8-bit indexed color via the global color table, still images
-# (gray or <=256-color RGB), interlaced or sequential row order, and animated
-# multi-frame streams (Graphic Control disposal 1 "leave" and 2 "restore to
-# background"; frames may be partial patches at (left, top)). Local color
-# tables and transparency indices decode; "restore to previous" (disposal 3)
-# raises rather than mis-composites.
-
-_GIF_MAX_CODE = 1 << 12  # LZW dictionary hard cap (12-bit codes)
-
-
-def _gif_lzw_encode(indices: np.ndarray, mcs: int) -> bytes:
-    """Pixel index stream -> GIF LZW code bytes (LSB-first, unblocked).
-
-    Deferred-clear variant: once the dictionary reaches 4096 entries it is
-    frozen and existing codes keep being emitted (decoders must support
-    this per the spec's "deferred clear code" note).
-    """
-    clear = 1 << mcs
-    end = clear + 1
-    code_size = mcs + 1
-    table: dict[bytes, int] = {bytes([i]): i for i in range(clear)}
-    next_code = end + 1
-
-    acc = 0
-    nbits = 0
-    out = bytearray()
-
-    def put(code: int, width: int) -> None:
-        nonlocal acc, nbits
-        acc |= code << nbits
-        nbits += width
-        while nbits >= 8:
-            out.append(acc & 0xFF)
-            acc >>= 8
-            nbits -= 8
-
-    put(clear, code_size)
-    data = indices.astype(np.uint8).tobytes()
-    w = data[:1]
-    for j in range(1, len(data)):
-        c = data[j : j + 1]
-        wc = w + c
-        if wc in table:
-            w = wc
-            continue
-        put(table[w], code_size)
-        if next_code < _GIF_MAX_CODE:
-            table[wc] = next_code
-            next_code += 1
-            # the just-assigned code value next_code-1 needs code_size+1 bits;
-            # the decoder grows its width after adding the same entry
-            if next_code == (1 << code_size) + 1 and code_size < 12:
-                code_size += 1
-        w = c
-    put(table[w], code_size)
-    put(end, code_size)
-    if nbits:
-        out.append(acc & 0xFF)
-    return bytes(out)
-
-
-def _gif_lzw_decode(data: bytes, mcs: int, npix: int) -> np.ndarray:
-    """GIF LZW code bytes (already de-sub-blocked) -> uint8 index array."""
-    if not 2 <= mcs <= 8:
-        raise ValueError(f"invalid GIF LZW minimum code size {mcs}")
-    clear = 1 << mcs
-    end = clear + 1
-    base = [bytes([i]) for i in range(clear)] + [b"", b""]
-    table = list(base)
-    code_size = mcs + 1
-    out = bytearray()
-    prev = -1
-    pos = 0
-    nbits = len(data) * 8
-    while len(out) < npix:
-        if pos + code_size > nbits:
-            raise ValueError("truncated GIF LZW stream")
-        byte0 = pos >> 3
-        chunk = int.from_bytes(data[byte0 : byte0 + 3], "little")
-        code = (chunk >> (pos & 7)) & ((1 << code_size) - 1)
-        pos += code_size
-        if code == clear:
-            table = list(base)
-            code_size = mcs + 1
-            prev = -1
-            continue
-        if code == end:
-            break
-        if prev < 0:
-            if code >= clear:
-                raise ValueError("GIF LZW stream starts with a non-literal code")
-            entry = table[code]
-        elif code < len(table):
-            entry = table[code]
-            if len(table) < _GIF_MAX_CODE:
-                table.append(table[prev] + entry[:1])
-        elif code == len(table):  # KwKwK
-            entry = table[prev] + table[prev][:1]
-            if len(table) < _GIF_MAX_CODE:
-                table.append(entry)
-        else:
-            raise ValueError("GIF LZW code out of range")
-        if len(table) == (1 << code_size) and code_size < 12:
-            code_size += 1
-        out += entry
-        prev = code
-    if len(out) < npix:
-        raise ValueError("GIF LZW stream ended before the frame was full")
-    return np.frombuffer(bytes(out[:npix]), dtype=np.uint8)
-
-
-def _gif_subblocks(data: bytes) -> bytes:
-    """Wrap raw bytes into <=255-byte length-prefixed sub-blocks + terminator."""
-    out = bytearray()
-    for i in range(0, len(data), 255):
-        chunk = data[i : i + 255]
-        out.append(len(chunk))
-        out += chunk
-    out.append(0)
-    return bytes(out)
-
-
-_GIF_INTERLACE_PASSES = ((0, 8), (4, 8), (2, 4), (1, 2))
-
-
-def _gif_interlace_order(h: int) -> np.ndarray:
-    """Storage-order row indices for an interlaced image of height h."""
-    return np.concatenate([np.arange(start, h, step) for start, step in _GIF_INTERLACE_PASSES])
-
-
-def _gif_palette_and_indices(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """(n,h,w) gray or (n,h,w,3) RGB uint8 -> (palette (p,3), indices (n,h,w),
-    color-table size field). Gray input always uses the full 256-gray ramp so
-    the decoder round-trips it back to a 2-D array."""
-    if frames.ndim == 3:  # gray
-        palette = np.repeat(np.arange(256, dtype=np.uint8)[:, None], 3, axis=1)
-        return palette, frames, 7
-    flat = frames.reshape(-1, 3).astype(np.uint32)
-    packed = (flat[:, 0] << 16) | (flat[:, 1] << 8) | flat[:, 2]
-    uniq, inv = np.unique(packed, return_inverse=True)
-    if len(uniq) > 256:
-        raise ValueError(f"GIF needs <=256 distinct colors, got {len(uniq)}")
-    size_field = 0  # color table holds 2 << size_field entries
-    while (2 << size_field) < len(uniq):
-        size_field += 1
-    palette = np.zeros((2 << size_field, 3), dtype=np.uint8)
-    palette[: len(uniq), 0] = (uniq >> 16) & 0xFF
-    palette[: len(uniq), 1] = (uniq >> 8) & 0xFF
-    palette[: len(uniq), 2] = uniq & 0xFF
-    return palette, inv.reshape(frames.shape[:3]).astype(np.uint8), size_field
-
-
-def encode_gif(
-    pixels: np.ndarray, *, interlace: bool = False, delay_cs: int = 4
-) -> bytes:
-    """uint8 (h, w) gray, (h, w, 3) RGB, (n, h, w) gray frames or (n, h, w, 3)
-    RGB frames -> GIF89a bytes. Multi-frame input writes an animated stream
-    (one full-size frame per image, disposal 1, ``delay_cs`` per frame)."""
-    px = np.asarray(pixels, dtype=np.uint8)
-    animated = px.ndim == 4 or (px.ndim == 3 and px.shape[2] != 3)
-    frames = px if animated else px[None, ...]
-    if frames.ndim not in (3, 4) or (frames.ndim == 4 and frames.shape[3] != 3):
-        raise ValueError("pixels must be (h,w)[,3] or (n,h,w)[,3] uint8")
-    n, h, w = frames.shape[:3]
-    if h == 0 or w == 0 or n == 0:
-        raise ValueError("empty image")
-    palette, indices, size_field = _gif_palette_and_indices(frames)
-    mcs = max(2, size_field + 1)
-
-    out = bytearray(b"GIF89a")
-    out += struct.pack("<HH", w, h)
-    out.append(0x80 | (7 << 4) | size_field)  # GCT present, 8-bit resolution
-    out.append(0)  # background color index
-    out.append(0)  # pixel aspect ratio
-    out += palette.tobytes()
-    if animated:
-        # Netscape looping extension, standard for animations
-        out += b"\x21\xff\x0bNETSCAPE2.0\x03\x01\x00\x00\x00"
-    for f in range(n):
-        if animated:
-            out += b"\x21\xf9\x04" + bytes([1 << 2]) + struct.pack("<H", delay_cs) + b"\x00\x00"
-        rows = indices[f]
-        if interlace:
-            rows = rows[_gif_interlace_order(h)]
-        out += b"\x2c" + struct.pack("<HHHH", 0, 0, w, h)
-        out.append(0x40 if interlace else 0)
-        out.append(mcs)
-        out += _gif_subblocks(_gif_lzw_encode(rows.ravel(), mcs))
-    out.append(0x3B)
-    return bytes(out)
-
-
-def _gif_parse(data: bytes):
-    """Shared walker -> (screen w, h, bg index, list of frames). Each frame is
-    (left, top, fw, fh, indices (fh, fw), palette (p, 3), transparent_index,
-    disposal)."""
-    if len(data) < 13 or data[:6] not in (b"GIF87a", b"GIF89a"):
-        raise ValueError("not a GIF payload")
-    sw, sh = struct.unpack_from("<HH", data, 6)
-    packed, bg = data[10], data[11]
-    pos = 13
-    gct = None
-    if packed & 0x80:
-        size = 2 << (packed & 7)
-        gct = np.frombuffer(data[pos : pos + size * 3], dtype=np.uint8).reshape(size, 3)
-        pos += size * 3
-    try:
-        frames, _transparent, _disposal = _gif_walk(data, pos, gct)
-    except (IndexError, struct.error) as exc:
-        raise ValueError("truncated GIF stream") from exc
-    if not frames:
-        raise ValueError("GIF contains no image data")
-    return sw, sh, bg, frames
-
-
-def _gif_walk(data: bytes, pos: int, gct):
-    frames = []
-    transparent = -1
-    disposal = 0
-    while pos < len(data):
-        block = data[pos]
-        pos += 1
-        if block == 0x3B:  # trailer
-            break
-        if block == 0x21:  # extension
-            label = data[pos]
-            pos += 1
-            if label == 0xF9:  # graphic control
-                blen = data[pos]
-                gce = data[pos + 1 : pos + 1 + blen]
-                disposal = (gce[0] >> 2) & 7
-                transparent = gce[3] if gce[0] & 1 else -1
-                pos += 1 + blen
-            # skip (remaining) sub-blocks
-            while True:
-                blen = data[pos]
-                pos += 1 + blen
-                if blen == 0:
-                    break
-        elif block == 0x2C:  # image descriptor
-            left, top, fw, fh = struct.unpack_from("<HHHH", data, pos)
-            ipacked = data[pos + 8]
-            pos += 9
-            pal = gct
-            if ipacked & 0x80:
-                size = 2 << (ipacked & 7)
-                pal = np.frombuffer(data[pos : pos + size * 3], dtype=np.uint8).reshape(size, 3)
-                pos += size * 3
-            if pal is None:
-                raise ValueError("GIF image has neither global nor local color table")
-            mcs = data[pos]
-            pos += 1
-            lzw = bytearray()
-            while True:
-                blen = data[pos]
-                pos += 1
-                if blen == 0:
-                    break
-                lzw += data[pos : pos + blen]
-                pos += blen
-            idx = _gif_lzw_decode(bytes(lzw), mcs, fw * fh).reshape(fh, fw)
-            if ipacked & 0x40:  # interlaced: invert the pass permutation
-                order = _gif_interlace_order(fh)
-                rows = np.empty_like(idx)
-                rows[order] = idx
-                idx = rows
-            frames.append((left, top, fw, fh, idx, pal, transparent, disposal))
-            transparent, disposal = -1, 0
-        else:
-            raise ValueError(f"unknown GIF block 0x{block:02x}")
-    return frames, transparent, disposal
-
-
-def _gif_is_gray(pal: np.ndarray) -> bool:
-    return bool(np.all(pal[:, 0] == pal[:, 1]) and np.all(pal[:, 1] == pal[:, 2]))
-
-
-def decode_gif(payload: bytes | np.ndarray) -> np.ndarray:
-    """GIF bytes -> first frame as uint8 (h, w) gray (when the palette is
-    gray) or (h, w, 3) RGB. Transparent pixels take the palette color (a
-    single frame has nothing underneath to show through)."""
-    raw = payload.tobytes() if isinstance(payload, np.ndarray) else bytes(payload)
-    _sw, _sh, _bg, frames = _gif_parse(raw)
-    _left, _top, _fw, _fh, idx, pal, _tr, _disp = frames[0]
-    if _gif_is_gray(pal):
-        return pal[:, 0][idx]
-    return pal[idx]
-
-
-def decode_gif_frames(payload: bytes | np.ndarray) -> np.ndarray:
-    """Animated GIF bytes -> composited uint8 (n, sh, sw) gray or
-    (n, sh, sw, 3) RGB frame stack on the logical screen, applying patch
-    offsets, transparency and disposal methods 0/1 (leave) and 2 (restore to
-    background). Disposal 3 (restore to previous) raises."""
-    raw = payload.tobytes() if isinstance(payload, np.ndarray) else bytes(payload)
-    sw, sh, bg, frames = _gif_parse(raw)
-    gray = all(_gif_is_gray(pal) for *_a, pal, _t, _d in frames)
-    shape = (sh, sw) if gray else (sh, sw, 3)
-    first_pal = frames[0][5]
-    canvas = np.zeros(shape, dtype=np.uint8)
-    canvas[...] = first_pal[bg, 0] if gray else first_pal[min(bg, len(first_pal) - 1)]
-    out = np.empty((len(frames),) + shape, dtype=np.uint8)
-    for i, (left, top, fw, fh, idx, pal, transparent, disposal) in enumerate(frames):
-        if disposal == 3:
-            raise NotImplementedError("GIF disposal 3 (restore to previous) not supported")
-        patch = pal[:, 0][idx] if gray else pal[idx]
-        region = canvas[top : top + fh, left : left + fw]
-        if transparent >= 0:
-            mask = idx == transparent
-            patch = np.where(mask[..., None] if not gray else mask, region, patch)
-        region[...] = patch
-        out[i] = canvas
-        if disposal == 2:
-            canvas[top : top + fh, left : left + fw] = (
-                pal[bg, 0] if gray else pal[min(bg, len(pal) - 1)]
-            )
-    return out
-
-
-
-# Lossless WebP (VP8L) lives in functions/webp.py; re-exported here so the
-# multimodal stages import every codec from one module.
-from epichypersketch_jl_ray.functions.webp import (  # noqa: E402
-    decode_webp,
-    encode_webp_lossless,
-)

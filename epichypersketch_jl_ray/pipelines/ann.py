@@ -9,21 +9,18 @@ import pyarrow as pa
 import ray
 
 from epichypersketch_jl_ray.sources.tables import read_table
-from epichypersketch_jl_ray.stages.ann import BruteForceTopK, _embedding_matrix, distributed_topk
+from epichypersketch_jl_ray.stages.ann import (
+    BruteForceTopK,
+    _embedding_matrix,
+    cosine_sql,
+    distributed_topk,
+)
 
 N_QUERIES = 5
 TOP_K = 10
 
-# one FIXED root (the dedup_simhash stored-state pattern): oracle_sql() is a
-# static string, so the oracle must know where to read without seeing sf_dir.
-# The driver and the pytest sweep run the Ray query immediately before its
-# oracle, so each method subdir always holds the candidate stream of the run
-# being compared (the query clears + rewrites it).
-ANN_CAND_STORE = "/tmp/ehs_ann_cands"
-
-
 def _store_candidates(cands: ray.data.Dataset, store: str) -> ray.data.Dataset:
-    """Write a candidate stream's (query_id, neighbor_id) pairs to the fixed
+    """Write a candidate stream's (query_id, neighbor_id) pairs to the
     parquet store so the SQL oracle can re-rank the same candidates with
     exact cosine — returns the materialized stream for the distributed top-k
     reduce (no recompute; sim stays out of the store, the oracle recomputes
@@ -379,10 +376,11 @@ def ann_ivfpq_topk(
 
 
 def ann_cosine_topk_sql(k: int = TOP_K) -> str:
+    """Exact top-k oracle: every vector ranked by the quantized cosine
+    (``cosine_sql``), ties by vec_id, as distributed_topk ranks."""
     return f"""
 WITH q AS (SELECT vec_id AS qid, embedding AS qv FROM embeddings WHERE vec_id < {N_QUERIES}),
-s AS (SELECT q.qid, e.vec_id,
-             list_cosine_similarity(CAST(q.qv AS DOUBLE[]), CAST(e.embedding AS DOUBLE[])) AS sim
+s AS (SELECT q.qid, e.vec_id, {cosine_sql("q.qv", "e.embedding")} AS sim
       FROM q CROSS JOIN embeddings e),
 r AS (SELECT qid, vec_id,
              ROW_NUMBER() OVER (PARTITION BY qid ORDER BY sim DESC, vec_id) AS rn

@@ -11,6 +11,7 @@ from ray.data.aggregate import Count, Min
 
 from epichypersketch_jl_ray.functions.text import word_shingle_hashes
 from epichypersketch_jl_ray.sources.tables import read_table
+from epichypersketch_jl_ray.stages.ann import cosine_sql, quantize_cosine
 from epichypersketch_jl_ray.stages.dedup import (
     SignatureStage,
     attach_list_column,
@@ -830,31 +831,6 @@ def dedup_ngram_jaccard_sql(threshold: float = 0.5) -> str:
     return dedup_minhash_lsh_sql(threshold)
 
 
-# Every embedding pair's cosine is quantized to the 2^-16 grid,
-# floor(x * 2^16) / 2^16, by the pipelines and by their SQL oracles alike,
-# and the threshold is compared on the quantized value: the binary
-# quantization embedding_analysis uses. Scaling by a power of two and
-# floor are exact in IEEE doubles, so both sides agree on every pair whose
-# raw cosine they agree on (a decimal round(x, 12) does not: numpy rounds
-# half to even, DuckDB half away from zero), and a last-bit drift between
-# the BLAS and the DuckDB dot flips a value only within that drift of a
-# 2^-16 step.
-_COSINE_SCALE = 65536.0
-
-
-def quantize_cosine(sims: np.ndarray) -> np.ndarray:
-    """Cosines on the 2^-16 grid (rounded down), as the SQL oracles
-    compute them (``cosine_sql``)."""
-    return np.floor(sims * _COSINE_SCALE) / _COSINE_SCALE
-
-
-def cosine_sql(a: str, b: str) -> str:
-    """DuckDB expression: the quantized cosine (``quantize_cosine``) of two
-    embedding list columns."""
-    sim = f"list_cosine_similarity(CAST({a} AS DOUBLE[]), CAST({b} AS DOUBLE[]))"
-    return f"floor({sim} * {_COSINE_SCALE!r}) / {_COSINE_SCALE!r}"
-
-
 def dedup_embedding(sf_dir: str, *, threshold: float = 0.45) -> ray.data.Dataset:
     """Embedding-cosine near-dup pairs over the embeddings table — EXACT
     all-pairs via block-pair decomposition.
@@ -949,10 +925,6 @@ SELECT vec_a, vec_b, cosine FROM s WHERE cosine >= {threshold}
 """
 
 
-EMB_LSH_BUCKET_STORE = "/tmp/ehs_emb_lsh_buckets"
-SEM_CLUSTER_STORE = "/tmp/ehs_sem_clusters"
-
-
 def dedup_embedding_lsh(
     sf_dir: str,
     *,
@@ -975,7 +947,7 @@ def dedup_embedding_lsh(
     is 1.
 
     ``store_buckets=True`` writes the (bucket, vec_id) assignment table to
-    partitioned parquet at ``EMB_LSH_BUCKET_STORE`` (the dedup_simhash
+    partitioned parquet at ``store_dir("emb_lsh_buckets")`` (the dedup_simhash
     stored-state pattern): the SQL oracle then independently recomputes
     every within-bucket candidate pair AND its exact cosine from the raw
     embeddings table, value-hash-verifying the whole distributed part
@@ -1031,10 +1003,10 @@ def dedup_embedding_lsh(
 
     assigned = ds.map_batches(assign, batch_format="pyarrow")
     if store_buckets:
-        from epichypersketch_jl_ray.sources.sinks import overwrite_store
+        from epichypersketch_jl_ray.sources.sinks import overwrite_store, store_dir
 
         assigned = overwrite_store(
-            assigned, EMB_LSH_BUCKET_STORE, columns=["bucket", "vec_id"]
+            assigned, store_dir("emb_lsh_buckets"), columns=["bucket", "vec_id"]
         )
     return (
         assigned.groupby("bucket")
@@ -1042,13 +1014,6 @@ def dedup_embedding_lsh(
         .groupby(["vec_a", "vec_b"])
         .aggregate(Max("cosine", alias_name="cosine"))
     )
-
-
-# one FIXED path: oracle_sql() is a static string, so the oracle must know
-# where to read without seeing sf_dir. Both the driver and the pytest sweep
-# run the Ray query immediately before its oracle, so the store always holds
-# the signatures of the run being compared (the query clears + rewrites it).
-SIMHASH_SIG_STORE = "/tmp/ehs_simhash_sigs"
 
 
 def dedup_simhash(
@@ -1059,7 +1024,7 @@ def dedup_simhash(
 
     ORACLED via the stored-signature pattern: the per-doc signature table
     (doc_id, simhash int64) is written to partitioned parquet at
-    SIMHASH_SIG_STORE before banding, and
+    ``store_dir("simhash_sigs")`` before banding, and
     dedup_simhash_sql() recomputes the FULL exact hamming-pair join over
     that table with DuckDB bit_count(xor(...)) SQL — so the entire
     distributed part (banding recall, shuffle-free per-pair dedupe, hamming
@@ -1084,9 +1049,9 @@ def dedup_simhash(
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     sigs = ds.map_batches(simhash_signature_table, batch_format="pyarrow")
     if store_signatures:
-        from epichypersketch_jl_ray.sources.sinks import overwrite_store
+        from epichypersketch_jl_ray.sources.sinks import overwrite_store, store_dir
 
-        sigs = overwrite_store(sigs, SIMHASH_SIG_STORE)
+        sigs = overwrite_store(sigs, store_dir("simhash_sigs"))
 
     def verified_from_chunk(group: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -1133,7 +1098,9 @@ def dedup_simhash_sql(max_hamming: int = 3) -> str:
     structure AND the hamming values."""
     import os
 
-    path = os.path.join(SIMHASH_SIG_STORE, "*.parquet")
+    from epichypersketch_jl_ray.sources.sinks import store_dir
+
+    path = os.path.join(store_dir("simhash_sigs"), "*.parquet")
     return f"""
 WITH sigs AS (SELECT doc_id, simhash FROM read_parquet('{path}'))
 SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
@@ -1178,7 +1145,7 @@ def semantic_pairs(
     read per iteration instead of spilling.
 
     ``store_clusters=True`` writes the (cluster, vec_id) assignment table
-    to partitioned parquet at ``SEM_CLUSTER_STORE`` so the SQL oracle can
+    to partitioned parquet at ``store_dir("sem_clusters")`` so the SQL oracle can
     independently recompute every within-cluster candidate pair and its
     exact cosine from the raw embeddings (see dedup_embedding_lsh — same
     stored-state pattern; k-means itself stays pinned by the determinism /
@@ -1192,7 +1159,7 @@ def semantic_pairs(
     model = kmeans_fit(ds, k=k, iters=iters, seed=seed, spherical=True)
     tagged = assign_clusters(ds, model, keep_embedding=True)
     if store_clusters:
-        from epichypersketch_jl_ray.sources.sinks import overwrite_store
+        from epichypersketch_jl_ray.sources.sinks import overwrite_store, store_dir
 
         # materialize-then-store when the corpus fits (one execution feeds
         # both the store and the pair stage); on the materialize=False
@@ -1201,7 +1168,7 @@ def semantic_pairs(
         # so both executions agree exactly
         tagged = overwrite_store(
             tagged,
-            SEM_CLUSTER_STORE,
+            store_dir("sem_clusters"),
             columns=["cluster", "vec_id"],
             materialize=materialize,
         )

@@ -18,6 +18,9 @@ import pyarrow as pa
 
 import ray
 
+from epichypersketch_jl_ray.sources.sinks import store_dir
+from epichypersketch_jl_ray.stages.ann import cosine_sql
+
 
 def _tag(ds: ray.data.Dataset, col: str, value: str) -> ray.data.Dataset:
     """Prepend a constant string discriminator column to a Dataset."""
@@ -48,7 +51,7 @@ def doc_length_quantiles_approx(sf_dir: str) -> pd.DataFrame:
       exhaustively vs DuckDB over the integer domain in tests), counts per
       bucket, then the same rank walk as DDSketch.quantile.
     - tdigest rows use the stored-centroid pattern: the sealed centroid
-      table goes to TDIGEST_CENTROID_STORE and the SQL replays quantile()'s
+      table goes to its store_dir and the SQL replays quantile()'s
       exact interpolation over it (unit weights make the cumulative centers
       exact multiples of 0.5, so every arithmetic step is bit-reproducible);
       the CLUSTERING stays pinned by the rank-error/merge-canonicality
@@ -68,7 +71,7 @@ def doc_length_quantiles_approx(sf_dir: str) -> pd.DataFrame:
     td = sketches.doc_length_quantiles_tdigest(sf_dir, store_centroids=True).assign(
         method="tdigest"
     )
-    store = pq.read_table(os.path.join(sketches.TDIGEST_CENTROID_STORE, "part-0.parquet"))
+    store = pq.read_table(os.path.join(store_dir("tdigest_centroids"), "part-0.parquet"))
     extremes = dict(zip(store["idx"].to_pylist(), store["mean"].to_pylist()))
     lo, hi = extremes[-1], extremes[-2]
     if lo < 1 or hi > DDSKETCH_N_CHARS_MAX:
@@ -91,7 +94,7 @@ def doc_length_quantiles_approx_sql(*, alpha: float = 0.01) -> str:
 
     gamma = (1.0 + alpha) / (1.0 - alpha)
     g = repr(gamma)
-    td_glob = os.path.join(sketches.TDIGEST_CENTROID_STORE, "*.parquet")
+    td_glob = os.path.join(store_dir("tdigest_centroids"), "*.parquet")
     selects = []
     for q in sketches.QS:
         ql = repr(float(q))
@@ -400,8 +403,9 @@ def multimodal_features(sf_dir: str) -> pd.DataFrame:
     """Image + video + audio feature extraction in one frame: (modality, id,
     part_idx, embedding) — part_idx is the frame/window index (0 for whole
     images). All three actor-pool decode pipelines run for real over mixed
-    fixtures: images in BMP, PNG, GIF and lossless WebP; video as raw-gray8
-    frames, animated GIF and Y4M; audio as PCM16 WAV. Rows-only; decode correctness is bit-exact-tested in pytest."""
+    fixtures: images in BMP and PNG; video as raw-gray8 frames and Y4M;
+    audio as PCM16 WAV. Rows-only; decode correctness is bit-exact-tested
+    in pytest."""
     from epichypersketch_jl_ray.pipelines import multimodal
 
     img = multimodal.image_features(sf_dir).assign(modality="image", part_idx=0)
@@ -422,10 +426,11 @@ def ann_approx_topk(sf_dir: str) -> pd.DataFrame:
     ADC scan + exact re-rank).
 
     ORACLED via the stored-candidate pattern (see dedup_simhash): each
-    method writes its (query_id, neighbor_id) candidate pairs to a fixed
-    parquet store before the distributed top-k reduce (sim stays OUT of
-    the store), and ann_approx_topk_sql() re-ranks the SAME candidates
-    with exact cosine recomputed from the embeddings view — so the
+    method writes its (query_id, neighbor_id) candidate pairs to a parquet
+    store (``store_dir("ann_cands")``) before the distributed top-k
+    reduce (sim stays OUT of the store), and ann_approx_topk_sql()
+    re-ranks the SAME candidates with the quantized exact cosine
+    recomputed from the embeddings view — so the
     distributed final reduce (per-query merge, sim ordering, id tie-break,
     rank assignment) is value-hash-verified against an independent exact
     scoring. RECALL (which candidates survive the probe structure) is the
@@ -434,7 +439,7 @@ def ann_approx_topk(sf_dir: str) -> pd.DataFrame:
 
     from epichypersketch_jl_ray.pipelines import ann
 
-    root = ann.ANN_CAND_STORE
+    root = store_dir("ann_cands")
     lsh = ann.ann_lsh_topk(sf_dir, store=os.path.join(root, "lsh")).assign(method="lsh")
     ivf = ann.ann_ivf_topk(sf_dir, store=os.path.join(root, "ivf")).assign(method="ivf")
     pq_ = ann.ann_ivfpq_topk(sf_dir, store=os.path.join(root, "ivfpq")).assign(method="ivfpq")
@@ -445,23 +450,23 @@ def ann_approx_topk(sf_dir: str) -> pd.DataFrame:
 def ann_approx_topk_sql(k: int | None = None) -> str:
     """Exact re-rank oracle over the STORED candidate streams the Ray
     pipelines write (run the pipeline first): per (method, query), top-k by
-    exact cosine with the same ``sim DESC, neighbor_id ASC`` tie-break as
-    stages/ann.py distributed_topk."""
+    the quantized exact cosine (``stages.ann.cosine_sql``) with the same
+    ``sim DESC, neighbor_id ASC`` order as stages/ann.py distributed_topk."""
     import os
 
     from epichypersketch_jl_ray.pipelines import ann
 
     k = ann.TOP_K if k is None else k
+    root = store_dir("ann_cands")
     cand_union = " UNION ALL ".join(
         f"SELECT '{m}' AS method, query_id, neighbor_id "
-        f"FROM read_parquet('{os.path.join(ann.ANN_CAND_STORE, m, '*.parquet')}')"
+        f"FROM read_parquet('{os.path.join(root, m, '*.parquet')}')"
         for m in ("lsh", "ivf", "ivfpq")
     )
     return f"""
 WITH cand AS (SELECT DISTINCT method, query_id, neighbor_id FROM ({cand_union})),
 s AS (SELECT c.method, c.query_id, c.neighbor_id,
-             list_cosine_similarity(CAST(q.embedding AS DOUBLE[]),
-                                    CAST(e.embedding AS DOUBLE[])) AS sim
+             {cosine_sql("q.embedding", "e.embedding")} AS sim
       FROM cand c
       JOIN embeddings q ON q.vec_id = c.query_id
       JOIN embeddings e ON e.vec_id = c.neighbor_id),
@@ -483,9 +488,10 @@ def embedding_neardup_pairs(sf_dir: str) -> ray.data.Dataset:
     ORACLED via the stored-assignment pattern (see dedup_simhash): both
     variants write their assignment tables — (bucket, vec_id) hyperplane
     buckets incl. probe replicas, (cluster, vec_id) k-means clusters — to
-    fixed parquet stores, and embedding_neardup_pairs_sql() independently
-    recomputes every within-group candidate pair plus its exact cosine
-    from the raw embeddings table, so the distributed candidate structure,
+    parquet stores (``sources.sinks.store_dir``), and
+    embedding_neardup_pairs_sql() independently recomputes every
+    within-group candidate pair plus its exact cosine from the raw
+    embeddings table, so the distributed candidate structure,
     threshold filter, cross-probe pair dedupe and cosine values are all
     value-hash-verified. The signature/centroid KERNELS stay pinned by the
     recall/precision/determinism tests vs the exact block-pair pipeline.
@@ -504,14 +510,12 @@ def embedding_neardup_pairs_sql(threshold: float = 0.45) -> str:
     """Exact-recompute oracle over the STORED assignment tables the Ray
     pipeline writes (run the pipeline first): all within-bucket /
     within-cluster unordered pairs, exact cosine from the embeddings view,
-    quantized as the pipeline quantizes it (``dedup.cosine_sql``) and
+    quantized as the pipeline quantizes it (``stages.ann.cosine_sql``) and
     compared with the same threshold."""
     import os
 
-    from epichypersketch_jl_ray.pipelines import dedup
-
-    lsh_glob = os.path.join(dedup.EMB_LSH_BUCKET_STORE, "*.parquet")
-    sem_glob = os.path.join(dedup.SEM_CLUSTER_STORE, "*.parquet")
+    lsh_glob = os.path.join(store_dir("emb_lsh_buckets"), "*.parquet")
+    sem_glob = os.path.join(store_dir("sem_clusters"), "*.parquet")
     return f"""
 WITH lshb AS (SELECT bucket, vec_id FROM read_parquet('{lsh_glob}')),
 lcand AS (SELECT DISTINCT a.vec_id AS vec_a, b.vec_id AS vec_b
@@ -522,19 +526,13 @@ scand AS (SELECT DISTINCT a.vec_id AS vec_a, b.vec_id AS vec_b
 allc AS (SELECT 'lsh' AS method, vec_a, vec_b FROM lcand
          UNION ALL SELECT 'semantic' AS method, vec_a, vec_b FROM scand),
 pairs AS (SELECT c.method, c.vec_a, c.vec_b,
-                 {dedup.cosine_sql("ea.embedding", "eb.embedding")} AS cosine
+                 {cosine_sql("ea.embedding", "eb.embedding")} AS cosine
           FROM allc c
           JOIN embeddings ea ON ea.vec_id = c.vec_a
           JOIN embeddings eb ON eb.vec_id = c.vec_b)
 SELECT method, vec_a, vec_b, cosine FROM pairs WHERE cosine >= {threshold}
 """
 
-
-# fixed stores (the dedup_simhash stored-state pattern): the FD top
-# directions and the fitted k-means centroids of the LAST embedding_analysis
-# run, so the SQL oracle can replay the corpus measurement stages exactly
-PCA_COMPONENT_STORE = "/tmp/ehs_pca_components"
-KMEANS_CENTROID_STORE = "/tmp/ehs_kmeans_centroids"
 
 # fixed-point scales: pca energy quantum 2^-16, kmeans similarity quantum
 # 2^-16 (the original qsim scale). Both sums are int64-exact and convert to
@@ -577,8 +575,9 @@ def embedding_analysis(sf_dir: str) -> pd.DataFrame:
     v1=size, v2=quantized-similarity sum).
 
     ORACLED via the stored-state pattern (see dedup_simhash): the FD top
-    directions go to PCA_COMPONENT_STORE and the fitted centroids to
-    KMEANS_CENTROID_STORE, and embedding_analysis_sql() replays BOTH corpus
+    directions go to ``store_dir("pca_components")`` and the fitted
+    centroids to ``store_dir("kmeans_centroids")``, and
+    embedding_analysis_sql() replays BOTH corpus
     measurement stages from the raw embeddings view — per-row projections
     floor((x.v)^2 * 2^16) summed as integers (so v1/v2 derive from exact
     int64 sums by deterministic IEEE sqrt/divide), and the argmax-cosine
@@ -598,7 +597,7 @@ def embedding_analysis(sf_dir: str) -> pd.DataFrame:
     from ray.data.aggregate import Sum
 
     _s, vt, _total = ann.embedding_fd_directions(sf_dir)
-    _write_vector_store(PCA_COMPONENT_STORE, "component", vt)
+    _write_vector_store(store_dir("pca_components"), "component", vt)
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     vt_ref = ray.put(np.ascontiguousarray(vt, dtype=np.float64))
 
@@ -639,7 +638,7 @@ def embedding_analysis(sf_dir: str) -> pd.DataFrame:
     )
 
     model = kmeans_fit(ds, k=8)
-    _write_vector_store(KMEANS_CENTROID_STORE, "cluster", model.centroids)
+    _write_vector_store(store_dir("kmeans_centroids"), "cluster", model.centroids)
     k_model = len(model.centroids)
     tagged = assign_clusters(ds, model, keep_embedding=False)
 
@@ -688,8 +687,8 @@ def embedding_analysis_sql() -> str:
     view."""
     import os
 
-    pca_glob = os.path.join(PCA_COMPONENT_STORE, "*.parquet")
-    km_glob = os.path.join(KMEANS_CENTROID_STORE, "*.parquet")
+    pca_glob = os.path.join(store_dir("pca_components"), "*.parquet")
+    km_glob = os.path.join(store_dir("kmeans_centroids"), "*.parquet")
     scale = repr(_PCA_SCALE)
     qs = repr(_QSIM_SCALE)
     return f"""

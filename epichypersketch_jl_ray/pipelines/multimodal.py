@@ -2,9 +2,8 @@
 featurize → embedding column.
 
 The driver queries run REAL decodes end-to-end — the fixtures are valid
-BMP / PNG / GIF / lossless-WebP / PCM16-WAV / raw-gray8-video /
-animated-GIF / Y4M payloads and the decoders are the pure-numpy/stdlib
-parsers in functions/codecs.py and functions/webp.py. Every other
+BMP / PNG / PCM16-WAV / raw-gray8-video / Y4M payloads and the decoders
+are the pure-numpy/stdlib parsers in functions/codecs.py. Every other
 format stays behind the documented NotImplementedError seams in
 stages/multimodal.py.
 Rows-only driver check — binary fixtures have no SQL oracle; decode
@@ -44,11 +43,10 @@ def _fixture_fingerprint() -> str:
     """Short hash of the fixture-generating source (encoders + table
     builders), so a codec or fixture change invalidates cached payloads."""
     import epichypersketch_jl_ray.functions.codecs as codecs
-    import epichypersketch_jl_ray.functions.webp as webp
     import epichypersketch_jl_ray.stages.multimodal as mm
 
     h = hashlib.sha1()
-    for mod in (codecs, webp, mm):
+    for mod in (codecs, mm):
         with open(mod.__file__, "rb") as f:
             h.update(f.read())
     return h.hexdigest()[:12]
@@ -81,9 +79,9 @@ def _cached_media_dir(
 
 
 def image_features(sf_dir: str, *, n: int = 512, dim: int = 16) -> pd.DataFrame:
-    """Deterministic mixed BMP+PNG+GIF+WebP corpus → REAL decode (pure-numpy
-    BI_RGB parser; stdlib-zlib + numpy-unfilter PNG across all five row
-    filters; LZW GIF; lossless VP8L WebP; actor pool) → feature vectors.
+    """Deterministic mixed BMP+PNG corpus → REAL decode (pure-numpy BI_RGB
+    parser; stdlib-zlib + numpy-unfilter PNG across all five row filters;
+    actor pool) → feature vectors.
 
     ``sf_dir`` only scales the corpus (the multimodal fixture is generated,
     not read from the sf tables).
@@ -109,10 +107,9 @@ def image_features(sf_dir: str, *, n: int = 512, dim: int = 16) -> pd.DataFrame:
 
 
 def video_frame_features(sf_dir: str, *, n: int = 64, stride: int = 8, dim: int = 8) -> pd.DataFrame:
-    """Mixed raw + animated-GIF + Y4M video corpus (ffmpeg rawvideo layout /
-    GIF89a / YUV4MPEG2) → frame sampling (actor pool, REAL decode on all
-    three container paths)
-    → per-frame feature vectors. One output row per sampled frame."""
+    """Mixed raw + Y4M video corpus (ffmpeg rawvideo layout / YUV4MPEG2) →
+    frame sampling (actor pool, REAL decode on both container paths) →
+    per-frame feature vectors. One output row per sampled frame."""
     scale = {"sf0.001": 1, "sf0.01": 2, "sf0.1": 4}.get(sf_dir.rstrip("/").rsplit("/", 1)[-1], 1)
     ds = ray.data.read_parquet(
         _cached_media_dir("video", n * scale, make_mixed_video_table, 32)

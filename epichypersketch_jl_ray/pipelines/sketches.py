@@ -161,12 +161,6 @@ def doc_length_quantiles_by_lang_sql() -> str:
     return " UNION ALL ".join(parts)
 
 
-# fixed store (the dedup_simhash stored-state pattern): the sealed centroid
-# table of the LAST doc_length_quantiles_tdigest(store_centroids=True) run,
-# so the SQL oracle can replay the exact quantile interpolation
-TDIGEST_CENTROID_STORE = "/tmp/ehs_tdigest_centroids"
-
-
 def doc_length_quantiles_tdigest(
     sf_dir: str, *, compression: float = 200.0, store_centroids: bool = False
 ) -> pd.DataFrame:
@@ -175,7 +169,7 @@ def doc_length_quantiles_tdigest(
     The clustering itself is not SQL-expressible (rank-error bound asserted
     in pytest), but the QUERY stage is: with ``store_centroids=True`` the
     sealed (idx, mean, weight) centroid table plus min/max sentinel rows
-    (idx=-1/-2) is written to ``TDIGEST_CENTROID_STORE``, and
+    (idx=-1/-2) is written to ``store_dir("tdigest_centroids")``, and
     merged.doc_length_quantiles_approx_sql() replays quantile()'s exact
     interpolation arithmetic over it in SQL. Bit-exactness holds because
     unit-weight inputs make every centroid weight integer-valued, so the
@@ -190,9 +184,12 @@ def doc_length_quantiles_tdigest(
     td = sketch_dataset(ds, lambda: TDigest(compression), update, TDigest)
     td._compress()  # seal before both the store and the quantile queries
     if store_centroids:
+        import os
         import shutil
 
         import pyarrow.parquet as pq
+
+        from epichypersketch_jl_ray.sources.sinks import store_dir
 
         n_c = len(td.means)
         tbl = pa.table(
@@ -208,11 +205,10 @@ def doc_length_quantiles_tdigest(
                 ),
             }
         )
-        shutil.rmtree(TDIGEST_CENTROID_STORE, ignore_errors=True)
-        import os
-
-        os.makedirs(TDIGEST_CENTROID_STORE, exist_ok=True)
-        pq.write_table(tbl, f"{TDIGEST_CENTROID_STORE}/part-0.parquet")
+        store = store_dir("tdigest_centroids")
+        shutil.rmtree(store, ignore_errors=True)
+        os.makedirs(store)
+        pq.write_table(tbl, f"{store}/part-0.parquet")
     return pd.DataFrame({"q": list(QS), "n_chars_q": [td.quantile(q) for q in QS]})
 
 

@@ -8,9 +8,31 @@ giant file (resumable-output requirement)."""
 
 from __future__ import annotations
 
+import atexit
+import functools
 import os
+import shutil
+import tempfile
 
 import ray.data
+
+
+@functools.lru_cache(maxsize=1)
+def _store_root() -> str:
+    root = tempfile.mkdtemp(prefix="ehs_")
+    atexit.register(shutil.rmtree, root, True)
+    return root
+
+
+def store_dir(name: str) -> str:
+    """``<root>/<name>``: the directory of one stored-state oracle store
+    (candidate streams, signatures, assignments, centroids). ``<root>`` is
+    one private ``tempfile.mkdtemp`` directory per driver process, made on
+    first use and removed at exit, so concurrent runs never share or
+    clobber a store. Call it on the driver only and pass the path on: a
+    worker process would get a root of its own. The pipeline and its SQL
+    oracle run in the same driver process, so both name the same path."""
+    return os.path.join(_store_root(), name)
 
 
 def write_partitioned(ds: ray.data.Dataset, out_dir: str) -> str:
@@ -27,9 +49,9 @@ def overwrite_store(
     columns: list[str] | None = None,
     materialize: bool = True,
 ) -> ray.data.Dataset:
-    """REPLACE the fixed-path parquet store at ``store`` with (optionally a
-    column subset of) ``ds`` — the stored-state oracle pattern: a SQL twin
-    re-reads the exact state the pipeline used.
+    """REPLACE the parquet store at ``store`` (a ``store_dir``) with
+    (optionally a column subset of) ``ds`` — the stored-state oracle
+    pattern: a SQL twin re-reads the exact state the pipeline used.
 
     ``materialize=True`` (default) pins one execution in the object store
     so the store write and the caller's downstream stages share it — use
@@ -38,8 +60,6 @@ def overwrite_store(
     pinning, and the caller's downstream stages re-execute the (then
     necessarily deterministic) producing stages — two executions of a pure
     function of broadcast state, not two sources of truth."""
-    import shutil
-
     if materialize:
         ds = ds.materialize()
     shutil.rmtree(store, ignore_errors=True)

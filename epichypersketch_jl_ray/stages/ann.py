@@ -15,6 +15,32 @@ import pyarrow as pa
 import ray
 
 
+# Every embedding pair's cosine is quantized to the 2^-16 grid,
+# floor(x * 2^16) / 2^16, by the pipelines and by their SQL oracles alike:
+# the near-dup thresholds compare the quantized value and the top-k stages
+# rank on it (ties by neighbour id), the binary quantization
+# embedding_analysis uses. Scaling by a power of two and floor are exact
+# in IEEE doubles, so both sides agree on every pair whose raw cosine they
+# agree on (a decimal round(x, 12) does not: numpy rounds
+# half to even, DuckDB half away from zero), and a last-bit drift between
+# the BLAS and the DuckDB dot flips a value only within that drift of a
+# 2^-16 step.
+_COSINE_SCALE = 65536.0
+
+
+def quantize_cosine(sims: np.ndarray) -> np.ndarray:
+    """Cosines on the 2^-16 grid (rounded down), as the SQL oracles
+    compute them (``cosine_sql``)."""
+    return np.floor(sims * _COSINE_SCALE) / _COSINE_SCALE
+
+
+def cosine_sql(a: str, b: str) -> str:
+    """DuckDB expression: the quantized cosine (``quantize_cosine``) of two
+    embedding list columns."""
+    sim = f"list_cosine_similarity(CAST({a} AS DOUBLE[]), CAST({b} AS DOUBLE[]))"
+    return f"floor({sim} * {_COSINE_SCALE!r}) / {_COSINE_SCALE!r}"
+
+
 def _embedding_matrix(batch: pa.Table, col: str) -> np.ndarray:
     arr = batch[col]
     if isinstance(arr, pa.ChunkedArray):
@@ -43,8 +69,10 @@ class BruteForceTopK:
         e = e / np.where(norms == 0, 1, norms)
         sims = self.q @ e.T  # (nq, nb)
         k = min(self.k, sims.shape[1])
-        part = np.argpartition(-sims, k - 1, axis=1)[:, :k]
-        nq = len(self.q_ids)
+        # the batch's first k by distributed_topk's order, so the final
+        # reduce sees every row it would rank in
+        order = np.lexsort((np.broadcast_to(ids, sims.shape), -quantize_cosine(sims)))
+        part = order[:, :k]
         return pa.table(
             {
                 "query_id": pa.array(np.repeat(self.q_ids, k), pa.int64()),
@@ -75,15 +103,19 @@ class LSHBuckets:
 def distributed_topk(candidates: ray.data.Dataset, *, k: int = 10) -> ray.data.Dataset:
     """DISTRIBUTED final top-k reduce: groupby(query_id) co-locates each
     query's per-block partial top-ks, one vectorized per-group merge emits
-    exactly k (query_id, neighbor_id, rank) rows. The candidate stream
-    (blocks × queries × k rows) never touches the driver — at 100 TB that
-    stream is millions of rows while the result stays queries × k."""
+    exactly k (query_id, neighbor_id, rank) rows, ranked by the quantized
+    cosine (``quantize_cosine``) descending, then neighbor_id ascending —
+    the order the SQL oracles rank by, so a few-ulp drift between the BLAS
+    and the DuckDB cosine cannot swap two near-tied neighbours. The
+    candidate stream (blocks × queries × k rows) never touches the driver
+    — at 100 TB that stream is millions of rows while the result stays
+    queries × k."""
 
     def topk_group(group: pa.Table) -> pa.Table:
-        sims = group["sim"].to_numpy(zero_copy_only=False)
+        sims = quantize_cosine(group["sim"].to_numpy(zero_copy_only=False))
         ids = group["neighbor_id"].to_numpy(zero_copy_only=False)
         qid = group["query_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -sims))[:k]  # sim desc, neighbor_id asc
+        order = np.lexsort((ids, -sims))[:k]  # quantized sim desc, neighbor_id asc
         return pa.table(
             {
                 "query_id": pa.array(qid[order], pa.int64()),

@@ -5,12 +5,10 @@ Decode dispatches on the row's ``mime``:
 - REAL decodes with the pure-numpy/stdlib codecs in functions/codecs.py —
   image/bmp (BI_RGB 8/24-bit), image/png (stdlib-zlib DEFLATE + numpy
   unfiltering, 8-bit gray/RGB/palette/RGBA, all five row filters, Adam7
-  interlace), image/gif (LZW, sequential or interlaced), image/webp
-  (lossless VP8L), audio/wav (8/16-bit PCM and float32, multi-channel
+  interlace), audio/wav (8/16-bit PCM and float32, multi-channel
   downmixed to mono), video/raw-gray8 (concatenated raw frames, ffmpeg's
-  rawvideo layout), video/gif (animated GIF89a) and video/y4m (YUV4MPEG2
-  mono/444/420).
-- Every other mime (JPEG, lossy WebP, FLAC, MP3, AVI, H.264, ...) raises
+  rawvideo layout) and video/y4m (YUV4MPEG2 mono/444/420).
+- Every other mime (JPEG, WebP, FLAC, MP3, AVI, H.264, ...) raises
   NotImplementedError: no codec library is installed for it. A real
   deployment loads the codec once per actor in ``__init__`` (the reason
   these stages are callable classes).
@@ -28,17 +26,12 @@ import pyarrow as pa
 
 from epichypersketch_jl_ray.functions.codecs import (
     decode_bmp,
-    decode_gif,
-    decode_gif_frames,
     decode_png,
     decode_wav,
-    decode_webp,
     decode_y4m,
     encode_bmp_gray8,
-    encode_gif,
     encode_png,
     encode_wav_pcm16,
-    encode_webp_lossless,
     encode_y4m,
 )
 
@@ -69,32 +62,19 @@ def _binary_buffers(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
 
 def make_mixed_image_table(n: int, *, seed: int = 7, side: int = 8) -> pa.Table:
     """Deterministic REAL-format fixture mixing lossless formats the way a
-    scraped corpus would: ids cycle grayscale BMP / PNG (through all five
-    row filters so every unfilter path runs in production queries, not just
-    unit tests) / GIF (alternating sequential and interlaced row order) /
-    lossless WebP (VP8L, alternating plain literals and the subtract-green
-    + color-cache + LZ77 feature set)."""
+    scraped corpus would: even ids are grayscale BMP, odd ids PNG through
+    all five row filters (so every unfilter path runs in production
+    queries, not just unit tests)."""
     rng = np.random.default_rng(seed)
     payloads, mimes = [], []
     for i in range(n):
         px = rng.integers(0, 256, size=(side, side), dtype=np.uint8)
-        if i % 4 == 0:
+        if i % 2 == 0:
             payloads.append(encode_bmp_gray8(px))
             mimes.append("image/bmp")
-        elif i % 4 == 1:
-            payloads.append(encode_png(px, filter_type=(i // 4) % 5))
-            mimes.append("image/png")
-        elif i % 4 == 2:
-            payloads.append(encode_gif(px, interlace=i % 8 == 6))
-            mimes.append("image/gif")
-        elif i % 8 == 3:
-            payloads.append(encode_webp_lossless(px))
-            mimes.append("image/webp")
         else:
-            payloads.append(
-                encode_webp_lossless(px, subtract_green=True, cache_bits=4, use_lz77=True)
-            )
-            mimes.append("image/webp")
+            payloads.append(encode_png(px, filter_type=(i // 2) % 5))
+            mimes.append("image/png")
     return pa.table(
         {
             "id": pa.array(range(n), pa.int64()),
@@ -106,19 +86,13 @@ def make_mixed_image_table(n: int, *, seed: int = 7, side: int = 8) -> pa.Table:
     )
 
 
-_IMAGE_DECODERS = {
-    "image/bmp": decode_bmp,
-    "image/png": decode_png,
-    "image/gif": decode_gif,
-    "image/webp": decode_webp,
-}
+_IMAGE_DECODERS = {"image/bmp": decode_bmp, "image/png": decode_png}
 
 
 class DecodeImage:
     """Actor stage: decode payload bytes -> pixel arrays, dispatching on
-    mime (module docstring): image/bmp, image/png, image/gif and lossless
-    image/webp decode FOR REAL, every other mime raises the documented codec
-    seam. The per-ITEM loop is
+    mime (module docstring): image/bmp and image/png decode FOR REAL, every
+    other mime raises the documented codec seam. The per-ITEM loop is
     inherent to decoding variable-size binary blobs (a real codec is
     per-item too); each item's work is vectorized numpy.
     """
@@ -137,7 +111,7 @@ class DecodeImage:
             if mime not in _IMAGE_DECODERS:
                 raise NotImplementedError(
                     f"decoding {mime} requires a codec library that is not installed "
-                    "(bmp/png/gif/lossless-webp decode natively; other formats "
+                    "(bmp/png decode natively; other formats "
                     "need a codec loaded once per actor here)"
                 )
             img = _IMAGE_DECODERS[mime](blob)
@@ -179,11 +153,10 @@ def make_raw_video_table(n: int, *, seed: int = 13, side: int = 4, frames: int =
 
 
 def make_mixed_video_table(n: int, *, seed: int = 13, side: int = 4, frames: int = 24) -> pa.Table:
-    """Raw-gray8 / animated-GIF / Y4M payloads interleaved the way a scraped
-    corpus mixes containers, all lossless: by id mod 4, 0 and 2 are raw,
-    1 is GIF and 3 is Cmono Y4M. Ids cycle three frame streams by id mod 4
-    (0: ``seed``, 1: ``seed + 1``, 2 and 3: ``seed + 2``), each the raw
-    fixture of its seed."""
+    """Raw-gray8 / Y4M payloads interleaved the way a scraped corpus mixes
+    containers, both lossless: even ids are raw, odd ids Cmono Y4M. Ids
+    cycle three frame streams by id mod 4 (0: ``seed``, 1: ``seed + 1``, 2
+    and 3: ``seed + 2``), each the raw fixture of its seed."""
     streams = [make_raw_video_table(n, seed=seed + k, side=side, frames=frames) for k in range(3)]
     payloads, mimes = [], []
     for i in range(n):
@@ -192,9 +165,6 @@ def make_mixed_video_table(n: int, *, seed: int = 13, side: int = 4, frames: int
         if i % 2 == 0:
             payloads.append(raw)
             mimes.append("video/raw-gray8")
-        elif i % 4 == 1:
-            payloads.append(encode_gif(stack))
-            mimes.append("video/gif")
         else:
             payloads.append(encode_y4m(stack))
             mimes.append("video/y4m")
@@ -205,7 +175,7 @@ def make_mixed_video_table(n: int, *, seed: int = 13, side: int = 4, frames: int
 
 # mime -> (payload bytes -> (n, h, w[, 3]) frame stack); video/raw-gray8 is
 # sliced in place by FrameSampleVideo._raw_frames
-_VIDEO_DECODERS = {"video/gif": decode_gif_frames, "video/y4m": decode_y4m}
+_VIDEO_DECODERS = {"video/y4m": decode_y4m}
 
 
 class FrameSampleVideo:
@@ -213,9 +183,9 @@ class FrameSampleVideo:
 
     video/raw-gray8 (concatenated raw frames, ffmpeg rawvideo layout)
     decodes FOR REAL — frame extraction is pure offset slicing, exactly
-    what the vectorized gather below does. video/gif (animated GIF89a, the
-    LZW decoder in functions/codecs) and video/y4m (YUV4MPEG2) also decode
-    FOR REAL, one stream at a time. Other video (AVI, H.264/VP9)
+    what the vectorized gather below does. video/y4m (YUV4MPEG2, the
+    decoder in functions/codecs) also decodes FOR REAL, one stream at a
+    time. Other video (AVI, H.264/VP9)
     raises the documented codec seam: a pyav/ffmpeg decoder loaded once
     per actor would seek+decode only the sampled frames. Output: one ROW
     PER SAMPLED FRAME (id, frame_idx, pixels) — the flat layout downstream
@@ -234,7 +204,7 @@ class FrameSampleVideo:
             if mime != "video/raw-gray8" and mime not in _VIDEO_DECODERS:
                 raise NotImplementedError(
                     f"decoding {mime} requires a codec library that is not installed "
-                    "(raw-gray8, GIF and Y4M decode natively; avi/h264/vp9 need "
+                    "(raw-gray8 and Y4M decode natively; avi/h264/vp9 need "
                     "pyav/ffmpeg loaded once per actor here)"
                 )
         stacked_mimes = sorted({m for m in mimes if m in _VIDEO_DECODERS})

@@ -10,7 +10,7 @@ def _bmp_table(n: int) -> pa.Table:
     """The BMP rows of the mixed image fixture: real payloads of one size."""
     from epichypersketch_jl_ray.stages.multimodal import make_mixed_image_table
 
-    tbl = make_mixed_image_table(4 * n)  # every fourth row is BMP
+    tbl = make_mixed_image_table(2 * n)  # every other row is BMP
     return tbl.filter(pc.equal(tbl["mime"], "image/bmp"))
 
 
@@ -38,6 +38,71 @@ def test_ann_lsh_recall(ray_session, sf_dir):
         assert (r1["query_id"].to_numpy() == r1["neighbor_id"].to_numpy()).all()
 
 
+def test_ann_topk_ranks_near_ties_on_the_quantized_cosine(ray_session):
+    """Vectors 5 and 15 point the same way (15 = 3 x 5), so their cosines
+    with query 0 are equal in exact arithmetic; numpy and DuckDB round them
+    a few ulps apart, in opposite order. Ranked on the raw cosine, the
+    pipeline and its SQL oracle put them in different order; ranked on the
+    2^-16 quantized cosine they tie on both sides and neighbor_id breaks
+    the tie, so the brute-force and the stored-candidate oracles match."""
+    import os
+    import shutil
+
+    import duckdb
+    import pyarrow.parquet as pq
+    import ray
+
+    from epichypersketch_jl_ray.pipelines.ann import ann_cosine_topk_sql
+    from epichypersketch_jl_ray.pipelines.merged import ann_approx_topk_sql
+    from epichypersketch_jl_ray.sources.sinks import store_dir
+    from epichypersketch_jl_ray.stages.ann import BruteForceTopK, distributed_topk
+
+    rng = np.random.default_rng(3)
+    e = rng.standard_normal((16, 16))
+    e[5] = e[0] + 0.3 * rng.standard_normal(16)
+    e[15] = 3.0 * e[5]
+    emb = pa.table(
+        {
+            "vec_id": pa.array(range(16), pa.int64()),
+            "embedding": pa.array(e.tolist(), pa.list_(pa.float64())),
+        }
+    )
+    k = 3
+    cands = pa.concat_tables(
+        [BruteForceTopK((np.arange(5), e[:5]), k=k)(emb.slice(i, 8)) for i in (0, 8)]
+    )
+    got = distributed_topk(ray.data.from_arrow(cands), k=k).to_pandas()
+    got = got.sort_values(["query_id", "rank"]).reset_index(drop=True)
+    assert got[got.query_id == 0].neighbor_id.tolist() == [0, 5, 15]
+
+    con = duckdb.connect()
+    con.register("embeddings", emb)
+    want = con.sql(ann_cosine_topk_sql(k)).df().sort_values(["query_id", "rank"])
+    assert got.values.tolist() == want.reset_index(drop=True)[got.columns].values.tolist()
+
+    # the raw cosines disagree on the order of the tied pair
+    raw = cands.to_pandas().query("query_id == 0 and neighbor_id in (5, 15)")
+    raw = raw.sort_values(["sim", "neighbor_id"], ascending=[False, True])
+    raw_first = int(raw.neighbor_id.iloc[0])
+    db_raw = con.sql(
+        "SELECT e.vec_id, list_cosine_similarity(q.embedding, e.embedding) AS sim "
+        "FROM embeddings q, embeddings e WHERE q.vec_id = 0 AND e.vec_id IN (5, 15) "
+        "ORDER BY sim DESC, e.vec_id"
+    ).df()
+    assert raw_first != int(db_raw.vec_id.iloc[0])
+
+    # the stored-candidate oracle re-ranks the same stream the same way
+    for m in ("lsh", "ivf", "ivfpq"):
+        path = os.path.join(store_dir("ann_cands"), m)
+        shutil.rmtree(path, ignore_errors=True)
+        os.makedirs(path)
+        pq.write_table(cands.select(["query_id", "neighbor_id"]), f"{path}/part-0.parquet")
+    approx = con.sql(ann_approx_topk_sql(k)).df()
+    for m in ("lsh", "ivf", "ivfpq"):
+        mine = approx[approx.method == m].sort_values(["query_id", "rank"])
+        assert mine[got.columns].values.tolist() == got.values.tolist()
+
+
 def test_multimodal_plumbing(ray_session, sf_dir):
     from epichypersketch_jl_ray.pipelines.multimodal import image_features
 
@@ -54,7 +119,9 @@ def test_multimodal_plumbing(ray_session, sf_dir):
 
 def test_decode_stages_raise_the_codec_seam_for_deleted_mimes(ray_session):
     """The codec seam is per-mime at call time: a real payload labelled with
-    a mime no installed codec decodes raises NotImplementedError."""
+    a mime no installed codec decodes raises NotImplementedError, also for
+    the image and video mimes whose decoders were deleted last (a BMP
+    labelled image/gif or image/webp, raw gray8 frames labelled video/gif)."""
     from epichypersketch_jl_ray.stages.multimodal import (
         DecodeImage,
         FrameSampleVideo,
@@ -69,6 +136,11 @@ def test_decode_stages_raise_the_codec_seam_for_deleted_mimes(ray_session):
         FrameSampleVideo(stride=8)(_with_mime(make_raw_video_table(2), "video/avi"))
     with pytest.raises(NotImplementedError):
         WindowAudio(window=1024)(_with_mime(make_mixed_audio_table(2), "audio/flac"))
+    for mime in ("image/gif", "image/webp"):
+        with pytest.raises(NotImplementedError):
+            DecodeImage()(_with_mime(_bmp_table(2), mime))
+    with pytest.raises(NotImplementedError):
+        FrameSampleVideo(stride=8)(_with_mime(make_raw_video_table(2), "video/gif"))
 
 
 def test_decode_validates_payload(ray_session):
@@ -275,7 +347,7 @@ def test_ann_ivfpq_deterministic(ray_session, sf_dir):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_ann_lsh_candidates_stay_in_their_querys_probe_set(ray_session, sf_dir):
+def test_ann_lsh_candidates_stay_in_their_querys_probe_set(ray_session, sf_dir, tmp_path):
     """Every candidate the LSH path emits must come from ITS OWN query's
     probe set (hamming <= probe_hamming of that query's bucket) — the
     regression guard for the cross-query leakage fixed in round 5, where
@@ -288,7 +360,7 @@ def test_ann_lsh_candidates_stay_in_their_querys_probe_set(ray_session, sf_dir):
     from epichypersketch_jl_ray.stages.ann import LSHBuckets, _embedding_matrix
 
     bits, radius = 8, 3
-    store = "/tmp/ehs_test_lsh_containment"
+    store = str(tmp_path / "lsh_cands")
     ann_lsh_topk(sf_dir, bits=bits, probe_hamming=radius, store=store)
     cands = pads.dataset(store).to_table().to_pandas()
     assert len(cands) > 0

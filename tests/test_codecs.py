@@ -1,7 +1,7 @@
-"""Pure-numpy codec correctness: BMP, WAV, PNG and GIF round-trips
-(bit-exact, all lossless), edge cases (row padding, top-down BMP, 24-bit,
-extra WAV chunks, PNG filters/Adam7/palette, GIF LZW/interlace/animation),
-and the real multimodal decode path end-to-end."""
+"""Pure-numpy codec correctness: BMP, WAV and PNG round-trips (bit-exact,
+all lossless), edge cases (row padding, top-down BMP, 24-bit, extra WAV
+chunks, PNG filters/Adam7/palette), and the real multimodal decode path
+end-to-end."""
 
 import struct
 
@@ -193,20 +193,20 @@ def test_png_round_trip_fuzz():
     png_case()
 
 
-def test_decode_image_stage_mixed_bmp_png_gif_webp():
+def test_decode_image_stage_mixed_bmp_png():
     from epichypersketch_jl_ray.stages.multimodal import DecodeImage, make_mixed_image_table
 
     tbl = make_mixed_image_table(40, seed=7, side=8)
-    assert tbl["mime"].to_pylist() == ["image/bmp", "image/png", "image/gif", "image/webp"] * 10
+    assert tbl["mime"].to_pylist() == ["image/bmp", "image/png"] * 20
     # the PNG rows cycle all five row filters (filter type = byte 0 of the
     # first scanline, after the 8-byte signature + 25-byte IHDR + 8-byte
     # IDAT header, zlib-wrapped)
     import zlib
 
     filters = [
-        zlib.decompress(tbl["payload"][i].as_py()[41:-16])[0] for i in range(1, 40, 4)
+        zlib.decompress(tbl["payload"][i].as_py()[41:-16])[0] for i in range(1, 40, 2)
     ]
-    assert filters == [0, 1, 2, 3, 4] * 2
+    assert filters == [0, 1, 2, 3, 4] * 4
     out = DecodeImage()(tbl)
     rng = np.random.default_rng(7)  # regenerate the fixture's pixel truth
     for i in range(40):
@@ -271,8 +271,8 @@ def test_frame_sample_video_real_raw(ray_session):
 
 
 def test_frame_sample_video_mixed_containers(ray_session):
-    """The mixed raw+GIF+Y4M video fixture decodes all three container paths
-    to the same row layout, and every sampled frame equals the fixture's
+    """The mixed raw+Y4M video fixture decodes both container paths to the
+    same row layout, and every sampled frame equals the fixture's
     frame truth exactly: id mod 4 picks the raw stream (0: seed, 1: seed + 1,
     2 and 3: seed + 2)."""
     from epichypersketch_jl_ray.stages.multimodal import (
@@ -281,9 +281,7 @@ def test_frame_sample_video_mixed_containers(ray_session):
     )
 
     tbl = make_mixed_video_table(8, seed=13, side=4, frames=24)
-    assert tbl["mime"].to_pylist() == [
-        "video/raw-gray8", "video/gif", "video/raw-gray8", "video/y4m",
-    ] * 2
+    assert tbl["mime"].to_pylist() == ["video/raw-gray8", "video/y4m"] * 4
     out = FrameSampleVideo(stride=8)(tbl)
     assert len(out) == 8 * 3
     streams = [np.random.default_rng(13 + k) for k in range(3)]
@@ -377,126 +375,5 @@ def test_png_adam7_fuzz():
         np.testing.assert_array_equal(
             decode_png(encode_png(px, filter_type=ft, interlace=True)), px
         )
-
-    run()
-
-
-# --- GIF (LZW, GIF89a) -------------------------------------------------------
-
-
-@pytest.mark.parametrize("w,h", [(1, 1), (8, 8), (13, 7), (64, 64)])
-@pytest.mark.parametrize("interlace", [False, True])
-def test_gif_gray_round_trip(w, h, interlace):
-    from epichypersketch_jl_ray.functions.codecs import decode_gif, encode_gif
-
-    rng = np.random.default_rng(w * 100 + h)
-    px = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-    out = decode_gif(encode_gif(px, interlace=interlace))
-    np.testing.assert_array_equal(out, px)  # LZW is lossless: bit-exact
-
-
-def test_gif_rgb_round_trip_and_palette_cap():
-    from epichypersketch_jl_ray.functions.codecs import decode_gif, encode_gif
-
-    rng = np.random.default_rng(5)
-    px = rng.integers(0, 4, size=(16, 16, 3), dtype=np.uint8) * 60
-    np.testing.assert_array_equal(decode_gif(encode_gif(px)), px)
-    # >256 distinct colors must refuse, not quantize silently
-    big = np.arange(257 * 3, dtype=np.uint32).reshape(257, 1, 3).astype(np.uint8)
-    big[:, 0, 0] = np.arange(257) % 256
-    big[:, 0, 1] = np.arange(257) // 256
-    with pytest.raises(ValueError, match="256"):
-        encode_gif(big)
-
-
-def test_gif_lzw_edge_cases():
-    """KwKwK codes (constant runs), minimum 2-bit code size, and dictionary
-    freeze past 4096 entries (deferred clear) all round-trip bit-exact."""
-    from epichypersketch_jl_ray.functions.codecs import decode_gif, encode_gif
-
-    for v in (0, 7, 255):  # constant image: immediate KwKwK case
-        px = np.full((32, 32), v, dtype=np.uint8)
-        np.testing.assert_array_equal(decode_gif(encode_gif(px)), px)
-    px = np.zeros((9, 9, 3), np.uint8)  # 2 colors: mcs floor of 2 bits
-    px[::2, ::2] = [10, 200, 30]
-    np.testing.assert_array_equal(decode_gif(encode_gif(px)), px)
-    rng = np.random.default_rng(3)  # large: >4096 dict entries, 12-bit codes
-    px = rng.integers(0, 256, size=(300, 300), dtype=np.uint8)
-    np.testing.assert_array_equal(decode_gif(encode_gif(px)), px)
-
-
-def test_gif_animated_frames_round_trip():
-    from epichypersketch_jl_ray.functions.codecs import decode_gif_frames, encode_gif
-
-    rng = np.random.default_rng(11)
-    gray = rng.integers(0, 256, size=(5, 8, 8), dtype=np.uint8)
-    np.testing.assert_array_equal(decode_gif_frames(encode_gif(gray)), gray)
-    rgb = rng.integers(0, 3, size=(4, 6, 6, 3), dtype=np.uint8) * 100
-    np.testing.assert_array_equal(decode_gif_frames(encode_gif(rgb)), rgb)
-
-
-def test_gif_transparency_and_disposal():
-    """Hand-built 2-frame stream: frame 2 is a 1x1 patch at (1,1) with a
-    transparent pixel at (0,0)-of-patch... exercises patch offsets,
-    transparency compositing and restore-to-background disposal."""
-    from epichypersketch_jl_ray.functions.codecs import (
-        _gif_lzw_encode,
-        _gif_subblocks,
-        decode_gif_frames,
-    )
-
-    pal = bytes([0, 0, 0, 85, 85, 85, 170, 170, 170, 255, 255, 255])  # 4 grays
-    out = bytearray(b"GIF89a")
-    out += struct.pack("<HH", 2, 2)
-    out += bytes([0x80 | (7 << 4) | 1, 0, 0])  # GCT of 4, bg index 0
-    out += pal
-    # frame 1: full 2x2 = [[1,2],[3,0]], disposal 2 (restore to background)
-    out += b"\x21\xf9\x04" + bytes([2 << 2]) + b"\x00\x00\x00\x00"
-    out += b"\x2c" + struct.pack("<HHHH", 0, 0, 2, 2) + b"\x00\x02"
-    out += _gif_subblocks(_gif_lzw_encode(np.array([1, 2, 3, 0], np.uint8), 2))
-    # frame 2: 1x1 patch at (1,1), value 3, transparent index 3 -> shows bg
-    out += b"\x21\xf9\x04" + bytes([(1 << 2) | 1]) + b"\x00\x00\x03\x00"
-    out += b"\x2c" + struct.pack("<HHHH", 1, 1, 1, 1) + b"\x00\x02"
-    out += _gif_subblocks(_gif_lzw_encode(np.array([3], np.uint8), 2))
-    out.append(0x3B)
-
-    frames = decode_gif_frames(bytes(out))
-    assert frames.shape == (2, 2, 2)
-    np.testing.assert_array_equal(frames[0], [[85, 170], [255, 0]])
-    # disposal 2 cleared frame 1 to bg (0); the transparent patch keeps bg
-    np.testing.assert_array_equal(frames[1], [[0, 0], [0, 0]])
-
-
-def test_gif_error_paths():
-    from epichypersketch_jl_ray.functions.codecs import decode_gif, encode_gif
-
-    with pytest.raises(ValueError, match="not a GIF"):
-        decode_gif(b"NOPE" + b"\x00" * 20)
-    blob = bytearray(encode_gif(np.full((4, 4), 9, np.uint8)))
-    blob = blob[: len(blob) - 12]  # chop inside the LZW stream
-    with pytest.raises(ValueError):
-        decode_gif(bytes(blob))
-    with pytest.raises(ValueError, match="empty"):
-        encode_gif(np.zeros((0, 4), np.uint8))
-
-
-def test_gif_round_trip_fuzz():
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    from epichypersketch_jl_ray.functions.codecs import decode_gif, encode_gif
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        w=st.integers(1, 24),
-        h=st.integers(1, 24),
-        interlace=st.booleans(),
-        seed=st.integers(0, 2**31),
-        levels=st.sampled_from([2, 7, 256]),
-    )
-    def run(w, h, interlace, seed, levels):
-        rng = np.random.default_rng(seed)
-        px = (rng.integers(0, levels, size=(h, w)) * (255 // (levels - 1))).astype(np.uint8)
-        np.testing.assert_array_equal(decode_gif(encode_gif(px, interlace=interlace)), px)
 
     run()

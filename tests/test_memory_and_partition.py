@@ -1,6 +1,7 @@
 """Memory estimation (reference test_memory_management.jl analogues),
 length-bucket partitioning (test_partitioning.jl:8-87 analogues), config
-validation (test_config_errors.jl analogue), parquet sink round-trip."""
+validation (test_config_errors.jl analogue), parquet sink round-trip and
+the per-process store directory."""
 
 import numpy as np
 import pytest
@@ -105,6 +106,36 @@ def test_parquet_sink_round_trip(ray_session, tmp_path):
     assert len(files) >= 1
     total = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
     assert total == 1000
+
+
+def test_store_dir_is_one_private_root_per_process():
+    """Every stored-state oracle store lives under one private mkdtemp root
+    per process: two calls share it, another process gets another one, and
+    no store lands on one of the fixed, shared /tmp/ehs_* paths."""
+    import os
+    import stat
+    import subprocess
+    import sys
+
+    from epichypersketch_jl_ray.sources.sinks import store_dir
+
+    a, b = store_dir("ann_cands"), store_dir("simhash_sigs")
+    root = os.path.dirname(a)
+    assert os.path.dirname(b) == root and store_dir("ann_cands") == a
+    assert os.path.basename(a) == "ann_cands"
+    assert stat.S_IMODE(os.stat(root).st_mode) == 0o700
+    fixed = {f"/tmp/ehs_{n}" for n in ("ann_cands", "simhash_sigs", "tdigest_centroids")}
+    assert root not in fixed and a not in fixed
+    code = "from epichypersketch_jl_ray.sources.sinks import store_dir; print(store_dir('ann_cands'))"
+    other = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    ).stdout.strip()
+    assert os.path.basename(other) == "ann_cands" and os.path.dirname(other) != root
+    assert not os.path.exists(os.path.dirname(other))  # removed at exit
 
 
 def test_auto_batch_size_wired_into_motif_pipeline(ray_session):
