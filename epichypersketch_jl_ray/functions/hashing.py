@@ -4,8 +4,8 @@ All sketches consume pre-hashed uint64 keys produced here. The primitives are
 chosen for cross-process determinism (no PYTHONHASHSEED dependence, no
 library-version-dependent hash): FNV-1a over UTF-8 bytes for strings,
 splitmix64 for integer mixing / combining. String hashing is vectorized
-column-wise over a batch (O(max_len) numpy ops per batch, each over all rows)
-— no per-row Python loop in the hot path.
+column-wise over a batch (O(max_len) numpy ops per batch, each over the rows
+that long) — no per-row Python loop in the hot path.
 """
 
 from __future__ import annotations
@@ -43,13 +43,26 @@ def splitmix64(
         return z
 
 
+_COMBINE_MULT = np.uint64(0xC2B2AE3D27D4EB4F)
+
+
 def hash_combine(*parts: np.ndarray) -> np.ndarray:
     """Order-sensitive combine of several uint64 hash arrays (same length)."""
-    acc = np.asarray(parts[0], dtype=np.uint64)
+    acc = np.array(parts[0], dtype=np.uint64)
+    scratch = np.empty_like(acc)
     for p in parts[1:]:
-        with np.errstate(over="ignore"):
-            acc = splitmix64(acc * np.uint64(0xC2B2AE3D27D4EB4F) ^ np.asarray(p, dtype=np.uint64))
+        combine_into(acc, np.asarray(p, dtype=np.uint64), scratch)
     return acc
+
+
+def combine_into(acc: np.ndarray, part: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``hash_combine(acc, part)`` written into the uint64 array ``acc``;
+    ``scratch`` (same shape, may be ``part`` itself) takes the mixer's
+    shifts, so the combine allocates nothing."""
+    with np.errstate(over="ignore"):
+        acc *= _COMBINE_MULT
+    acc ^= part
+    return splitmix64(acc, out=acc, scratch=scratch)
 
 
 def _string_buffers(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
@@ -67,41 +80,69 @@ def _string_buffers(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     return offsets, values
 
 
+def _as_string_array(strings) -> pa.Array:
+    """A pyarrow string/binary array (one chunk) from an Arrow array or
+    chunked array, a numpy object array of str/bytes, or a list."""
+    if isinstance(strings, pa.ChunkedArray):
+        strings = strings.combine_chunks()
+    if not isinstance(strings, pa.Array):
+        strings = pa.array(strings, type=pa.string())
+    t = strings.type
+    if not (pa.types.is_string(t) or pa.types.is_binary(t) or pa.types.is_large_string(t) or pa.types.is_large_binary(t)):
+        raise TypeError(f"unsupported arrow type for string hashing: {t}")
+    return strings
+
+
 def fnv1a64(strings) -> np.ndarray:
     """FNV-1a 64-bit hash of each string/binary element, vectorized.
 
     Accepts a pyarrow (chunked) string/binary array, a numpy object array of
     str/bytes, or a list. Nulls hash to the empty-string hash.
     """
-    if isinstance(strings, pa.ChunkedArray):
-        strings = strings.combine_chunks()
-    if not isinstance(strings, pa.Array):
-        strings = pa.array(strings, type=pa.string())
-    if pa.types.is_string(strings.type) or pa.types.is_binary(strings.type) or pa.types.is_large_string(strings.type) or pa.types.is_large_binary(strings.type):
-        offsets, values = _string_buffers(strings)
-    else:
-        raise TypeError(f"unsupported arrow type for fnv1a64: {strings.type}")
-    n = len(strings)
-    lengths = offsets[1:] - offsets[:-1]
-    out = np.full(n, _FNV_OFFSET, dtype=np.uint64)
-    if n == 0 or lengths.max(initial=0) == 0:
-        return out
-    max_len = int(lengths.max())
-    starts = offsets[:-1]
+    offsets, values = _string_buffers(_as_string_array(strings))
+    return _fnv1a64_rows(offsets[:-1], offsets[1:] - offsets[:-1], values)
+
+
+def _fnv1a64_rows(
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    values: np.ndarray,
+    offset_basis: np.uint64 = _FNV_OFFSET,
+    prime: np.uint64 = _FNV_PRIME,
+) -> np.ndarray:
+    """FNV-1a over the byte ranges ``values[starts[i]:starts[i] + lengths[i]]``
+    with a caller-chosen basis/prime (``content_hash128``'s fallback runs a
+    second, independent pass), splitmix64-finalized: FNV-1a has weak
+    avalanche in the high bits, and HLL buckets by the TOP p bits.
+
+    The rows are sorted by length once, longest first, so the rows that
+    still have a byte j are a prefix of that order: byte j costs one gather
+    (at the rows' starts, from the buffer shifted by j), one xor and one
+    multiply over that prefix, in place, with no mask over every row."""
+    order = np.argsort(-lengths, kind="stable")
+    # live[j]: how many rows are longer than j bytes
+    live = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)), side="left")
+    h = np.full(len(lengths), offset_basis, dtype=np.uint64)
+    starts = starts[order]
+    byte = np.empty(len(lengths), dtype=np.uint8)
     with np.errstate(over="ignore"):
-        for j in range(max_len):
-            active = lengths > j
-            if not active.any():
-                break
-            idx = starts[active] + j
-            out[active] = (out[active] ^ values[idx].astype(np.uint64)) * _FNV_PRIME
-    # FNV-1a has weak avalanche in the high bits (HLL buckets by the TOP p
-    # bits); a splitmix64 finalizer fixes the distribution
-    return splitmix64(out)
+        for j, k in enumerate(live.tolist()):
+            # every index is in range; with ``out``, numpy buffers a take
+            # unless its mode is "clip" or "wrap" (about 2x slower)
+            np.take(values[j:], starts[:k], out=byte[:k], mode="clip")
+            h[:k] ^= byte[:k]
+            h[:k] *= prime
+    out = np.empty_like(h)
+    out[order] = h
+    return splitmix64(out, out=out, scratch=h)
 
 
 # (1 << 8*len) - 1: keeps a string's own bytes of its 8-byte window
 _LEN_MASKS = np.array([(1 << (8 * n)) - 1 for n in range(9)], dtype=np.uint64)
+
+
+# splitmix64(len) of a string of len <= 8 bytes
+_LEN_MIX = splitmix64(np.arange(9, dtype=np.uint64))
 
 
 def hash_strings_fast(strings) -> np.ndarray:
@@ -113,48 +154,33 @@ def hash_strings_fast(strings) -> np.ndarray:
     for TOKEN hashing (tokens are short); NOT interchangeable with fnv1a64
     values.
     """
-    if isinstance(strings, pa.ChunkedArray):
-        strings = strings.combine_chunks()
-    if not isinstance(strings, pa.Array):
-        strings = pa.array(strings, type=pa.string())
-    offsets, values = _string_buffers(strings)
-    lengths = offsets[1:] - offsets[:-1]
-    # the padding keeps the window of a string that ends the buffer (a
-    # zero-length one included) in bounds
-    padded = np.zeros(len(values) + 8, dtype=np.uint8)
-    padded[: len(values)] = values
-    windows = np.lib.stride_tricks.as_strided(
-        padded, shape=(len(values) + 1, 8), strides=(1, 1), writeable=False
-    )
-    word = windows[offsets[:-1]].view("<u8").ravel() & _LEN_MASKS[np.minimum(lengths, 8)]
-    with np.errstate(over="ignore"):
-        out = splitmix64(word + splitmix64(lengths))
+    offsets, values = _string_buffers(_as_string_array(strings))
+    starts = offsets[:-1]
+    lengths = np.diff(offsets)
     # per-STRING fallback (never per-batch: the same string must hash
     # identically regardless of what else shares its batch)
     long_idx = np.flatnonzero(lengths > 8)
-    if len(long_idx):
-        out[long_idx] = fnv1a64(strings.take(pa.array(long_idx)))
+    long_hashes = _fnv1a64_rows(starts[long_idx], lengths[long_idx], values)
+    # the padding keeps the window of a string that ends the buffer (a
+    # zero-length one included) in bounds
+    padded = np.empty(len(values) + 8, dtype=np.uint8)
+    padded[: len(values)] = values
+    padded[len(values) :] = 0
+    # the window at every byte offset as one unaligned uint64 array: numpy
+    # gathers it about 2x faster than 8-byte rows of a strided byte view
+    windows = np.ndarray((len(values) + 1,), dtype="<u8", buffer=padded, strides=(1,))
+    out = windows[starts]
+    # every pass runs in place: a fresh batch-sized array costs its page
+    # faults, about as much as the pass itself. A longer string's mask and
+    # length mix are wrong here, but its hash is the fallback's
+    short = np.minimum(lengths, 8, out=lengths)
+    scratch = _LEN_MASKS.take(short)
+    out &= scratch
+    _LEN_MIX.take(short, out=scratch, mode="clip")  # in range: see _fnv1a64_rows
+    out += scratch
+    splitmix64(out, out=out, scratch=scratch)
+    out[long_idx] = long_hashes
     return out
-
-
-def _fnv1a64_basis(strings: pa.Array, offset_basis: np.uint64, prime: np.uint64) -> np.ndarray:
-    """FNV-1a byte loop with a caller-chosen basis/prime (second independent
-    pass for the 128-bit content key fallback)."""
-    offsets, values = _string_buffers(strings)
-    n = len(strings)
-    lengths = offsets[1:] - offsets[:-1]
-    out = np.full(n, offset_basis, dtype=np.uint64)
-    if n == 0 or lengths.max(initial=0) == 0:
-        return splitmix64(out)
-    starts = offsets[:-1]
-    with np.errstate(over="ignore"):
-        for j in range(int(lengths.max())):
-            active = lengths > j
-            if not active.any():
-                break
-            idx = starts[active] + j
-            out[active] = (out[active] ^ values[idx].astype(np.uint64)) * prime
-    return splitmix64(out)
 
 
 def content_hash128(strings) -> tuple[np.ndarray, np.ndarray]:
@@ -168,10 +194,7 @@ def content_hash128(strings) -> tuple[np.ndarray, np.ndarray]:
     (the polars hash may change across polars versions — persist an md5/sha
     digest where a durable content address is required).
     """
-    if isinstance(strings, pa.ChunkedArray):
-        strings = strings.combine_chunks()
-    if not isinstance(strings, pa.Array):
-        strings = pa.array(strings, type=pa.string())
+    strings = _as_string_array(strings)
     try:
         import polars as pl
 
@@ -181,11 +204,11 @@ def content_hash128(strings) -> tuple[np.ndarray, np.ndarray]:
             s.hash(seed=0x9E3779B9).to_numpy().astype(np.uint64),
         )
     except ImportError:
+        offsets, values = _string_buffers(strings)
+        starts, lengths = offsets[:-1], offsets[1:] - offsets[:-1]
         return (
-            fnv1a64(strings),
-            _fnv1a64_basis(
-                strings, np.uint64(0x6C62272E07BB0142), np.uint64(0x100000001B3)
-            ),
+            _fnv1a64_rows(starts, lengths, values),
+            _fnv1a64_rows(starts, lengths, values, np.uint64(0x6C62272E07BB0142), _FNV_PRIME),
         )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from epichypersketch_jl_ray.functions.hashing import fnv1a64, hash_combine, hash_strings_fast
+from epichypersketch_jl_ray.functions.hashing import combine_into, fnv1a64, hash_strings_fast
 
 
 def tokenize(texts: pa.Array | pa.ChunkedArray) -> pa.ListArray:
@@ -45,19 +45,23 @@ def ngram_hashes(
     Returns (flat ngram uint64 hashes, int64 ngram offsets per row). Rows with
     fewer than n tokens produce zero n-grams.
     """
+    flat_hashes = np.asarray(flat_hashes, dtype=np.uint64)
     lengths = np.diff(offsets)
     out_lengths = np.maximum(lengths - (n - 1), 0)
     out_offsets = np.concatenate(([0], np.cumsum(out_lengths)))
     total = int(out_offsets[-1])
     if total == 0:
         return np.empty(0, dtype=np.uint64), out_offsets
-    # global index of the first token of each ngram
-    row_ids = np.repeat(np.arange(len(lengths)), out_lengths)
-    within = np.arange(total) - np.repeat(out_offsets[:-1], out_lengths)
-    starts = offsets[:-1][row_ids] + within
+    # global index of the first token of each ngram: a row's ngrams are
+    # numbered on from its out_offset, its tokens from its offset
+    starts = np.arange(total) + np.repeat(offsets[:-1] - out_offsets[:-1], out_lengths)
     acc = flat_hashes[starts]
+    part = np.empty_like(acc)
     for j in range(1, n):
-        acc = hash_combine(acc, flat_hashes[starts + j])
+        # the j-th token of each ngram (in range; "clip" skips the buffered
+        # bounds check numpy makes for a take into ``out``)
+        np.take(flat_hashes[j:], starts, out=part, mode="clip")
+        combine_into(acc, part, part)
     return acc, out_offsets
 
 

@@ -103,7 +103,7 @@ def _heavy_ngrams(
         def select(batch: pa.Table) -> pa.Table:
             keys, flat, row_ids, starts = keys_of(batch)
             uniq, first, cnt = np.unique(keys, return_index=True, return_counts=True)
-            sel = cms.estimate_keys(uniq) >= min_count
+            sel = cms.estimate_keys_at_least(uniq, min_count) >= min_count
             keep = first[sel]
             cols = {"h": pa.array(uniq[sel].view(np.int64), pa.int64())}
             for c in group:

@@ -22,7 +22,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from epichypersketch_jl_ray.functions.hashing import fnv1a64, hash_combine
+from epichypersketch_jl_ray.functions.hashing import combine_into, fnv1a64, hash_combine
 from epichypersketch_jl_ray.functions.html import extract_text
 from epichypersketch_jl_ray.functions.text import ngram_hashes, token_hashes
 from epichypersketch_jl_ray.state.websketch import WebSketchState
@@ -56,9 +56,8 @@ def web_batch_features(batch: pa.Table):
     # key trigrams by lang so heavy hitters are (lang, ngram) pairs — the
     # grouped-heavy-hitter query of the north_star; url stays out of the key
     # (url-keyed counts are what HLL/Bloom answer)
-    n_per_row = np.diff(ng_off)
-    row_lang = np.repeat(lang_h, n_per_row)
-    keys = hash_combine(row_lang, ng)
+    keys = np.repeat(lang_h, np.diff(ng_off))
+    combine_into(keys, ng, np.empty_like(keys))
     lengths = pc.utf8_length(text).to_numpy(zero_copy_only=False).astype(np.float64)
     return keys, url_h, lengths, ng
 

@@ -254,8 +254,7 @@ class MotifSelector:
             filter_len=self.filter_len,
             max_active_len=self.max_active_len,
         )
-        hm = enum["hash_mat"]
-        est = self.cms.estimate(hm) if len(hm) else np.empty(0, np.int64)
+        est = self.cms.estimate_at_least(enum["hash_mat"], self.min_count)
         sel = est >= self.min_count
         cols: dict[str, pa.Array] = {}
         fm = enum["feat_mat"][sel]

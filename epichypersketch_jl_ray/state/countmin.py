@@ -133,6 +133,20 @@ class CountMin(MergeableSketch):
         == (a*f) mod M). A row's sum of hash_width products is at most
         hash_width * (M-1)^2, which must stay below 2^63.
         """
+        return np.stack(self._feature_rows(features), axis=1)
+
+    def _feature_rows(self, features: np.ndarray) -> list[np.ndarray]:
+        """hash_columns' columns, one (n,) array per sketch row."""
+        fr = self._reduced(features)
+        return [self._feature_row(r, fr) for r in range(self.rows)]
+
+    def _feature_row(self, r: int, fr: np.ndarray) -> np.ndarray:
+        """Row r's columns of reduced features ``fr`` (see _reduced)."""
+        return (fr @ self.coeffs[r] % self.num_counters) % self.cols
+
+    def _reduced(self, features: np.ndarray) -> np.ndarray:
+        """(n, hash_width) int64 features mod num_counters: hash_columns'
+        input, checked."""
         if self.hash_width * (self.num_counters - 1) ** 2 >= 2**63:
             raise ValueError(
                 f"multilinear hash would overflow int64: hash_width * (num_counters - 1)^2 "
@@ -143,9 +157,7 @@ class CountMin(MergeableSketch):
             f = f[:, None]
         if f.shape[1] != self.hash_width:
             raise ValueError(f"expected width {self.hash_width}, got {f.shape[1]}")
-        fr = f.astype(np.int64, copy=False) % self.num_counters
-        h = fr @ self.coeffs.T  # (n, rows)
-        return (h % self.num_counters) % self.cols
+        return f.astype(np.int64, copy=False) % self.num_counters
 
     def key_columns(self, keys: np.ndarray) -> np.ndarray:
         """(n,) pre-hashed uint64 keys -> (n, rows) column indices: row r's
@@ -171,21 +183,26 @@ class CountMin(MergeableSketch):
         a multiply-and-shift, about 2x faster than its ``remainder``."""
         buf = np.empty(len(keys), dtype=np.uint64)
         scratch = np.empty_like(buf)
+        for r in range(self.rows):
+            yield self._key_row(r, keys, buf, scratch)
+
+    def _key_row(self, r: int, keys: np.ndarray, buf: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Row r's columns of uint64 ``keys``, computed in ``buf`` (returned
+        as an int64 view) with ``scratch``; both uint64 of the keys' length."""
         cols = np.uint64(self.cols)
-        for seed in self.row_seeds:
-            np.bitwise_xor(keys, seed, out=buf)
-            splitmix64(buf, out=buf, scratch=scratch)
-            np.floor_divide(buf, cols, out=scratch)
-            scratch *= cols
-            buf -= scratch
-            yield buf.view(np.int64)
+        np.bitwise_xor(keys, self.row_seeds[r], out=buf)
+        splitmix64(buf, out=buf, scratch=scratch)
+        np.floor_divide(buf, cols, out=scratch)
+        scratch *= cols
+        buf -= scratch
+        return buf.view(np.int64)
 
     # --- update ------------------------------------------------------------
 
     def add(self, features: np.ndarray, weights: np.ndarray | None = None) -> "CountMin":
         """Count each feature-vector occurrence once (or ``weights`` times)."""
-        h = self.hash_columns(features)
-        return self._add_rows(h.T, len(h), weights)
+        rows = self._feature_rows(features)
+        return self._add_rows(rows, len(rows[0]), weights)
 
     def add_keys(self, keys: np.ndarray, weights: np.ndarray | None = None) -> "CountMin":
         """Count pre-hashed uint64 keys (per-row independent hashing).
@@ -201,8 +218,8 @@ class CountMin(MergeableSketch):
 
     def _add_rows(self, rows, n: int, weights: np.ndarray | None) -> "CountMin":
         """Count a batch of n items given as its columns, one array per
-        sketch row: an iterable, consumed once, row 0 first (``h.T`` of an
-        (n, rows) column matrix, or _key_rows)."""
+        sketch row: an iterable, consumed once, row 0 first (_feature_rows
+        or _key_rows)."""
         if n == 0:
             return self
         w = wf = None
@@ -392,10 +409,44 @@ class CountMin(MergeableSketch):
 
     def estimate(self, features: np.ndarray) -> np.ndarray:
         """CMS point estimate: min over rows (/root/reference/src/count_gpu.jl:139-155)."""
-        return self._estimate_rows(self.hash_columns(features).T)
+        return self._estimate_rows(self._feature_rows(features))
 
     def estimate_keys(self, keys: np.ndarray) -> np.ndarray:
         return self._estimate_rows(self._key_rows(np.asarray(keys, dtype=np.uint64)))
+
+    def estimate_at_least(self, features: np.ndarray, t: int) -> np.ndarray:
+        """``where(est >= t, est, 0)`` of ``estimate(features)`` (see
+        _estimate_at_least)."""
+        return self._estimate_at_least(self._reduced(features), self._feature_row, t)
+
+    def estimate_keys_at_least(self, keys: np.ndarray, t: int) -> np.ndarray:
+        """``where(est >= t, est, 0)`` of ``estimate_keys(keys)`` (see
+        _estimate_at_least)."""
+        k = np.asarray(keys, dtype=np.uint64)
+        return self._estimate_at_least(
+            k, lambda r, x: self._key_row(r, x, np.empty_like(x), np.empty_like(x)), t
+        )
+
+    def _estimate_at_least(self, items: np.ndarray, row_cols, t: int) -> np.ndarray:
+        """The estimate of each of ``items`` where it reaches t, else 0: a
+        select pass keeps only those. An estimate is the min over rows, so
+        an item whose cell in some row is below t is out; row r is hashed
+        (``row_cols(r, items)``) and looked up only for the items whose
+        rows 0..r-1 all reached t. Where an item passes, its value is the
+        full min over rows, as ``estimate`` gives it."""
+        out = np.zeros(len(items), dtype=np.int64)
+        live = np.arange(len(items))
+        est = None
+        for r in range(self.rows):
+            v = self._row_values(r, row_cols(r, items))
+            est = v if est is None else np.minimum(est, v, out=v)
+            keep = np.flatnonzero(est >= t)
+            if len(keep) < len(live):
+                live, items, est = live[keep], items[keep], est[keep]
+            if not len(live):
+                return out
+        out[live] = est
+        return out
 
     def _estimate_rows(self, rows) -> np.ndarray:
         """Running min over rows of each item's cell; ``rows`` as in _add_rows."""

@@ -142,23 +142,24 @@ def _rebuild_legacy(state):
     return obj
 
 
-def _view_case(dense: bool, keys: bool):
+def _view_case(dense: bool, keys: bool, weighted: bool = False):
     """A random sketch and its queries: every inserted item plus unseen
     ones. ``dense`` packs 300 inserts into 3 x 55 cells (densified, many
     estimates inflated by collisions); otherwise 5000 inserts into a sparse
-    7 x 27183 sketch."""
+    7 x 27183 sketch. ``weighted`` counts each insert 1-5 times."""
     from epichypersketch_jl_ray.functions.hashing import hash_int64
 
     rng = np.random.default_rng(21 if dense else 22)
     geometry = dict(delta=0.05, epsilon=0.05) if dense else dict(delta=1e-3, epsilon=1e-4)
     items = rng.zipf(1.6, size=300 if dense else 5000) % 3000
+    w = rng.integers(1, 6, size=len(items)) if weighted else None
     unseen = np.arange(3000, 3200)
     if keys:
-        cm = CountMin(1, seed=17, **geometry).add_keys(hash_int64(items, seed=2))
+        cm = CountMin(1, seed=17, **geometry).add_keys(hash_int64(items, seed=2), w)
         return cm, hash_int64(np.concatenate([np.unique(items), unseen]), seed=2), CountMin.estimate_keys
     pairs = np.stack([items, items // 7], axis=1)
     q = np.concatenate([np.unique(pairs, axis=0), np.stack([unseen, unseen], axis=1)])
-    return CountMin(2, seed=17, **geometry).add(pairs), q, CountMin.estimate
+    return CountMin(2, seed=17, **geometry).add(pairs, w), q, CountMin.estimate
 
 
 @pytest.mark.parametrize("keys", [False, True], ids=["features", "keys"])
@@ -187,6 +188,26 @@ def test_at_least_view_contract(dense, keys):
             assert len(view.ids) < len(cm.ids)
     # survivors past half the cells keep the view dense (the densify rule)
     assert (cm.at_least(1).dense is not None) == dense
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("keys", [False, True], ids=["features", "keys"])
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_thresholded_estimate_is_where_est_at_least_t(dense, keys, weighted):
+    """estimate_at_least / estimate_keys_at_least give where(est >= t, est,
+    0) of the plain estimate, on the sketch and on its at_least(t) view (the
+    select passes' broadcast), t = 1 included, where nothing drops out."""
+    cm, q, est = _view_case(dense, keys, weighted)
+    assert (cm.dense is not None) == dense
+    thresholded = CountMin.estimate_keys_at_least if keys else CountMin.estimate_at_least
+    full = est(cm, q)
+    for t in (1, 2, 3, 5, 40):
+        want = np.where(full >= t, full, 0)
+        for sk in (cm, cm.at_least(t)):
+            got = thresholded(sk, q, t)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        assert thresholded(cm, q[:0], t).shape == (0,)
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])

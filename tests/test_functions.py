@@ -24,21 +24,10 @@ from epichypersketch_jl_ray.state.minhash import MinHasher, hamming_distance64, 
 
 def test_fnv1a64_reference_vectors():
     # independently computed FNV-1a 64 + splitmix64 finalizer reference values
-    def ref(s):
-        h = 0xCBF29CE484222325
-        for b in s.encode():
-            h = ((h ^ b) * 0x100000001B3) % (1 << 64)
-        # splitmix64 finalizer (matches functions/hashing.py)
-        m = (1 << 64) - 1
-        z = (h + 0x9E3779B97F4A7C15) & m
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & m
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m
-        return z ^ (z >> 31)
-
     strings = ["", "a", "hello", "hello world", "x" * 300, "héllo"]
     got = fnv1a64(pa.array(strings))
     for s, g in zip(strings, got):
-        assert int(g) == ref(s), s
+        assert int(g) == _fnv_ref(s.encode()), s
 
 
 def test_fnv1a64_cross_process_determinism():
@@ -249,53 +238,210 @@ def _splitmix64_ref(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def _fnv_ref(b: bytes, basis: int = 0xCBF29CE484222325) -> int:
+    """Per-string FNV-1a byte loop, splitmix64-finalized."""
+    h = basis
+    for byte in b:
+        h = ((h ^ byte) * 0x100000001B3) & _M64
+    return _splitmix64_ref(h)
+
+
 def _hash_string_ref(b: bytes) -> int:
     """Per-string byte loop: a <= 8-byte string is its little-endian word
     mixed with its length; a longer one is FNV-1a, finalized."""
     if len(b) <= 8:
         word = int.from_bytes(b, "little")
         return _splitmix64_ref((word + _splitmix64_ref(len(b))) & _M64)
-    h = 0xCBF29CE484222325
-    for byte in b:
-        h = ((h ^ byte) * 0x100000001B3) & _M64
-    return _splitmix64_ref(h)
+    return _fnv_ref(b)
 
 
-def _ref_hashes(arr: pa.Array) -> np.ndarray:
-    vals = [v.encode() if isinstance(v, str) else v for v in arr.to_pylist()]
-    return np.array([_hash_string_ref(v) for v in vals], dtype=np.uint64)
+def _ref_bytes(arr: pa.Array) -> list[bytes]:
+    """Each element's bytes; a null is the empty string."""
+    return [v.encode() if isinstance(v, str) else v or b"" for v in arr.to_pylist()]
+
+
+def _ref_hashes(arr: pa.Array, ref=_hash_string_ref) -> np.ndarray:
+    return np.array([ref(v) for v in _ref_bytes(arr)], dtype=np.uint64)
+
+
+def _string_layouts(words: list[str]) -> dict:
+    """``words`` in every buffer layout a batch can arrive in."""
+    base = pa.array(words)
+    with_nulls = [None if i % 5 == 2 else w for i, w in enumerate(words)]
+    return {
+        "string": base,
+        "large_string": pa.array(words, pa.large_string()),
+        "binary": pa.array([w.encode() for w in words], pa.binary()),
+        "large_binary": pa.array([w.encode() for w in words], pa.large_binary()),
+        "sliced": base.slice(3, len(words) - 7),
+        "sliced_large": pa.array(words, pa.large_string()).slice(5),
+        "nulls": pa.array(with_nulls),
+        "all_empty": pa.array(["", "", ""]),
+        "all_null": pa.array([None, None], pa.string()),
+        "empty_and_null": pa.array(["", None, ""]),
+        "empty_array": pa.array([], pa.string()),
+        "chunked": pa.chunked_array([base.slice(0, 30), base.slice(30)]),
+    }
+
+
+def _shuffled_words(seed: int) -> list[str]:
+    """Strings of every byte length 0..40, ASCII and not, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    alphabet = list("abcxyz \u00e9\u4e2d")
+    words = []
+    for n in range(41):
+        for _ in range(3):
+            w = ""
+            for ch in rng.choice(alphabet, size=n):
+                if len((w + ch).encode()) <= n:
+                    w += ch
+            words.append(w + "q" * (n - len(w.encode())))
+    assert {len(w.encode()) for w in words} == set(range(41))
+    return [words[i] for i in rng.permutation(len(words))]
+
+
+def test_fnv1a64_matches_byte_loop_reference():
+    """Pins fnv1a64 to the per-string byte loop for lengths 0..40 in
+    shuffled order (the byte loop sorts rows by length and must put every
+    hash back in its row), non-ASCII bytes, nulls and every layout."""
+    for name, arr in _string_layouts(_shuffled_words(7)).items():
+        flat = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
+        got = fnv1a64(arr)
+        assert got.dtype == np.uint64 and got.shape == (len(flat),), name
+        assert np.array_equal(got, _ref_hashes(flat, _fnv_ref)), name
+
+
+def test_fnv1a64_empty_string_hash_is_batch_independent():
+    """An empty string (or a null) hashes the same in a batch of empty
+    strings as next to a non-empty one: the finalizer runs on every path."""
+    empty = fnv1a64([""])
+    assert empty == fnv1a64(["", "a"])[:1]
+    assert int(empty[0]) == _fnv_ref(b"")
+    assert np.array_equal(fnv1a64(pa.array([None, ""])), np.repeat(empty, 2))
+    assert fnv1a64(pa.array([], pa.string())).shape == (0,)
+
+
+def test_fnv1a64_second_basis_matches_reference():
+    """content_hash128's fallback runs the same byte loop from a second
+    offset basis."""
+    from epichypersketch_jl_ray.functions.hashing import _FNV_PRIME, _fnv1a64_rows, _string_buffers
+
+    basis = 0x6C62272E07BB0142
+    arr = pa.array(_shuffled_words(8)).slice(2)
+    offsets, values = _string_buffers(arr)
+    got = _fnv1a64_rows(offsets[:-1], np.diff(offsets), values, np.uint64(basis), _FNV_PRIME)
+    assert np.array_equal(got, _ref_hashes(arr, lambda b: _fnv_ref(b, basis)))
+
+
+def _combine_ref(a: int, b: int) -> int:
+    return _splitmix64_ref(((a * 0xC2B2AE3D27D4EB4F) & _M64) ^ b)
+
+
+def test_hash_combine_and_ngram_hashes_match_plain_chain():
+    """hash_combine and ngram_hashes (in-place combine chains) against a
+    per-ngram chain of the plain combine: rows of 0..9 tokens, n = 1..4."""
+    rng = np.random.default_rng(11)
+    lengths = rng.integers(0, 10, size=40)
+    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+    flat = rng.integers(0, 2**64, size=int(offsets[-1]), dtype=np.uint64)
+    a, b, c = flat[:20], flat[20:40], flat[40:60]
+    want = [_combine_ref(_combine_ref(int(x), int(y)), int(z)) for x, y, z in zip(a, b, c)]
+    assert hash_combine(a, b, c).tolist() == want
+    for n in range(1, 5):
+        got, got_off = ngram_hashes(flat, offsets, n)
+        want, want_off = [], [0]
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            for i in range(lo, hi - n + 1):
+                acc = int(flat[i])
+                for j in range(1, n):
+                    acc = _combine_ref(acc, int(flat[i + j]))
+                want.append(acc)
+            want_off.append(len(want))
+        assert got.dtype == np.uint64 and got.tolist() == want, n
+        assert got_off.tolist() == want_off, n
+
+
+def test_web_batch_features_keys_are_lang_ngram_combine():
+    """The web build's CMS keys are hash_combine(lang hash, trigram hash)
+    per trigram, computed in place."""
+    from epichypersketch_jl_ray.pipelines.webpages import web_batch_features
+
+    texts = ["a b c d", "", "x y z", "uno dos tres cuatro cinco", "p q"]
+    langs = ["en", "de", "en", "es", "fr"]
+    html = render_html(pa.array([f"t{i}" for i in range(5)]), pa.array(texts))
+    batch = pa.table({"url": [f"u{i}" for i in range(5)], "lang": langs, "html": html})
+    keys, url_h, lengths, ng = web_batch_features(batch)
+    flat, off = token_hashes(pa.array(texts))
+    want_ng, ng_off = ngram_hashes(flat, off, 3)
+    row_lang = np.repeat(fnv1a64(pa.array(langs)), np.diff(ng_off))
+    assert np.array_equal(ng, want_ng) and len(ng) == 6
+    assert np.array_equal(keys, hash_combine(row_lang, want_ng))
+    assert np.array_equal(url_h, fnv1a64(batch["url"]))
+    assert lengths.tolist() == [len(t) for t in texts]
+
+
+def _bloom_ref_positions(bf, hashes: np.ndarray) -> set[int]:
+    """Kirsch-Mitzenmacher probe positions of each key, in Python ints."""
+    out = set()
+    for h in hashes.tolist():
+        h1 = _splitmix64_ref(h ^ bf.seed)
+        h2 = _splitmix64_ref(h1) | 1
+        out.update((h1 + i * h2) % (1 << 64) % bf.m for i in range(bf.k))
+    return out
+
+
+def test_bloom_add_hashed_matches_set_reference():
+    """add_hashed against a set of probe positions: the filter stays sparse
+    (sorted unique positions) while at most m/64 bits are set, goes dense
+    in the batch that passes m/64 (from sparse, and from fresh in one
+    batch), and a batch that repeats keys already set leaves a sparse
+    filter sparse; the digest is the packed bit set's in every case."""
+    from epichypersketch_jl_ray.state.bloom import BloomFilter
+
+    rng = np.random.default_rng(12)
+    cap = 2000
+    limit = BloomFilter(cap, p=0.01).m // 64  # 299 bits: 31 keys of 7 probes
+    batches = {
+        "stays_sparse": [rng.integers(0, 2**63, size=n, dtype=np.uint64) for n in (5, 10, 0, 12)],
+        "sparse_then_dense": [rng.integers(0, 2**63, size=n, dtype=np.uint64) for n in (20, 30, 3)],
+        "fresh_dense_in_one_batch": [rng.integers(0, 2**63, size=400, dtype=np.uint64)] * 2,
+    }
+    seen = rng.integers(0, 2**63, size=30, dtype=np.uint64)
+    batches["repeats_stay_sparse"] = [seen, np.concatenate([seen, seen, seen[:3]])]
+    for name, keys in batches.items():
+        bf, ref, dense = BloomFilter(cap, p=0.01, seed=3), set(), False
+        for n_batch, h in enumerate(keys):
+            bf.add_hashed(h)
+            ref |= _bloom_ref_positions(bf, h)
+            dense = dense or len(ref) > limit
+            assert (bf.bits is not None) == dense, (name, n_batch)
+            if not dense:
+                assert bf.positions.dtype == np.int64
+                assert bf.positions.tolist() == sorted(ref), (name, n_batch)
+            want = BloomFilter(cap, p=0.01, seed=3)
+            want.positions = np.array(sorted(ref), dtype=np.int64)
+            assert bf.digest() == want.digest(), (name, n_batch)
+            assert bf.contains_hashed(np.concatenate(keys[: n_batch + 1])).all()
+        assert dense == (name in ("sparse_then_dense", "fresh_dense_in_one_batch")), name
 
 
 def test_hash_strings_fast_matches_byte_loop_reference():
     """Pins hash_strings_fast to an independent per-string reference, for
-    every short length 0..8, the >8-byte fallback, non-ASCII bytes and the
-    buffer layouts a batch can arrive in."""
+    strings of 0..8 bytes (the packed word) and 9..40 bytes (the FNV
+    fallback) in shuffled order, non-ASCII bytes, nulls and the buffer
+    layouts a batch can arrive in."""
     from epichypersketch_jl_ray.functions.hashing import hash_strings_fast
 
-    rng = np.random.default_rng(4)
-    alphabet = list("abcxyz \u00e9\u4e2d")
-    words = ["".join(rng.choice(alphabet, size=n)) for n in range(13) for _ in range(6)]
-    words += ["", "a" * 8, "b" * 9, "\u00e9" * 4, "\u00e9" * 5]
-    assert {len(w.encode()) for w in words} >= set(range(10))
-    base = pa.array(words)
-    cases = {
-        "string": base,
-        "large_string": pa.array(words, pa.large_string()),
-        "binary": pa.array([w.encode() for w in words], pa.binary()),
-        "sliced": base.slice(5, 40),
-        "all_empty": pa.array(["", "", ""]),
+    cases = _string_layouts(_shuffled_words(9)) | {
         "trailing_empty": pa.array(["abcdefgh", "xy", ""]),
         "short_only": pa.array(["a", "bc", "defghijk"]),
         "long_only": pa.array(["abcdefghi", "0123456789abcdef"]),
-        "empty_array": pa.array([], pa.string()),
-        "chunked": pa.chunked_array([base.slice(0, 30), base.slice(30)]),
     }
     for name, arr in cases.items():
         flat = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
         got = hash_strings_fast(arr)
         assert got.dtype == np.uint64, name
         assert np.array_equal(got, _ref_hashes(flat)), name
-    assert base.slice(5, 40).offset == 5
 
 
 def test_json_int_field_flat_and_missing():
