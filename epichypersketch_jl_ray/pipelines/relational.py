@@ -458,7 +458,8 @@ WHERE p_partkey NOT IN (SELECT l_partkey FROM lineitem WHERE l_discount >= {min_
 def part_revenue_by_brand(sf_dir: str, *, num_partitions: int = 8) -> ray.data.Dataset:
     """Large-large equi-join: lineitem ⋈ part on partkey via Ray Data's
     native hash-partitioned ``Dataset.join`` (measured ~4× faster than the
-    portable bucketed-groupby join in stages/join.py, which remains the
+    bucketed join in stages/join.py when that join was a Ray Data groupby;
+    the bucketed joins, now on the engine's hash exchange, remain the
     pattern for joins the native operator can't express, e.g. as-of)."""
     li = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_extendedprice", "l_discount"])
 
@@ -1023,8 +1024,9 @@ def local_supplier_volume(
         # bucketed_hash_join, not Dataset.join: the region filter makes the
         # dim side SPARSE, and Ray's native join can fail when a shuffle
         # partition arrives schema-less ("No match or multiple matches for
-        # key field" — the known empty-partition bug, NOTES_r3); the
-        # union+groupby shape is robust to empty buckets.
+        # key field" — the known empty-partition bug, NOTES_r3); the hash
+        # exchange gives every bucket each side's typed slices, so an empty
+        # bucket joins to a 0-row block with the join's schema.
         from epichypersketch_jl_ray.stages.join import bucketed_hash_join
 
         nat_keys_ref = ray.put(region_nat_keys)

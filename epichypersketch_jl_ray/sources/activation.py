@@ -8,14 +8,15 @@ The Ray-native equivalent is a Dataset with one row per sequence:
     features:list<struct<feature:int32, contribution:double[, position:int32]>>
 
 Building it from a normalized table (one row per feature occurrence) needs a
-group-by-key — the ONE unavoidable shuffle in the motif pipeline. It runs as
-plain Ray tasks over block refs, with no Ray Data operator: one split task per
-input block cuts the block into one slice per *bucket* of the key
-(hash(key) % num_buckets), and one build task per bucket concatenates its
-slices and does the real per-key grouping with numpy sort + run-length
-offsets: ``num_buckets`` vectorized build calls instead of one Python call per
-key (SURVEY.md §7.3 partitioning note; skew in key sizes is bounded because a
-bucket holds many keys). A bucket that receives no row builds a 0-row block.
+group-by-key — the ONE unavoidable shuffle in the motif pipeline. It runs on
+the engine's hash exchange (stages/exchange), plain Ray tasks over block refs
+with no Ray Data operator: one split task per input block cuts the block into
+one slice per *bucket* of the key (hash(key) % num_buckets), and one build
+task per bucket concatenates its slices and does the real per-key grouping
+with numpy sort + run-length offsets: ``num_buckets`` vectorized build calls
+instead of one Python call per key (SURVEY.md §7.3 partitioning note; skew in
+key sizes is bounded because a bucket holds many keys). A bucket that
+receives no row builds a 0-row block.
 
 Per-sequence ordering invariants (reference sort_activation_dict!,
 /root/reference/src/record.jl:237-242):
@@ -29,10 +30,11 @@ derivation where empty docs are real.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
-import ray
 import ray.data
 
 
@@ -61,8 +63,8 @@ def _build_sequences(
         # is more buckets, not bigger offsets.
         raise ValueError(
             f"bucket group holds {len(keys)} feature rows (> int32 offsets); "
-            "increase activation_from_table(num_buckets=...) so each bucket "
-            "stays under 2^31 rows"
+            "the bucket count follows activation_from_table(size_hint_rows=...): "
+            "pass the input's row count so each bucket stays under 2^31 rows"
         )
     boundaries = np.flatnonzero(np.diff(keys)) + 1
     # no row, no sequence: offsets [0] (an empty batch has no first key)
@@ -82,38 +84,6 @@ def _build_sequences(
     return pa.table({"data_index": pa.array(uniq_keys, pa.int64()), "features": features})
 
 
-@ray.remote
-def _split_block(block, key_col: str, cols: list[str], num_buckets: int):
-    """One slice of ``block`` per bucket, ``hash(key) % num_buckets``: the
-    block's rows stably sorted by bucket, cut at the bucket boundaries."""
-    from ray.data.block import BlockAccessor
-
-    from epichypersketch_jl_ray.functions.hashing import hash_int64
-
-    tbl = BlockAccessor.for_block(block).to_arrow().select(cols)
-    k = tbl[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    bucket = (hash_int64(k, seed=1) % np.uint64(num_buckets)).astype(np.int64)
-    order = np.argsort(bucket, kind="stable")
-    bounds = np.searchsorted(bucket[order], np.arange(num_buckets + 1))
-    tbl = tbl.take(order)
-    slices = [tbl.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return slices if num_buckets > 1 else slices[0]
-
-
-@ray.remote
-def _build_bucket(
-    key_col: str,
-    feature_col: str,
-    contribution_col: str,
-    position_col: str | None,
-    *slices: pa.Table,
-) -> pa.Table:
-    """Activation block of one bucket from its slice of every input block."""
-    return _build_sequences(
-        pa.concat_tables(slices), key_col, feature_col, contribution_col, position_col
-    )
-
-
 def activation_from_table(
     ds: ray.data.Dataset,
     *,
@@ -121,44 +91,36 @@ def activation_from_table(
     feature_col: str,
     contribution_col: str,
     position_col: str | None = None,
-    num_buckets: int | None = None,
     size_hint_rows: int | None = None,
 ) -> ray.data.Dataset:
     """Normalized rows -> activation dataset (one row per sequence).
 
     The bucket split is the pipeline's single all-to-all exchange; the
     bucket key is a splitmix of the sequence key so power-law keys spread
-    evenly (north_rule skew requirement). ``num_buckets`` defaults to
+    evenly (north_rule skew requirement). The bucket count is
     ``udaf.cpu_units(size_hint_rows)``: the smallest multiple of the
     cluster's CPU count that is at least ``ceil(size_hint_rows / 2**16)``,
     so buckets scale with the input, and every round of one task per
     activation block (the motif count and select) fills the CPUs evenly.
 
-    The input's blocks stream in as they are produced
-    (``iter_internal_ref_bundles``), so reading overlaps splitting: one
-    ``_split_block`` task per block (``num_returns=num_buckets``), then one
-    ``_build_bucket`` task per bucket. The result is materialized: one
-    block per bucket, in bucket order, some of them possibly empty.
+    The input's blocks stream in as they are produced, so reading overlaps
+    splitting: ``exchange.hash_partition`` on the key, then one
+    ``exchange.map_buckets`` task per bucket runs ``_build_sequences``.
+    The result is materialized: one block per bucket, in bucket order, some
+    of them possibly empty.
     """
-    from epichypersketch_jl_ray.stages.udaf import cpu_units
-
-    if num_buckets is None:
-        num_buckets = cpu_units(size_hint_rows)
+    from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
+    from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
 
     cols = [key_col, feature_col, contribution_col] + (
         [position_col] if position_col else []
     )
-    split = _split_block.options(num_returns=num_buckets)
-    # per input block, its slice refs in bucket order
-    splits = [
-        split.remote(ref, key_col, cols, num_buckets)
-        for bundle in ds.iter_internal_ref_bundles()
-        for ref in bundle.block_refs
-    ]
-    if num_buckets == 1:  # num_returns=1 gives one ref, not a list
-        splits = [[s] for s in splits]
-    build_refs = [
-        _build_bucket.remote(key_col, feature_col, contribution_col, position_col, *slices)
-        for slices in zip(*splits)
-    ]
-    return ray.data.from_arrow_refs(build_refs)
+    parts = hash_partition(block_refs(ds), [key_col], cpu_units(size_hint_rows), cols)
+    build = functools.partial(
+        _build_sequences,
+        key_col=key_col,
+        feature_col=feature_col,
+        contribution_col=contribution_col,
+        position_col=position_col,
+    )
+    return map_buckets(build, parts)

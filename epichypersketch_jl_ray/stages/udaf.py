@@ -183,7 +183,7 @@ def fold_blocks(
 def cluster_cpus() -> int:
     """CPUs of the running Ray cluster (of this machine before Ray starts:
     what the first task submission's auto-init would get). Sizes every
-    per-CPU cut: ``cpu_units`` (web corpus row ranges, activation buckets),
+    per-CPU cut: ``cpu_units`` (web corpus row ranges, exchange buckets),
     threshold-merge shards, join bucket floors, graph shards."""
     import os
 
@@ -197,8 +197,9 @@ def cpu_units(rows: int | None) -> int:
     of ``cluster_cpus()`` that is at least ``ceil(rows / 2**16)`` (the
     ``join.auto_bucket_count`` row target, at most 4096; one per CPU when
     ``rows`` is None). Units scale with the input, and every round of one
-    task per unit fills the CPUs evenly. The one cut rule of the activation
-    buckets and the web build's corpus row ranges."""
+    task per unit fills the CPUs evenly. The one cut rule of the web
+    build's corpus row ranges and of every hash exchange's buckets (the
+    activation, the bucketed joins, the bucketed exact recount)."""
     from epichypersketch_jl_ray.stages.join import auto_bucket_count
 
     cpus = cluster_cpus()
@@ -489,9 +490,9 @@ def select_blocks(
     return [t for t, _ in pairs], sum(ray.get([n for _, n in pairs]))
 
 
-# Largest selection exact_recount recounts in the driver process; above it a
-# bucket groupby recounts in parallel. Measured crossover in SCALE.md ("The
-# exact-recount tail of every CMS query").
+# Largest selection exact_recount recounts in the driver process; above it
+# the hash exchange's bucket tasks recount in parallel. Measured crossover
+# in SCALE.md ("The exact-recount tail of every CMS query").
 DRIVER_RECOUNT_MAX_ROWS = 200_000
 
 
@@ -517,38 +518,21 @@ def exact_recount(
     driver fetches the blocks with ``ray.get``, casts them to ``schema``
     (an empty selection is ``schema.empty_table()``, so the typed columns
     survive) and recounts them in one call; the result is wrapped as a
-    one-block Dataset. Above it the blocks become a Dataset, and a groupby
-    on ``hash(key_cols) % auto_bucket_count(rows)`` sends every row of a
-    key to one bucket and recounts each bucket in parallel."""
+    one-block Dataset. Above it the blocks go through the hash exchange
+    (``exchange.hash_partition`` on ``key_cols``, ``cpu_units(n_selected)``
+    buckets), which sends every row of a key to one bucket, and one task
+    per bucket casts its rows to ``schema`` and recounts them."""
     import ray.data
 
-    from epichypersketch_jl_ray.functions.hashing import hash_combine, hash_int64
-    from epichypersketch_jl_ray.stages.join import auto_bucket_count
+    from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
 
     if n_selected <= DRIVER_RECOUNT_MAX_ROWS:
         blocks = [b.cast(schema) for b in ray.get(refs) if b.num_rows]
         tbl = pa.concat_tables(blocks) if blocks else schema.empty_table()
         return ray.data.from_arrow(recount(tbl))
-
-    num_buckets = auto_bucket_count(n_selected)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        hs = [
-            hash_int64(batch[c].to_numpy(zero_copy_only=False).astype(np.int64), seed=11)
-            for c in key_cols
-        ]
-        h = hs[0] if len(hs) == 1 else hash_combine(*hs)
-        bucket = (h % np.uint64(num_buckets)).astype(np.int64)
-        return batch.append_column("bucket", pa.array(bucket, pa.int64()))
-
-    def per_bucket(batch: pa.Table) -> pa.Table:
-        return recount(batch.drop_columns(["bucket"]))
-
-    return (
-        ray.data.from_arrow_refs(refs)
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+    parts = hash_partition(refs, key_cols, cpu_units(n_selected))
+    return map_buckets(
+        lambda t: recount(t.cast(schema) if t.num_rows else schema.empty_table()), parts
     )
 
 

@@ -19,7 +19,6 @@ def test_bucketed_hash_join_matches_pandas(ray_session):
         ray.data.from_pandas(right),
         left_on="k",
         right_on="rk",
-        bucket_count=8,
     ).to_pandas()
     want = left.merge(right, left_on="k", right_on="rk", how="inner")
     cols = ["k", "lv", "rk", "rv"]
@@ -45,7 +44,7 @@ def test_bucketed_asof_join_matches_pandas(ray_session):
         }
     ).drop_duplicates(subset=["u", "t"])
     out = bucketed_asof_join(
-        ray.data.from_pandas(left), ray.data.from_pandas(right), by="u", on="t", bucket_count=4
+        ray.data.from_pandas(left), ray.data.from_pandas(right), by="u", on="t"
     ).to_pandas()
     want = pd.merge_asof(
         left.sort_values("t", kind="stable"),
@@ -84,8 +83,139 @@ def test_hash_join_keeps_all_null_columns_within_bucket(ray_session):
     right = ray.data.from_arrow(
         pa.table({"rk": pa.array(keys, pa.int64()), "note": note})
     )
-    out = bucketed_hash_join(left, right, left_on="k", right_on="rk", bucket_count=16).to_pandas()
+    out = bucketed_hash_join(left, right, left_on="k", right_on="rk").to_pandas()
     assert len(out) == 200
     assert "note" in out.columns
     assert out.loc[out["k"] == 0, "note"].iloc[0] == "hit"
     assert out["note"].isna().sum() == 199
+
+
+def _three_block_ds(df, source):
+    """``df`` as a Dataset of three pandas or Arrow blocks (some may be
+    0-row)."""
+    import pyarrow as pa
+    import ray.data
+
+    parts = [df.iloc[i::3].reset_index(drop=True) for i in range(3)]
+    if source == "pandas":
+        return ray.data.from_pandas(parts)
+    return ray.data.from_arrow([pa.Table.from_pandas(p, preserve_index=False) for p in parts])
+
+
+def _sorted_int64(df, cols):
+    return df[cols].sort_values(cols).reset_index(drop=True).astype("int64")
+
+
+@pytest.mark.parametrize("source", ["pandas", "arrow"])
+@pytest.mark.parametrize("right_keys", ["empty", "one_key"])
+def test_joins_with_empty_buckets_keep_rows_and_schema(ray_session, source, right_keys):
+    """A right side with no row, or with one key only, leaves most buckets
+    0-row. The hash and as-of joins still equal pandas merge / merge_asof,
+    and every output block, the 0-row ones too, has the join's schema (an
+    empty bucket is the case relational.local_supplier_volume's sparse
+    region-filtered dimension side hits)."""
+    import pyarrow as pa
+    import ray
+
+    from epichypersketch_jl_ray.stages.join import bucketed_asof_join, bucketed_hash_join
+
+    rng = np.random.default_rng(5)
+    left = pd.DataFrame(
+        {"k": rng.integers(0, 40, 300), "t": rng.integers(0, 10_000, 300)}
+    ).astype("int64")
+    right = pd.DataFrame(
+        {"k": np.arange(40), "t": rng.integers(0, 10_000, 40), "v": np.arange(100, 140)}
+    ).astype("int64")
+    right = right.iloc[:0] if right_keys == "empty" else right[right["k"] == 7]
+    i64 = pa.int64()
+
+    def run(join, want, names):
+        blocks = ray.get(join.to_arrow_refs())
+        assert len(blocks) > 1 and any(b.num_rows == 0 for b in blocks)
+        assert all(b.schema == pa.schema([(c, i64) for c in names]) for b in blocks)
+        got = pa.concat_tables(blocks).to_pandas()
+        pd.testing.assert_frame_equal(_sorted_int64(got, names), _sorted_int64(want, names))
+
+    hashed = bucketed_hash_join(
+        _three_block_ds(left[["k", "t"]], source),
+        _three_block_ds(right.rename(columns={"k": "rk"})[["rk", "v"]], source),
+        left_on="k",
+        right_on="rk",
+    )
+    want = left.merge(right.rename(columns={"k": "rk"})[["rk", "v"]], left_on="k", right_on="rk")
+    run(hashed, want, ["k", "t", "rk", "v"])
+
+    asof = bucketed_asof_join(
+        _three_block_ds(left, source), _three_block_ds(right, source), by="k", on="t"
+    )
+    want = pd.merge_asof(
+        left.sort_values("t", kind="stable"),
+        right.sort_values("t", kind="stable").rename(columns={"t": "t_r", "v": "v_r"}),
+        left_on="t",
+        right_on="t_r",
+        by="k",
+        direction="backward",
+        allow_exact_matches=True,
+    ).dropna(subset=["t_r"])
+    run(asof, want, ["k", "t", "t_r", "v_r"])
+
+
+def test_exchange_users_run_no_ray_data_all_to_all(ray_session, monkeypatch):
+    """The three joins, the activation and the bucketed exact recount all
+    run on stages/exchange, never on a Ray Data groupby, union, sort or
+    repartition: each raises for the length of this test. The recount over
+    the exchange equals the driver recount."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from epichypersketch_jl_ray.pipelines.motifs import _recount
+    from epichypersketch_jl_ray.sources.activation import activation_from_table
+    from epichypersketch_jl_ray.stages import udaf
+    from epichypersketch_jl_ray.stages.join import (
+        bucketed_asof_join,
+        bucketed_hash_join,
+        bucketed_range_count_join,
+    )
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Ray Data all-to-all ran")
+
+    for name in ("groupby", "union", "sort", "repartition", "random_shuffle"):
+        monkeypatch.setattr(ray.data.Dataset, name, forbidden)
+
+    rng = np.random.default_rng(9)
+    n = 2_000
+    left = pa.table({"k": rng.integers(0, 50, n), "t": rng.integers(0, 10_000, n)})
+    right = pa.table({"k": rng.integers(0, 50, 200), "t": rng.integers(0, 10_000, 200)})
+    ds = lambda t: ray.data.from_arrow([t.slice(0, len(t) // 2), t.slice(len(t) // 2)])
+    joined = bucketed_hash_join(
+        ds(left), ds(right.rename_columns(["rk", "rt"])), left_on="k", right_on="rk"
+    )
+    assert joined.count() == len(left.to_pandas().merge(right.to_pandas(), on="k"))
+    assert bucketed_asof_join(ds(left), ds(right), by="k", on="t").count() > 0
+    counted = bucketed_range_count_join(ds(left), ds(right), by="k", on="t", window=500)
+    assert counted.count() == len(left.to_pandas().drop_duplicates())
+    act = activation_from_table(
+        ds(left.append_column("c", pa.array(np.ones(n)))),
+        key_col="k", feature_col="t", contribution_col="c",
+    )
+    assert act.count() == 50
+
+    schema = pa.schema(
+        [("m1", pa.int32()), ("m2", pa.int32()), ("data_index", pa.int64()),
+         ("contribution", pa.float64()), ("estimate", pa.int64())]
+    )
+    sel = pa.table(
+        [pa.array(rng.integers(0, 30, n), pa.int32()), pa.array(rng.integers(0, 3, n), pa.int32()),
+         pa.array(np.arange(n)), pa.array(np.ones(n)), pa.array(np.zeros(n, np.int64))],
+        schema=schema,
+    )
+    refs = [ray.put(sel.slice(0, 700)), ray.put(sel.slice(700, 0)), ray.put(sel.slice(700))]
+    recount = lambda t: _recount(t, ["m1", "m2"], 25)
+    monkeypatch.setattr(udaf, "DRIVER_RECOUNT_MAX_ROWS", 0)
+    got = udaf.exact_recount(refs, n, recount, schema=schema, key_cols=["m1", "m2"])
+    got = pa.concat_tables(ray.get(got.to_arrow_refs())).sort_by("data_index")
+    want = recount(sel)
+    assert 0 < want.num_rows < n
+    assert got.equals(want.sort_by("data_index"))

@@ -452,8 +452,8 @@ def _normalized_rows(fixture: str):
 @pytest.mark.parametrize("source", ["arrow", "pandas"])
 @pytest.mark.parametrize("fixture", ["ordinary", "conv"])
 def test_activation_buckets_equal_one_in_process_build(ray_session, fixture, source):
-    """The split/build tasks over a 3-block input with 64 buckets give one
-    block per bucket, a 0-row block (with the full schema) for each bucket
+    """The split/build tasks over a 3-block input with 64 buckets
+    (size_hint_rows = 64 * 2**16 on 4 CPUs) give one block per bucket, a 0-row block (with the full schema) for each bucket
     no key hashes to, and, sorted by data_index, exactly the rows of one
     in-process _build_sequences over the whole table; conv sequences stay
     in position order."""
@@ -474,7 +474,7 @@ def test_activation_buckets_equal_one_in_process_build(ray_session, fixture, sou
         ds = ray.data.from_arrow(thirds)
     act = activation_from_table(
         ds, key_col="key", feature_col="feat", contribution_col="contrib",
-        position_col=pos, num_buckets=64,
+        position_col=pos, size_hint_rows=64 * 2**16,
     )
     blocks = ray.get(act.to_arrow_refs())
     whole = _build_sequences(rows, "key", "feat", "contrib", pos)
@@ -495,9 +495,9 @@ def test_activation_buckets_equal_one_in_process_build(ray_session, fixture, sou
 
 @pytest.mark.parametrize("hint", [None, 1_000, 5 * 2**16 + 1, 9 * 2**16])
 def test_activation_default_buckets_are_a_multiple_of_cpus(ray_session, hint):
-    """Without num_buckets the activation has one block per bucket, and the
-    bucket count is the smallest multiple of the cluster's CPU count that is
-    at least ceil(size_hint_rows / 2**16): 4, 4, 8 and 12 buckets on the
+    """The activation has one block per bucket, and the bucket count is the
+    smallest multiple of the cluster's CPU count that is at least
+    ceil(size_hint_rows / 2**16): 4, 4, 8 and 12 buckets on the
     session's 4 CPUs; the rows equal one in-process build."""
     import pyarrow as pa
     import ray

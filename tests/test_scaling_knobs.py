@@ -1,12 +1,10 @@
-"""Round-3 scale knobs: generic html extraction goldens, auto-scaled bucket
-counts, and hot-key salted joins."""
+"""Round-3 scale knobs: generic html extraction goldens and auto-scaled
+bucket counts."""
 
 import json
 import os
 
-import numpy as np
 import pyarrow as pa
-import pytest
 
 
 def test_generic_html_goldens():
@@ -61,64 +59,3 @@ def test_sessionize_bucket_count_scales_with_table(tmp_path):
     n = table_rows("/root/testdata/sf0.001", "events")
     assert n > 0
     assert auto_bucket_count(n * 100_000) > auto_bucket_count(n)
-
-
-@pytest.fixture()
-def skewed_tables():
-    rng = np.random.default_rng(11)
-    n = 5000
-    # 60% of left rows share ONE pathological key (7)
-    keys = np.where(rng.random(n) < 0.6, 7, rng.integers(0, 200, size=n)).astype(np.int64)
-    left = pa.table({"k": pa.array(keys, pa.int64()), "lv": pa.array(np.arange(n), pa.int64())})
-    rk = np.arange(0, 200, dtype=np.int64)
-    right = pa.table({"rk": pa.array(rk, pa.int64()), "rv": pa.array(rk * 10, pa.int64())})
-    return left, right
-
-
-def test_salted_join_matches_unsalted(ray_session, skewed_tables):
-    import ray
-
-    from epichypersketch_jl_ray.stages.join import bucketed_hash_join
-
-    left_t, right_t = skewed_tables
-    left, right = ray.data.from_arrow(left_t), ray.data.from_arrow(right_t)
-    plain = (
-        bucketed_hash_join(left, right, left_on="k", right_on="rk", bucket_count=8)
-        .to_pandas()
-        .sort_values(["k", "lv"])
-        .reset_index(drop=True)
-    )
-    salted = (
-        bucketed_hash_join(
-            left, right, left_on="k", right_on="rk", bucket_count=8,
-            hot_keys=np.array([7], dtype=np.int64), salt=4,
-        )
-        .to_pandas()
-        .sort_values(["k", "lv"])
-        .reset_index(drop=True)
-    )
-    assert len(plain) == len(left_t)  # every left key has exactly one right match
-    assert plain.equals(salted)
-
-
-def test_salting_spreads_hot_key_and_replicates_probe(ray_session, skewed_tables):
-    import ray
-
-    from epichypersketch_jl_ray.stages.join import _tag_and_bucket
-
-    left_t, right_t = skewed_tables
-    hot = np.array([7], dtype=np.int64)
-    lt = _tag_and_bucket(
-        ray.data.from_arrow(left_t), "k", 0, 8, 17, hot, 4
-    ).to_pandas()
-    # hot left rows spread over all 4 sub-buckets in the dedicated range
-    hot_buckets = set(lt.loc[lt["k"] == 7, "_bucket"])
-    assert hot_buckets == {8, 9, 10, 11}
-    assert set(lt.loc[lt["k"] != 7, "_bucket"]) <= set(range(8))
-    rt = _tag_and_bucket(
-        ray.data.from_arrow(right_t), "rk", 1, 8, 17, hot, 4
-    ).to_pandas()
-    # the single hot probe row is replicated into every sub-bucket
-    hot_probe = rt[rt["rk"] == 7]
-    assert sorted(hot_probe["_bucket"]) == [8, 9, 10, 11]
-    assert (rt["rk"] != 7).sum() == len(right_t) - 1  # cold rows unreplicated
