@@ -67,9 +67,10 @@ def run_headline() -> dict:
     (workers, imports), so neither timed build pays the cold start: the
     direct path (``build_web_sketches``: one Ray task per corpus row
     range, a multiple of the CPU count of them, each folding its rows into
-    one partial, then one merge) and the checkpointed per-partition path
-    (the same row fold over each whole file, plus blobs, sha256 digests and
-    a manifest — the resumable production path).
+    one partial, then one merge) and the checkpointed path (the same cut
+    and fold, plus one blob per range, sha256 digests and a manifest — the
+    resumable production path). Their CMS, HLL and Bloom states must be
+    byte-identical.
     Headline value = checkpointed wall (fresh checkpoint dir each run, so
     nothing is resumed). The ``dataset_path_*`` keys are the direct path.
     """
@@ -104,7 +105,9 @@ def run_headline() -> dict:
     )
     ck_wall = time.monotonic() - t0
     shutil.rmtree(ck_dir, ignore_errors=True)
-    assert state2.cms.digest() == state.cms.digest(), "build paths disagree"
+    for name in ("cms", "hll", "bloom"):
+        got, want = getattr(state2, name).digest(), getattr(state, name).digest()
+        assert got == want, f"build paths disagree on {name}"
 
     summary = web_summary(state)
     return {

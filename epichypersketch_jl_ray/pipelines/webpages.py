@@ -27,6 +27,7 @@ from epichypersketch_jl_ray.functions.html import extract_text
 from epichypersketch_jl_ray.functions.text import ngram_hashes, token_hashes
 from epichypersketch_jl_ray.state.websketch import WebSketchState
 from epichypersketch_jl_ray.stages.udaf import (
+    file_rows,
     fold_parquet_ranges,
     tree_merge,  # noqa: F401  (perfbench/web.py wraps pipelines.webpages.tree_merge)
 )
@@ -81,15 +82,6 @@ def parquet_files(input_dir: str) -> list[str]:
     if not files:
         raise ValueError(f"no parquet files under {input_dir!r}")
     return files
-
-
-def file_rows(files: list[str]) -> list[int]:
-    """Row count of each parquet file from its FOOTER only (no column data
-    read) — the cheap pre-pass that sizes the Bloom filter and cuts the
-    corpus into row ranges."""
-    import pyarrow.parquet as pq
-
-    return [pq.ParquetFile(f).metadata.num_rows for f in files]
 
 
 def make_state(*, n_docs_hint: int | None = None, **kwargs) -> WebSketchState:

@@ -16,8 +16,8 @@ state. A unit is one of two shapes:
       into cpu_units(N) contiguous ranges (row_ranges), one task per
       range; the task reads only the overlapping row groups of the files
       it touches and re-chunks them into batch_size-row tables across
-      file boundaries (fold_parquet_rows). A checkpoint partition is one
-      whole file, folded by the same fold_parquet_rows
+      file boundaries (fold_parquet_rows). The checkpointed build runs
+      the same cut and fold, and writes each range's state as a blob
     → the tasks' state blocks → merge_state_refs: remote k-way merges,
       then ONE driver merge_many → one merged sketch
 
@@ -269,6 +269,15 @@ def fold_blocks_at_least(
     return merged
 
 
+def file_rows(files: list[str]) -> list[int]:
+    """Row count of each parquet file from its FOOTER only (no column data
+    read): the cheap pre-pass that cuts the corpus into row ranges (and
+    sizes the web build's Bloom filter)."""
+    import pyarrow.parquet as pq
+
+    return [pq.ParquetFile(f).metadata.num_rows for f in files]
+
+
 def row_ranges(
     files: list[str], file_rows: list[int], units: int
 ) -> list[list[tuple[str, int, int]]]:
@@ -350,8 +359,8 @@ def fold_parquet_rows(
 ) -> MergeableSketch | None:
     """ONE state for the rows of ``pieces`` (None when they hold no row):
     their ``parquet_tables`` folded by ``fold_partials``. The fold of
-    every corpus row range (``fold_parquet_ranges``) and of every
-    ``checkpoint.build_checkpointed`` partition (one whole file)."""
+    every corpus row range, in ``fold_parquet_ranges`` and in
+    ``checkpoint.build_checkpointed``."""
     return fold_partials(parquet_tables(pieces, batch_size, columns), make_partial)
 
 

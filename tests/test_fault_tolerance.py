@@ -21,17 +21,18 @@ def test_corrupt_blob_recomputed(ray_session, tmp_path):
     make_partial = WebSketchBuilder()
     ck = str(tmp_path / "ck")
     clean, m1 = build_checkpointed(files, make_partial, WebSketchState, ck)
-    # simulate a torn write: truncate one blob
-    victim = read_manifest(ck)[files[3]]["blob"]
+    assert m1["partitions"] == 4  # 3000 rows on 4 CPUs: 4 row ranges
+    # simulate a torn write: truncate one range's blob
+    victim = read_manifest(ck)[1][1]["blob"]
     with open(victim, "r+b") as fh:
         fh.truncate(100)
     resumed, m2 = build_checkpointed(files, make_partial, WebSketchState, ck)
-    # the corrupted partition was recomputed, the rest resumed
-    assert m2["resumed_partitions"] == len(files) - 1
+    # the corrupted range was recomputed, the rest resumed
+    assert m2["resumed_partitions"] == m1["partitions"] - 1
     assert resumed.cms.digest() == clean.cms.digest()
     assert resumed.bloom.digest() == clean.bloom.digest()
     # manifest records the retry
-    rec = read_manifest(ck)[files[3]]
+    rec = read_manifest(ck)[1][1]
     assert rec["attempt"] >= 2
 
 
@@ -48,8 +49,8 @@ def test_public_api_exports():
 
 def test_empty_shard_contributes_empty_partial(ray_session, tmp_path):
     """An input shard with zero rows must not abort the checkpointed build:
-    it contributes an empty partial and rows=0 in the manifest, and the
-    merged state equals the build without the empty shard."""
+    it is in no row range (rows=0 in the recorded cut), and the merged
+    state and row count equal the build without the empty shard."""
     import shutil
 
     import pyarrow.parquet as pq
@@ -74,19 +75,23 @@ def test_empty_shard_contributes_empty_partial(ray_session, tmp_path):
     pq.write_table(schema.empty_table(), empty)
     make_partial = WebSketchBuilder()
 
-    base, _ = build_checkpointed(files, make_partial, WebSketchState, str(tmp_path / "ck1"))
+    base, m_base = build_checkpointed(files, make_partial, WebSketchState, str(tmp_path / "ck1"))
     with_empty, m = build_checkpointed(
         files + [empty], make_partial, WebSketchState, str(tmp_path / "ck2")
     )
     assert base.cms.digest() == with_empty.cms.digest()
     assert base.hll.digest() == with_empty.hll.digest()
-    assert read_manifest(str(tmp_path / "ck2"))[empty]["rows"] == 0
-    assert m["rows"] == sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+    assert base.bloom.digest() == with_empty.bloom.digest()
+    cut, _ = read_manifest(str(tmp_path / "ck2"))
+    assert cut["rows"][cut["files"].index(empty)] == 0
+    assert all(path != empty for pieces in cut["ranges"] for path, _, _ in pieces)
+    assert m["rows"] == m_base["rows"] == sum(pq.ParquetFile(f).metadata.num_rows for f in files)
 
 
 def test_same_basename_inputs_get_distinct_blobs(ray_session, tmp_path):
-    """Two input files sharing a basename in different directories must not
-    overwrite each other's blob (full-path hash prefix in the blob name)."""
+    """Two input files sharing a basename in different directories are two
+    inputs: the cut records both full paths, each range writes its own
+    blob, and both files are counted exactly once."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -108,8 +113,10 @@ def test_same_basename_inputs_get_distinct_blobs(ray_session, tmp_path):
     files = [str(tmp_path / "a" / "shard0.parquet"), str(tmp_path / "b" / "shard0.parquet")]
     ck = str(tmp_path / "ck")
     merged, m = build_checkpointed(files, make_partial, CountMin, ck)
-    blobs = {r["blob"] for r in read_manifest(ck).values()}
-    assert len(blobs) == 2  # distinct blobs despite identical basenames
+    cut, done = read_manifest(ck)
+    assert cut["files"] == files and cut["rows"] == [3, 3]
+    assert {path for pieces in cut["ranges"] for path, _, _ in pieces} == set(files)
+    assert len({r["blob"] for r in done.values()}) == len(done) == m["partitions"]
     import numpy as np
 
     est = merged.estimate(np.array([[1], [4]], dtype=np.int64))
@@ -117,8 +124,8 @@ def test_same_basename_inputs_get_distinct_blobs(ray_session, tmp_path):
 
 
 def test_stale_manifest_format_recomputes_loudly(ray_session, tmp_path, caplog):
-    """Records from the old manifest format (no fmt field / state digests)
-    are skipped with a warning and their partitions recompute."""
+    """Records from the old per-file manifest format (fmt 2) are skipped
+    with a warning and the build starts over."""
     import json as _json
     import logging
 
@@ -141,10 +148,11 @@ def test_stale_manifest_format_recomputes_loudly(ray_session, tmp_path, caplog):
 
     ck = tmp_path / "ck"
     ck.mkdir()
-    # hand-write an OLD-format manifest record (no fmt field)
+    # hand-write an OLD-format (fmt 2, one record per file) manifest record
     (ck / "manifest.jsonl").write_text(
         _json.dumps(
             {
+                "fmt": 2,
                 "file": str(tmp_path / "in.parquet"),
                 "blob": str(ck / "part-in.parquet.bin"),
                 "rows": 2,
@@ -160,6 +168,7 @@ def test_stale_manifest_format_recomputes_loudly(ray_session, tmp_path, caplog):
             [str(tmp_path / "in.parquet")], make_partial, CountMin, str(ck)
         )
     assert m["resumed_partitions"] == 0  # stale record did not resume
+    assert read_manifest(str(ck))[0]["rows"] == [2]  # a new fmt-3 cut replaced it
     assert any("older manifest format" in r.message for r in caplog.records)
     import numpy as np
 
@@ -298,7 +307,7 @@ def test_web_build_survives_a_killed_worker(ray_session, tmp_path, monkeypatch):
 
 
 def test_checkpointed_build_survives_a_killed_worker(ray_session, tmp_path):
-    """The worker running the first partition task of build_checkpointed
+    """The worker running the first row-range task of build_checkpointed
     exits on its first attempt; the retried task writes its blob and the
     merged CMS, HLL and Bloom states equal the undisturbed build's."""
     from epichypersketch_jl_ray.checkpoint import build_checkpointed, read_manifest
@@ -316,4 +325,5 @@ def test_checkpointed_build_survives_a_killed_worker(ray_session, tmp_path):
     )
     assert os.path.exists(marker)
     assert _web_digests(retried) == _web_digests(clean)
-    assert m["rows"] == 3000 and set(read_manifest(ck)) == set(files)
+    cut, done = read_manifest(ck)
+    assert m["rows"] == 3000 and sorted(done) == list(range(len(cut["ranges"])))

@@ -149,6 +149,23 @@ def test_merge_order_invariance(web_dir):
     assert len(digests) == 1
 
 
+def _drop_ranges(ck: str, drop: set[int]) -> None:
+    """Simulate a build killed before the ranges ``drop`` finished: their
+    manifest records and blobs are gone, the cut and the other records
+    stay."""
+    import json
+    import os
+
+    path = os.path.join(ck, "manifest.jsonl")
+    with open(path) as fh:
+        recs = [json.loads(line) for line in fh]
+    for rec in recs:
+        if rec.get("range") in drop:
+            os.remove(rec["blob"])
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in recs if r.get("range") not in drop)
+
+
 def test_checkpoint_resume_identical(web_dir, tmp_path):
     from epichypersketch_jl_ray.checkpoint import build_checkpointed
     from epichypersketch_jl_ray.pipelines.webpages import WebSketchBuilder
@@ -158,27 +175,107 @@ def test_checkpoint_resume_identical(web_dir, tmp_path):
     files = sorted(glob.glob(f"{web_dir}/*.parquet"))
     make_partial = WebSketchBuilder()
 
-    ck_full = str(tmp_path / "full")
-    full, m_full = build_checkpointed(files, make_partial, WebSketchState, ck_full)
+    ck = str(tmp_path / "ck")
+    full, m_full = build_checkpointed(files, make_partial, WebSketchState, ck)
+    full_bytes = full.to_bytes()  # before digest(), which flushes KLL/t-digest buffers
     assert m_full["resumed_partitions"] == 0 and m_full["rows"] == N
+    assert m_full["partitions"] == 4  # 3000 rows on 4 CPUs
 
-    # simulate a killed run: first half only, then resume with everything
-    ck_half = str(tmp_path / "half")
-    build_checkpointed(files[:4], make_partial, WebSketchState, ck_half)
-    resumed, m_res = build_checkpointed(files, make_partial, WebSketchState, ck_half)
-    assert m_res["resumed_partitions"] == 4
+    # simulate a killed run: two of the four ranges never finished
+    _drop_ranges(ck, {1, 3})
+    resumed, m_res = build_checkpointed(files, make_partial, WebSketchState, ck)
+    assert m_res["resumed_partitions"] == 2 and m_res["rows"] == N
+    assert resumed.to_bytes() == full_bytes
     for name in ("cms", "hll", "bloom", "kll", "tdigest"):
         assert getattr(resumed, name).digest() == getattr(full, name).digest(), name
     # rerunning resume with everything done is a no-op with identical state
-    again, m2 = build_checkpointed(files, make_partial, WebSketchState, ck_half)
-    assert m2["resumed_partitions"] == len(files)
-    assert again.cms.digest() == full.cms.digest()
+    again, m2 = build_checkpointed(files, make_partial, WebSketchState, ck)
+    assert m2["resumed_partitions"] == m2["partitions"] == 4
+    assert again.to_bytes() == full_bytes
+
+
+def test_checkpoint_resume_on_another_cpu_count_reuses_the_cut(web_dir, tmp_path, monkeypatch):
+    """A resume on another CPU count folds the missing ranges of the
+    RECORDED cut, not a new one, so the state is byte-identical to the
+    uninterrupted build's, KLL and t-digest included."""
+    from epichypersketch_jl_ray.checkpoint import build_checkpointed, read_manifest
+    from epichypersketch_jl_ray.pipelines.webpages import WebSketchBuilder
+    from epichypersketch_jl_ray.stages import udaf
+    from epichypersketch_jl_ray.state.websketch import WebSketchState
+    import glob
+
+    files = sorted(glob.glob(f"{web_dir}/*.parquet"))
+    make_partial = WebSketchBuilder()
+    ck = str(tmp_path / "ck")
+    full, _ = build_checkpointed(files, make_partial, WebSketchState, ck, batch_size=256)
+    cut, _ = read_manifest(ck)
+    _drop_ranges(ck, {0, 2})
+    monkeypatch.setattr(udaf, "cluster_cpus", lambda: 3)
+    assert udaf.cpu_units(N) == 3  # a fresh build would cut 3 ranges, not 4
+    resumed, m = build_checkpointed(files, make_partial, WebSketchState, ck, batch_size=256)
+    assert m["partitions"] == 4 and m["resumed_partitions"] == 2
+    assert read_manifest(ck)[0] == cut
+    for name in ("cms", "hll", "bloom", "kll", "tdigest"):
+        assert getattr(resumed, name).to_bytes() == getattr(full, name).to_bytes(), name
+
+
+def test_checkpoint_resume_after_a_row_count_change_starts_over(ray_session, tmp_path):
+    """When an input file's row count differs from the recorded cut's, the
+    resume recomputes every range over a new cut: its state equals a fresh
+    build's over the changed files."""
+    from epichypersketch_jl_ray.checkpoint import build_checkpointed, read_manifest
+    from epichypersketch_jl_ray.pipelines.webpages import WebSketchBuilder
+    from epichypersketch_jl_ray.state.websketch import WebSketchState
+
+    src = webpages_dir_for(1500, n_shards=4)
+    d = tmp_path / "web"
+    shutil.copytree(src, d)
+    files = sorted(str(f) for f in d.glob("*.parquet"))
+    make_partial = WebSketchBuilder(n_docs_hint=1500)
+    ck = str(tmp_path / "ck")
+    build_checkpointed(files, make_partial, WebSketchState, ck)
+    pq.write_table(pq.read_table(files[1]).slice(0, 100), files[1])  # 375 -> 100 rows
+    resumed, m = build_checkpointed(files, make_partial, WebSketchState, ck)
+    assert m["resumed_partitions"] == 0 and m["rows"] == 1500 - 275
+    assert read_manifest(ck)[0]["rows"] == [375, 100, 375, 375]
+    fresh, _ = build_checkpointed(files, make_partial, WebSketchState, str(tmp_path / "ck2"))
+    assert resumed.to_bytes() == fresh.to_bytes()
+
+
+def test_checkpoint_cut_is_the_direct_builds(web_dir, tmp_path):
+    """The checkpointed build records and folds the direct build's cut,
+    row_ranges(files, rows, cpu_units(N)), one blob per range: with the
+    same batch size the two builds give byte-identical states, KLL and
+    t-digest included."""
+    from epichypersketch_jl_ray.checkpoint import build_checkpointed, read_manifest
+    from epichypersketch_jl_ray.pipelines.webpages import (
+        WebSketchBuilder,
+        build_web_sketches,
+        file_rows,
+        parquet_files,
+    )
+    from epichypersketch_jl_ray.stages.udaf import cpu_units, row_ranges
+    from epichypersketch_jl_ray.state.websketch import WebSketchState
+
+    files = parquet_files(web_dir)
+    rows = file_rows(files)
+    ck = str(tmp_path / "ck")
+    state, m = build_checkpointed(
+        files, WebSketchBuilder(n_docs_hint=N), WebSketchState, ck, batch_size=256
+    )
+    cut, done = read_manifest(ck)
+    want = row_ranges(files, rows, cpu_units(sum(rows)))
+    assert cut["files"] == files and cut["rows"] == rows
+    assert cut["ranges"] == [[list(p) for p in r] for r in want]
+    assert sorted(done) == list(range(len(want)))
+    assert len({rec["blob"] for rec in m["lineage"]}) == len(want)
+    assert state.to_bytes() == build_web_sketches(web_dir, batch_size=256).to_bytes()
 
 
 def test_checkpointed_equals_streaming(web_dir, web_state, tmp_path):
-    """The checkpointed path (several batches folded per file with one
-    merge_many) and the streaming Dataset path share one partial function
-    and give byte-identical CMS/HLL/Bloom."""
+    """The checkpointed path (several batches folded per row range with
+    one merge_many) and the streaming Dataset path share one partial
+    function and give byte-identical CMS/HLL/Bloom."""
     from epichypersketch_jl_ray.checkpoint import build_checkpointed
     from epichypersketch_jl_ray.pipelines.webpages import WebSketchBuilder
     from epichypersketch_jl_ray.state.websketch import WebSketchState
@@ -197,10 +294,11 @@ def test_checkpointed_equals_streaming(web_dir, web_state, tmp_path):
 
 
 def test_checkpointed_merge_bounds_driver_states(ray_session, tmp_path, monkeypatch):
-    """Above MERGE_FANOUT files the checkpointed merge runs remote merge
-    rounds until at most udaf.MERGE_FANOUT**2 states are left, so the
-    driver deserializes that many, not one per blob group. The merged
-    CMS/HLL/Bloom equal an in-process fold of the per-file states."""
+    """Above MERGE_FANOUT**2 range blobs the checkpointed merge validates
+    and merges blob groups in Ray tasks, then runs remote merge rounds
+    until at most udaf.MERGE_FANOUT**2 states are left, so the driver
+    deserializes that many, not one per blob. The merged CMS/HLL/Bloom
+    equal an in-process fold of the per-file states."""
     from epichypersketch_jl_ray import checkpoint
     from epichypersketch_jl_ray.pipelines.webpages import WebSketchBuilder
     from epichypersketch_jl_ray.stages import udaf
@@ -212,8 +310,8 @@ def test_checkpointed_merge_bounds_driver_states(ray_session, tmp_path, monkeypa
     want = states[0].merge_many(states[1:])
 
     fanout = 2
-    monkeypatch.setattr(checkpoint, "MERGE_FANOUT", fanout)
     monkeypatch.setattr(udaf, "MERGE_FANOUT", fanout)
+    monkeypatch.setattr(udaf, "cluster_cpus", lambda: 10)  # 10 ranges > fanout**2 blobs
     driver_loads = []
     from_bytes = WebSketchState.from_bytes
 
@@ -222,9 +320,10 @@ def test_checkpointed_merge_bounds_driver_states(ray_session, tmp_path, monkeypa
         return from_bytes(data)
 
     monkeypatch.setattr(WebSketchState, "from_bytes", classmethod(counting_from_bytes))
-    got, _ = checkpoint.build_checkpointed(
+    got, m = checkpoint.build_checkpointed(
         files, make_partial, WebSketchState, str(tmp_path / "ck")
     )
+    assert m["partitions"] == 10
     assert 0 < len(driver_loads) <= fanout**2, len(driver_loads)
     assert got.rows_seen == 400
     for name in ("cms", "hll", "bloom"):
