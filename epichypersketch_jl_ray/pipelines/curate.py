@@ -73,16 +73,16 @@ def _keeper_docs(sf_dir: str, *, min_chars: int) -> ray.data.Dataset:
 
 
 def _keepers_and_pairs(
-    sf_dir: str, *, min_chars: int, threshold: float, num_partitions: int
+    sf_dir: str, *, min_chars: int, threshold: float
 ) -> tuple[ray.data.Dataset, ray.data.Dataset]:
     """Shared head of the curation chain: quality filter -> exact-dedup
     keepers -> verified near-dup pairs among the keepers. Cached per
     (sf_dir, params) for the session."""
-    key = (sf_dir, min_chars, threshold, num_partitions)
+    key = (sf_dir, min_chars, threshold)
     if key in _CHAIN_CACHE:
         return _CHAIN_CACHE[key]
     keepers, pairs = _keepers_and_pairs_uncached(
-        sf_dir, min_chars=min_chars, threshold=threshold, num_partitions=num_partitions
+        sf_dir, min_chars=min_chars, threshold=threshold
     )
     keepers, pairs = keepers.materialize(), pairs.materialize()
     _CHAIN_CACHE[key] = (keepers, pairs)
@@ -90,12 +90,12 @@ def _keepers_and_pairs(
 
 
 def _keepers_and_pairs_uncached(
-    sf_dir: str, *, min_chars: int, threshold: float, num_partitions: int
+    sf_dir: str, *, min_chars: int, threshold: float
 ) -> tuple[ray.data.Dataset, ray.data.Dataset]:
     keeper_docs = _keeper_docs(sf_dir, min_chars=min_chars)
     keepers = keeper_docs.select_columns(["doc_id"])
 
-    pairs = minhash_pairs(keeper_docs, threshold=threshold, num_partitions=num_partitions)
+    pairs = minhash_pairs(keeper_docs, threshold=threshold)
     return keepers, pairs
 
 
@@ -104,11 +104,10 @@ def curate_corpus(
     *,
     min_chars: int = 120,
     threshold: float = 0.5,
-    num_partitions: int = 8,
 ) -> ray.data.Dataset:
     """Surviving doc_ids after quality filter + exact dedup + near-dup drop."""
     keepers, pairs = _keepers_and_pairs(
-        sf_dir, min_chars=min_chars, threshold=threshold, num_partitions=num_partitions
+        sf_dir, min_chars=min_chars, threshold=threshold
     )
 
     # drop the higher doc_id of every verified pair: union keepers (flag 0)
@@ -146,7 +145,6 @@ def curate_corpus_cc(
     *,
     min_chars: int = 120,
     threshold: float = 0.5,
-    num_partitions: int = 8,
 ) -> ray.data.Dataset:
     """Cluster-aware curation: like curate_corpus, but near-dup removal drops
     whole duplicate CLUSTERS (connected components of the verified pair
@@ -156,10 +154,10 @@ def curate_corpus_cc(
     from epichypersketch_jl_ray.stages.cc import connected_components
 
     keepers, pairs = _keepers_and_pairs(
-        sf_dir, min_chars=min_chars, threshold=threshold, num_partitions=num_partitions
+        sf_dir, min_chars=min_chars, threshold=threshold
     )
 
-    comps = connected_components(pairs, num_buckets=2 * num_partitions)
+    comps = connected_components(pairs)
 
     # drop every clustered node except its component minimum, via the same
     # union + groupby anti-join shape as curate_corpus
@@ -250,8 +248,9 @@ SELECT doc_id FROM k WHERE doc_id NOT IN (SELECT db FROM drops)
 #   (real decontamination lists are MBs), so it ships once via ray.put and the
 #   training side is ONE shuffle-free map_batches membership pass.
 # - semi-join: when the eval side exceeds broadcast_cap, both sides' n-gram
-#   hashes meet in a bucketed groupby (union + per-bucket vectorized segment
-#   scan) — no broadcast, candidate traffic bounded by n-gram count.
+#   hashes meet in the buckets of the hash exchange (one vectorized
+#   membership scan per bucket) — no broadcast, traffic bounded by n-gram
+#   count.
 # N-gram identity is the 64-bit combined token hash (functions/text.py), the
 # same family the oracle-matched Jaccard pipelines rely on; collisions are
 # ~n²/2⁶⁴ (document-count scale, not token scale) — widen to 128-bit for
@@ -282,48 +281,36 @@ def _split_ngram_rows(
 
 
 def _contaminated_semijoin(
-    ev: ray.data.Dataset, keeper_docs: ray.data.Dataset, *, eval_mod: int, ngram_n: int,
-    num_buckets: int,
+    ev: ray.data.Dataset, keeper_docs: ray.data.Dataset, *, eval_mod: int, ngram_n: int
 ) -> ray.data.Dataset:
     """Distributed exact semi-join: train doc_ids whose n-gram hash set meets
-    the eval set — union both sides, bucket by hash, one vectorized segment
-    scan per bucket. The scale path when the eval side can't broadcast."""
-
-    def tag_eval(batch: pa.Table) -> pa.Table:
-        g = batch["g"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "g": batch["g"],
-                "doc_id": pa.array(np.full(len(g), -1, np.int64), pa.int64()),
-                "bucket": pa.array(g.view(np.uint64) % num_buckets, pa.int64()),
-            }
-        )
+    the eval set — both sides through the hash exchange on the n-gram hash,
+    one vectorized membership scan per bucket. The scale path when the eval
+    side can't broadcast; ``udaf.cpu_units`` of the (materialized) eval
+    row count sizes the buckets."""
+    from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
+    from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
 
     def train_rows(batch: pa.Table) -> pa.Table:
-        t = _split_ngram_rows(
+        return _split_ngram_rows(
             batch, eval_mod=eval_mod, ngram_n=ngram_n, want_eval=False, with_ids=True
         )
-        g = t["g"].to_numpy(zero_copy_only=False)
-        return t.append_column("bucket", pa.array(g.view(np.uint64) % num_buckets, pa.int64()))
 
-    both = ev.map_batches(tag_eval, batch_format="pyarrow").union(
-        keeper_docs.map_batches(train_rows, batch_format="pyarrow")
+    def bucket_scan(evg: pa.Table, train: pa.Table) -> pa.Table:
+        evset = np.sort(evg["g"].to_numpy(zero_copy_only=False).astype(np.int64))
+        g = train["g"].to_numpy(zero_copy_only=False).astype(np.int64)
+        d = train["doc_id"].to_numpy(zero_copy_only=False)
+        pos = np.minimum(np.searchsorted(evset, g), max(len(evset) - 1, 0))
+        hit = (evset[pos] == g) if len(evset) else np.zeros(len(g), dtype=bool)
+        return pa.table({"doc_id": pa.array(np.unique(d[hit]), pa.int64())})
+
+    buckets = cpu_units(ev.count())
+    train = block_refs(keeper_docs.map_batches(train_rows, batch_format="pyarrow"))
+    return map_buckets(
+        bucket_scan,
+        hash_partition(block_refs(ev), ["g"], buckets),
+        hash_partition(train, ["g"], buckets),
     )
-
-    def bucket_scan(group: pa.Table) -> pa.Table:
-        g = group["g"].to_numpy(zero_copy_only=False)
-        d = group["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.argsort(g, kind="stable")
-        gs, ds_ = g[order], d[order]
-        new = np.ones(len(gs), dtype=bool)
-        new[1:] = gs[1:] != gs[:-1]
-        seg = np.cumsum(new) - 1
-        n_seg = int(seg[-1]) + 1 if len(seg) else 0
-        has_eval = np.bincount(seg[ds_ == -1], minlength=n_seg) > 0
-        hits = ds_[(ds_ != -1) & has_eval[seg]]
-        return pa.table({"doc_id": pa.array(np.unique(hits), pa.int64())})
-
-    return both.groupby("bucket").map_groups(bucket_scan, batch_format="pyarrow")
 
 
 def decontaminate_corpus(
@@ -333,7 +320,6 @@ def decontaminate_corpus(
     ngram_n: int = 8,
     eval_mod: int = 11,
     broadcast_cap: int = 2_000_000,
-    num_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Training doc_ids (quality + exact-dedup keepers outside the eval set)
     that share NO ngram_n-token window with any eval-set document."""
@@ -386,9 +372,7 @@ def decontaminate_corpus(
         return keeper_docs.map_batches(survivors, batch_format="pyarrow")
 
     # semi-join path: anti-join train keepers against the contaminated set
-    contaminated = _contaminated_semijoin(
-        ev, keeper_docs, eval_mod=eval_mod, ngram_n=ngram_n, num_buckets=num_buckets
-    )
+    contaminated = _contaminated_semijoin(ev, keeper_docs, eval_mod=eval_mod, ngram_n=ngram_n)
 
     def keeps(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -444,7 +428,6 @@ def domain_cap_sample(
     sf_dir: str,
     *,
     k: int = 25,
-    num_buckets: int | None = None,
     batch_size: int = 8192,
 ) -> ray.data.Dataset:
     """RefinedWeb-style per-domain document cap: keep the ``k`` lowest-doc_id
@@ -456,21 +439,17 @@ def domain_cap_sample(
        lexsort + run-length rank pass (no pandas groupby, no Python loop),
        so the shuffle ships at most k rows per (batch, domain) — bounded by
        k * distinct-domains, not the corpus.
-    2. bucketed merge: partials shuffle on hash(source) % num_buckets
-       (auto-sized from the parquet footer row count / k); each bucket
-       resolves ALL its domains with the same vectorized selection. Group
-       count equals the bucket count — hot domains cost rows, not Python
-       calls, and distinct-domain cardinality (millions at web scale) never
-       becomes a per-group overhead.
+    2. bucketed merge: the partials go through the hash exchange on a
+       64-bit hash of the source (``udaf.cpu_units`` buckets of the
+       parquet footer row count / k); each bucket resolves ALL its domains
+       with the same vectorized selection. Hot domains cost rows, not
+       Python calls, and distinct-domain cardinality (millions at web
+       scale) never becomes a per-group overhead.
     """
     from epichypersketch_jl_ray.functions.hashing import hash_strings_fast
     from epichypersketch_jl_ray.sources.tables import table_rows
-    from epichypersketch_jl_ray.stages.join import auto_bucket_count
-
-    if num_buckets is None:
-        # post-partial rows are <= corpus_rows but ~k per (batch, domain);
-        # footer-count / k is a cheap upper-bound proxy for the merge input
-        num_buckets = auto_bucket_count(max(table_rows(sf_dir, "documents") // max(k, 1), 1))
+    from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
+    from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
 
     def _keep_topk(src: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Boolean mask keeping the k smallest ids per source value.
@@ -493,7 +472,7 @@ def domain_cap_sample(
         # share a quota (a 64-bit hash grouping could drop a global-top-k
         # row on collision; the merge resolves by string but cannot recover
         # rows the partial already dropped). The hash is used only for
-        # bucket ROUTING, where a collision just co-buckets two domains.
+        # ROUTING, where a collision just co-buckets two domains.
         src = batch["source"].combine_chunks()
         codes = np.asarray(pc.dictionary_encode(src).indices, dtype=np.int64)
         mask = _keep_topk(codes, ids)
@@ -503,7 +482,7 @@ def domain_cap_sample(
             {
                 "source": kept["source"],
                 "doc_id": kept["doc_id"],
-                "bucket": pa.array((kh % np.uint64(num_buckets)).astype(np.int64)),
+                "source_h": pa.array(kh.view(np.int64)),
             }
         )
 
@@ -518,11 +497,11 @@ def domain_cap_sample(
         return pa.table({"source": kept["source"], "doc_id": kept["doc_id"]})
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "source"])
-    return (
-        docs.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
-        .groupby("bucket")
-        .map_groups(merge_bucket, batch_format="pyarrow")
-    )
+    refs = block_refs(docs.map_batches(partial, batch_format="pyarrow", batch_size=batch_size))
+    # post-partial rows are <= corpus_rows but ~k per (batch, domain);
+    # footer-count / k is a cheap upper-bound proxy for the merge input
+    buckets = cpu_units(table_rows(sf_dir, "documents") // max(k, 1))
+    return map_buckets(merge_bucket, hash_partition(refs, ["source_h"], buckets))
 
 
 def domain_cap_sample_sql(k: int = 25) -> str:

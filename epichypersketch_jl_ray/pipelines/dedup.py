@@ -3,6 +3,8 @@ exact n-gram Jaccard)."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pyarrow as pa
 
@@ -18,8 +20,11 @@ from epichypersketch_jl_ray.stages.dedup import (
     candidate_pairs_from_band,
     content_key_table,
     jaccard_verify_batch,
+    merge_pair_counts,
     simhash_candidates_from_chunk,
 )
+from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
+from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
 from epichypersketch_jl_ray.state.minhash import hamming_distance64
 
 SHINGLE_N = 3
@@ -65,7 +70,6 @@ def dedup_incremental(
     *,
     prior_mod: int = 3,
     table: str = "documents",
-    num_buckets: int = 64,
     fp_rate: float = 1e-4,
     bloom_capacity: int | None = None,
 ) -> ray.data.Dataset:
@@ -90,8 +94,9 @@ def dedup_incremental(
        (no false negatives) and stream straight to the output — zero
        shuffle for the overwhelmingly common novel-doc case;
     4. bloom hits (true dups + ~fp_rate of the novel, plus any 128→64
-       fold aliases) are candidate rows verified by one bucketed semi-join
-       against the prior (h1, h2) key rows — candidate-scale traffic.
+       fold aliases) are candidate rows verified against the prior (h1, h2)
+       key rows after one hash exchange on (h1, h2) — candidate-scale
+       traffic.
 
     The Bloom is O(bits) broadcast once and the verify shuffle carries only
     bloom-hit candidates. ``bloom_capacity`` exists for tests to force a
@@ -101,8 +106,8 @@ def dedup_incremental(
     from epichypersketch_jl_ray.state.bloom import BloomFilter
 
     ds = read_table(sf_dir, table, columns=["doc_id", "text"])
-    cap = bloom_capacity or max(1 << 14, ds.count())  # parquet metadata count
-    nb = np.uint64(num_buckets)
+    n_docs = ds.count()  # parquet metadata count
+    cap = bloom_capacity or max(1 << 14, n_docs)
 
     # the ONE corpus text read: (doc_id, h1, h2) key table, then text drops
     keys = ds.map_batches(content_key_table, batch_format="pyarrow").materialize()
@@ -166,7 +171,6 @@ def dedup_incremental(
                 "h1": pa.array(h1, pa.int64()),
                 "h2": pa.array(h2, pa.int64()),
                 "doc_id": pa.array(d, pa.int64()),
-                "bucket": pa.array((h1.view(np.uint64) % nb).astype(np.int64), pa.int64()),
             }
         )
 
@@ -186,10 +190,9 @@ def dedup_incremental(
         novel = ds_[(ds_ != -1) & ~has_prior[seg]]
         return pa.table({"doc_id": pa.array(novel, pa.int64())})
 
-    survivors_fp = (
-        keys.map_batches(cand_rows, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(verify_bucket, batch_format="pyarrow")
+    cands = block_refs(keys.map_batches(cand_rows, batch_format="pyarrow"))
+    survivors_fp = map_buckets(
+        verify_bucket, hash_partition(cands, ["h1", "h2"], cpu_units(n_docs))
     )
     return keys.map_batches(novel_by_miss, batch_format="pyarrow").union(survivors_fp)
 
@@ -211,7 +214,6 @@ def dedup_minhash_lsh(
     threshold: float = 0.5,
     num_perms: int = 128,
     bands: int = 64,
-    num_partitions: int = 8,
 ) -> ray.data.Dataset:
     """Near-dup pairs over the documents table (see minhash_pairs)."""
     return minhash_pairs(
@@ -219,7 +221,6 @@ def dedup_minhash_lsh(
         threshold=threshold,
         num_perms=num_perms,
         bands=bands,
-        num_partitions=num_partitions,
     )
 
 
@@ -229,7 +230,6 @@ def minhash_pairs(
     threshold: float = 0.5,
     num_perms: int = 128,
     bands: int = 64,
-    num_partitions: int = 8,
     exact_prune_cap: int = 1 << 16,
 ) -> ray.data.Dataset:
     """Near-dup pairs via MinHash-LSH banding + DISTRIBUTED exact Jaccard
@@ -280,7 +280,6 @@ def minhash_pairs(
         cand,
         shingles,
         threshold=threshold,
-        num_partitions=num_partitions,
         exact_prune_cap=exact_prune_cap,
     )
 
@@ -290,7 +289,6 @@ def _verify_jaccard_pairs(
     shingles: ray.data.Dataset,
     *,
     threshold: float,
-    num_partitions: int = 8,
     dedupe_in_attach: bool = False,
     exact_prune_cap: int = 1 << 16,
 ) -> ray.data.Dataset:
@@ -416,27 +414,14 @@ def _verify_jaccard_pairs(
         else:
             cand_shingles = shingles
 
-    # explicit schemas: probing with_a.schema() would execute the first
-    # attach shuffle a second time (lazy-plan schema inference)
-    from epichypersketch_jl_ray.stages.join import auto_bucket_count
-
-    # attach buckets scale with the CANDIDATE count (known exactly here),
-    # not a fixed constant — candidate volume is what the attach shuffles
-    attach_buckets = max(num_partitions, auto_bucket_count(n_pairs))
-    shingle_type = pa.list_(pa.int64())
-    pair_fields = [pa.field("doc_a", pa.int64()), pa.field("doc_b", pa.int64())]
+    # attach buckets scale with the CANDIDATE count (cand.count()), not a
+    # fixed constant — candidate volume is what the attach exchanges move
     with_a = attach_list_column(
         cand, "doc_a", cand_shingles, "doc_id", "shingles", "shingles_a",
-        num_buckets=attach_buckets,
         dedupe_on=["doc_a", "doc_b"] if dedupe_in_attach else None,
-        pair_fields=pair_fields,
-        list_type=shingle_type,
     )
     with_ab = attach_list_column(
-        with_a, "doc_b", cand_shingles, "doc_id", "shingles", "shingles_b",
-        num_buckets=attach_buckets,
-        pair_fields=pair_fields + [pa.field("shingles_a", shingle_type)],
-        list_type=shingle_type,
+        with_a, "doc_b", cand_shingles, "doc_id", "shingles", "shingles_b"
     )
 
     def verify(batch: pa.Table) -> pa.Table:
@@ -462,7 +447,7 @@ SELECT da AS doc_a, db AS doc_b, jac AS jaccard FROM j WHERE jac >= {threshold}
 
 
 def dedup_ngram_jaccard(
-    sf_dir: str, *, threshold: float = 0.5, num_partitions: int = 8
+    sf_dir: str, *, threshold: float = 0.5
 ) -> ray.data.Dataset:
     """EXACT n-gram Jaccard near-dup pairs over the documents table (see
     ngram_jaccard_pairs). Unlike MinHash-LSH this has no probabilistic miss:
@@ -472,7 +457,6 @@ def dedup_ngram_jaccard(
     return ngram_jaccard_pairs(
         read_table(sf_dir, "documents", columns=["doc_id", "text"]),
         threshold=threshold,
-        num_partitions=num_partitions,
     )
 
 
@@ -480,7 +464,6 @@ def ngram_jaccard_pairs(
     ds: ray.data.Dataset,
     *,
     threshold: float = 0.5,
-    num_partitions: int = 8,
     hot_capacity: int = 1 << 17,
     df_cap: int = 64,
 ) -> ray.data.Dataset:
@@ -495,10 +478,10 @@ def ngram_jaccard_pairs(
          groupby shuffle); survivors with estimated df > ``df_cap`` form
          the broadcast HOT set. The split is a pure cost knob — counting
          is exact for any globally-consistent partition of shingle keys.
-      3. COLD path: explode cold postings -> groupby(shingle_bucket) ->
-         per-key pair emission with the length filter, pre-aggregated per
-         bucket -> groupby(doc_a, doc_b).sum(n) = each pair's EXACT
-         cold-intersection size. Per-posting fan-out is bounded by
+      3. COLD path: explode cold postings -> hash exchange on the shingle
+         -> per-key pair emission with the length filter, pre-aggregated
+         per bucket -> hash exchange on (doc_a, doc_b), summed n = each
+         pair's EXACT cold-intersection size. Per-posting fan-out is bounded by
          df_cap^2/2, and the shuffle ships integer partial counts — no
          list payloads, no attach passes.
       4. HOT correction (skipped entirely when no shingle exceeds df_cap —
@@ -516,7 +499,7 @@ def ngram_jaccard_pairs(
            (J >= t with |B| >= overlap forces overlap >= t|A|), so both
            docs are hot-DOMINATED (h >= ceil(t*size)). All-pairs within
            that provably tiny set are counted in one group and merged with
-           their cold counts by a union + groupby sum.
+           their cold counts by one more pair-count exchange.
 
     Exactness: every shared shingle of a surviving pair is counted exactly
     once (cold in stage 3, hot in stage 4); the length filter only drops
@@ -534,7 +517,6 @@ def ngram_jaccard_pairs(
         cold_cooccurrence_rows,
         cooccurrence_pairs_in_bucket,
         hot_sublist_rows,
-        merge_pair_counts,
     )
     from epichypersketch_jl_ray.stages.udaf import sketch_dataset
     from epichypersketch_jl_ray.state.spacesaving import SpaceSaving
@@ -549,7 +531,8 @@ def ngram_jaccard_pairs(
         )
     )
     shingles = ds.map_batches(_shingle_table, batch_format="pyarrow").materialize()
-    if shingles.count() == 0:
+    n_docs = shingles.count()
+    if n_docs == 0:
         # empty corpus: the SpaceSaving pass would have no partials to merge
         return empty_result
 
@@ -576,17 +559,14 @@ def ngram_jaccard_pairs(
     def pairs_in_bucket(group: pa.Table) -> pa.Table:
         return cooccurrence_pairs_in_bucket(group, threshold=threshold)
 
-    # pair-count merge: a coarse pair_bucket groupby + vectorized run-length
-    # merge in map_groups, NOT groupby(doc_a, doc_b).aggregate — Ray's
-    # sort-aggregate over ~1M two-column groups measured >10x the cost of
-    # the merge math itself
-    cold_pairs = (
-        shingles.map_batches(emit_cold, batch_format="pyarrow")
-        .groupby("shingle_bucket")
-        .map_groups(pairs_in_bucket, batch_format="pyarrow")
-        .groupby("pair_bucket")
-        .map_groups(merge_pair_counts, batch_format="pyarrow")
-    )
+    # pair-count merge: the hash exchange on (doc_a, doc_b) + vectorized
+    # run-length merge per bucket, NOT groupby(doc_a, doc_b).aggregate —
+    # Ray's sort-aggregate over ~1M two-column groups measured >10x the cost
+    # of the merge math itself
+    buckets = cpu_units(n_docs)
+    postings = block_refs(shingles.map_batches(emit_cold, batch_format="pyarrow"))
+    partial = map_buckets(pairs_in_bucket, hash_partition(postings, ["shingle"], buckets))
+    cold_pairs = _merge_pair_counts(block_refs(partial), buckets)
 
     def finalize(batch: pa.Table) -> pa.Table:
         return _overlap_to_jaccard(batch, threshold=threshold)
@@ -595,15 +575,21 @@ def ngram_jaccard_pairs(
         # bounded-df corpus: the cold counts ARE the exact intersections
         return cold_pairs.map_batches(finalize, batch_format="pyarrow")
     return _ngram_hot_correction(
-        cold_pairs.materialize(),
+        cold_pairs,
         shingles,
         hot_ref,
+        buckets,
         threshold=threshold,
-        num_partitions=num_partitions,
         finalize=finalize,
-        empty_result=empty_result,
         hot_sublist_rows=hot_sublist_rows,
     )
+
+
+def _merge_pair_counts(refs, buckets: int) -> ray.data.Dataset:
+    """Each pair's partial counts (blocks of (doc_a, doc_b, size_a, size_b,
+    n) rows) summed: the hash exchange on (doc_a, doc_b), then one
+    ``merge_pair_counts`` per bucket."""
+    return map_buckets(merge_pair_counts, hash_partition(refs, ["doc_a", "doc_b"], buckets))
 
 
 def _overlap_to_jaccard(batch: pa.Table, *, threshold: float) -> pa.Table:
@@ -629,23 +615,16 @@ def _ngram_hot_correction(
     cold_pairs: ray.data.Dataset,
     shingles: ray.data.Dataset,
     hot_ref,
+    buckets: int,
     *,
     threshold: float,
-    num_partitions: int,
     finalize,
-    empty_result: ray.data.Dataset,
     hot_sublist_rows,
 ) -> ray.data.Dataset:
     """Hot-set correction for ngram_jaccard_pairs (docstring there): routes
     cold-counted pairs by hot-touch/hot-dominance and adds exact hot-sublist
     intersections. Split out so the no-hot fast path stays linear to read."""
-    from epichypersketch_jl_ray.stages.dedup import (
-        attach_list_column,
-        list_intersection_counts,
-        merge_pair_counts,
-        with_pair_bucket,
-    )
-    from epichypersketch_jl_ray.stages.join import auto_bucket_count
+    from epichypersketch_jl_ray.stages.dedup import list_intersection_counts
 
     def emit_hot(batch: pa.Table) -> pa.Table:
         return hot_sublist_rows(batch, hot_shingles=ray.get(hot_ref))
@@ -708,27 +687,11 @@ def _ngram_hot_correction(
     needs_attach = cold_pairs.map_batches(
         lambda t: route(t, "needs_attach"), batch_format="pyarrow"
     ).materialize()
-    n_attach = needs_attach.count()
-    if n_attach > 0:
-        attach_buckets = max(num_partitions, auto_bucket_count(n_attach))
-        pair_fields = [
-            pa.field("doc_a", pa.int64()),
-            pa.field("doc_b", pa.int64()),
-            pa.field("n", pa.int64()),
-            pa.field("size_a", pa.int64()),
-            pa.field("size_b", pa.int64()),
-        ]
-        hot_type = pa.list_(pa.int64())
+    if needs_attach.count() > 0:
         with_a = attach_list_column(
-            needs_attach, "doc_a", hot_docs, "doc_id", "hot_shingles", "hot_a",
-            num_buckets=attach_buckets, pair_fields=pair_fields, list_type=hot_type,
+            needs_attach, "doc_a", hot_docs, "doc_id", "hot_shingles", "hot_a"
         )
-        with_ab = attach_list_column(
-            with_a, "doc_b", hot_docs, "doc_id", "hot_shingles", "hot_b",
-            num_buckets=attach_buckets,
-            pair_fields=pair_fields + [pa.field("hot_a", hot_type)],
-            list_type=hot_type,
-        )
+        with_ab = attach_list_column(with_a, "doc_b", hot_docs, "doc_id", "hot_shingles", "hot_b")
 
         def add_hot(batch: pa.Table) -> pa.Table:
             inter = list_intersection_counts(batch, "hot_a", "hot_b")
@@ -815,11 +778,8 @@ def _ngram_hot_correction(
             .groupby("g")
             .map_groups(brute_hot_pairs, batch_format="pyarrow")
         )
-        dh_total = (
-            both_dh_cold.union(hot_only)
-            .map_batches(with_pair_bucket, batch_format="pyarrow")
-            .groupby("pair_bucket")
-            .map_groups(merge_pair_counts, batch_format="pyarrow")
+        dh_total = _merge_pair_counts(
+            itertools.chain(block_refs(both_dh_cold), block_refs(hot_only)), buckets
         )
         result = result.union(dh_total.map_batches(finalize, batch_format="pyarrow"))
     return result
@@ -1201,7 +1161,6 @@ def duplicated_spans(
     *,
     gram_len: int = 32,
     table: str = "documents",
-    num_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Exact duplicated-substring spans per document — the substring-level
     dedup of "Deduplicating Training Data Makes Language Models Better"
@@ -1212,38 +1171,31 @@ def duplicated_spans(
 
     Instead of a suffix array (a global sort of every suffix — one giant
     all-to-all), the corpus streams through a 128-bit rolling-hash gram
-    table. Both grouping stages are BUCKETED (the repo's standard shape,
-    stages/dedup.py): the shuffle key is ``hash % num_buckets``, so the
-    group count equals ``num_buckets`` — not the multi-million distinct
-    gram / doc count — and each bucket resolves ALL its grams (or docs)
-    with one lexsort + run-length pass. A naive groupby(h1, h2).map_groups
-    pays a per-group Python call for every distinct gram; bucketing is
-    ~2.3x faster already at sf0.1 (11.6 -> 4.6-5.1 s) and the gap grows
-    with the corpus (group-count, not distinct-key, Python overhead).
-    ``num_buckets`` auto-sizes from the table's footer row count
-    (~gram-rows / 64k per bucket, stages/join.auto_bucket_count).
+    table. Both grouping stages run on the hash exchange (stages/exchange;
+    on the gram, then on the doc), so the task count is the bucket count —
+    not the multi-million distinct gram / doc count — and each bucket
+    resolves ALL its grams (or docs) with one lexsort + run-length pass. A
+    naive groupby(h1, h2).map_groups pays a per-group Python call for every
+    distinct gram; bucketing is ~2.3x faster already at sf0.1 (11.6 ->
+    4.6-5.1 s) and the gap grows with the corpus. The buckets are
+    ``udaf.cpu_units`` of ~300 gram rows per footer row.
     Equal-length intervals merge exactly when consecutive starts
     differ by <= gram_len, so the per-doc pass is one sort + one diff.
     2^-128 collision odds stand in for byte-compare.
     """
     from epichypersketch_jl_ray.functions.hashing import rolling_gram_hashes
     from epichypersketch_jl_ray.sources.tables import table_rows
-    from epichypersketch_jl_ray.stages.join import auto_bucket_count
 
     ds = read_table(sf_dir, table, columns=["doc_id", "text"])
-    if num_buckets is None:
-        # gram rows ~ total chars; estimate ~300 grams/doc conservatively —
-        # a fixed 64 would mean 1e10-row buckets at web scale
-        num_buckets = auto_bucket_count(table_rows(sf_dir, table) * 300)
-
-    nb = np.uint64(num_buckets)
+    # gram rows ~ total chars; estimate ~300 grams/doc conservatively —
+    # a fixed 64 would mean 1e10-row buckets at web scale
+    buckets = cpu_units(table_rows(sf_dir, table) * 300)
 
     def gram_rows(batch: pa.Table) -> pa.Table:
         h1, h2, rows, pos = rolling_gram_hashes(batch["text"], gram_len)
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)[rows]
         return pa.table(
             {
-                "gb": pa.array((h1 % nb).astype(np.int64), pa.int64()),
                 "h1": pa.array(h1.view(np.int64), pa.int64()),
                 "h2": pa.array(h2.view(np.int64), pa.int64()),
                 "doc_id": pa.array(ids, pa.int64()),
@@ -1258,11 +1210,7 @@ def duplicated_spans(
         h2 = group["h2"].to_numpy(zero_copy_only=False)
         if len(h1) == 0:
             return pa.table(
-                {
-                    "db": pa.array([], pa.int64()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "pos": pa.array([], pa.int64()),
-                }
+                {"doc_id": pa.array([], pa.int64()), "pos": pa.array([], pa.int64())}
             )
         order = np.lexsort((h2, h1))
         h1s, h2s = h1[order], h2[order]
@@ -1273,7 +1221,6 @@ def duplicated_spans(
         pos = group["pos"].to_numpy(zero_copy_only=False)[order][multi]
         return pa.table(
             {
-                "db": pa.array((ids.astype(np.uint64) % nb).astype(np.int64), pa.int64()),
                 "doc_id": pa.array(ids, pa.int64()),
                 "pos": pa.array(pos, pa.int64()),
             }
@@ -1305,13 +1252,9 @@ def duplicated_spans(
             }
         )
 
-    return (
-        ds.map_batches(gram_rows, batch_format="pyarrow")
-        .groupby("gb")
-        .map_groups(bucket_multi_sites, batch_format="pyarrow")
-        .groupby("db")
-        .map_groups(bucket_merge_spans, batch_format="pyarrow")
-    )
+    grams = block_refs(ds.map_batches(gram_rows, batch_format="pyarrow"))
+    sites = map_buckets(bucket_multi_sites, hash_partition(grams, ["h1"], buckets))
+    return map_buckets(bucket_merge_spans, hash_partition(block_refs(sites), ["doc_id"], buckets))
 
 
 def duplicated_spans_sql(gram_len: int = 32) -> str:

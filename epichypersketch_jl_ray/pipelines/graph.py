@@ -37,8 +37,15 @@ import ray
 from ray.data.aggregate import Count, Sum
 
 from epichypersketch_jl_ray.sources.tables import read_table, table_rows
+from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
 from epichypersketch_jl_ray.stages.join import bucketed_hash_join
-from epichypersketch_jl_ray.stages.udaf import broadcast_evict, broadcast_get, cluster_cpus
+from epichypersketch_jl_ray.stages.udaf import (
+    block_refs,
+    broadcast_evict,
+    broadcast_get,
+    cluster_cpus,
+    cpu_units,
+)
 
 FP_ONE = 10**9
 DAMP_NUM = 85
@@ -53,20 +60,20 @@ def _purchase_edges(sf_dir: str, *, broadcast_cap: int = 1 << 22) -> ray.data.Da
     Size-gated join (the repo's standard switch): an orders table under
     ``broadcast_cap`` rows ships once as two sorted int64 arrays and the
     whole edge build is ONE map_batches over lineitem (plus the distinct
-    groupby); a corpus-scale orders table goes through the bucketed hash
-    join. Each batch emits its pairs pre-DEDUPED (lexsort + run-length),
-    so the distinct shuffle ships per-batch-distinct rows only."""
+    hash exchange); a corpus-scale orders table goes through the bucketed
+    hash join. Each batch emits its pairs pre-DEDUPED (lexsort +
+    run-length), so the exchange ships per-batch-distinct rows only."""
     li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_suppkey"])
 
-    def _dedup_pairs(c: np.ndarray, s: np.ndarray) -> pa.Table:
-        src = np.concatenate([c, s])
-        dst = np.concatenate([s, c])
+    def _distinct(src: np.ndarray, dst: np.ndarray) -> pa.Table:
         order = np.lexsort((dst, src))
         src, dst = src[order], dst[order]
-        keep = np.concatenate(
-            ([True], (src[1:] != src[:-1]) | (dst[1:] != dst[:-1]))
-        )
+        keep = np.ones(len(src), bool)
+        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
         return pa.table({"src": pa.array(src[keep]), "dst": pa.array(dst[keep])})
+
+    def _dedup_pairs(c: np.ndarray, s: np.ndarray) -> pa.Table:
+        return _distinct(np.concatenate([c, s]), np.concatenate([s, c]))
 
     if table_rows(sf_dir, "orders") <= broadcast_cap:
         ok, ck = _orders_lookup(sf_dir)
@@ -103,34 +110,17 @@ def _purchase_edges(sf_dir: str, *, broadcast_cap: int = 1 << 22) -> ray.data.Da
 
         paired = joined.map_batches(to_edges, batch_format="pyarrow")
 
-    # global distinct via a BUCKET shuffle, not a 2-col sort groupby: the
-    # multi-key sort exchange measured 12.1 s vs ~3 s bucketed on 1.2M pairs
-    # at sf0.1 (the repo-wide lesson from duplicated_spans) — group count is
-    # the bucket count, each bucket dedupes all its pairs in one lexsort
-    from epichypersketch_jl_ray.functions.hashing import hash_combine
-    from epichypersketch_jl_ray.stages.join import auto_bucket_count
-
-    num_buckets = auto_bucket_count(table_rows(sf_dir, "lineitem") * 2)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        src = np.asarray(t["src"], dtype=np.int64)
-        dst = np.asarray(t["dst"], dtype=np.int64)
-        h = hash_combine(src.astype(np.uint64), dst.astype(np.uint64))
-        return t.append_column("bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
-
+    # global distinct via the hash exchange on (src, dst), not a 2-col sort
+    # groupby: the multi-key sort exchange measured 12.1 s vs ~3 s bucketed
+    # on 1.2M pairs at sf0.1 (the repo-wide lesson from duplicated_spans) —
+    # each bucket dedupes all its pairs in one lexsort
     def dedup_bucket(group: pa.Table) -> pa.Table:
-        src = np.asarray(group["src"], dtype=np.int64)
-        dst = np.asarray(group["dst"], dtype=np.int64)
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        keep = np.concatenate(([True], (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])))
-        return pa.table({"src": pa.array(src[keep]), "dst": pa.array(dst[keep])})
+        return _distinct(
+            np.asarray(group["src"], dtype=np.int64), np.asarray(group["dst"], dtype=np.int64)
+        )
 
-    return (
-        paired.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(dedup_bucket, batch_format="pyarrow")
-    )
+    buckets = cpu_units(table_rows(sf_dir, "lineitem") * 2)
+    return map_buckets(dedup_bucket, hash_partition(block_refs(paired), ["src", "dst"], buckets))
 
 
 def _orders_lookup(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:

@@ -734,7 +734,7 @@ def dedup_exact_and_spans(sf_dir: str) -> ray.data.Dataset:
     one oracled union (method column): 'doc' rows are (keep_id, dup_count)
     as (doc_id, a; b=-1), 'span' rows are (doc_id, span_start, span_end) as
     (doc_id, a, b) — Lee et al. 2022 exact substring dedup, rolling-hash +
-    two bucketed groupbys instead of a suffix array. Registry key stays
+    two hash exchanges instead of a suffix array. Registry key stays
     dedup_exact. -1 sentinels, never NULL (module docstring)."""
     import numpy as np
 

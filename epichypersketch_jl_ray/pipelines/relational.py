@@ -209,35 +209,26 @@ GROUP BY 1
 """
 
 
-def sessionize(
-    sf_dir: str, *, gap_minutes: int = 30, num_buckets: int | None = None
-) -> ray.data.Dataset:
+def sessionize(sf_dir: str, *, gap_minutes: int = 30) -> ray.data.Dataset:
     """Per-user session counting (stateful streaming analogue, SURVEY.md
     §2.10 — the reference has no windowing; this is the training-data-pipeline
-    extension). Bucketed groupby + vectorized run-length session breaks.
-    Bucket count scales with the input (parquet-footer row count) so a
-    bucket stays ~64k rows instead of corpus/64."""
+    extension). One hash exchange on the user + vectorized run-length session
+    breaks per bucket; ``udaf.cpu_units`` of the parquet-footer row count
+    sizes the buckets, so a bucket stays ~64k rows instead of corpus/64."""
     from epichypersketch_jl_ray.sources.tables import table_rows
-    from epichypersketch_jl_ray.stages.join import auto_bucket_count
+    from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
+    from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
 
-    if num_buckets is None:
-        num_buckets = auto_bucket_count(table_rows(sf_dir, "events"))
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
     gap_us = np.int64(gap_minutes * 60 * 1_000_000)
-
-    from epichypersketch_jl_ray.functions.hashing import hash_int64
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False)
-        b = (hash_int64(u, seed=2) % np.uint64(num_buckets)).astype(np.int64)
-        return batch.append_column("bucket", pa.array(b, pa.int64()))
 
     def per_bucket(batch: pa.Table) -> pa.Table:
         u = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         ts = batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         order = np.lexsort((ts, u))
         u, ts = u[order], ts[order]
-        same_user = np.concatenate(([False], u[1:] == u[:-1]))
+        same_user = np.zeros(len(u), bool)  # a 0-row bucket keeps 0 rows
+        same_user[1:] = u[1:] == u[:-1]
         brk = same_user & (np.diff(ts, prepend=ts[:1]) > gap_us)
         boundaries = np.flatnonzero(~same_user)
         counts = np.diff(np.append(boundaries, len(u)))
@@ -251,11 +242,8 @@ def sessionize(
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    buckets = cpu_units(table_rows(sf_dir, "events"))
+    return map_buckets(per_bucket, hash_partition(block_refs(ds), ["user_id"], buckets))
 
 
 def _anti_join_union_groupby(

@@ -76,30 +76,17 @@ def _member(sorted_set: np.ndarray, h: np.ndarray) -> np.ndarray:
     return sorted_set[idx] == h
 
 
-def _lm_counts_semijoin(
-    ds: ray.data.Dataset, ref: ray.data.Dataset, *, num_buckets: int
-) -> ray.data.Dataset:
+def _lm_counts_semijoin(ds: ray.data.Dataset, ref: ray.data.Dataset) -> ray.data.Dataset:
     """Per-doc (lm_hits, oov_tokens) when the reference vocab can't broadcast:
-    union corpus token/bigram occurrence rows with the distinct reference
-    rows, bucket by hash, one vectorized segment scan per bucket emits
-    partial counts (including zeros, so every doc keeps a row), then a
-    doc-bucket merge sums partials — no driver state, no per-key groups."""
+    corpus token/bigram occurrence rows and the distinct reference rows go
+    through the hash exchange on the hash, one vectorized membership scan
+    per bucket emits partial counts (including zeros, so every doc keeps a
+    row), then an exchange on the doc sums the partials — no driver state,
+    no per-key groups. ``udaf.cpu_units`` of the (materialized) reference
+    row count sizes the buckets."""
     from epichypersketch_jl_ray.functions.text import ngram_hashes, token_hashes
-
-    nb = np.uint64(num_buckets)
-
-    def tag_ref(batch: pa.Table) -> pa.Table:
-        h = batch["h"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "kind": batch["kind"],
-                "h": batch["h"],
-                "doc_id": pa.array(np.full(len(h), -1, np.int64), pa.int64()),
-                "bucket": pa.array(
-                    (h.view(np.uint64) % nb).astype(np.int64), pa.int64()
-                ),
-            }
-        )
+    from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
+    from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
 
     def corpus_rows(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -117,65 +104,34 @@ def _lm_counts_semijoin(
                 "kind": pa.array(kind, pa.int64()),
                 "h": pa.array(h, pa.int64()),
                 "doc_id": pa.array(doc, pa.int64()),
-                "bucket": pa.array(
-                    (h.view(np.uint64) % nb).astype(np.int64), pa.int64()
-                ),
             }
         )
 
-    both = ref.map_batches(tag_ref, batch_format="pyarrow").union(
-        ds.map_batches(corpus_rows, batch_format="pyarrow")
-    )
-
-    def bucket_scan(group: pa.Table) -> pa.Table:
-        k = group["kind"].to_numpy(zero_copy_only=False)
-        h = group["h"].to_numpy(zero_copy_only=False)
-        d = group["doc_id"].to_numpy(zero_copy_only=False)
-        if len(k) == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "lm_hits": pa.array([], pa.int64()),
-                    "oov_tokens": pa.array([], pa.int64()),
-                    "doc_bucket": pa.array([], pa.int64()),
-                }
-            )
-        order = np.lexsort((h, k))
-        ks, hs, ds_ = k[order], h[order], d[order]
-        new = np.ones(len(ks), dtype=bool)
-        new[1:] = (ks[1:] != ks[:-1]) | (hs[1:] != hs[:-1])
-        seg = np.cumsum(new) - 1
-        n_seg = int(seg[-1]) + 1
-        has_ref = np.bincount(seg[ds_ == -1], minlength=n_seg) > 0
-        corpus = ds_ != -1
-        docs, inv = np.unique(ds_[corpus], return_inverse=True)
-        hits = np.bincount(
-            inv[(ks[corpus] == 1) & has_ref[seg[corpus]]], minlength=len(docs)
-        )
-        oov = np.bincount(
-            inv[(ks[corpus] == 0) & ~has_ref[seg[corpus]]], minlength=len(docs)
-        )
+    def bucket_scan(vocab: pa.Table, corpus: pa.Table) -> pa.Table:
+        vk = vocab["kind"].to_numpy(zero_copy_only=False)
+        vh = vocab["h"].to_numpy(zero_copy_only=False).astype(np.int64)
+        k = corpus["kind"].to_numpy(zero_copy_only=False)
+        h = corpus["h"].to_numpy(zero_copy_only=False)
+        d = corpus["doc_id"].to_numpy(zero_copy_only=False)
+        uni, bg = k == 0, k == 1
+        in_ref = np.zeros(len(h), dtype=bool)
+        in_ref[uni] = _member(np.sort(vh[vk == 0]), h[uni])
+        in_ref[bg] = _member(np.sort(vh[vk == 1]), h[bg])
+        docs, inv = np.unique(d, return_inverse=True)
+        hits = np.bincount(inv[bg & in_ref], minlength=len(docs))
+        oov = np.bincount(inv[uni & ~in_ref], minlength=len(docs))
         return pa.table(
             {
                 "doc_id": pa.array(docs, pa.int64()),
                 "lm_hits": pa.array(hits.astype(np.int64), pa.int64()),
                 "oov_tokens": pa.array(oov.astype(np.int64), pa.int64()),
-                "doc_bucket": pa.array(
-                    (docs.astype(np.uint64) % nb).astype(np.int64), pa.int64()
-                ),
             }
         )
 
     def merge_counts(group: pa.Table) -> pa.Table:
         d = group["doc_id"].to_numpy(zero_copy_only=False)
         if len(d) == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "lm_hits": pa.array([], pa.int64()),
-                    "oov_tokens": pa.array([], pa.int64()),
-                }
-            )
+            return group
         lm = group["lm_hits"].to_numpy(zero_copy_only=False)
         ov = group["oov_tokens"].to_numpy(zero_copy_only=False)
         order = np.argsort(d, kind="stable")
@@ -191,12 +147,14 @@ def _lm_counts_semijoin(
             }
         )
 
-    return (
-        both.groupby("bucket")
-        .map_groups(bucket_scan, batch_format="pyarrow")
-        .groupby("doc_bucket")
-        .map_groups(merge_counts, batch_format="pyarrow")
+    buckets = cpu_units(ref.count())
+    corpus = block_refs(ds.map_batches(corpus_rows, batch_format="pyarrow"))
+    partial = map_buckets(
+        bucket_scan,
+        hash_partition(block_refs(ref), ["h"], buckets),
+        hash_partition(corpus, ["h"], buckets),
     )
+    return map_buckets(merge_counts, hash_partition(block_refs(partial), ["doc_id"], buckets))
 
 
 DOC_STATS_COLUMNS = [
@@ -212,7 +170,6 @@ def doc_stats(
     *,
     ref_mod: int = 10,
     broadcast_cap: int = 4_000_000,
-    num_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Per-document quality features + PII redaction + reference-LM coverage,
     all with SQL-expressible definitions (the redaction regexes are RE2 in
@@ -314,7 +271,7 @@ def doc_stats(
         return pa.table(cols)
 
     stats_ds = ds.map_batches(base_stats, batch_format="pyarrow")
-    counts = _lm_counts_semijoin(ds, ref, num_buckets=num_buckets)
+    counts = _lm_counts_semijoin(ds, ref)
     joined = bucketed_hash_join(
         stats_ds, counts, left_on="doc_id", right_on="doc_id"
     )
@@ -526,23 +483,27 @@ FROM documents GROUP BY lang
 """
 
 
-def distinctive_terms(sf_dir: str, *, k: int = 3, num_buckets: int = 64) -> ray.data.Dataset:
+def distinctive_terms(sf_dir: str, *, k: int = 3) -> ray.data.Dataset:
     """Per-document top-k distinctive terms, tf-idf-style but integer-exact:
     score = tf / df as one IEEE double division (bit-identical in numpy and
     DuckDB — no transcendentals), ties broken by term.
 
     Scale shape: ONE map_batches builds the distinct (doc_id, term, tf) pairs
     (pandas groupby per batch — the minimal pre-aggregation; df cannot be
-    combined below distinct-pair granularity), then two bucketed groupbys:
-    term-hash buckets compute df per term AND attach it in the same segment
-    scan (df is just the per-term row count over distinct pairs — no separate
-    df shuffle or join), doc-hash buckets take the per-doc top-k. No
-    broadcast, no driver state; skewed terms spread across buckets by hash.
+    combined below distinct-pair granularity), then two hash exchanges
+    (stages/exchange): term buckets compute df per term AND attach it in the
+    same segment scan (df is just the per-term row count over distinct pairs
+    — no separate df shuffle or join), doc buckets take the per-doc top-k.
+    No broadcast, no driver state; skewed terms spread across buckets by
+    hash. ``udaf.cpu_units`` of the documents' footer row count sizes both.
     """
     import pandas as pd
     import pyarrow.compute as pc
 
     from epichypersketch_jl_ray.functions.hashing import hash_strings_fast
+    from epichypersketch_jl_ray.sources.tables import table_rows
+    from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
+    from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -558,17 +519,14 @@ def distinctive_terms(sf_dir: str, *, k: int = 3, num_buckets: int = 64) -> ray.
             .reset_index(name="tf")
         )
         terms = pa.array(tf["term"], pa.string())
-        bucket = hash_strings_fast(terms).view(np.int64) % num_buckets
         return pa.table(
             {
                 "doc_id": pa.array(tf["doc_id"].to_numpy(), pa.int64()),
                 "term": terms,
                 "tf": pa.array(tf["tf"].to_numpy().astype(np.int64), pa.int64()),
-                "bucket": pa.array(bucket, pa.int64()),
+                "term_h": pa.array(hash_strings_fast(terms).view(np.int64)),
             }
         )
-
-    pairs = docs.map_batches(tf_pairs, batch_format="pyarrow")
 
     def attach_df(group: pa.Table) -> pa.Table:
         term = group["term"].to_numpy(zero_copy_only=False)
@@ -580,20 +538,14 @@ def distinctive_terms(sf_dir: str, *, k: int = 3, num_buckets: int = 64) -> ray.
         df_per_seg = np.bincount(seg)
         df = np.empty(len(term), np.int64)
         df[order] = df_per_seg[seg]
-        doc_ids = group["doc_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "doc_id": group["doc_id"],
                 "term": group["term"],
                 "tf": group["tf"],
                 "df": pa.array(df, pa.int64()),
-                "doc_bucket": pa.array(
-                    doc_ids.view(np.uint64) % num_buckets, pa.int64()
-                ),
             }
         )
-
-    with_df = pairs.groupby("bucket").map_groups(attach_df, batch_format="pyarrow")
 
     def topk(group: pa.Table) -> pa.Table:
         doc = group["doc_id"].to_numpy(zero_copy_only=False)
@@ -618,7 +570,10 @@ def distinctive_terms(sf_dir: str, *, k: int = 3, num_buckets: int = 64) -> ray.
             }
         )
 
-    return with_df.groupby("doc_bucket").map_groups(topk, batch_format="pyarrow")
+    buckets = cpu_units(table_rows(sf_dir, "documents"))
+    pairs = block_refs(docs.map_batches(tf_pairs, batch_format="pyarrow"))
+    with_df = map_buckets(attach_df, hash_partition(pairs, ["term_h"], buckets))
+    return map_buckets(topk, hash_partition(block_refs(with_df), ["doc_id"], buckets))
 
 
 def distinctive_terms_sql(k: int = 3) -> str:

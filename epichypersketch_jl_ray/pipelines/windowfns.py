@@ -4,8 +4,8 @@ Three operator classes the rest of the suite doesn't cover:
 
 - grouped top-N  (ROW_NUMBER() OVER (PARTITION BY g ORDER BY v DESC) <= n):
   pre-aggregate -> co-locate by group -> vectorized per-group head.
-- cumulative aggregate (SUM(v) OVER (PARTITION BY k ORDER BY t)): bucket by
-  key hash, ONE lexsort per bucket, segment cumsum — with SQL's default
+- cumulative aggregate (SUM(v) OVER (PARTITION BY k ORDER BY t)): the hash
+  exchange on the key, ONE lexsort per bucket, segment cumsum — with SQL's default
   RANGE frame tie semantics (ties share the frame end) so the answer is
   deterministic and hash-comparable.
 - ROLLUP multi-level aggregation: one pass per level over the already
@@ -25,7 +25,9 @@ import ray
 from ray.data.aggregate import Count, Sum
 
 from epichypersketch_jl_ray.pipelines.relational import _cents  # ONE rounding rule
-from epichypersketch_jl_ray.sources.tables import read_table
+from epichypersketch_jl_ray.sources.tables import read_table, table_rows
+from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
+from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
 
 
 def top_parts_per_brand(
@@ -40,8 +42,6 @@ def top_parts_per_brand(
     shuffle); the brand attach is size-aware (broadcast partkey→brand below
     the threshold, native hash join above — same strategy and threshold test
     as revenue_by_nation); one tiny per-brand groupby ranks."""
-    from epichypersketch_jl_ray.sources.tables import table_rows
-
     li = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_extendedprice", "l_discount"])
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -117,26 +117,19 @@ FROM w WHERE rn <= {n}
 """
 
 
-def user_cumulative_spend(sf_dir: str, *, num_buckets: int | None = None) -> ray.data.Dataset:
+def user_cumulative_spend(sf_dir: str) -> ray.data.Dataset:
     """Running total per user over purchase events (SUM OVER (PARTITION BY
     user ORDER BY ts)) with SQL's default RANGE frame: rows tied on ts all
     carry the tie group's closing total, making the result order-independent
-    and hash-stable. One bucketed shuffle, one lexsort + segment cumsum per
-    bucket."""
+    and hash-stable. One hash exchange on the user, one lexsort + segment
+    cumsum per bucket."""
     import pyarrow.compute as pc
 
-    from epichypersketch_jl_ray.functions.hashing import hash_int64
-    from epichypersketch_jl_ray.sources.tables import table_rows
-    from epichypersketch_jl_ray.stages.join import auto_bucket_count
-
-    if num_buckets is None:
-        num_buckets = auto_bucket_count(table_rows(sf_dir, "events"))
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_type", "value"])
 
     def purchases(batch: pa.Table) -> pa.Table:
         sub = batch.filter(pc.equal(batch["event_type"], "purchase"))
         u = sub["user_id"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        b = (hash_int64(u, seed=41) % np.uint64(num_buckets)).astype(np.int64)
         return pa.table(
             {
                 "user_id": pa.array(u, pa.int64()),
@@ -146,7 +139,6 @@ def user_cumulative_spend(sf_dir: str, *, num_buckets: int | None = None) -> ray
                 "cents": pa.array(
                     _cents(sub["value"].to_numpy(zero_copy_only=False)), pa.int64()
                 ),
-                "bucket": pa.array(b, pa.int64()),
             }
         )
 
@@ -186,11 +178,9 @@ def user_cumulative_spend(sf_dir: str, *, num_buckets: int | None = None) -> ray
             }
         )
 
-    return (
-        ds.map_batches(purchases, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    refs = block_refs(ds.map_batches(purchases, batch_format="pyarrow"))
+    buckets = cpu_units(table_rows(sf_dir, "events"))
+    return map_buckets(per_bucket, hash_partition(refs, ["user_id"], buckets))
 
 
 def user_cumulative_spend_sql() -> str:
@@ -202,27 +192,20 @@ FROM events WHERE event_type = 'purchase'
 """
 
 
-def user_purchase_gaps(sf_dir: str, *, num_buckets: int | None = None) -> ray.data.Dataset:
+def user_purchase_gaps(sf_dir: str) -> ray.data.Dataset:
     """LAG window shape: for every purchase after a user's first, the gap in
     microseconds since that user's previous purchase (ts - LAG(ts) OVER
     (PARTITION BY user ORDER BY ts, event_id)). event_id breaks timestamp
-    ties, so the answer is deterministic and hash-comparable. Same bucketed
-    shape as user_cumulative_spend: one shuffle on hash(user) % buckets, one
-    lexsort + segment diff per bucket — no per-user task, no driver loop."""
+    ties, so the answer is deterministic and hash-comparable. Same shape as
+    user_cumulative_spend: one hash exchange on the user, one lexsort +
+    segment diff per bucket — no per-user task, no driver loop."""
     import pyarrow.compute as pc
 
-    from epichypersketch_jl_ray.functions.hashing import hash_int64
-    from epichypersketch_jl_ray.sources.tables import table_rows
-    from epichypersketch_jl_ray.stages.join import auto_bucket_count
-
-    if num_buckets is None:
-        num_buckets = auto_bucket_count(table_rows(sf_dir, "events"))
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_type", "event_id"])
 
     def purchases(batch: pa.Table) -> pa.Table:
         sub = batch.filter(pc.equal(batch["event_type"], "purchase"))
         u = sub["user_id"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        b = (hash_int64(u, seed=43) % np.uint64(num_buckets)).astype(np.int64)
         return pa.table(
             {
                 "user_id": pa.array(u, pa.int64()),
@@ -230,7 +213,6 @@ def user_purchase_gaps(sf_dir: str, *, num_buckets: int | None = None) -> ray.da
                     sub["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False), pa.int64()
                 ),
                 "event_id": sub["event_id"].cast(pa.int64()),
-                "bucket": pa.array(b, pa.int64()),
             }
         )
 
@@ -260,11 +242,9 @@ def user_purchase_gaps(sf_dir: str, *, num_buckets: int | None = None) -> ray.da
             }
         )
 
-    return (
-        ds.map_batches(purchases, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    refs = block_refs(ds.map_batches(purchases, batch_format="pyarrow"))
+    buckets = cpu_units(table_rows(sf_dir, "events"))
+    return map_buckets(per_bucket, hash_partition(refs, ["user_id"], buckets))
 
 
 def user_purchase_gaps_sql() -> str:

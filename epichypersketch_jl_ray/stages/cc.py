@@ -11,13 +11,13 @@ independent numpy/Ray implementation):
 Alternating the two passes preserves connectivity and monotonically shrinks
 the graph until every component is a star rooted at its minimum node —
 O(log^2 n) rounds in the worst case, 2-4 rounds for the shallow clusters
-real near-dup graphs produce. Each pass is ONE bucketed groupby (bucket =
-hash(center) % B) whose per-bucket body is fully vectorized (one lexsort +
-run-length segment mins) — no joins, no per-node Python, no driver-side
-edge materialization. The driver only sees three scalars per round (edge
-count + two independent 40-bit hash sums) for the fixpoint test, so the
-pair volume a 100 TB near-dup scan produces streams through the same
-groupby machinery as any other table.
+real near-dup graphs produce. Each pass is ONE hash exchange on the center
+node (stages/exchange) whose per-bucket body is fully vectorized (one
+lexsort + run-length segment mins) — no joins, no per-node Python, no
+driver-side edge materialization. The driver only sees three scalars per
+round (edge count + two independent 40-bit hash sums) for the fixpoint
+test, so the pair volume a 100 TB near-dup scan produces streams through
+the same exchange as any other table.
 
 This is the transitive-closure step real corpus dedup needs: pair-wise
 removal (drop doc_b of every verified pair) misses nodes that are only
@@ -35,6 +35,8 @@ import ray
 from ray.data.aggregate import Count, Min, Sum
 
 from epichypersketch_jl_ray.functions.hashing import hash_int64
+from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
+from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
 
 
 def _empty_components() -> ray.data.Dataset:
@@ -44,10 +46,11 @@ def _empty_components() -> ray.data.Dataset:
 
 
 def _star_pass(
-    edges: ray.data.Dataset, *, large: bool, num_buckets: int, dedupe: bool = True
+    edges: ray.data.Dataset, *, large: bool, buckets: int, dedupe: bool = True
 ) -> ray.data.Dataset:
-    """One large-star or small-star pass: symmetrize, bucket by center node,
-    vectorized per-bucket segment-min emit, canonical (u < v) dedupe.
+    """One large-star or small-star pass: symmetrize, hash exchange on the
+    center node into ``buckets`` buckets, vectorized per-bucket segment-min
+    emit, canonical (u < v) dedupe.
 
     ``dedupe=False`` skips the output's (u, v) dedupe groupby. Safe when
     the NEXT consumer is another star pass: min over a neighbor MULTISET
@@ -59,14 +62,10 @@ def _star_pass(
     def symmetrize(batch: pa.Table) -> pa.Table:
         u = batch["u"].to_numpy(zero_copy_only=False)
         v = batch["v"].to_numpy(zero_copy_only=False)
-        c = np.concatenate([u, v])
-        n = np.concatenate([v, u])
-        b = (hash_int64(c, seed=13) % np.uint64(num_buckets)).astype(np.int64)
         return pa.table(
             {
-                "c": pa.array(c, pa.int64()),
-                "n": pa.array(n, pa.int64()),
-                "b": pa.array(b, pa.int64()),
+                "c": pa.array(np.concatenate([u, v]), pa.int64()),
+                "n": pa.array(np.concatenate([v, u]), pa.int64()),
             }
         )
 
@@ -75,7 +74,9 @@ def _star_pass(
         n = group["n"].to_numpy(zero_copy_only=False)
         order = np.lexsort((n, c))
         c, n = c[order], n[order]
-        starts = np.flatnonzero(np.concatenate(([True], c[1:] != c[:-1])))
+        first = np.ones(len(c), bool)  # a 0-row bucket keeps 0 rows
+        first[1:] = c[1:] != c[:-1]
+        starts = np.flatnonzero(first)
         counts = np.diff(np.append(starts, len(c)))
         # n is sorted within each center segment, so n[starts] is the min
         # neighbor; m = min(N(u) | {u})
@@ -98,11 +99,8 @@ def _star_pass(
             }
         )
 
-    out = (
-        edges.map_batches(symmetrize, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    centers = block_refs(edges.map_batches(symmetrize, batch_format="pyarrow"))
+    out = map_buckets(per_bucket, hash_partition(centers, ["c"], buckets))
     if not dedupe:
         return out
     return (
@@ -184,7 +182,6 @@ def connected_components(
     *,
     src: str = "doc_a",
     dst: str = "doc_b",
-    num_buckets: int = 16,
     max_rounds: int = 64,
     single_task_threshold: int = 1_000_000,
 ) -> ray.data.Dataset:
@@ -217,9 +214,11 @@ def connected_components(
         return _single_task_components(edges)
 
     fp = _fingerprint(edges)
+    # sized once, from the first round's symmetrized rows
+    buckets = cpu_units(2 * n_edges)
     for _ in range(max_rounds):
-        edges = _star_pass(edges, large=True, num_buckets=num_buckets, dedupe=False)
-        edges = _star_pass(edges, large=False, num_buckets=num_buckets).materialize()
+        edges = _star_pass(edges, large=True, buckets=buckets, dedupe=False)
+        edges = _star_pass(edges, large=False, buckets=buckets).materialize()
         new_fp = _fingerprint(edges)
         # probabilistic fixpoint test: equal count + two independent 40-bit
         # hash sums. A collision (different edge multisets, same triple;

@@ -131,10 +131,9 @@ def cold_cooccurrence_rows(
     batch: pa.Table,
     *,
     hot_shingles: np.ndarray,
-    num_buckets: int = 64,
 ) -> pa.Table:
     """Explode each doc's COLD shingles (outside the broadcast hot-df set)
-    to (shingle, shingle_bucket, doc_id, set_size) posting rows for the
+    to (shingle, doc_id, set_size) posting rows for the
     df-capped co-occurrence count. ``set_size`` stays the FULL distinct
     count (cold + hot) — Jaccard denominators use full set sizes.
 
@@ -151,7 +150,6 @@ def cold_cooccurrence_rows(
     return pa.table(
         {
             "shingle": pa.array(sh, pa.int64()),
-            "shingle_bucket": pa.array(sh % num_buckets, pa.int64()),
             "doc_id": pa.array(doc_ids[rows], pa.int64()),
             "set_size": pa.array(lengths[rows], pa.int64()),
         }
@@ -205,9 +203,8 @@ def cooccurrence_pairs_in_bucket(batch: pa.Table, *, threshold: float) -> pa.Tab
     key, apply the length filter (min >= ceil(t*max) — a failing pair cannot
     reach threshold t, and the predicate is per-pair deterministic so the
     pair is dropped at EVERY key or none), then pre-aggregate duplicate
-    pairs within the bucket (one lexsort + run-length) so the global
-    groupby(doc_a, doc_b) shuffle ships partial counts, not one row per
-    shared shingle.
+    pairs within the bucket (one lexsort + run-length) so the exchange on
+    (doc_a, doc_b) ships partial counts, not one row per shared shingle.
 
     Output: (doc_a, doc_b, size_a, size_b, n) with n = number of shared
     shingles of the pair within this bucket; summing n across buckets gives
@@ -225,7 +222,7 @@ def cooccurrence_pairs_in_bucket(batch: pa.Table, *, threshold: float) -> pa.Tab
     docs = batch["doc_id"].to_numpy(zero_copy_only=False)
     sizes = batch["set_size"].to_numpy(zero_copy_only=False)
     if len(keys) == 0:
-        return with_pair_bucket(empty)
+        return empty
     order = np.lexsort((docs, keys))
     keys, docs, sizes = keys[order], docs[order], sizes[order]
     boundaries = np.flatnonzero(np.diff(keys, prepend=keys[0] - 1))
@@ -246,7 +243,7 @@ def cooccurrence_pairs_in_bucket(batch: pa.Table, *, threshold: float) -> pa.Tab
         out_sa.append(np.where(swap, sb, sa))
         out_sb.append(np.where(swap, sa, sb))
     if not out_a:
-        return with_pair_bucket(empty)
+        return empty
     a = np.concatenate(out_a)
     b = np.concatenate(out_b)
     sa = np.concatenate(out_sa)
@@ -258,7 +255,7 @@ def cooccurrence_pairs_in_bucket(batch: pa.Table, *, threshold: float) -> pa.Tab
     first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
     starts = np.flatnonzero(first)
     counts = np.diff(np.append(starts, len(a)))
-    out = pa.table(
+    return pa.table(
         {
             "doc_a": pa.array(a[starts], pa.int64()),
             "doc_b": pa.array(b[starts], pa.int64()),
@@ -267,29 +264,14 @@ def cooccurrence_pairs_in_bucket(batch: pa.Table, *, threshold: float) -> pa.Tab
             "n": pa.array(counts, pa.int64()),
         }
     )
-    return with_pair_bucket(out)
-
-
-def with_pair_bucket(batch: pa.Table, *, num_buckets: int = 64) -> pa.Table:
-    """Tag pair rows with pair_bucket = hash(doc_a, doc_b) % num_buckets —
-    the colocation key for merging a pair's partial counts. A coarse bucket
-    groupby + vectorized run-length merge inside map_groups replaces a
-    full groupby(doc_a, doc_b) sort-aggregate, which at ~1M tiny groups
-    costs >10x the merge itself."""
-    from epichypersketch_jl_ray.functions.hashing import hash_int64
-
-    a = batch["doc_a"].to_numpy(zero_copy_only=False)
-    b = batch["doc_b"].to_numpy(zero_copy_only=False)
-    h = hash_int64(a, seed=9) ^ hash_int64(b, seed=11)
-    cols = {c: batch[c] for c in batch.column_names if c != "pair_bucket"}
-    cols["pair_bucket"] = pa.array((h % np.uint64(num_buckets)).astype(np.int64), pa.int64())
-    return pa.table(cols)
 
 
 def merge_pair_counts(group: pa.Table) -> pa.Table:
     """Merge partial (doc_a, doc_b, size_a, size_b, n) rows within one
-    pair_bucket group: sum n per pair (sizes are per-doc constants — take
-    first). One lexsort + run-length, no per-group Python."""
+    bucket of the exchange on (doc_a, doc_b): sum n per pair (sizes are
+    per-doc constants — take first). One lexsort + run-length, no per-pair
+    Python — a groupby(doc_a, doc_b) sort-aggregate at ~1M tiny groups
+    costs >10x the merge itself."""
     a = group["doc_a"].to_numpy(zero_copy_only=False)
     b = group["doc_b"].to_numpy(zero_copy_only=False)
     sa = group["size_a"].to_numpy(zero_copy_only=False)
@@ -408,10 +390,7 @@ def attach_list_column(
     list_col: str,
     out_col: str,
     *,
-    num_buckets: int = 64,
     dedupe_on: list[str] | None = None,
-    pair_fields: list[pa.Field] | None = None,
-    list_type: pa.DataType | None = None,
 ) -> "ray.data.Dataset":
     """Distributed equi-join that carries a list<int64> payload: attach
     ``lists[list_col]`` to every pair row whose ``key_col`` matches
@@ -419,94 +398,46 @@ def attach_list_column(
 
     Ray's native hash join delegates to pyarrow acero, which rejects list
     payload columns ("Data type list<...> is not supported in join non-key
-    field"), so this uses the portable bucketed shape instead: both sides are
-    tagged with ``hash(key) % num_buckets``, unioned under one padded schema,
-    shuffled once by bucket, and matched per group with a vectorized
-    searchsorted + arrow take. Partitioning assumption: a single key's
-    shingle row plus the pair rows referencing it fit in one group — buckets
-    hold many keys, so ``num_buckets`` scales freely with the corpus.
+    field"), so both sides go through the hash exchange (stages/exchange)
+    on their key instead, and one task per bucket matches its pair rows
+    to its list rows with a vectorized searchsorted + arrow take. A
+    bucket holds many keys; ``udaf.cpu_units(pairs.count())`` buckets, so
+    pass a materialized ``pairs``.
 
     ``dedupe_on``: drop duplicate pair rows (same values in these columns)
-    inside each group — valid because rows agreeing on ``key_col`` co-locate
-    by construction, so all duplicates of a pair land in one group. This
-    fuses the pair-dedupe into the attach shuffle instead of paying a
-    dedicated groupby stage.
-
-    ``pair_fields`` / ``list_type``: pass the schemas explicitly when known
-    — ``ds.schema()`` on a LAZY dataset executes the plan's prefix, and for
-    an upstream all-to-all (e.g. chaining two attach passes) that can run
-    the first shuffle an extra time just to learn the schema.
+    inside each bucket — valid because rows agreeing on ``key_col``
+    co-locate by construction, so all duplicates of a pair land in one
+    bucket. This fuses the pair-dedupe into the attach exchange instead
+    of paying a dedicated groupby stage.
     """
-    from epichypersketch_jl_ray.functions.hashing import hash_int64
+    from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
+    from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
 
-    pair_schema = pa.schema(
-        [pa.field(f.name, f.type) for f in (pair_fields or _dataset_schema(pairs))]
-    )
-    if list_type is None:
-        list_type = next(f.type for f in _dataset_schema(lists) if f.name == list_col)
-
-    def tag_pairs(batch: pa.Table) -> pa.Table:
-        b = (hash_int64(batch[key_col].to_numpy(zero_copy_only=False), seed=5) % np.uint64(num_buckets)).astype(np.int64)
-        cols = {c: batch[c] for c in pair_schema.names}
-        cols["__join_key"] = batch[key_col].cast(pa.int64())
-        cols["__bucket"] = pa.array(b, pa.int64())
-        cols["__is_pair"] = pa.array(np.ones(len(batch), bool))
-        cols[out_col] = pa.nulls(len(batch), list_type)
-        return pa.table(cols)
-
-    def tag_lists(batch: pa.Table) -> pa.Table:
-        b = (hash_int64(batch[list_key].to_numpy(zero_copy_only=False), seed=5) % np.uint64(num_buckets)).astype(np.int64)
-        cols = {c: pa.nulls(len(batch), pair_schema.field(c).type) for c in pair_schema.names}
-        cols["__join_key"] = batch[list_key].cast(pa.int64())
-        cols["__bucket"] = pa.array(b, pa.int64())
-        cols["__is_pair"] = pa.array(np.zeros(len(batch), bool))
-        cols[out_col] = batch[list_col]
-        return pa.table(cols)
-
-    unioned = pairs.map_batches(tag_pairs, batch_format="pyarrow").union(
-        lists.map_batches(tag_lists, batch_format="pyarrow")
-    )
-
-    def attach(group: pa.Table) -> pa.Table:
-        is_pair = group["__is_pair"].to_numpy(zero_copy_only=False)
-        keys = group["__join_key"].to_numpy(zero_copy_only=False)
-        payload = group[out_col]
-        if isinstance(payload, pa.ChunkedArray):
-            payload = payload.combine_chunks()
-        side_idx = np.flatnonzero(~is_pair)
-        side_keys = keys[side_idx]
+    def attach(prs: pa.Table, lst: pa.Table) -> pa.Table:
+        side_keys = lst[list_key].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(side_keys, kind="stable")
         side_keys = side_keys[order]
-        side_idx = side_idx[order]
-        pair_pos = np.flatnonzero(is_pair)
-        if dedupe_on and len(pair_pos):
-            cols = [
-                group[c].to_numpy(zero_copy_only=False)[pair_pos] for c in dedupe_on
-            ]
+        if dedupe_on and prs.num_rows:
+            cols = [prs[c].to_numpy(zero_copy_only=False) for c in dedupe_on]
             dorder = np.lexsort(cols[::-1])
             dup = np.ones(len(dorder), dtype=bool)
             dup[0] = False
             for c in cols:
                 cs = c[dorder]
                 dup[1:] &= cs[1:] == cs[:-1]
-            pair_pos = pair_pos[dorder[~dup]]
-        want = keys[pair_pos]
-        loc = np.searchsorted(side_keys, want)
-        loc = np.minimum(loc, max(len(side_keys) - 1, 0))
+            prs = prs.take(pa.array(dorder[~dup], pa.int64()))
+        want = prs[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        loc = np.minimum(np.searchsorted(side_keys, want), max(len(side_keys) - 1, 0))
         found = (side_keys[loc] == want) if len(side_keys) else np.zeros(len(want), bool)
-        pair_pos = pair_pos[found]
-        attached = payload.take(pa.array(side_idx[loc[found]], pa.int64()))
-        sub = group.take(pa.array(pair_pos, pa.int64()))
-        cols = {c: sub[c] for c in pair_schema.names}
-        cols[out_col] = attached
-        return pa.table(cols)
+        attached = lst[list_col].take(pa.array(order[loc[found]], pa.int64()))
+        return prs.filter(pa.array(found)).append_column(out_col, attached)
 
-    return unioned.groupby("__bucket").map_groups(attach, batch_format="pyarrow")
-
-
-def _dataset_schema(ds) -> list:
-    sch = ds.schema()
-    return [pa.field(n, t) for n, t in zip(sch.names, sch.types)]
+    buckets = cpu_units(pairs.count())
+    return map_buckets(
+        attach,
+        hash_partition(block_refs(pairs), [key_col], buckets),
+        hash_partition(block_refs(lists), [list_key], buckets, [list_key, list_col]),
+    )
 
 
 def simhash_signature_table(batch: pa.Table) -> pa.Table:

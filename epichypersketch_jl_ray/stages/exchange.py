@@ -13,10 +13,14 @@ Data operator.
   one block per bucket, in bucket order.
 
 Users: the activation group-by (``sources.activation``), the three
-bucketed joins (``stages.join``) and the bucketed exact recount
-(``stages.udaf.exact_recount``). Each sizes its buckets with
-``udaf.cpu_units(rows)``. The exchange moves M input blocks × R buckets
-objects (SCALE.md "The one real shuffle").
+bucketed joins (``stages.join``), the bucketed exact recount
+(``stages.udaf.exact_recount``), and every per-bucket map whose bucket
+only routes rows: the window functions and sessionize, the graph edge
+dedup, connected components' star passes, the dedup verify, attach,
+span and n-gram pair-count stages, distinctive terms, the LM-coverage and
+decontamination semi-joins, and the domain cap. Each sizes its buckets
+with ``udaf.cpu_units(rows)``. The exchange moves M input blocks × R
+buckets objects (SCALE.md "The one real shuffle").
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ def _split(block, key_cols: list[str], num_buckets: int, columns: list[str] | No
         tbl = pa.Table.from_pandas(block, preserve_index=False)
     else:
         tbl = BlockAccessor.for_block(block).to_arrow()
+    if not tbl.num_columns:  # Ray Data's map of a 0-row block drops its columns
+        return [tbl] * num_buckets if num_buckets > 1 else tbl
     if columns is not None:
         tbl = tbl.select(columns)
     h = hash_combine(
@@ -78,13 +84,13 @@ def hash_partition(
 def _map_bucket(fn, counts: tuple[int, ...], *slices: pa.Table) -> pa.Table:
     """``fn`` of one bucket's table per side; ``counts`` says how many of
     ``slices`` each side has. A side's table is its non-empty slices
-    concatenated, or its first slice when all are empty, so it keeps its
+    concatenated, or its widest slice when all are empty, so it keeps its
     columns."""
     tables, start = [], 0
     for n in counts:
         side = slices[start : start + n]
         start += n
-        kept = [t for t in side if t.num_rows] or side[:1]
+        kept = [t for t in side if t.num_rows] or [max(side, key=lambda t: t.num_columns)]
         tables.append(pa.concat_tables(kept, promote_options="permissive"))
     return fn(*tables)
 

@@ -28,33 +28,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
 import ray.data
 
 from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
-from epichypersketch_jl_ray.stages.udaf import block_refs, cluster_cpus, cpu_units
-
-_TARGET_ROWS_PER_BUCKET = 1 << 16
-_MAX_BUCKETS = 4096
-
-
-def auto_bucket_count(size_hint_rows: int | None, *, lo: int | None = None) -> int:
-    """Bucket count that grows with input size: ~64k rows per bucket,
-    clamped to [lo, 4096]. None hint (no cheap row count available) falls
-    back to ``lo`` — callers with parquet inputs should pass a footer count
-    (sources.tables.table_rows).
-
-    The default floor is the session's CPU count (min 16): buckets are the
-    parallelism of every downstream map_groups, and a row-derived count
-    below the core count would idle workers on mid-size inputs (a 330k-row
-    candidate set computing 16 buckets on a 32-core node ran the verify
-    stage at half occupancy). Row-targeted sizing still dominates for big
-    inputs."""
-    if lo is None:
-        lo = max(16, cluster_cpus()) if ray.is_initialized() else 16
-    if size_hint_rows is None:
-        return lo
-    return max(lo, min(_MAX_BUCKETS, -(-int(size_hint_rows) // _TARGET_ROWS_PER_BUCKET)))
+from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
 
 
 def _join_buckets(

@@ -194,16 +194,14 @@ def cluster_cpus() -> int:
 
 def cpu_units(rows: int | None) -> int:
     """How many units to cut ``rows`` input rows into: the smallest multiple
-    of ``cluster_cpus()`` that is at least ``ceil(rows / 2**16)`` (the
-    ``join.auto_bucket_count`` row target, at most 4096; one per CPU when
-    ``rows`` is None). Units scale with the input, and every round of one
-    task per unit fills the CPUs evenly. The one cut rule of the web
-    build's corpus row ranges and of every hash exchange's buckets (the
-    activation, the bucketed joins, the bucketed exact recount)."""
-    from epichypersketch_jl_ray.stages.join import auto_bucket_count
-
+    of ``cluster_cpus()`` that is at least ``ceil(rows / 2**16)``, capped
+    at 4096 before the rounding (one per CPU when ``rows`` is None). Units
+    scale with the input, and every round of one task per unit fills the
+    CPUs evenly. The one cut rule of the web build's corpus row ranges and
+    of every hash exchange's buckets."""
     cpus = cluster_cpus()
-    return -(-auto_bucket_count(rows, lo=1) // cpus) * cpus
+    units = 1 if rows is None else min(4096, max(1, -(-int(rows) // 2**16)))
+    return -(-units // cpus) * cpus
 
 
 @ray.remote

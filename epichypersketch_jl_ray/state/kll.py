@@ -172,8 +172,12 @@ class KLL(MergeableSketch):
         return super().to_bytes()
 
     def _state_arrays(self) -> tuple:
-        self._compress()
-        out = [("k", self.k), ("n", self.n)]
-        for i, lv in enumerate(self.levels):
+        # compact a copy, so digest() leaves this state, its bytes and its
+        # answers as they were (_compress rebinds levels, never writes them)
+        c = KLL(self.k, seed=self.seed)
+        c.levels, c.n = list(self.levels), self.n
+        c._compress()
+        out = [("k", c.k), ("n", c.n)]
+        for i, lv in enumerate(c.levels):
             out.append((f"level{i}", np.sort(lv)))
         return tuple(out)

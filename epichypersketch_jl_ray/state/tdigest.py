@@ -132,10 +132,14 @@ class TDigest(MergeableSketch):
         return super().to_bytes()
 
     def _state_arrays(self) -> tuple:
-        self._compress()
+        # compress a copy, so digest() leaves this state, its bytes and its
+        # answers as they were (_compress rebinds arrays, never writes them)
+        c = TDigest(self.compression)
+        c.means, c.weights, c._buf, c.n = self.means, self.weights, list(self._buf), self.n
+        c._compress()
         return (
-            ("compression", self.compression),
-            ("means", self.means),
-            ("weights", self.weights),
+            ("compression", c.compression),
+            ("means", c.means),
+            ("weights", c.weights),
             ("minmax", np.array([self._min, self._max])),
         )

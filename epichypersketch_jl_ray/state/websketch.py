@@ -72,8 +72,6 @@ class WebSketchState(MergeableSketch):
 
     def _state_arrays(self) -> tuple:
         out = [("rows_seen", self.rows_seen)]
-        for name in ("cms", "hll", "kll", "bloom"):
+        for name in ("cms", "hll", "kll", "bloom", "tdigest"):
             out.append((name, getattr(self, name).digest()))
-        # tdigest buffers flush on digest; keep it canonical too
-        out.append(("tdigest", self.tdigest.digest()))
         return tuple(out)

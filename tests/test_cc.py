@@ -25,10 +25,13 @@ def _union_find_minima(edges: list[tuple[int, int]]) -> dict[int, int]:
 
 
 def _run_cc(edges, *, single_task_threshold=0):
-    """Default forces the distributed star path; pass a large threshold to
-    exercise the single-task union-find shortcut."""
+    """Default forces the distributed star path (over 4 buckets); pass a
+    large threshold to exercise the single-task union-find shortcut."""
+    from unittest import mock
+
     import ray
 
+    from epichypersketch_jl_ray.stages import udaf
     from epichypersketch_jl_ray.stages.cc import connected_components
 
     pairs = ray.data.from_arrow(
@@ -39,9 +42,9 @@ def _run_cc(edges, *, single_task_threshold=0):
             }
         )
     )
-    out = connected_components(
-        pairs, num_buckets=4, single_task_threshold=single_task_threshold
-    ).to_pandas()
+    with mock.patch.object(udaf, "cluster_cpus", lambda: 4):
+        out = connected_components(pairs, single_task_threshold=single_task_threshold)
+    out = out.to_pandas()
     if len(out) == 0:
         return {}
     return dict(zip(out["node"].astype(int), out["component"].astype(int)))

@@ -227,15 +227,19 @@ def test_jaccard_verify_batch_property():
     check()
 
 
-def test_attach_list_column_property(ray_session):
+def test_attach_list_column_property(ray_session, monkeypatch):
     """attach_list_column == an inner join attaching the list payload
-    (random pairs, some referencing missing keys, which drop)."""
+    (random pairs, some referencing missing keys, which drop), over 7
+    buckets."""
     import numpy as np
     import pyarrow as pa
 
     import ray
 
+    from epichypersketch_jl_ray.stages import udaf
     from epichypersketch_jl_ray.stages.dedup import attach_list_column
+
+    monkeypatch.setattr(udaf, "cluster_cpus", lambda: 7)
 
     rng = np.random.default_rng(123)
     doc_ids = np.arange(50, dtype=np.int64)
@@ -253,24 +257,25 @@ def test_attach_list_column_property(ray_session):
             }
         )
     )
-    out = attach_list_column(
-        pairs, "doc_a", shingles, "doc_id", "shingles", "sh_a", num_buckets=7
-    ).to_pandas()
+    out = attach_list_column(pairs, "doc_a", shingles, "doc_id", "shingles", "sh_a").to_pandas()
     present = pairs_a < 50
     assert len(out) == present.sum()
     for _, row in out.sample(n=min(30, len(out)), random_state=0).iterrows():
         assert list(row["sh_a"]) == lists[int(row["doc_a"])]
 
 
-def test_attach_list_column_dedupe_on(ray_session):
-    """dedupe_on drops duplicate pair rows inside each group (all duplicates
-    of a pair co-locate via the key-side bucket)."""
+def test_attach_list_column_dedupe_on(ray_session, monkeypatch):
+    """dedupe_on drops duplicate pair rows inside each bucket (all duplicates
+    of a pair co-locate via the key-side bucket), over 4 buckets."""
     import numpy as np
     import pyarrow as pa
 
     import ray
 
+    from epichypersketch_jl_ray.stages import udaf
     from epichypersketch_jl_ray.stages.dedup import attach_list_column
+
+    monkeypatch.setattr(udaf, "cluster_cpus", lambda: 4)
 
     pairs = ray.data.from_arrow(
         pa.table(
@@ -289,8 +294,7 @@ def test_attach_list_column_dedupe_on(ray_session):
         )
     )
     out = attach_list_column(
-        pairs, "doc_a", shingles, "doc_id", "shingles", "sh", num_buckets=4,
-        dedupe_on=["doc_a", "doc_b"],
+        pairs, "doc_a", shingles, "doc_id", "shingles", "sh", dedupe_on=["doc_a", "doc_b"]
     ).to_pandas()
     got = sorted(zip(out["doc_a"], out["doc_b"]))
     assert got == [(1, 5), (1, 6), (2, 7)]

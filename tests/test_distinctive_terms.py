@@ -37,8 +37,11 @@ def test_matches_duckdb_at_sf0001(ray_session):
     _compare("/root/testdata/sf0.001")
 
 
-def test_bucket_count_invariance(ray_session):
-    _compare("/root/testdata/sf0.001", num_buckets=7, k=2)
+def test_bucket_count_invariance(ray_session, monkeypatch):
+    from epichypersketch_jl_ray.stages import udaf
+
+    monkeypatch.setattr(udaf, "cluster_cpus", lambda: 7)
+    _compare("/root/testdata/sf0.001", k=2)
 
 
 def test_planted_scores_and_tiebreak(ray_session, tmp_path):

@@ -219,3 +219,105 @@ def test_exchange_users_run_no_ray_data_all_to_all(ray_session, monkeypatch):
     want = recount(sel)
     assert 0 < want.num_rows < n
     assert got.equals(want.sort_by("data_index"))
+
+
+def test_routing_bucket_users_run_no_ray_data_map_groups(ray_session, monkeypatch):
+    """Every per-bucket map whose bucket only routes rows runs on
+    stages/exchange: with Ray Data's GroupedData.map_groups raising, each
+    moved query at sf0.001 equals its DuckDB oracle (the semi-joins forced
+    onto their scale path), connected components equals a driver
+    union-find and attach_list_column an inner join. 32 buckets leave some
+    bucket without a row, and every bucket task also runs its function on
+    0-row tables, which must give 0 rows of the bucket output's schema."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+    from ray.data.grouped_data import GroupedData
+
+    from oracle_util import compare, duck_con
+    from epichypersketch_jl_ray.pipelines import curate, dedup, relational, textstats, windowfns
+    from epichypersketch_jl_ray.pipelines.merged import (
+        customer_orders_and_pagerank,
+        customer_orders_and_pagerank_sql,
+    )
+    from epichypersketch_jl_ray.stages import exchange, udaf
+    from epichypersketch_jl_ray.stages.cc import connected_components
+    from epichypersketch_jl_ray.stages.dedup import attach_list_column
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Ray Data map_groups ran")
+
+    monkeypatch.setattr(GroupedData, "map_groups", forbidden)
+    monkeypatch.setattr(udaf, "cluster_cpus", lambda: 32)
+    run_bucket = exchange._map_bucket._function
+
+    @ray.remote
+    def checked_bucket(fn, counts, *slices):
+        out = run_bucket(fn, counts, *slices)
+        sides, start = [], 0
+        for n in counts:
+            sides.append(max(slices[start : start + n], key=lambda t: t.num_columns).slice(0, 0))
+            start += n
+        empty = run_bucket(fn, (1,) * len(counts), *sides)
+        assert empty.num_rows == 0 and empty.schema == out.schema, (empty.schema, out.schema)
+        return out
+
+    monkeypatch.setattr(exchange, "_map_bucket", checked_bucket)
+
+    sf = "/root/testdata/sf0.001"
+    con = duck_con(sf)
+    cases = {
+        "user_cumulative_spend": (
+            windowfns.user_cumulative_spend(sf), windowfns.user_cumulative_spend_sql()
+        ),
+        "user_purchase_gaps": (windowfns.user_purchase_gaps(sf), windowfns.user_purchase_gaps_sql()),
+        "sessionize": (relational.sessionize(sf), relational.sessionize_sql()),
+        "customer_order_counts": (
+            customer_orders_and_pagerank(sf), customer_orders_and_pagerank_sql()
+        ),
+        "dedup_incremental": (
+            dedup.dedup_incremental(sf, bloom_capacity=64), dedup.dedup_incremental_sql()
+        ),
+        "domain_cap_sample": (curate.domain_cap_sample(sf, k=4), curate.domain_cap_sample_sql(4)),
+        "duplicated_spans": (dedup.duplicated_spans(sf), dedup.duplicated_spans_sql()),
+        "distinctive_terms": (textstats.distinctive_terms(sf), textstats.distinctive_terms_sql()),
+        "dedup_ngram_jaccard": (dedup.dedup_ngram_jaccard(sf), dedup.dedup_ngram_jaccard_sql()),
+        "doc_stats": (textstats.doc_stats(sf, broadcast_cap=0), textstats.doc_stats_sql()),
+        "decontaminate_corpus": (
+            curate.decontaminate_corpus(sf, broadcast_cap=0), curate.decontaminate_corpus_sql()
+        ),
+    }
+    for name, (ours, sql) in cases.items():
+        theirs = con.sql(sql).df()
+        assert len(theirs), name
+        assert compare(name, ours.to_pandas(), theirs) == [], name
+    blocks = ray.get(windowfns.user_cumulative_spend(sf).to_arrow_refs())
+    assert len(blocks) == 32 and min(b.num_rows for b in blocks) == 0
+
+    rng = np.random.default_rng(4)
+    edges = rng.integers(0, 80, size=(120, 2))
+    pairs = ray.data.from_arrow(pa.table({"doc_a": edges[:, 0], "doc_b": edges[:, 1]}))
+    got = connected_components(pairs, single_task_threshold=0).to_pandas()
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for a, b in edges.tolist():
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    want = {n: find(n) for n in parent if any(n in e and e[0] != e[1] for e in edges.tolist())}
+    assert dict(zip(got["node"].tolist(), got["component"].tolist())) == want
+
+    lists = pa.table(
+        {"doc_id": pa.array(np.arange(40)), "sh": pa.array([[i, i + 1] for i in range(40)])}
+    )
+    keys = rng.integers(0, 50, 300)
+    out = attach_list_column(
+        ray.data.from_arrow(pa.table({"doc_a": keys, "doc_b": keys + 1})).materialize(),
+        "doc_a", ray.data.from_arrow(lists), "doc_id", "sh", "sh_a",
+    ).to_pandas()
+    assert sorted(out["doc_a"]) == sorted(keys[keys < 40])
+    assert all(list(s) == [a, a + 1] for a, s in zip(out["doc_a"], out["sh_a"]))

@@ -39,23 +39,28 @@ def test_generic_html_entity_encoded_markup_stays_text():
     assert out.to_pylist() == ["<script>evil()</script>", "&lt;kept&gt;"]
 
 
-def test_auto_bucket_count_grows_and_clamps():
-    from epichypersketch_jl_ray.stages.join import auto_bucket_count
+def test_cpu_units_grows_and_clamps(monkeypatch):
+    from epichypersketch_jl_ray.stages import udaf
 
-    assert auto_bucket_count(None) == 16
-    assert auto_bucket_count(1000) == 16  # lo clamp
-    small = auto_bucket_count(10_000_000)
-    large = auto_bucket_count(1_000_000_000)
-    assert small < large  # grows with input
-    assert auto_bucket_count(10**13) == 4096  # hi clamp
-    assert auto_bucket_count(2**16 * 100) == 100  # ~target rows per bucket
+    monkeypatch.setattr(udaf, "cluster_cpus", lambda: 1)
+    assert udaf.cpu_units(None) == 1
+    assert udaf.cpu_units(0) == udaf.cpu_units(1000) == 1  # one unit at least
+    assert udaf.cpu_units(10_000_000) < udaf.cpu_units(1_000_000_000)  # grows with input
+    assert udaf.cpu_units(10**13) == 4096  # hi clamp
+    assert udaf.cpu_units(2**16 * 100) == 100  # ~target rows per unit
+    assert udaf.cpu_units(2**16 * 100 + 1) == 101
+    monkeypatch.setattr(udaf, "cluster_cpus", lambda: 16)
+    assert udaf.cpu_units(None) == udaf.cpu_units(1000) == 16  # one per CPU
+    assert udaf.cpu_units(2**16 * 100) == 112  # rounded up to a multiple of the CPUs
+    assert udaf.cpu_units(10**13) == 4096
 
 
-def test_sessionize_bucket_count_scales_with_table(tmp_path):
+def test_sessionize_bucket_count_scales_with_table(monkeypatch):
     """The pipeline derives its bucket count from the parquet footer count."""
     from epichypersketch_jl_ray.sources.tables import table_rows
-    from epichypersketch_jl_ray.stages.join import auto_bucket_count
+    from epichypersketch_jl_ray.stages import udaf
 
+    monkeypatch.setattr(udaf, "cluster_cpus", lambda: 4)
     n = table_rows("/root/testdata/sf0.001", "events")
     assert n > 0
-    assert auto_bucket_count(n * 100_000) > auto_bucket_count(n)
+    assert udaf.cpu_units(n * 100_000) > udaf.cpu_units(n)

@@ -483,3 +483,49 @@ def test_tdigest_merge_order_byte_canonical_lossy_regime():
     assert len(blobs) == 1
     assert len(q50) == 1
     assert abs(next(iter(q50)) - np.quantile(vals, 0.5)) < 0.05
+
+
+def test_digest_leaves_state_unchanged():
+    """digest() hashes a compacted COPY: a merged (compaction-deferred) KLL,
+    a t-digest with a pending buffer and a WebSketchState holding both keep
+    their pickled state, and answer quantile(0.5) and serialize exactly as
+    a twin built the same way that was never digested."""
+    import pickle
+
+    from epichypersketch_jl_ray.state.websketch import WebSketchState
+
+    parts = np.array_split(np.random.default_rng(13).exponential(size=20_000), 8)
+
+    def kll():
+        out = KLL(k=32, seed=5)
+        for p in parts:
+            out.merge(KLL(k=32, seed=5).update(p))
+        return out
+
+    def web():
+        states = []
+        for p in parts[:4]:
+            lengths = np.round(p * 100).astype(np.int64)
+            states.append(
+                WebSketchState(
+                    delta=0.1, epsilon=0.01, kll_k=32, compression=50, bloom_capacity=1024
+                ).update(
+                    ngram_keys=hash_int64(lengths, seed=1),
+                    url_hashes=hash_int64(lengths, seed=2),
+                    text_lengths=lengths,
+                )
+            )
+        return states[0].merge_many(states[1:])
+
+    for build, quantile in (
+        (kll, KLL.quantile),
+        (lambda: TDigest(compression=50).update(parts[0]).update(parts[1][:300]), TDigest.quantile),
+        (web, lambda s, q: (s.kll.quantile(q), s.tdigest.quantile(q))),
+    ):
+        state, twin = build(), build()
+        before = pickle.dumps(state)
+        digest = state.digest()
+        assert pickle.dumps(state) == before
+        assert state.digest() == digest
+        assert quantile(state, 0.5) == quantile(twin, 0.5)
+        assert state.to_bytes() == twin.to_bytes()

@@ -98,7 +98,7 @@ def test_stratified_sample_by_lang(ray_session, sf_dir):
     assert out.equals(again)
 
 
-def test_domain_cap_sample_matches_sql(ray_session, sf_dir):
+def test_domain_cap_sample_matches_sql(ray_session, sf_dir, monkeypatch):
     """Per-domain cap: exact vs the window-function oracle, at default and
     adversarial (tiny batch / few buckets) shapes, and k sweep."""
     from oracle_util import duck_con
@@ -107,6 +107,7 @@ def test_domain_cap_sample_matches_sql(ray_session, sf_dir):
         domain_cap_sample,
         domain_cap_sample_sql,
     )
+    from epichypersketch_jl_ray.stages import udaf
 
     con = duck_con(sf_dir)
     for k in (1, 4, 25):
@@ -125,8 +126,9 @@ def test_domain_cap_sample_matches_sql(ray_session, sf_dir):
         )
         assert got.equals(exp), f"k={k}"
     # partial-path stress: batches smaller than k, single-bucket merge
+    monkeypatch.setattr(udaf, "cluster_cpus", lambda: 1)
     got = (
-        domain_cap_sample(sf_dir, k=4, batch_size=3, num_buckets=1)
+        domain_cap_sample(sf_dir, k=4, batch_size=3)
         .to_pandas()
         .sort_values(["source", "doc_id"])
         .reset_index(drop=True)

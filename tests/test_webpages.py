@@ -177,7 +177,7 @@ def test_checkpoint_resume_identical(web_dir, tmp_path):
 
     ck = str(tmp_path / "ck")
     full, m_full = build_checkpointed(files, make_partial, WebSketchState, ck)
-    full_bytes = full.to_bytes()  # before digest(), which flushes KLL/t-digest buffers
+    full_bytes = full.to_bytes()
     assert m_full["resumed_partitions"] == 0 and m_full["rows"] == N
     assert m_full["partitions"] == 4  # 3000 rows on 4 CPUs
 
