@@ -172,8 +172,9 @@ def word_count_dataset(ds, column: str, *, lowercase: bool = True):
     """Exact distributed word-frequency table of a text column:
     one C-level regex scan + Counter per batch (map-side combine — the
     shuffle ships distinct-words-per-batch, not the token stream), then a
-    groupby(word).sum. Returns a Dataset of (word, count)."""
-    import ray.data  # noqa: F401  (ds is already a Dataset; keep import local)
+    per-word sum on the hash exchange (``group_aggregate``). Returns a
+    Dataset of (word, count)."""
+    from epichypersketch_jl_ray.stages.exchange import group_aggregate
 
     def partial(batch: pa.Table) -> pa.Table:
         texts = batch[column].combine_chunks()
@@ -192,14 +193,8 @@ def word_count_dataset(ds, column: str, *, lowercase: bool = True):
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    return (
-        ds.select_columns([column])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("word")
-        .aggregate(Sum("count", alias_name="count"))
-    )
+    words = ds.select_columns([column]).map_batches(partial, batch_format="pyarrow")
+    return group_aggregate(words, ["word"], {"count": ("count", "sum")}, None)
 
 
 def train_bpe_distributed(

@@ -8,10 +8,12 @@ Stage shapes (all distributed, no driver materialization of corpus-scale
 data):
 1. quality filter — vectorized predicate pushpast the read (only doc_id,
    text, n_chars columns leave storage).
-2. exact dedup — groupby on the 128-bit content hash, keep min doc_id.
+2. exact dedup — one hash exchange on the 128-bit content hash, keep min
+   doc_id.
 3. near-dup removal — MinHash-LSH banding + distributed exact-Jaccard
    verification (minhash_pairs) among the exact-dedup keepers; for each
-   verified pair (a < b) the higher doc_id drops. Pair-wise (not
+   verified pair (a < b) the higher doc_id drops, by a bucketed left anti
+   join of the keepers with the dropped ids (``_drop_ids``). Pair-wise (not
    transitive-closure) removal, matching the oracle's NOT IN semantics.
 """
 
@@ -22,11 +24,16 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-from ray.data.aggregate import Max, Min
-
 from epichypersketch_jl_ray.pipelines.dedup import SHINGLE_N, minhash_pairs
 from epichypersketch_jl_ray.stages.dedup import content_key_table
-from epichypersketch_jl_ray.sources.tables import read_table
+from epichypersketch_jl_ray.stages.exchange import (
+    aggregate_table,
+    group_aggregate,
+    hash_partition,
+    map_buckets,
+)
+from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
+from epichypersketch_jl_ray.sources.tables import read_table, table_rows
 
 
 # session-level cache of the chain head shared by curate_corpus,
@@ -55,19 +62,21 @@ def _keeper_docs(sf_dir: str, *, min_chars: int) -> ray.data.Dataset:
 
     filtered = docs.map_batches(quality, batch_format="pyarrow")
 
-    # ONE groupby carries the text through the exact-dedup shuffle: all rows
+    # ONE hash exchange carries the text through the exact dedup: all rows
     # of a (h1, h2) group share the same text by construction (content
-    # hash), so Max("text") is just "pick it" — this replaces the earlier
+    # hash), so the max text is just "pick it" — this replaces the earlier
     # groupby + rejoin-on-doc_id, which shuffled the text a second time
-    keeper_docs = (
-        filtered.map_batches(
-            lambda b: content_key_table(b, keep=("text",)), batch_format="pyarrow"
-        )
-        .groupby(["h1", "h2"])
-        .aggregate(Min("doc_id", alias_name="doc_id"), Max("text", alias_name="text"))
-        .drop_columns(["h1", "h2"])
-        .materialize()
+    keys = ["h1", "h2"]
+
+    def keep_min(t: pa.Table) -> pa.Table:
+        aggs = {"doc_id": ("doc_id", "min"), "text": ("text", "max")}
+        return aggregate_table(t, keys, aggs).drop_columns(keys)
+
+    keyed = filtered.map_batches(
+        lambda b: content_key_table(b, keep=("text",)), batch_format="pyarrow"
     )
+    buckets = cpu_units(table_rows(sf_dir, "documents"))
+    keeper_docs = map_buckets(keep_min, hash_partition(block_refs(keyed), keys, buckets))
     _KEEPER_CACHE[key] = keeper_docs
     return keeper_docs
 
@@ -81,22 +90,33 @@ def _keepers_and_pairs(
     key = (sf_dir, min_chars, threshold)
     if key in _CHAIN_CACHE:
         return _CHAIN_CACHE[key]
-    keepers, pairs = _keepers_and_pairs_uncached(
-        sf_dir, min_chars=min_chars, threshold=threshold
-    )
-    keepers, pairs = keepers.materialize(), pairs.materialize()
+    keepers = _keeper_docs(sf_dir, min_chars=min_chars)
+    pairs = minhash_pairs(keepers, threshold=threshold).materialize()
     _CHAIN_CACHE[key] = (keepers, pairs)
     return keepers, pairs
 
 
-def _keepers_and_pairs_uncached(
-    sf_dir: str, *, min_chars: int, threshold: float
-) -> tuple[ray.data.Dataset, ray.data.Dataset]:
-    keeper_docs = _keeper_docs(sf_dir, min_chars=min_chars)
-    keepers = keeper_docs.select_columns(["doc_id"])
+def _drop_ids(
+    keepers: ray.data.Dataset, drops: ray.data.Dataset, drop_col: str, ids
+) -> ray.data.Dataset:
+    """(doc_id) of the keepers (``_keeper_docs``) minus the dropped ids: both
+    sides go through one hash exchange on the doc id (``keepers.doc_id``,
+    ``drops[drop_col]``); per bucket, ``ids(keepers table, drops table)``
+    gives (keeper ids, dropped ids), and one Arrow left anti join removes
+    the dropped ones."""
 
-    pairs = minhash_pairs(keeper_docs, threshold=threshold)
-    return keepers, pairs
+    def anti(k: pa.Table, d: pa.Table) -> pa.Table:
+        keep, drop = ids(k, d)
+        keep = pa.table({"doc_id": keep.cast(pa.int64())})
+        drop = pa.table({"doc_id": drop.cast(pa.int64())})
+        return keep.join(drop, "doc_id", join_type="left anti")
+
+    buckets = cpu_units(keepers.count())
+    return map_buckets(
+        anti,
+        hash_partition(block_refs(keepers), ["doc_id"], buckets, ["doc_id"]),
+        hash_partition(block_refs(drops), [drop_col], buckets),
+    )
 
 
 def curate_corpus(
@@ -110,34 +130,8 @@ def curate_corpus(
         sf_dir, min_chars=min_chars, threshold=threshold
     )
 
-    # drop the higher doc_id of every verified pair: union keepers (flag 0)
-    # with pair doc_b's (flag 1), one groupby, keep max-flag 0 — the
-    # distributed anti-join shape without a second join machinery
-    def drops(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch["doc_b"].cast(pa.int64()),
-                "dropped": pa.array(np.ones(len(batch), np.int64), pa.int64()),
-            }
-        )
-
-    def keeps(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"].cast(pa.int64()),
-                "dropped": pa.array(np.zeros(len(batch), np.int64), pa.int64()),
-            }
-        )
-
-    flagged = keepers.map_batches(keeps, batch_format="pyarrow").union(
-        pairs.map_batches(drops, batch_format="pyarrow")
-    )
-    agg = flagged.groupby("doc_id").aggregate(Max("dropped", alias_name="dropped"))
-
-    def survivors(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["dropped"], 0)).select(["doc_id"])
-
-    return agg.map_batches(survivors, batch_format="pyarrow")
+    # drop the higher doc_id of every verified pair
+    return _drop_ids(keepers, pairs, "doc_b", lambda k, d: (k["doc_id"], d["doc_b"]))
 
 
 def curate_corpus_cc(
@@ -159,35 +153,11 @@ def curate_corpus_cc(
 
     comps = connected_components(pairs)
 
-    # drop every clustered node except its component minimum, via the same
-    # union + groupby anti-join shape as curate_corpus
-    def drops(batch: pa.Table) -> pa.Table:
-        keep = pc.not_equal(batch["node"], batch["component"])
-        dropped_nodes = batch.filter(keep)
-        return pa.table(
-            {
-                "doc_id": dropped_nodes["node"].cast(pa.int64()),
-                "dropped": pa.array(np.ones(len(dropped_nodes), np.int64), pa.int64()),
-            }
-        )
+    # drop every clustered node except its component minimum
+    def ids(k: pa.Table, d: pa.Table) -> tuple:
+        return k["doc_id"], d["node"].filter(pc.not_equal(d["node"], d["component"]))
 
-    def keeps(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"].cast(pa.int64()),
-                "dropped": pa.array(np.zeros(len(batch), np.int64), pa.int64()),
-            }
-        )
-
-    flagged = keepers.map_batches(keeps, batch_format="pyarrow").union(
-        comps.map_batches(drops, batch_format="pyarrow")
-    )
-    agg = flagged.groupby("doc_id").aggregate(Max("dropped", alias_name="dropped"))
-
-    def survivors(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["dropped"], 0)).select(["doc_id"])
-
-    return agg.map_batches(survivors, batch_format="pyarrow")
+    return _drop_ids(keepers, comps, "node", ids)
 
 
 def curate_corpus_cc_sql(min_chars: int = 120, threshold: float = 0.5) -> str:
@@ -325,17 +295,16 @@ def decontaminate_corpus(
     that share NO ngram_n-token window with any eval-set document."""
     keeper_docs = _keeper_docs(sf_dir, min_chars=min_chars)
 
-    ev = (
+    ev = group_aggregate(
         keeper_docs.map_batches(
             lambda b: _split_ngram_rows(
                 b, eval_mod=eval_mod, ngram_n=ngram_n, want_eval=True, with_ids=False
             ),
             batch_format="pyarrow",
-        )
-        .groupby("g")
-        .count()
-        .select_columns(["g"])
-        .materialize()
+        ),
+        ["g"],
+        {},
+        keeper_docs.count(),
     )
 
     n_ev = ev.count()
@@ -344,7 +313,7 @@ def decontaminate_corpus(
         evset = (
             np.sort(ev.to_pandas()["g"].to_numpy().astype(np.int64))
             if n_ev
-            else np.empty(0, np.int64)  # empty groupby loses its schema
+            else np.empty(0, np.int64)  # to_pandas of 0 rows has no columns
         )
         evset_ref = ray.put(evset)
 
@@ -374,33 +343,11 @@ def decontaminate_corpus(
     # semi-join path: anti-join train keepers against the contaminated set
     contaminated = _contaminated_semijoin(ev, keeper_docs, eval_mod=eval_mod, ngram_n=ngram_n)
 
-    def keeps(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ids = ids[ids % eval_mod != 0]
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, pa.int64()),
-                "dropped": pa.array(np.zeros(len(ids), np.int64), pa.int64()),
-            }
-        )
+    def ids(k: pa.Table, d: pa.Table) -> tuple:
+        keep = k["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.array(keep[keep % eval_mod != 0]), d["doc_id"]
 
-    def drops(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"].cast(pa.int64()),
-                "dropped": pa.array(np.ones(len(batch), np.int64), pa.int64()),
-            }
-        )
-
-    flagged = keeper_docs.map_batches(keeps, batch_format="pyarrow").union(
-        contaminated.map_batches(drops, batch_format="pyarrow")
-    )
-    agg = flagged.groupby("doc_id").aggregate(Max("dropped", alias_name="dropped"))
-
-    def only_clean(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["dropped"], 0)).select(["doc_id"])
-
-    return agg.map_batches(only_clean, batch_format="pyarrow")
+    return _drop_ids(keeper_docs, contaminated, "doc_id", ids)
 
 
 def decontaminate_corpus_sql(

@@ -9,10 +9,9 @@ import numpy as np
 import pyarrow as pa
 
 import ray
-from ray.data.aggregate import Count, Min
 
 from epichypersketch_jl_ray.functions.text import word_shingle_hashes
-from epichypersketch_jl_ray.sources.tables import read_table
+from epichypersketch_jl_ray.sources.tables import read_table, table_rows
 from epichypersketch_jl_ray.stages.ann import cosine_sql, quantize_cosine
 from epichypersketch_jl_ray.stages.dedup import (
     SignatureStage,
@@ -23,7 +22,12 @@ from epichypersketch_jl_ray.stages.dedup import (
     merge_pair_counts,
     simhash_candidates_from_chunk,
 )
-from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
+from epichypersketch_jl_ray.stages.exchange import (
+    aggregate_table,
+    group_aggregate,
+    hash_partition,
+    map_buckets,
+)
 from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
 from epichypersketch_jl_ray.state.minhash import hamming_distance64
 
@@ -43,18 +47,22 @@ def _shingle_table(batch: pa.Table) -> pa.Table:
 
 def dedup_exact(sf_dir: str) -> ray.data.Dataset:
     """Exact dedup: group on a vectorized 128-bit content hash, keep min
-    doc_id (hash-partition + per-group first — the standard exact-dedup
-    shuffle). The key is content_hash128 (two independent uint64 passes, no
-    per-row Python in the keying scan of the whole corpus); the oracle
-    groups by text itself, so the compare is on (keep_id, dup_count) — the
-    hash columns are engine-internal and dropped from the output."""
+    doc_id (one hash exchange on the hash + an Arrow group-by per bucket —
+    the standard exact-dedup shuffle). The key is content_hash128 (two
+    independent uint64 passes, no per-row Python in the keying scan of the
+    whole corpus); the oracle groups by text itself, so the compare is on
+    (keep_id, dup_count) — the hash columns are engine-internal and dropped
+    from the output inside the bucket task."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
+    keys = ["h1", "h2"]
 
-    return (
-        ds.map_batches(content_key_table, batch_format="pyarrow")
-        .groupby(["h1", "h2"])
-        .aggregate(Min("doc_id", alias_name="keep_id"), Count(alias_name="dup_count"))
-        .drop_columns(["h1", "h2"])
+    def keep_min(t: pa.Table) -> pa.Table:
+        aggs = {"keep_id": ("doc_id", "min"), "dup_count": ([], "count_all")}
+        return aggregate_table(t, keys, aggs).drop_columns(keys)
+
+    refs = block_refs(ds.map_batches(content_key_table, batch_format="pyarrow"))
+    return map_buckets(
+        keep_min, hash_partition(refs, keys, cpu_units(table_rows(sf_dir, "documents")))
     )
 
 
@@ -242,11 +250,11 @@ def minhash_pairs(
     Scale shape: ONE read of the corpus computes the shingle-hash table
     (hashes only — tiny relative to the text), materialized in the object
     store and reused by both the banding branch and verification. Candidate
-    pairs are deduplicated with a distributed groupby (not a driver
-    drop_duplicates), the shingle side is semi-join pruned by a broadcast
+    pairs are deduplicated with a distributed ``group_aggregate`` (not a
+    driver drop_duplicates), the shingle side is semi-join pruned by a broadcast
     Bloom over candidate doc ids, then each pair is co-located with both
     docs' shingle lists via two bucketed attach passes on doc_id
-    (stages.dedup.attach_list_column — Ray's native join can't carry list
+    (stages.dedup.attach_list_column — an Arrow hash join can't carry list
     payloads), and exact Jaccard is computed vectorized per batch
     (stages.dedup.jaccard_verify_batch). No driver-side take_all of shingles
     and no per-pair Python loop — at 100 TB the candidate-pair set streams
@@ -264,18 +272,14 @@ def minhash_pairs(
     # gave a 5k-doc corpus only ~3 tasks; 256 docs/task keeps every core fed
     # while the (S, num_perms) temp stays cache-friendly (~4 MB)
     exploded = shingles.map_batches(band_rows, batch_format="pyarrow", batch_size=256)
-    cand = (
-        exploded.groupby("band_bucket")
-        .map_groups(candidate_pairs_from_band, batch_format="pyarrow")
-        # a pair can match in up to `bands` buckets: dedupe with a dedicated
-        # distributed groupby BEFORE the attach shuffles, so the (possibly
-        # ~bands×) duplicate volume never enters them. (Fusing the dedupe
-        # into attach via dedupe_on measured slower for exactly that reason.)
-        .groupby(["doc_a", "doc_b"])
-        .aggregate(Count(alias_name="n_bands"))
-        .drop_columns(["n_bands"])
-        .materialize()
+    banded = exploded.groupby("band_bucket").map_groups(
+        candidate_pairs_from_band, batch_format="pyarrow"
     )
+    # a pair can match in up to `bands` buckets: dedupe with a dedicated
+    # distributed distinct BEFORE the attach shuffles, so the (possibly
+    # ~bands×) duplicate volume never enters them. (Fusing the dedupe into
+    # attach via dedupe_on measured slower for exactly that reason.)
+    cand = group_aggregate(banded, ["doc_a", "doc_b"], {}, shingles.count())
     return _verify_jaccard_pairs(
         cand,
         shingles,
@@ -573,7 +577,7 @@ def ngram_jaccard_pairs(
 
     if len(hot_keys) == 0:
         # bounded-df corpus: the cold counts ARE the exact intersections
-        return cold_pairs.map_batches(finalize, batch_format="pyarrow")
+        return _map_blocks(finalize, cold_pairs)
     return _ngram_hot_correction(
         cold_pairs,
         shingles,
@@ -583,6 +587,13 @@ def ngram_jaccard_pairs(
         finalize=finalize,
         hot_sublist_rows=hot_sublist_rows,
     )
+
+
+def _map_blocks(fn, ds: ray.data.Dataset) -> ray.data.Dataset:
+    """``fn`` of every block of ``ds`` (a ``map_buckets`` output), one task
+    per block. Unlike a Ray Data map, it runs ``fn`` on a 0-row block too,
+    so every output block has ``fn``'s schema."""
+    return map_buckets(fn, [[ref] for ref in block_refs(ds)])
 
 
 def _merge_pair_counts(refs, buckets: int) -> ray.data.Dataset:
@@ -679,14 +690,8 @@ def _ngram_hot_correction(
             keep = both_dh
         return batch.filter(pa.array(keep))
 
-    cold_only = cold_pairs.map_batches(
-        lambda t: route(t, "cold_only"), batch_format="pyarrow"
-    )
-    result = cold_only.map_batches(finalize, batch_format="pyarrow")
-
-    needs_attach = cold_pairs.map_batches(
-        lambda t: route(t, "needs_attach"), batch_format="pyarrow"
-    ).materialize()
+    result = _map_blocks(lambda t: finalize(route(t, "cold_only")), cold_pairs)
+    needs_attach = _map_blocks(lambda t: route(t, "needs_attach"), cold_pairs)
     if needs_attach.count() > 0:
         with_a = attach_list_column(
             needs_attach, "doc_a", hot_docs, "doc_id", "hot_shingles", "hot_a"
@@ -706,16 +711,10 @@ def _ngram_hot_correction(
                 }
             )
 
-        result = result.union(
-            with_ab.map_batches(add_hot, batch_format="pyarrow").map_batches(
-                finalize, batch_format="pyarrow"
-            )
-        )
+        result = result.union(_map_blocks(lambda t: finalize(add_hot(t)), with_ab))
 
     if len(dh_ids) > 0:
-        both_dh_cold = cold_pairs.map_batches(
-            lambda t: route(t, "dh"), batch_format="pyarrow"
-        )
+        both_dh_cold = _map_blocks(lambda t: route(t, "dh"), cold_pairs)
 
         def dh_filter(batch: pa.Table) -> pa.Table:
             dh = ray.get(dh_ref)
@@ -781,7 +780,7 @@ def _ngram_hot_correction(
         dh_total = _merge_pair_counts(
             itertools.chain(block_refs(both_dh_cold), block_refs(hot_only)), buckets
         )
-        result = result.union(dh_total.map_batches(finalize, batch_format="pyarrow"))
+        result = result.union(_map_blocks(finalize, dh_total))
     return result
 
 
@@ -901,10 +900,10 @@ def dedup_embedding_lsh(
     derives identical buckets without coordination); candidate pairs form
     only WITHIN a bucket (groupby + per-group exact pairwise cosine), and a
     pair found in several probe buckets is deduplicated by a distributed
-    groupby. Work is O(sum over buckets of bucket_size²) instead of O(N²) —
-    recall < 1 by construction (asserted against the exact block-pair
-    pipeline in tests); every emitted pair's cosine is exact, so precision
-    is 1.
+    max (``group_aggregate``). Work is O(sum over buckets of
+    bucket_size²) instead of O(N²) — recall < 1 by construction (asserted
+    against the exact block-pair pipeline in tests); every emitted pair's
+    cosine is exact, so precision is 1.
 
     ``store_buckets=True`` writes the (bucket, vec_id) assignment table to
     partitioned parquet at ``store_dir("emb_lsh_buckets")`` (the dedup_simhash
@@ -959,8 +958,6 @@ def dedup_embedding_lsh(
             }
         )
 
-    from ray.data.aggregate import Max
-
     assigned = ds.map_batches(assign, batch_format="pyarrow")
     if store_buckets:
         from epichypersketch_jl_ray.sources.sinks import overwrite_store, store_dir
@@ -968,11 +965,9 @@ def dedup_embedding_lsh(
         assigned = overwrite_store(
             assigned, store_dir("emb_lsh_buckets"), columns=["bucket", "vec_id"]
         )
-    return (
-        assigned.groupby("bucket")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-        .groupby(["vec_a", "vec_b"])
-        .aggregate(Max("cosine", alias_name="cosine"))
+    pairs = assigned.groupby("bucket").map_groups(bucket_pairs, batch_format="pyarrow")
+    return group_aggregate(
+        pairs, ["vec_a", "vec_b"], {"cosine": ("cosine", "max")}, table_rows(sf_dir, table)
     )
 
 

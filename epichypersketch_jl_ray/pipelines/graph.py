@@ -20,7 +20,7 @@ nodes; scale FP_ONE down for larger graphs.
 
 Scale shape: per iteration, ONE edge-scale map_batches (rank lookup via a
 broadcast, per-worker-memoized contribution vector — stages/udaf
-broadcast_get) + ONE groupby(dst) sum; driver state is NODE-scale only (the
+broadcast_get) + ONE per-dst sum; driver state is NODE-scale only (the
 rank/degree vectors — the IVF-centroid bounded-driver-state pattern). The
 edge table is materialized once (object store, spillable) and re-read by
 every iteration; a graph whose NODE table outgrows the driver would swap
@@ -34,10 +34,9 @@ import numpy as np
 import pyarrow as pa
 
 import ray
-from ray.data.aggregate import Count, Sum
 
 from epichypersketch_jl_ray.sources.tables import read_table, table_rows
-from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
+from epichypersketch_jl_ray.stages.exchange import group_aggregate, hash_partition, map_buckets
 from epichypersketch_jl_ray.stages.join import bucketed_hash_join
 from epichypersketch_jl_ray.stages.udaf import (
     block_refs,
@@ -160,8 +159,9 @@ def pagerank_fixedpoint(
       across the cluster, but not spillable.
     - ``dataset``: per iteration one edge-scale map_batches over the
       materialized (spillable) edge table, partials combined on the driver
-      (``driver_combine``, node-scale) or via groupby(dst) for node tables
-      beyond the driver. More elastic, pays per-iteration stage overhead.
+      (``driver_combine``, node-scale) or via a per-dst ``group_aggregate``
+      for node tables beyond the driver. More elastic, pays per-iteration
+      stage overhead.
     """
     edges = edges.materialize()
     n_cpus = cluster_cpus()
@@ -169,7 +169,7 @@ def pagerank_fixedpoint(
         # bound block count so per-iteration scheduling (dataset engine) or
         # shard count (actor engine) doesn't dwarf node-scale compute
         edges = edges.repartition(n_cpus).materialize()
-    deg_rows = edges.groupby("src").aggregate(Count(alias_name="d")).take_all()
+    deg_rows = group_aggregate(edges, ["src"], {"d": ([], "count_all")}, edges.count()).take_all()
     nodes = np.array([r["src"] for r in deg_rows], dtype=np.int64)
     deg = np.array([r["d"] for r in deg_rows], dtype=np.int64)
     order = np.argsort(nodes)
@@ -221,7 +221,7 @@ def pagerank_fixedpoint(
                 np.add.at(s_acc, np.searchsorted(nodes, dst), np.asarray(b["c"], dtype=np.int64))
             rank += (DAMP_NUM * s_acc) // DAMP_DEN
         else:
-            sums = partials.groupby("dst").aggregate(Sum("c", alias_name="s")).take_all()
+            sums = group_aggregate(partials, ["dst"], {"s": ("c", "sum")}, len(nodes)).take_all()
             dst = np.array([r["dst"] for r in sums], dtype=np.int64)
             s = np.array([r["s"] for r in sums], dtype=np.int64)
             rank[np.searchsorted(nodes, dst)] += (DAMP_NUM * s) // DAMP_DEN

@@ -593,8 +593,8 @@ def embedding_analysis(sf_dir: str) -> pd.DataFrame:
     from epichypersketch_jl_ray.pipelines import ann
     from epichypersketch_jl_ray.sources.tables import read_table
     from epichypersketch_jl_ray.stages.ann import _embedding_matrix
+    from epichypersketch_jl_ray.stages.exchange import group_aggregate
     from epichypersketch_jl_ray.stages.kmeans import assign_clusters, kmeans_fit
-    from ray.data.aggregate import Sum
 
     _s, vt, _total = ann.embedding_fd_directions(sf_dir)
     _write_vector_store(store_dir("pca_components"), "component", vt)
@@ -620,9 +620,12 @@ def embedding_analysis(sf_dir: str) -> pd.DataFrame:
         )
 
     esums = (
-        ds.map_batches(energy, batch_format="pyarrow")
-        .groupby("component")
-        .aggregate(Sum("qe", alias_name="qe"))
+        group_aggregate(
+            ds.map_batches(energy, batch_format="pyarrow"),
+            ["component"],
+            {"qe": ("qe", "sum")},
+            None,
+        )
         .to_pandas()
         .set_index("component")["qe"]
     )
@@ -661,12 +664,12 @@ def embedding_analysis(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    prof = (
-        tagged.map_batches(profile, batch_format="pyarrow")
-        .groupby("cluster")
-        .aggregate(Sum("n", alias_name="size"), Sum("qsim", alias_name="qsim"))
-        .to_pandas()
-    )
+    prof = group_aggregate(
+        tagged.map_batches(profile, batch_format="pyarrow"),
+        ["cluster"],
+        {"size": ("n", "sum"), "qsim": ("qsim", "sum")},
+        None,
+    ).to_pandas()
     km = pd.DataFrame(
         {
             "method": "kmeans",

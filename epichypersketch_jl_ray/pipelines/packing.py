@@ -10,7 +10,7 @@ loop:
 
 1. one column-pruned pass counts tokens per doc;
 2. docs bucket into contiguous doc_id RANGES (``doc_id // range_size``);
-   per-range token totals come from one small groupby whose output is
+   per-range token totals come from one small grouped sum whose output is
    range-count-sized (bounded: 100 TB at 1e10 docs / 1e6-doc ranges is 1e4
    rows), so the driver's exclusive cumsum over range totals is O(ranges);
 3. the range-offset table broadcasts once; each range co-locates with one
@@ -29,10 +29,9 @@ import numpy as np
 import pyarrow as pa
 
 import ray
-from ray.data.aggregate import Sum
-
 from epichypersketch_jl_ray.functions.text import tokenize
 from epichypersketch_jl_ray.sources.tables import read_table
+from epichypersketch_jl_ray.stages.exchange import group_aggregate
 
 
 def pack_sequences(
@@ -67,7 +66,7 @@ def pack_sequences(
     cd = ds.map_batches(counts, batch_format="pyarrow").materialize()
 
     # bounded driver state: one exclusive cumsum over per-range totals
-    totals = cd.groupby("rng").aggregate(Sum("n", alias_name="t")).to_pandas()
+    totals = group_aggregate(cd, ["rng"], {"t": ("n", "sum")}, None).to_pandas()
     totals = totals.sort_values("rng")
     rng_ids = totals["rng"].to_numpy().astype(np.int64)
     t = totals["t"].to_numpy().astype(np.int64)

@@ -3,6 +3,12 @@ broadcast join, sessionization — the generic Dataset operations the sketch
 pipelines compose with (SURVEY.md §2.4 A3 / §2.6 O2; reference analogues are
 the documented post-processing workflows, /root/reference/README.md:156-191).
 
+Every grouped aggregate, set operation and equi-, anti- or outer join here
+runs on the engine's one hash exchange (stages/exchange): a
+``group_aggregate``, a ``bucketed_hash_join``, or a ``map_buckets`` whose
+bucket function runs an Arrow group-by or join and then the site's own
+filter or select, so no Ray Data map runs over the buckets.
+
 Monetary aggregates are summed as integer cents (per-row round, then int64
 sum) so distributed partial-sum order cannot perturb float results — the
 driver's value-hash compare requires bit-stable answers.
@@ -12,11 +18,22 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
+import pyarrow.compute as pc
 import ray
-from ray.data.aggregate import Count, Min, Sum
 
-from epichypersketch_jl_ray.sources.tables import read_table
+from epichypersketch_jl_ray.sources.tables import read_table, table_rows
+from epichypersketch_jl_ray.stages.exchange import (
+    aggregate_table,
+    group_aggregate,
+    hash_partition,
+    map_buckets,
+)
+from epichypersketch_jl_ray.stages.join import (
+    bucketed_asof_join,
+    bucketed_hash_join,
+    bucketed_range_count_join,
+)
+from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
 
 
 def _cents(x: np.ndarray) -> np.ndarray:
@@ -44,14 +61,15 @@ def pricing_summary(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("l_quantity", alias_name="sum_qty"),
-            Sum("base_cents", alias_name="sum_base_cents"),
-            Count(alias_name="n"),
-        )
+    return group_aggregate(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        {
+            "sum_qty": ("l_quantity", "sum"),
+            "sum_base_cents": ("base_cents", "sum"),
+            "n": ([], "count_all"),
+        },
+        table_rows(sf_dir, "lineitem"),
     )
 
 
@@ -66,7 +84,7 @@ FROM lineitem GROUP BY 1, 2
 
 
 def top_suppliers(sf_dir: str, *, k: int = 10) -> ray.data.Dataset:
-    """Top-k suppliers by discounted revenue (groupby → sort → limit,
+    """Top-k suppliers by discounted revenue (grouped sum → sort → limit,
     reference top-k workflow /root/reference/README.md:190-191)."""
     ds = read_table(sf_dir, "lineitem", columns=["l_suppkey", "l_extendedprice", "l_discount"])
 
@@ -80,10 +98,11 @@ def top_suppliers(sf_dir: str, *, k: int = 10) -> ray.data.Dataset:
             }
         )
 
-    agg = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("l_suppkey")
-        .aggregate(Sum("revenue_cents", alias_name="revenue_cents"))
+    agg = group_aggregate(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        ["l_suppkey"],
+        {"revenue_cents": ("revenue_cents", "sum")},
+        table_rows(sf_dir, "lineitem"),
     )
     return agg.sort(["revenue_cents", "l_suppkey"], descending=[True, False]).limit(k)
 
@@ -96,35 +115,24 @@ FROM lineitem GROUP BY 1 ORDER BY revenue_cents DESC, l_suppkey LIMIT {k}
 
 
 def revenue_by_nation(
-    sf_dir: str, *, num_partitions: int = 8, broadcast_threshold_rows: int = 1_000_000
+    sf_dir: str, *, broadcast_threshold_rows: int = 1_000_000
 ) -> ray.data.Dataset:
     """orders ⋈ customer ⋈ nation with a SIZE-AWARE join strategy.
 
     nation (25 rows) is always broadcast via ray.put. customer grows
     linearly with the corpus, so it is broadcast ONLY below
     ``broadcast_threshold_rows`` (parquet-footer count — one lookup array on
-    each worker); above it the native hash-partitioned join runs — the shape
+    each worker); above it the customers are resolved to their nation names
+    first and joined to the orders with ``bucketed_hash_join`` — the shape
     that survives 100 TB, where a customer broadcast would be a multi-GB
     driver materialization. Both paths produce identical results (pinned by
     a threshold=0 oracle test)."""
-    from epichypersketch_jl_ray.sources.tables import table_rows
-
     nation = read_table(sf_dir, "nation", columns=["n_nationkey", "n_name"]).to_pandas()
     nat_sorted = nation.sort_values("n_nationkey")
     nat_keys = nat_sorted["n_nationkey"].to_numpy()
     nat_names = nat_sorted["n_name"].to_numpy()
 
     orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "o_custkey": batch["o_custkey"],
-                "revenue_cents": pa.array(
-                    _cents(batch["o_totalprice"].to_numpy(zero_copy_only=False)), pa.int64()
-                ),
-            }
-        )
 
     def _nation_of(nk: np.ndarray) -> np.ndarray:
         if len(nat_keys) == 0 and len(nk):
@@ -149,9 +157,9 @@ def revenue_by_nation(
             # max(...,0) guards the empty-dim case: len(keys)-1 == -1 would
             # index keys[-1] on a zero-length array
             pos = np.minimum(pos, max(len(keys) - 1, 0))
-            # inner-join semantics, matching the native-join path AND the
-            # SQL oracle: orders referencing a missing customer DROP
-            # (raising here would make the two paths diverge on dirty data)
+            # inner-join semantics, matching the join path AND the SQL
+            # oracle: orders referencing a missing customer DROP (raising
+            # here would make the two paths diverge on dirty data)
             hit = (keys[pos] == ck) if len(keys) else np.zeros(len(ck), bool)
             return pa.table(
                 {
@@ -167,37 +175,36 @@ def revenue_by_nation(
 
         resolved = orders.map_batches(bjoin, batch_format="pyarrow")
     else:
-        cust_ds = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-        joined = orders.map_batches(prep, batch_format="pyarrow").join(
-            cust_ds,
-            join_type="inner",
-            num_partitions=num_partitions,
-            on=("o_custkey",),
-            right_on=("c_custkey",),
-        )
-        nat_ref = ray.put((nat_keys, nat_names))
-
-        def resolve_nation(batch: pa.Table) -> pa.Table:
-            keys, names = ray.get(nat_ref)
-            nk = batch["c_nationkey"].to_numpy(zero_copy_only=False)
-            if len(keys) == 0 and len(nk):
-                raise ValueError("customer references missing nation")
-            pos = np.searchsorted(keys, nk)
-            pos = np.minimum(pos, max(len(keys) - 1, 0))
-            if not (keys[pos] == nk).all():
-                raise ValueError("customer references missing nation")
+        def prep(batch: pa.Table) -> pa.Table:
             return pa.table(
                 {
-                    "n_name": pa.array(names[pos], pa.string()),
-                    "revenue_cents": batch["revenue_cents"],
+                    "o_custkey": batch["o_custkey"],
+                    "revenue_cents": pa.array(
+                        _cents(batch["o_totalprice"].to_numpy(zero_copy_only=False)), pa.int64()
+                    ),
                 }
             )
 
-        resolved = joined.map_batches(resolve_nation, batch_format="pyarrow")
+        def resolve_nation(batch: pa.Table) -> pa.Table:
+            names = _nation_of(batch["c_nationkey"].to_numpy(zero_copy_only=False))
+            return pa.table(
+                {"c_custkey": batch["c_custkey"], "n_name": pa.array(names, pa.string())}
+            )
 
-    return (
-        resolved.groupby("n_name")
-        .aggregate(Sum("revenue_cents", alias_name="revenue_cents"), Count(alias_name="n_orders"))
+        cust_ds = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
+        resolved = bucketed_hash_join(
+            orders.map_batches(prep, batch_format="pyarrow"),
+            cust_ds.map_batches(resolve_nation, batch_format="pyarrow"),
+            left_on="o_custkey",
+            right_on="c_custkey",
+            size_hint_rows=table_rows(sf_dir, "orders"),
+        )
+
+    return group_aggregate(
+        resolved,
+        ["n_name"],
+        {"revenue_cents": ("revenue_cents", "sum"), "n_orders": ([], "count_all")},
+        table_rows(sf_dir, "orders"),
     )
 
 
@@ -215,10 +222,6 @@ def sessionize(sf_dir: str, *, gap_minutes: int = 30) -> ray.data.Dataset:
     extension). One hash exchange on the user + vectorized run-length session
     breaks per bucket; ``udaf.cpu_units`` of the parquet-footer row count
     sizes the buckets, so a bucket stays ~64k rows instead of corpus/64."""
-    from epichypersketch_jl_ray.sources.tables import table_rows
-    from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
-    from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
-
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
     gap_us = np.int64(gap_minutes * 60 * 1_000_000)
 
@@ -246,47 +249,26 @@ def sessionize(sf_dir: str, *, gap_minutes: int = 30) -> ray.data.Dataset:
     return map_buckets(per_bucket, hash_partition(block_refs(ds), ["user_id"], buckets))
 
 
-def _anti_join_union_groupby(
-    parts_ds: ray.data.Dataset, keys_ds: ray.data.Dataset
+def _anti_join(
+    parts_ds: ray.data.Dataset, keys_ds: ray.data.Dataset, rows: int
 ) -> ray.data.Dataset:
-    """Exact anti-join in 2 stages: union the part rows (discounted=0) with
-    the discounted-key stream (discounted=1), one groupby(partkey) Max —
-    parts whose group never saw a key survive. The Max combiner
-    pre-aggregates per block, so the shuffle carries ~distinct keys, not the
-    raw key stream."""
-    import pyarrow.compute as pc
+    """Exact anti-join: the (p_partkey, p_brand) rows of ``parts_ds`` whose
+    key is no ``l_partkey`` of ``keys_ds``. Both sides go through one hash
+    exchange on the part key (``udaf.cpu_units(rows)`` buckets), and each
+    bucket runs one Arrow left anti join."""
 
-    from ray.data.aggregate import Max
-
-    def tag_parts(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "p_partkey": batch["p_partkey"].cast(pa.int64()),
-                "p_brand": batch["p_brand"],
-                "discounted": pa.array(np.zeros(len(batch), np.int64), pa.int64()),
-            }
+    def anti(parts: pa.Table, keys: pa.Table) -> pa.Table:
+        parts = pa.table(
+            {"p_partkey": parts["p_partkey"].cast(pa.int64()), "p_brand": parts["p_brand"]}
         )
+        keys = pa.table({"p_partkey": keys["l_partkey"].cast(pa.int64())})
+        return parts.join(keys, "p_partkey", join_type="left anti")
 
-    def tag_keys(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "p_partkey": batch["l_partkey"].cast(pa.int64()),
-                "p_brand": pa.nulls(len(batch), pa.string()),
-                "discounted": pa.array(np.ones(len(batch), np.int64), pa.int64()),
-            }
-        )
-
-    def keep_clean(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["discounted"], 0)).select(["p_partkey", "p_brand"])
-
-    return (
-        parts_ds.map_batches(tag_parts, batch_format="pyarrow")
-        .union(keys_ds.map_batches(tag_keys, batch_format="pyarrow"))
-        .groupby("p_partkey")
-        .aggregate(
-            Max("discounted", alias_name="discounted"), Max("p_brand", alias_name="p_brand")
-        )
-        .map_batches(keep_clean, batch_format="pyarrow")
+    buckets = cpu_units(rows)
+    return map_buckets(
+        anti,
+        hash_partition(block_refs(parts_ds), ["p_partkey"], buckets, ["p_partkey", "p_brand"]),
+        hash_partition(block_refs(keys_ds), ["l_partkey"], buckets, ["l_partkey"]),
     )
 
 
@@ -309,18 +291,18 @@ def parts_never_discounted(
       all — the round-3 always-Bloom plan spent ~6 stage overheads (5.0 s at
       sf0.1) on what this does in 2.
     - DENSE fallback (giant part table, keys ≥ ``dense_keys_per_part`` ×
-      parts): plain 2-stage union+groupby anti-join — most parts are
-      discounted, so a Bloom miss-shortcut would buy a near-empty split.
+      parts): a plain bucketed anti-join (one hash exchange of both sides,
+      an Arrow left anti join per bucket) — most parts are discounted, so a
+      Bloom miss-shortcut would buy a near-empty split.
     - SPARSE fallback: broadcast Bloom over the discounted keys; misses pass
       with no shuffle; only hits are verified. If hits are themselves sparse
       (< ``sparse_hit_rate`` × parts), a second Bloom over the hit keys
       prunes the corpus-scale key stream to hit scale before the verify
-      groupby; otherwise the prune would pass ~everything and is skipped.
+      anti-join; otherwise the prune would pass ~everything and is skipped.
 
     Output is exact on every path (threshold tests pin them all equal).
     """
     from epichypersketch_jl_ray.functions.hashing import hash_int64
-    from epichypersketch_jl_ray.sources.tables import table_rows
     from epichypersketch_jl_ray.stages.udaf import sketch_dataset
     from epichypersketch_jl_ray.state.bloom import BloomFilter
     from epichypersketch_jl_ray.state.keyset import Int64Set
@@ -335,8 +317,6 @@ def parts_never_discounted(
     )
 
     def discounted(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return batch.filter(pc.greater_equal(batch["l_discount"], min_discount)).select(
             ["l_partkey"]
         )
@@ -374,7 +354,7 @@ def parts_never_discounted(
     n_keys = keys_ds.count()
 
     if n_keys >= dense_keys_per_part * n_part:
-        return _anti_join_union_groupby(part, keys_ds)
+        return _anti_join(part, keys_ds, n_keys)
 
     def update(b: BloomFilter, batch: pa.Table) -> None:
         b.add_hashed(hash_int64(batch["l_partkey"].to_numpy(zero_copy_only=False), seed=77))
@@ -412,7 +392,7 @@ def parts_never_discounted(
     if n_hits >= sparse_hit_rate * n_part:
         # hits cover most parts: a hit-Bloom prune of the key stream would
         # pass ~everything — verify directly
-        return misses.union(_anti_join_union_groupby(hits, keys_ds))
+        return misses.union(_anti_join(hits, keys_ds, n_keys))
 
     # hits are rare: a second Bloom over the hit partkeys prunes the
     # (corpus-scale) discounted-key stream down to hit scale first
@@ -433,7 +413,7 @@ def parts_never_discounted(
         return batch.filter(pa.array(bf.contains_hashed(hash_int64(pk, seed=78))))
 
     pruned = keys_ds.map_batches(prune_keys, batch_format="pyarrow")
-    return misses.union(_anti_join_union_groupby(hits, pruned))
+    return misses.union(_anti_join(hits, pruned, n_keys))
 
 
 def parts_never_discounted_sql(min_discount: float = 0.09) -> str:
@@ -443,12 +423,10 @@ WHERE p_partkey NOT IN (SELECT l_partkey FROM lineitem WHERE l_discount >= {min_
 """
 
 
-def part_revenue_by_brand(sf_dir: str, *, num_partitions: int = 8) -> ray.data.Dataset:
-    """Large-large equi-join: lineitem ⋈ part on partkey via Ray Data's
-    native hash-partitioned ``Dataset.join`` (measured ~4× faster than the
-    bucketed join in stages/join.py when that join was a Ray Data groupby;
-    the bucketed joins, now on the engine's hash exchange, remain the
-    pattern for joins the native operator can't express, e.g. as-of)."""
+def part_revenue_by_brand(sf_dir: str) -> ray.data.Dataset:
+    """Large-large equi-join: lineitem ⋈ part on partkey with
+    ``bucketed_hash_join`` (one hash exchange of both sides, an Arrow hash
+    join per bucket), then the per-brand revenue and item count."""
     li = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_extendedprice", "l_discount"])
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -461,16 +439,19 @@ def part_revenue_by_brand(sf_dir: str, *, num_partitions: int = 8) -> ray.data.D
             }
         )
 
-    part = read_table(sf_dir, "part", columns=["p_partkey", "p_brand"])
-    joined = li.map_batches(prep, batch_format="pyarrow").join(
-        part,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=("l_partkey",),
-        right_on=("p_partkey",),
+    rows = table_rows(sf_dir, "lineitem")
+    joined = bucketed_hash_join(
+        li.map_batches(prep, batch_format="pyarrow"),
+        read_table(sf_dir, "part", columns=["p_partkey", "p_brand"]),
+        left_on="l_partkey",
+        right_on="p_partkey",
+        size_hint_rows=rows,
     )
-    return joined.groupby("p_brand").aggregate(
-        Sum("revenue_cents", alias_name="revenue_cents"), Count(alias_name="n_items")
+    return group_aggregate(
+        joined,
+        ["p_brand"],
+        {"revenue_cents": ("revenue_cents", "sum"), "n_items": ([], "count_all")},
+        rows,
     )
 
 
@@ -487,8 +468,6 @@ def clicks_last_purchase(sf_dir: str) -> ray.data.Dataset:
     """As-of join demo: for every click event, the same user's most recent
     purchase at or before the click (bucketed merge_asof, stages/join.py).
     Inner semantics (clicks with no prior purchase are dropped)."""
-    from epichypersketch_jl_ray.stages.join import bucketed_asof_join
-
     ev = read_table(sf_dir, "events", columns=["user_id", "ts", "event_type", "value"])
 
     def split(kind: str, with_value: bool):
@@ -508,10 +487,6 @@ def clicks_last_purchase(sf_dir: str) -> ray.data.Dataset:
             return pa.table(cols)
 
         return fn
-
-    import pyarrow.compute as pc
-
-    from epichypersketch_jl_ray.sources.tables import table_rows
 
     clicks = ev.map_batches(split("click", False), batch_format="pyarrow")
     purchases = ev.map_batches(split("purchase", True), batch_format="pyarrow")
@@ -547,9 +522,8 @@ FROM c ASOF JOIN p ON c.user_id = p.user_id AND c.click_ts >= p.purchase_ts
 def windowed_events(sf_dir: str, *, window_minutes: int = 60) -> ray.data.Dataset:
     """Tumbling-window aggregate over the events stream: per (event_type,
     window) count + integer-cents value sum. Window assignment is a
-    vectorized per-batch map (ts floor-div window); the aggregation is a
-    partial-per-batch groupby pushed into map_batches… expressed here simply
-    as the engine groupby, whose combiner already pre-aggregates per block."""
+    vectorized per-batch map (ts floor-div window); the aggregation is one
+    ``group_aggregate`` (hash exchange + Arrow group-by per bucket)."""
     ds = read_table(sf_dir, "events", columns=["event_type", "ts", "value"])
     win_us = np.int64(window_minutes * 60 * 1_000_000)
 
@@ -566,10 +540,11 @@ def windowed_events(sf_dir: str, *, window_minutes: int = 60) -> ray.data.Datase
             }
         )
 
-    return (
-        ds.map_batches(assign, batch_format="pyarrow")
-        .groupby(["event_type", "window_start"])
-        .aggregate(Count(alias_name="n_events"), Sum("value_cents", alias_name="value_cents"))
+    return group_aggregate(
+        ds.map_batches(assign, batch_format="pyarrow"),
+        ["event_type", "window_start"],
+        {"n_events": ([], "count_all"), "value_cents": ("value_cents", "sum")},
+        table_rows(sf_dir, "events"),
     )
 
 
@@ -584,13 +559,27 @@ FROM events GROUP BY 1, 2
 """
 
 
-def users_intersection(sf_dir: str) -> ray.data.Dataset:
-    """Set op (INTERSECT): users who both click AND purchase — one groupby
-    over per-row membership flags (the distributed set-intersection shape;
-    UNION/EXCEPT are the same aggregate with different final filters)."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Max
+def _click_set_op(
+    flagged: ray.data.Dataset, keys: list[str], purchase: int, rows: int
+) -> ray.data.Dataset:
+    """The distinct ``keys`` of ``flagged`` (rows with ``is_click`` and
+    ``is_purchase`` flags) that have a click and, with ``purchase=1``, a
+    purchase (INTERSECT) or, with ``purchase=0``, none (EXCEPT): one hash
+    exchange on ``keys``, then per bucket the max flags per key
+    (``aggregate_table``) and the filter."""
 
+    def bucket(t: pa.Table) -> pa.Table:
+        g = aggregate_table(t, keys, {"c": ("is_click", "max"), "p": ("is_purchase", "max")})
+        return g.filter(pc.and_(pc.equal(g["c"], 1), pc.equal(g["p"], purchase))).select(keys)
+
+    return map_buckets(bucket, hash_partition(block_refs(flagged), keys, cpu_units(rows)))
+
+
+def users_intersection(sf_dir: str) -> ray.data.Dataset:
+    """Set op (INTERSECT): users who both click AND purchase — one grouped
+    max over per-row membership flags (the distributed set-intersection
+    shape; UNION/EXCEPT are the same aggregate with different final
+    filters, ``_click_set_op``)."""
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
 
     def flags(batch: pa.Table) -> pa.Table:
@@ -602,17 +591,8 @@ def users_intersection(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    agg = (
-        ds.map_batches(flags, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Max("is_click", alias_name="c"), Max("is_purchase", alias_name="p"))
-    )
-
-    def keep(batch: pa.Table) -> pa.Table:
-        both = pc.and_(pc.equal(batch["c"], 1), pc.equal(batch["p"], 1))
-        return batch.filter(both).select(["user_id"])
-
-    return agg.map_batches(keep, batch_format="pyarrow")
+    flagged = ds.map_batches(flags, batch_format="pyarrow")
+    return _click_set_op(flagged, ["user_id"], 1, table_rows(sf_dir, "events"))
 
 
 def users_intersection_sql() -> str:
@@ -628,10 +608,6 @@ def clicks_after_purchase(sf_dir: str, *, window_minutes: int = 60) -> ray.data.
     same user makes within the following window — stages/join.
     bucketed_range_count_join (bucket co-location + composite-key
     searchsorted counting; no pair materialization)."""
-    import pyarrow.compute as pc
-
-    from epichypersketch_jl_ray.stages.join import bucketed_range_count_join
-
     ev = read_table(sf_dir, "events", columns=["user_id", "ts", "event_type"])
     win_us = int(window_minutes) * 60 * 1_000_000
 
@@ -648,8 +624,6 @@ def clicks_after_purchase(sf_dir: str, *, window_minutes: int = 60) -> ray.data.
             )
 
         return fn
-
-    from epichypersketch_jl_ray.sources.tables import table_rows
 
     purchases = ev.map_batches(split("purchase"), batch_format="pyarrow")
     clicks = ev.map_batches(split("click"), batch_format="pyarrow")
@@ -687,8 +661,8 @@ def hopping_events(
     """Hopping (sliding) window aggregate: each event contributes to every
     window of length ``window`` whose start is a multiple of ``hop`` and
     covers its timestamp — window/hop rows per event, emitted vectorized
-    (np.repeat over the hop count), then the engine groupby with its
-    per-block combiner. The overlap factor (window/hop) is the explicit
+    (np.repeat over the hop count) and pre-combined per batch, then one
+    ``group_aggregate``. The overlap factor (window/hop) is the explicit
     fan-out cost of sliding windows; tumbling (`windowed_events`) is the
     factor-1 special case."""
     assert window_minutes % hop_minutes == 0
@@ -737,13 +711,11 @@ def hopping_events(
             }
         )
 
-    return (
-        ds.map_batches(assign, batch_format="pyarrow")
-        .groupby(["event_type", "window_start"])
-        .aggregate(
-            Sum("n_events", alias_name="n_events"),
-            Sum("value_cents", alias_name="value_cents"),
-        )
+    return group_aggregate(
+        ds.map_batches(assign, batch_format="pyarrow"),
+        ["event_type", "window_start"],
+        {"n_events": ("n_events", "sum"), "value_cents": ("value_cents", "sum")},
+        table_rows(sf_dir, "events"),
     )
 
 
@@ -776,33 +748,24 @@ FROM o GROUP BY user_id
 def customer_order_counts(sf_dir: str) -> ray.data.Dataset:
     """LEFT OUTER join aggregate: every customer's order count, INCLUDING
     zero-order customers — the outer-join semantics the inner joins
-    elsewhere drop. Shape: union customer presence rows (n=0) with order
-    rows (n=1) and one groupby sum — no join machinery; the presence row
-    guarantees every left key appears."""
+    elsewhere drop. Both tables go through one hash exchange on the
+    customer key; per bucket, the orders are counted per customer and the
+    customers left-outer-joined to the counts (no count: 0)."""
     cust = read_table(sf_dir, "customer", columns=["c_custkey"])
     orders = read_table(sf_dir, "orders", columns=["o_custkey"])
 
-    def presence(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "c_custkey": batch["c_custkey"].cast(pa.int64()),
-                "n": pa.array(np.zeros(len(batch), np.int64), pa.int64()),
-            }
-        )
+    def outer(c: pa.Table, o: pa.Table) -> pa.Table:
+        counts = aggregate_table(o, ["o_custkey"], {"n": ([], "count_all")})
+        counts = pa.table({"c_custkey": counts["o_custkey"].cast(pa.int64()), "n": counts["n"]})
+        c = pa.table({"c_custkey": c["c_custkey"].cast(pa.int64())})
+        out = c.join(counts, "c_custkey", join_type="left outer")
+        return pa.table({"c_custkey": out["c_custkey"], "n_orders": pc.fill_null(out["n"], 0)})
 
-    def one_per_order(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "c_custkey": batch["o_custkey"].cast(pa.int64()),
-                "n": pa.array(np.ones(len(batch), np.int64), pa.int64()),
-            }
-        )
-
-    return (
-        cust.map_batches(presence, batch_format="pyarrow")
-        .union(orders.map_batches(one_per_order, batch_format="pyarrow"))
-        .groupby("c_custkey")
-        .aggregate(Sum("n", alias_name="n_orders"))
+    buckets = cpu_units(table_rows(sf_dir, "orders"))
+    return map_buckets(
+        outer,
+        hash_partition(block_refs(cust), ["c_custkey"], buckets),
+        hash_partition(block_refs(orders), ["o_custkey"], buckets),
     )
 
 
@@ -817,12 +780,9 @@ GROUP BY 1
 def click_only_user_hours(sf_dir: str) -> ray.data.Dataset:
     """Set op EXCEPT over a COMPOSITE key: distinct (user, hour-window)
     pairs with a click but no purchase — the complement of
-    users_intersection under the same membership-flag groupby (UNION /
+    users_intersection under the same membership-flag aggregate (UNION /
     INTERSECT / EXCEPT differ only in the final filter; the composite key
     shows the shape generalizes beyond single columns)."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Max
-
     hour_us = np.int64(3_600_000_000)
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_type"])
 
@@ -837,17 +797,8 @@ def click_only_user_hours(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    agg = (
-        ds.map_batches(flags, batch_format="pyarrow")
-        .groupby(["user_id", "hour"])
-        .aggregate(Max("is_click", alias_name="c"), Max("is_purchase", alias_name="p"))
-    )
-
-    def keep(batch: pa.Table) -> pa.Table:
-        only_click = pc.and_(pc.equal(batch["c"], 1), pc.equal(batch["p"], 0))
-        return batch.filter(only_click).select(["user_id", "hour"])
-
-    return agg.map_batches(keep, batch_format="pyarrow")
+    flagged = ds.map_batches(flags, batch_format="pyarrow")
+    return _click_set_op(flagged, ["user_id", "hour"], 0, table_rows(sf_dir, "events"))
 
 
 def click_only_user_hours_sql() -> str:
@@ -863,11 +814,8 @@ def event_props_by_type(sf_dir: str) -> ray.data.Dataset:
     out of the events table's JSON ``props`` column and aggregate per event
     type. Extraction is a single Arrow extract_regex kernel per batch
     (functions/json.json_int_field — no per-row json.loads), the aggregate
-    is one small groupby; absent/malformed fields drop as nulls, matching
-    SQL json_extract semantics."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Max
-
+    is one small ``group_aggregate``; absent/malformed fields drop as
+    nulls, matching SQL json_extract semantics."""
     from epichypersketch_jl_ray.functions.json import json_int_field
 
     ds = read_table(sf_dir, "events", columns=["event_type", "props"])
@@ -877,15 +825,16 @@ def event_props_by_type(sf_dir: str) -> ray.data.Dataset:
         out = pa.table({"event_type": batch["event_type"], "k": k})
         return out.filter(pc.is_valid(out["k"]))
 
-    return (
-        ds.map_batches(extract, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Count(alias_name="n"),
-            Sum("k", alias_name="sum_k"),
-            Min("k", alias_name="min_k"),
-            Max("k", alias_name="max_k"),
-        )
+    return group_aggregate(
+        ds.map_batches(extract, batch_format="pyarrow"),
+        ["event_type"],
+        {
+            "n": ([], "count_all"),
+            "sum_k": ("k", "sum"),
+            "min_k": ("k", "min"),
+            "max_k": ("k", "max"),
+        },
+        table_rows(sf_dir, "events"),
     )
 
 
@@ -912,7 +861,6 @@ def local_supplier_volume(
     region: str = "ASIA",
     date_from: str = "1996-01-01",
     date_to: str = "1997-01-01",
-    num_partitions: int = 8,
     broadcast_threshold_rows: int = 1_000_000,
 ) -> ray.data.Dataset:
     """TPC-H Q5 analogue (local supplier volume): revenue per nation from
@@ -924,17 +872,15 @@ def local_supplier_volume(
       region's nation-key set and a key->name map; always broadcast.
     - customer / supplier (grow linearly): pre-FILTERED to the region's
       nations (cuts ~4/5), then size-aware like revenue_by_nation —
-      broadcast lookup arrays below ``broadcast_threshold_rows``, native
-      hash join above (threshold=0 oracle test pins both paths equal).
-    - orders (date-filtered at scan time) ⋈ lineitem on orderkey: the one
-      genuinely corpus-scale join — ALWAYS the native hash-partitioned
-      join, never a broadcast. Both inputs are pre-reduced to the minimal
-      (key, nation[, cents]) columns before the shuffle.
+      broadcast lookup arrays below ``broadcast_threshold_rows``,
+      ``bucketed_hash_join`` above (threshold=0 oracle test pins both paths
+      equal). The supplier side carries its nation's name.
+    - orders (date-filtered at scan time) ⋈ lineitem: the one genuinely
+      corpus-scale join — ALWAYS ``bucketed_hash_join``, never a broadcast,
+      on (orderkey, nationkey), so only local rows (customer nation ==
+      supplier nation) leave it. Both inputs are pre-reduced to the minimal
+      (key, nation[, name, cents]) columns before the exchange.
     """
-    import pyarrow.compute as pc
-
-    from epichypersketch_jl_ray.sources.tables import table_rows
-
     nation = read_table(sf_dir, "nation", columns=["n_nationkey", "n_name", "n_regionkey"]).to_pandas()
     reg = read_table(sf_dir, "region", columns=["r_regionkey", "r_name"]).to_pandas()
     rkey = reg.loc[reg["r_name"] == region, "r_regionkey"]
@@ -942,7 +888,11 @@ def local_supplier_volume(
         raise ValueError(f"unknown region {region!r}")
     in_region = nation[nation["n_regionkey"] == int(rkey.iloc[0])].sort_values("n_nationkey")
     region_nat_keys = in_region["n_nationkey"].to_numpy()
-    nat_ref = ray.put((region_nat_keys, in_region["n_name"].to_numpy()))
+    region_nat_names = in_region["n_name"].to_numpy()
+
+    def name_of(nk: np.ndarray) -> pa.Array:
+        """Names of region nation keys."""
+        return pa.array(region_nat_names[np.searchsorted(region_nat_keys, nk)], pa.string())
 
     def _keyed_dim(table: str, key_col: str, nat_col: str):
         """(sorted keys, nationkeys) of the dim rows whose nation is in the
@@ -974,147 +924,100 @@ def local_supplier_volume(
     lineitem = read_table(
         sf_dir, "lineitem", columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"]
     )
-    small_dims = table_rows(sf_dir, "customer") <= broadcast_threshold_rows
+    rows = table_rows(sf_dir, "lineitem")
 
-    if small_dims:
+    def in_window(batch: pa.Table) -> pa.Table:
+        return batch.filter(
+            pc.and_(pc.greater_equal(batch["o_orderdate"], lo), pc.less(batch["o_orderdate"], hi))
+        )
+
+    def revenue(batch: pa.Table, hit) -> pa.Array:
+        price = batch["l_extendedprice"].to_numpy(zero_copy_only=False)[hit]
+        disc = batch["l_discount"].to_numpy(zero_copy_only=False)[hit]
+        return pa.array(_cents(price * (1.0 - disc)), pa.int64())
+
+    if table_rows(sf_dir, "customer") <= broadcast_threshold_rows:
         cust_ref = _keyed_dim("customer", "c_custkey", "c_nationkey")
         supp_ref = _keyed_dim("supplier", "s_suppkey", "s_nationkey")
 
         def orders_keyed(batch: pa.Table) -> pa.Table:
-            m = pc.and_(
-                pc.greater_equal(batch["o_orderdate"], lo), pc.less(batch["o_orderdate"], hi)
-            )
-            sub = batch.filter(m)
+            sub = in_window(batch)
             hit, nk = _attach(cust_ref, sub["o_custkey"].to_numpy(zero_copy_only=False))
             return pa.table(
                 {
                     "o_orderkey": sub["o_orderkey"].filter(pa.array(hit)),
-                    "cust_nat": pa.array(nk[hit], pa.int64()),
+                    "c_nationkey": pa.array(nk[hit], pa.int64()),
                 }
             )
 
         def lineitem_keyed(batch: pa.Table) -> pa.Table:
             hit, nk = _attach(supp_ref, batch["l_suppkey"].to_numpy(zero_copy_only=False))
-            price = batch["l_extendedprice"].to_numpy(zero_copy_only=False)[hit]
-            disc = batch["l_discount"].to_numpy(zero_copy_only=False)[hit]
             return pa.table(
                 {
                     "l_orderkey": batch["l_orderkey"].filter(pa.array(hit)),
-                    "supp_nat": pa.array(nk[hit], pa.int64()),
-                    "revenue_cents": pa.array(_cents(price * (1.0 - disc)), pa.int64()),
+                    "s_nationkey": pa.array(nk[hit], pa.int64()),
+                    "n_name": name_of(nk[hit]),
+                    "revenue_cents": revenue(batch, hit),
                 }
             )
 
         o_side = orders.map_batches(orders_keyed, batch_format="pyarrow")
         l_side = lineitem.map_batches(lineitem_keyed, batch_format="pyarrow")
     else:
-        # native-join path for corpus-scale dims. The dim joins use our
-        # bucketed_hash_join, not Dataset.join: the region filter makes the
-        # dim side SPARSE, and Ray's native join can fail when a shuffle
-        # partition arrives schema-less ("No match or multiple matches for
-        # key field" — the known empty-partition bug, NOTES_r3); the hash
-        # exchange gives every bucket each side's typed slices, so an empty
-        # bucket joins to a 0-row block with the join's schema.
-        from epichypersketch_jl_ray.stages.join import bucketed_hash_join
-
-        nat_keys_ref = ray.put(region_nat_keys)
-
-        def date_filter(batch: pa.Table) -> pa.Table:
-            m = pc.and_(
-                pc.greater_equal(batch["o_orderdate"], lo), pc.less(batch["o_orderdate"], hi)
-            )
-            return batch.filter(m).select(["o_orderkey", "o_custkey"])
-
-        def region_dim(nat_col: str):
+        # the dim joins run on the exchange too: the region filter makes
+        # the dim side SPARSE, and every bucket gets each side's typed
+        # slices, so an empty bucket joins to a 0-row block with the
+        # join's schema
+        def region_dim(nat_col: str, named: bool):
             def fn(batch: pa.Table) -> pa.Table:
-                keep = np.isin(
-                    batch[nat_col].to_numpy(zero_copy_only=False), ray.get(nat_keys_ref)
-                )
-                return batch.filter(pa.array(keep))
+                nk = batch[nat_col].to_numpy(zero_copy_only=False)
+                sub = batch.filter(pa.array(np.isin(nk, region_nat_keys)))
+                if named:
+                    sub = sub.append_column(
+                        "n_name", name_of(sub[nat_col].to_numpy(zero_copy_only=False))
+                    )
+                return sub
 
             return fn
 
-        cust_ds = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"]).map_batches(
-            region_dim("c_nationkey"), batch_format="pyarrow"
-        )
-        supp_ds = read_table(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"]).map_batches(
-            region_dim("s_nationkey"), batch_format="pyarrow"
-        )
-        o_side = bucketed_hash_join(
-            orders.map_batches(date_filter, batch_format="pyarrow"),
-            cust_ds,
-            left_on="o_custkey",
-            right_on="c_custkey",
-            size_hint_rows=table_rows(sf_dir, "orders"),
-        ).map_batches(
-            lambda b: pa.table(
-                {
-                    "o_orderkey": b["o_orderkey"].cast(pa.int64()),
-                    "cust_nat": b["c_nationkey"].cast(pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-
         def li_prep(batch: pa.Table) -> pa.Table:
-            price = batch["l_extendedprice"].to_numpy(zero_copy_only=False)
-            disc = batch["l_discount"].to_numpy(zero_copy_only=False)
             return pa.table(
                 {
                     "l_orderkey": batch["l_orderkey"],
                     "l_suppkey": batch["l_suppkey"],
-                    "revenue_cents": pa.array(_cents(price * (1.0 - disc)), pa.int64()),
+                    "revenue_cents": revenue(batch, slice(None)),
                 }
             )
 
+        cust_ds = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
+        supp_ds = read_table(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
+        o_side = bucketed_hash_join(
+            orders.map_batches(
+                lambda b: in_window(b).select(["o_orderkey", "o_custkey"]), batch_format="pyarrow"
+            ),
+            cust_ds.map_batches(region_dim("c_nationkey", False), batch_format="pyarrow"),
+            left_on="o_custkey",
+            right_on="c_custkey",
+            size_hint_rows=table_rows(sf_dir, "orders"),
+        )
         l_side = bucketed_hash_join(
             lineitem.map_batches(li_prep, batch_format="pyarrow"),
-            supp_ds,
+            supp_ds.map_batches(region_dim("s_nationkey", True), batch_format="pyarrow"),
             left_on="l_suppkey",
             right_on="s_suppkey",
-            size_hint_rows=table_rows(sf_dir, "lineitem"),
-        ).map_batches(
-            lambda b: pa.table(
-                {
-                    "l_orderkey": b["l_orderkey"].cast(pa.int64()),
-                    "supp_nat": b["s_nationkey"].cast(pa.int64()),
-                    "revenue_cents": b["revenue_cents"].cast(pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
+            size_hint_rows=rows,
         )
 
-    joined = l_side.join(
+    local = bucketed_hash_join(
+        l_side,
         o_side,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=("l_orderkey",),
-        right_on=("o_orderkey",),
+        left_on=["l_orderkey", "s_nationkey"],
+        right_on=["o_orderkey", "c_nationkey"],
+        size_hint_rows=rows,
     )
-
-    def local_only(batch: pa.Table) -> pa.Table:
-        keep = pc.equal(batch["cust_nat"], batch["supp_nat"])
-        sub = batch.filter(keep)
-        return pa.table(
-            {"nat": sub["supp_nat"], "revenue_cents": sub["revenue_cents"]}
-        )
-
-    agg = (
-        joined.map_batches(local_only, batch_format="pyarrow")
-        .groupby("nat")
-        .aggregate(Sum("revenue_cents", alias_name="revenue_cents"))
-    )
-
-    def name_of(batch: pa.Table) -> pa.Table:
-        keys, names = ray.get(nat_ref)
-        nk = batch["nat"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, nk)
-        pos = np.minimum(pos, max(len(keys) - 1, 0))
-        return pa.table(
-            {"n_name": pa.array(names[pos], pa.string()), "revenue_cents": batch["revenue_cents"]}
-        )
-
-    return agg.map_batches(name_of, batch_format="pyarrow").sort("revenue_cents", descending=True)
+    return group_aggregate(
+        local, ["n_name"], {"revenue_cents": ("revenue_cents", "sum")}, rows
+    ).sort("revenue_cents", descending=True)
 
 
 def local_supplier_volume_sql(

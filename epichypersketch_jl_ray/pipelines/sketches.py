@@ -11,7 +11,8 @@ import pyarrow as pa
 
 import ray
 
-from epichypersketch_jl_ray.sources.tables import read_table
+from epichypersketch_jl_ray.sources.tables import read_table, table_rows
+from epichypersketch_jl_ray.stages.exchange import group_aggregate
 from epichypersketch_jl_ray.stages.udaf import sketch_dataset
 from epichypersketch_jl_ray.state import BloomFilter, HyperLogLog, KLL, TDigest
 from epichypersketch_jl_ray.functions.hashing import hash_int64
@@ -45,11 +46,12 @@ def distinct_users_hll(sf_dir: str, *, p: int = 14) -> pd.DataFrame:
 
 
 def distinct_users_exact(sf_dir: str) -> pd.DataFrame:
-    """Exact distinct count — groupby-count then count (stays distributed:
-    ``Dataset.unique`` would pull every distinct value to the driver). This
-    is the shuffle-paying baseline the HLL answer is judged against."""
+    """Exact distinct count — a distributed distinct (``group_aggregate``)
+    then count (``Dataset.unique`` would pull every distinct value to the
+    driver). This is the shuffle-paying baseline the HLL answer is judged
+    against."""
     ds = read_table(sf_dir, "events", columns=["user_id"])
-    n = ds.groupby("user_id").count().count()
+    n = group_aggregate(ds, ["user_id"], {}, table_rows(sf_dir, "events")).count()
     return pd.DataFrame({"distinct_users": pd.array([int(n)], dtype="int64")})
 
 
@@ -77,18 +79,11 @@ def _distinct_users_by_type_sketches(sf_dir: str):
 
 
 def distinct_users_by_type_exact(sf_dir: str) -> ray.data.Dataset:
-    """Exact grouped distinct count — two-level groupby (distinct pairs,
-    then count per type); the shuffle-paying baseline for the grouped HLL."""
-    from ray.data.aggregate import Count
-
+    """Exact grouped distinct count — two exchanges (distinct pairs, then
+    count per type); the shuffle-paying baseline for the grouped HLL."""
     ds = read_table(sf_dir, "events", columns=["event_type", "user_id"])
-    return (
-        ds.groupby(["event_type", "user_id"])
-        .aggregate(Count(alias_name="_n"))
-        .drop_columns(["_n"])
-        .groupby("event_type")
-        .aggregate(Count(alias_name="distinct_users"))
-    )
+    pairs = group_aggregate(ds, ["event_type", "user_id"], {}, table_rows(sf_dir, "events"))
+    return group_aggregate(pairs, ["event_type"], {"distinct_users": ([], "count_all")}, None)
 
 
 def distinct_users_by_type_exact_sql() -> str:

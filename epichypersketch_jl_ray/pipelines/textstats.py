@@ -10,7 +10,8 @@ import pyarrow as pa
 import ray
 
 from epichypersketch_jl_ray.functions.text import quality_features, winnow_fingerprints
-from epichypersketch_jl_ray.sources.tables import read_table
+from epichypersketch_jl_ray.sources.tables import read_table, table_rows
+from epichypersketch_jl_ray.stages.exchange import group_aggregate
 
 
 def _augment_pii(doc_id: pa.ChunkedArray | pa.Array, text: pa.ChunkedArray | pa.Array) -> pa.Array:
@@ -195,14 +196,11 @@ def doc_stats(
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
-    ref = (
-        ds.map_batches(
-            lambda b: _ref_vocab_rows(b, ref_mod=ref_mod), batch_format="pyarrow"
-        )
-        .groupby(["kind", "h"])
-        .count()
-        .select_columns(["kind", "h"])
-        .materialize()
+    ref = group_aggregate(
+        ds.map_batches(lambda b: _ref_vocab_rows(b, ref_mod=ref_mod), batch_format="pyarrow"),
+        ["kind", "h"],
+        {},
+        table_rows(sf_dir, "documents"),
     )
     n_ref = ref.count()
 
@@ -238,7 +236,7 @@ def doc_stats(
             kd = pdf["kind"].to_numpy().astype(np.int64)
             uni_set = np.sort(hs[kd == 0])
             bg_set = np.sort(hs[kd == 1])
-        else:  # empty groupby loses its schema
+        else:  # to_pandas of 0 rows has no columns
             uni_set = bg_set = np.empty(0, np.int64)
         ref_ref = ray.put((uni_set, bg_set))
 
@@ -451,8 +449,6 @@ def export_by_lang(sf_dir: str, *, out_dir: str | None = None) -> ray.data.Datas
     itself is oracle-checked (per-lang row counts + char sums)."""
     import tempfile
 
-    from ray.data.aggregate import Count, Sum
-
     if out_dir is None:
         out_dir = tempfile.mkdtemp(prefix="graft_export_by_lang_")
     ds = read_table(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
@@ -469,10 +465,11 @@ def export_by_lang(sf_dir: str, *, out_dir: str | None = None) -> ray.data.Datas
             }
         )
 
-    return (
-        back.map_batches(norm, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Count(alias_name="n_docs"), Sum("n_chars", alias_name="total_chars"))
+    return group_aggregate(
+        back.map_batches(norm, batch_format="pyarrow"),
+        ["lang"],
+        {"n_docs": ([], "count_all"), "total_chars": ("n_chars", "sum")},
+        table_rows(sf_dir, "documents"),
     )
 
 

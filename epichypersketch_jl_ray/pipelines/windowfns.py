@@ -22,11 +22,16 @@ import numpy as np
 import pyarrow as pa
 
 import ray
-from ray.data.aggregate import Count, Sum
 
 from epichypersketch_jl_ray.pipelines.relational import _cents  # ONE rounding rule
 from epichypersketch_jl_ray.sources.tables import read_table, table_rows
-from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
+from epichypersketch_jl_ray.stages.exchange import (
+    aggregate_table,
+    group_aggregate,
+    hash_partition,
+    map_buckets,
+)
+from epichypersketch_jl_ray.stages.join import bucketed_hash_join
 from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
 
 
@@ -34,15 +39,18 @@ def top_parts_per_brand(
     sf_dir: str,
     *,
     n: int = 3,
-    num_partitions: int = 8,
     broadcast_threshold_rows: int = 1_000_000,
 ) -> ray.data.Dataset:
     """Grouped top-N: each brand's n highest-revenue parts with their rank —
-    the ROW_NUMBER window shape. Revenue pre-aggregates per partkey (corpus
-    shuffle); the brand attach is size-aware (broadcast partkey→brand below
-    the threshold, native hash join above — same strategy and threshold test
-    as revenue_by_nation); one tiny per-brand groupby ranks."""
+    the ROW_NUMBER window shape. Revenue sums per partkey
+    (``group_aggregate``); the brand attach is size-aware: below the
+    threshold a broadcast partkey→brand lookup runs per lineitem batch and
+    the sum groups by (partkey, brand), above it the per-partkey sums join
+    the part table with ``bucketed_hash_join`` (same strategy and threshold
+    test as revenue_by_nation); one tiny per-brand groupby ranks."""
     li = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_extendedprice", "l_discount"])
+    rows = table_rows(sf_dir, "lineitem")
+    revenue = {"revenue_cents": ("revenue_cents", "sum")}
 
     def prep(batch: pa.Table) -> pa.Table:
         price = batch["l_extendedprice"].to_numpy(zero_copy_only=False)
@@ -54,11 +62,6 @@ def top_parts_per_brand(
             }
         )
 
-    rev = (
-        li.map_batches(prep, batch_format="pyarrow")
-        .groupby("l_partkey")
-        .aggregate(Sum("revenue_cents", alias_name="revenue_cents"))
-    )
     part = read_table(sf_dir, "part", columns=["p_partkey", "p_brand"])
     if table_rows(sf_dir, "part") <= broadcast_threshold_rows:
         pdf = part.to_pandas().sort_values("p_partkey")
@@ -66,25 +69,34 @@ def top_parts_per_brand(
 
         def attach_brand(batch: pa.Table) -> pa.Table:
             keys, brands = ray.get(map_ref)
+            batch = prep(batch)
             pk = batch["l_partkey"].to_numpy(zero_copy_only=False)
             pos = np.searchsorted(keys, pk)
             # max(...,0): an empty part table must not index keys[-1]
             pos = np.minimum(pos, max(len(keys) - 1, 0))
-            # inner-join semantics (match the native-join path and oracle):
+            # inner-join semantics (match the join path and oracle):
             # lineitems referencing a missing part drop instead of raising
             hit = (keys[pos] == pk) if len(keys) else np.zeros(len(pk), bool)
             return batch.filter(pa.array(hit)).append_column(
                 "p_brand", pa.array(brands[pos][hit], pa.string())
             )
 
-        joined = rev.map_batches(attach_brand, batch_format="pyarrow")
+        joined = group_aggregate(
+            li.map_batches(attach_brand, batch_format="pyarrow"),
+            ["l_partkey", "p_brand"],
+            revenue,
+            rows,
+        )
     else:
-        joined = rev.join(
+        rev = group_aggregate(
+            li.map_batches(prep, batch_format="pyarrow"), ["l_partkey"], revenue, rows
+        )
+        joined = bucketed_hash_join(
+            rev,
             part,
-            join_type="inner",
-            num_partitions=num_partitions,
-            on=("l_partkey",),
-            right_on=("p_partkey",),
+            left_on="l_partkey",
+            right_on="p_partkey",
+            size_hint_rows=table_rows(sf_dir, "part"),
         )
 
     def topn(group: pa.Table) -> pa.Table:
@@ -266,9 +278,11 @@ def user_spend_quartile(sf_dir: str, *, tiles: int = 4, shift: int = 16) -> ray.
 
     Distributed exact-rank construction (no global sort shuffle, no driver
     materialization of the user table):
-      1. per-user purchase totals — corpus groupby (the unavoidable one).
-      2. exact coarse histogram: bucket = total_cents >> ``shift``; a
-         groupby(bucket).count() yields a BOUNDED table (value range /
+      1. per-user purchase totals — one hash exchange on the user (the
+         unavoidable one), each total tagged with its cbucket in the same
+         bucket task.
+      2. exact coarse histogram: cbucket = total_cents >> ``shift``; a
+         count per cbucket yields a BOUNDED table (value range /
          2^shift rows, independent of user count), from which the driver
          computes each bucket's starting global rank in DESC order.
       3. broadcast offsets; groupby(bucket).map_groups ranks each bucket
@@ -319,19 +333,15 @@ def _spend_rank_parts(sf_dir: str, shift: int):
             }
         )
 
-    totals = (
-        ds.map_batches(purchases, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Sum("cents", alias_name="total_cents"))
-        .materialize()
-    )
+    def totals(batch: pa.Table) -> pa.Table:
+        t = aggregate_table(batch, ["user_id"], {"total_cents": ("cents", "sum")})
+        c = t["total_cents"].to_numpy(zero_copy_only=False)
+        return t.append_column("cbucket", pa.array(c >> shift, pa.int64()))
 
-    def bucketize(batch: pa.Table) -> pa.Table:
-        c = batch["total_cents"].to_numpy(zero_copy_only=False)
-        return batch.append_column("cbucket", pa.array(c >> shift, pa.int64()))
-
-    bucketed = totals.map_batches(bucketize, batch_format="pyarrow").materialize()
-    hist = bucketed.groupby("cbucket").aggregate(Count(alias_name="n")).to_pandas()
+    rows = table_rows(sf_dir, "events")
+    spend = block_refs(ds.map_batches(purchases, batch_format="pyarrow"))
+    bucketed = map_buckets(totals, hash_partition(spend, ["user_id"], cpu_units(rows)))
+    hist = group_aggregate(bucketed, ["cbucket"], {"n": ([], "count_all")}, None).to_pandas()
     hist = hist.sort_values("cbucket", ascending=False)  # DESC spend order
     counts = hist["n"].to_numpy(np.int64)
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -399,7 +409,8 @@ FROM t
 def revenue_rollup(sf_dir: str) -> ray.data.Dataset:
     """ROLLUP(l_returnflag, l_linestatus): totals at (flag, status), (flag)
     and grand-total levels. The finest level is the only corpus-scale
-    aggregate; coarser levels re-aggregate its (few-row) result — the
+    aggregate (``group_aggregate``); the coarser levels re-aggregate its
+    few rows (one per flag and status) on the driver — the
     hierarchical-aggregation shape, not three corpus passes."""
     ds = read_table(sf_dir, "lineitem", columns=["l_returnflag", "l_linestatus", "l_extendedprice"])
 
@@ -414,42 +425,26 @@ def revenue_rollup(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    fine = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(Sum("cents", alias_name="revenue_cents"), Count(alias_name="n"))
-        .materialize()
+    keys = ["l_returnflag", "l_linestatus"]
+    fine = group_aggregate(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        keys,
+        {"revenue_cents": ("cents", "sum"), "n": ([], "count_all")},
+        table_rows(sf_dir, "lineitem"),
     )
+    fine = pa.concat_tables(ray.get(fine.to_arrow_refs()))
 
-    def relabel(flag_all: bool, status_all: bool):
-        def fn(batch: pa.Table) -> pa.Table:
-            k = len(batch)
-            return pa.table(
-                {
-                    "l_returnflag": pa.array(["ALL"] * k, pa.string())
-                    if flag_all
-                    else batch["l_returnflag"],
-                    "l_linestatus": pa.array(["ALL"] * k, pa.string())
-                    if status_all
-                    else batch["l_linestatus"],
-                    "revenue_cents": batch["revenue_cents"],
-                    "n": batch["n"],
-                }
-            )
+    def rolled_up(cols: list[str]) -> pa.Table:
+        t = fine
+        for c in cols:
+            all_rows = pa.array(["ALL"] * t.num_rows, pa.string())
+            t = t.set_column(t.schema.get_field_index(c), c, all_rows)
+        sums = {"revenue_cents": ("revenue_cents", "sum"), "n": ("n", "sum")}
+        return aggregate_table(t, keys, sums)
 
-        return fn
-
-    mid = (
-        fine.map_batches(relabel(False, True), batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(Sum("revenue_cents", alias_name="revenue_cents"), Sum("n", alias_name="n"))
+    return ray.data.from_arrow(
+        pa.concat_tables([fine, rolled_up(["l_linestatus"]), rolled_up(keys)])
     )
-    top = (
-        fine.map_batches(relabel(True, True), batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(Sum("revenue_cents", alias_name="revenue_cents"), Sum("n", alias_name="n"))
-    )
-    return fine.union(mid).union(top)
 
 
 def revenue_rollup_sql() -> str:

@@ -32,10 +32,15 @@ import numpy as np
 import pyarrow as pa
 
 import ray
-from ray.data.aggregate import Count, Min, Sum
+from ray.data.aggregate import Sum
 
 from epichypersketch_jl_ray.functions.hashing import hash_int64
-from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
+from epichypersketch_jl_ray.stages.exchange import (
+    aggregate_table,
+    group_aggregate,
+    hash_partition,
+    map_buckets,
+)
 from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
 
 
@@ -46,32 +51,25 @@ def _empty_components() -> ray.data.Dataset:
 
 
 def _star_pass(
-    edges: ray.data.Dataset, *, large: bool, buckets: int, dedupe: bool = True
+    edges: ray.data.Dataset, *, large: bool, rows: int, dedupe: bool = True
 ) -> ray.data.Dataset:
-    """One large-star or small-star pass: symmetrize, hash exchange on the
-    center node into ``buckets`` buckets, vectorized per-bucket segment-min
-    emit, canonical (u < v) dedupe.
+    """One large-star or small-star pass: every edge goes to the bucket of
+    each of its ends (one hash exchange of the edges on ``u`` and one on
+    ``v``, ``udaf.cpu_units(rows)`` buckets), so each bucket holds the
+    symmetrized (center, neighbor) rows of its centers; then a vectorized
+    per-bucket segment-min emit and a canonical (u < v) dedupe.
 
-    ``dedupe=False`` skips the output's (u, v) dedupe groupby. Safe when
+    ``dedupe=False`` skips the output's (u, v) distinct. Safe when
     the NEXT consumer is another star pass: min over a neighbor MULTISET
     equals min over the set, so duplicate edges (<= 2x volume) cannot
     change any emitted label — the round loop dedupes once per round
     (after small-star) instead of twice, 3 shuffles per round instead
     of 4. The fingerprint/fixpoint test always runs on DEDUPED output."""
 
-    def symmetrize(batch: pa.Table) -> pa.Table:
-        u = batch["u"].to_numpy(zero_copy_only=False)
-        v = batch["v"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "c": pa.array(np.concatenate([u, v]), pa.int64()),
-                "n": pa.array(np.concatenate([v, u]), pa.int64()),
-            }
-        )
-
-    def per_bucket(group: pa.Table) -> pa.Table:
-        c = group["c"].to_numpy(zero_copy_only=False)
-        n = group["n"].to_numpy(zero_copy_only=False)
+    def per_bucket(by_u: pa.Table, by_v: pa.Table) -> pa.Table:
+        u = [t["u"].to_numpy(zero_copy_only=False).astype(np.int64) for t in (by_u, by_v)]
+        v = [t["v"].to_numpy(zero_copy_only=False).astype(np.int64) for t in (by_u, by_v)]
+        c, n = np.concatenate([u[0], v[1]]), np.concatenate([v[0], u[1]])
         order = np.lexsort((n, c))
         c, n = c[order], n[order]
         first = np.ones(len(c), bool)  # a 0-row bucket keeps 0 rows
@@ -99,15 +97,13 @@ def _star_pass(
             }
         )
 
-    centers = block_refs(edges.map_batches(symmetrize, batch_format="pyarrow"))
-    out = map_buckets(per_bucket, hash_partition(centers, ["c"], buckets))
+    refs, buckets = list(block_refs(edges)), cpu_units(rows)
+    out = map_buckets(
+        per_bucket, hash_partition(refs, ["u"], buckets), hash_partition(refs, ["v"], buckets)
+    )
     if not dedupe:
         return out
-    return (
-        out.groupby(["u", "v"])
-        .aggregate(Count(alias_name="_c"))
-        .drop_columns(["_c"])
-    )
+    return group_aggregate(out, ["u", "v"], {}, rows)
 
 
 # 40-bit terms: up to 2^23 edges sum within int64 (2^63); beyond that the
@@ -215,10 +211,10 @@ def connected_components(
 
     fp = _fingerprint(edges)
     # sized once, from the first round's symmetrized rows
-    buckets = cpu_units(2 * n_edges)
+    rows = 2 * n_edges
     for _ in range(max_rounds):
-        edges = _star_pass(edges, large=True, buckets=buckets, dedupe=False)
-        edges = _star_pass(edges, large=False, buckets=buckets).materialize()
+        edges = _star_pass(edges, large=True, rows=rows, dedupe=False)
+        edges = _star_pass(edges, large=False, rows=rows).materialize()
         new_fp = _fingerprint(edges)
         # probabilistic fixpoint test: equal count + two independent 40-bit
         # hash sums. A collision (different edge multisets, same triple;
@@ -231,19 +227,19 @@ def connected_components(
         raise RuntimeError(f"connected_components did not converge in {max_rounds} rounds")
 
     # fixpoint: every component is a star (root=u=min, child=v); labels are
-    # the star edges plus each root labeling itself
-    def to_labels(batch: pa.Table) -> pa.Table:
-        u = batch["u"].to_numpy(zero_copy_only=False)
-        v = batch["v"].to_numpy(zero_copy_only=False)
-        return pa.table(
+    # the star edges (by v) plus each root labeling itself (by u), the min
+    # label per node in the bucket of that node
+    def to_labels(by_v: pa.Table, by_u: pa.Table) -> pa.Table:
+        col = lambda t, c: t[c].to_numpy(zero_copy_only=False).astype(np.int64)
+        labels = pa.table(
             {
-                "node": pa.array(np.concatenate([v, u]), pa.int64()),
-                "component": pa.array(np.concatenate([u, u]), pa.int64()),
+                "node": np.concatenate([col(by_v, "v"), col(by_u, "u")]),
+                "component": np.concatenate([col(by_v, "u"), col(by_u, "u")]),
             }
         )
+        return aggregate_table(labels, ["node"], {"component": ("component", "min")})
 
-    return (
-        edges.map_batches(to_labels, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Min("component", alias_name="component"))
+    refs, buckets = list(block_refs(edges)), cpu_units(rows)
+    return map_buckets(
+        to_labels, hash_partition(refs, ["v"], buckets), hash_partition(refs, ["u"], buckets)
     )

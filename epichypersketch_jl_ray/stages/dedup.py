@@ -3,8 +3,8 @@
 Training-data dedup operators (absent from the reference, SURVEY.md §2.7).
 Partitioning strategy (documented per the north_rule):
 
-- exact: hash-partition on content hash (a groupby shuffle), keep
-  min-id per group — one all-to-all, no driver loop.
+- exact: hash-partition on content hash (the engine's hash exchange),
+  keep min-id per group — one all-to-all, no driver loop.
 - MinHash-LSH: signatures per doc (map_batches, stateless) → explode one row
   per (band_key, doc) → groupby(band_key) emits candidate pairs — the shuffle
   key is the band bucket, so co-occurrence is locality, not luck. Candidates
@@ -396,11 +396,11 @@ def attach_list_column(
     ``lists[list_col]`` to every pair row whose ``key_col`` matches
     ``list_key``.
 
-    Ray's native hash join delegates to pyarrow acero, which rejects list
-    payload columns ("Data type list<...> is not supported in join non-key
-    field"), so both sides go through the hash exchange (stages/exchange)
-    on their key instead, and one task per bucket matches its pair rows
-    to its list rows with a vectorized searchsorted + arrow take. A
+    An Arrow (acero) hash join, as ``bucketed_hash_join`` runs, rejects
+    list payload columns ("Data type list<...> is not supported in join
+    non-key field"), so both sides go through the hash exchange
+    (stages/exchange) on their key, and one task per bucket matches its
+    pair rows to its list rows with a vectorized searchsorted + arrow take. A
     bucket holds many keys; ``udaf.cpu_units(pairs.count())`` buckets, so
     pass a materialized ``pairs``.
 
@@ -408,7 +408,7 @@ def attach_list_column(
     inside each bucket — valid because rows agreeing on ``key_col``
     co-locate by construction, so all duplicates of a pair land in one
     bucket. This fuses the pair-dedupe into the attach exchange instead
-    of paying a dedicated groupby stage.
+    of paying a dedicated distinct stage.
     """
     from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
     from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units

@@ -1,19 +1,28 @@
 """The engine's one hash exchange: plain Ray tasks over block refs, no Ray
-Data operator.
+Data operator. It is the engine's only way to group or join rows by key.
 
 - ``hash_partition``: one split task per input block ref
   (``num_returns=num_buckets``) stably sorts the block's rows by bucket and
   returns one slice per bucket, an empty one for a bucket the block has no
-  row for. A row's bucket is ``hash_int64(key, seed=1) % num_buckets``;
-  several key columns are hashed the same way and folded with
-  ``hash_combine``. A bucket holds many keys, and every row of a key.
+  row for. A row's bucket is its key hash modulo ``num_buckets``: an integer
+  (or timestamp) key column hashes as ``hash_int64(key, seed=1)``, a string,
+  large_string or binary one as ``hash_strings_fast(key)``; several key
+  columns are folded with ``hash_combine``. A bucket holds many keys, and
+  every row of a key.
 - ``map_buckets``: one task per bucket concatenates that bucket's slices
   of one side, or of two sides, and runs the caller's table function on
   them. The result is ``ray.data.from_arrow_refs`` of the task outputs:
   one block per bucket, in bucket order.
+- ``group_aggregate``: a grouped sum, min, max or count (or the distinct
+  keys) as ``hash_partition`` on the keys + one ``aggregate_table`` (an
+  Arrow ``Table.group_by``) per bucket.
 
-Users: the activation group-by (``sources.activation``), the three
-bucketed joins (``stages.join``), the bucketed exact recount
+Users: every grouped aggregate and distinct (``group_aggregate``, or
+``aggregate_table`` inside a site's own bucket function when a filter or
+select follows it), the activation group-by (``sources.activation``), the
+bucketed joins (``stages.join``), the anti- and outer joins of
+``parts_never_discounted``, ``customer_order_counts`` and the curation
+keep/drop sets, the bucketed exact recount
 (``stages.udaf.exact_recount``), and every per-bucket map whose bucket
 only routes rows: the window functions and sessionize, the graph edge
 dedup, connected components' star passes, the dedup verify, attach,
@@ -33,6 +42,19 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
+
+
+def _key_hash(col: pa.ChunkedArray) -> np.ndarray:
+    """uint64 hash of one key column: ``hash_strings_fast`` of a string or
+    binary column, ``hash_int64(seed=1)`` of any other (as int64)."""
+    from epichypersketch_jl_ray.functions.hashing import hash_int64, hash_strings_fast
+
+    t = col.type
+    if pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t):
+        return hash_strings_fast(col)
+    return hash_int64(col.to_numpy(zero_copy_only=False).astype(np.int64), seed=1)
+
 
 @ray.remote
 def _split(block, key_cols: list[str], num_buckets: int, columns: list[str] | None):
@@ -41,7 +63,7 @@ def _split(block, key_cols: list[str], num_buckets: int, columns: list[str] | No
     import pandas as pd
     from ray.data.block import BlockAccessor
 
-    from epichypersketch_jl_ray.functions.hashing import hash_combine, hash_int64
+    from epichypersketch_jl_ray.functions.hashing import hash_combine
 
     if isinstance(block, pd.DataFrame) and not len(block):
         # Ray's own conversion types a 0-row pandas block's columns as null
@@ -52,12 +74,7 @@ def _split(block, key_cols: list[str], num_buckets: int, columns: list[str] | No
         return [tbl] * num_buckets if num_buckets > 1 else tbl
     if columns is not None:
         tbl = tbl.select(columns)
-    h = hash_combine(
-        *(
-            hash_int64(tbl[c].to_numpy(zero_copy_only=False).astype(np.int64), seed=1)
-            for c in key_cols
-        )
-    )
+    h = hash_combine(*(_key_hash(tbl[c]) for c in key_cols))
     bucket = (h % np.uint64(num_buckets)).astype(np.int64)
     order = np.argsort(bucket, kind="stable")
     bounds = np.searchsorted(bucket[order], np.arange(num_buckets + 1))
@@ -105,3 +122,29 @@ def map_buckets(fn: Callable[..., pa.Table], *sides: list[list]) -> ray.data.Dat
         for parts in zip(*sides)
     ]
     return ray.data.from_arrow_refs(refs)
+
+
+def aggregate_table(tbl: pa.Table, keys: list[str], aggs: dict[str, tuple]) -> pa.Table:
+    """``tbl`` grouped by ``keys``: the keys, then one column per ``aggs``
+    entry (output name -> pyarrow ``(column, function)``, e.g.
+    ``("v", "sum")`` or ``([], "count_all")``), in that order. An empty
+    ``aggs`` gives the distinct keys."""
+    specs = list(aggs.values()) or [([], "count_all")]
+    out = tbl.group_by(keys, use_threads=False).aggregate(specs)
+    names = [f"{c}_{f}" if c else f for c, f in specs]
+    return out.select(keys + names[: len(aggs)]).rename_columns(keys + list(aggs))
+
+
+def group_aggregate(
+    ds: ray.data.Dataset, keys: list[str], aggs: dict[str, tuple], rows: int | None
+) -> ray.data.Dataset:
+    """``aggregate_table(keys, aggs)`` of ``ds``: one hash exchange on
+    ``keys`` into ``udaf.cpu_units(rows)`` buckets (``rows``: an input row
+    count such as a parquet footer's, or None), one Arrow group-by per
+    bucket. Every output block, a 0-row one too, has the keys' and
+    aggregates' types."""
+    cols = list(dict.fromkeys(keys + [c for c, _ in aggs.values() if c]))
+    return map_buckets(
+        lambda t: aggregate_table(t, keys, aggs),
+        hash_partition(block_refs(ds), keys, cpu_units(rows), cols),
+    )

@@ -1,19 +1,24 @@
-"""Distributed joins Ray Data lacks natively, on the engine's one hash
-exchange (stages/exchange; SCALE.md "Broadcasts instead of shuffle
-joins"): both sides are split into the same buckets by a hash of their
-join key (``exchange.hash_partition``), and one task per bucket joins
-that bucket's left table with its right table (``exchange.map_buckets``).
-The splits are submitted while each input streams, so a join runs when it
-is called and returns a materialized Dataset, one block per bucket; every
-block, a 0-row one too, carries the join's schema.
+"""Distributed joins on the engine's one hash exchange (stages/exchange;
+SCALE.md "Broadcasts instead of shuffle joins"): both sides are split into
+the same buckets by a hash of their join key (``exchange.hash_partition``),
+and one task per bucket joins that bucket's left table with its right
+table (``exchange.map_buckets``). Ray Data's own ``Dataset.join`` runs
+nowhere in the engine. The splits are submitted while each input streams,
+so a join runs when it is called and returns a materialized Dataset, one
+block per bucket; every block, a 0-row one too, carries the join's schema.
 
-- bucketed_hash_join: large-large inner equi-join, an Arrow hash join per
-  bucket. Skew: the bucket key is a hash, so DISTINCT hot keys spread; a
-  single pathological key still maps to ONE bucket.
+- bucketed_hash_join: inner equi-join on one key column or several, an
+  Arrow hash join per bucket. Skew: the bucket key is a hash, so DISTINCT
+  hot keys spread; a single pathological key still maps to ONE bucket.
 - bucketed_range_count_join: per left row, the right rows of the same key
   in a window after it, counted with sorted searches per bucket.
 - bucketed_asof_join: as-of (backward, inclusive) join per `by` key —
   sort within bucket, pandas merge_asof.
+
+Anti- and outer joins whose bucket body is one Arrow join plus a site's
+own filter (``relational.parts_never_discounted``,
+``relational.customer_order_counts``, the curation keep/drop sets) call
+``exchange.map_buckets`` directly.
 
 The bucket count is ``udaf.cpu_units(size_hint_rows)`` (callers pass a
 parquet-footer row count): about 64k rows per bucket, a multiple of the
@@ -38,17 +43,17 @@ def _join_buckets(
     fn: Callable[[pa.Table, pa.Table], pa.Table],
     left: ray.data.Dataset,
     right: ray.data.Dataset,
-    left_on: str,
-    right_on: str,
+    left_on: list[str],
+    right_on: list[str],
     size_hint_rows: int | None,
     columns: list[str] | None = None,
 ) -> ray.data.Dataset:
-    """``fn(left table, right table)`` per bucket of both sides' join key."""
+    """``fn(left table, right table)`` per bucket of both sides' join keys."""
     num_buckets = cpu_units(size_hint_rows)
     return map_buckets(
         fn,
-        hash_partition(block_refs(left), [left_on], num_buckets, columns),
-        hash_partition(block_refs(right), [right_on], num_buckets, columns),
+        hash_partition(block_refs(left), left_on, num_buckets, columns),
+        hash_partition(block_refs(right), right_on, num_buckets, columns),
     )
 
 
@@ -56,27 +61,31 @@ def bucketed_hash_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
     *,
-    left_on: str,
-    right_on: str,
+    left_on: str | list[str],
+    right_on: str | list[str],
     size_hint_rows: int | None = None,
 ) -> ray.data.Dataset:
-    """Inner equi-join: per bucket, one Arrow hash join.
+    """Inner equi-join: per bucket, one Arrow hash join. ``left_on`` and
+    ``right_on`` name one key column each, or equally long lists of them.
 
     Column-name collisions other than the keys are the caller's problem
     (prune to needed columns first — which also minimizes exchange bytes).
     """
+    lk = [left_on] if isinstance(left_on, str) else list(left_on)
+    rk = [right_on] if isinstance(right_on, str) else list(right_on)
+    shared = {a for a, b in zip(lk, rk) if a == b}
 
     def join_bucket(l: pa.Table, r: pa.Table) -> pa.Table:
         # Acero hash join, no Arrow<->pandas conversion per bucket. Acero
-        # omits the right key column; it is re-appended (inner equi-join:
+        # omits the right key columns; each is re-appended (inner equi-join:
         # values equal the left key) to keep pandas-merge-compatible output
-        out = l.join(r, keys=[left_on], right_keys=[right_on], join_type="inner")
-        if left_on != right_on:
-            out = out.append_column(right_on, out[left_on].cast(r.schema.field(right_on).type))
-            return out.select(l.column_names + r.column_names)
-        return out.select(l.column_names + [c for c in r.column_names if c != right_on])
+        out = l.join(r, keys=lk, right_keys=rk, join_type="inner")
+        for a, b in zip(lk, rk):
+            if a != b:
+                out = out.append_column(b, out[a].cast(r.schema.field(b).type))
+        return out.select(l.column_names + [c for c in r.column_names if c not in shared])
 
-    return _join_buckets(join_bucket, left, right, left_on, right_on, size_hint_rows)
+    return _join_buckets(join_bucket, left, right, lk, rk, size_hint_rows)
 
 
 def bucketed_range_count_join(
@@ -125,7 +134,7 @@ def bucketed_range_count_join(
         cols = {by: lk, on: lo, out_count: n}
         return pa.table({c: pa.array(v, pa.int64()) for c, v in cols.items()})
 
-    return _join_buckets(count_bucket, left, right, by, by, size_hint_rows, [by, on])
+    return _join_buckets(count_bucket, left, right, [by], [by], size_hint_rows, [by, on])
 
 
 def bucketed_asof_join(
@@ -159,4 +168,4 @@ def bucketed_asof_join(
         ).dropna(subset=[on + "_r"])
         return pa.Table.from_pandas(out, preserve_index=False).select(schema.names).cast(schema)
 
-    return _join_buckets(asof_bucket, left, right, by, by, size_hint_rows)
+    return _join_buckets(asof_bucket, left, right, [by], [by], size_hint_rows)

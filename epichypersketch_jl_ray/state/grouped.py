@@ -8,8 +8,8 @@ grouped analogue of the reference's shared-CMS accumulation
 
 Use when the GROUP CARDINALITY is bounded (lang, event_type, shard class):
 state is O(groups x sketch size). For corpus-cardinality keys use the
-engine groupby instead — a per-key sketch there would just be a worse
-shuffle.
+hash exchange's ``group_aggregate`` instead — a per-key sketch there would
+just be a worse shuffle.
 """
 
 from __future__ import annotations

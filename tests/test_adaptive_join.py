@@ -1,5 +1,5 @@
 """Size-aware join strategy: the broadcast path (below the row threshold)
-and the native-hash-join path (above it) must produce identical,
+and the bucketed-hash-join path (above it) must produce identical,
 oracle-exact results — threshold=0 forces the join path on fixture data."""
 
 import sys
@@ -35,7 +35,7 @@ def test_top_parts_per_brand_both_paths_match_oracle(ray_session, sf_dir):
 
 def test_parts_never_discounted_all_paths_match_oracle(ray_session, sf_dir):
     """The selectivity-aware anti-join has four plans (broadcast exact key
-    set; dense union+groupby; sparse Bloom-miss + direct verify; very-sparse
+    set; dense bucketed anti-join; sparse Bloom-miss + direct verify; very-sparse
     Bloom-miss + hit-Bloom pruned verify) — forced via the thresholds, all
     must equal the oracle."""
     from epichypersketch_jl_ray.pipelines.relational import (

@@ -1,5 +1,7 @@
-"""Join operator tests: the portable bucketed hash join (fallback pattern)
-vs pandas ground truth, and the as-of join vs pandas merge_asof."""
+"""Join and hash-exchange tests: the bucketed hash join vs pandas ground
+truth, the as-of join vs pandas merge_asof, the exchange's bucket rule and
+group_aggregate, and guards that the registered queries group and join on
+the exchange only."""
 
 import numpy as np
 import pandas as pd
@@ -221,6 +223,31 @@ def test_exchange_users_run_no_ray_data_all_to_all(ray_session, monkeypatch):
     assert got.equals(want.sort_by("data_index"))
 
 
+def _check_every_bucket(monkeypatch):
+    """32 buckets, so some bucket gets no row, and every bucket task also
+    runs its function on 0-row tables of its sides, which must give 0 rows
+    of the bucket output's schema."""
+    import ray
+
+    from epichypersketch_jl_ray.stages import exchange, udaf
+
+    run_bucket = exchange._map_bucket._function
+
+    @ray.remote
+    def checked_bucket(fn, counts, *slices):
+        out = run_bucket(fn, counts, *slices)
+        sides, start = [], 0
+        for n in counts:
+            sides.append(max(slices[start : start + n], key=lambda t: t.num_columns).slice(0, 0))
+            start += n
+        empty = run_bucket(fn, (1,) * len(counts), *sides)
+        assert empty.num_rows == 0 and empty.schema == out.schema, (empty.schema, out.schema)
+        return out
+
+    monkeypatch.setattr(udaf, "cluster_cpus", lambda: 32)
+    monkeypatch.setattr(exchange, "_map_bucket", checked_bucket)
+
+
 def test_routing_bucket_users_run_no_ray_data_map_groups(ray_session, monkeypatch):
     """Every per-bucket map whose bucket only routes rows runs on
     stages/exchange: with Ray Data's GroupedData.map_groups raising, each
@@ -240,7 +267,6 @@ def test_routing_bucket_users_run_no_ray_data_map_groups(ray_session, monkeypatc
         customer_orders_and_pagerank,
         customer_orders_and_pagerank_sql,
     )
-    from epichypersketch_jl_ray.stages import exchange, udaf
     from epichypersketch_jl_ray.stages.cc import connected_components
     from epichypersketch_jl_ray.stages.dedup import attach_list_column
 
@@ -248,21 +274,7 @@ def test_routing_bucket_users_run_no_ray_data_map_groups(ray_session, monkeypatc
         raise AssertionError("a Ray Data map_groups ran")
 
     monkeypatch.setattr(GroupedData, "map_groups", forbidden)
-    monkeypatch.setattr(udaf, "cluster_cpus", lambda: 32)
-    run_bucket = exchange._map_bucket._function
-
-    @ray.remote
-    def checked_bucket(fn, counts, *slices):
-        out = run_bucket(fn, counts, *slices)
-        sides, start = [], 0
-        for n in counts:
-            sides.append(max(slices[start : start + n], key=lambda t: t.num_columns).slice(0, 0))
-            start += n
-        empty = run_bucket(fn, (1,) * len(counts), *sides)
-        assert empty.num_rows == 0 and empty.schema == out.schema, (empty.schema, out.schema)
-        return out
-
-    monkeypatch.setattr(exchange, "_map_bucket", checked_bucket)
+    _check_every_bucket(monkeypatch)
 
     sf = "/root/testdata/sf0.001"
     con = duck_con(sf)
@@ -321,3 +333,115 @@ def test_routing_bucket_users_run_no_ray_data_map_groups(ray_session, monkeypatc
     ).to_pandas()
     assert sorted(out["doc_a"]) == sorted(keys[keys < 40])
     assert all(list(s) == [a, a + 1] for a, s in zip(out["doc_a"], out["sh_a"]))
+
+
+def test_hash_partition_buckets_string_and_int_keys(ray_session):
+    """A string key's rows all land in one bucket (its hash_strings_fast
+    hash), and an int64 key's bucket is still hash_int64(k, seed=1) % R."""
+    import pyarrow as pa
+    import ray
+
+    from epichypersketch_jl_ray.functions.hashing import hash_int64
+    from epichypersketch_jl_ray.stages.exchange import hash_partition
+
+    rng = np.random.default_rng(6)
+    n, r = 600, 7
+    words = np.array(["A", "N", "R", "", "long-string-key", "é"], dtype=object)
+    t = pa.table(
+        {
+            "s": pa.array(words[rng.integers(0, len(words), n)], pa.string()),
+            "k": pa.array(rng.integers(-1_000, 1_000, n), pa.int64()),
+            "row": pa.array(np.arange(n), pa.int64()),
+        }
+    )
+    blocks = [ray.put(t.slice(0, 250)), ray.put(t.slice(250, 0)), ray.put(t.slice(250))]
+
+    seen: dict = {}
+    for b, parts in enumerate(hash_partition(blocks, ["s"], r)):
+        for s in pa.concat_tables(ray.get(parts))["s"].to_pylist():
+            assert seen.setdefault(s, b) == b, s
+    assert set(seen) == set(words)
+
+    for b, parts in enumerate(hash_partition(blocks, ["k"], r)):
+        k = pa.concat_tables(ray.get(parts))["k"].to_numpy()
+        assert (hash_int64(k, seed=1) % np.uint64(r) == b).all()
+
+
+def test_group_aggregate_of_empty_blocks_keeps_types(ray_session):
+    """Every block 0-row: the result is 0 rows with the keys' and the
+    aggregates' types, the keys first, the aggregates in the caller's order."""
+    import pyarrow as pa
+    import ray.data
+
+    from epichypersketch_jl_ray.stages.exchange import group_aggregate
+
+    empty = pa.table(
+        {
+            "g": pa.array([], pa.string()),
+            "k": pa.array([], pa.int64()),
+            "v": pa.array([], pa.float64()),
+        }
+    )
+    ds = ray.data.from_arrow([empty, empty])
+    aggs = {"n": ([], "count_all"), "top": ("v", "max"), "total": ("v", "sum"), "low": ("k", "min")}
+    got = group_aggregate(ds, ["g", "k"], aggs, None).to_arrow_refs()
+    got = pa.concat_tables(ray.get(got))
+    assert got.num_rows == 0
+    assert got.schema == pa.schema(
+        [("g", pa.string()), ("k", pa.int64()), ("n", pa.int64()), ("top", pa.float64()),
+         ("total", pa.float64()), ("low", pa.int64())]
+    )
+    distinct = pa.concat_tables(ray.get(group_aggregate(ds, ["g"], {}, None).to_arrow_refs()))
+    assert distinct.schema == pa.schema([("g", pa.string())])
+
+
+def test_grouped_queries_run_no_ray_data_aggregate_or_join(ray_session, sf_dir, monkeypatch):
+    """Every grouped aggregate, distinct and equi-join of the registered
+    queries runs on stages/exchange: with Ray Data's GroupedData.aggregate,
+    GroupedData.count and Dataset.join raising, each query with such a site
+    equals its DuckDB oracle at sf0.001 (the join paths of revenue_by_nation,
+    top_parts_per_brand and local_supplier_volume forced by a 0-row
+    broadcast threshold). 32 buckets leave some bucket without a row, and
+    every bucket task also runs its function on 0-row tables, which must
+    give 0 rows of the bucket output's schema."""
+    import ray
+    import ray.data
+    from ray.data.grouped_data import GroupedData
+
+    import __ray_entry__ as entry
+    from oracle_util import compare, duck_con
+    from epichypersketch_jl_ray.pipelines import relational, windowfns
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Ray Data sort-shuffle aggregate or join ran")
+
+    monkeypatch.setattr(GroupedData, "aggregate", forbidden)
+    monkeypatch.setattr(GroupedData, "count", forbidden)
+    monkeypatch.setattr(ray.data.Dataset, "join", forbidden)
+    _check_every_bucket(monkeypatch)
+
+    sf = sf_dir
+    con = duck_con(sf)
+    queries, oracles = entry.queries(), entry.oracle_sql()
+    registered = [
+        "distinct_users_exact", "dedup_exact", "dedup_minhash_lsh", "dedup_ngram_jaccard",
+        "dedup_embedding_lsh", "curate_corpus", "embedding_principal_components", "doc_stats",
+        "token_count_bpe", "export_by_lang", "pricing_summary", "top_suppliers",
+        "revenue_by_nation", "windowed_events", "part_revenue_by_brand",
+        "parts_never_discounted", "click_purchase_set_ops", "customer_order_counts",
+        "event_props_by_type", "local_supplier_volume", "top_parts_per_brand",
+        "user_spend_rank", "revenue_rollup",
+    ]
+    cases = {name: (queries[name], oracles[name]) for name in registered}
+    for fn in (
+        relational.revenue_by_nation, windowfns.top_parts_per_brand,
+        relational.local_supplier_volume,
+    ):
+        cases[f"{fn.__name__}[join]"] = (
+            lambda s, fn=fn: fn(s, broadcast_threshold_rows=0), oracles[fn.__name__]
+        )
+    for name, (query, sql) in cases.items():
+        ours = query(sf)  # before the oracle: some oracles read the state a query stores
+        theirs = con.sql(sql).df()
+        assert len(theirs), name
+        assert compare(name, ours, theirs) == [], name
