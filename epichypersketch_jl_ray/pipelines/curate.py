@@ -27,7 +27,6 @@ import ray
 from epichypersketch_jl_ray.pipelines.dedup import SHINGLE_N, minhash_pairs
 from epichypersketch_jl_ray.stages.dedup import content_key_table
 from epichypersketch_jl_ray.stages.exchange import (
-    aggregate_table,
     group_aggregate,
     hash_partition,
     map_buckets,
@@ -68,15 +67,15 @@ def _keeper_docs(sf_dir: str, *, min_chars: int) -> ray.data.Dataset:
     # groupby + rejoin-on-doc_id, which shuffled the text a second time
     keys = ["h1", "h2"]
 
-    def keep_min(t: pa.Table) -> pa.Table:
-        aggs = {"doc_id": ("doc_id", "min"), "text": ("text", "max")}
-        return aggregate_table(t, keys, aggs).drop_columns(keys)
-
-    keyed = filtered.map_batches(
-        lambda b: content_key_table(b, keep=("text",)), batch_format="pyarrow"
+    keeper_docs = group_aggregate(
+        filtered.map_batches(
+            lambda b: content_key_table(b, keep=("text",)), batch_format="pyarrow"
+        ),
+        keys,
+        {"doc_id": ("doc_id", "min"), "text": ("text", "max")},
+        table_rows(sf_dir, "documents"),
+        then=lambda t: t.drop_columns(keys),
     )
-    buckets = cpu_units(table_rows(sf_dir, "documents"))
-    keeper_docs = map_buckets(keep_min, hash_partition(block_refs(keyed), keys, buckets))
     _KEEPER_CACHE[key] = keeper_docs
     return keeper_docs
 

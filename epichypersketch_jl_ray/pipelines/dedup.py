@@ -23,7 +23,6 @@ from epichypersketch_jl_ray.stages.dedup import (
     simhash_candidates_from_chunk,
 )
 from epichypersketch_jl_ray.stages.exchange import (
-    aggregate_table,
     group_aggregate,
     hash_partition,
     map_buckets,
@@ -56,13 +55,12 @@ def dedup_exact(sf_dir: str) -> ray.data.Dataset:
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     keys = ["h1", "h2"]
 
-    def keep_min(t: pa.Table) -> pa.Table:
-        aggs = {"keep_id": ("doc_id", "min"), "dup_count": ([], "count_all")}
-        return aggregate_table(t, keys, aggs).drop_columns(keys)
-
-    refs = block_refs(ds.map_batches(content_key_table, batch_format="pyarrow"))
-    return map_buckets(
-        keep_min, hash_partition(refs, keys, cpu_units(table_rows(sf_dir, "documents")))
+    return group_aggregate(
+        ds.map_batches(content_key_table, batch_format="pyarrow"),
+        keys,
+        {"keep_id": ("doc_id", "min"), "dup_count": ([], "count_all")},
+        table_rows(sf_dir, "documents"),
+        then=lambda t: t.drop_columns(keys),
     )
 
 

@@ -670,6 +670,7 @@ def embedding_analysis(sf_dir: str) -> pd.DataFrame:
         {"size": ("n", "sum"), "qsim": ("qsim", "sum")},
         None,
     ).to_pandas()
+    prof = prof.sort_values("cluster", ignore_index=True)
     km = pd.DataFrame(
         {
             "method": "kmeans",

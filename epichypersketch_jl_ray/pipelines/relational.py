@@ -5,9 +5,10 @@ the documented post-processing workflows, /root/reference/README.md:156-191).
 
 Every grouped aggregate, set operation and equi-, anti- or outer join here
 runs on the engine's one hash exchange (stages/exchange): a
-``group_aggregate``, a ``bucketed_hash_join``, or a ``map_buckets`` whose
-bucket function runs an Arrow group-by or join and then the site's own
-filter or select, so no Ray Data map runs over the buckets.
+``group_aggregate`` (each block combined before the exchange), a
+``bucketed_hash_join``, or a ``map_buckets`` whose bucket function runs an
+Arrow join. A site's follow-on filter or select runs in the same bucket
+task, so no Ray Data map runs over the buckets.
 
 Monetary aggregates are summed as integer cents (per-row round, then int64
 sum) so distributed partial-sum order cannot perturb float results — the
@@ -564,15 +565,15 @@ def _click_set_op(
 ) -> ray.data.Dataset:
     """The distinct ``keys`` of ``flagged`` (rows with ``is_click`` and
     ``is_purchase`` flags) that have a click and, with ``purchase=1``, a
-    purchase (INTERSECT) or, with ``purchase=0``, none (EXCEPT): one hash
-    exchange on ``keys``, then per bucket the max flags per key
-    (``aggregate_table``) and the filter."""
+    purchase (INTERSECT) or, with ``purchase=0``, none (EXCEPT): the
+    max flags per key (``group_aggregate``), filtered in its bucket
+    task."""
 
-    def bucket(t: pa.Table) -> pa.Table:
-        g = aggregate_table(t, keys, {"c": ("is_click", "max"), "p": ("is_purchase", "max")})
+    def keep(g: pa.Table) -> pa.Table:
         return g.filter(pc.and_(pc.equal(g["c"], 1), pc.equal(g["p"], purchase))).select(keys)
 
-    return map_buckets(bucket, hash_partition(block_refs(flagged), keys, cpu_units(rows)))
+    flags = {"c": ("is_click", "max"), "p": ("is_purchase", "max")}
+    return group_aggregate(flagged, keys, flags, rows, then=keep)
 
 
 def users_intersection(sf_dir: str) -> ray.data.Dataset:
@@ -661,10 +662,11 @@ def hopping_events(
     """Hopping (sliding) window aggregate: each event contributes to every
     window of length ``window`` whose start is a multiple of ``hop`` and
     covers its timestamp — window/hop rows per event, emitted vectorized
-    (np.repeat over the hop count) and pre-combined per batch, then one
-    ``group_aggregate``. The overlap factor (window/hop) is the explicit
-    fan-out cost of sliding windows; tumbling (`windowed_events`) is the
-    factor-1 special case."""
+    (np.repeat over the hop count), then one ``group_aggregate``, whose
+    per-block combine collapses the fan-out onto the few (type, window)
+    cells of each block before the exchange. The overlap factor
+    (window/hop) is the explicit fan-out cost of sliding windows; tumbling
+    (`windowed_events`) is the factor-1 special case."""
     assert window_minutes % hop_minutes == 0
     ds = read_table(sf_dir, "events", columns=["event_type", "ts", "value"])
     hop_us = np.int64(hop_minutes * 60 * 1_000_000)
@@ -675,46 +677,19 @@ def hopping_events(
         cents = _cents(batch["value"].to_numpy(zero_copy_only=False))
         base = (ts // hop_us) * hop_us  # newest window start covering ts
         offs = (np.arange(k, dtype=np.int64) * hop_us)[None, :]
-        starts = (base[:, None] - offs).ravel()
-        et = batch["event_type"]
-        if isinstance(et, pa.ChunkedArray):
-            et = et.combine_chunks()
-        codes = et.dictionary_encode()
-        type_idx = np.repeat(
-            codes.combine_chunks().indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            if isinstance(codes, pa.ChunkedArray)
-            else codes.indices.to_numpy(zero_copy_only=False).astype(np.int64),
-            k,
-        )
-        dictionary = (
-            codes.combine_chunks().dictionary if isinstance(codes, pa.ChunkedArray) else codes.dictionary
-        )
-        # map-side combine: events are time-local within a batch, so the
-        # k-fold fan-out collapses onto few (type, window) cells — ship the
-        # combined partials (n, sum) through the shuffle, not k rows/event
-        cell = type_idx * np.int64(1 << 40) + (starts // hop_us)
-        order = np.argsort(cell, kind="stable")
-        cell_s = cell[order]
-        first = np.ones(len(cell_s), dtype=bool)
-        first[1:] = cell_s[1:] != cell_s[:-1]
-        seg = np.cumsum(first) - 1
-        vals = np.repeat(cents, k)[order]
-        sums = np.bincount(seg, weights=vals).astype(np.int64)
-        counts = np.bincount(seg).astype(np.int64)
-        sel = order[np.flatnonzero(first)]
+        fan = pa.array(np.repeat(np.arange(batch.num_rows, dtype=np.int64), k))
         return pa.table(
             {
-                "event_type": dictionary.take(pa.array(type_idx[sel], pa.int64())),
-                "window_start": pa.array(starts[sel], pa.int64()),
-                "n_events": pa.array(counts, pa.int64()),
-                "value_cents": pa.array(sums, pa.int64()),
+                "event_type": batch["event_type"].take(fan),
+                "window_start": pa.array((base[:, None] - offs).ravel(), pa.int64()),
+                "value_cents": pa.array(np.repeat(cents, k), pa.int64()),
             }
         )
 
     return group_aggregate(
         ds.map_batches(assign, batch_format="pyarrow"),
         ["event_type", "window_start"],
-        {"n_events": ("n_events", "sum"), "value_cents": ("value_cents", "sum")},
+        {"n_events": ([], "count_all"), "value_cents": ("value_cents", "sum")},
         table_rows(sf_dir, "events"),
     )
 

@@ -44,10 +44,10 @@ def top_parts_per_brand(
     """Grouped top-N: each brand's n highest-revenue parts with their rank —
     the ROW_NUMBER window shape. Revenue sums per partkey
     (``group_aggregate``); the brand attach is size-aware: below the
-    threshold a broadcast partkey→brand lookup runs per lineitem batch and
-    the sum groups by (partkey, brand), above it the per-partkey sums join
-    the part table with ``bucketed_hash_join`` (same strategy and threshold
-    test as revenue_by_nation); one tiny per-brand groupby ranks."""
+    threshold a broadcast partkey→brand lookup runs on the sums inside
+    their bucket tasks, above it the sums join the part table with
+    ``bucketed_hash_join`` (same strategy and threshold test as
+    revenue_by_nation); one tiny per-brand groupby ranks."""
     li = read_table(sf_dir, "lineitem", columns=["l_partkey", "l_extendedprice", "l_discount"])
     rows = table_rows(sf_dir, "lineitem")
     revenue = {"revenue_cents": ("revenue_cents", "sum")}
@@ -62,37 +62,29 @@ def top_parts_per_brand(
             }
         )
 
+    lines = li.map_batches(prep, batch_format="pyarrow")
     part = read_table(sf_dir, "part", columns=["p_partkey", "p_brand"])
     if table_rows(sf_dir, "part") <= broadcast_threshold_rows:
         pdf = part.to_pandas().sort_values("p_partkey")
         map_ref = ray.put((pdf["p_partkey"].to_numpy(), pdf["p_brand"].to_numpy()))
 
-        def attach_brand(batch: pa.Table) -> pa.Table:
+        def attach_brand(sums: pa.Table) -> pa.Table:
             keys, brands = ray.get(map_ref)
-            batch = prep(batch)
-            pk = batch["l_partkey"].to_numpy(zero_copy_only=False)
+            pk = sums["l_partkey"].to_numpy(zero_copy_only=False)
             pos = np.searchsorted(keys, pk)
             # max(...,0): an empty part table must not index keys[-1]
             pos = np.minimum(pos, max(len(keys) - 1, 0))
             # inner-join semantics (match the join path and oracle):
             # lineitems referencing a missing part drop instead of raising
             hit = (keys[pos] == pk) if len(keys) else np.zeros(len(pk), bool)
-            return batch.filter(pa.array(hit)).append_column(
+            return sums.filter(pa.array(hit)).append_column(
                 "p_brand", pa.array(brands[pos][hit], pa.string())
             )
 
-        joined = group_aggregate(
-            li.map_batches(attach_brand, batch_format="pyarrow"),
-            ["l_partkey", "p_brand"],
-            revenue,
-            rows,
-        )
+        joined = group_aggregate(lines, ["l_partkey"], revenue, rows, then=attach_brand)
     else:
-        rev = group_aggregate(
-            li.map_batches(prep, batch_format="pyarrow"), ["l_partkey"], revenue, rows
-        )
         joined = bucketed_hash_join(
-            rev,
+            group_aggregate(lines, ["l_partkey"], revenue, rows),
             part,
             left_on="l_partkey",
             right_on="p_partkey",
@@ -333,14 +325,17 @@ def _spend_rank_parts(sf_dir: str, shift: int):
             }
         )
 
-    def totals(batch: pa.Table) -> pa.Table:
-        t = aggregate_table(batch, ["user_id"], {"total_cents": ("cents", "sum")})
+    def tag(t: pa.Table) -> pa.Table:
         c = t["total_cents"].to_numpy(zero_copy_only=False)
         return t.append_column("cbucket", pa.array(c >> shift, pa.int64()))
 
-    rows = table_rows(sf_dir, "events")
-    spend = block_refs(ds.map_batches(purchases, batch_format="pyarrow"))
-    bucketed = map_buckets(totals, hash_partition(spend, ["user_id"], cpu_units(rows)))
+    bucketed = group_aggregate(
+        ds.map_batches(purchases, batch_format="pyarrow"),
+        ["user_id"],
+        {"total_cents": ("cents", "sum")},
+        table_rows(sf_dir, "events"),
+        then=tag,
+    )
     hist = group_aggregate(bucketed, ["cbucket"], {"n": ([], "count_all")}, None).to_pandas()
     hist = hist.sort_values("cbucket", ascending=False)  # DESC spend order
     counts = hist["n"].to_numpy(np.int64)

@@ -14,12 +14,15 @@ Data operator. It is the engine's only way to group or join rows by key.
   them. The result is ``ray.data.from_arrow_refs`` of the task outputs:
   one block per bucket, in bucket order.
 - ``group_aggregate``: a grouped sum, min, max or count (or the distinct
-  keys) as ``hash_partition`` on the keys + one ``aggregate_table`` (an
-  Arrow ``Table.group_by``) per bucket.
+  keys). Each split task first aggregates its block on its own (one
+  partial row per key and block, an Arrow ``Table.group_by``), so what
+  crosses the exchange is at most blocks × keys rows, never the raw rows;
+  each bucket then merges its partials: sums and counts add, mins take the
+  min, maxes the max, and distinct keys stay distinct.
 
-Users: every grouped aggregate and distinct (``group_aggregate``, or
-``aggregate_table`` inside a site's own bucket function when a filter or
-select follows it), the activation group-by (``sources.activation``), the
+Users: every grouped aggregate and distinct (``group_aggregate``, with a
+follow-on filter, select or lookup of a site run in the same bucket task),
+the activation group-by (``sources.activation``), the
 bucketed joins (``stages.join``), the anti- and outer joins of
 ``parts_never_discounted``, ``customer_order_counts`` and the curation
 keep/drop sets, the bucketed exact recount
@@ -57,9 +60,16 @@ def _key_hash(col: pa.ChunkedArray) -> np.ndarray:
 
 
 @ray.remote
-def _split(block, key_cols: list[str], num_buckets: int, columns: list[str] | None):
-    """One slice of ``block`` (its ``columns``, None: all) per bucket: the
-    block's rows stably sorted by bucket, cut at the bucket boundaries."""
+def _split(
+    block,
+    key_cols: list[str],
+    num_buckets: int,
+    columns: list[str] | None,
+    combine: Callable[[pa.Table], pa.Table] | None,
+):
+    """One slice of ``block`` (its ``columns``, None: all; then
+    ``combine`` of it, if given) per bucket: the rows stably sorted by
+    bucket, cut at the bucket boundaries."""
     import pandas as pd
     from ray.data.block import BlockAccessor
 
@@ -74,6 +84,8 @@ def _split(block, key_cols: list[str], num_buckets: int, columns: list[str] | No
         return [tbl] * num_buckets if num_buckets > 1 else tbl
     if columns is not None:
         tbl = tbl.select(columns)
+    if combine is not None:
+        tbl = combine(tbl)
     h = hash_combine(*(_key_hash(tbl[c]) for c in key_cols))
     bucket = (h % np.uint64(num_buckets)).astype(np.int64)
     order = np.argsort(bucket, kind="stable")
@@ -84,14 +96,19 @@ def _split(block, key_cols: list[str], num_buckets: int, columns: list[str] | No
 
 
 def hash_partition(
-    blocks: Iterable, key_cols: list[str], num_buckets: int, columns: list[str] | None = None
+    blocks: Iterable,
+    key_cols: list[str],
+    num_buckets: int,
+    columns: list[str] | None = None,
+    combine: Callable[[pa.Table], pa.Table] | None = None,
 ) -> list[list]:
     """Per bucket, the refs to its slice of every block in ``blocks``
-    (block refs, Arrow or pandas), in block order. A split task is
-    submitted as soon as its block ref arrives, so a streamed Dataset's
-    read overlaps the split."""
+    (block refs, Arrow or pandas), in block order; ``combine`` (a table
+    function that keeps the key columns) runs on each block before it is
+    cut. A split task is submitted as soon as its block ref arrives, so a
+    streamed Dataset's read overlaps the split."""
     split = _split.options(num_returns=num_buckets)
-    splits = [split.remote(b, key_cols, num_buckets, columns) for b in blocks]
+    splits = [split.remote(b, key_cols, num_buckets, columns, combine) for b in blocks]
     if num_buckets == 1:  # num_returns=1 gives one ref, not a list
         splits = [[s] for s in splits]
     return [[s[b] for s in splits] for b in range(num_buckets)]
@@ -135,16 +152,33 @@ def aggregate_table(tbl: pa.Table, keys: list[str], aggs: dict[str, tuple]) -> p
     return out.select(keys + names[: len(aggs)]).rename_columns(keys + list(aggs))
 
 
+# how a bucket merges the per-block partials of each aggregate function
+_MERGE = {"sum": "sum", "count_all": "sum", "min": "min", "max": "max"}
+
+
 def group_aggregate(
-    ds: ray.data.Dataset, keys: list[str], aggs: dict[str, tuple], rows: int | None
+    ds: ray.data.Dataset,
+    keys: list[str],
+    aggs: dict[str, tuple],
+    rows: int | None,
+    then: Callable[[pa.Table], pa.Table] | None = None,
 ) -> ray.data.Dataset:
-    """``aggregate_table(keys, aggs)`` of ``ds``: one hash exchange on
-    ``keys`` into ``udaf.cpu_units(rows)`` buckets (``rows``: an input row
-    count such as a parquet footer's, or None), one Arrow group-by per
-    bucket. Every output block, a 0-row one too, has the keys' and
-    aggregates' types."""
-    cols = list(dict.fromkeys(keys + [c for c, _ in aggs.values() if c]))
+    """``aggregate_table(keys, aggs)`` of ``ds``, then ``then`` of it per
+    bucket if given (a filter, select or lookup that must see every row of
+    a key): each block aggregated in its split task, one hash exchange of
+    those partials on ``keys`` into ``udaf.cpu_units(rows)`` buckets
+    (``rows``: an input row count such as a parquet footer's, or None), and
+    per bucket one Arrow group-by that merges them. Every output block, a
+    0-row one too, has the keys' and aggregates' types."""
+    merge = {name: (name, _MERGE[fn]) for name, (_, fn) in aggs.items()}
+
+    def bucket(t: pa.Table) -> pa.Table:
+        out = aggregate_table(t, keys, merge)
+        return out if then is None else then(out)
+
     return map_buckets(
-        lambda t: aggregate_table(t, keys, aggs),
-        hash_partition(block_refs(ds), keys, cpu_units(rows), cols),
+        bucket,
+        hash_partition(
+            block_refs(ds), keys, cpu_units(rows), combine=lambda t: aggregate_table(t, keys, aggs)
+        ),
     )

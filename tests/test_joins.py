@@ -395,6 +395,44 @@ def test_group_aggregate_of_empty_blocks_keeps_types(ray_session):
     assert distinct.schema == pa.schema([("g", pa.string())])
 
 
+def test_group_aggregate_combines_each_block_before_the_exchange(ray_session, monkeypatch):
+    """A 4-group input of 6 blocks reaches its buckets as at most 6 × 4
+    partial rows, not as its 3,000 raw rows, and the merged partials equal
+    a pandas groupby."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from epichypersketch_jl_ray.stages import exchange
+
+    run_bucket = exchange._map_bucket._function
+
+    @ray.remote
+    def bounded_bucket(fn, counts, *slices):
+        assert sum(t.num_rows for t in slices) <= len(slices) * 4, [t.num_rows for t in slices]
+        return run_bucket(fn, counts, *slices)
+
+    monkeypatch.setattr(exchange, "_map_bucket", bounded_bucket)
+    rng = np.random.default_rng(8)
+    df = pd.DataFrame(
+        {
+            "flag": np.array(["A", "N", "R", "F"])[rng.integers(0, 4, 3_000)],
+            "v": rng.integers(-50, 50, 3_000),
+        }
+    )
+    blocks = [
+        pa.Table.from_pandas(df.iloc[i : i + 500], preserve_index=False)
+        for i in range(0, 3_000, 500)
+    ]
+    aggs = {
+        "n": ([], "count_all"), "total": ("v", "sum"), "low": ("v", "min"), "high": ("v", "max")
+    }
+    got = exchange.group_aggregate(ray.data.from_arrow(blocks), ["flag"], aggs, 3_000).to_pandas()
+    want = df.groupby("flag")["v"].agg(n="size", total="sum", low="min", high="max").reset_index()
+    got = got.sort_values("flag", ignore_index=True).astype({c: "int64" for c in aggs})
+    pd.testing.assert_frame_equal(got, want.astype({c: "int64" for c in aggs}))
+
+
 def test_grouped_queries_run_no_ray_data_aggregate_or_join(ray_session, sf_dir, monkeypatch):
     """Every grouped aggregate, distinct and equi-join of the registered
     queries runs on stages/exchange: with Ray Data's GroupedData.aggregate,
