@@ -30,8 +30,9 @@ from epichypersketch_jl_ray.stages.exchange import (
     group_aggregate,
     hash_partition,
     map_buckets,
+    to_table,
 )
-from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
+from epichypersketch_jl_ray.stages.udaf import cpu_units, input_units
 from epichypersketch_jl_ray.sources.tables import read_table, table_rows
 
 
@@ -113,8 +114,8 @@ def _drop_ids(
     buckets = cpu_units(keepers.count())
     return map_buckets(
         anti,
-        hash_partition(block_refs(keepers), ["doc_id"], buckets, ["doc_id"]),
-        hash_partition(block_refs(drops), [drop_col], buckets),
+        hash_partition(input_units(keepers), ["doc_id"], buckets, ["doc_id"]),
+        hash_partition(input_units(drops), [drop_col], buckets),
     )
 
 
@@ -258,7 +259,7 @@ def _contaminated_semijoin(
     side can't broadcast; ``udaf.cpu_units`` of the (materialized) eval
     row count sizes the buckets."""
     from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
-    from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
+    from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units, input_units
 
     def train_rows(batch: pa.Table) -> pa.Table:
         return _split_ngram_rows(
@@ -277,7 +278,7 @@ def _contaminated_semijoin(
     train = block_refs(keeper_docs.map_batches(train_rows, batch_format="pyarrow"))
     return map_buckets(
         bucket_scan,
-        hash_partition(block_refs(ev), ["g"], buckets),
+        hash_partition(input_units(ev), ["g"], buckets),
         hash_partition(train, ["g"], buckets),
     )
 
@@ -309,11 +310,7 @@ def decontaminate_corpus(
     n_ev = ev.count()
     if n_ev <= broadcast_cap:
         # broadcast path: one shuffle-free membership pass over the corpus
-        evset = (
-            np.sort(ev.to_pandas()["g"].to_numpy().astype(np.int64))
-            if n_ev
-            else np.empty(0, np.int64)  # to_pandas of 0 rows has no columns
-        )
+        evset = np.sort(to_table(ev)["g"].to_numpy().astype(np.int64))
         evset_ref = ray.put(evset)
 
         def survivors(batch: pa.Table) -> pa.Table:

@@ -206,10 +206,12 @@ def _recount(tbl: pa.Table, key_cols: list[str], min_count: int) -> pa.Table:
 
 
 # session-level cache of MATERIALIZED activation datasets: the driver and
-# bench call several motif queries in one Ray session; the bucket exchange
-# that builds the sequences is the dominant fixed cost, so building it once
-# per (sf_dir, conv) amortizes it (a MaterializedDataset pins its blocks in
-# the object store for the session — small relative to the store).
+# bench call several motif queries in one Ray session, and the bucket
+# exchange that reads lineitem and builds the sequences is a quarter of an
+# uncached motifs_ordinary (0.31 of 1.16 s at sf0.1, 0.08 of 0.35 s at
+# sf0.01, 4 CPUs), so building it once per (sf_dir, conv) saves that on
+# every further query (a MaterializedDataset pins its blocks in the object
+# store for the session — small relative to the store).
 _ACTIVATION_CACHE: dict = {}
 
 

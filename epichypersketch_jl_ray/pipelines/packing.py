@@ -31,7 +31,10 @@ import pyarrow as pa
 import ray
 from epichypersketch_jl_ray.functions.text import tokenize
 from epichypersketch_jl_ray.sources.tables import read_table
-from epichypersketch_jl_ray.stages.exchange import group_aggregate
+from epichypersketch_jl_ray.stages.exchange import group_aggregate, to_table
+
+
+_SLICES = pa.schema([(c, pa.int64()) for c in ("doc_id", "seq_id", "tok_start", "tok_end")])
 
 
 def pack_sequences(
@@ -49,8 +52,11 @@ def pack_sequences(
     Python overhead AND driver cumsum state — stays bounded at any corpus
     size (sparse/uneven doc_ids only make ranges uneven, never wrong)."""
     ds = read_table(sf_dir, table, columns=["doc_id", "text"])
+    n_docs = ds.count()  # parquet metadata count
+    if not n_docs:  # Ray Data's map of a 0-row read gives blocks with no columns
+        return ray.data.from_arrow(_SLICES.empty_table())
     if range_size is None:
-        range_size = max(64, ds.count() // 8192)  # parquet metadata count
+        range_size = max(64, n_docs // 8192)
 
     def counts(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -66,7 +72,7 @@ def pack_sequences(
     cd = ds.map_batches(counts, batch_format="pyarrow").materialize()
 
     # bounded driver state: one exclusive cumsum over per-range totals
-    totals = group_aggregate(cd, ["rng"], {"t": ("n", "sum")}, None).to_pandas()
+    totals = to_table(group_aggregate(cd, ["rng"], {"t": ("n", "sum")}, None)).to_pandas()
     totals = totals.sort_values("rng")
     rng_ids = totals["rng"].to_numpy().astype(np.int64)
     t = totals["t"].to_numpy().astype(np.int64)
@@ -78,14 +84,7 @@ def pack_sequences(
         ids = group["doc_id"].to_numpy(zero_copy_only=False)
         n = group["n"].to_numpy(zero_copy_only=False)
         if len(ids) == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "seq_id": pa.array([], pa.int64()),
-                    "tok_start": pa.array([], pa.int64()),
-                    "tok_end": pa.array([], pa.int64()),
-                }
-            )
+            return _SLICES.empty_table()
         base = offsets[np.searchsorted(rng_ids, ids[0] // range_size)]
         order = np.argsort(ids, kind="stable")
         ids, n = ids[order], n[order]

@@ -34,7 +34,7 @@ from epichypersketch_jl_ray.stages.join import (
     bucketed_hash_join,
     bucketed_range_count_join,
 )
-from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
+from epichypersketch_jl_ray.stages.udaf import cpu_units, input_units
 
 
 def _cents(x: np.ndarray) -> np.ndarray:
@@ -247,7 +247,7 @@ def sessionize(sf_dir: str, *, gap_minutes: int = 30) -> ray.data.Dataset:
         )
 
     buckets = cpu_units(table_rows(sf_dir, "events"))
-    return map_buckets(per_bucket, hash_partition(block_refs(ds), ["user_id"], buckets))
+    return map_buckets(per_bucket, hash_partition(input_units(ds), ["user_id"], buckets))
 
 
 def _anti_join(
@@ -268,8 +268,8 @@ def _anti_join(
     buckets = cpu_units(rows)
     return map_buckets(
         anti,
-        hash_partition(block_refs(parts_ds), ["p_partkey"], buckets, ["p_partkey", "p_brand"]),
-        hash_partition(block_refs(keys_ds), ["l_partkey"], buckets, ["l_partkey"]),
+        hash_partition(input_units(parts_ds), ["p_partkey"], buckets, ["p_partkey", "p_brand"]),
+        hash_partition(input_units(keys_ds), ["l_partkey"], buckets, ["l_partkey"]),
     )
 
 
@@ -739,8 +739,8 @@ def customer_order_counts(sf_dir: str) -> ray.data.Dataset:
     buckets = cpu_units(table_rows(sf_dir, "orders"))
     return map_buckets(
         outer,
-        hash_partition(block_refs(cust), ["c_custkey"], buckets),
-        hash_partition(block_refs(orders), ["o_custkey"], buckets),
+        hash_partition(input_units(cust), ["c_custkey"], buckets),
+        hash_partition(input_units(orders), ["o_custkey"], buckets),
     )
 
 

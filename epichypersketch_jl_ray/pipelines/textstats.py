@@ -11,7 +11,7 @@ import ray
 
 from epichypersketch_jl_ray.functions.text import quality_features, winnow_fingerprints
 from epichypersketch_jl_ray.sources.tables import read_table, table_rows
-from epichypersketch_jl_ray.stages.exchange import group_aggregate
+from epichypersketch_jl_ray.stages.exchange import group_aggregate, to_table
 
 
 def _augment_pii(doc_id: pa.ChunkedArray | pa.Array, text: pa.ChunkedArray | pa.Array) -> pa.Array:
@@ -230,14 +230,11 @@ def doc_stats(
         return cols, flat, off
 
     if n_ref <= broadcast_cap:
-        if n_ref:
-            pdf = ref.to_pandas()  # bounded by broadcast_cap
-            hs = pdf["h"].to_numpy().astype(np.int64)
-            kd = pdf["kind"].to_numpy().astype(np.int64)
-            uni_set = np.sort(hs[kd == 0])
-            bg_set = np.sort(hs[kd == 1])
-        else:  # to_pandas of 0 rows has no columns
-            uni_set = bg_set = np.empty(0, np.int64)
+        vocab = to_table(ref)  # bounded by broadcast_cap
+        hs = vocab["h"].to_numpy().astype(np.int64)
+        kd = vocab["kind"].to_numpy().astype(np.int64)
+        uni_set = np.sort(hs[kd == 0])
+        bg_set = np.sort(hs[kd == 1])
         ref_ref = ray.put((uni_set, bg_set))
 
         def stats(batch: pa.Table) -> pa.Table:

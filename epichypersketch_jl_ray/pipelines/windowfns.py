@@ -30,6 +30,7 @@ from epichypersketch_jl_ray.stages.exchange import (
     group_aggregate,
     hash_partition,
     map_buckets,
+    to_table,
 )
 from epichypersketch_jl_ray.stages.join import bucketed_hash_join
 from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
@@ -336,7 +337,8 @@ def _spend_rank_parts(sf_dir: str, shift: int):
         table_rows(sf_dir, "events"),
         then=tag,
     )
-    hist = group_aggregate(bucketed, ["cbucket"], {"n": ([], "count_all")}, None).to_pandas()
+    hist = to_table(group_aggregate(bucketed, ["cbucket"], {"n": ([], "count_all")}, None))
+    hist = hist.to_pandas()
     hist = hist.sort_values("cbucket", ascending=False)  # DESC spend order
     counts = hist["n"].to_numpy(np.int64)
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))

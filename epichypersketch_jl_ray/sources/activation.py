@@ -9,14 +9,15 @@ The Ray-native equivalent is a Dataset with one row per sequence:
 
 Building it from a normalized table (one row per feature occurrence) needs a
 group-by-key — the ONE unavoidable shuffle in the motif pipeline. It runs on
-the engine's hash exchange (stages/exchange), plain Ray tasks over block refs
-with no Ray Data operator: one split task per input block cuts the block into
-one slice per *bucket* of the key (hash(key) % num_buckets), and one build
-task per bucket concatenates its slices and does the real per-key grouping
-with numpy sort + run-length offsets: ``num_buckets`` vectorized build calls
-instead of one Python call per key (SURVEY.md §7.3 partitioning note; skew in
-key sizes is bounded because a bucket holds many keys). A bucket that
-receives no row builds a 0-row block.
+the engine's hash exchange (stages/exchange), plain Ray tasks with no Ray
+Data operator: one split task per input unit (a run of whole parquet row
+groups that the task reads itself, or a block of a computed Dataset) cuts
+the unit into one slice per *bucket* of the key (hash(key) % num_buckets),
+and one build task per bucket concatenates its slices and does the real
+per-key grouping with numpy sort + run-length offsets: ``num_buckets``
+vectorized build calls instead of one Python call per key (SURVEY.md §7.3
+partitioning note; skew in key sizes is bounded because a bucket holds many
+keys). A bucket that receives no row builds a 0-row block.
 
 Per-sequence ordering invariants (reference sort_activation_dict!,
 /root/reference/src/record.jl:237-242):
@@ -103,19 +104,21 @@ def activation_from_table(
     so buckets scale with the input, and every round of one task per
     activation block (the motif count and select) fills the CPUs evenly.
 
-    The input's blocks stream in as they are produced, so reading overlaps
-    splitting: ``exchange.hash_partition`` on the key, then one
-    ``exchange.map_buckets`` task per bucket runs ``_build_sequences``.
+    ``exchange.hash_partition`` of ``udaf.input_units(ds)`` on the key:
+    a bare parquet read (``sources.tables.parquet_source``) is cut into
+    runs of whole row groups, each read and split by one task, with no Ray
+    Data read; any other Dataset's blocks are split as they stream in. Then
+    one ``exchange.map_buckets`` task per bucket runs ``_build_sequences``.
     The result is materialized: one block per bucket, in bucket order, some
     of them possibly empty.
     """
     from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
-    from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
+    from epichypersketch_jl_ray.stages.udaf import cpu_units, input_units
 
     cols = [key_col, feature_col, contribution_col] + (
         [position_col] if position_col else []
     )
-    parts = hash_partition(block_refs(ds), [key_col], cpu_units(size_hint_rows), cols)
+    parts = hash_partition(input_units(ds), [key_col], cpu_units(size_hint_rows), cols)
     build = functools.partial(
         _build_sequences,
         key_col=key_col,

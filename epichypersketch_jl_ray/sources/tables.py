@@ -1,8 +1,12 @@
 """Pruned parquet readers.
 
 Reference has no file sources at all (in-memory dict only, SURVEY.md §2.1 S1);
-here every read goes through ``ray.data.read_parquet`` with an explicit column
-list so only needed columns leave storage — a hard requirement at 100 TB.
+here every table is opened as a ``ray.data.read_parquet`` Dataset with an
+explicit column list so only needed columns leave storage — a hard
+requirement at 100 TB. Such a Dataset is only a plan: a pipeline that maps it
+runs Ray Data's read, but the hash exchange (``stages.exchange``) reads a
+bare one itself, as runs of whole row groups (``parquet_source``,
+``stages.udaf.input_units``).
 """
 
 from __future__ import annotations
@@ -28,6 +32,44 @@ def read_table(
     if filter is not None:
         return ray.data.read_parquet(path, columns=columns, filter=filter)
     return ray.data.read_parquet(path, columns=columns)
+
+
+def parquet_source(ds) -> tuple[list[str], list[str] | None] | None:
+    """``(files, columns)`` when ``ds``'s whole logical plan is one Ray Data
+    parquet read that a plain reader of the files can stand in for, else
+    None: ``files`` in the read's order, ``columns`` its projection (None:
+    every column). None too for a read with a row ``filter=``, hive
+    partition columns, ``include_paths``, a ``schema=`` override or a block
+    UDF, for files not on the local filesystem, for any operator after the
+    read, for a materialized Dataset and for ``from_arrow``.
+
+    The only reader of Ray Data's private plan and datasource attributes
+    (Ray 2.49); when an upgrade moves them this returns None and every
+    caller falls back to the Dataset's blocks."""
+    import pyarrow.fs
+    from ray.data._internal.datasource.parquet_datasource import ParquetDatasource
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    try:
+        op = ds._logical_plan.dag
+        if not isinstance(op, Read) or not isinstance(op._datasource, ParquetDatasource):
+            return None
+        src = op._datasource
+        files, columns, parts = list(src._pq_paths), src._data_columns, src._partition_columns
+        plain = not (
+            src._to_batches_kwargs
+            or parts
+            or src._include_paths
+            or src._block_udf is not None
+            or src._read_schema is not None
+        ) and isinstance(src._filesystem, pyarrow.fs.LocalFileSystem)
+    except AttributeError:
+        return None
+    # without a projection Ray adds a column per ``key=value`` directory
+    hive = parts is None and any("=" in d for f in files for d in os.path.dirname(f).split(os.sep))
+    if not plain or hive:
+        return None
+    return files, None if columns is None else list(columns)
 
 
 def table_rows(sf_dir: str, name: str) -> int:

@@ -1,10 +1,14 @@
-"""The engine's one hash exchange: plain Ray tasks over block refs, no Ray
+"""The engine's one hash exchange: plain Ray tasks over input units, no Ray
 Data operator. It is the engine's only way to group or join rows by key.
 
-- ``hash_partition``: one split task per input block ref
-  (``num_returns=num_buckets``) stably sorts the block's rows by bucket and
-  returns one slice per bucket, an empty one for a bucket the block has no
-  row for. A row's bucket is its key hash modulo ``num_buckets``: an integer
+- ``hash_partition``: one split task per input unit
+  (``num_returns=num_buckets``) stably sorts the unit's rows by bucket and
+  returns one slice per bucket, an empty one for a bucket the unit has no
+  row for. ``udaf.input_units`` gives the units: for a Dataset that is a
+  bare parquet read, runs of whole row groups that each split task reads
+  itself, so the read and the split are one task per run and Ray Data's
+  read never runs; for any other Dataset, its block refs as they stream.
+  A row's bucket is its key hash modulo ``num_buckets``: an integer
   (or timestamp) key column hashes as ``hash_int64(key, seed=1)``, a string,
   large_string or binary one as ``hash_strings_fast(key)``; several key
   columns are folded with ``hash_combine``. A bucket holds many keys, and
@@ -14,9 +18,9 @@ Data operator. It is the engine's only way to group or join rows by key.
   them. The result is ``ray.data.from_arrow_refs`` of the task outputs:
   one block per bucket, in bucket order.
 - ``group_aggregate``: a grouped sum, min, max or count (or the distinct
-  keys). Each split task first aggregates its block on its own (one
-  partial row per key and block, an Arrow ``Table.group_by``), so what
-  crosses the exchange is at most blocks × keys rows, never the raw rows;
+  keys). Each split task first aggregates its unit on its own (one
+  partial row per key and unit, an Arrow ``Table.group_by``), so what
+  crosses the exchange is at most units × keys rows, never the raw rows;
   each bucket then merges its partials: sums and counts add, mins take the
   min, maxes the max, and distinct keys stay distinct.
 
@@ -31,7 +35,7 @@ only routes rows: the window functions and sessionize, the graph edge
 dedup, connected components' star passes, the dedup verify, attach,
 span and n-gram pair-count stages, distinctive terms, the LM-coverage and
 decontamination semi-joins, and the domain cap. Each sizes its buckets
-with ``udaf.cpu_units(rows)``. The exchange moves M input blocks × R
+with ``udaf.cpu_units(rows)``. The exchange moves M input units × R
 buckets objects (SCALE.md "The one real shuffle").
 """
 
@@ -45,7 +49,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
+from epichypersketch_jl_ray.stages.udaf import ParquetRun, cpu_units, input_units
 
 
 def _key_hash(col: pa.ChunkedArray) -> np.ndarray:
@@ -69,13 +73,17 @@ def _split(
 ):
     """One slice of ``block`` (its ``columns``, None: all; then
     ``combine`` of it, if given) per bucket: the rows stably sorted by
-    bucket, cut at the bucket boundaries."""
+    bucket, cut at the bucket boundaries. ``block`` is a Dataset block or
+    a ``udaf.ParquetRun``, which the task reads itself (only ``columns``
+    when given, else the run's)."""
     import pandas as pd
     from ray.data.block import BlockAccessor
 
     from epichypersketch_jl_ray.functions.hashing import hash_combine
 
-    if isinstance(block, pd.DataFrame) and not len(block):
+    if isinstance(block, ParquetRun):
+        tbl = block.read(columns)
+    elif isinstance(block, pd.DataFrame) and not len(block):
         # Ray's own conversion types a 0-row pandas block's columns as null
         tbl = pa.Table.from_pandas(block, preserve_index=False)
     else:
@@ -96,19 +104,20 @@ def _split(
 
 
 def hash_partition(
-    blocks: Iterable,
+    units: Iterable,
     key_cols: list[str],
     num_buckets: int,
     columns: list[str] | None = None,
     combine: Callable[[pa.Table], pa.Table] | None = None,
 ) -> list[list]:
-    """Per bucket, the refs to its slice of every block in ``blocks``
-    (block refs, Arrow or pandas), in block order; ``combine`` (a table
-    function that keeps the key columns) runs on each block before it is
+    """Per bucket, the refs to its slice of every unit in ``units``
+    (block refs, Arrow or pandas, or ``udaf.ParquetRun`` runs: what
+    ``udaf.input_units`` gives), in unit order; ``combine`` (a table
+    function that keeps the key columns) runs on each unit before it is
     cut. A split task is submitted as soon as its block ref arrives, so a
-    streamed Dataset's read overlaps the split."""
+    streamed Dataset's blocks overlap the split."""
     split = _split.options(num_returns=num_buckets)
-    splits = [split.remote(b, key_cols, num_buckets, columns, combine) for b in blocks]
+    splits = [split.remote(u, key_cols, num_buckets, columns, combine) for u in units]
     if num_buckets == 1:  # num_returns=1 gives one ref, not a list
         splits = [[s] for s in splits]
     return [[s[b] for s in splits] for b in range(num_buckets)]
@@ -141,6 +150,14 @@ def map_buckets(fn: Callable[..., pa.Table], *sides: list[list]) -> ray.data.Dat
     return ray.data.from_arrow_refs(refs)
 
 
+def to_table(ds: ray.data.Dataset) -> pa.Table:
+    """The rows of a ``map_buckets`` output as one Arrow table. Its 0-row
+    blocks keep their types, so with every bucket empty the table still
+    has the bucket output's columns, where ``Dataset.to_pandas()`` would
+    give a DataFrame with none."""
+    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+
 def aggregate_table(tbl: pa.Table, keys: list[str], aggs: dict[str, tuple]) -> pa.Table:
     """``tbl`` grouped by ``keys``: the keys, then one column per ``aggs``
     entry (output name -> pyarrow ``(column, function)``, e.g.
@@ -165,7 +182,7 @@ def group_aggregate(
 ) -> ray.data.Dataset:
     """``aggregate_table(keys, aggs)`` of ``ds``, then ``then`` of it per
     bucket if given (a filter, select or lookup that must see every row of
-    a key): each block aggregated in its split task, one hash exchange of
+    a key): each input unit aggregated in its split task, one hash exchange of
     those partials on ``keys`` into ``udaf.cpu_units(rows)`` buckets
     (``rows``: an input row count such as a parquet footer's, or None), and
     per bucket one Arrow group-by that merges them. Every output block, a
@@ -179,6 +196,6 @@ def group_aggregate(
     return map_buckets(
         bucket,
         hash_partition(
-            block_refs(ds), keys, cpu_units(rows), combine=lambda t: aggregate_table(t, keys, aggs)
+            input_units(ds), keys, cpu_units(rows), combine=lambda t: aggregate_table(t, keys, aggs)
         ),
     )

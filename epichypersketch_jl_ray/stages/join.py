@@ -36,7 +36,7 @@ import pyarrow as pa
 import ray.data
 
 from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
-from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
+from epichypersketch_jl_ray.stages.udaf import cpu_units, input_units
 
 
 def _join_buckets(
@@ -52,8 +52,8 @@ def _join_buckets(
     num_buckets = cpu_units(size_hint_rows)
     return map_buckets(
         fn,
-        hash_partition(block_refs(left), left_on, num_buckets, columns),
-        hash_partition(block_refs(right), right_on, num_buckets, columns),
+        hash_partition(input_units(left), left_on, num_buckets, columns),
+        hash_partition(input_units(right), right_on, num_buckets, columns),
     )
 
 

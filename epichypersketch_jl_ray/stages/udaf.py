@@ -41,6 +41,11 @@ the cells that reach min_count, so it never builds it:
 These folds are the reference's one-CMS-per-partition count pass, and the
 select tasks its make_selection pass, without a Ray Data operator.
 
+The hash exchange (stages/exchange) takes its input the same two ways
+(input_units): a bare parquet read as runs of whole row groups
+(ParquetRun, in row_ranges' piece format), which its split tasks read
+themselves, and any other Dataset as its block refs.
+
 Because every sketch's ``merge`` is associative + commutative, Ray's
 nondeterministic block order cannot change the merged state (asserted by
 randomized merge-order tests). No shuffle is needed at any point — partial
@@ -56,9 +61,9 @@ operators: a one-row table whose single ``state`` column holds the state's
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -347,6 +352,73 @@ def parquet_tables(
                 held, rows = tbl.slice(batch_size).to_batches(), rows - batch_size
     if rows:
         yield pa.Table.from_batches(held)
+
+
+class ParquetRun(NamedTuple):
+    """Whole row groups of parquet files, read as one table: ``pieces`` in
+    ``row_ranges``' ``(path, lo, hi)`` format, each piece's bounds on row
+    group boundaries; ``columns`` the projection (None: every column)."""
+
+    pieces: list[tuple[str, int, int]]
+    columns: list[str] | None
+
+    def read(self, columns: list[str] | None = None) -> pa.Table:
+        """The run's rows as one table of ``columns`` (None: the run's own
+        projection); a run with no row is its first file's typed 0-row
+        table."""
+        import pyarrow.parquet as pq
+
+        columns = self.columns if columns is None else columns
+        rows = sum(hi - lo for _, lo, hi in self.pieces)
+        for tbl in parquet_tables(self.pieces, max(rows, 1), columns):
+            return tbl
+        empty = pq.read_schema(self.pieces[0][0]).empty_table()
+        return empty if columns is None else empty.select(columns)
+
+
+def input_units(ds) -> Iterable:
+    """What the hash exchange splits ``ds`` into, one split task per unit.
+    For a bare parquet read (``sources.tables.parquet_source``) the files'
+    row groups, in file order, cut into ``min(row groups, cpu_units(N))``
+    contiguous ``ParquetRun`` runs balanced by rows (``N`` and the group
+    sizes from the footers, read once); no run splits a row group, and a
+    read with no row is one 0-row run that keeps the read's columns. The
+    split task reads its run itself, so no Ray Data operator runs. For any
+    other Dataset, its ``block_refs``."""
+    import pyarrow.parquet as pq
+
+    from epichypersketch_jl_ray.sources.tables import parquet_source
+
+    source = parquet_source(ds)
+    if source is None:
+        return block_refs(ds)
+    files, columns = source
+    groups = []  # (path, lo, hi) of every row group
+    for path in files:
+        meta = pq.ParquetFile(path).metadata
+        sizes = (meta.row_group(i).num_rows for i in range(meta.num_row_groups))
+        bounds = list(accumulate(sizes, initial=0))
+        groups += [(path, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    starts = list(accumulate((hi - lo for _, lo, hi in groups), initial=0))
+    n, runs = starts[-1], min(len(groups), cpu_units(starts[-1]))
+    if not n:
+        return [ParquetRun([(files[0], 0, 0)], columns)]
+    # run u ends at the first group boundary at or past row n * u / runs,
+    # kept far enough from its neighbours that every run has a group
+    cuts = [0]
+    for u in range(1, runs):
+        b = bisect_left(starts, n * u / runs)
+        cuts.append(min(max(b, cuts[-1] + 1), len(groups) - (runs - u)))
+    cuts.append(len(groups))
+    units = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        pieces = []  # one piece per file: its run's groups are consecutive
+        for path, first, stop in groups[lo:hi]:
+            if pieces and pieces[-1][0] == path:
+                first = pieces.pop()[1]
+            pieces.append((path, first, stop))
+        units.append(ParquetRun(pieces, columns))
+    return units
 
 
 def fold_parquet_rows(

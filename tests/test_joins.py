@@ -1,7 +1,9 @@
 """Join and hash-exchange tests: the bucketed hash join vs pandas ground
 truth, the as-of join vs pandas merge_asof, the exchange's bucket rule and
-group_aggregate, and guards that the registered queries group and join on
-the exchange only."""
+group_aggregate, its parquet input units (``parquet_source``,
+``input_units``), and guards that the registered queries group and join on
+the exchange only and that a bare parquet read enters it unread by Ray
+Data."""
 
 import numpy as np
 import pandas as pd
@@ -483,3 +485,205 @@ def test_grouped_queries_run_no_ray_data_aggregate_or_join(ray_session, sf_dir, 
         theirs = con.sql(sql).df()
         assert len(theirs), name
         assert compare(name, ours, theirs) == [], name
+
+
+def _write_groups(path, sizes, start=0):
+    """One parquet file whose row groups hold ``sizes`` rows (k, v, s)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    n = sum(sizes)
+    t = pa.table(
+        {
+            "k": pa.array(np.arange(start, start + n), pa.int64()),
+            "v": pa.array(np.arange(n) * 0.5, pa.float64()),
+            "s": pa.array([f"r{i}" for i in range(n)], pa.string()),
+        }
+    )
+    with pq.ParquetWriter(path, t.schema) as w:
+        at = 0
+        for size in sizes:
+            w.write_table(t.slice(at, size))
+            at += size
+    return str(path)
+
+
+def test_parquet_source_accepts_only_a_bare_parquet_read(ray_session, tmp_path):
+    """A bare ``read_parquet`` of a directory or of a file (with a column
+    projection) gives its files and columns; a row filter, a map, a
+    materialized read, ``from_arrow`` and hive partition columns give None.
+    A Ray upgrade that moves the private attributes fails here."""
+    import pyarrow as pa
+    import pyarrow.dataset as pds
+    import ray.data
+
+    from epichypersketch_jl_ray.sources.tables import parquet_source
+
+    files = [_write_groups(tmp_path / f"part-{i}.parquet", [5, 3], 8 * i) for i in range(3)]
+    assert parquet_source(ray.data.read_parquet(str(tmp_path))) == (files, None)
+    assert parquet_source(ray.data.read_parquet(files[1], columns=["v", "k"])) == (
+        [files[1]], ["v", "k"]
+    )
+    for ds in (
+        ray.data.read_parquet(str(tmp_path), filter=pds.field("k") > 3),
+        ray.data.read_parquet(str(tmp_path)).map_batches(lambda b: b, batch_format="pyarrow"),
+        ray.data.read_parquet(files[0]).materialize(),
+        ray.data.from_arrow(pa.table({"k": [1, 2]})),
+    ):
+        assert parquet_source(ds) is None
+    hive = tmp_path / "hive" / "day=1"
+    hive.mkdir(parents=True)
+    _write_groups(hive / "part-0.parquet", [4])
+    assert parquet_source(ray.data.read_parquet(str(tmp_path / "hive"))) is None
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 32])
+def test_input_units_cut_whole_row_groups_into_balanced_runs(
+    ray_session, tmp_path, monkeypatch, cpus
+):
+    """Every row group lands in exactly one run, none is split, the runs
+    follow file order and there are min(row groups, cpu_units(N)) of them;
+    each run reads back exactly its rows."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from epichypersketch_jl_ray.stages import udaf
+
+    monkeypatch.setattr(udaf, "cluster_cpus", lambda: cpus)
+    sizes = [[700, 10, 300], [0], [50], [400, 400]]
+    starts = np.cumsum([0] + [sum(s) for s in sizes])
+    files = [
+        _write_groups(tmp_path / f"f{i}.parquet", s, int(starts[i])) for i, s in enumerate(sizes)
+    ]
+    groups = []  # (path, lo, hi) of every row group, in file order
+    for f in files:
+        meta = pq.ParquetFile(f).metadata
+        bounds = np.cumsum([0] + [meta.row_group(g).num_rows for g in range(meta.num_row_groups)])
+        groups += [(f, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    units = list(udaf.input_units(ray.data.read_parquet(str(tmp_path), columns=["k", "s"])))
+    assert len(units) == min(len(groups), udaf.cpu_units(int(starts[-1])))
+    covered = []
+    for unit in units:
+        assert isinstance(unit, udaf.ParquetRun) and unit.columns == ["k", "s"]
+        for path, lo, hi in unit.pieces:
+            inside = [g for g in groups if g[0] == path and lo <= g[1] and g[2] <= hi]
+            assert sum(g[2] - g[1] for g in inside) == hi - lo  # whole groups only
+            covered += inside
+    assert covered == groups
+    tables = [u.read() for u in units]
+    assert all(t.column_names == ["k", "s"] for t in tables)
+    k = np.concatenate([t["k"].to_numpy() for t in tables])
+    assert np.array_equal(k, np.arange(starts[-1]))
+
+
+def test_input_units_of_a_read_with_no_row_is_one_typed_unit(ray_session, tmp_path):
+    import ray.data
+
+    from epichypersketch_jl_ray.stages import udaf
+
+    path = _write_groups(tmp_path / "empty.parquet", [0])
+    (unit,) = udaf.input_units(ray.data.read_parquet(path, columns=["s", "k"]))
+    empty = unit.read()
+    assert empty.num_rows == 0 and empty.schema.names == ["s", "k"]
+    assert empty.schema.field("k").type == "int64" and empty.schema.field("s").type == "string"
+
+
+def _bucket_row_hashes(parts) -> list[list[int]]:
+    """Per bucket, the sorted hashes of its rows."""
+    import pyarrow as pa
+    import ray
+
+    out = []
+    for refs in parts:
+        t = pa.concat_tables(ray.get(refs))
+        out.append(sorted(pd.util.hash_pandas_object(t.to_pandas(), index=False).tolist()))
+    return out
+
+
+@pytest.mark.parametrize("source", ["motifs_k3", "lineitem"])
+def test_input_units_fill_the_same_buckets_as_block_refs(
+    ray_session, tmp_path, monkeypatch, source
+):
+    """Per bucket, splitting a bare read's runs gives the same multiset of
+    rows as splitting its Ray Data blocks: on the motifs_k3 benchmark input
+    (seed 1, 8 files) and on sf0.001 lineitem over 32 buckets, some of them
+    empty."""
+    import ray.data
+
+    from epichypersketch_jl_ray.sources.tables import read_table
+    from epichypersketch_jl_ray.stages import udaf
+    from epichypersketch_jl_ray.stages.exchange import hash_partition
+
+    if source == "motifs_k3":
+        from perfbench.motifs import Motifs
+
+        wl = Motifs(tiny=False)
+        wl.prepare(1, str(tmp_path / "in"))
+        ds = ray.data.read_parquet(wl.in_dir)
+        key, cols, rows = "l_orderkey", ["l_orderkey", "l_suppkey", "l_quantity"], wl.rows
+    else:
+        monkeypatch.setattr(udaf, "cluster_cpus", lambda: 32)
+        cols = ["l_orderkey", "l_suppkey", "l_returnflag", "l_extendedprice"]
+        ds = read_table("/root/testdata/sf0.001", "lineitem", columns=cols)
+        key, rows = "l_suppkey", None
+    buckets = udaf.cpu_units(rows)
+    units = list(udaf.input_units(ds))
+    assert all(isinstance(u, udaf.ParquetRun) for u in units)
+    got = _bucket_row_hashes(hash_partition(units, [key], buckets, cols))
+    want = _bucket_row_hashes(hash_partition(udaf.block_refs(ds), [key], buckets, cols))
+    assert got == want
+    assert sum(map(len, got)) == ds.count()
+    if source == "lineitem":
+        assert min(map(len, got)) == 0
+
+
+def test_exchange_reads_a_bare_parquet_read_itself(ray_session, sf_dir, monkeypatch):
+    """A Dataset that ``parquet_source`` accepts never streams its blocks
+    into the exchange: with ``Dataset.iter_internal_ref_bundles`` raising
+    for one, motifs_ordinary, pricing_summary, customer_order_counts and
+    top_parts_per_brand (its join path, with a 0-row broadcast threshold)
+    equal their DuckDB oracles at sf0.001, and every bare read but
+    pricing_summary's (which maps its read before the exchange) reaches the
+    exchange as parquet runs."""
+    import ray.data
+
+    from oracle_util import compare, duck_con
+    from epichypersketch_jl_ray.pipelines import motifs, relational, windowfns
+    from epichypersketch_jl_ray.sources import tables
+
+    source = tables.parquet_source
+    iterate = ray.data.Dataset.iter_internal_ref_bundles
+    accepted = []
+
+    def counted(ds):
+        found = source(ds)
+        accepted.extend([found] if found else [])
+        return found
+
+    def guarded(self, *args, **kwargs):
+        assert source(self) is None, "a bare parquet read streamed its blocks"
+        return iterate(self, *args, **kwargs)
+
+    monkeypatch.setattr(tables, "parquet_source", counted)
+    monkeypatch.setattr(ray.data.Dataset, "iter_internal_ref_bundles", guarded)
+    monkeypatch.setattr(motifs, "_ACTIVATION_CACHE", {})
+
+    sf = sf_dir
+    con = duck_con(sf)
+    cases = {
+        "motifs_ordinary": (motifs.motifs_ordinary, motifs.motifs_ordinary_sql(), 1),
+        "pricing_summary": (relational.pricing_summary, relational.pricing_summary_sql(), 0),
+        "customer_order_counts": (
+            relational.customer_order_counts, relational.customer_order_counts_sql(), 2
+        ),
+        "top_parts_per_brand": (
+            lambda s: windowfns.top_parts_per_brand(s, broadcast_threshold_rows=0),
+            windowfns.top_parts_per_brand_sql(),
+            1,
+        ),
+    }
+    for name, (query, sql, bare) in cases.items():
+        accepted.clear()
+        ours = query(sf)
+        assert compare(name, ours, con.sql(sql).df()) == [], name
+        assert len(accepted) == bare, (name, accepted)

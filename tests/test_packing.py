@@ -107,3 +107,12 @@ def test_pack_sequences_sparse_doc_ids(ray_session, tmp_path):
     pd.testing.assert_frame_equal(
         out.sort_values(["doc_id", "seq_id"]).reset_index(drop=True)[exp.columns], exp
     )
+
+
+def test_pack_sequences_of_a_corpus_with_no_document(ray_session, tmp_path):
+    """No document, no sequence: 0 rows (the per-range totals are typed,
+    though every bucket of them has 0 rows)."""
+    from epichypersketch_jl_ray.pipelines.packing import pack_sequences
+
+    sf = _write_docs(tmp_path, [])
+    assert pack_sequences(sf, seq_len=4).count() == 0

@@ -93,3 +93,26 @@ def test_purchase_gaps_tie_broken_by_event_id(ray_session, tmp_path):
     # user 7 order: (50,ev1) -> (50,ev2) gap 0 -> (100,ev3) gap 50; user 8 first-only
     assert out["event_id"].tolist() == [2, 3]
     assert out["gap_us"].tolist() == [0, 50]
+
+
+def test_spend_ranks_of_events_without_a_purchase(ray_session, tmp_path):
+    """An events table with no purchase has no spender: the quartile and
+    percentile windows give 0 rows (their per-bucket histogram is typed,
+    though every bucket of it has 0 rows)."""
+    from epichypersketch_jl_ray.pipelines.windowfns import (
+        user_spend_percentile,
+        user_spend_quartile,
+    )
+
+    sf = _events_dir(
+        tmp_path,
+        {
+            "event_id": [1, 2, 3],
+            "ts": np.array([10, 20, 30]).astype("datetime64[us]"),
+            "user_id": [7, 7, 8],
+            "event_type": ["click", "view", "click"],
+            "value": [0.0, 0.0, 0.0],
+        },
+    )
+    assert user_spend_quartile(sf).count() == 0
+    assert user_spend_percentile(sf).count() == 0
