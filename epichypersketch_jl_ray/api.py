@@ -95,13 +95,15 @@ def activation_table_from_dict(activation: dict) -> tuple[pa.Table, bool]:
 def _as_dataset(activation: Any) -> tuple["ray.data.Dataset", bool]:
     import ray.data
 
+    from epichypersketch_jl_ray.sources.tables import table_dataset
+
     if isinstance(activation, dict):
         tbl, conv = activation_table_from_dict(activation)
-        return ray.data.from_arrow(tbl), conv
+        return table_dataset(tbl), conv
     if isinstance(activation, pd.DataFrame):
         activation = pa.Table.from_pandas(activation, preserve_index=False)
     if isinstance(activation, pa.Table):
-        ds = ray.data.from_arrow(activation)
+        ds = table_dataset(activation)
     elif isinstance(activation, ray.data.Dataset):
         ds = activation
     else:

@@ -11,7 +11,7 @@ import pyarrow as pa
 import ray
 
 from epichypersketch_jl_ray.functions.text import word_shingle_hashes
-from epichypersketch_jl_ray.sources.tables import read_table, table_rows
+from epichypersketch_jl_ray.sources.tables import read_table, table_dataset, table_rows
 from epichypersketch_jl_ray.stages.ann import cosine_sql, quantize_cosine
 from epichypersketch_jl_ray.stages.dedup import (
     SignatureStage,
@@ -332,7 +332,7 @@ def _verify_jaccard_pairs(
         # no candidates at all: empty pair set, typed like the
         # verified output (the downstream sketch/attach stages would
         # otherwise choke on a zero-partial merge)
-        return ray.data.from_arrow(
+        return table_dataset(
             pa.table(
                 {
                     "doc_a": pa.array([], pa.int64()),
@@ -523,7 +523,7 @@ def ngram_jaccard_pairs(
     from epichypersketch_jl_ray.stages.udaf import sketch_dataset
     from epichypersketch_jl_ray.state.spacesaving import SpaceSaving
 
-    empty_result = ray.data.from_arrow(
+    empty_result = table_dataset(
         pa.table(
             {
                 "doc_a": pa.array([], pa.int64()),

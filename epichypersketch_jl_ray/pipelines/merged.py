@@ -19,6 +19,7 @@ import pyarrow as pa
 import ray
 
 from epichypersketch_jl_ray.sources.sinks import store_dir
+from epichypersketch_jl_ray.sources.tables import table_dataset
 from epichypersketch_jl_ray.stages.ann import cosine_sql
 
 
@@ -905,7 +906,7 @@ def customer_orders_and_pagerank(sf_dir: str) -> ray.data.Dataset:
             "val": pr["rank_fp"],
         }
     )
-    return oc.union(ray.data.from_arrow(pr))
+    return oc.union(table_dataset(pr))
 
 
 def customer_orders_and_pagerank_sql() -> str:

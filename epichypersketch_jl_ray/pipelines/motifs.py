@@ -30,7 +30,6 @@ verify tail still guarantees exact output.
 from __future__ import annotations
 
 import functools
-import operator
 
 import numpy as np
 import pyarrow as pa
@@ -39,14 +38,16 @@ import ray
 
 from epichypersketch_jl_ray.sources.activation import activation_from_table
 from epichypersketch_jl_ray.sources.tables import read_table
-from epichypersketch_jl_ray.stages.motifs import MotifCounter, MotifSelector
+from epichypersketch_jl_ray.stages.motifs import MotifCells, MotifSelector
 from epichypersketch_jl_ray.stages.udaf import (
     block_refs,
+    count_at_least,
+    count_totals,
     exact_recount,
-    fold_blocks_at_least,
     select_blocks,
     tree_merge,  # noqa: F401  (perfbench/motifs.py wraps pipelines.motifs.tree_merge)
 )
+from epichypersketch_jl_ray.state.countmin import CountMin
 
 # collision-free-at-test-scale sketch geometry (see module docstring)
 ORACLE_DELTA = 9e-3  # 5 rows
@@ -97,26 +98,29 @@ def motif_pipeline(
     max_active_len: int = 64,
     batch_size: int | str = 2048,
 ) -> ray.data.Dataset:
-    """count (pass 1) → threshold merge → broadcast → select+extract
-    (pass 2) → exact recount.
+    """count (pass 1) → threshold sum → select+extract (pass 2) → exact
+    recount, as one Ray task graph that the driver submits at once.
 
-    The activation is materialized once in the object store (Ray spills to
-    disk under pressure) — the analogue of the reference keeping its
-    Records alive across count!/make_selection! (reference
-    src/count_gpu_extract.jl:37-53). Both passes are plain Ray tasks over
-    its block refs, one task per block, so the activation's blocks are the
-    unit of parallelism (``activation_from_table`` makes a multiple of the
-    cluster's CPU count):
+    Both passes are plain Ray tasks over the activation's block refs, one
+    task per block, read from its plan (``udaf.block_refs``: the bucket
+    refs of ``activation_from_table``, with no Ray Data executor run), so
+    the activation's blocks are the unit of parallelism
+    (``activation_from_table`` makes a multiple of the cluster's CPU
+    count) and stay in the object store between the passes, as the
+    reference keeps its Records alive across count!/make_selection!
+    (reference src/count_gpu_extract.jl:37-53):
 
-    - count: ``udaf.fold_blocks_at_least`` folds each block's slices into
-      ONE ``MotifCountState`` and cuts its CountMin into one cell-id range
-      per CPU; one task per range sums it across the blocks and keeps the
-      cells >= min_count, so the merged sketch is never built: the driver
-      gets the ``at_least(min_count)`` view and the summed ``truncated``
-      and ``n_inserts``;
-    - select: ``udaf.select_blocks`` runs ``MotifSelector`` on each
-      block's slices against that view; the select blocks' refs and their
-      summed row count go to ``udaf.exact_recount``.
+    - count: ``udaf.count_at_least`` hashes each block's slices into raw
+      CountMin cell ids (``MotifCells``) and cuts them into one flat-id
+      range per CPU; one task per range sorts it once and keeps the cells
+      >= min_count, so no sketch is built, merged or broadcast;
+    - select: ``udaf.select_blocks`` gives each block's select task the
+      range sums' refs; the task builds the ``at_least(min_count)`` view
+      and runs ``MotifSelector`` on the block's slices against it.
+
+    The driver waits only for the count's totals (``udaf.count_totals``:
+    the truncated rows, warned about) and the select row counts; the
+    select blocks' refs go to ``udaf.exact_recount``.
 
     ``batch_size`` bounds the rows the enumeration sees at once;
     ``":auto"`` sizes each block's slices from the enumeration working set
@@ -125,11 +129,10 @@ def motif_pipeline(
     (memory.calculate_optimal_batch_size, mirroring
     reference src/memory.jl:97-148) — so long sequences get small
     batches. The merged CountMin cells are integer sums, so neither the
-    batching nor the blocks change the output.
+    batching nor the blocks change the output. Raises ValueError when the
+    activation holds no row.
     """
-    from epichypersketch_jl_ray.stages.motifs import MotifCountState
-
-    blocks = list(block_refs(activation.materialize()))
+    blocks = list(block_refs(activation))
     kwargs = dict(
         motif_size=motif_size,
         conv=conv,
@@ -145,29 +148,26 @@ def motif_pipeline(
         epsilon=epsilon,
         max_active_len=max_active_len,
     )
-    counter = MotifCounter(**kwargs, delta=delta, epsilon=epsilon, seed=seed)
-    # only cells >= min_count can pass the select, so only they are summed
-    # and broadcast
-    merged = fold_blocks_at_least(
-        blocks,
-        counter,
-        MotifCountState,
-        batch_size=slice_rows,
-        t=min_count,
-        cms=operator.attrgetter("cms"),
+    hash_width = 2 * motif_size - 1 if conv else motif_size
+    geometry = CountMin(hash_width, delta=delta, epsilon=epsilon, seed=seed)
+    # only cells >= min_count can pass the select, so only they are kept
+    counted = count_at_least(
+        blocks, MotifCells(geometry, **kwargs), geometry, batch_size=slice_rows, t=min_count
     )
-    if merged.truncated:
+    selector = functools.partial(MotifSelector, min_count=min_count, **kwargs)
+    refs, counts = select_blocks(
+        [[b] for b in blocks], selector, geometry, counted, batch_size=slice_rows
+    )
+    _, truncated = count_totals(counted[1])
+    if truncated:
         import logging
 
         logging.getLogger(__name__).warning(
             "motif_pipeline: %d sequences truncated to max_active_len=%d",
-            merged.truncated,
+            truncated,
             max_active_len,
         )
-    selector = functools.partial(MotifSelector, min_count=min_count, **kwargs)
-    refs, n_selected = select_blocks(
-        [[b] for b in blocks], selector, merged.cms, batch_size=slice_rows
-    )
+    n_selected = sum(ray.get(counts))
     key_cols = [f"m{i + 1}" for i in range(motif_size)]
     schema_fields: list[tuple[str, pa.DataType]] = [(c, pa.int32()) for c in key_cols]
     if conv:
@@ -205,13 +205,15 @@ def _recount(tbl: pa.Table, key_cols: list[str], min_count: int) -> pa.Table:
     return fixed.filter(pa.array(exact >= min_count))
 
 
-# session-level cache of MATERIALIZED activation datasets: the driver and
-# bench call several motif queries in one Ray session, and the bucket
-# exchange that reads lineitem and builds the sequences is a quarter of an
-# uncached motifs_ordinary (0.31 of 1.16 s at sf0.1, 0.08 of 0.35 s at
-# sf0.01, 4 CPUs), so building it once per (sf_dir, conv) saves that on
-# every further query (a MaterializedDataset pins its blocks in the object
-# store for the session — small relative to the store).
+# session-level cache of activation datasets: the driver and bench call
+# several motif queries in one Ray session, and the bucket exchange that
+# reads lineitem and builds the sequences is a quarter of an uncached
+# motifs_ordinary (0.31 of 1.16 s at sf0.1, 0.08 of 0.35 s at sf0.01, 4
+# CPUs), so building it once per (sf_dir, conv) saves that on every
+# further query. activation_from_table already returns a materialized
+# Dataset of its bucket refs (exchange.map_buckets), so caching it pins
+# those blocks in the object store for the session (small relative to the
+# store), and motif_pipeline reads their refs from its plan.
 _ACTIVATION_CACHE: dict = {}
 
 
@@ -230,7 +232,7 @@ def lineitem_activation(sf_dir: str, *, conv: bool) -> ray.data.Dataset:
         contribution_col="l_quantity",
         position_col="l_linenumber" if conv else None,
         size_hint_rows=table_rows(sf_dir, "lineitem"),
-    ).materialize()
+    )
     _ACTIVATION_CACHE[key] = act
     return act
 

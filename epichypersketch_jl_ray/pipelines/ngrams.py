@@ -2,19 +2,23 @@
 adaptation of the reference's CMS counting (SURVEY.md §1.3: sequences derived
 from text are counted, selected against min_count, and extracted).
 
-Pass 1: one fold task per block of the read
-        (stages/udaf.fold_blocks_at_least): a sparse CMS partial per batch
-        over hashed trigrams (one CMS insert per n-gram occurrence,
-        reference count! semantics), folded to one state per block and cut
-        into one cell-id range per CPU; one task per range sums it across
-        the blocks and keeps its cells >= min_count, so the merged CMS is
-        never built, only its at_least(min_count) view.
-Pass 2: broadcast that view
-        to one select task per run of consecutive blocks of a second read
+Pass 1: one count task per block of the read
+        (stages/udaf.count_at_least): the raw CMS cell ids of the block's
+        hashed trigrams (one CMS insert per n-gram occurrence, reference
+        count! semantics; CountMin.key_cells of the keys of all the block's
+        batches, deduped as add_keys dedups a batch, with the counts as
+        weights, so an n-gram repeated across batches is hashed and
+        shipped once), cut unsorted into one flat-id range per CPU; one
+        task per range sorts it once across the blocks and keeps its cells
+        >= min_count, so no CMS is built, only the cells of its
+        at_least(min_count) view.
+Pass 2: one select task per run of consecutive blocks of a second read
         (stages/udaf.select_blocks over block_groups, each run at least
-        one slice of 4 x batch_size rows); re-derive n-grams per slice, keep
-        those with estimate >= min_count and emit each once per slice with
-        its slice count (``batch_n``).
+        one slice of 4 x batch_size rows, submitted as the run arrives)
+        gets the range sums' refs and builds that view itself; it
+        re-derives n-grams per slice, keeps those with estimate >=
+        min_count and emits each once per slice with its slice count
+        (``batch_n``).
 Recount: the select blocks' refs go through the exact-recount tail
         every CMS query shares (stages/udaf.exact_recount): ``batch_n``
         summed per n-gram hash is the exact corpus count, so CMS false
@@ -26,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from epichypersketch_jl_ray.functions.hashing import fnv1a64, hash_combine
 from epichypersketch_jl_ray.functions.text import (
@@ -38,8 +43,9 @@ from epichypersketch_jl_ray.sources.tables import read_table
 from epichypersketch_jl_ray.stages.udaf import (
     block_groups,
     block_refs,
+    count_at_least,
+    count_totals,
     exact_recount,
-    fold_blocks_at_least,
     select_blocks,
 )
 from epichypersketch_jl_ray.state.countmin import CountMin
@@ -89,15 +95,16 @@ def _heavy_ngrams(
         return keys, flat, row_ids, starts
 
     # read at call time, so a test can coarsen the sketch of both queries
-    delta, epsilon = NGRAM_DELTA, NGRAM_EPSILON
+    geometry = CountMin(1, delta=NGRAM_DELTA, epsilon=NGRAM_EPSILON, seed=seed)
 
-    def count(batch: pa.Table) -> CountMin:
-        return CountMin(1, delta=delta, epsilon=epsilon, seed=seed).add_keys(keys_of(batch)[0])
+    def cells(batches: list[pa.Table]) -> tuple:
+        # one key_cells call per block: an n-gram repeated across the
+        # block's slices is hashed and shipped once, with its count
+        keys = np.concatenate([keys_of(b)[0] for b in batches])
+        return [geometry.key_cells(keys)], len(keys), 0
 
-    # only cells >= min_count can pass the select, so only they are summed
-    view = fold_blocks_at_least(
-        block_refs(ds), count, CountMin, batch_size=batch_size, t=min_count
-    )
+    # only cells >= min_count can pass the select, so only they are kept
+    counted = count_at_least(block_refs(ds), cells, geometry, batch_size=batch_size, t=min_count)
 
     def selector(cms: CountMin):
         def select(batch: pa.Table) -> pa.Table:
@@ -128,9 +135,11 @@ def _heavy_ngrams(
     # consecutive blocks of a second read up to one slice, whatever number
     # of blocks the read cut the table into
     rows = 4 * batch_size
-    refs, n_selected = select_blocks(
-        block_groups(ds, rows), selector, view, batch_size=rows
+    refs, counts = select_blocks(
+        block_groups(ds, rows), selector, geometry, counted, batch_size=rows
     )
+    count_totals(counted[1])  # raises on a table with no row
+    n_selected = sum(ray.get(counts))
     schema = pa.schema(
         [("h", pa.int64())]
         + [(c, pa.string()) for c in group]

@@ -30,7 +30,7 @@ import pyarrow as pa
 
 import ray
 from epichypersketch_jl_ray.functions.text import tokenize
-from epichypersketch_jl_ray.sources.tables import read_table
+from epichypersketch_jl_ray.sources.tables import read_table, table_dataset
 from epichypersketch_jl_ray.stages.exchange import group_aggregate, to_table
 
 
@@ -54,7 +54,7 @@ def pack_sequences(
     ds = read_table(sf_dir, table, columns=["doc_id", "text"])
     n_docs = ds.count()  # parquet metadata count
     if not n_docs:  # Ray Data's map of a 0-row read gives blocks with no columns
-        return ray.data.from_arrow(_SLICES.empty_table())
+        return table_dataset(_SLICES.empty_table())
     if range_size is None:
         range_size = max(64, n_docs // 8192)
 

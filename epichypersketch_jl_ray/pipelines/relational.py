@@ -22,12 +22,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from epichypersketch_jl_ray.sources.tables import read_table, table_rows
+from epichypersketch_jl_ray.sources.tables import read_table, table_dataset, table_rows
 from epichypersketch_jl_ray.stages.exchange import (
     aggregate_table,
     group_aggregate,
     hash_partition,
     map_buckets,
+    to_table,
 )
 from epichypersketch_jl_ray.stages.join import (
     bucketed_asof_join,
@@ -63,7 +64,7 @@ def pricing_summary(sf_dir: str) -> ray.data.Dataset:
         )
 
     return group_aggregate(
-        ds.map_batches(prep, batch_format="pyarrow"),
+        ds,
         ["l_returnflag", "l_linestatus"],
         {
             "sum_qty": ("l_quantity", "sum"),
@@ -71,6 +72,7 @@ def pricing_summary(sf_dir: str) -> ray.data.Dataset:
             "n": ([], "count_all"),
         },
         table_rows(sf_dir, "lineitem"),
+        prep=prep,
     )
 
 
@@ -99,13 +101,21 @@ def top_suppliers(sf_dir: str, *, k: int = 10) -> ray.data.Dataset:
             }
         )
 
+    def top(t: pa.Table) -> pa.Table:
+        order = [("revenue_cents", "descending"), ("l_suppkey", "ascending")]
+        return t.sort_by(order).slice(0, k)
+
+    # every row of a supplier is in one bucket, so the global top k is the
+    # top k of the buckets' top k rows
     agg = group_aggregate(
-        ds.map_batches(prep, batch_format="pyarrow"),
+        ds,
         ["l_suppkey"],
         {"revenue_cents": ("revenue_cents", "sum")},
         table_rows(sf_dir, "lineitem"),
+        then=top,
+        prep=prep,
     )
-    return agg.sort(["revenue_cents", "l_suppkey"], descending=[True, False]).limit(k)
+    return table_dataset(top(to_table(agg)))
 
 
 def top_suppliers_sql(k: int = 10) -> str:

@@ -24,7 +24,7 @@ import pyarrow as pa
 import ray
 
 from epichypersketch_jl_ray.pipelines.relational import _cents  # ONE rounding rule
-from epichypersketch_jl_ray.sources.tables import read_table, table_rows
+from epichypersketch_jl_ray.sources.tables import read_table, table_dataset, table_rows
 from epichypersketch_jl_ray.stages.exchange import (
     aggregate_table,
     group_aggregate,
@@ -439,7 +439,7 @@ def revenue_rollup(sf_dir: str) -> ray.data.Dataset:
         sums = {"revenue_cents": ("revenue_cents", "sum"), "n": ("n", "sum")}
         return aggregate_table(t, keys, sums)
 
-    return ray.data.from_arrow(
+    return table_dataset(
         pa.concat_tables([fine, rolled_up(["l_linestatus"]), rolled_up(keys)])
     )
 

@@ -7,6 +7,16 @@ requirement at 100 TB. Such a Dataset is only a plan: a pipeline that maps it
 runs Ray Data's read, but the hash exchange (``stages.exchange``) reads a
 bare one itself, as runs of whole row groups (``parquet_source``,
 ``stages.udaf.input_units``).
+
+The engine's own tasks hand tables on as Datasets built here without a
+Ray Data task or executor run: ``dataset_of`` wraps block refs whose
+metadata the producing task returned (``block_metadata``),
+``table_dataset`` wraps one driver-side table, and ``leaf_refs`` reads the
+refs of such a Dataset back from its plan.
+
+This module is the only reader of Ray Data's private plan, datasource and
+constructor attributes (Ray 2.49); when an upgrade moves them each helper
+falls back to Ray Data's public path.
 """
 
 from __future__ import annotations
@@ -43,9 +53,8 @@ def parquet_source(ds) -> tuple[list[str], list[str] | None] | None:
     UDF, for files not on the local filesystem, for any operator after the
     read, for a materialized Dataset and for ``from_arrow``.
 
-    The only reader of Ray Data's private plan and datasource attributes
-    (Ray 2.49); when an upgrade moves them this returns None and every
-    caller falls back to the Dataset's blocks."""
+    When an upgrade moves Ray Data's private attributes this returns None
+    and every caller falls back to the Dataset's blocks."""
     import pyarrow.fs
     from ray.data._internal.datasource.parquet_datasource import ParquetDatasource
     from ray.data._internal.logical.operators.read_operator import Read
@@ -70,6 +79,73 @@ def parquet_source(ds) -> tuple[list[str], list[str] | None] | None:
     if not plain or hive:
         return None
     return files, None if columns is None else list(columns)
+
+
+def block_metadata(tbl):
+    """The ``BlockMetadataWithSchema`` of one Arrow table, as
+    ``ray.data.from_arrow_refs`` computes it in its metadata task
+    (``get_table_block_metadata_schema``); computed where the table is made,
+    so ``dataset_of`` needs no such task. None when Ray moved the helper."""
+    try:
+        from ray.data._internal.util import get_table_block_metadata_schema
+    except ImportError:
+        return None
+    return get_table_block_metadata_schema(tbl)
+
+
+def dataset_of(refs: list, metas: list) -> ray.data.Dataset:
+    """``ray.data.from_arrow_refs(refs)`` without its one metadata task per
+    ref: ``metas`` are the tables' ``block_metadata``, in ``refs`` order.
+    One block per ref, in order; 0-row blocks keep their types. Falls back
+    to ``from_arrow_refs`` when a meta is None or Ray moved the
+    constructors."""
+    if any(m is None for m in metas):
+        return ray.data.from_arrow_refs(refs)
+    try:
+        from ray.data._internal.logical.interfaces import LogicalPlan
+        from ray.data._internal.logical.operators.from_operators import FromArrow
+        from ray.data._internal.plan import ExecutionPlan
+        from ray.data._internal.stats import DatasetStats
+        from ray.data.context import DataContext
+        from ray.data.dataset import MaterializedDataset
+
+        plan = ExecutionPlan(
+            DatasetStats(metadata={"FromArrow": metas}, parent=None),
+            DataContext.get_current().copy(),
+        )
+        return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas), plan._context))
+    except (AttributeError, ImportError):
+        return ray.data.from_arrow_refs(refs)
+
+
+def table_dataset(tbl) -> ray.data.Dataset:
+    """A one-block Dataset of a driver-side Arrow table (``dataset_of`` of
+    its ``ray.put``), typed even with 0 rows: the engine's one way to wrap
+    a table, where ``ray.data.from_arrow`` runs a metadata task."""
+    return dataset_of([ray.put(tbl)], [block_metadata(tbl)])
+
+
+def leaf_refs(ds) -> list | None:
+    """The block refs, in order, of a Dataset whose whole logical plan is
+    one in-memory leaf: a ``from_*`` source (``dataset_of``,
+    ``from_arrow_refs``, ``from_arrow``, ``from_pandas``, …) or a
+    materialized Dataset's input data. Read from the plan, so Ray Data's
+    executor does not run. None for any other Dataset, and when Ray moved
+    the plan attributes."""
+    try:
+        from ray.data._internal.logical.operators.from_operators import AbstractFrom
+        from ray.data._internal.logical.operators.input_data_operator import InputData
+
+        op = ds._logical_plan.dag
+        if isinstance(op, AbstractFrom):
+            bundles = op._input_data
+        elif isinstance(op, InputData):
+            bundles = op.input_data
+        else:
+            return None
+        return [ref for bundle in bundles for ref in bundle.block_refs]
+    except (AttributeError, ImportError):
+        return None
 
 
 def table_rows(sf_dir: str, name: str) -> int:

@@ -35,6 +35,7 @@ import ray
 from ray.data.aggregate import Sum
 
 from epichypersketch_jl_ray.functions.hashing import hash_int64
+from epichypersketch_jl_ray.sources.tables import table_dataset
 from epichypersketch_jl_ray.stages.exchange import (
     aggregate_table,
     group_aggregate,
@@ -45,7 +46,7 @@ from epichypersketch_jl_ray.stages.udaf import block_refs, cpu_units
 
 
 def _empty_components() -> ray.data.Dataset:
-    return ray.data.from_arrow(
+    return table_dataset(
         pa.table({"node": pa.array([], pa.int64()), "component": pa.array([], pa.int64())})
     )
 

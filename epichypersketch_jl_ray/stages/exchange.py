@@ -15,8 +15,10 @@ Data operator. It is the engine's only way to group or join rows by key.
   every row of a key.
 - ``map_buckets``: one task per bucket concatenates that bucket's slices
   of one side, or of two sides, and runs the caller's table function on
-  them. The result is ``ray.data.from_arrow_refs`` of the task outputs:
-  one block per bucket, in bucket order.
+  them; it returns the table and the table's block metadata. The result
+  is ``sources.tables.dataset_of`` those: one block per bucket, in bucket
+  order, a materialized Dataset with no Ray Data metadata task or
+  executor run behind it.
 - ``group_aggregate``: a grouped sum, min, max or count (or the distinct
   keys). Each split task first aggregates its unit on its own (one
   partial row per key and unit, an Arrow ``Table.group_by``), so what
@@ -49,7 +51,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from epichypersketch_jl_ray.stages.udaf import ParquetRun, cpu_units, input_units
+from epichypersketch_jl_ray.stages.udaf import ParquetRun, block_refs, cpu_units, input_units
 
 
 def _key_hash(col: pa.ChunkedArray) -> np.ndarray:
@@ -123,39 +125,48 @@ def hash_partition(
     return [[s[b] for s in splits] for b in range(num_buckets)]
 
 
-@ray.remote
-def _map_bucket(fn, counts: tuple[int, ...], *slices: pa.Table) -> pa.Table:
-    """``fn`` of one bucket's table per side; ``counts`` says how many of
+@ray.remote(num_returns=2)
+def _map_bucket(fn, counts: tuple[int, ...], *slices: pa.Table):
+    """``fn`` of one bucket's table per side, and that table's
+    ``sources.tables.block_metadata``; ``counts`` says how many of
     ``slices`` each side has. A side's table is its non-empty slices
     concatenated, or its widest slice when all are empty, so it keeps its
     columns."""
+    from epichypersketch_jl_ray.sources.tables import block_metadata
+
     tables, start = [], 0
     for n in counts:
         side = slices[start : start + n]
         start += n
         kept = [t for t in side if t.num_rows] or [max(side, key=lambda t: t.num_columns)]
         tables.append(pa.concat_tables(kept, promote_options="permissive"))
-    return fn(*tables)
+    out = fn(*tables)
+    return out, block_metadata(out)
 
 
 def map_buckets(fn: Callable[..., pa.Table], *sides: list[list]) -> ray.data.Dataset:
     """One Ray task per bucket runs ``fn`` on that bucket's table of each
     side (``hash_partition`` outputs with one bucket count; every side
     must have at least one block). ``fn`` returns an Arrow table with the
-    same schema for every bucket, a 0-row bucket included."""
-    refs = [
+    same schema for every bucket, a 0-row bucket included. The Dataset is
+    built from the tasks' table refs and returned metadata
+    (``sources.tables.dataset_of``), with no Ray Data task."""
+    from epichypersketch_jl_ray.sources.tables import dataset_of
+
+    outs = [
         _map_bucket.remote(fn, tuple(map(len, parts)), *(s for p in parts for s in p))
         for parts in zip(*sides)
     ]
-    return ray.data.from_arrow_refs(refs)
+    return dataset_of([t for t, _ in outs], ray.get([m for _, m in outs]))
 
 
 def to_table(ds: ray.data.Dataset) -> pa.Table:
-    """The rows of a ``map_buckets`` output as one Arrow table. Its 0-row
-    blocks keep their types, so with every bucket empty the table still
-    has the bucket output's columns, where ``Dataset.to_pandas()`` would
-    give a DataFrame with none."""
-    return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    """The rows of a ``map_buckets`` output as one Arrow table, its block
+    refs read from its plan (``udaf.block_refs``: no executor run). Its
+    0-row blocks keep their types, so with every bucket empty the table
+    still has the bucket output's columns, where ``Dataset.to_pandas()``
+    would give a DataFrame with none."""
+    return pa.concat_tables(ray.get(list(block_refs(ds))))
 
 
 def aggregate_table(tbl: pa.Table, keys: list[str], aggs: dict[str, tuple]) -> pa.Table:
@@ -179,23 +190,27 @@ def group_aggregate(
     aggs: dict[str, tuple],
     rows: int | None,
     then: Callable[[pa.Table], pa.Table] | None = None,
+    prep: Callable[[pa.Table], pa.Table] | None = None,
 ) -> ray.data.Dataset:
-    """``aggregate_table(keys, aggs)`` of ``ds``, then ``then`` of it per
-    bucket if given (a filter, select or lookup that must see every row of
-    a key): each input unit aggregated in its split task, one hash exchange of
-    those partials on ``keys`` into ``udaf.cpu_units(rows)`` buckets
-    (``rows``: an input row count such as a parquet footer's, or None), and
-    per bucket one Arrow group-by that merges them. Every output block, a
-    0-row one too, has the keys' and aggregates' types."""
+    """``aggregate_table(keys, aggs)`` of ``ds`` (of ``prep`` of its rows,
+    if given: a per-row map run in the split task before the combine, so a
+    bare parquet read still reaches the exchange as parquet runs), then
+    ``then`` of it per bucket if given (a filter, select or lookup that
+    must see every row of a key): each input unit aggregated in its split
+    task, one hash exchange of those partials on ``keys`` into
+    ``udaf.cpu_units(rows)`` buckets (``rows``: an input row count such as
+    a parquet footer's, or None), and per bucket one Arrow group-by that
+    merges them. Every output block, a 0-row one too, has the keys' and
+    aggregates' types."""
     merge = {name: (name, _MERGE[fn]) for name, (_, fn) in aggs.items()}
+
+    def combine(t: pa.Table) -> pa.Table:
+        return aggregate_table(t if prep is None else prep(t), keys, aggs)
 
     def bucket(t: pa.Table) -> pa.Table:
         out = aggregate_table(t, keys, merge)
         return out if then is None else then(out)
 
     return map_buckets(
-        bucket,
-        hash_partition(
-            input_units(ds), keys, cpu_units(rows), combine=lambda t: aggregate_table(t, keys, aggs)
-        ),
+        bucket, hash_partition(input_units(ds), keys, cpu_units(rows), combine=combine)
     )

@@ -3,12 +3,14 @@ the reference's three-pass core (SURVEY.md §2.3 C1-C6) re-expressed as two
 passes over Arrow batches, each one Ray task per activation block
 (pipelines/motifs.motif_pipeline):
 
-  pass 1  MotifCounter per batch → sparse CMS partial, folded to one state
-          per block, whose cells >= min_count a sharded reduce keeps
-          (udaf.fold_blocks_at_least)   (reference count!/count_cpu!,
+  pass 1  MotifCells per batch → the raw CMS cell ids of its combinations,
+          cut into flat-id ranges in one count task per block; one task
+          per range sorts it once and keeps the cells >= min_count
+          (udaf.count_at_least)   (reference count!/count_cpu!,
           /root/reference/src/count_cpu.jl:76-144)
-  pass 2  broadcast the merged CMS's cells >= min_count (its at_least view)
-          to one select task per block (udaf.select_blocks); MotifSelector
+  pass 2  one select task per block gets those ranges' refs and builds the
+          merged CMS's cells >= min_count (its at_least view) itself
+          (udaf.select_blocks); MotifSelector
           per batch fuses selection + extraction (reference make_selection_cpu! +
           _obtain_enriched_configurations_cpu_, /root/reference/src/count_cpu.jl:149-293
           — fused because both read the same enumeration; the reference splits
@@ -153,67 +155,46 @@ def enumerate_batch(
     return out
 
 
-from epichypersketch_jl_ray.state.base import MergeableSketch
-
-
-class MotifCountState(MergeableSketch):
-    """Pass-1 partial: the CMS plus the truncated-row counter (surfaced in
-    metrics — truncation is never silent, SURVEY.md §7.4)."""
-
-    __slots__ = ("cms", "truncated")
-
-    def __init__(self, cms: CountMin, truncated: int = 0) -> None:
-        self.cms = cms
-        self.truncated = truncated
-
-    def merge(self, other: "MotifCountState") -> "MotifCountState":
-        return self.merge_many([other])
-
-    def merge_many(self, others: list["MotifCountState"]) -> "MotifCountState":
-        self.cms.merge_many([o.cms for o in others])
-        self.truncated += sum(o.truncated for o in others)
-        return self
-
-    def _state_arrays(self) -> tuple:
-        return (("truncated", self.truncated), ("cms", self.cms.digest()))
-
-
-class MotifCounter:
-    """Pass-1 partial builder: enumerate + count into a local CMS, return a
-    sparse MotifCountState per batch. A stateless ``make_partial``; the
-    comb_table cache is module-level (lru_cache) so it persists per worker
-    process across batches (reference Record combs,
-    /root/reference/src/record.jl:13-106)."""
+class MotifCells:
+    """Pass-1 count of one block's batches, for ``udaf.count_at_least``:
+    enumerate each batch, then the raw CountMin cell ids of every valid
+    combination (``CountMin.cells`` of its hash input), unsorted and
+    unweighted, one part per batch, with the inserts they count and the
+    rows truncated to ``max_active_len`` (surfaced in a warning: truncation
+    is never silent, SURVEY.md §7.4). ``cms`` gives the geometry and hash
+    coefficients; it is not counted into. The comb_table cache is
+    module-level (lru_cache) so it persists per worker process across
+    batches (reference Record combs, reference src/record.jl:13-106)."""
 
     def __init__(
         self,
+        cms: CountMin,
         *,
         motif_size: int,
         conv: bool = False,
         filter_len: int = 0,
-        delta: float = 1e-4,
-        epsilon: float = 5e-5,
-        seed: int = 1234,
         max_active_len: int = 64,
     ) -> None:
+        self.cms = cms
         self.k = motif_size
         self.conv = conv
         self.filter_len = filter_len
         self.max_active_len = max_active_len
-        self.cms_args = dict(delta=delta, epsilon=epsilon, seed=seed)
-        self.hash_width = 2 * motif_size - 1 if conv else motif_size
 
-    def __call__(self, batch: pa.Table) -> MotifCountState:
-        enum = enumerate_batch(
-            batch,
-            self.k,
-            conv=self.conv,
-            filter_len=self.filter_len,
-            max_active_len=self.max_active_len,
-        )
-        cms = CountMin(self.hash_width, **self.cms_args)
-        cms.add(enum["hash_mat"])
-        return MotifCountState(cms, enum["truncated"])
+    def __call__(self, batches: list[pa.Table]) -> tuple[list, int, int]:
+        parts, n_inserts, truncated = [], 0, 0
+        for batch in batches:
+            enum = enumerate_batch(
+                batch,
+                self.k,
+                conv=self.conv,
+                filter_len=self.filter_len,
+                max_active_len=self.max_active_len,
+            )
+            parts.append((self.cms.cells(enum["hash_mat"]), None))
+            n_inserts += len(enum["hash_mat"])
+            truncated += enum["truncated"]
+        return parts, n_inserts, truncated
 
 
 class MotifSelector:
@@ -221,11 +202,11 @@ class MotifSelector:
     per (selected combination, sequence).
 
     ``cms`` is the merged sketch's ``at_least(min_count)`` view (the
-    select task of ``stages.udaf.select_blocks`` gets it as a resolved task
-    argument): its estimates pass and fail exactly where the merged
-    sketch's do, with the same values, and it holds only the cells that can
-    pass — on motifs_k3 176 of 801,137 — so a worker decodes and searches a
-    few KB, not the sketch.
+    select task of ``stages.udaf.select_blocks`` builds it from the range
+    sums it gets as resolved task arguments): its estimates pass and fail
+    exactly where the merged sketch's do, with the same values, and it
+    holds only the cells that can pass — on motifs_k3 176 of 801,137 — so a
+    worker decodes and searches a few KB, not the sketch.
     """
 
     def __init__(

@@ -9,8 +9,9 @@ folds the unit's ``batch_size``-row slices with fold_partials into ONE
 state. A unit is one of two shapes:
 
     Dataset blocks (sketch_dataset):
-      fold_blocks: one task per block ref, streamed from
-      iter_internal_ref_bundles; the task cuts its block into slices
+      fold_blocks: one task per block ref (block_refs: read from the plan
+      of an in-memory Dataset, else streamed from its execution); the
+      task cuts its block into slices
     corpus row ranges (build_web_sketches, checkpoint.build_checkpointed):
       fold_parquet_ranges: the parquet files' global row range [0, N) cut
       into cpu_units(N) contiguous ranges (row_ranges), one task per
@@ -22,24 +23,31 @@ state. A unit is one of two shapes:
       then ONE driver merge_many → one merged sketch
 
 A CMS query (the motif and n-gram counts) needs of its merged sketch only
-the cells that reach min_count, so it never builds it:
+the cells that reach min_count, and a cell is an integer sum, the same in
+any order its inserts are added; so it builds no sketch at all. One task
+graph, submitted at once, with no driver wait inside:
 
     Dataset blocks
-      fold_blocks_at_least: one task per block ref, the fold above, then
-      S + 1 returns (S = cluster_cpus()): the state's CountMin cut into S
-      cell-id ranges (CountMin.cut), and the state left without cells
-    → S _sum_shard tasks: each sums one range across every partial and
-      returns its cells >= min_count (countmin.sum_at_least); the driver
-      merges the cell-less states (n_inserts, truncated) with their
-      merge_many and concatenates the ranges' cells into the merged
-      state's CountMin: the at_least(min_count) view, ray.put once
-      → select_blocks: the select, one task per block or block_groups run,
-        against the view
-      → exact_recount: the select blocks' refs and summed row count; the
-        survivors recounted exactly
+      count_at_least: one _count_block task per block ref hashes its
+      batch_size-row slices into raw flat CountMin cell ids (``cells``:
+      CountMin.cells per slice, or key_cells of the block's keys, deduped
+      across its slices), unsorted, and cuts them into S flat-id
+      ranges (countmin.cut_cells; S = cluster_cpus()); S + 1 returns: the
+      ranges and a small side return (n_inserts, truncated)
+    → S _sum_cells tasks: each sorts one range across every block once
+      and returns its cells >= min_count (countmin.sum_cells_at_least);
+      one _sum_sides task sums the side returns
+      → select_blocks: one select task per block or block_groups run gets
+        the S range sums' refs and the totals' ref as top-level arguments
+        and builds the at_least(min_count) view itself (threshold_view: the
+        geometry plus merge_cells of the sums, and the merged n_inserts),
+        then selects against it
+      → the driver ray.gets only the totals (count_totals) and the select
+        row counts; the select blocks' refs go to exact_recount, which
+        recounts the survivors exactly
 
-These folds are the reference's one-CMS-per-partition count pass, and the
-select tasks its make_selection pass, without a Ray Data operator.
+These count tasks are the reference's one-CMS-per-partition count pass,
+and the select tasks its make_selection pass, without a Ray Data operator.
 
 The hash exchange (stages/exchange) takes its input the same two ways
 (input_units): a bare parquet read as runs of whole row groups
@@ -105,8 +113,8 @@ def fold_partials(
     partial can be a whole corpus-sized Bloom filter), and the COO CountMin
     accumulator is re-sorted once per group, not once per table. A single
     table's state is returned as is (``merge_many([])`` still re-sorts a COO
-    CountMin). The fold of every task: a Dataset block (``fold_blocks``,
-    ``fold_blocks_at_least``) and a corpus row range (``fold_parquet_rows``).
+    CountMin). The fold of every task: a Dataset block (``fold_blocks``)
+    and a corpus row range (``fold_parquet_rows``).
     """
     states: list[MergeableSketch] = []
     for tbl in tables:
@@ -119,8 +127,17 @@ def fold_partials(
 
 
 def block_refs(ds) -> Iterable:
-    """Object refs to the blocks of a Dataset, as its execution yields them
-    (the bytes stay in the object store)."""
+    """Object refs to the blocks of a Dataset (the bytes stay in the object
+    store): for a Dataset whose whole plan is one in-memory leaf (a
+    ``from_arrow_refs``-style or materialized Dataset,
+    ``sources.tables.leaf_refs``) its refs in order, read from the plan
+    without running Ray Data's executor; for any other, as its execution
+    yields them."""
+    from epichypersketch_jl_ray.sources.tables import leaf_refs
+
+    refs = leaf_refs(ds)
+    if refs is not None:
+        return refs
     return (ref for bundle in ds.iter_internal_ref_bundles() for ref in bundle.block_refs)
 
 
@@ -156,8 +173,7 @@ def block_slices(block, batch_size: int | Callable[[pa.Table], int]) -> list[pa.
 
 def _block_state(block, make_partial, batch_size) -> MergeableSketch | None:
     """One Dataset block's slices folded into one state (None for a 0-row
-    block): the fold of every ``fold_blocks`` and ``fold_blocks_at_least``
-    task."""
+    block): the fold of every ``fold_blocks`` task."""
     slices = block_slices(block, batch_size)
     return fold_partials(slices, make_partial) if slices[0].num_rows else None
 
@@ -210,66 +226,92 @@ def cpu_units(rows: int | None) -> int:
 
 
 @ray.remote
-def _fold_cut_block(block, make_partial, batch_size, cms, shards: int) -> list:
-    """``shards + 1`` returns for one Dataset block: its folded state's
-    CountMin (``cms(state)``) cut into ``shards`` cell-id ranges
-    (``CountMin.cut``), then the state block of the state left without
-    cells (no state, and empty ranges, for a 0-row block)."""
-    state = _block_state(block, make_partial, batch_size)
-    if state is None:
-        empty = np.empty(0, dtype=np.int64)
-        return [(empty, empty)] * shards + [_state_table([])]
-    return [*cms(state).cut(shards), _state_table([state])]
+def _count_block(block, cells, batch_size, geometry: "CountMin", shards: int) -> list:
+    """``shards + 1`` returns for one Dataset block: the raw (ids, weights)
+    cells of its ``block_slices`` (``cells`` of the block's slices), cut
+    into ``shards`` flat-id ranges of ``geometry`` (``countmin.cut_cells``),
+    unsorted; then its side return ``[n_inserts, truncated]`` (None, and
+    empty ranges, for a 0-row block)."""
+    from epichypersketch_jl_ray.state.countmin import cut_cells
+
+    slices = [s for s in block_slices(block, batch_size) if s.num_rows]
+    parts, n_inserts, truncated = cells(slices) if slices else ([], 0, 0)
+    ranges = cut_cells(parts, geometry.rows, geometry.cols, shards)
+    return [*ranges, np.array([n_inserts, truncated], np.int64) if slices else None]
 
 
 @ray.remote
-def _sum_shard(cols: int, t: int, *runs) -> tuple[np.ndarray, np.ndarray]:
-    """One cell-id range summed across every partial, only its cells >= t."""
-    from epichypersketch_jl_ray.state.countmin import sum_at_least
+def _sum_cells(t: int, *ranges) -> tuple[np.ndarray, np.ndarray]:
+    """One flat-id range summed across every block, only its cells >= t."""
+    from epichypersketch_jl_ray.state.countmin import sum_cells_at_least
 
-    return sum_at_least(runs, cols, t)
+    return sum_cells_at_least(ranges, t)
 
 
-def fold_blocks_at_least(
+@ray.remote
+def _sum_sides(*sides) -> np.ndarray | None:
+    """``[n_inserts, truncated]`` summed over the count tasks' side returns
+    (None when no block held a row)."""
+    got = [s for s in sides if s is not None]
+    return np.sum(got, axis=0) if got else None
+
+
+def count_at_least(
     blocks: Iterable,
-    make_partial: Callable[[pa.Table], MergeableSketch],
-    cls: type[MergeableSketch],
+    cells: Callable[[list[pa.Table]], tuple],
+    geometry: "CountMin",
     *,
     batch_size: int | Callable[[pa.Table], int],
     t: int,
-    cms: Callable[[MergeableSketch], "CountMin"] = lambda state: state,
-) -> MergeableSketch:
-    """The merged state of Dataset blocks with its CountMin (``cms(state)``)
-    thresholded: the state ``fold_blocks`` would return, its CountMin
-    replaced by that CountMin's ``at_least(t)`` view (the same estimates for
-    every key, the same n_inserts). For a CMS count whose only consumer is
-    ``at_least(t)``, without holding the merged sketch anywhere:
+) -> tuple[list, object]:
+    """Submit the sharded threshold count of Dataset blocks and return at
+    once, without waiting for a task: ``(sums, totals)``, the refs to the
+    ``S = cluster_cpus()`` range sums, whose cells concatenated in order
+    are the merged CountMin's ``at_least(t)`` cells, and the ref to the
+    blocks' summed ``[n_inserts, truncated]`` (``count_totals``); both go
+    to ``threshold_view``.
 
-    - one task per block ref folds the block as ``fold_blocks`` does and
-      returns ``S + 1`` objects, S being ``cluster_cpus()``: its CountMin's
-      cells cut into S contiguous ranges of flat cell ids, and the state
-      left without cells (n_inserts and any side counts);
-    - the driver merges the cell-less states with their ``merge_many``;
-    - S ``_sum_shard`` tasks each sum one range across all partials and
-      return only its cells >= t, which the driver concatenates, already
-      sorted, into the merged state's CountMin.
-
-    Raises ValueError when the blocks hold no row (no state to merge)."""
+    ``cells`` maps the non-empty ``batch_size``-row slices of one block
+    (``block_slices``) to their raw cells in ``geometry`` (a CountMin with
+    no cell, the sketch's geometry and seed): ``(parts, n_inserts,
+    truncated)``, ``parts`` a list of (ids, weights or None), the ids laid
+    out as ``CountMin.cells`` gives them. A ``cells`` that sees the whole
+    block can merge an item repeated across its slices before hashing it,
+    as the n-gram count does. One task per block ref cuts those cells into
+    S flat-id ranges without sorting them (it is submitted as soon as its
+    block ref arrives); one task per range sorts that range across the
+    blocks once and keeps its cells >= t."""
     shards = cluster_cpus()
-    fold = _fold_cut_block.options(num_returns=shards + 1)
-    outs = [fold.remote(b, make_partial, batch_size, cms, shards) for b in blocks]
-    states = [
-        sk for tbl in ray.get([o[-1] for o in outs]) for sk in _sketches_from_table(tbl, cls)
-    ]
-    if not states:
+    count = _count_block.options(num_returns=shards + 1)
+    outs = [count.remote(b, cells, batch_size, geometry, shards) for b in blocks]
+    sums = [_sum_cells.remote(t, *(o[s] for o in outs)) for s in range(shards)]
+    return sums, _sum_sides.remote(*(o[-1] for o in outs))
+
+
+def count_totals(totals) -> tuple[int, int]:
+    """``(n_inserts, truncated)`` of ``count_at_least``'s totals ref.
+    Raises ValueError when no block held a row (no partial state: an empty
+    input)."""
+    got = ray.get(totals)
+    if got is None:
         raise ValueError("no partial states to merge (empty input dataset?)")
-    merged = states[0].merge_many(states[1:])
-    view = cms(merged)
-    cells = ray.get(
-        [_sum_shard.remote(view.cols, t, *(o[s] for o in outs)) for s in range(shards)]
+    return int(got[0]), int(got[1])
+
+
+def threshold_view(
+    geometry: "CountMin", sums: list[tuple[np.ndarray, np.ndarray]], totals: np.ndarray | None
+) -> "CountMin":
+    """The merged CountMin's ``at_least(t)`` view from ``count_at_least``'s
+    resolved range sums and totals: a copy of ``geometry`` (no cell, no
+    insert) with the ranges' cells, concatenated in range order (already
+    sorted), put in by ``merge_cells``, and the merged ``n_inserts``. Its
+    cells, ``n_inserts`` and digest are the merged sketch's ``at_least(t)``
+    view's."""
+    view = type(geometry).from_bytes(geometry.to_bytes())
+    view.n_inserts = 0 if totals is None else int(totals[0])
+    return view.merge_cells(
+        np.concatenate([i for i, _ in sums]), np.concatenate([c for _, c in sums])
     )
-    view.merge_cells(np.concatenate([i for i, _ in cells]), np.concatenate([c for _, c in cells]))
-    return merged
 
 
 def file_rows(files: list[str]) -> list[int]:
@@ -479,8 +521,8 @@ def merge_state_refs(refs: list, cls: type[MergeableSketch]) -> MergeableSketch:
     ``merge_many``, one linear pass rather than a pairwise fold (quadratic
     for COO-sketch merges). Block order is kept, so the merge order is the
     order of ``refs``. Raises ValueError when the blocks hold no state at
-    all (an empty input). The merge of every fold but the CMS queries'
-    (``fold_blocks_at_least``) and of ``checkpoint.build_checkpointed``'s
+    all (an empty input). The merge of every fold (the CMS queries build no
+    sketch: ``count_at_least``) and of ``checkpoint.build_checkpointed``'s
     merged blob groups.
     """
     driver_cap = MERGE_FANOUT * MERGE_FANOUT
@@ -537,14 +579,19 @@ def sketch_dataset(
 
 
 @ray.remote(num_returns=2)
-def _select_block(make_select, view, batch_size, *blocks) -> tuple[pa.Table, int]:
+def _select_block(
+    make_select, geometry, totals, shards: int, batch_size, *args
+) -> tuple[pa.Table, int]:
     """Select output of consecutive blocks and its row count:
     ``make_select(view)`` run on the ``block_slices`` of the blocks'
-    concatenation. ``view`` and the blocks are top-level arguments, so Ray
-    fetches them before the task starts."""
+    concatenation, ``view`` being the ``threshold_view`` of ``geometry``,
+    the first ``shards`` arguments (the range sums) and ``totals``; the
+    blocks follow. All are top-level arguments, so Ray fetches them before
+    the task starts, and the task waits on no driver."""
     from ray.data.block import BlockAccessor
 
-    tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+    view = threshold_view(geometry, args[:shards], totals)
+    tables = [BlockAccessor.for_block(b).to_arrow() for b in args[shards:]]
     tbl = pa.concat_tables([t for t in tables if t.num_rows] or tables[:1])
     select = make_select(view)
     out = pa.concat_tables([select(s) for s in block_slices(tbl, batch_size)])
@@ -554,19 +601,26 @@ def _select_block(make_select, view, batch_size, *blocks) -> tuple[pa.Table, int
 def select_blocks(
     groups: Iterable[list],
     make_select: Callable,
-    view,
+    geometry: "CountMin",
+    counted: tuple[list, object],
     *,
     batch_size: int | Callable[[pa.Table], int],
-) -> tuple[list, int]:
+) -> tuple[list, list]:
     """The select pass of every CMS query: one Ray task per group of block
-    refs (one block each, or ``block_groups``) runs ``make_select(view)``
-    (a table → table select) on the group's slices. ``view`` is the merged
-    sketch's ``at_least(min_count)`` view; it is ``ray.put`` once and
-    handed to every task. Returns the refs to the select blocks and their
-    summed row count, for ``exact_recount``."""
-    view_ref = ray.put(view)
-    pairs = [_select_block.remote(make_select, view_ref, batch_size, *g) for g in groups]
-    return [t for t, _ in pairs], sum(ray.get([n for _, n in pairs]))
+    refs (one block each, or ``block_groups``), submitted as the group
+    arrives, runs ``make_select(view)`` (a table → table select) on the
+    group's slices. ``view`` is the merged sketch's ``at_least(min_count)``
+    view, which each task builds from ``geometry`` and ``count_at_least``'s
+    ``(sums, totals)`` refs, ``counted``, handed over as top-level
+    arguments, so the tasks can be submitted before the count has run.
+    Returns the refs to the select blocks and to their row counts, for
+    ``exact_recount``."""
+    sums, totals = counted
+    pairs = [
+        _select_block.remote(make_select, geometry, totals, len(sums), batch_size, *sums, *g)
+        for g in groups
+    ]
+    return [t for t, _ in pairs], [n for _, n in pairs]
 
 
 # Largest selection exact_recount recounts in the driver process; above it
@@ -597,18 +651,18 @@ def exact_recount(
     driver fetches the blocks with ``ray.get``, casts them to ``schema``
     (an empty selection is ``schema.empty_table()``, so the typed columns
     survive) and recounts them in one call; the result is wrapped as a
-    one-block Dataset. Above it the blocks go through the hash exchange
-    (``exchange.hash_partition`` on ``key_cols``, ``cpu_units(n_selected)``
-    buckets), which sends every row of a key to one bucket, and one task
-    per bucket casts its rows to ``schema`` and recounts them."""
-    import ray.data
-
+    one-block Dataset (``sources.tables.table_dataset``). Above it the
+    blocks go through the hash exchange (``exchange.hash_partition`` on
+    ``key_cols``, ``cpu_units(n_selected)`` buckets), which sends every row
+    of a key to one bucket, and one task per bucket casts its rows to
+    ``schema`` and recounts them."""
+    from epichypersketch_jl_ray.sources.tables import table_dataset
     from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
 
     if n_selected <= DRIVER_RECOUNT_MAX_ROWS:
         blocks = [b.cast(schema) for b in ray.get(refs) if b.num_rows]
         tbl = pa.concat_tables(blocks) if blocks else schema.empty_table()
-        return ray.data.from_arrow(recount(tbl))
+        return table_dataset(recount(tbl))
     parts = hash_partition(refs, key_cols, cpu_units(n_selected))
     return map_buckets(
         lambda t: recount(t.cast(schema) if t.num_rows else schema.empty_table()), parts

@@ -36,9 +36,12 @@ r's columns are sorted on their own and run-length encoded (weights summed
 per run), and since rows own disjoint ranges of flat ids, the rows' runs
 concatenate already sorted. A COO merge goes row by row too: row r takes
 its ``searchsorted`` slice of every input and sorts and sums only those.
-The same sum serves a sharded threshold merge: ``cut`` moves a partial's
-cells out as contiguous ranges of flat ids, and ``sum_at_least`` sums one
-range across all partials and keeps only the cells that reach a threshold.
+A CMS query that needs only the cells reaching a threshold skips the
+partial sketches: ``cells`` and ``key_cells`` give a batch's raw flat cell
+ids (row r's at ``r * cols + col``, unsorted, with weights for deduped
+keys), ``cut_cells`` routes them into contiguous ranges of flat ids without
+sorting, and ``sum_cells_at_least`` sorts one range once and keeps the cells
+that reach the threshold.
 Estimates take the same per-row columns and a running min over rows.
 """
 
@@ -47,6 +50,7 @@ from __future__ import annotations
 import io
 import math
 import struct
+from bisect import bisect_right
 
 import numpy as np
 
@@ -216,6 +220,39 @@ class CountMin(MergeableSketch):
             k, weights = np.unique(k, return_counts=True)
         return self._add_rows(self._key_rows(k), len(k), weights)
 
+    def cells(self, features: np.ndarray) -> np.ndarray:
+        """The flat cell ids ``add(features)`` counts, one per feature
+        vector and sketch row, unsorted: row r's ``r * cols + col`` at
+        positions ``[r * n, (r + 1) * n)`` (see _flat_cells)."""
+        fr = self._reduced(features)
+        return self._flat_cells((self._feature_row(r, fr) for r in range(self.rows)), len(fr))
+
+    def key_cells(
+        self, keys: np.ndarray, weights: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The flat cell ids ``add_keys(keys, weights)`` counts and their
+        weights (None: one each), laid out as ``cells``. A large unweighted
+        batch is deduped as ``add_keys`` dedups it: each distinct key's
+        cells once, weighted by its count."""
+        k = np.asarray(keys, dtype=np.uint64)
+        if weights is None and len(k) > 4096:
+            k, weights = np.unique(k, return_counts=True)
+        ids = self._flat_cells(self._key_rows(k), len(k))
+        if weights is None:
+            return ids, None
+        return ids, np.tile(np.asarray(weights, dtype=np.int64), self.rows)
+
+    def _flat_cells(self, rows, n: int) -> np.ndarray:
+        """Flat cell ids of a batch of n items given as its columns, one
+        array per sketch row (as in _add_rows), row r's at ``[r * n,
+        (r + 1) * n)``: int32 while ``num_counters < 2**31``, which halves
+        the bytes a count task ships, else int64."""
+        dtype = np.int32 if self.num_counters < 2**31 else np.int64
+        out = np.empty(self.rows * n, dtype=dtype)
+        for r, col in enumerate(rows):
+            np.add(col, r * self.cols, out=out[r * n : (r + 1) * n], casting="unsafe")
+        return out
+
     def _add_rows(self, rows, n: int, weights: np.ndarray | None) -> "CountMin":
         """Count a batch of n items given as its columns, one array per
         sketch row: an iterable, consumed once, row 0 first (_feature_rows
@@ -340,10 +377,10 @@ class CountMin(MergeableSketch):
         row's cell does: ``view.estimate(x) >= t`` exactly when
         ``self.estimate(x) >= t``, and where it passes the two are equal. A
         select pass broadcasts the view, O(cells >= t) instead of O(sketch);
-        the CMS queries build it without a merged sketch (``cut`` and
-        ``sum_at_least``), and this is the reference they are tested
-        against. Survivors stay dense only past ``_merge_coo``'s densify
-        point.
+        the CMS queries build it without a merged sketch (``cut_cells``,
+        ``sum_cells_at_least`` and ``merge_cells``), and this is the
+        reference they are tested against. Survivors stay dense only past
+        ``_merge_coo``'s densify point.
         """
         view = object.__new__(CountMin)
         for name in self.__slots__:
@@ -361,33 +398,12 @@ class CountMin(MergeableSketch):
         view.ids, view.counts = self.ids[keep], self.counts[keep]
         return view
 
-    def cut(self, shards: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Move this sketch's nonzero cells out as ``shards`` sorted (ids,
-        counts) runs, run s holding the flat ids in ``[s * num_counters //
-        shards, (s + 1) * num_counters // shards)`` (an empty run where the
-        range has no cell), from a dense state as from a COO one. The sketch
-        keeps its geometry, seed and n_inserts, and no cell: the partial's
-        side of a sharded threshold merge, whose shards ``sum_at_least``
-        reduces."""
-        if self.dense is not None:
-            flat = self.dense.ravel()
-            ids = np.flatnonzero(flat).astype(np.int64)
-            counts = flat[ids]
-        else:
-            ids, counts = self.ids, self.counts
-        bounds = np.arange(shards + 1, dtype=np.int64) * self.num_counters // shards
-        cuts = np.searchsorted(ids, bounds)
-        self.dense = None
-        self.ids = self.counts = np.empty(0, dtype=np.int64)
-        return [(ids[a:b], counts[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
-
     def merge_cells(self, ids: np.ndarray, counts: np.ndarray) -> "CountMin":
         """Add sorted canonical (ids, counts) cells of this geometry to this
-        COO sketch, without counting inserts: the driver end of a sharded
-        threshold merge puts the shards' ``sum_at_least`` cells,
-        concatenated in shard order, into the merged sketch ``cut`` left
-        without cells (past half the cells it densifies, as ``at_least``
-        keeps such a view dense)."""
+        COO sketch, without counting inserts: a sharded threshold count
+        puts the ranges' ``sum_cells_at_least`` cells, concatenated in range
+        order, into a sketch of its geometry with no cell (past half the
+        cells it densifies, as ``at_least`` keeps such a view dense)."""
         self._merge_coo([ids], [counts])
         return self
 
@@ -465,7 +481,7 @@ class CountMin(MergeableSketch):
     # tree-merge/checkpoint state traffic vs pickled int64 arrays — the
     # dominant byte stream in the oracle-parity (near-exact) sketch regimes.
     # __reduce__ routes plain pickle through the same format, so composite
-    # states (MotifCountState, WebSketchState) compress without changes.
+    # states (WebSketchState) compress without changes.
     # Width choice depends only on array CONTENT, so byte-canonicality under
     # merge order is preserved; from_bytes still reads legacy pickle blobs.
 
@@ -606,16 +622,65 @@ def _sum_runs(runs, cols: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(out_ids), np.concatenate(out_cts)
 
 
-def sum_at_least(runs, cols: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cells that reach ``t`` of the sum of sorted (ids, counts) runs
-    of a sketch with ``cols`` columns, as sorted (ids, counts): the reduce of
-    one shard of a sharded threshold merge, its runs being that shard of
-    every partial's ``CountMin.cut``. A cell of the merged sketch is the sum
-    of the partials' cells of its id, so the shard's cells that reach ``t``
-    are exactly the merged sketch's ``at_least(t)`` cells in that range."""
-    ids, counts = _sum_runs(runs, cols)
+def _concat_cells(parts: list) -> tuple[np.ndarray, np.ndarray | None]:
+    """Raw (ids, weights) cell parts as one (ids, weights): weights None
+    when no part is weighted, else 1 for each cell of an unweighted part."""
+    ids = np.concatenate([i for i, _ in parts])
+    if all(w is None for _, w in parts):
+        return ids, None
+    return ids, np.concatenate([np.ones(len(i), np.int64) if w is None else w for i, w in parts])
+
+
+def cut_cells(
+    parts: list[tuple[np.ndarray, np.ndarray | None]], rows: int, cols: int, shards: int
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Route the raw (ids, weights) cells of batches of a ``rows`` x
+    ``cols`` sketch, each laid out as ``CountMin.cells`` gives them, into
+    ``shards`` unsorted (ids, weights) ranges, range s holding the flat ids
+    in ``[s * N // shards, (s + 1) * N // shards)`` (N = rows * cols).
+    Nothing is sorted: a sketch row inside one range goes there whole, and
+    only a row that a range boundary crosses is split with masks."""
+    bounds = [s * rows * cols // shards for s in range(shards + 1)]
+    ranges: list[list] = [[] for _ in range(shards)]
+    for ids, weights in parts:
+        n = len(ids) // rows
+        for r in range(rows):
+            row = slice(r * n, (r + 1) * n)
+            seg, wseg = ids[row], None if weights is None else weights[row]
+            first = bisect_right(bounds, r * cols) - 1
+            last = bisect_right(bounds, (r + 1) * cols - 1) - 1
+            for s in range(first, last + 1):
+                keep = slice(None) if first == last else (seg >= bounds[s]) & (seg < bounds[s + 1])
+                ranges[s].append((seg[keep], None if wseg is None else wseg[keep]))
+    empty = np.empty(0, dtype=parts[0][0].dtype if parts else np.int32)
+    return [_concat_cells(r) if r else (empty, None) for r in ranges]
+
+
+def sum_cells_at_least(
+    parts: list[tuple[np.ndarray, np.ndarray | None]], t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cells that reach ``t`` of the sum of raw (ids, weights) cells
+    (weights None: 1 each), as sorted int64 (ids, counts): the reduce of one
+    range of a sharded threshold count, its parts being that range of every
+    count task's ``cut_cells``. A cell of the merged sketch is the sum of
+    every insert into its id, so the range's cells that reach ``t`` are
+    exactly the merged sketch's ``at_least(t)`` cells in that range. The
+    ids are sorted once: an unweighted range run-length encodes a plain
+    sort; a weighted one sums its weights over an argsort (``reduceat``)."""
+    ids, w = _concat_cells(parts) if parts else (np.empty(0, np.int64), None)
+    if not len(ids):
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    if w is None:
+        s = np.sort(ids)
+        starts = _run_starts(s)
+        counts = np.diff(starts, append=len(s))
+    else:
+        order = np.argsort(ids)
+        s = ids[order]
+        starts = _run_starts(s)
+        counts = np.add.reduceat(w[order], starts)  # exact int64 sums
     keep = counts >= t
-    return ids[keep], counts[keep]
+    return s[starts[keep]].astype(np.int64), counts[keep].astype(np.int64)
 
 
 _WIRE_MAGIC = b"CM01"

@@ -499,47 +499,53 @@ def test_multilinear_hash_bound_raises():
     assert narrow.hash_columns(np.array([3])).shape == (1, 1)
 
 
-def _threshold_merge(parts: list[CountMin], shards: int, t: int) -> CountMin:
-    """merge_many(parts).at_least(t) as a sharded threshold merge: every
-    partial cut into ``shards`` cell-id ranges, each range summed across the
-    partials by sum_at_least, the cell-less partials merged by merge_many
-    and the ranges' cells concatenated into the result."""
-    from epichypersketch_jl_ray.state.countmin import sum_at_least
+def _threshold_merge(geometry: str, inserts: list, shards: int, t: int) -> CountMin:
+    """merge_many(partials).at_least(t) as the sharded threshold count:
+    each partial's inserts (keys, weights) hashed into raw cells by
+    key_cells, cut into ``shards`` cell-id ranges by cut_cells, each range
+    summed across the partials by sum_cells_at_least, and the ranges'
+    cells put into a sketch of the geometry with no cell by merge_cells."""
+    from epichypersketch_jl_ray.state.countmin import cut_cells, sum_cells_at_least
 
-    cuts = [p.cut(shards) for p in parts]
+    view = _pin_sketch(geometry, 1)
+    cuts = [cut_cells([view.key_cells(k, w)], view.rows, view.cols, shards) for k, w in inserts]
     assert all(len(c) == shards for c in cuts)
-    assert all(p.dense is None and len(p.ids) == 0 for p in parts)
-    merged = parts[0].merge_many(parts[1:])
-    cells = [sum_at_least([c[s] for c in cuts], merged.cols, t) for s in range(shards)]
-    for (ids, _), s in zip(cells, range(shards)):
-        lo, hi = s * merged.num_counters // shards, (s + 1) * merged.num_counters // shards
-        assert ((ids >= lo) & (ids < hi)).all()
-    return merged.merge_cells(
-        np.concatenate([i for i, _ in cells]), np.concatenate([c for _, c in cells])
-    )
+    cells = [sum_cells_at_least([c[s] for c in cuts], t) for s in range(shards)]
+    for s in range(shards):
+        lo, hi = s * view.num_counters // shards, (s + 1) * view.num_counters // shards
+        for ids in [c[s][0] for c in cuts] + [cells[s][0]]:
+            assert ((ids >= lo) & (ids < hi)).all()
+    view.merge_cells(np.concatenate([i for i, _ in cells]), np.concatenate([c for _, c in cells]))
+    view.n_inserts = sum(len(k) if w is None else int(w.sum()) for k, w in inserts)
+    return view
 
 
 @pytest.mark.parametrize("t", ["one", "three", "above_all"])
 @pytest.mark.parametrize("shards", [1, 3, 7, 64])
 @pytest.mark.parametrize("geometry", ["small", "large_rows"])
 def test_sharded_threshold_merge_equals_merge_many_at_least(geometry, shards, t):
-    """Cutting random partials into cell-id ranges, summing each range with
-    sum_at_least and concatenating gives the cells, the n_inserts and the
-    estimates of merge_many(partials).at_least(t). The partials: COO ones
-    over one key pool (overlapping ids), weighted and not, a dense one and
-    an empty one; 7 and 64 ranges exceed the sketch's rows, and at the
-    large geometry 64 ranges leave some ranges without a cell. Thresholds:
-    1 (every nonzero cell), 3, and one above every count (no cell)."""
+    """Hashing the inserts of random partials into raw cells, cutting them
+    into cell-id ranges, summing each range with sum_cells_at_least and
+    concatenating gives the cells, the n_inserts and the estimates of
+    merge_many(partials).at_least(t). The partials: COO ones over one key
+    pool (overlapping ids), weighted and not (so a range mixes weighted
+    and unweighted cells), a dense one and an empty one; 7 and 64 ranges
+    exceed the sketch's rows, and at the large geometry 64 ranges leave
+    some ranges without a cell. Thresholds: 1 (every nonzero cell), 3, and
+    one above every count (no cell)."""
     rng = np.random.default_rng(shards)
     # 20 keys at the large geometry: 100 cells, so 64 ranges leave some empty
     pool_size = 400 if geometry == "small" else 20
     pool = rng.integers(0, 2**63, size=pool_size, dtype=np.int64).astype(np.uint64)
+    inserts = []
 
     def partial(n, weighted=False, dense=False):
         p = _pin_sketch(geometry, 1)
+        keys = pool[rng.integers(0, len(pool), n)]
+        w = rng.integers(1, 5, n) if weighted else None
+        inserts.append((keys, w))
         if n:
-            w = rng.integers(1, 5, n) if weighted else None
-            p.add_keys(pool[rng.integers(0, len(pool), n)], w)
+            p.add_keys(keys, w)
         return p.densify() if dense else p
 
     # at the small geometry (544 cells) the merged sketch is dense, and so
@@ -559,7 +565,7 @@ def test_sharded_threshold_merge_equals_merge_many_at_least(geometry, shards, t)
     top = int(_cells(full)[1].max())
     threshold = {"one": 1, "three": 3, "above_all": top + 1}[t]
     want = full.at_least(threshold)
-    got = _threshold_merge(parts, shards, threshold)
+    got = _threshold_merge(geometry, inserts, shards, threshold)
 
     for a, b in zip(_cells(got), _cells(want)):
         np.testing.assert_array_equal(a, b)
@@ -572,3 +578,33 @@ def test_sharded_threshold_merge_equals_merge_many_at_least(geometry, shards, t)
     if geometry == "large_rows" and shards == 64:
         bounds = np.arange(65) * full.num_counters // 64
         assert len(np.unique(np.searchsorted(bounds, _cells(full)[0], side="right"))) < 64
+
+
+@pytest.mark.parametrize("n", [300, 5000])
+@pytest.mark.parametrize("geometry", list(_PIN_GEOMETRIES))
+def test_raw_cells_sum_to_the_cells_add_counts(geometry, n):
+    """cells(features) and key_cells(keys, weights) are the cells add and
+    add_keys count: summed per id they equal the sketch's cells, row r's
+    ids lie in row r's range, and they are int32 below 2**31 counters.
+    key_cells dedups an unweighted batch of more than 4096 keys into
+    weighted distinct keys, as add_keys does."""
+    rng = np.random.default_rng(n)
+    feats = rng.integers(0, 50, size=(n, 2))
+    keys = rng.integers(0, n // 3, size=n).astype(np.uint64)
+    w = rng.integers(1, 9, n)
+    pair, key = _pin_sketch(geometry, 2), _pin_sketch(geometry, 1)
+    batches = [
+        ("features", pair.cells(feats), None, _pin_sketch(geometry, 2).add(feats)),
+        ("keys", *key.key_cells(keys), _pin_sketch(geometry, 1).add_keys(keys)),
+        ("weighted", *key.key_cells(keys, w), _pin_sketch(geometry, 1).add_keys(keys, w)),
+    ]
+    for name, ids, weights, want in batches:
+        assert ids.dtype == np.int32, name
+        assert (weights is not None) == (name == "weighted" or (name == "keys" and n > 4096)), name
+        per_row = len(ids) // want.rows
+        for r in range(want.rows):
+            row = ids[r * per_row : (r + 1) * per_row]
+            assert ((row >= r * want.cols) & (row < (r + 1) * want.cols)).all(), name
+        got = np.bincount(ids, weights, minlength=want.num_counters).astype(np.int64)
+        np.testing.assert_array_equal(np.flatnonzero(got), _cells(want)[0])
+        np.testing.assert_array_equal(got[got != 0], _cells(want)[1])

@@ -198,20 +198,20 @@ def test_motif_count_survives_a_killed_worker(ray_session, tmp_path, monkeypatch
 
     clean = frame()
     marker = tmp_path / "killed"
-    real_counter = pm.MotifCounter
+    real_cells = pm.MotifCells
 
-    def crash_once_counter(**kwargs):
-        counter = real_counter(**kwargs)
+    def crash_once_cells(cms, **kwargs):
+        cells = real_cells(cms, **kwargs)
 
-        def count(batch):
+        def count(batches):
             if not marker.exists():
                 marker.touch()
                 os._exit(1)  # the worker process dies, as on a lost node
-            return counter(batch)
+            return cells(batches)
 
         return count
 
-    monkeypatch.setattr(pm, "MotifCounter", crash_once_counter)
+    monkeypatch.setattr(pm, "MotifCells", crash_once_cells)
     retried = frame()
     assert marker.exists()
     pd.testing.assert_frame_equal(clean, retried)

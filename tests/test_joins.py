@@ -235,16 +235,16 @@ def _check_every_bucket(monkeypatch):
 
     run_bucket = exchange._map_bucket._function
 
-    @ray.remote
+    @ray.remote(num_returns=2)
     def checked_bucket(fn, counts, *slices):
-        out = run_bucket(fn, counts, *slices)
+        out, meta = run_bucket(fn, counts, *slices)
         sides, start = [], 0
         for n in counts:
             sides.append(max(slices[start : start + n], key=lambda t: t.num_columns).slice(0, 0))
             start += n
-        empty = run_bucket(fn, (1,) * len(counts), *sides)
+        empty, _ = run_bucket(fn, (1,) * len(counts), *sides)
         assert empty.num_rows == 0 and empty.schema == out.schema, (empty.schema, out.schema)
-        return out
+        return out, meta
 
     monkeypatch.setattr(udaf, "cluster_cpus", lambda: 32)
     monkeypatch.setattr(exchange, "_map_bucket", checked_bucket)
@@ -409,7 +409,7 @@ def test_group_aggregate_combines_each_block_before_the_exchange(ray_session, mo
 
     run_bucket = exchange._map_bucket._function
 
-    @ray.remote
+    @ray.remote(num_returns=2)
     def bounded_bucket(fn, counts, *slices):
         assert sum(t.num_rows for t in slices) <= len(slices) * 4, [t.num_rows for t in slices]
         return run_bucket(fn, counts, *slices)
@@ -642,9 +642,9 @@ def test_exchange_reads_a_bare_parquet_read_itself(ray_session, sf_dir, monkeypa
     into the exchange: with ``Dataset.iter_internal_ref_bundles`` raising
     for one, motifs_ordinary, pricing_summary, customer_order_counts and
     top_parts_per_brand (its join path, with a 0-row broadcast threshold)
-    equal their DuckDB oracles at sf0.001, and every bare read but
-    pricing_summary's (which maps its read before the exchange) reaches the
-    exchange as parquet runs."""
+    equal their DuckDB oracles at sf0.001, and every bare read reaches the
+    exchange as parquet runs (pricing_summary's too: its per-row prep runs
+    in the split task, ``group_aggregate(prep=)``)."""
     import ray.data
 
     from oracle_util import compare, duck_con
@@ -672,7 +672,7 @@ def test_exchange_reads_a_bare_parquet_read_itself(ray_session, sf_dir, monkeypa
     con = duck_con(sf)
     cases = {
         "motifs_ordinary": (motifs.motifs_ordinary, motifs.motifs_ordinary_sql(), 1),
-        "pricing_summary": (relational.pricing_summary, relational.pricing_summary_sql(), 0),
+        "pricing_summary": (relational.pricing_summary, relational.pricing_summary_sql(), 1),
         "customer_order_counts": (
             relational.customer_order_counts, relational.customer_order_counts_sql(), 2
         ),
@@ -687,3 +687,27 @@ def test_exchange_reads_a_bare_parquet_read_itself(ray_session, sf_dir, monkeypa
         ours = query(sf)
         assert compare(name, ours, con.sql(sql).df()) == [], name
         assert len(accepted) == bare, (name, accepted)
+
+
+def test_prepped_group_aggregates_of_a_0_row_table(ray_session, sf_dir, tmp_path):
+    """pricing_summary and top_suppliers over a lineitem with no row give
+    typed 0-row results: their per-row prep runs in the exchange's split
+    task (``group_aggregate(prep=)``) on the typed 0-row parquet run, where
+    a Ray Data map of the read handed on a block with no columns."""
+    import pyarrow.parquet as pq
+
+    from epichypersketch_jl_ray.pipelines import relational
+    from epichypersketch_jl_ray.stages.exchange import to_table
+
+    empty = pq.read_schema(f"{sf_dir}/lineitem.parquet").empty_table()
+    pq.write_table(empty, tmp_path / "lineitem.parquet")
+    summary = to_table(relational.pricing_summary(str(tmp_path)))
+    assert summary.num_rows == 0
+    names = ["l_returnflag", "l_linestatus", "sum_qty", "sum_base_cents", "n"]
+    assert summary.schema.names == names
+    types = ["string", "string", "double", "int64", "int64"]
+    assert [str(t) for t in summary.schema.types] == types
+    top = to_table(relational.top_suppliers(str(tmp_path)))
+    assert top.num_rows == 0
+    assert top.schema.names == ["l_suppkey", "revenue_cents"]
+    assert [str(t) for t in top.schema.types] == ["int64", "int64"]

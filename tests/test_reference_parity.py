@@ -231,11 +231,13 @@ def test_selector_output_same_on_threshold_view(conv, geometry):
     same table, ``estimate`` included — in the collision-free geometry and
     in a 3 x 55 one where collisions inflate most estimates."""
     from epichypersketch_jl_ray.api import activation_table_from_dict
-    from epichypersketch_jl_ray.stages.motifs import MotifCounter, MotifSelector
+    from epichypersketch_jl_ray.stages.motifs import MotifSelector, enumerate_batch
+    from epichypersketch_jl_ray.state.countmin import CountMin
 
     tbl, _ = activation_table_from_dict(make_conv_dict() if conv else make_ordinary_dict())
     kwargs = dict(motif_size=3, conv=conv, filter_len=FILTER_LEN if conv else 0)
-    cms = MotifCounter(**kwargs, seed=20260817, **geometry)(tbl).cms
+    cms = CountMin(5 if conv else 3, seed=20260817, **geometry)
+    cms.add(enumerate_batch(tbl, 3, conv=conv, filter_len=kwargs["filter_len"])["hash_mat"])
     for min_count in (3, 8):
         full = MotifSelector(cms, min_count=min_count, **kwargs)(tbl)
         view = MotifSelector(cms.at_least(min_count), min_count=min_count, **kwargs)(tbl)

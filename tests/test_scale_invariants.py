@@ -2,6 +2,8 @@
 counters overflow at 10^12 rows, SURVEY.md §7.4), and bit-identical results
 across batch sizes / parallelism (the N-vs-4N reproducibility argument)."""
 
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -132,46 +134,60 @@ def test_sketch_dataset_equals_in_process_fold(ray_session, blocks):
     assert merged.digest() == reference.digest()
 
 
-@pytest.mark.parametrize("shards", [1, None, 7])
-def test_fold_blocks_at_least_equals_merge_at_least(ray_session, monkeypatch, shards):
-    """fold_blocks_at_least over blocks of a 1 x 2,719-cell sketch (COO
-    partials with overlapping cells, one block dense, one 0-row) equals the
-    in-process merge_many of the same slices with its CountMin replaced by
-    at_least(t): the same cells and n_inserts, and the side count summed.
-    One range (S = 1), the session's 4 CPUs, and 7 ranges; an input with no
-    row raises as merge_state_refs does."""
+@pytest.mark.parametrize("weighted", [False, True], ids=["keys", "weighted_keys"])
+@pytest.mark.parametrize("shards", [1, 4, 7])
+def test_count_at_least_equals_merge_at_least(ray_session, monkeypatch, shards, weighted):
+    """count_at_least over blocks of a 1 x 2,719-cell sketch (overlapping
+    cells, one block whose in-process sketch is dense and whose 6,000 keys
+    key_cells dedups into weighted cells, one 0-row block) equals the
+    in-process merge_many of the blocks' sketches with at_least(t): the
+    threshold_view of its range sums and totals has the same digest and
+    n_inserts, count_totals the same n_inserts and the side count summed.
+    Unweighted and weighted keys; 1, 4 and 7 ranges; blocks cut into one
+    slice each and into slices of 256 rows; an input with no row raises
+    as merge_state_refs does."""
     import pyarrow as pa
     import ray
 
     from epichypersketch_jl_ray.functions.hashing import hash_int64
     from epichypersketch_jl_ray.stages import udaf
-    from epichypersketch_jl_ray.stages.motifs import MotifCountState
 
-    if shards is not None:
-        monkeypatch.setattr(udaf, "cluster_cpus", lambda: shards)
+    monkeypatch.setattr(udaf, "cluster_cpus", lambda: shards)
+    geometry = CountMin(1, delta=0.5, epsilon=1e-3, seed=5)
 
-    def count(batch: pa.Table) -> MotifCountState:
-        cms = CountMin(1, delta=0.5, epsilon=1e-3, seed=5)
-        cms.add_keys(hash_int64(batch["k"].to_numpy(), seed=4))
-        return MotifCountState(cms, truncated=batch.num_rows)
+    def inserts(batch: pa.Table):
+        k = batch["k"].to_numpy()
+        return hash_int64(k, seed=4), (k % 3 + 1 if weighted else None)
+
+    def cells(batches: list[pa.Table]) -> tuple:
+        parts, n_inserts = [], 0
+        for batch in batches:
+            keys, w = inserts(batch)
+            parts.append(geometry.key_cells(keys, w))
+            n_inserts += len(keys) if w is None else int(w.sum())
+        return parts, n_inserts, sum(b.num_rows for b in batches)
 
     rng = np.random.default_rng(2)
     tables = [pa.table({"k": rng.integers(0, n, size=n)}) for n in (900, 300, 0, 6000, 500)]
-    partials = [count(t) for t in tables[:2] + tables[3:]]
-    assert [p.cms.dense is not None for p in partials] == [False, False, True, False]
+    partials = [
+        CountMin(1, delta=0.5, epsilon=1e-3, seed=5).add_keys(*inserts(t)) for t in tables if len(t)
+    ]
+    assert [p.dense is not None for p in partials] == [False, False, True, False]
     reference = partials[0].merge_many(partials[1:])
     refs = [ray.put(t) for t in tables]
-    for t in (1, 3, 10**9):
-        got = udaf.fold_blocks_at_least(
-            refs, count, MotifCountState, batch_size=10_000, t=t, cms=lambda st: st.cms
-        )
-        want = reference.cms.at_least(t)
-        assert got.truncated == sum(len(x) for x in tables)
-        assert got.cms.n_inserts == want.n_inserts == reference.cms.n_inserts
-        assert got.cms.digest() == want.digest()
+    for t, batch_size in itertools.product((1, 3, 10**9), (10_000, 256)):
+        sums, totals = udaf.count_at_least(refs, cells, geometry, batch_size=batch_size, t=t)
+        assert len(sums) == shards
+        n_inserts, truncated = udaf.count_totals(totals)
+        got = udaf.threshold_view(geometry, ray.get(sums), ray.get(totals))
+        want = reference.at_least(t)
+        assert truncated == sum(len(x) for x in tables)
+        assert got.n_inserts == n_inserts == want.n_inserts == reference.n_inserts
+        assert got.digest() == want.digest()
+    assert len(geometry.ids) == 0 and geometry.n_inserts == 0  # threshold_view copies
     with pytest.raises(ValueError, match="no partial states"):
-        udaf.fold_blocks_at_least(
-            [refs[2]], count, MotifCountState, batch_size=10, t=1, cms=lambda st: st.cms
+        udaf.count_totals(
+            udaf.count_at_least([refs[2]], cells, geometry, batch_size=10, t=1)[1]
         )
 
 
@@ -394,12 +410,43 @@ def test_heavy_ngrams_selection_same_on_threshold_view(ray_session, sf_dir, monk
     view = selected()
     monkeypatch.setattr(
         ngrams,
-        "fold_blocks_at_least",
-        lambda *args, **kwargs: udaf.fold_blocks_at_least(*args, **{**kwargs, "t": 1}),
+        "count_at_least",
+        lambda *args, **kwargs: udaf.count_at_least(*args, **{**kwargs, "t": 1}),
     )
     full = selected()
     assert len(full) > 0
     pd.testing.assert_frame_equal(view, full)
+
+
+@pytest.mark.parametrize("query", NGRAM_QUERIES)
+def test_ngram_count_cells_of_a_block_do_not_depend_on_its_slices(
+    ray_session, sf_dir, monkeypatch, query
+):
+    """The n-gram count hashes the keys of all of a block's slices
+    together, so an n-gram repeated across slices is shipped once with its
+    count: the raw cells of the whole table cut into 4 slices equal those
+    of it as one slice, and are deduped (weighted) cells."""
+    import pyarrow as pa
+    import ray
+
+    from epichypersketch_jl_ray.pipelines import ngrams
+    from epichypersketch_jl_ray.stages import udaf
+
+    seen = {}
+
+    def capture(blocks, cells, geometry, **kwargs):
+        seen.update(blocks=list(blocks), cells=cells, rows=geometry.rows)
+        return udaf.count_at_least(seen["blocks"], cells, geometry, **kwargs)
+
+    monkeypatch.setattr(ngrams, "count_at_least", capture)
+    getattr(ngrams, query)(sf_dir).materialize()
+    tbl = pa.concat_tables(udaf.block_slices(b, 10**9)[0] for b in ray.get(seen["blocks"]))
+    whole, n_whole, _ = seen["cells"]([tbl])
+    cut, n_cut, _ = seen["cells"](udaf.block_slices(tbl, -(-tbl.num_rows // 4)))
+    [(ids, w)], [(cut_ids, cut_w)] = whole, cut
+    assert w is not None and n_whole == n_cut and int(w.sum()) == n_whole * seen["rows"]
+    np.testing.assert_array_equal(cut_ids, ids)
+    np.testing.assert_array_equal(cut_w, w)
 
 
 def test_broadcast_cache_is_bounded_lru(ray_session):
