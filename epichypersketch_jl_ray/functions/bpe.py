@@ -12,7 +12,9 @@ embarrassingly parallel and dominates the cost at corpus scale.
 Determinism: merge selection breaks frequency ties lexicographically, so
 the same sample always yields the same merge list; the applied encoding
 is the standard lowest-rank-first loop (as in the public GPT-2 encoder),
-LRU-cached per distinct word inside each actor.
+cached per distinct word on the tokenizer instance; a task map reads the
+broadcast instance through ``stages.udaf.broadcast_get``, so each worker
+process keeps one instance and its word cache warm across its tasks.
 
 This complements the BPE-ish fixed-regex token COUNTER in
 functions/text.py (oracle-checkable because it is pure regex); this
@@ -100,8 +102,8 @@ def train_bpe_from_word_counts(
 
 
 class BpeTokenizer:
-    """Applies a trained merge list. Build once per actor (``__init__`` of a
-    map_batches class, or broadcast the instance via ``ray.put``)."""
+    """Applies a trained merge list. Broadcast the instance via ``ray.put``
+    and read it in each task with ``stages.udaf.broadcast_get``."""
 
     _CACHE_MAX = 65536  # plain dict, not lru_cache: the instance must pickle
     # cleanly for ray.put broadcast (bound-method caches don't)

@@ -65,7 +65,7 @@ def extract_text(html: pa.Array | pa.ChunkedArray) -> pa.Array:
     return pc.utf8_slice_codeunits(tail, start=0, stop=-len(_SUFFIX))
 
 
-# compiled once at import (= once per worker process; an actor stage pays
+# compiled once at import (= once per worker process; a task map pays
 # nothing per batch). Order of application is semantic, not cosmetic:
 # script/style/comment BLOCKS drop with their contents, block-level tags
 # become newlines so words don't fuse across structure, remaining tags
@@ -121,7 +121,7 @@ def extract_text_generic(html: pa.Array | pa.ChunkedArray) -> pa.Array:
     html should keep using the exact-inverse ``extract_text``.
 
     Per-row Python by necessity (entity/tag grammar is not an Arrow kernel);
-    run it inside a map_batches actor stage where the compiled regexes are
+    run it inside a map_batches task map, where the compiled regexes are
     process-wide state.
     """
     if isinstance(html, pa.ChunkedArray):

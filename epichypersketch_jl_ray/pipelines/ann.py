@@ -10,11 +10,12 @@ import ray
 
 from epichypersketch_jl_ray.sources.tables import read_table
 from epichypersketch_jl_ray.stages.ann import (
-    BruteForceTopK,
     _embedding_matrix,
+    brute_force_topk,
     cosine_sql,
     distributed_topk,
 )
+from epichypersketch_jl_ray.stages.exchange import to_table
 
 N_QUERIES = 5
 TOP_K = 10
@@ -63,17 +64,15 @@ def ann_cosine_topk(sf_dir: str, *, k: int = TOP_K) -> pd.DataFrame:
     whole table (self included — deterministic rank 1). Query matrix is
     broadcast once via ray.put; each batch does one float64 matmul."""
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    q_ids, q = _fetch_probes(sf_dir)
-    query_ref = ray.put((q_ids, q))
+    query_ref = ray.put(_fetch_probes(sf_dir))
     cands = ds.map_batches(
-        BruteForceTopK,
-        fn_constructor_kwargs={"query_ref": query_ref, "k": k},
+        brute_force_topk,
+        fn_kwargs={"query_ref": query_ref, "k": k},
         batch_format="pyarrow",
         batch_size=4096,
-        concurrency=2,
     )
     # distributed per-query merge; only the final queries x k rows collect
-    return distributed_topk(cands, k=k).to_pandas()
+    return to_table(distributed_topk(cands, k=k)).to_pandas()
 
 
 def ann_lsh_topk(
@@ -157,7 +156,7 @@ def ann_lsh_topk(
     cands = ds.map_batches(bucket_filter_topk, batch_format="pyarrow", batch_size=4096)
     if store:
         cands = _store_candidates(cands, store)
-    return distributed_topk(cands, k=k).to_pandas()
+    return to_table(distributed_topk(cands, k=k)).to_pandas()
 
 
 def ann_ivf_topk(
@@ -241,7 +240,7 @@ def ann_ivf_topk(
     cands = ds.map_batches(ivf_batch, batch_format="pyarrow", batch_size=4096)
     if store:
         cands = _store_candidates(cands, store)
-    return distributed_topk(cands, k=k).to_pandas()
+    return to_table(distributed_topk(cands, k=k)).to_pandas()
 
 
 def ann_ivfpq_topk(
@@ -372,7 +371,7 @@ def ann_ivfpq_topk(
     cands = ds.map_batches(ivfpq_batch, batch_format="pyarrow", batch_size=4096)
     if store:
         cands = _store_candidates(cands, store)
-    return distributed_topk(cands, k=k).to_pandas()
+    return to_table(distributed_topk(cands, k=k)).to_pandas()
 
 
 def ann_cosine_topk_sql(k: int = TOP_K) -> str:

@@ -18,14 +18,18 @@ Overflow bound: |rank| <= total mass = n * FP_ONE, so 85 * sum stays inside
 int64 while n * FP_ONE < 2^63/85 ~ 1.1e17 — with FP_ONE = 1e9 that is 1e8
 nodes; scale FP_ONE down for larger graphs.
 
-Scale shape: per iteration, ONE edge-scale map_batches (rank lookup via a
-broadcast, per-worker-memoized contribution vector — stages/udaf
-broadcast_get) + ONE per-dst sum; driver state is NODE-scale only (the
-rank/degree vectors — the IVF-centroid bounded-driver-state pattern). The
-edge table is materialized once (object store, spillable) and re-read by
-every iteration; a graph whose NODE table outgrows the driver would swap
-the broadcast lookup for a bucketed_hash_join per iteration (edge-scale
-shuffles, zero driver state) — same iteration algebra.
+Scale shape: one pass builds the edges (a size-gated join, then a
+distinct on the hash exchange), one ``group_aggregate`` gives the node
+ids and out-degrees, and the edge blocks are cut into at most one unit
+per CPU. One prep task per unit resolves its edges to node indices and
+sorts them by dst once; the result stays in the object store (spillable)
+for every iteration. An iteration is the paper's pattern: one task per
+unit returns a partial, the unit's distinct dst indices and their int64
+sums, and the driver merges the partials into its node-scale vector.
+Driver state is NODE-scale only (the rank/degree vectors — the
+IVF-centroid bounded-driver-state pattern); a graph whose NODE table
+outgrows the driver would sum the partials per dst on the hash exchange
+instead — same iteration algebra.
 """
 
 from __future__ import annotations
@@ -38,13 +42,7 @@ import ray
 from epichypersketch_jl_ray.sources.tables import read_table, table_rows
 from epichypersketch_jl_ray.stages.exchange import group_aggregate, hash_partition, map_buckets
 from epichypersketch_jl_ray.stages.join import bucketed_hash_join
-from epichypersketch_jl_ray.stages.udaf import (
-    block_refs,
-    broadcast_evict,
-    broadcast_get,
-    cluster_cpus,
-    cpu_units,
-)
+from epichypersketch_jl_ray.stages.udaf import block_refs, broadcast_get, cluster_cpus, cpu_units
 
 FP_ONE = 10**9
 DAMP_NUM = 85
@@ -137,176 +135,71 @@ def _orders_lookup(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pagerank_fixedpoint(
-    edges: ray.data.Dataset,
-    *,
-    n_iters: int = N_ITERS,
-    engine: str = "auto",
-    driver_combine: bool | None = None,
-    driver_node_cap: int = 1 << 20,
+    edges: ray.data.Dataset, *, n_iters: int = N_ITERS
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sorted node ids, final fixed-point ranks) after ``n_iters``.
 
-    Two byte-identical engines (integer sums; equality pinned in tests):
-
-    - ``actors`` (default under ``driver_node_cap`` nodes): the one case in
-      this repo where raw Ray actors beat the Dataset API — an iterative
-      fixpoint re-reads the SAME edge set every round, so each shard actor
-      ingests its edge blocks ONCE, pre-resolves src/dst to node indices and
-      pre-sorts by dst (reduceat segments); an iteration is then one
-      broadcast of the contribution vector + one node-scale partial per
-      shard, ~no per-iteration scheduling or re-deserialization (Pregel /
-      GraphX-persisted-RDD shape). Cost: edges live in actor heaps — spread
-      across the cluster, but not spillable.
-    - ``dataset``: per iteration one edge-scale map_batches over the
-      materialized (spillable) edge table, partials combined on the driver
-      (``driver_combine``, node-scale) or via a per-dst ``group_aggregate``
-      for node tables beyond the driver. More elastic, pays per-iteration
-      stage overhead.
-    """
+    The node ids and out-degrees come from one ``group_aggregate`` of the
+    materialized edges on ``src``. The edges' block refs are cut into at
+    most ``cluster_cpus()`` units, and one ``_prep_unit`` task per unit
+    resolves src/dst to node indices and sorts them by dst, once; its
+    output stays in the object store for every iteration. An iteration
+    puts the node-scale contribution vector ``rank // deg`` once, runs one
+    ``_unit_partial`` task per unit (a COO partial: the unit's distinct
+    dst indices and their int64 sums) and scatters the partials into one
+    node-scale sum on the driver. Integer sums are order-free, so the ranks
+    do not depend on the cut. A task lost with its worker is rerun by
+    Ray's default task retry from the same refs."""
     edges = edges.materialize()
-    n_cpus = cluster_cpus()
-    if edges.num_blocks() > 2 * n_cpus:
-        # bound block count so per-iteration scheduling (dataset engine) or
-        # shard count (actor engine) doesn't dwarf node-scale compute
-        edges = edges.repartition(n_cpus).materialize()
     deg_rows = group_aggregate(edges, ["src"], {"d": ([], "count_all")}, edges.count()).take_all()
     nodes = np.array([r["src"] for r in deg_rows], dtype=np.int64)
     deg = np.array([r["d"] for r in deg_rows], dtype=np.int64)
     order = np.argsort(nodes)
     nodes, deg = nodes[order], deg[order]
-    if len(nodes) == 0:  # empty graph: no iterations, no shards
+    if len(nodes) == 0:  # empty graph: no iterations, no tasks
         return nodes, np.empty(0, dtype=np.int64)
-    if engine == "auto":
-        engine = "actors" if len(nodes) <= driver_node_cap else "dataset"
-    if engine == "actors":
-        return nodes, _iterate_actor_shards(edges, nodes, deg, n_iters=n_iters)
+    refs = list(block_refs(edges))
     nodes_ref = ray.put(nodes)
-    if driver_combine is None:
-        driver_combine = len(nodes) <= driver_node_cap
-
+    units = [
+        _prep_unit.remote(nodes_ref, *(refs[i] for i in cut))
+        for cut in np.array_split(np.arange(len(refs)), min(len(refs), cluster_cpus()))
+    ]
     rank = np.full(len(nodes), FP_ONE, dtype=np.int64)
-    prev_ref = None
     for _ in range(n_iters):
         contrib_ref = ray.put(rank // deg)
-
-        def attach(batch: pa.Table, *, _c=contrib_ref, _p=prev_ref) -> pa.Table:
-            if _p is not None:
-                # only the latest contribution vector is ever re-read:
-                # evict the superseded iteration's node-scale entry from
-                # this worker's broadcast memo instead of letting n_iters
-                # vectors accumulate (bounded-LRU backstop notwithstanding)
-                broadcast_evict(_p)
-            node_ids = broadcast_get(nodes_ref)
-            contrib = broadcast_get(_c)
-            src = np.asarray(batch["src"], dtype=np.int64)
-            idx = np.searchsorted(node_ids, src)  # every src is a known node
-            # map-side combine: pre-sum per dst inside the batch, so what
-            # leaves the task is distinct-dst-per-batch rows, never the
-            # edge stream
-            dst = np.asarray(batch["dst"], dtype=np.int64)
-            order = np.argsort(dst, kind="stable")
-            d_sorted = dst[order]
-            starts = np.flatnonzero(
-                np.concatenate(([True], d_sorted[1:] != d_sorted[:-1]))
-            )
-            sums = np.add.reduceat(contrib[idx][order], starts)
-            return pa.table({"dst": pa.array(d_sorted[starts]), "c": pa.array(sums)})
-
-        partials = edges.map_batches(attach, batch_format="pyarrow")
-        rank = np.full(len(nodes), BASE, dtype=np.int64)
-        if driver_combine:
-            s_acc = np.zeros(len(nodes), dtype=np.int64)
-            for b in partials.iter_batches(batch_format="pyarrow"):
-                dst = np.asarray(b["dst"], dtype=np.int64)
-                np.add.at(s_acc, np.searchsorted(nodes, dst), np.asarray(b["c"], dtype=np.int64))
-            rank += (DAMP_NUM * s_acc) // DAMP_DEN
-        else:
-            sums = group_aggregate(partials, ["dst"], {"s": ("c", "sum")}, len(nodes)).take_all()
-            dst = np.array([r["dst"] for r in sums], dtype=np.int64)
-            s = np.array([r["s"] for r in sums], dtype=np.int64)
-            rank[np.searchsorted(nodes, dst)] += (DAMP_NUM * s) // DAMP_DEN
-        prev_ref = contrib_ref
+        s_acc = np.zeros(len(nodes), dtype=np.int64)
+        for dst, sums in ray.get([_unit_partial.remote(u, contrib_ref) for u in units]):
+            s_acc[dst] += sums
+        rank = BASE + (DAMP_NUM * s_acc) // DAMP_DEN
     return nodes, rank
 
 
 @ray.remote
-class _EdgeShard:
-    """One edge shard, ingested once: src/dst pre-resolved to node indices,
-    pre-sorted by dst with reduceat segment starts — an iteration is one
-    exact int64 segmented sum scattered into a node-scale vector."""
+def _prep_unit(node_ids: np.ndarray, *blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One unit of edge blocks as (src node indices sorted by dst, the
+    segment starts of each dst run, the distinct dst indices)."""
+    from ray.data.block import BlockAccessor
 
-    def __init__(self, block_refs: list, node_ids: np.ndarray) -> None:
-        # node_ids arrives resolved: Ray substitutes top-level ObjectRef
-        # args with their values; the refs INSIDE block_refs stay refs
-        tbls = [t for t in ray.get(list(block_refs)) if len(t)]
-        if tbls:
-            src = np.concatenate([np.asarray(t["src"], dtype=np.int64) for t in tbls])
-            dst = np.concatenate([np.asarray(t["dst"], dtype=np.int64) for t in tbls])
-        else:
-            src = dst = np.empty(0, dtype=np.int64)
-        src_idx = np.searchsorted(node_ids, src)
-        dst_idx = np.searchsorted(node_ids, dst)
-        order = np.argsort(dst_idx, kind="stable")
-        self.src_idx = src_idx[order]
-        d_sorted = dst_idx[order]
-        self.starts = np.flatnonzero(
-            np.concatenate(([True], d_sorted[1:] != d_sorted[:-1]))
-        )
-        self.uniq_dst = d_sorted[self.starts] if len(d_sorted) else d_sorted
-        self.n_nodes = len(node_ids)
-
-    def partial(self, contrib: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_nodes, dtype=np.int64)
-        if len(self.src_idx):
-            out[self.uniq_dst] = np.add.reduceat(contrib[self.src_idx], self.starts)
-        return out
+    tbls = [t for t in (BlockAccessor.for_block(b).to_arrow() for b in blocks) if t.num_rows]
+    col = lambda c: np.concatenate(
+        [np.asarray(t[c], dtype=np.int64) for t in tbls] or [np.empty(0, np.int64)]
+    )
+    src_idx = np.searchsorted(node_ids, col("src"))  # every src is a known node
+    dst_idx = np.searchsorted(node_ids, col("dst"))
+    order = np.argsort(dst_idx, kind="stable")
+    d_sorted = dst_idx[order]
+    starts = np.flatnonzero(np.diff(d_sorted, prepend=-1))
+    return src_idx[order], starts, d_sorted[starts]
 
 
-def _iterate_actor_shards(
-    edges: ray.data.Dataset,
-    nodes: np.ndarray,
-    deg: np.ndarray,
-    *,
-    n_iters: int,
-    _iteration_hook=None,
-) -> np.ndarray:
-    """Fault tolerance: a shard's state is a pure function of its edge-block
-    refs, which stay pinned in the (materialized) edges Dataset for the whole
-    run — so when an actor dies mid-iteration (node loss, OOM kill), the
-    shard is re-created FROM THE SAME REFS and its partial retried, and the
-    result is byte-identical to an undisturbed run (pinned in tests via
-    ``_iteration_hook``, which the kill test uses to murder an actor between
-    iterations). A shard that dies twice in one iteration propagates the
-    error — at that point the caller should fall back to the Dataset engine.
-    """
-    refs = edges.to_arrow_refs()
-    n_shards = max(1, min(len(refs), cluster_cpus()))
-    chunks = [c for c in np.array_split(np.arange(len(refs)), n_shards) if len(c)]
-    nodes_ref = ray.put(nodes)
-
-    def make_shard(chunk: np.ndarray):
-        return _EdgeShard.remote([refs[i] for i in chunk], nodes_ref)
-
-    shards = [make_shard(c) for c in chunks]
-    rank = np.full(len(nodes), FP_ONE, dtype=np.int64)
-    for it in range(n_iters):
-        if _iteration_hook is not None:
-            _iteration_hook(it, shards)
-        contrib_ref = ray.put(rank // deg)
-        futures = [s.partial.remote(contrib_ref) for s in shards]
-        s_acc = np.zeros(len(nodes), dtype=np.int64)
-        for i, f in enumerate(futures):
-            try:
-                part = ray.get(f)
-            except ray.exceptions.RayActorError:
-                # re-ingest the shard from the pinned edge blocks and retry
-                shards[i] = make_shard(chunks[i])
-                part = ray.get(shards[i].partial.remote(contrib_ref))
-            s_acc += part
-        rank = BASE + (DAMP_NUM * s_acc) // DAMP_DEN
-    for s in shards:
-        ray.kill(s)
-    return rank
+@ray.remote
+def _unit_partial(unit: tuple, contrib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One unit's iteration partial: its distinct dst indices and, per dst,
+    the int64 sum of ``contrib`` over the dst's in-edges."""
+    src_idx, starts, dst = unit
+    if not len(src_idx):
+        return dst, np.empty(0, dtype=np.int64)
+    return dst, np.add.reduceat(contrib[src_idx], starts)
 
 
 def copurchase_pagerank(sf_dir: str, *, n_iters: int = N_ITERS) -> pa.Table:

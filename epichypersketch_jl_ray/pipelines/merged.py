@@ -403,9 +403,9 @@ def top_ngrams_spacesaving_sql() -> str:
 def multimodal_features(sf_dir: str) -> pd.DataFrame:
     """Image + video + audio feature extraction in one frame: (modality, id,
     part_idx, embedding) — part_idx is the frame/window index (0 for whole
-    images). All three actor-pool decode pipelines run for real over mixed
-    fixtures: images in BMP and PNG; video as raw-gray8 frames and Y4M;
-    audio as PCM16 WAV. Rows-only; decode correctness is bit-exact-tested
+    images). All three decode pipelines (plain task maps) run for real over
+    mixed fixtures: images in BMP and PNG; video as raw-gray8 frames and
+    Y4M; audio as PCM16 WAV. Rows-only; decode correctness is bit-exact-tested
     in pytest."""
     from epichypersketch_jl_ray.pipelines import multimodal
 
@@ -833,45 +833,38 @@ def doc_lang_fingerprints(sf_dir: str) -> ray.data.Dataset:
     textstats.fingerprint_columns, classifier.quality_scores, a local
     BpeTokenizer.encode)."""
     from epichypersketch_jl_ray.functions.bpe import train_bpe_distributed
-    from epichypersketch_jl_ray.functions.text import langid_scores
-    from epichypersketch_jl_ray.pipelines import textstats
-    from epichypersketch_jl_ray.pipelines.classifier import (
-        score_probs,
-        train_quality_classifier,
-    )
+    from epichypersketch_jl_ray.pipelines.classifier import train_quality_classifier
     from epichypersketch_jl_ray.sources.tables import read_table
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang"])
     w, _ = train_quality_classifier(sf_dir)
     tok = train_bpe_distributed(docs, "text", num_merges=64)
-    w_ref, tok_ref = ray.put(w), ray.put(tok)
+    refs = {"w_ref": ray.put(w), "tok_ref": ray.put(tok)}
+    return docs.map_batches(_doc_lang_frame, fn_kwargs=refs, batch_format="pyarrow")
 
-    class Fused:
-        def __init__(self) -> None:
-            self.w = ray.get(w_ref)
-            self.tok = ray.get(tok_ref)
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            import numpy as np
+def _doc_lang_frame(batch: pa.Table, *, w_ref, tok_ref) -> pa.Table:
+    """One batch of ``doc_lang_fingerprints``. The classifier weights and
+    the tokenizer are read through the per-worker broadcast memo, so a
+    worker decodes each once and the tokenizer's word cache stays warm
+    across its tasks."""
+    from epichypersketch_jl_ray.functions.text import langid_scores
+    from epichypersketch_jl_ray.pipelines import textstats
+    from epichypersketch_jl_ray.pipelines.classifier import score_probs
+    from epichypersketch_jl_ray.stages.udaf import broadcast_get
 
-            n_fp, digest = textstats.fingerprint_columns(batch["text"])
-            return pa.table(
-                {
-                    "doc_id": batch["doc_id"],
-                    "lang_declared": batch["lang"],
-                    "lang_pred": pa.array(
-                        langid_scores(batch["text"]).astype(str), pa.string()
-                    ),
-                    "n_fingerprints": pa.array(n_fp, pa.int64()),
-                    "fp_digest": pa.array(digest, pa.int64()),
-                    "quality_prob": pa.array(
-                        score_probs(self.w, batch), pa.float64()
-                    ),
-                    "n_tokens_bpe_trained": self.tok.token_counts(batch["text"]),
-                }
-            )
-
-    return docs.map_batches(Fused, batch_format="pyarrow", concurrency=(1, 8))
+    n_fp, digest = textstats.fingerprint_columns(batch["text"])
+    return pa.table(
+        {
+            "doc_id": batch["doc_id"],
+            "lang_declared": batch["lang"],
+            "lang_pred": pa.array(langid_scores(batch["text"]).astype(str), pa.string()),
+            "n_fingerprints": pa.array(n_fp, pa.int64()),
+            "fp_digest": pa.array(digest, pa.int64()),
+            "quality_prob": pa.array(score_probs(broadcast_get(w_ref), batch), pa.float64()),
+            "n_tokens_bpe_trained": broadcast_get(tok_ref).token_counts(batch["text"]),
+        }
+    )
 
 
 def customer_orders_and_pagerank(sf_dir: str) -> ray.data.Dataset:

@@ -1,5 +1,5 @@
-"""Multimodal pipelines: binary payload column → decode (actor pool) →
-featurize → embedding column.
+"""Multimodal pipelines: binary payload column → decode → featurize →
+embedding column, each a plain task map (``map_batches`` of a function).
 
 The driver queries run REAL decodes end-to-end — the fixtures are valid
 BMP / PNG / PCM16-WAV / raw-gray8-video / Y4M payloads and the decoders
@@ -28,10 +28,10 @@ import pyarrow as pa
 import ray
 
 from epichypersketch_jl_ray.stages.multimodal import (
-    DecodeImage,
-    FeaturizeImage,
-    FrameSampleVideo,
-    WindowAudio,
+    decode_image,
+    featurize_image,
+    frame_sample_video,
+    window_audio,
     make_mixed_audio_table,
     make_mixed_image_table,
     make_mixed_video_table,
@@ -59,7 +59,7 @@ def _cached_media_dir(
     contract as sources.webpages.webpages_dir_for). The timed pipeline then
     starts from ray.data.read_parquet — the shape a real deployment has —
     instead of re-encoding the corpus on the driver per run; one file per
-    decode batch gives the actor pool its block fan-out for free."""
+    decode batch gives the decode map its block fan-out for free."""
     import pyarrow.parquet as pq
 
     out = f"/tmp/graft_media/{kind}_n{n}_{_fixture_fingerprint()}"
@@ -80,8 +80,8 @@ def _cached_media_dir(
 
 def image_features(sf_dir: str, *, n: int = 512, dim: int = 16) -> pd.DataFrame:
     """Deterministic mixed BMP+PNG corpus → REAL decode (pure-numpy BI_RGB
-    parser; stdlib-zlib + numpy-unfilter PNG across all five row filters;
-    actor pool) → feature vectors.
+    parser; stdlib-zlib + numpy-unfilter PNG across all five row filters)
+    → feature vectors.
 
     ``sf_dir`` only scales the corpus (the multimodal fixture is generated,
     not read from the sf tables).
@@ -90,67 +90,42 @@ def image_features(sf_dir: str, *, n: int = 512, dim: int = 16) -> pd.DataFrame:
     ds = ray.data.read_parquet(
         _cached_media_dir("image", n * scale, make_mixed_image_table, 256)
     )
-    decoded = ds.map_batches(
-        DecodeImage,
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=(1, 4),
-    )
+    decoded = ds.map_batches(decode_image, batch_format="pyarrow", batch_size=256)
     feats = decoded.map_batches(
-        FeaturizeImage,
-        fn_constructor_kwargs={"dim": dim},
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=(1, 2),
+        featurize_image, fn_kwargs={"dim": dim}, batch_format="pyarrow", batch_size=256
     )
     return feats.to_pandas()
 
 
 def video_frame_features(sf_dir: str, *, n: int = 64, stride: int = 8, dim: int = 8) -> pd.DataFrame:
     """Mixed raw + Y4M video corpus (ffmpeg rawvideo layout / YUV4MPEG2) →
-    frame sampling (actor pool, REAL decode on both container paths) →
+    frame sampling (REAL decode on both container paths) →
     per-frame feature vectors. One output row per sampled frame."""
     scale = {"sf0.001": 1, "sf0.01": 2, "sf0.1": 4}.get(sf_dir.rstrip("/").rsplit("/", 1)[-1], 1)
     ds = ray.data.read_parquet(
         _cached_media_dir("video", n * scale, make_mixed_video_table, 32)
     )
     frames = ds.map_batches(
-        FrameSampleVideo,
-        fn_constructor_kwargs={"stride": stride},
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=(1, 4),
+        frame_sample_video, fn_kwargs={"stride": stride}, batch_format="pyarrow", batch_size=32
     )
     feats = frames.map_batches(
-        FeaturizeImage,
-        fn_constructor_kwargs={"dim": dim},
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=(1, 2),
+        featurize_image, fn_kwargs={"dim": dim}, batch_format="pyarrow", batch_size=256
     )
     return feats.to_pandas()
 
 
 def audio_window_features(sf_dir: str, *, n: int = 64, window: int = 1024, dim: int = 8) -> pd.DataFrame:
     """PCM16-WAV corpus → REAL decode (pure-numpy RIFF parser) + window
-    chunking (actor pool) → per-window feature vectors. One output row per analysis
+    chunking → per-window feature vectors. One output row per analysis
     window."""
     scale = {"sf0.001": 1, "sf0.01": 2, "sf0.1": 4}.get(sf_dir.rstrip("/").rsplit("/", 1)[-1], 1)
     ds = ray.data.read_parquet(
         _cached_media_dir("audio", n * scale, make_mixed_audio_table, 32)
     )
     windows = ds.map_batches(
-        WindowAudio,
-        fn_constructor_kwargs={"window": window},
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=(1, 4),
+        window_audio, fn_kwargs={"window": window}, batch_format="pyarrow", batch_size=32
     )
     feats = windows.map_batches(
-        FeaturizeImage,
-        fn_constructor_kwargs={"dim": dim},
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=(1, 2),
+        featurize_image, fn_kwargs={"dim": dim}, batch_format="pyarrow", batch_size=256
     )
     return feats.to_pandas()

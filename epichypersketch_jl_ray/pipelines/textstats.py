@@ -4,6 +4,8 @@ webtext additions)."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pyarrow as pa
 
@@ -389,33 +391,24 @@ JOIN oov ON aug.doc_id = oov.doc_id
 
 
 BPE_PATTERN = "[a-z]+|[0-9]+|[^a-z0-9 ]"
+_BPE_RE = re.compile(BPE_PATTERN)
 
 
-class BpeishTokenCounter:
-    """Actor stage: BPE-ish regex piece counting (compiled once per actor —
-    the pattern-compile-in-__init__ idiom; the per-row findall loop is the
-    documented cost of regex tokenization, amortized by the pool)."""
-
-    def __init__(self) -> None:
-        import re
-
-        self.pat = re.compile(BPE_PATTERN)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pylist()
-        counts = np.fromiter(
-            (len(self.pat.findall(t)) for t in texts), dtype=np.int64, count=len(texts)
-        )
-        return pa.table({"doc_id": batch["doc_id"], "n_pieces": pa.array(counts, pa.int64())})
+def bpeish_piece_counts(batch: pa.Table) -> pa.Table:
+    """(doc_id, n_pieces): BPE-ish regex pieces per document (the per-row
+    findall loop is the documented cost of regex tokenization)."""
+    texts = batch["text"].to_pylist()
+    counts = np.fromiter(
+        (len(_BPE_RE.findall(t)) for t in texts), dtype=np.int64, count=len(texts)
+    )
+    return pa.table({"doc_id": batch["doc_id"], "n_pieces": pa.array(counts, pa.int64())})
 
 
 def token_count_bpe(sf_dir: str) -> ray.data.Dataset:
     """BPE-ish regex token counting per document (letters / digits /
     single non-space symbol pieces)."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    return ds.map_batches(
-        BpeishTokenCounter, batch_format="pyarrow", batch_size=512, concurrency=(1, 8)
-    )
+    return ds.map_batches(bpeish_piece_counts, batch_format="pyarrow", batch_size=512)
 
 
 def token_count_bpe_sql() -> str:

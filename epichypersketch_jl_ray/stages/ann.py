@@ -1,10 +1,10 @@
 """Approximate-nearest-neighbour stages over an embedding column.
 
 Baseline: brute-force cosine top-k — a numpy matmul per batch against a
-broadcast query matrix (ray.put once, fetched once per actor), per-batch
-partial top-k, tiny driver-side final merge. Scale path: LSH bucketing via
-random hyperplane signs (SimHash over embeddings) to prune candidates —
-same harness, bucket column + groupby.
+broadcast query matrix (ray.put once, read once per worker through the
+broadcast memo), per-batch partial top-k, then a per-query top-k reduce on
+the hash exchange. Scale path: LSH bucketing via random hyperplane signs
+(SimHash over embeddings) to prune candidates — same harness.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import pyarrow as pa
 
 import ray
 
+from epichypersketch_jl_ray.stages.exchange import hash_partition, map_buckets
+from epichypersketch_jl_ray.stages.udaf import broadcast_get, cpu_units, input_units
 
 # Every embedding pair's cosine is quantized to the 2^-16 grid,
 # floor(x * 2^16) / 2^16, by the pipelines and by their SQL oracles alike:
@@ -50,36 +52,31 @@ def _embedding_matrix(batch: pa.Table, col: str) -> np.ndarray:
     return flat.reshape(len(arr), dim)
 
 
-class BruteForceTopK:
-    """Actor stage: per-batch cosine top-k against the broadcast queries."""
-
-    def __init__(self, query_ref, *, k: int = 10, id_col: str = "vec_id", col: str = "embedding"):
-        q_ids, q = ray.get(query_ref) if not isinstance(query_ref, tuple) else query_ref
-        self.q_ids = np.asarray(q_ids, dtype=np.int64)
-        qn = np.linalg.norm(q, axis=1, keepdims=True)
-        self.q = q / np.where(qn == 0, 1, qn)
-        self.k = k
-        self.id_col = id_col
-        self.col = col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        e = _embedding_matrix(batch, self.col)
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        norms = np.linalg.norm(e, axis=1, keepdims=True)
-        e = e / np.where(norms == 0, 1, norms)
-        sims = self.q @ e.T  # (nq, nb)
-        k = min(self.k, sims.shape[1])
-        # the batch's first k by distributed_topk's order, so the final
-        # reduce sees every row it would rank in
-        order = np.lexsort((np.broadcast_to(ids, sims.shape), -quantize_cosine(sims)))
-        part = order[:, :k]
-        return pa.table(
-            {
-                "query_id": pa.array(np.repeat(self.q_ids, k), pa.int64()),
-                "neighbor_id": pa.array(ids[part].ravel(), pa.int64()),
-                "sim": pa.array(np.take_along_axis(sims, part, axis=1).ravel(), pa.float64()),
-            }
-        )
+def brute_force_topk(
+    batch: pa.Table, *, query_ref, k: int = 10, id_col: str = "vec_id", col: str = "embedding"
+) -> pa.Table:
+    """Per-batch cosine top-k against the broadcast queries ``(q_ids, q)``,
+    read by ref through the per-worker broadcast memo."""
+    q_ids, q = broadcast_get(query_ref)
+    qn = np.linalg.norm(q, axis=1, keepdims=True)
+    q = q / np.where(qn == 0, 1, qn)
+    e = _embedding_matrix(batch, col)
+    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    norms = np.linalg.norm(e, axis=1, keepdims=True)
+    e = e / np.where(norms == 0, 1, norms)
+    sims = q @ e.T  # (nq, nb)
+    k = min(k, sims.shape[1])
+    # the batch's first k by distributed_topk's order, so the final
+    # reduce sees every row it would rank in
+    order = np.lexsort((np.broadcast_to(ids, sims.shape), -quantize_cosine(sims)))
+    part = order[:, :k]
+    return pa.table(
+        {
+            "query_id": pa.array(np.repeat(np.asarray(q_ids, dtype=np.int64), k), pa.int64()),
+            "neighbor_id": pa.array(ids[part].ravel(), pa.int64()),
+            "sim": pa.array(np.take_along_axis(sims, part, axis=1).ravel(), pa.float64()),
+        }
+    )
 
 
 class LSHBuckets:
@@ -100,30 +97,43 @@ class LSHBuckets:
         return out
 
 
+_CANDIDATES = pa.schema(
+    [("query_id", pa.int64()), ("neighbor_id", pa.int64()), ("sim", pa.float64())]
+)
+
+
 def distributed_topk(candidates: ray.data.Dataset, *, k: int = 10) -> ray.data.Dataset:
-    """DISTRIBUTED final top-k reduce: groupby(query_id) co-locates each
-    query's per-block partial top-ks, one vectorized per-group merge emits
-    exactly k (query_id, neighbor_id, rank) rows, ranked by the quantized
-    cosine (``quantize_cosine``) descending, then neighbor_id ascending —
-    the order the SQL oracles rank by, so a few-ulp drift between the BLAS
-    and the DuckDB cosine cannot swap two near-tied neighbours. The
-    candidate stream (blocks × queries × k rows) never touches the driver
-    — at 100 TB that stream is millions of rows while the result stays
+    """DISTRIBUTED final top-k reduce: the hash exchange on ``query_id``
+    sends every candidate of a query to one bucket, and each bucket task
+    ranks each of its queries' rows and keeps exactly k (query_id,
+    neighbor_id, rank) rows per query, ranked by the quantized cosine
+    (``quantize_cosine``) descending, then neighbor_id ascending — the
+    order the SQL oracles rank by, so a few-ulp drift between the BLAS and
+    the DuckDB cosine cannot swap two near-tied neighbours. The candidate
+    stream (blocks × queries × k rows) never touches the driver — at
+    100 TB that stream is millions of rows while the result stays
     queries × k."""
 
-    def topk_group(group: pa.Table) -> pa.Table:
-        sims = quantize_cosine(group["sim"].to_numpy(zero_copy_only=False))
-        ids = group["neighbor_id"].to_numpy(zero_copy_only=False)
-        qid = group["query_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, -sims))[:k]  # quantized sim desc, neighbor_id asc
+    def topk_bucket(t: pa.Table) -> pa.Table:
+        if not t.num_rows:  # a bucket of no candidate may have no columns
+            t = _CANDIDATES.empty_table()
+        sims = quantize_cosine(t["sim"].to_numpy(zero_copy_only=False))
+        ids = t["neighbor_id"].to_numpy(zero_copy_only=False)
+        qid = t["query_id"].to_numpy(zero_copy_only=False)
+        # by query, then quantized sim desc, then neighbor_id asc
+        order = np.lexsort((ids, -sims, qid))
+        q = qid[order]
+        starts = np.flatnonzero(np.concatenate(([True], q[1:] != q[:-1])))
+        rank = np.arange(len(q)) - np.repeat(starts, np.diff(np.append(starts, len(q)))) + 1
+        keep = order[rank <= k]
         return pa.table(
             {
-                "query_id": pa.array(qid[order], pa.int64()),
-                "neighbor_id": pa.array(ids[order], pa.int64()),
-                "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int64), pa.int64()),
+                "query_id": pa.array(qid[keep], pa.int64()),
+                "neighbor_id": pa.array(ids[keep], pa.int64()),
+                "rank": pa.array(rank[rank <= k], pa.int64()),
             }
         )
 
-    return candidates.groupby("query_id").map_groups(topk_group, batch_format="pyarrow")
-
-
+    return map_buckets(
+        topk_bucket, hash_partition(input_units(candidates), ["query_id"], cpu_units(None))
+    )

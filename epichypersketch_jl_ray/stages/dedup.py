@@ -46,8 +46,8 @@ def content_key_table(
 
 
 class SignatureStage:
-    """Actor stage: doc text -> minhash signature + band keys (stateful:
-    permutations built once per actor)."""
+    """Doc text -> minhash signature + band keys (stateful: permutations
+    built once, on the driver, and shipped in the task map's closure)."""
 
     def __init__(self, *, num_perms: int = 128, bands: int = 64, shingle_n: int = 3, seed: int = 99):
         self.mh = MinHasher(num_perms=num_perms, seed=seed)

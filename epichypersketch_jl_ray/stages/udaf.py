@@ -205,7 +205,7 @@ def cluster_cpus() -> int:
     """CPUs of the running Ray cluster (of this machine before Ray starts:
     what the first task submission's auto-init would get). Sizes every
     per-CPU cut: ``cpu_units`` (web corpus row ranges, exchange buckets),
-    threshold-merge shards, join bucket floors, graph shards."""
+    threshold-merge shards, join bucket floors, PageRank's edge units."""
     import os
 
     if ray.is_initialized():
@@ -674,10 +674,9 @@ def exact_recount(
 # on every call instead of returning zero-copy plasma views — a per-batch
 # ray.get in a pass-2 stage re-paid that decode per batch (measured 40x on
 # the sf0.1 k=4 motif select: 0.5 s -> 29 s). Memoize the deserialized
-# object per worker process, keyed by the ref. Bounded LRU: iterative
-# engines (PageRank) broadcast a fresh node-scale vector per iteration,
-# and an unbounded cache would pin every iteration's vector in every
-# long-lived worker for the whole session.
+# object per worker process, keyed by the ref. Bounded LRU: a long-lived
+# worker serves many queries of a session, and an unbounded cache would
+# pin every broadcast it ever read for the whole session.
 from collections import OrderedDict
 
 _BROADCAST_CACHE: OrderedDict = OrderedDict()
@@ -686,10 +685,9 @@ _BROADCAST_CACHE_MAX = 32
 
 def broadcast_get(ref):
     """ray.get memoized per worker process — use for every per-batch read of
-    a ray.put sketch/state broadcast (plain numpy broadcasts stay zero-copy
-    through vanilla ray.get and don't need this). The memo is a small LRU;
-    callers that broadcast a sequence of one-shot values (one per iteration)
-    should also broadcast_evict the superseded ref."""
+    a ray.put broadcast that a task map receives by ref (a sketch, model
+    weights, a tokenizer whose word cache should stay warm across the
+    worker's tasks, a query matrix). The memo is a small LRU."""
     import ray
 
     key = ref.hex() if hasattr(ref, "hex") else ref
@@ -701,12 +699,3 @@ def broadcast_get(ref):
     while len(_BROADCAST_CACHE) > _BROADCAST_CACHE_MAX:
         _BROADCAST_CACHE.popitem(last=False)
     return value
-
-
-def broadcast_evict(ref) -> None:
-    """Drop a broadcast entry from THIS process' cache. Worker processes
-    evict lazily via the LRU bound; call this on the driver (and in stages
-    that know a ref is superseded) for deterministic release of node-scale
-    one-iteration values."""
-    key = ref.hex() if hasattr(ref, "hex") else ref
-    _BROADCAST_CACHE.pop(key, None)

@@ -55,7 +55,8 @@ def test_ann_topk_ranks_near_ties_on_the_quantized_cosine(ray_session):
     from epichypersketch_jl_ray.pipelines.ann import ann_cosine_topk_sql
     from epichypersketch_jl_ray.pipelines.merged import ann_approx_topk_sql
     from epichypersketch_jl_ray.sources.sinks import store_dir
-    from epichypersketch_jl_ray.stages.ann import BruteForceTopK, distributed_topk
+    from epichypersketch_jl_ray.stages.ann import brute_force_topk, distributed_topk
+    from epichypersketch_jl_ray.stages.exchange import to_table
 
     rng = np.random.default_rng(3)
     e = rng.standard_normal((16, 16))
@@ -68,10 +69,11 @@ def test_ann_topk_ranks_near_ties_on_the_quantized_cosine(ray_session):
         }
     )
     k = 3
+    query_ref = ray.put((np.arange(5), e[:5]))
     cands = pa.concat_tables(
-        [BruteForceTopK((np.arange(5), e[:5]), k=k)(emb.slice(i, 8)) for i in (0, 8)]
+        [brute_force_topk(emb.slice(i, 8), query_ref=query_ref, k=k) for i in (0, 8)]
     )
-    got = distributed_topk(ray.data.from_arrow(cands), k=k).to_pandas()
+    got = to_table(distributed_topk(ray.data.from_arrow(cands), k=k)).to_pandas()
     got = got.sort_values(["query_id", "rank"]).reset_index(drop=True)
     assert got[got.query_id == 0].neighbor_id.tolist() == [0, 5, 15]
 
@@ -123,33 +125,33 @@ def test_decode_stages_raise_the_codec_seam_for_deleted_mimes(ray_session):
     the image and video mimes whose decoders were deleted last (a BMP
     labelled image/gif or image/webp, raw gray8 frames labelled video/gif)."""
     from epichypersketch_jl_ray.stages.multimodal import (
-        DecodeImage,
-        FrameSampleVideo,
-        WindowAudio,
+        decode_image,
+        frame_sample_video,
+        window_audio,
         make_mixed_audio_table,
         make_raw_video_table,
     )
 
     with pytest.raises(NotImplementedError):
-        DecodeImage()(_with_mime(_bmp_table(2), "image/jpeg"))
+        decode_image(_with_mime(_bmp_table(2), "image/jpeg"))
     with pytest.raises(NotImplementedError):
-        FrameSampleVideo(stride=8)(_with_mime(make_raw_video_table(2), "video/avi"))
+        frame_sample_video(_with_mime(make_raw_video_table(2), "video/avi"), stride=8)
     with pytest.raises(NotImplementedError):
-        WindowAudio(window=1024)(_with_mime(make_mixed_audio_table(2), "audio/flac"))
+        window_audio(_with_mime(make_mixed_audio_table(2), "audio/flac"), window=1024)
     for mime in ("image/gif", "image/webp"):
         with pytest.raises(NotImplementedError):
-            DecodeImage()(_with_mime(_bmp_table(2), mime))
+            decode_image(_with_mime(_bmp_table(2), mime))
     with pytest.raises(NotImplementedError):
-        FrameSampleVideo(stride=8)(_with_mime(make_raw_video_table(2), "video/gif"))
+        frame_sample_video(_with_mime(make_raw_video_table(2), "video/gif"), stride=8)
 
 
 def test_decode_validates_payload(ray_session):
-    from epichypersketch_jl_ray.stages.multimodal import DecodeImage
+    from epichypersketch_jl_ray.stages.multimodal import decode_image
 
     tbl = _bmp_table(4)
     bad = tbl.set_column(3, "width", pa.array([99] * 4, pa.int32()))
     with pytest.raises(ValueError):
-        DecodeImage()(bad)
+        decode_image(bad)
 
 
 def test_multimodal_features_rows_and_keys_at_sf0_001(ray_session):
@@ -173,7 +175,7 @@ def test_multimodal_features_rows_and_keys_at_sf0_001(ray_session):
 
 def test_video_frame_sampling(ray_session, sf_dir):
     from epichypersketch_jl_ray.pipelines.multimodal import video_frame_features
-    from epichypersketch_jl_ray.stages.multimodal import FrameSampleVideo
+    from epichypersketch_jl_ray.stages.multimodal import frame_sample_video, make_raw_video_table
 
     out = video_frame_features(sf_dir, n=32, stride=8)
     # 24 frames, stride 8 -> frames 0, 8, 16 per video
@@ -185,12 +187,12 @@ def test_video_frame_sampling(ray_session, sf_dir):
     b = np.array(out2.sort_values(["id", "frame_idx"])["embedding"].tolist())
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        FrameSampleVideo(stride=0)
+        frame_sample_video(make_raw_video_table(1), stride=0)
 
 
 def test_audio_windowing(ray_session, sf_dir):
     from epichypersketch_jl_ray.pipelines.multimodal import audio_window_features
-    from epichypersketch_jl_ray.stages.multimodal import WindowAudio
+    from epichypersketch_jl_ray.stages.multimodal import make_mixed_audio_table, window_audio
 
     out = audio_window_features(sf_dir, n=16, window=1024)
     # 4096 samples / 1024 window -> 4 windows per clip
@@ -198,7 +200,7 @@ def test_audio_windowing(ray_session, sf_dir):
     assert all(v == [0, 1, 2, 3] for v in per_clip)
     assert all(len(e) == 8 for e in out["embedding"].head(5))
     with pytest.raises(ValueError):
-        WindowAudio(window=0)
+        window_audio(make_mixed_audio_table(1), window=0)
 
 
 def test_multimodal_stages_honour_sliced_batches():
@@ -207,25 +209,25 @@ def test_multimodal_stages_honour_sliced_batches():
     PCM16-WAV payloads are each of one size, so reading the wrong rows
     would pass every length and header check)."""
     from epichypersketch_jl_ray.stages.multimodal import (
-        DecodeImage,
-        FrameSampleVideo,
-        WindowAudio,
+        decode_image,
+        frame_sample_video,
+        window_audio,
         make_mixed_audio_table,
         make_raw_video_table,
     )
 
     img = _bmp_table(10)
     assert len(set(map(len, img["payload"].to_pylist()))) == 1
-    full = DecodeImage()(img)
-    part = DecodeImage()(img.slice(4, 3))
+    full = decode_image(img)
+    part = decode_image(img.slice(4, 3))
     for i in range(3):
         assert np.array_equal(
             np.asarray(part["pixels"][i].as_py()), np.asarray(full["pixels"][4 + i].as_py())
         )
 
     vid = make_raw_video_table(6)
-    vfull = FrameSampleVideo(stride=8)(vid).to_pandas()
-    vpart = FrameSampleVideo(stride=8)(vid.slice(2, 2)).to_pandas()
+    vfull = frame_sample_video(vid, stride=8).to_pandas()
+    vpart = frame_sample_video(vid.slice(2, 2), stride=8).to_pandas()
     assert len(vpart) == 2 * 3
     for _, row in vpart.iterrows():
         ref = vfull[(vfull["id"] == row["id"]) & (vfull["frame_idx"] == row["frame_idx"])]
@@ -233,8 +235,8 @@ def test_multimodal_stages_honour_sliced_batches():
 
     aud = make_mixed_audio_table(6)
     assert len(set(map(len, aud["payload"].to_pylist()))) == 1
-    afull = WindowAudio(window=1024)(aud).to_pandas()
-    apart = WindowAudio(window=1024)(aud.slice(3, 2)).to_pandas()
+    afull = window_audio(aud, window=1024).to_pandas()
+    apart = window_audio(aud.slice(3, 2), window=1024).to_pandas()
     assert len(apart) == 2 * 4
     for _, row in apart.iterrows():
         ref = afull[(afull["id"] == row["id"]) & (afull["window_idx"] == row["window_idx"])]

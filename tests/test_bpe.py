@@ -8,6 +8,7 @@ import pyarrow as pa
 import pytest
 
 from epichypersketch_jl_ray.functions.bpe import BpeTokenizer, train_bpe
+from epichypersketch_jl_ray.stages.udaf import broadcast_get
 
 
 def test_classic_merges_hand_checked():
@@ -64,16 +65,35 @@ def test_distributed_apply_equals_local(ray_session):
     docs = [f"document number {i} talks about sketching and streams" for i in range(200)]
     ds = ray.data.from_items([{"text": t} for t in docs])
     tok = BpeTokenizer(train_bpe(docs[:100], 80))
-    ref = ray.put(tok)  # broadcast once, read per task
+    ref = ray.put(tok)  # broadcast once, read per task through the worker memo
 
     def apply(batch: pa.Table) -> pa.Table:
-        t = ray.get(ref)
+        t = broadcast_get(ref)
         return pa.table({"n_tokens": t.token_counts(batch["text"])})
 
     got = ds.map_batches(apply, batch_format="pyarrow").take_all()
     want = [len(tok.encode(t)) for t in docs]
     assert sorted(r["n_tokens"] for r in got) == sorted(want)
     assert min(want) > 0
+    # one instance per process: its word cache stays warm from call to call
+    broadcast_get(ref).token_counts(pa.array(docs[:5]))
+    assert broadcast_get(ref) is broadcast_get(ref) and broadcast_get(ref)._cache
+
+
+def test_bpeish_piece_counts_equal_regex_findall():
+    """token_count_bpe's batch function: one count of BPE-ish regex pieces
+    per document, next to its doc_id."""
+    import re
+
+    from epichypersketch_jl_ray.pipelines.textstats import BPE_PATTERN, bpeish_piece_counts
+
+    texts = ["hello world 42!", "", "a-b c_d", "über 3.14"]
+    batch = pa.table({"doc_id": pa.array([7, 8, 9, 10], pa.int64()), "text": texts})
+    out = bpeish_piece_counts(batch)
+    assert out.column_names == ["doc_id", "n_pieces"]
+    assert out["doc_id"].to_pylist() == [7, 8, 9, 10]
+    assert out["n_pieces"].to_pylist() == [4, 0, 6, 5]
+    assert out["n_pieces"].to_pylist() == [len(re.findall(BPE_PATTERN, t)) for t in texts]
 
 
 def test_distributed_training_exact_vs_local(ray_session):

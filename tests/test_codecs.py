@@ -108,11 +108,11 @@ def _bmp_image_table(images: list[np.ndarray], mime: str = "image/bmp") -> pa.Ta
 
 
 def test_decode_image_stage_real_bmp_known_pixels():
-    from epichypersketch_jl_ray.stages.multimodal import DecodeImage
+    from epichypersketch_jl_ray.stages.multimodal import decode_image
 
     rng = np.random.default_rng(7)
     images = [rng.integers(0, 256, size=(8, 8), dtype=np.uint8) for _ in range(5)]
-    out = DecodeImage()(_bmp_image_table(images))
+    out = decode_image(_bmp_image_table(images))
     arr = out["pixels"]
     for i, want in enumerate(images):
         got = np.asarray(arr[i].as_py(), dtype=np.float32)
@@ -120,11 +120,11 @@ def test_decode_image_stage_real_bmp_known_pixels():
 
 
 def test_decode_image_stage_rejects_compressed_mime():
-    from epichypersketch_jl_ray.stages.multimodal import DecodeImage
+    from epichypersketch_jl_ray.stages.multimodal import decode_image
 
     tbl = _bmp_image_table([np.zeros((8, 8), np.uint8)], mime="image/avif")
     with pytest.raises(NotImplementedError):
-        DecodeImage()(tbl)
+        decode_image(tbl)
 
 
 @pytest.mark.parametrize("filter_type", [0, 1, 2, 3, 4])
@@ -194,7 +194,7 @@ def test_png_round_trip_fuzz():
 
 
 def test_decode_image_stage_mixed_bmp_png():
-    from epichypersketch_jl_ray.stages.multimodal import DecodeImage, make_mixed_image_table
+    from epichypersketch_jl_ray.stages.multimodal import decode_image, make_mixed_image_table
 
     tbl = make_mixed_image_table(40, seed=7, side=8)
     assert tbl["mime"].to_pylist() == ["image/bmp", "image/png"] * 20
@@ -207,7 +207,7 @@ def test_decode_image_stage_mixed_bmp_png():
         zlib.decompress(tbl["payload"][i].as_py()[41:-16])[0] for i in range(1, 40, 2)
     ]
     assert filters == [0, 1, 2, 3, 4] * 4
-    out = DecodeImage()(tbl)
+    out = decode_image(tbl)
     rng = np.random.default_rng(7)  # regenerate the fixture's pixel truth
     for i in range(40):
         want = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
@@ -216,11 +216,11 @@ def test_decode_image_stage_mixed_bmp_png():
 
 
 def test_window_audio_stage_mixed_wav():
-    from epichypersketch_jl_ray.stages.multimodal import WindowAudio, make_mixed_audio_table
+    from epichypersketch_jl_ray.stages.multimodal import make_mixed_audio_table, window_audio
 
     tbl = make_mixed_audio_table(8, seed=17, samples=2048)
     assert tbl["mime"].to_pylist() == ["audio/wav"] * 8
-    out = WindowAudio(window=512)(tbl)
+    out = window_audio(tbl, window=512)
     assert out.num_rows == 8 * (2048 // 512)
     # regenerate the fixture's ground truth and compare every decoded window
     rng = np.random.default_rng(17)
@@ -234,7 +234,7 @@ def test_window_audio_stage_mixed_wav():
 
 
 def test_window_audio_stage_real_wav_known_samples():
-    from epichypersketch_jl_ray.stages.multimodal import WindowAudio
+    from epichypersketch_jl_ray.stages.multimodal import window_audio
 
     rng = np.random.default_rng(17)
     clips = [rng.integers(-32768, 32768, size=2048).astype(np.int16) for _ in range(2)]
@@ -247,7 +247,7 @@ def test_window_audio_stage_real_wav_known_samples():
             "n_samples": pa.array([2048] * 2, pa.int32()),
         }
     )
-    out = WindowAudio(window=512)(tbl)
+    out = window_audio(tbl, window=512)
     assert len(out) == 2 * (2048 // 512)
     got = np.asarray(out["pixels"][0].as_py(), dtype=np.float32)
     np.testing.assert_allclose(got, clips[0][:512].astype(np.float32) / 32768.0)
@@ -255,19 +255,20 @@ def test_window_audio_stage_real_wav_known_samples():
 
 def test_frame_sample_video_real_raw(ray_session):
     from epichypersketch_jl_ray.stages.multimodal import (
-        FrameSampleVideo,
+        frame_sample_video,
         make_raw_video_table,
     )
 
     tbl = make_raw_video_table(3, seed=13, side=4, frames=24)
-    out = FrameSampleVideo(stride=8)(tbl)
+    out = frame_sample_video(tbl, stride=8)
     assert len(out) == 3 * 3  # frames 0, 8, 16 per video
     assert out["frame_idx"].to_pylist() == [0, 8, 16] * 3
     # a short payload must not borrow the next row's bytes
     payloads = tbl["payload"].to_pylist()
     payloads[0] = payloads[0][:192]
     with pytest.raises(ValueError, match="id 0"):
-        FrameSampleVideo(stride=8)(tbl.set_column(1, "payload", pa.array(payloads, pa.binary())))
+        short = tbl.set_column(1, "payload", pa.array(payloads, pa.binary()))
+        frame_sample_video(short, stride=8)
 
 
 def test_frame_sample_video_mixed_containers(ray_session):
@@ -276,13 +277,13 @@ def test_frame_sample_video_mixed_containers(ray_session):
     frame truth exactly: id mod 4 picks the raw stream (0: seed, 1: seed + 1,
     2 and 3: seed + 2)."""
     from epichypersketch_jl_ray.stages.multimodal import (
-        FrameSampleVideo,
+        frame_sample_video,
         make_mixed_video_table,
     )
 
     tbl = make_mixed_video_table(8, seed=13, side=4, frames=24)
     assert tbl["mime"].to_pylist() == ["video/raw-gray8", "video/y4m"] * 4
-    out = FrameSampleVideo(stride=8)(tbl)
+    out = frame_sample_video(tbl, stride=8)
     assert len(out) == 8 * 3
     streams = [np.random.default_rng(13 + k) for k in range(3)]
     truth = {k: [g.integers(0, 256, size=(24, 4, 4), dtype=np.uint8) for _ in range(8)]

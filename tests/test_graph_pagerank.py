@@ -71,29 +71,53 @@ def test_mass_bound(ray_session, sf_dir):
     assert n * BASE <= total <= n * FP_ONE
 
 
-def test_driver_combine_equals_groupby_path(ray_session):
-    """Size-gated combine paths are byte-identical (integer sums)."""
-    import ray
-
-    und = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 1)]
-    edges = und + [(b, a) for a, b in und]
-    ds = ray.data.from_items([{"src": s, "dst": d} for s, d in edges]).repartition(4)
-    n1, r1 = pagerank_fixedpoint(ds, n_iters=8, driver_combine=True)
-    n2, r2 = pagerank_fixedpoint(ds, n_iters=8, driver_combine=False)
-    assert np.array_equal(n1, n2) and np.array_equal(r1, r2)
-
-
-def test_actor_engine_equals_dataset_engine(ray_session):
-    """The edge-shard actor engine (default) is byte-identical to the
-    Dataset engine on the same edges."""
+def test_one_engine_equals_local_pagerank_under_any_cut(ray_session):
+    """The task engine's ranks equal the local fixed-point loop however
+    the edges are cut into blocks (integer sums are order-free): one
+    block, fewer blocks than CPUs, more blocks than CPUs, some empty."""
     import ray
 
     und = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 1), (2, 5)]
     edges = und + [(b, a) for a, b in und]
-    ds = ray.data.from_items([{"src": s, "dst": d} for s, d in edges]).repartition(5)
-    n1, r1 = pagerank_fixedpoint(ds, n_iters=9, engine="actors")
-    n2, r2 = pagerank_fixedpoint(ds, n_iters=9, engine="dataset")
-    assert np.array_equal(n1, n2) and np.array_equal(r1, r2)
+    want = _local_pagerank(edges, 9)
+    ds = ray.data.from_items([{"src": s, "dst": d} for s, d in edges])
+    for blocks in (1, 3, 5, 13, 20):
+        nodes, rank = pagerank_fixedpoint(ds.repartition(blocks), n_iters=9)
+        assert {int(n): int(r) for n, r in zip(nodes, rank)} == want, blocks
+
+
+def test_unit_partials_combine_equals_per_dst_sum(ray_session):
+    """The driver's combine of the unit partials: each ``_unit_partial``
+    lists a dst index once (the scatter ``s_acc[dst] += sums`` needs
+    that), and the scattered partials equal the per-dst sum over all
+    edges, with a hub whose in-edges fall in every block of a unit."""
+    import ray
+
+    from epichypersketch_jl_ray.pipelines import graph
+
+    spokes = [(0, n) for n in range(1, 12)]
+    und = spokes + [(n, n + 1) for n in range(1, 11)]
+    edges = und + [(b, a) for a, b in und]
+    nodes = np.arange(12, dtype=np.int64)
+    src = np.array([s for s, _ in edges], dtype=np.int64)
+    dst = np.array([d for _, d in edges], dtype=np.int64)
+    contrib = np.arange(7, 7 + 12, dtype=np.int64) ** 3
+    want = np.bincount(dst, weights=contrib[src].astype(np.float64), minlength=12)
+    blocks = [
+        pa.table({"src": pa.array(src[cut]), "dst": pa.array(dst[cut])})
+        for cut in np.array_split(np.arange(len(edges)), 5)
+    ]
+    unit = graph._prep_unit.remote(ray.put(nodes), *blocks)
+    got_dst, sums = ray.get(graph._unit_partial.remote(unit, ray.put(contrib)))
+    assert np.all(np.diff(got_dst) > 0)
+    s_acc = np.zeros(12, dtype=np.int64)
+    s_acc[got_dst] += sums
+    assert np.array_equal(s_acc, want.astype(np.int64))
+
+    ds = ray.data.from_items([{"src": s, "dst": d} for s, d in edges])
+    for blocks in (2, 6):
+        nodes_out, rank = pagerank_fixedpoint(ds.repartition(blocks), n_iters=8)
+        assert {int(n): int(r) for n, r in zip(nodes_out, rank)} == _local_pagerank(edges, 8)
 
 
 def test_empty_edge_set(ray_session):
@@ -103,44 +127,38 @@ def test_empty_edge_set(ray_session):
     empty = ray.data.from_arrow(
         pa.table({"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())})
     )
-    for engine in ("actors", "dataset"):
-        nodes, rank = pagerank_fixedpoint(empty, n_iters=3, engine=engine)
-        assert len(nodes) == 0 and len(rank) == 0
+    nodes, rank = pagerank_fixedpoint(empty, n_iters=3)
+    assert len(nodes) == 0 and len(rank) == 0
 
 
-def test_actor_engine_survives_shard_kill(ray_session):
-    """Kill an _EdgeShard actor mid-run: the engine re-ingests the shard
-    from the pinned edge blocks and the result is byte-identical to an
-    undisturbed run (and to the Dataset engine)."""
+def test_pagerank_survives_a_killed_worker(ray_session, tmp_path, monkeypatch):
+    """The worker running the first iteration task exits mid-task; Ray's
+    default task retry reruns it from the same refs (the prepared unit
+    and the contribution vector stay in the object store) and the ranks
+    equal the undisturbed run's byte for byte."""
+    import os
+
     import ray
-    from ray.data.aggregate import Count
 
-    from epichypersketch_jl_ray.pipelines.graph import (
-        _iterate_actor_shards,
-        pagerank_fixedpoint,
-    )
+    from epichypersketch_jl_ray.pipelines import graph
 
     und = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 1), (2, 5), (4, 1)]
     edges = und + [(b, a) for a, b in und]
     ds = ray.data.from_items([{"src": s, "dst": d} for s, d in edges]).repartition(4)
+    clean_nodes, clean = pagerank_fixedpoint(ds, n_iters=7)
+    assert {int(n): int(r) for n, r in zip(clean_nodes, clean)} == _local_pagerank(edges, 7)
 
-    nodes_ref, rank_ref = pagerank_fixedpoint(ds, n_iters=7, engine="dataset")
+    marker = str(tmp_path / "killed")
+    partial = graph._unit_partial._function  # the iteration task's own body
 
-    mat = ds.materialize()
-    deg_rows = mat.groupby("src").aggregate(Count(alias_name="d")).take_all()
-    nodes = np.array(sorted(r["src"] for r in deg_rows), dtype=np.int64)
-    deg = np.array(
-        [d for _, d in sorted((r["src"], r["d"]) for r in deg_rows)], dtype=np.int64
-    )
-    assert np.array_equal(nodes, nodes_ref)
+    def crash_once(unit, contrib):
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return partial(unit, contrib)
+        os._exit(1)  # the worker process dies, as on a lost node
 
-    killed = []
-
-    def kill_one(it, shards):
-        if it == 3 and shards:
-            ray.kill(shards[0], no_restart=True)
-            killed.append(True)
-
-    rank = _iterate_actor_shards(mat, nodes, deg, n_iters=7, _iteration_hook=kill_one)
-    assert killed, "hook never fired"
-    assert np.array_equal(rank, rank_ref)
+    monkeypatch.setattr(graph, "_unit_partial", ray.remote(crash_once))
+    nodes, rank = pagerank_fixedpoint(ds, n_iters=7)
+    assert os.path.exists(marker)
+    assert np.array_equal(nodes, clean_nodes) and np.array_equal(rank, clean)
